@@ -25,7 +25,6 @@ from .dynamics import (
     JumpOperatorSet,
     ObserveConfig,
     TimeGrid,
-    Trajectory,
     evolve_lindblad,
     evolve_unitary,
 )
@@ -51,13 +50,7 @@ from .states import (
     load_state,
     maximally_entangled,
 )
-from .sweep import (
-    SweepConfig,
-    SweepReport,
-    run_fig2,
-    run_smi_protocol,
-    run_sweep,
-)
+from .sweep import SweepConfig, run_fig2, run_sweep
 
 __all__ = ["main"]
 
@@ -284,10 +277,7 @@ def _cmd_reproduce(args) -> int:
         cfg = SweepConfig("rate-zero", **cfg_kw)
     else:
         cfg = SweepConfig("commuting-null", **cfg_kw)
-    if name == "smi":
-        report = run_smi_protocol(cfg.d, cfg)
-    else:
-        report = run_sweep(cfg)
+    report = run_sweep(cfg)
     json_out = base + ".json"
     csv_out = base + ".envelope.csv"
     report.save_json(json_out)

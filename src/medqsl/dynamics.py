@@ -27,7 +27,7 @@ from .errors import (
     PositivityLostError,
 )
 from .hamiltonians import Hamiltonian, energy_moments
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, propagate, sqrtm_psd
 from .states import (
     Bipartition,
     DensityState,
@@ -36,7 +36,9 @@ from .states import (
     embed_operator,
     mutual_information,
     negativity,
+    negativity_array,
     partial_trace,
+    partial_trace_array,
     purity,
     uhlmann_fidelity,
 )
@@ -53,6 +55,8 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 1e7
+# grid points per propagate call: bounds the factors held next to the states
+PROPAGATE_CHUNK = 256
 LINDBLAD_MAX_STEP = 1e-3
 LINDBLAD_EIG_FLOOR = -1e-6
 TRAJECTORY_COLUMNS = (
@@ -205,6 +209,11 @@ def _observe(h: Hamiltonian, s0: DensityState, observe: ObserveConfig,
     return Trajectory(times=np.asarray(times, dtype=float), states=states, columns=cols)
 
 
+def _factor(s: DensityState) -> np.ndarray:
+    """The pure vector, or sqrt(rho) as a column factor of a mixed state."""
+    return s.pure_vector if s.is_pure else sqrtm_psd(s.matrix)
+
+
 def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
                    observe: ObserveConfig | None = None) -> Trajectory:
     """Closed evolution of ``s0`` (the state at ``grid.start``) under ``h``."""
@@ -212,19 +221,15 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     if observe is None:
         observe = ObserveConfig.default_for(s0.layout)
     w, v = hermitian_eig(h.matrix)
+    x0 = _factor(s0)
     times = grid.times
     states = []
-    if s0.is_pure:
-        coeff = v.conj().T @ s0.pure_vector
-        for t in times:
-            psi = v @ (np.exp(-1j * (t - grid.start) * w) * coeff)
-            states.append(DensityState.from_pure(s0.layout, psi))
-    else:
-        rot = v.conj().T @ s0.matrix @ v
-        for t in times:
-            phase = np.exp(-1j * (t - grid.start) * w)
-            m = (phase[:, None] * rot * phase.conj()[None, :])
-            states.append(DensityState(s0.layout, v @ m @ v.conj().T))
+    for lo in range(0, len(times), PROPAGATE_CHUNK):
+        for x in propagate(w, v, x0, times[lo:lo + PROPAGATE_CHUNK] - grid.start):
+            if s0.is_pure:
+                states.append(DensityState.from_pure(s0.layout, x))
+            else:
+                states.append(DensityState(s0.layout, x @ x.conj().T))
     return _observe(h, s0, observe, times, states)
 
 
@@ -282,31 +287,32 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     return _observe(h, s0, observe, times, states)
 
 
-def _negativity_probe(h: Hamiltonian, s0: DensityState, p: Bipartition):
-    """Callable T -> N_p(T) under unitary evolution, tracing to p's labels."""
-    keep = tuple(p.side_a) + tuple(p.side_b)
-    keep_all = set(keep) == set(s0.layout.labels)
-    w, v = hermitian_eig(h.matrix)
-    if s0.is_pure:
-        coeff = v.conj().T @ s0.pure_vector
+def _cut_negativity(layout: SystemLayout, p: Bipartition):
+    """Callable rho -> N_p of rho traced down to p's labels, on raw arrays."""
+    keep = set(p.side_a) | set(p.side_b)
+    keep_pos = sorted(layout.position(lab) for lab in keep)
+    marg = layout.restricted(keep)
+    b_pos = [marg.position(lab) for lab in p.side_b]
 
-        def at(t: float) -> DensityState:
-            psi = v @ (np.exp(-1j * t * w) * coeff)
-            return DensityState.from_pure(s0.layout, psi)
-    else:
-        rot = v.conj().T @ s0.matrix @ v
-
-        def at(t: float) -> DensityState:
-            phase = np.exp(-1j * t * w)
-            m = phase[:, None] * rot * phase.conj()[None, :]
-            return DensityState(s0.layout, v @ m @ v.conj().T)
-
-    def neg(t: float) -> float:
-        s = at(t)
-        marg = s if keep_all else partial_trace(s, keep)
-        return negativity(marg, p)
+    def neg(rho: np.ndarray) -> float:
+        if len(keep_pos) < len(layout):
+            rho = partial_trace_array(rho, layout.dims, keep_pos)
+        return float(negativity_array(rho, marg.dims, b_pos))
 
     return neg
+
+
+def _negativity_probe(h: Hamiltonian, s0: DensityState, p: Bipartition):
+    """Callable T -> N_p(T) under unitary evolution, tracing to p's labels."""
+    neg = _cut_negativity(s0.layout, p)
+    w, v = hermitian_eig(h.matrix)
+    x0 = _factor(s0)
+
+    def at(t: float) -> float:
+        x = propagate(w, v, x0, [t])[0].reshape(s0.layout.dim, -1)
+        return neg(x @ x.conj().T)
+
+    return at
 
 
 def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition,
@@ -321,22 +327,14 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
     _check_layouts(h, s0)
     if not 1e-6 <= delta <= 1e-3:
         raise ValueError(f"delta {delta} outside [1e-6, 1e-3]")
-    keep = tuple(p.side_a) + tuple(p.side_b)
-    keep_all = set(keep) == set(s0.layout.labels)
-
-    def neg_of(state: DensityState) -> float:
-        marg = state if keep_all else partial_trace(state, keep)
-        return negativity(marg, p)
-
-    n0 = neg_of(s0)
+    neg = _cut_negativity(s0.layout, p)
     if jumps is None:
-        probe = _negativity_probe(h, s0, p)
-        return probe(delta) - n0
+        return _negativity_probe(h, s0, p)(delta) - neg(s0.matrix)
     ops = jumps.embedded()
     ops_sq = [q.conj().T @ q for q in ops]
     rho = _rk4_segment(h.matrix, np.array(s0.matrix, dtype=complex), ops, ops_sq, delta)
     s_delta = DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
-    return neg_of(s_delta) - n0
+    return neg(s_delta.matrix) - neg(s0.matrix)
 
 
 def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition,

@@ -32,6 +32,7 @@ __all__ = [
     "Hamiltonian",
     "EnergyMoments",
     "energy_moments",
+    "energy_moments_array",
     "resource_equality_scale",
     "direct_optimal",
     "generalized_x",
@@ -69,10 +70,6 @@ class Hamiltonian:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
     def ground_energy(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
@@ -92,22 +89,31 @@ class EnergyMoments:
         return min(self.mean, self.std)
 
 
+def energy_moments_array(m: np.ndarray, x: np.ndarray, ground: float) -> EnergyMoments:
+    """Moments of ``m`` in a state vector or density matrix ``x``.
+
+    The mean is quoted above ``ground``, the lowest eigenvalue of ``m``,
+    which the caller supplies so that no extra eigensolve is needed.
+    """
+    if x.ndim == 1:
+        mx = m @ x
+        raw_mean = float(np.vdot(x, mx).real)
+        raw_sq = float(np.vdot(mx, mx).real)
+    else:
+        raw_mean = float(np.einsum("ij,ji->", m, x).real)
+        raw_sq = float(np.einsum("ij,jk,ki->", m, m, x).real)
+    var = max(raw_sq - raw_mean * raw_mean, 0.0)
+    return EnergyMoments(mean=raw_mean - ground, std=math.sqrt(var))
+
+
 def energy_moments(h: Hamiltonian, s: DensityState) -> EnergyMoments:
     """Moments of ``h`` in state ``s``: (tr(M rho) - E_ground, sqrt(var))."""
     if h.layout != s.layout:
         raise LayoutMismatchError(
             f"hamiltonian on {h.layout.labels}, state on {s.layout.labels}"
         )
-    m = h.matrix
-    if s.is_pure:
-        mv = m @ s.pure_vector
-        raw_mean = float(np.vdot(s.pure_vector, mv).real)
-        raw_sq = float(np.vdot(mv, mv).real)
-    else:
-        raw_mean = float(np.einsum("ij,ji->", m, s.matrix).real)
-        raw_sq = float(np.einsum("ij,jk,ki->", m, m, s.matrix).real)
-    var = max(raw_sq - raw_mean * raw_mean, 0.0)
-    return EnergyMoments(mean=raw_mean - h.ground_energy(), std=math.sqrt(var))
+    x = s.pure_vector if s.is_pure else s.matrix
+    return energy_moments_array(h.matrix, x, h.ground_energy())
 
 
 def resource_equality_scale(h: Hamiltonian, s: DensityState) -> tuple[Hamiltonian, float]:

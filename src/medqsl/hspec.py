@@ -50,7 +50,6 @@ from .errors import (
 )
 from .hamiltonians import (
     Hamiltonian,
-    ID2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,

@@ -14,11 +14,9 @@ import numpy as np
 from .errors import NotHermitianError, NotPSDError
 
 __all__ = [
-    "kron",
-    "kron_all",
     "require_hermitian",
     "hermitian_eig",
-    "expm_i_hermitian",
+    "propagate",
     "sqrtm_psd",
 ]
 
@@ -27,22 +25,6 @@ HERM_TOL = 1e-10
 # eigenvalues of a PSD matrix may dip slightly negative in floating point;
 # below this floor the matrix is treated as genuinely indefinite
 PSD_FLOOR = -1e-10
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor slowest-varying."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(ops) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    ops = list(ops)
-    if not ops:
-        raise ValueError("kron_all needs at least one factor")
-    out = np.asarray(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
@@ -66,13 +48,21 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def expm_i_hermitian(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t m) for Hermitian ``m``, via the spectral decomposition.
+def propagate(w: np.ndarray, v: np.ndarray, x0: np.ndarray, times) -> np.ndarray:
+    """exp(-i T M) x0 for each T in ``times``, shape ``(len(times),) + x0.shape``.
 
-    Exact per-call: no scaling-and-squaring, no step accumulation.
+    ``w, v`` is the ``hermitian_eig`` of M.  ``x0`` is a state vector or a
+    column factor X of rho = X X+ (such as ``sqrtm_psd(rho)``).  Exact per
+    time point: no scaling-and-squaring, no step accumulation.
     """
-    w, v = hermitian_eig(m)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    x0 = np.asarray(x0)
+    times = np.asarray(times, dtype=float)
+    # columns of the factor as rows, so each phase product runs along a
+    # contiguous axis exactly as it does for a single vector
+    c = np.atleast_2d((v.conj().T @ x0).T)
+    y = np.exp(-1j * np.multiply.outer(times, w))[:, None, :] * c
+    out = v @ y.swapaxes(1, 2)
+    return out.reshape(times.shape + x0.shape)
 
 
 def sqrtm_psd(m: np.ndarray) -> np.ndarray:

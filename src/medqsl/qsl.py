@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, LayoutMismatchError, StationaryStateError
-from .hamiltonians import EnergyMoments, Hamiltonian, energy_moments
+from .hamiltonians import STATIONARY_TOL, EnergyMoments, Hamiltonian, energy_moments
 from .states import (
     DensityState,
     SystemLayout,
@@ -32,8 +32,6 @@ __all__ = [
     "smi_bound",
     "swap_stage_fidelity",
 ]
-
-STATIONARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)

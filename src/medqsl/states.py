@@ -37,6 +37,9 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "negativity",
+    "partial_trace_array",
+    "partial_transpose_array",
+    "negativity_array",
     "uhlmann_fidelity",
     "bures_angle",
     "von_neumann_entropy",
@@ -276,16 +279,22 @@ def embed_operator(layout: SystemLayout, labels, op: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(layout.dim, layout.dim))
 
 
-def _traced_matrix(matrix: np.ndarray, dims: tuple[int, ...], keep_pos) -> np.ndarray:
+def partial_trace_array(m: np.ndarray, dims: tuple[int, ...], keep_pos) -> np.ndarray:
+    """Trace a matrix or a ``(..., n, n)`` stack down to the subsystems at ``keep_pos``.
+
+    ``dims`` is the tuple of subsystem dimensions in layout order, and
+    ``keep_pos`` the kept positions, ascending.  Callers check labels.
+    """
     n = len(dims)
     keep_pos = list(keep_pos)
-    t = matrix.reshape(dims + dims)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + dims + dims)
     row_sub = list(range(n))
     col_sub = [k + n if k in keep_pos else k for k in range(n)]
     out_sub = keep_pos + [k + n for k in keep_pos]
-    out = np.einsum(t, row_sub + col_sub, out_sub)
+    out = np.einsum(t, [Ellipsis] + row_sub + col_sub, [Ellipsis] + out_sub)
     d_keep = int(np.prod([dims[k] for k in keep_pos]))
-    return out.reshape(d_keep, d_keep)
+    return out.reshape(lead + (d_keep, d_keep))
 
 
 def partial_trace(s: DensityState, keep) -> DensityState:
@@ -304,8 +313,20 @@ def partial_trace(s: DensityState, keep) -> DensityState:
             "partial trace must keep a nonempty proper subset of subsystems"
         )
     keep_pos = [k for k, lab in enumerate(s.layout.labels) if lab in keep_set]
-    out = _traced_matrix(s.matrix, s.layout.dims, keep_pos)
+    out = partial_trace_array(s.matrix, s.layout.dims, keep_pos)
     return DensityState(s.layout.restricted(keep_set), out)
+
+
+def partial_transpose_array(m: np.ndarray, dims: tuple[int, ...], b_pos) -> np.ndarray:
+    """Transpose the subsystems at ``b_pos`` of a matrix or a ``(..., n, n)`` stack."""
+    n = len(dims)
+    lead = m.shape[:-2]
+    perm = list(range(2 * n))
+    for k in b_pos:
+        perm[k], perm[k + n] = perm[k + n], perm[k]
+    t = m.reshape(lead + dims + dims)
+    t = t.transpose(list(range(len(lead))) + [len(lead) + k for k in perm])
+    return np.ascontiguousarray(t.reshape(m.shape))
 
 
 def partial_transpose(s: DensityState, p: Bipartition) -> np.ndarray:
@@ -315,14 +336,18 @@ def partial_transpose(s: DensityState, p: Bipartition) -> np.ndarray:
     DensityState.  ``p`` must cover the layout exactly.
     """
     p.validate_covering(s.layout)
-    dims = s.layout.dims
-    n = len(dims)
-    b_pos = {s.layout.position(lab) for lab in p.side_b}
-    t = s.matrix.reshape(dims + dims)
-    perm = list(range(2 * n))
-    for k in b_pos:
-        perm[k], perm[k + n] = perm[k + n], perm[k]
-    return np.ascontiguousarray(t.transpose(perm).reshape(s.layout.dim, s.layout.dim))
+    b_pos = [s.layout.position(lab) for lab in p.side_b]
+    return partial_transpose_array(s.matrix, s.layout.dims, b_pos)
+
+
+def negativity_array(m: np.ndarray, dims: tuple[int, ...], b_pos) -> np.ndarray:
+    """Negativity of a density matrix or a ``(..., n, n)`` stack, transposing ``b_pos``.
+
+    Every subsystem in ``dims`` belongs to one side of the cut: trace out
+    the rest first.  Returns one value per matrix (a 0-d array for one).
+    """
+    w = np.linalg.eigvalsh(partial_transpose_array(m, dims, b_pos))
+    return np.where(w < -NEG_EIG_TOL, -w, 0.0).sum(axis=-1)
 
 
 def negativity(s: DensityState, p: Bipartition) -> float:
@@ -331,10 +356,9 @@ def negativity(s: DensityState, p: Bipartition) -> float:
     Maximal value is (d-1)/2 for the smaller side dimension d.  Callers
     must trace out any subsystem not in the bipartition first.
     """
-    pt = partial_transpose(s, p)
-    w = np.linalg.eigvalsh(pt)
-    neg = w[w < -NEG_EIG_TOL]
-    return float(-neg.sum()) if neg.size else 0.0
+    p.validate_covering(s.layout)
+    b_pos = [s.layout.position(lab) for lab in p.side_b]
+    return float(negativity_array(s.matrix, s.layout.dims, b_pos))
 
 
 def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float:

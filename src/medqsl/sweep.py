@@ -25,17 +25,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trajectory, TimeGrid, _rk4_segment, evolve_unitary
-from .errors import BadDimensionError
+from .dynamics import (
+    JumpOperatorSet,
+    Trajectory,
+    TimeGrid,
+    _golden_max,
+    entanglement_change_at_zero,
+    evolve_unitary,
+)
+from .errors import BadDimensionError, StationaryStateError
 from .hamiltonians import (
+    STATIONARY_TOL,
     cmi_product_example,
     classical_mediator_example,
     direct_optimal,
     commuting_mediated,
+    energy_moments_array,
 )
+from .linalg import propagate, sqrtm_psd
 from .qsl import conjecture_bound, di_bound
-from .randgen import RngStream, haar_pure, random_density, random_hermitian
-from .states import Bipartition, DensityState, SystemLayout, embed_operator
+from .randgen import (
+    RngStream,
+    haar_pure,
+    random_density,
+    random_hermitian,
+    random_mediated_hamiltonian,
+)
+from .states import (
+    Bipartition,
+    DensityState,
+    SystemLayout,
+    embed_operator,
+    negativity_array,
+)
 
 __all__ = [
     "EXPERIMENTS",
@@ -67,8 +89,6 @@ _DEFAULT_N = {
     "commuting-null": 1_000,
 }
 
-_NEG_EIG_TOL = 1e-10
-_STATIONARY_TOL = 1e-12
 _REDRAW_CAP = 100
 
 
@@ -87,8 +107,6 @@ class SweepConfig:
     delta: float = 1e-4
     jump_type: str = "dephasing"
     jump_rate: float = 0.1
-    state_ensemble: str = "ginibre"
-    ham_ensemble: str = "gue"
     horizon: float | None = None
     workers: int | None = None
 
@@ -103,10 +121,6 @@ class SweepConfig:
             raise ValueError("n_times must be >= 1")
         if self.jump_type not in ("none", "dephasing", "damping"):
             raise ValueError(f"unknown jump type {self.jump_type!r}")
-        if self.state_ensemble not in ("ginibre", "haar-pure"):
-            raise ValueError(f"unknown state ensemble {self.state_ensemble!r}")
-        if self.ham_ensemble not in ("gue", "goe"):
-            raise ValueError(f"unknown hamiltonian ensemble {self.ham_ensemble!r}")
 
     @property
     def n(self) -> int:
@@ -117,10 +131,13 @@ class SweepConfig:
         return self.d_c if self.d_c is not None else self.d
 
     def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, int(self.workers))
-        env = os.environ.get(WORKERS_ENV, "")
-        return max(1, int(env)) if env.strip() else 1
+        """``workers``, else MEDQSL_WORKERS, else 1; a count of 0 also means 1."""
+        setting, value = "workers", self.workers
+        if value is None:
+            setting, value = WORKERS_ENV, os.environ.get(WORKERS_ENV, "").strip() or "1"
+        if not str(value).strip().isdecimal():
+            raise ValueError(f"{setting} must be a non-negative integer, got {value!r}")
+        return max(1, int(value))
 
 
 @dataclass
@@ -167,154 +184,76 @@ class SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# lean numeric helpers shared by the instance kernels
-
-def _neg_ab(rho_ab: np.ndarray, da: int, db: int) -> float:
-    pt = rho_ab.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
-    w = np.linalg.eigvalsh(pt)
-    neg = w[w < -_NEG_EIG_TOL]
-    return float(-neg.sum()) if neg.size else 0.0
-
-
-def _mediator_draw(rc: dict, dc: int, stream: RngStream) -> np.ndarray:
-    if rc["state_ensemble"] == "haar-pure":
-        v = haar_pure(dc, stream)
-        return np.outer(v, v.conj())
-    return random_density(dc, stream)
-
-
-def _coupling_draw(dim: int, rc: dict, stream: RngStream) -> np.ndarray:
-    h = random_hermitian(dim, stream)
-    if rc["ham_ensemble"] == "goe":
-        return h.real.astype(complex)
-    return h
-
-
-def _moments_matrix(m: np.ndarray, rho: np.ndarray, eg: float) -> tuple[float, float]:
-    mean = float(np.einsum("ij,ji->", m, rho).real)
-    sq = float(np.einsum("ij,jk,ki->", m, m, rho).real)
-    return mean - eg, math.sqrt(max(sq - mean * mean, 0.0))
-
-
-def _moments_pure_components(m, vecs, weights, eg) -> tuple[float, float]:
-    mean = 0.0
-    sq = 0.0
-    for q, v in zip(weights, vecs):
-        mv = m @ v
-        mean += q * float(np.vdot(v, mv).real)
-        sq += q * float(np.vdot(mv, mv).real)
-    return mean - eg, math.sqrt(max(sq - mean * mean, 0.0))
-
-
-def _mediated_matrix(d: int, dc: int, rc: dict, stream: RngStream) -> np.ndarray:
-    layout = SystemLayout((("A", d), ("B", d), ("C", dc)))
-    h_ac = _coupling_draw(d * dc, rc, stream)
-    h_bc = _coupling_draw(d * dc, rc, stream)
-    return embed_operator(layout, ("A", "C"), h_ac) + embed_operator(layout, ("B", "C"), h_bc)
-
-
-# ---------------------------------------------------------------------------
 # instance kernels (pure functions of (config, stream_id), run in workers)
+
+def _ab_negativity(w, v, x0, times, d: int, dc: int) -> np.ndarray:
+    """N_{A:B}(T) of exp(-iTM) x0 on layout A:d, B:d, C:dc, for each T in ``times``.
+
+    ``x0`` is a vector or a column factor X of rho = X X+.  With the AB
+    index as rows of Y = X, tr_C(X X+) = Y Y+ without forming X X+.
+    """
+    x = propagate(w, v, x0, times)
+    y = x.reshape(len(times), d * d, -1)
+    return negativity_array(y @ y.conj().swapaxes(1, 2), (d, d), (1,))
+
+
+def _normalized_draw(rc: dict, sid: int, draw):
+    """Redraw ``draw(stream) = (M, state, ...)`` until the state moves under M.
+
+    Returns ``(w, v, k, redraws, drawn)``: the spectrum of M, the scale
+    k = 1 / min{mean, std}, the stationary draws skipped, and the draw.
+    """
+    stream = RngStream(rc["seed"], sid)
+    for redraws in range(_REDRAW_CAP):
+        drawn = draw(stream)
+        w, v = np.linalg.eigh(drawn[0])
+        em = energy_moments_array(drawn[0], drawn[1], w[0])
+        if em.smaller > STATIONARY_TOL:
+            return w, v, 1.0 / em.smaller, redraws, drawn
+    raise StationaryStateError(
+        f"stream {sid}: all {_REDRAW_CAP} draws were stationary (redraw cap)")
+
 
 def _cmi_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
     d, dc = rc["d"], rc["d_c"]
-    times = rc["times"]
-    dab = d * d
     if rc["witness"] and sid == 0:
         ham, s0 = cmi_product_example()
-        m = ham.matrix
-        w, v = np.linalg.eigh(m)
-        vecs = [s0.pure_vector]
-        weights = [1.0]
-        redraws = 0
-        k_scale = 1.0
-    else:
-        stream = RngStream(rc["seed"], sid)
-        for redraws in range(_REDRAW_CAP):
-            alpha = haar_pure(d, stream)
-            beta = haar_pure(d, stream)
-            rho_c = _mediator_draw(rc, dc, stream)
-            m = _mediated_matrix(d, dc, rc, stream)
-            w, v = np.linalg.eigh(m)
-            qs, cvecs = np.linalg.eigh(rho_c)
-            ab = np.kron(alpha, beta)
-            vecs = [np.kron(ab, cvecs[:, j]) for j in range(dc) if qs[j] > 1e-14]
-            weights = [float(qs[j]) for j in range(dc) if qs[j] > 1e-14]
-            mean, std = _moments_pure_components(m, vecs, weights, w[0])
-            smaller = min(mean, std)
-            if smaller > _STATIONARY_TOL:
-                k_scale = 1.0 / smaller
-                break
-        else:
-            raise RuntimeError(f"stream {sid}: redraw cap exceeded")
-    coeffs = [v.conj().T @ vec for vec in vecs]
-    out = np.empty(len(times))
-    for it, t in enumerate(times):
-        phase = np.exp(-1j * t * k_scale * w)
-        rho_ab = np.zeros((dab, dab), dtype=complex)
-        for q, c in zip(weights, coeffs):
-            psi = v @ (phase * c)
-            wmat = psi.reshape(dab, dc)
-            rho_ab += q * (wmat @ wmat.conj().T)
-        out[it] = _neg_ab(rho_ab, d, d)
-    return out, redraws
+        w, v = np.linalg.eigh(ham.matrix)
+        return _ab_negativity(w, v, s0.pure_vector, rc["times"], d, dc), 0
+
+    def draw(stream):
+        ab = np.kron(haar_pure(d, stream), haar_pure(d, stream))
+        rho_c = random_density(dc, stream)
+        m = random_mediated_hamiltonian(d, d, dc, stream).matrix
+        # the product state as a density matrix, and as a d_c-column factor
+        return (m, np.kron(np.outer(ab, ab.conj()), rho_c),
+                np.kron(ab[:, None], sqrtm_psd(rho_c)))
+
+    w, v, k_scale, redraws, (_, _, x0) = _normalized_draw(rc, sid, draw)
+    return _ab_negativity(w, v, x0, k_scale * rc["times"], d, dc), redraws
 
 
 def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]:
     d, dc = rc["d"], rc["d_c"]
-    delta = rc["delta"]
-    stream = RngStream(rc["seed"], sid)
-    for redraws in range(_REDRAW_CAP):
+
+    def draw(stream):
         rho_ab0 = random_density(d * d, stream)
-        rho_c = _mediator_draw(rc, dc, stream)
-        m = _mediated_matrix(d, dc, rc, stream)
-        rho0 = np.kron(rho_ab0, rho_c)
-        w, v = np.linalg.eigh(m)
-        mean, std = _moments_matrix(m, rho0, w[0])
-        smaller = min(mean, std)
-        if smaller > _STATIONARY_TOL:
-            break
+        rho_c = random_density(dc, stream)
+        h = random_mediated_hamiltonian(d, d, dc, stream)
+        return h.matrix, np.kron(rho_ab0, rho_c), h, rho_ab0
+
+    _, _, k_scale, redraws, (_, rho0, h, rho_ab0) = _normalized_draw(rc, sid, draw)
+    h = h.scaled(k_scale)
+    s0 = DensityState(h.layout, rho0)
+    cut = Bipartition(("A",), ("B",))
+    if rc["jump_type"] == "none":
+        jumps = JumpOperatorSet(h.layout, ())
     else:
-        raise RuntimeError(f"stream {sid}: redraw cap exceeded")
-    k_scale = 1.0 / smaller
-    n0 = _neg_ab(rho_ab0, d, d)
-    dab = d * d
-    # closed: one exact exponential at delta
-    phase = np.exp(-1j * delta * k_scale * w)
-    u = (v * phase) @ v.conj().T
-    rho_d = u @ rho0 @ u.conj().T
-    rho_ab = _trace_last(rho_d, dab, dc)
-    dn_closed = _neg_ab(rho_ab, d, d) - n0
-    # open: RK4 over [0, delta] with the configured local jumps everywhere
-    jumps = _local_jumps(d, dc, rc["jump_type"], rc["jump_rate"])
-    jump_sq = [q.conj().T @ q for q in jumps]
-    rho_o = _rk4_segment(k_scale * m, rho0.astype(complex), jumps, jump_sq, delta)
-    rho_ab_o = _trace_last(rho_o, dab, dc)
-    dn_open = _neg_ab(rho_ab_o, d, d) - n0
+        jumps = getattr(JumpOperatorSet, rc["jump_type"])(h.layout, rc["jump_rate"])
+    n0 = float(negativity_array(rho_ab0, (d, d), (1,)))
+    dn_closed = entanglement_change_at_zero(h, s0, cut, rc["delta"])
+    dn_open = entanglement_change_at_zero(h, s0, cut, rc["delta"], jumps)
     return dn_closed, dn_open, n0, n0 + dn_closed, redraws
-
-
-def _trace_last(rho: np.ndarray, d_front: int, d_last: int) -> np.ndarray:
-    t = rho.reshape(d_front, d_last, d_front, d_last)
-    return np.einsum("acbc->ab", t)
-
-
-def _local_jumps(d: int, dc: int, jump_type: str, rate: float) -> list[np.ndarray]:
-    if jump_type == "none":
-        return []
-    if jump_type == "dephasing":
-        op2 = math.sqrt(rate) * np.array([[1, 0], [0, -1]], dtype=complex)
-    else:
-        op2 = math.sqrt(rate) * np.array([[0, 1], [0, 0]], dtype=complex)
-
-    def local(dim):
-        if dim != 2:
-            raise ValueError(f"local qubit jumps need dim 2, got {dim}")
-        return op2
-
-    layout = SystemLayout((("A", d), ("B", d), ("C", dc)))
-    return [embed_operator(layout, (lab,), local(layout.dim_of(lab)))
-            for lab in layout.labels]
 
 
 def _smi_instance(rc: dict, sid: int) -> tuple[float, float, float, np.ndarray, int]:
@@ -323,30 +262,16 @@ def _smi_instance(rc: dict, sid: int) -> tuple[float, float, float, np.ndarray, 
     times = rc["times"]
     theta = (d - 1) / 2.0 - 1e-6
     layout = SystemLayout((("A", d), ("B", d), ("C", d)))
-    stream = RngStream(rc["seed"], sid)
-    for redraws in range(_REDRAW_CAP):
-        h_bc = _coupling_draw(d * d, rc, stream)
-        m = embed_operator(layout, ("B", "C"), h_bc)
-        w, v = np.linalg.eigh(m)
-        mv = m @ psi1
-        mean = float(np.vdot(psi1, mv).real) - w[0]
-        std = math.sqrt(max(float(np.vdot(mv, mv).real)
-                            - (mean + w[0]) ** 2, 0.0))
-        smaller = min(mean, std)
-        if smaller > _STATIONARY_TOL:
-            break
-    else:
-        raise RuntimeError(f"stream {sid}: redraw cap exceeded")
-    k_scale = 1.0 / smaller
-    coeff = v.conj().T @ psi1
-    dab = d * d
+
+    def draw(stream):
+        return embed_operator(layout, ("B", "C"), random_hermitian(d * d, stream)), psi1
+
+    w, v, k_scale, redraws, _ = _normalized_draw(rc, sid, draw)
 
     def neg_at(t: float) -> float:
-        psi = v @ (np.exp(-1j * t * k_scale * w) * coeff)
-        wmat = psi.reshape(dab, d)
-        return _neg_ab(wmat @ wmat.conj().T, d, d)
+        return float(_ab_negativity(w, v, psi1, np.array([k_scale * t]), d, d)[0])
 
-    curve = np.array([neg_at(t) for t in times])
+    curve = _ab_negativity(w, v, psi1, k_scale * times, d, d)
     peak_idx = int(np.argmax(curve))
     crossing = _refine_first_crossing(neg_at, times, curve, theta)
     peak_t, peak_v = _refine_peak(neg_at, times, curve, peak_idx)
@@ -358,7 +283,6 @@ def _refine_peak(f, times, curve, idx) -> tuple[float, float]:
     hi = times[min(idx + 1, len(times) - 1)]
     if hi <= lo:
         return float(times[idx]), float(curve[idx])
-    from .dynamics import _golden_max
     t = _golden_max(f, float(lo), float(hi), tol=1e-9)
     return t, f(t)
 
@@ -369,7 +293,6 @@ def _refine_first_crossing(f, times, curve, theta) -> float:
     Grid-local peaks within 1e-4 of theta are golden-refined first so a
     narrow graze between grid points is not missed.
     """
-    from .dynamics import _golden_max
     n = len(times)
     for k in range(n):
         if curve[k] >= theta:
@@ -397,38 +320,22 @@ def _bisect_crossing(f, lo: float, hi: float, theta: float) -> float:
 
 def _commuting_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
     d, dc = rc["d"], rc["d_c"]
-    times = rc["times"]
-    dab = d * d
-    stream = RngStream(rc["seed"], sid)
-    for redraws in range(_REDRAW_CAP):
-        h_a = _coupling_draw(d, rc, stream)
-        h_b = _coupling_draw(d, rc, stream)
-        h_c = _coupling_draw(dc, rc, stream)
+
+    def draw(stream):
+        h_a = random_hermitian(d, stream)
+        h_b = random_hermitian(d, stream)
+        h_c = random_hermitian(dc, stream)
         # separable by construction: a four-term mixture of product states
         raw_w = stream.normals(4) ** 2
         mix = raw_w / raw_w.sum()
-        rho_ab = np.zeros((dab, dab), dtype=complex)
+        rho_ab = np.zeros((d * d, d * d), dtype=complex)
         for q in mix:
             rho_ab += q * np.kron(random_density(d, stream), random_density(d, stream))
-        rho_c = _mediator_draw(rc, dc, stream)
-        ham = commuting_mediated(h_a, h_b, h_c)
-        m = ham.matrix
-        rho0 = np.kron(rho_ab, rho_c)
-        w, v = np.linalg.eigh(m)
-        mean, std = _moments_matrix(m, rho0, w[0])
-        smaller = min(mean, std)
-        if smaller > _STATIONARY_TOL:
-            break
-    else:
-        raise RuntimeError(f"stream {sid}: redraw cap exceeded")
-    k_scale = 1.0 / smaller
-    rot = v.conj().T @ rho0 @ v
-    out = np.empty(len(times))
-    for it, t in enumerate(times):
-        phase = np.exp(-1j * t * k_scale * w)
-        rho_t = v @ (phase[:, None] * rot * phase.conj()[None, :]) @ v.conj().T
-        out[it] = _neg_ab(_trace_last(rho_t, dab, dc), d, d)
-    return out, redraws
+        rho_c = random_density(dc, stream)
+        return commuting_mediated(h_a, h_b, h_c).matrix, np.kron(rho_ab, rho_c)
+
+    w, v, k_scale, redraws, (_, rho0) = _normalized_draw(rc, sid, draw)
+    return _ab_negativity(w, v, sqrtm_psd(rho0), k_scale * rc["times"], d, dc), redraws
 
 
 _KERNELS = {
@@ -446,12 +353,13 @@ def _run_range(payload) -> list:
 
 
 def _run_instances(experiment: str, rc: dict, n: int, workers: int) -> list:
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or n < 2 * workers:
         return _run_range((experiment, rc, 0, n))
     chunk = max(1, math.ceil(n / (workers * 4)))
     payloads = [(experiment, rc, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     results: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         for part in pool.map(_run_range, payloads):
             results.extend(part)
     return results
@@ -472,8 +380,6 @@ def _config_echo(cfg: SweepConfig, **extra) -> dict:
         "n_instances": cfg.n,
         "d": cfg.d,
         "d_c": cfg.mediator_dim,
-        "state_ensemble": cfg.state_ensemble,
-        "ham_ensemble": cfg.ham_ensemble,
     }
     echo.update(extra)
     return echo
@@ -498,10 +404,7 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     n_times = cfg.n_times if cfg.n_times is not None else 64
     times = t_max * np.arange(n_times + 1) / n_times
     witness = d == 2 and dc == 2
-    rc = {
-        "seed": cfg.seed, "d": d, "d_c": dc, "times": times, "witness": witness,
-        "state_ensemble": cfg.state_ensemble, "ham_ensemble": cfg.ham_ensemble,
-    }
+    rc = {"seed": cfg.seed, "d": d, "d_c": dc, "times": times, "witness": witness}
     results = _run_instances("cmi-uncorrelated", rc, cfg.n, cfg.resolved_workers())
     curves = np.stack([r[0] for r in results])
     redraws = sum(r[1] for r in results)
@@ -552,7 +455,6 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     rc = {
         "seed": cfg.seed, "d": d, "d_c": dc, "delta": cfg.delta,
         "jump_type": cfg.jump_type, "jump_rate": cfg.jump_rate,
-        "state_ensemble": cfg.state_ensemble, "ham_ensemble": cfg.ham_ensemble,
     }
     results = _run_instances("rate-zero", rc, cfg.n, cfg.resolved_workers())
     dn_closed = np.array([r[0] for r in results])
@@ -577,12 +479,11 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
                             "value": float(dn_open[worst_open])},
     }
     # contrast control: the optimal direct coupling entangles at unit rate
-    layout2 = SystemLayout((("A", d), ("B", d)))
+    h_direct = direct_optimal(d)
     v00 = np.zeros(d * d)
     v00[0] = 1.0
-    from .dynamics import entanglement_change_at_zero
     control = entanglement_change_at_zero(
-        direct_optimal(d), DensityState.from_pure(layout2, v00),
+        h_direct, DensityState.from_pure(h_direct.layout, v00),
         Bipartition(("A",), ("B",)), cfg.delta)
     times = np.array([0.0, cfg.delta])
     matrix = np.stack([n_start, n_delta], axis=1)
@@ -638,14 +539,11 @@ def run_smi_protocol(d: int, cfg: SweepConfig | None = None) -> SweepReport:
     w, v = np.linalg.eigh(stage1)
     psi0 = np.zeros(d ** 3, dtype=complex)
     psi0[0] = 1.0
-    psi1 = v @ (np.exp(-1j * t1 * w) * (v.conj().T @ psi0))
+    psi1 = propagate(w, v, psi0, [t1])[0]
     horizon = cfg.horizon if cfg.horizon is not None else math.acos(1.0 / d) + 1.0
     n_pts = int(math.floor(horizon / cfg.t_step + 1e-9))
     times = cfg.t_step * np.arange(n_pts + 1)
-    rc = {
-        "seed": cfg.seed, "d": d, "psi1": psi1, "times": times,
-        "state_ensemble": cfg.state_ensemble, "ham_ensemble": cfg.ham_ensemble,
-    }
+    rc = {"seed": cfg.seed, "d": d, "psi1": psi1, "times": times}
     results = _run_instances("smi-protocol", rc, cfg.n, cfg.resolved_workers())
     crossings = np.array([r[0] for r in results])
     peaks = np.array([r[1] for r in results])
@@ -700,10 +598,7 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     t_max = cfg.t_max if cfg.t_max is not None else 2.0
     n_times = cfg.n_times if cfg.n_times is not None else 32
     times = t_max * np.arange(n_times + 1) / n_times
-    rc = {
-        "seed": cfg.seed, "d": d, "d_c": dc, "times": times,
-        "state_ensemble": cfg.state_ensemble, "ham_ensemble": cfg.ham_ensemble,
-    }
+    rc = {"seed": cfg.seed, "d": d, "d_c": dc, "times": times}
     results = _run_instances("commuting-null", rc, cfg.n, cfg.resolved_workers())
     curves = np.stack([r[0] for r in results])
     redraws = sum(r[1] for r in results)

@@ -236,6 +236,18 @@ class TestExitCodes:
         assert rc == 4
         assert "vacuous" in capsys.readouterr().err
 
+    def test_redraw_cap_is_exit_4(self, monkeypatch, capsys):
+        # with no redraws allowed every instance counts as stationary
+        monkeypatch.setattr("medqsl.sweep._REDRAW_CAP", 0)
+        rc = main(["reproduce", "rate-zero", "--n", "1", "--out", "rz"])
+        assert rc == 4
+        assert "stationary" in capsys.readouterr().err
+
+    def test_negative_workers(self, capsys):
+        rc = main(["reproduce", "rate-zero", "--n", "1", "--workers", "-5"])
+        assert rc == 2
+        assert "workers" in capsys.readouterr().err
+
     def test_missing_state_for_hspec(self, tmp_path, capsys):
         spec = tmp_path / "x.hspec"
         spec.write_text("system A:2; H = X(A);")

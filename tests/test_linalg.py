@@ -4,10 +4,8 @@ from numpy.testing import assert_allclose
 
 from medqsl.errors import NotHermitianError, NotPSDError
 from medqsl.linalg import (
-    expm_i_hermitian,
     hermitian_eig,
-    kron,
-    kron_all,
+    propagate,
     require_hermitian,
     sqrtm_psd,
 )
@@ -40,40 +38,48 @@ class TestRequireHermitian:
             require_hermitian(m)
 
 
-class TestKron:
-    def test_matches_numpy(self):
-        a = rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3))
-        assert_allclose(kron(a, b), np.kron(a, b))
-
-    def test_kron_all_associates(self):
-        mats = [rng.normal(size=(2, 2)) for _ in range(3)]
-        assert_allclose(kron_all(mats), np.kron(np.kron(mats[0], mats[1]), mats[2]))
-
-    def test_left_factor_is_slow_index(self):
-        # |1> (x) |0> must land on flat index 1*2 + 0 = 2 of the product
-        a = np.array([[0.0], [1.0]])
-        b = np.array([[1.0], [0.0]])
-        v = kron(a, b).ravel()
-        assert v[2] == 1.0 and v.sum() == 1.0
+def unitary_at(m, t):
+    """exp(-i t m) from ``propagate`` applied to the identity factor."""
+    w, v = hermitian_eig(m)
+    return propagate(w, v, np.eye(len(m)), [t])[0]
 
 
 class TestExpm:
+    """exp(-i t m) as computed by ``propagate``."""
+
     def test_unitary(self):
         m = random_hermitian(6)
-        u = expm_i_hermitian(m, 0.37)
+        u = unitary_at(m, 0.37)
         assert_allclose(u @ u.conj().T, np.eye(6), atol=1e-12)
 
     def test_matches_series_for_small_t(self):
         m = random_hermitian(4)
         t = 1e-5
         series = np.eye(4) - 1j * t * m - 0.5 * t * t * (m @ m)
-        assert_allclose(expm_i_hermitian(m, t), series, atol=1e-13)
+        assert_allclose(unitary_at(m, t), series, atol=1e-13)
 
     def test_group_property(self):
         m = random_hermitian(4)
-        u = expm_i_hermitian(m, 0.3) @ expm_i_hermitian(m, 0.4)
-        assert_allclose(u, expm_i_hermitian(m, 0.7), atol=1e-12)
+        u = unitary_at(m, 0.3) @ unitary_at(m, 0.4)
+        assert_allclose(u, unitary_at(m, 0.7), atol=1e-12)
+
+    def test_stack_matches_taylor_series(self):
+        # a random vector and a random 3-column factor over a stack of
+        # times, against exp(-i t m) summed as a Taylor series
+        m = random_hermitian(5)
+        times = np.array([0.0, 0.05, 0.2, 0.5])
+        w, v = hermitian_eig(m)
+        for x0 in (rng.normal(size=5) + 1j * rng.normal(size=5),
+                   rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))):
+            out = propagate(w, v, x0, times)
+            assert out.shape == (len(times),) + x0.shape
+            for t, got in zip(times, out):
+                term = x0.astype(complex)
+                series = term.copy()
+                for k in range(1, 40):
+                    term = (-1j * t / k) * (m @ term)
+                    series = series + term
+                assert_allclose(got, series, atol=1e-12)
 
 
 class TestSqrtmPsd:

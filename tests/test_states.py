@@ -32,8 +32,11 @@ from medqsl.states import (
     maximally_entangled,
     mutual_information,
     negativity,
+    negativity_array,
     partial_trace,
+    partial_trace_array,
     partial_transpose,
+    partial_transpose_array,
     purity,
     save_state,
     state_from_dict,
@@ -189,6 +192,50 @@ class TestNegativity:
         assert_allclose(pt, np.kron(ra, rb.T), atol=1e-14)
         ptpt = partial_transpose(DensityState(Q2, pt), p)
         assert_allclose(ptpt, s.matrix, atol=1e-14)
+
+
+class TestStackedCores:
+    """Array cores on random (T, n, n) stacks against the per-state path."""
+
+    LAYOUT = SystemLayout((("A", 2), ("B", 3), ("C", 2)))
+
+    def _stack(self, count=6):
+        n = self.LAYOUT.dim
+        out = []
+        for k in range(count):
+            # low rank keeps many of the draws entangled across every cut
+            g = rng.normal(size=(n, 1 + k % 3)) + 1j * rng.normal(size=(n, 1 + k % 3))
+            p = g @ g.conj().T
+            out.append(p / np.trace(p).real)
+        return np.array(out)
+
+    def test_partial_trace(self):
+        stack = self._stack()
+        dims = self.LAYOUT.dims
+        for keep, keep_pos in ((("A", "B"), [0, 1]), (("A", "C"), [0, 2]), (("B",), [1])):
+            got = partial_trace_array(stack, dims, keep_pos)
+            for rho, g in zip(stack, got):
+                ref = partial_trace(DensityState(self.LAYOUT, rho), keep).matrix
+                assert_allclose(g, ref, rtol=0, atol=1e-12)
+
+    def test_partial_transpose_and_negativity(self):
+        stack = self._stack()
+        dims = self.LAYOUT.dims
+        values = []
+        for cut, b_pos in (("A:B,C", [1, 2]), ("A,C:B", [1]), ("C:A,B", [0, 1])):
+            p = Bipartition.parse(cut)
+            pts = partial_transpose_array(stack, dims, b_pos)
+            negs = negativity_array(stack, dims, b_pos)
+            assert negs.shape == (len(stack),)
+            for rho, pt, neg in zip(stack, pts, negs):
+                s = DensityState(self.LAYOUT, rho)
+                assert_allclose(pt, partial_transpose(s, p), rtol=0, atol=1e-12)
+                assert abs(neg - negativity(s, p)) <= 1e-12
+                values.append(neg)
+        assert max(values) > 0.1
+        # no entanglement reads as +0.0, never -0.0
+        zero = negativity_array(np.eye(4)[None] / 4, (2, 2), [1])
+        assert zero[0] == 0.0 and math.copysign(1.0, zero[0]) == 1.0
 
 
 class TestFidelityAndAngle:

@@ -12,10 +12,21 @@ import pytest
 
 from medqsl import (
     BadDimensionError,
+    Bipartition,
+    DensityState,
+    ObserveConfig,
+    RngStream,
     SweepConfig,
     SweepReport,
     TimeGrid,
     Trajectory,
+    commuting_mediated,
+    evolve_unitary,
+    haar_pure,
+    random_density,
+    random_hermitian,
+    random_mediated_hamiltonian,
+    resource_equality_scale,
     run_cmi_uncorrelated,
     run_commuting_null,
     run_fig2,
@@ -23,7 +34,8 @@ from medqsl import (
     run_smi_protocol,
     run_sweep,
 )
-from medqsl.sweep import _cmi_instance
+from medqsl import sweep
+from medqsl.sweep import _cmi_instance, _commuting_instance
 
 
 class TestSweepConfig:
@@ -38,10 +50,6 @@ class TestSweepConfig:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             SweepConfig(experiment="cmi-uncorrelated", d=1)
-
-    def test_bad_ensemble(self):
-        with pytest.raises(ValueError, match="ensemble"):
-            SweepConfig(experiment="rate-zero", state_ensemble="uniform")
 
     def test_bad_jump_type(self):
         with pytest.raises(ValueError):
@@ -101,7 +109,6 @@ class TestCmiUncorrelated:
             "seed": 9, "d": 2, "d_c": 2,
             "times": np.linspace(0.0, np.pi / 2, 9),
             "witness": False,
-            "state_ensemble": "ginibre", "ham_ensemble": "gue",
         }
         a, ra = _cmi_instance(rc, 2)
         b, rb = _cmi_instance(rc, 2)
@@ -114,6 +121,46 @@ class TestCmiUncorrelated:
         ext = rep.extremes["max_negativity"]
         assert 0 <= ext["stream_id"] < 5
         assert ext["value"] <= 0.5 + 1e-9
+
+
+class TestKernelsAgainstLibrary:
+    """Instance kernels against evolve_unitary + negativity(partial_trace)."""
+
+    AB = ObserveConfig(keep=("A", "B"), cut=Bipartition(("A",), ("B",)))
+
+    def _reference(self, h, s0, grid):
+        h, _ = resource_equality_scale(h, s0)
+        return evolve_unitary(h, s0, grid, self.AB).columns["negativity"]
+
+    def test_cmi_curve(self):
+        grid = TimeGrid(0.0, np.pi / 2, np.pi / 32)
+        rc = {"seed": 5, "d": 2, "d_c": 3, "times": grid.times, "witness": False}
+        curve, redraws = _cmi_instance(rc, 1)
+        assert redraws == 0
+        # the same draws, in the kernel's order
+        stream = RngStream(5, 1)
+        ab = np.kron(haar_pure(2, stream), haar_pure(2, stream))
+        rho_c = random_density(3, stream)
+        h = random_mediated_hamiltonian(2, 2, 3, stream)
+        s0 = DensityState(h.layout, np.kron(np.outer(ab, ab.conj()), rho_c))
+        ref = self._reference(h, s0, grid)
+        assert ref.max() > 1e-3
+        np.testing.assert_allclose(curve, ref, rtol=0, atol=1e-12)
+
+    def test_commuting_curve(self):
+        grid = TimeGrid(0.0, 2.0, 1.0 / 16)
+        rc = {"seed": 8, "d": 2, "d_c": 2, "times": grid.times}
+        curve, redraws = _commuting_instance(rc, 3)
+        assert redraws == 0
+        stream = RngStream(8, 3)
+        hs = [random_hermitian(dim, stream) for dim in (2, 2, 2)]
+        raw_w = stream.normals(4) ** 2
+        rho_ab = sum(q * np.kron(random_density(2, stream), random_density(2, stream))
+                     for q in raw_w / raw_w.sum())
+        rho_c = random_density(2, stream)
+        h = commuting_mediated(*hs)
+        s0 = DensityState(h.layout, np.kron(rho_ab, rho_c))
+        np.testing.assert_allclose(curve, self._reference(h, s0, grid), rtol=0, atol=1e-12)
 
 
 class TestWorkerDeterminism:
@@ -155,6 +202,41 @@ class TestWorkerResolution:
         assert cfg.resolved_workers() == 3
         # explicit setting beats the environment
         assert SweepConfig(experiment="rate-zero", workers=2).resolved_workers() == 2
+        for bad in ("abc", "-5", "2.5"):
+            monkeypatch.setenv("MEDQSL_WORKERS", bad)
+            with pytest.raises(ValueError, match="MEDQSL_WORKERS"):
+                cfg.resolved_workers()
+        for bad in (-5, 2.5):
+            with pytest.raises(ValueError, match="workers"):
+                SweepConfig(experiment="rate-zero", workers=bad).resolved_workers()
+
+    def test_pool_clamped_to_cpus(self, monkeypatch):
+        # a stub pool records its size and runs chunks in-process, so no
+        # worker process is ever started here
+        sizes = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
+        monkeypatch.setitem(sweep._KERNELS, "rate-zero", lambda rc, sid: sid)
+        assert sweep._run_instances("rate-zero", {}, 10_000, 4000) == list(range(10_000))
+        assert sizes == [3]
+        # fewer cpus than requested workers can mean no pool at all
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 1)
+        assert sweep._run_instances("rate-zero", {}, 50, 4) == list(range(50))
+        assert sizes == [3]
 
 
 class TestReportSerialization:
