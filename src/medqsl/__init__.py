@@ -66,6 +66,7 @@ from .dynamics import (
     evolve_lindblad,
     evolve_unitary,
     first_max_entanglement_time,
+    negativity_curve,
 )
 from .qsl import (
     BoundReport,

@@ -54,18 +54,13 @@ from .sweep import SweepConfig, run_fig2, run_sweep
 
 __all__ = ["main"]
 
-REPRODUCE_NAMES = (
-    "fig2",
-    "cmi-product",
-    "cmi-entangled",
-    "cmi-classical",
-    "open-system",
-    "conjecture-d2",
-    "conjecture-d3",
-    "smi",
-    "rate-zero",
-    "commuting-null",
-)
+# each reproduce name and the optional flags it reads; others are refused
+REPRODUCE_FLAGS = {
+    "fig2": ("d", "tmax", "dt"),
+    **dict.fromkeys(BUILTIN_PAIRS, ("tmax", "dt")),
+    **dict.fromkeys(("conjecture-d2", "conjecture-d3"), ("n", "workers")),
+    **dict.fromkeys(("smi", "rate-zero", "commuting-null"), ("n", "d", "workers")),
+}
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -127,15 +122,11 @@ def _resolve_state(text: str | None, layout: SystemLayout,
 def _resolve_observe(bipartition: str | None, layout: SystemLayout,
                      target: DensityState | None) -> ObserveConfig:
     if bipartition is None:
-        base = ObserveConfig.default_for(layout)
-        if target is None:
-            return base
-        return ObserveConfig(keep=base.keep, cut=base.cut, target=target)
+        return ObserveConfig(ObserveConfig.default_for(layout).cut, target)
     cut = Bipartition.parse(bipartition)
-    keep = tuple(cut.side_a) + tuple(cut.side_b)
-    for lab in keep:
+    for lab in cut.side_a + cut.side_b:
         layout.position(lab)
-    return ObserveConfig(keep=keep, cut=cut, target=target)
+    return ObserveConfig(cut, target)
 
 
 def _resolve_lindblad(text: str | None, layout: SystemLayout) -> JumpOperatorSet | None:
@@ -245,18 +236,20 @@ def _cmd_reproduce(args) -> int:
     name = args.name
     base = _strip_ext(args.out) if args.out else name
     seed = args.seed
+    for flag in ("n", "d", "tmax", "dt", "workers"):
+        if getattr(args, flag) is not None and flag not in REPRODUCE_FLAGS[name]:
+            raise CliInputError(f"reproduce {name} does not take --{flag}")
     config = {"name": name, "seed": seed, "n": args.n, "d": args.d,
               "tmax": args.tmax, "dt": args.dt, "workers": args.workers}
 
     if name == "fig2" or name in BUILTIN_PAIRS:
+        tmax = args.tmax if args.tmax is not None else math.pi / 2
+        config["dt"] = args.dt if args.dt is not None else 1e-3
+        grid = TimeGrid(0.0, tmax, config["dt"])
         if name == "fig2":
-            d = args.d if args.d is not None else 2
-            tmax = args.tmax if args.tmax is not None else math.pi / 2
-            traj = run_fig2(d, TimeGrid(0.0, tmax, args.dt))
+            traj = run_fig2(args.d if args.d is not None else 2, grid)
         else:
-            ham, s0 = builtin_pair(name)
-            tmax = args.tmax if args.tmax is not None else math.pi / 2
-            traj = evolve_unitary(ham, s0, TimeGrid(0.0, tmax, args.dt))
+            traj = evolve_unitary(*builtin_pair(name), grid)
         out = base + ".csv"
         traj.to_csv(out)
         _write_manifest(base, "reproduce", config, seed, [out],
@@ -266,17 +259,16 @@ def _cmd_reproduce(args) -> int:
     cfg_kw = dict(seed=seed, workers=args.workers)
     if args.n is not None:
         cfg_kw["n_instances"] = args.n
+    if args.d is not None:
+        cfg_kw["d"] = args.d
     if name == "conjecture-d2":
         cfg = SweepConfig("cmi-uncorrelated", d=2, **cfg_kw)
     elif name == "conjecture-d3":
         cfg = SweepConfig("cmi-uncorrelated", d=3, **cfg_kw)
     elif name == "smi":
-        d = args.d if args.d is not None else 2
-        cfg = SweepConfig("smi-protocol", d=d, **cfg_kw)
-    elif name == "rate-zero":
-        cfg = SweepConfig("rate-zero", **cfg_kw)
+        cfg = SweepConfig("smi-protocol", **cfg_kw)
     else:
-        cfg = SweepConfig("commuting-null", **cfg_kw)
+        cfg = SweepConfig(name, **cfg_kw)
     report = run_sweep(cfg)
     json_out = base + ".json"
     csv_out = base + ".envelope.csv"
@@ -333,14 +325,14 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.set_defaults(func=_cmd_bound)
 
     rp = sub.add_parser("reproduce", help="rerun a bundled experiment")
-    rp.add_argument("name", choices=REPRODUCE_NAMES)
-    rp.add_argument("--n", type=int, help="instance count override")
-    rp.add_argument("--d", type=int, help="subsystem dimension where applicable")
+    rp.add_argument("name", choices=tuple(REPRODUCE_FLAGS))
+    rp.add_argument("--n", type=int, help="instance count override (sweeps)")
+    rp.add_argument("--d", type=int, help="dimension (fig2, smi, rate-zero, commuting-null)")
     rp.add_argument("--seed", type=int, default=7)
-    rp.add_argument("--tmax", type=float)
-    rp.add_argument("--dt", type=float, default=1e-3)
+    rp.add_argument("--tmax", type=float, help="end time, default pi/2 (trajectories)")
+    rp.add_argument("--dt", type=float, help="time step, default 1e-3 (trajectories)")
     rp.add_argument("--workers", type=int,
-                    help="worker processes (default MEDQSL_WORKERS or 1)")
+                    help="worker processes (sweeps; default MEDQSL_WORKERS or 1)")
     rp.add_argument("--out", help="output base path (extension added)")
     rp.set_defaults(func=_cmd_reproduce)
 

@@ -26,7 +26,7 @@ from .errors import (
     LayoutMismatchError,
     PositivityLostError,
 )
-from .hamiltonians import Hamiltonian, energy_moments
+from .hamiltonians import Hamiltonian, energy_moments_array
 from .linalg import hermitian_eig, propagate, sqrtm_psd
 from .states import (
     Bipartition,
@@ -38,7 +38,6 @@ from .states import (
     negativity,
     negativity_array,
     partial_trace,
-    partial_trace_array,
     purity,
     uhlmann_fidelity,
 )
@@ -50,6 +49,7 @@ __all__ = [
     "JumpOperatorSet",
     "evolve_unitary",
     "evolve_lindblad",
+    "negativity_curve",
     "entanglement_change_at_zero",
     "first_max_entanglement_time",
 ]
@@ -101,28 +101,22 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ObserveConfig:
-    """Which reductions and comparisons a trajectory records.
+    """Which cut and which fidelity target a trajectory records.
 
-    Every choice is explicit here; the constructors below only fill the
-    conventional defaults (keep the first two subsystems, split them one
-    against the other, compare fidelities against the initial state).
+    The marginal measures (negativity, purity, mutual information) are
+    taken on the state traced down to the cut's labels.  The default
+    splits the first two subsystems one against the other and compares
+    fidelities against the initial state.
     """
 
-    keep: tuple[str, ...]
     cut: Bipartition
     target: DensityState | None = None
-    mi_cut: Bipartition | None = None
 
     @classmethod
     def default_for(cls, layout: SystemLayout) -> "ObserveConfig":
         if len(layout) == 1:
             raise DimensionMismatchError("observation needs at least two subsystems")
-        keep = layout.labels[:2]
-        cut = Bipartition((keep[0],), (keep[1],))
-        return cls(keep=keep, cut=cut)
-
-    def resolved_mi_cut(self) -> Bipartition:
-        return self.mi_cut if self.mi_cut is not None else self.cut
+        return cls(Bipartition((layout.labels[0],), (layout.labels[1],)))
 
 
 @dataclass
@@ -189,21 +183,29 @@ def _check_layouts(h: Hamiltonian, s0: DensityState) -> None:
         )
 
 
+def _marginal(s: DensityState, p: Bipartition) -> DensityState:
+    """``s`` traced down to the labels of ``p`` (``s`` itself when p covers it)."""
+    if set(p.side_a + p.side_b) == set(s.layout.labels):
+        return s
+    return partial_trace(s, p.side_a + p.side_b)
+
+
 def _observe(h: Hamiltonian, s0: DensityState, observe: ObserveConfig,
              times: np.ndarray, states: list[DensityState]) -> Trajectory:
     target = observe.target if observe.target is not None else s0
-    keep_all = set(observe.keep) == set(s0.layout.labels)
-    mi_cut = observe.resolved_mi_cut()
+    cut = observe.cut
+    ground = h.ground_energy()
     cols = {name: np.empty(len(times)) for name in TRAJECTORY_COLUMNS}
     cols["T"] = np.asarray(times, dtype=float)
     for k, s in enumerate(states):
-        marg = s if keep_all else partial_trace(s, observe.keep)
-        em = energy_moments(h, s)
-        cols["negativity"][k] = negativity(marg, observe.cut)
+        marg = _marginal(s, cut)
+        em = energy_moments_array(h.matrix, s.pure_vector if s.is_pure else s.matrix,
+                                  ground)
+        cols["negativity"][k] = negativity(marg, cut)
         cols["fidelity_to_target"][k] = uhlmann_fidelity(s, target)
         cols["bures_angle_from_initial"][k] = bures_angle(s0, s)
         cols["purity_marginal"][k] = purity(marg)
-        cols["mutual_information"][k] = mutual_information(marg, mi_cut)
+        cols["mutual_information"][k] = mutual_information(marg, cut)
         cols["mean_energy"][k] = em.mean
         cols["energy_std"][k] = em.std
     return Trajectory(times=np.asarray(times, dtype=float), states=states, columns=cols)
@@ -287,32 +289,34 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     return _observe(h, s0, observe, times, states)
 
 
-def _cut_negativity(layout: SystemLayout, p: Bipartition):
-    """Callable rho -> N_p of rho traced down to p's labels, on raw arrays."""
-    keep = set(p.side_a) | set(p.side_b)
-    keep_pos = sorted(layout.position(lab) for lab in keep)
-    marg = layout.restricted(keep)
-    b_pos = [marg.position(lab) for lab in p.side_b]
+def negativity_curve(layout: SystemLayout, cut: Bipartition):
+    """Callable ``curve(w, v, x0, times)`` -> N_cut(T) for each T in ``times``.
 
-    def neg(rho: np.ndarray) -> float:
-        if len(keep_pos) < len(layout):
-            rho = partial_trace_array(rho, layout.dims, keep_pos)
-        return float(negativity_array(rho, marg.dims, b_pos))
+    ``w, v`` is the ``hermitian_eig`` of M and ``x0`` a state vector or a
+    column factor X of rho = X X+ on ``layout``; the state at T is
+    exp(-iTM) x0.  The labels, positions and marginal layout of ``cut``
+    are resolved once here.  With the kept labels as the rows of Y, the
+    marginal tr_rest(X X+) is Y Y+, so no full density matrix is formed;
+    the factor is transposed only when the kept labels do not lead.
+    """
+    kept = sorted(layout.position(lab) for lab in cut.side_a + cut.side_b)
+    marg = layout.restricted(cut.side_a + cut.side_b)
+    dims, d_keep = marg.dims, marg.dim
+    b_pos = [marg.position(lab) for lab in cut.side_b]
+    order = None
+    if kept != list(range(len(kept))):
+        n = len(layout)
+        rest = [k for k in range(n) if k not in kept]
+        order = [0] + [1 + k for k in kept + rest] + [n + 1]
 
-    return neg
+    def curve(w, v, x0, times) -> np.ndarray:
+        x = propagate(w, v, x0, times)
+        if order is not None:
+            x = x.reshape((len(x),) + layout.dims + (-1,)).transpose(order)
+        y = x.reshape(len(x), d_keep, -1)
+        return negativity_array(y @ y.conj().swapaxes(1, 2), dims, b_pos)
 
-
-def _negativity_probe(h: Hamiltonian, s0: DensityState, p: Bipartition):
-    """Callable T -> N_p(T) under unitary evolution, tracing to p's labels."""
-    neg = _cut_negativity(s0.layout, p)
-    w, v = hermitian_eig(h.matrix)
-    x0 = _factor(s0)
-
-    def at(t: float) -> float:
-        x = propagate(w, v, x0, [t])[0].reshape(s0.layout.dim, -1)
-        return neg(x @ x.conj().T)
-
-    return at
+    return curve
 
 
 def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition,
@@ -327,27 +331,28 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
     _check_layouts(h, s0)
     if not 1e-6 <= delta <= 1e-3:
         raise ValueError(f"delta {delta} outside [1e-6, 1e-3]")
-    neg = _cut_negativity(s0.layout, p)
     if jumps is None:
-        return _negativity_probe(h, s0, p)(delta) - neg(s0.matrix)
+        w, v = hermitian_eig(h.matrix)
+        n0, n_delta = negativity_curve(s0.layout, p)(w, v, _factor(s0), [0.0, delta])
+        return float(n_delta - n0)
     ops = jumps.embedded()
     ops_sq = [q.conj().T @ q for q in ops]
     rho = _rk4_segment(h.matrix, np.array(s0.matrix, dtype=complex), ops, ops_sq, delta)
     s_delta = DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
-    return neg(s_delta.matrix) - neg(s0.matrix)
+    return negativity(_marginal(s_delta, p), p) - negativity(_marginal(s0, p), p)
 
 
 def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition,
                                 d: int, horizon: float = 50.0) -> float | None:
     """Time of the first maximal-entanglement peak across ``p``, or None.
 
-    Scans N(T) on a 1e-3 grid; each grid-local maximum that comes within
-    1e-4 of (d-1)/2 is refined by golden-section search to 1e-9, and the
-    first refined peak clearing (d-1)/2 - 1e-7 is returned.  A coarse
-    threshold test alone would not do: near a quadratic peak the window
-    where N sits within 1e-7 of maximal is narrower than the scan step.
-    Returns None when no peak attains the level within the horizon (at
-    most 50).
+    Scans N(T) on a 1e-3 grid, ``PROPAGATE_CHUNK`` points at a time; each
+    grid-local maximum that comes within 1e-4 of (d-1)/2 is refined, in
+    time order, by golden-section search to 1e-9, and the first refined
+    peak clearing (d-1)/2 - 1e-7 is returned.  A coarse threshold test
+    alone would not do: near a quadratic peak the window where N sits
+    within 1e-7 of maximal is narrower than the scan step.  Returns None
+    when no peak attains the level within the horizon (at most 50).
     """
     _check_layouts(h, s0)
     if d < 2:
@@ -356,25 +361,35 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
         raise ValueError(f"horizon {horizon} outside (0, 50]")
     strict = (d - 1) / 2.0 - 1e-7
     loose = (d - 1) / 2.0 - 1e-4
-    neg = _negativity_probe(h, s0, p)
+    curve = negativity_curve(s0.layout, p)
+    w, v = hermitian_eig(h.matrix)
+    x0 = _factor(s0)
+
+    def neg(t: float) -> float:
+        return float(curve(w, v, x0, [t])[0])
+
+    def peak_at(lo: float, hi: float) -> float | None:
+        t_peak = _golden_max(neg, lo, hi, tol=1e-9)
+        return t_peak if neg(t_peak) >= strict else None
+
     step = 1e-3
     n_pts = int(math.floor(horizon / step + 1e-9))
-    values = [neg(0.0)]
-    for k in range(1, n_pts + 1):
-        values.append(neg(k * step))
-        # a completed grid-local peak sits at k-1 once the curve turns down
-        j = k - 1
-        if values[j] >= loose and values[j] >= values[k] and (j == 0 or values[j] >= values[j - 1]):
-            lo = max(0.0, (j - 1) * step)
-            hi = min(horizon, (j + 1) * step)
-            t_peak = _golden_max(neg, lo, hi, tol=1e-9)
-            if neg(t_peak) >= strict:
+    times = step * np.arange(n_pts + 1)
+    values = np.empty(n_pts + 1)
+    for lo in range(0, n_pts + 1, PROPAGATE_CHUNK):
+        hi = min(lo + PROPAGATE_CHUNK, n_pts + 1)
+        values[lo:hi] = curve(w, v, x0, times[lo:hi])
+        # completed grid-local peaks: points whose right neighbour is known
+        j = np.arange(max(lo - 1, 0), hi - 1)
+        at = values[j]
+        peaks = (at >= loose) & (at >= values[j + 1]) & (at >= values[np.maximum(j - 1, 0)])
+        for k in j[peaks].tolist():
+            t_peak = peak_at(max(0.0, (k - 1) * step), min(horizon, (k + 1) * step))
+            if t_peak is not None:
                 return t_peak
     # the curve may still be rising at the horizon
     if n_pts >= 1 and values[-1] >= loose and values[-1] >= values[-2]:
-        t_peak = _golden_max(neg, (n_pts - 1) * step, horizon, tol=1e-9)
-        if neg(t_peak) >= strict:
-            return t_peak
+        return peak_at((n_pts - 1) * step, horizon)
     return None
 
 

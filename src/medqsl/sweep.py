@@ -16,6 +16,7 @@ mediator ensemble); growing n can only push the max envelope up.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from .dynamics import (
     _golden_max,
     entanglement_change_at_zero,
     evolve_unitary,
+    negativity_curve,
 )
 from .errors import BadDimensionError, StationaryStateError
 from .hamiltonians import (
@@ -91,23 +93,25 @@ _DEFAULT_N = {
 
 _REDRAW_CAP = 100
 
+# grids and rates of the experiments, echoed in each report's config
+CMI_N_TIMES = 64
+COMMUTING_T_MAX = 2.0
+COMMUTING_N_TIMES = 32
+SMI_T_STEP = 1e-3
+RATE_DELTA = 1e-4
+JUMP_RATE = 0.1
+
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything an experiment needs; unset fields take experiment defaults."""
+    """What varies between runs of an experiment; unset fields take its defaults."""
 
     experiment: str
     seed: int = 7
     n_instances: int | None = None
     d: int = 2
     d_c: int | None = None
-    n_times: int | None = None
-    t_max: float | None = None
-    t_step: float = 1e-3
-    delta: float = 1e-4
     jump_type: str = "dephasing"
-    jump_rate: float = 0.1
-    horizon: float | None = None
     workers: int | None = None
 
     def __post_init__(self):
@@ -117,8 +121,6 @@ class SweepConfig:
             raise ValueError(f"need d >= 2, got {self.d}")
         if self.n_instances is not None and self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
-        if self.n_times is not None and self.n_times < 1:
-            raise ValueError("n_times must be >= 1")
         if self.jump_type not in ("none", "dephasing", "damping"):
             raise ValueError(f"unknown jump type {self.jump_type!r}")
 
@@ -186,15 +188,11 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 # instance kernels (pure functions of (config, stream_id), run in workers)
 
-def _ab_negativity(w, v, x0, times, d: int, dc: int) -> np.ndarray:
-    """N_{A:B}(T) of exp(-iTM) x0 on layout A:d, B:d, C:dc, for each T in ``times``.
-
-    ``x0`` is a vector or a column factor X of rho = X X+.  With the AB
-    index as rows of Y = X, tr_C(X X+) = Y Y+ without forming X X+.
-    """
-    x = propagate(w, v, x0, times)
-    y = x.reshape(len(times), d * d, -1)
-    return negativity_array(y @ y.conj().swapaxes(1, 2), (d, d), (1,))
+@functools.cache
+def _ab_curve(d: int, dc: int):
+    """The ``negativity_curve`` of the A:B cut on layout A:d, B:d, C:dc."""
+    layout = SystemLayout((("A", d), ("B", d), ("C", dc)))
+    return negativity_curve(layout, Bipartition(("A",), ("B",)))
 
 
 def _normalized_draw(rc: dict, sid: int, draw):
@@ -219,7 +217,7 @@ def _cmi_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
     if rc["witness"] and sid == 0:
         ham, s0 = cmi_product_example()
         w, v = np.linalg.eigh(ham.matrix)
-        return _ab_negativity(w, v, s0.pure_vector, rc["times"], d, dc), 0
+        return _ab_curve(d, dc)(w, v, s0.pure_vector, rc["times"]), 0
 
     def draw(stream):
         ab = np.kron(haar_pure(d, stream), haar_pure(d, stream))
@@ -230,7 +228,7 @@ def _cmi_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
                 np.kron(ab[:, None], sqrtm_psd(rho_c)))
 
     w, v, k_scale, redraws, (_, _, x0) = _normalized_draw(rc, sid, draw)
-    return _ab_negativity(w, v, x0, k_scale * rc["times"], d, dc), redraws
+    return _ab_curve(d, dc)(w, v, x0, k_scale * rc["times"]), redraws
 
 
 def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]:
@@ -249,10 +247,10 @@ def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]
     if rc["jump_type"] == "none":
         jumps = JumpOperatorSet(h.layout, ())
     else:
-        jumps = getattr(JumpOperatorSet, rc["jump_type"])(h.layout, rc["jump_rate"])
+        jumps = getattr(JumpOperatorSet, rc["jump_type"])(h.layout, JUMP_RATE)
     n0 = float(negativity_array(rho_ab0, (d, d), (1,)))
-    dn_closed = entanglement_change_at_zero(h, s0, cut, rc["delta"])
-    dn_open = entanglement_change_at_zero(h, s0, cut, rc["delta"], jumps)
+    dn_closed = entanglement_change_at_zero(h, s0, cut, RATE_DELTA)
+    dn_open = entanglement_change_at_zero(h, s0, cut, RATE_DELTA, jumps)
     return dn_closed, dn_open, n0, n0 + dn_closed, redraws
 
 
@@ -267,11 +265,12 @@ def _smi_instance(rc: dict, sid: int) -> tuple[float, float, float, np.ndarray, 
         return embed_operator(layout, ("B", "C"), random_hermitian(d * d, stream)), psi1
 
     w, v, k_scale, redraws, _ = _normalized_draw(rc, sid, draw)
+    ab = _ab_curve(d, d)
 
     def neg_at(t: float) -> float:
-        return float(_ab_negativity(w, v, psi1, np.array([k_scale * t]), d, d)[0])
+        return float(ab(w, v, psi1, np.array([k_scale * t]))[0])
 
-    curve = _ab_negativity(w, v, psi1, k_scale * times, d, d)
+    curve = ab(w, v, psi1, k_scale * times)
     peak_idx = int(np.argmax(curve))
     crossing = _refine_first_crossing(neg_at, times, curve, theta)
     peak_t, peak_v = _refine_peak(neg_at, times, curve, peak_idx)
@@ -335,7 +334,7 @@ def _commuting_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
         return commuting_mediated(h_a, h_b, h_c).matrix, np.kron(rho_ab, rho_c)
 
     w, v, k_scale, redraws, (_, rho0) = _normalized_draw(rc, sid, draw)
-    return _ab_negativity(w, v, sqrtm_psd(rho0), k_scale * rc["times"], d, dc), redraws
+    return _ab_curve(d, dc)(w, v, sqrtm_psd(rho0), k_scale * rc["times"]), redraws
 
 
 _KERNELS = {
@@ -400,9 +399,8 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     t0 = time.perf_counter()
     d = cfg.d
     dc = cfg.mediator_dim
-    t_max = cfg.t_max if cfg.t_max is not None else conjecture_bound(d)
-    n_times = cfg.n_times if cfg.n_times is not None else 64
-    times = t_max * np.arange(n_times + 1) / n_times
+    t_max = conjecture_bound(d)
+    times = t_max * np.arange(CMI_N_TIMES + 1) / CMI_N_TIMES
     witness = d == 2 and dc == 2
     rc = {"seed": cfg.seed, "d": d, "d_c": dc, "times": times, "witness": witness}
     results = _run_instances("cmi-uncorrelated", rc, cfg.n, cfg.resolved_workers())
@@ -434,7 +432,7 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
         "witness_included": witness,
     }
     return SweepReport(
-        config=_config_echo(cfg, t_max=float(t_max), n_times=n_times),
+        config=_config_echo(cfg, t_max=float(t_max), n_times=CMI_N_TIMES),
         times=times, envelope=_envelope(curves), extremes=extremes,
         violations=violations, redraws=redraws, details=details,
         wall_clock_s=time.perf_counter() - t0,
@@ -452,10 +450,7 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     t0 = time.perf_counter()
     d = cfg.d
     dc = cfg.mediator_dim
-    rc = {
-        "seed": cfg.seed, "d": d, "d_c": dc, "delta": cfg.delta,
-        "jump_type": cfg.jump_type, "jump_rate": cfg.jump_rate,
-    }
+    rc = {"seed": cfg.seed, "d": d, "d_c": dc, "jump_type": cfg.jump_type}
     results = _run_instances("rate-zero", rc, cfg.n, cfg.resolved_workers())
     dn_closed = np.array([r[0] for r in results])
     dn_open = np.array([r[1] for r in results])
@@ -484,20 +479,20 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     v00[0] = 1.0
     control = entanglement_change_at_zero(
         h_direct, DensityState.from_pure(h_direct.layout, v00),
-        Bipartition(("A",), ("B",)), cfg.delta)
-    times = np.array([0.0, cfg.delta])
+        Bipartition(("A",), ("B",)), RATE_DELTA)
+    times = np.array([0.0, RATE_DELTA])
     matrix = np.stack([n_start, n_delta], axis=1)
     details = {
-        "delta": cfg.delta,
+        "delta": RATE_DELTA,
         "jump_type": cfg.jump_type,
-        "jump_rate": cfg.jump_rate,
+        "jump_rate": JUMP_RATE,
         "max_abs_closed_change": float(np.abs(dn_closed).max()),
         "max_open_change": float(dn_open.max()),
         "direct_control_change": float(control),
     }
     return SweepReport(
-        config=_config_echo(cfg, delta=cfg.delta, jump_type=cfg.jump_type,
-                            jump_rate=cfg.jump_rate),
+        config=_config_echo(cfg, delta=RATE_DELTA, jump_type=cfg.jump_type,
+                            jump_rate=JUMP_RATE),
         times=times, envelope=_envelope(matrix), extremes=extremes,
         violations=violations, redraws=redraws, details=details,
         wall_clock_s=time.perf_counter() - t0,
@@ -540,9 +535,9 @@ def run_smi_protocol(d: int, cfg: SweepConfig | None = None) -> SweepReport:
     psi0 = np.zeros(d ** 3, dtype=complex)
     psi0[0] = 1.0
     psi1 = propagate(w, v, psi0, [t1])[0]
-    horizon = cfg.horizon if cfg.horizon is not None else math.acos(1.0 / d) + 1.0
-    n_pts = int(math.floor(horizon / cfg.t_step + 1e-9))
-    times = cfg.t_step * np.arange(n_pts + 1)
+    horizon = math.acos(1.0 / d) + 1.0
+    n_pts = int(math.floor(horizon / SMI_T_STEP + 1e-9))
+    times = SMI_T_STEP * np.arange(n_pts + 1)
     rc = {"seed": cfg.seed, "d": d, "psi1": psi1, "times": times}
     results = _run_instances("smi-protocol", rc, cfg.n, cfg.resolved_workers())
     crossings = np.array([r[0] for r in results])
@@ -577,7 +572,7 @@ def run_smi_protocol(d: int, cfg: SweepConfig | None = None) -> SweepReport:
         "attain_level": (d - 1) / 2.0 - 1e-6,
     }
     return SweepReport(
-        config=_config_echo(cfg, horizon=float(horizon), t_step=cfg.t_step),
+        config=_config_echo(cfg, horizon=float(horizon), t_step=SMI_T_STEP),
         times=times, envelope=_envelope(curves), extremes=extremes,
         violations=violations, redraws=redraws, details=details,
         wall_clock_s=time.perf_counter() - t0,
@@ -595,9 +590,7 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     t0 = time.perf_counter()
     d = cfg.d
     dc = cfg.mediator_dim
-    t_max = cfg.t_max if cfg.t_max is not None else 2.0
-    n_times = cfg.n_times if cfg.n_times is not None else 32
-    times = t_max * np.arange(n_times + 1) / n_times
+    times = COMMUTING_T_MAX * np.arange(COMMUTING_N_TIMES + 1) / COMMUTING_N_TIMES
     rc = {"seed": cfg.seed, "d": d, "d_c": dc, "times": times}
     results = _run_instances("commuting-null", rc, cfg.n, cfg.resolved_workers())
     curves = np.stack([r[0] for r in results])
@@ -617,13 +610,13 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     }
     # control: correlated inputs under a commuting coupling do entangle
     h_ctl, s_ctl = classical_mediator_example()
-    ctl = evolve_unitary(h_ctl, s_ctl, TimeGrid(0.0, float(t_max), t_max / n_times))
+    ctl = evolve_unitary(h_ctl, s_ctl, TimeGrid(0.0, times[-1], times[1]))
     details = {
         "max_excess": float(excess.max()),
         "correlated_control_max": float(ctl.columns["negativity"].max()),
     }
     return SweepReport(
-        config=_config_echo(cfg, t_max=float(t_max), n_times=n_times),
+        config=_config_echo(cfg, t_max=COMMUTING_T_MAX, n_times=COMMUTING_N_TIMES),
         times=times, envelope=_envelope(curves), extremes=extremes,
         violations=violations, redraws=redraws, details=details,
         wall_clock_s=time.perf_counter() - t0,
@@ -637,9 +630,7 @@ def run_sweep(cfg: SweepConfig):
     if cfg.experiment == "rate-zero":
         return run_rate_zero(cfg)
     if cfg.experiment == "fig2":
-        grid = TimeGrid(0.0, cfg.t_max if cfg.t_max is not None else math.pi / 2,
-                        cfg.t_step)
-        return run_fig2(cfg.d, grid)
+        return run_fig2(cfg.d)
     if cfg.experiment == "smi-protocol":
         return run_smi_protocol(cfg.d, cfg)
     return run_commuting_null(cfg)

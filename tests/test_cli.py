@@ -142,6 +142,39 @@ class TestReproduce:
             == (tmp_path / "b.envelope.csv").read_bytes()
         )
 
+    def test_d_reaches_commuting_null(self, tmp_path):
+        rc = main(["reproduce", "commuting-null", "--d", "3", "--n", "2", "--out", "cn"])
+        assert rc == 0
+        assert json.loads((tmp_path / "cn.json").read_text())["config"]["d"] == 3
+
+    def test_d_reaches_rate_zero(self, tmp_path, capsys):
+        # the rate-zero jumps are qubit operators, so d = 3 is refused, not run at d = 2
+        rc = main(["reproduce", "rate-zero", "--d", "3", "--n", "1", "--out", "rz"])
+        assert rc == 2
+        assert "dim 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["conjecture-d2", "--tmax", "0.5"], "--tmax"),
+        (["commuting-null", "--dt", "0.5"], "--dt"),
+        (["conjecture-d3", "--d", "2"], "--d"),
+        (["fig2", "--n", "5"], "--n"),
+        (["cmi-product", "--workers", "2"], "--workers"),
+    ], ids=["tmax-to-sweep", "dt-to-sweep", "d-to-conjecture", "n-to-fig2",
+            "workers-to-pair"])
+    def test_ignored_flag_is_refused(self, tmp_path, capsys, argv, flag):
+        assert main(["reproduce", *argv, "--out", "x"]) == 2
+        assert f"does not take {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dt_defaults_only_for_trajectories(self, tmp_path):
+        assert main(["reproduce", "cmi-product", "--tmax", "0.01", "--out", "cp"]) == 0
+        assert len(_read_csv(tmp_path / "cp.csv")) == 11
+        manifest = json.loads((tmp_path / "cp.manifest.json").read_text())
+        assert manifest["config"]["dt"] == 1e-3
+        assert main(["reproduce", "rate-zero", "--n", "1", "--out", "rz"]) == 0
+        manifest = json.loads((tmp_path / "rz.manifest.json").read_text())
+        assert manifest["config"]["dt"] is None
+
     def test_builtin_pair_names(self, tmp_path):
         rc = main([
             "reproduce", "cmi-product", "--tmax", "0.2", "--dt", "0.1",

@@ -14,9 +14,16 @@ from medqsl.dynamics import (
     evolve_lindblad,
     evolve_unitary,
     first_max_entanglement_time,
+    negativity_curve,
 )
-from medqsl.errors import BadDimensionError, LayoutMismatchError, PositivityLostError
+from medqsl.errors import (
+    BadDimensionError,
+    LayoutMismatchError,
+    PositivityLostError,
+    UnknownLabelError,
+)
 from medqsl.hamiltonians import (
+    Hamiltonian,
     classical_mediator_example,
     cmi_product_example,
     commuting_mediated,
@@ -24,6 +31,8 @@ from medqsl.hamiltonians import (
     entangled_mediator_example,
     open_system_example,
 )
+from medqsl.linalg import hermitian_eig, sqrtm_psd
+from medqsl.randgen import RngStream, haar_pure, random_density, random_hermitian
 from medqsl.states import Bipartition, DensityState, SystemLayout
 
 
@@ -98,10 +107,43 @@ class TestUnitaryEvolution:
         h = direct_optimal(2)
         from medqsl.states import maximally_entangled
         target = maximally_entangled(2, h.layout)
-        obs = ObserveConfig(keep=("A", "B"), cut=Bipartition.parse("A:B"), target=target)
+        obs = ObserveConfig(cut=Bipartition.parse("A:B"), target=target)
         traj = evolve_unitary(h, ket(h.layout, 0), TimeGrid(0.0, math.pi / 4, math.pi / 8),
                               observe=obs)
         assert_allclose(traj.columns["fidelity_to_target"][-1], 1.0, atol=1e-10)
+
+
+class TestNegativityCurve:
+    """The factor path against the per-state negativity of evolve_unitary."""
+
+    LAYOUT = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+
+    def _case(self, pure):
+        stream = RngStream(11, 0)
+        h = Hamiltonian(self.LAYOUT, random_hermitian(8, stream))
+        psi = haar_pure(8, stream)
+        if pure:
+            return h, DensityState.from_pure(self.LAYOUT, psi)
+        rho = 0.9 * np.outer(psi, psi.conj()) + 0.1 * random_density(8, stream)
+        return h, DensityState(self.LAYOUT, rho)
+
+    # A:C needs the factor transposed; A,B:C keeps every label
+    @pytest.mark.parametrize("cut", ["A:C", "A,B:C", "A:B"])
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_matches_evolve_unitary(self, cut, pure):
+        h, s0 = self._case(pure)
+        p = Bipartition.parse(cut)
+        grid = TimeGrid(0.0, 2.0, 0.05)
+        ref = evolve_unitary(h, s0, grid, ObserveConfig(p)).columns["negativity"]
+        assert ref.max() > 1e-2
+        w, v = hermitian_eig(h.matrix)
+        x0 = s0.pure_vector if pure else sqrtm_psd(s0.matrix)
+        got = negativity_curve(self.LAYOUT, p)(w, v, x0, grid.times)
+        assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_unknown_label(self):
+        with pytest.raises(UnknownLabelError):
+            negativity_curve(self.LAYOUT, Bipartition.parse("A:D"))
 
 
 class TestLindblad:
@@ -181,7 +223,7 @@ class TestFirstMaxTime:
         h = direct_optimal(d)
         t = first_max_entanglement_time(h, ket(h.layout, 0),
                                         Bipartition.parse("A:B"), d, horizon=2.0)
-        assert t is not None
+        assert type(t) is float
         assert abs(t - math.acos(1 / math.sqrt(d))) < 1e-6
 
     def test_mediated_pair_needs_double_time(self):
@@ -202,6 +244,20 @@ class TestFirstMaxTime:
         s = DensityState.from_pure(lay, plusplus)
         t = first_max_entanglement_time(h, s, Bipartition.parse("A:B"), 2, horizon=3.0)
         assert t is None
+
+    def test_peak_past_first_chunk(self):
+        # a tenfold slower coupling peaks thousands of grid points in
+        h = direct_optimal(2).scaled(0.1)
+        t = first_max_entanglement_time(h, ket(h.layout, 0),
+                                        Bipartition.parse("A:B"), 2, horizon=10.0)
+        assert abs(t - 10 * math.pi / 4) < 1e-6
+
+    def test_never_peaks_within_longest_horizon(self):
+        z = np.diag([1.0, -1.0]).astype(complex)
+        h = commuting_mediated(z, z, z)
+        s = DensityState.from_pure(h.layout, np.ones(8) / math.sqrt(8))
+        assert first_max_entanglement_time(h, s, Bipartition.parse("A:B"), 2,
+                                           horizon=50.0) is None
 
     def test_already_maximal_at_zero(self):
         from medqsl.states import maximally_entangled

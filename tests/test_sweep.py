@@ -55,10 +55,6 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(experiment="rate-zero", jump_type="thermal")
 
-    def test_bad_n_times(self):
-        with pytest.raises(ValueError):
-            SweepConfig(experiment="cmi-uncorrelated", n_times=0)
-
     def test_defaults_fill_in(self):
         cfg = SweepConfig(experiment="cmi-uncorrelated")
         assert cfg.n == 10_000
@@ -126,7 +122,7 @@ class TestCmiUncorrelated:
 class TestKernelsAgainstLibrary:
     """Instance kernels against evolve_unitary + negativity(partial_trace)."""
 
-    AB = ObserveConfig(keep=("A", "B"), cut=Bipartition(("A",), ("B",)))
+    AB = ObserveConfig(cut=Bipartition(("A",), ("B",)))
 
     def _reference(self, h, s0, grid):
         h, _ = resource_equality_scale(h, s0)
