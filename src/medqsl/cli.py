@@ -54,12 +54,17 @@ from .sweep import SweepConfig, run_fig2, run_sweep
 
 __all__ = ["main"]
 
-# each reproduce name and the optional flags it reads; others are refused
-REPRODUCE_FLAGS = {
-    "fig2": ("d", "tmax", "dt"),
-    **dict.fromkeys(BUILTIN_PAIRS, ("tmax", "dt")),
-    **dict.fromkeys(("conjecture-d2", "conjecture-d3"), ("n", "workers")),
-    **dict.fromkeys(("smi", "rate-zero", "commuting-null"), ("n", "d", "workers")),
+# each reproduce name: the sweep it runs (None for a trajectory), the
+# SweepConfig fields it fixes, and the optional flags it reads (others
+# are refused)
+REPRODUCE = {
+    "fig2": (None, {}, ("d", "tmax", "dt")),
+    **dict.fromkeys(BUILTIN_PAIRS, (None, {}, ("tmax", "dt"))),
+    "conjecture-d2": ("cmi-uncorrelated", {"d": 2}, ("n", "workers")),
+    "conjecture-d3": ("cmi-uncorrelated", {"d": 3}, ("n", "workers")),
+    "smi": ("smi-protocol", {}, ("n", "d", "workers")),
+    "rate-zero": ("rate-zero", {}, ("n", "d", "workers")),
+    "commuting-null": ("commuting-null", {}, ("n", "d", "workers")),
 }
 
 EXIT_OK = 0
@@ -234,15 +239,16 @@ def _cmd_bound(args) -> int:
 def _cmd_reproduce(args) -> int:
     t0 = time.perf_counter()
     name = args.name
+    experiment, fixed, flags = REPRODUCE[name]
     base = _strip_ext(args.out) if args.out else name
     seed = args.seed
     for flag in ("n", "d", "tmax", "dt", "workers"):
-        if getattr(args, flag) is not None and flag not in REPRODUCE_FLAGS[name]:
+        if getattr(args, flag) is not None and flag not in flags:
             raise CliInputError(f"reproduce {name} does not take --{flag}")
     config = {"name": name, "seed": seed, "n": args.n, "d": args.d,
               "tmax": args.tmax, "dt": args.dt, "workers": args.workers}
 
-    if name == "fig2" or name in BUILTIN_PAIRS:
+    if experiment is None:
         tmax = args.tmax if args.tmax is not None else math.pi / 2
         config["dt"] = args.dt if args.dt is not None else 1e-3
         grid = TimeGrid(0.0, tmax, config["dt"])
@@ -256,19 +262,9 @@ def _cmd_reproduce(args) -> int:
                         time.perf_counter() - t0)
         return EXIT_OK
 
-    cfg_kw = dict(seed=seed, workers=args.workers)
-    if args.n is not None:
-        cfg_kw["n_instances"] = args.n
-    if args.d is not None:
-        cfg_kw["d"] = args.d
-    if name == "conjecture-d2":
-        cfg = SweepConfig("cmi-uncorrelated", d=2, **cfg_kw)
-    elif name == "conjecture-d3":
-        cfg = SweepConfig("cmi-uncorrelated", d=3, **cfg_kw)
-    elif name == "smi":
-        cfg = SweepConfig("smi-protocol", **cfg_kw)
-    else:
-        cfg = SweepConfig(name, **cfg_kw)
+    given = {"n_instances": args.n, "d": args.d}
+    cfg = SweepConfig(experiment, seed=seed, workers=args.workers, **fixed,
+                      **{k: v for k, v in given.items() if v is not None})
     report = run_sweep(cfg)
     json_out = base + ".json"
     csv_out = base + ".envelope.csv"
@@ -325,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.set_defaults(func=_cmd_bound)
 
     rp = sub.add_parser("reproduce", help="rerun a bundled experiment")
-    rp.add_argument("name", choices=tuple(REPRODUCE_FLAGS))
+    rp.add_argument("name", choices=tuple(REPRODUCE))
     rp.add_argument("--n", type=int, help="instance count override (sweeps)")
     rp.add_argument("--d", type=int, help="dimension (fig2, smi, rate-zero, commuting-null)")
     rp.add_argument("--seed", type=int, default=7)

@@ -24,6 +24,7 @@ from .errors import (
     BadDimensionError,
     DimensionMismatchError,
     LayoutMismatchError,
+    NotPSDError,
     PositivityLostError,
 )
 from .hamiltonians import Hamiltonian, energy_moments_array
@@ -257,6 +258,14 @@ def _rk4_segment(m, rho, jumps, jump_sq, span: float) -> np.ndarray:
     return rho
 
 
+def _stepped_state(layout: SystemLayout, rho: np.ndarray, t: float) -> DensityState:
+    """The RK4-stepped ``rho`` at time ``t`` as a state, held to the looser floor."""
+    try:
+        return DensityState(layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
+    except NotPSDError as e:
+        raise PositivityLostError(f"{e} at T={t:.6f}; reduce the step or the rates") from None
+
+
 def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
                     jumps: JumpOperatorSet,
                     observe: ObserveConfig | None = None) -> Trajectory:
@@ -280,12 +289,7 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
         if t > prev_t:
             rho = _rk4_segment(h.matrix, rho, ops, ops_sq, t - prev_t)
             prev_t = t
-        wmin = float(np.linalg.eigvalsh(rho)[0])
-        if wmin < LINDBLAD_EIG_FLOOR:
-            raise PositivityLostError(
-                f"eigenvalue {wmin:.3e} at T={t:.6f}; reduce the step or the rates"
-            )
-        states.append(DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR))
+        states.append(_stepped_state(s0.layout, rho, t))
     return _observe(h, s0, observe, times, states)
 
 
@@ -338,7 +342,7 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
     ops = jumps.embedded()
     ops_sq = [q.conj().T @ q for q in ops]
     rho = _rk4_segment(h.matrix, np.array(s0.matrix, dtype=complex), ops, ops_sq, delta)
-    s_delta = DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
+    s_delta = _stepped_state(s0.layout, rho, delta)
     return negativity(_marginal(s_delta, p), p) - negativity(_marginal(s0, p), p)
 
 

@@ -56,7 +56,7 @@ from .hamiltonians import (
     generalized_x,
     generalized_y,
 )
-from .states import SystemLayout, embed_operator
+from .states import MAX_TOTAL_DIM, SystemLayout, embed_operator
 
 __all__ = [
     "Coefficient",
@@ -231,6 +231,7 @@ class _Parser:
 
     def parse_spec(self) -> HSpecAst:
         decls: list[tuple[str, int]] = []
+        total = 1
         seen: dict[str, _Token] = {}
         terms: tuple[Term, ...] | None = None
         while self.peek().kind != "eof":
@@ -244,6 +245,10 @@ class _Parser:
                 dim, dim_tok = self.expect_int("the subsystem dimension")
                 if dim < 1:
                     self.fail("subsystem dimension must be >= 1", dim_tok)
+                total *= dim
+                if total > MAX_TOTAL_DIM:
+                    self.fail(f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}",
+                              dim_tok)
                 self.expect_sym(";")
                 seen[lab_tok.text] = lab_tok
                 decls.append((lab_tok.text, dim))

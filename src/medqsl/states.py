@@ -58,6 +58,10 @@ NEG_EIG_TOL = 1e-10
 
 STATE_TOL = 1e-10
 
+# the largest total dimension a layout may have: one dense complex
+# matrix of it is 256 MiB (12 qubits)
+MAX_TOTAL_DIM = 4096
+
 
 @dataclass(frozen=True)
 class SystemLayout:
@@ -79,6 +83,9 @@ class SystemLayout:
             seen.add(lab)
             if dim < 1:
                 raise BadDimensionError(f"subsystem {lab!r} has dimension {dim}")
+        total = math.prod(dim for _, dim in subs)
+        if total > MAX_TOTAL_DIM:
+            raise BadDimensionError(f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -90,7 +97,7 @@ class SystemLayout:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def __len__(self) -> int:
         return len(self.subsystems)

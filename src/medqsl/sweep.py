@@ -73,23 +73,16 @@ __all__ = [
     "run_commuting_null",
 ]
 
-EXPERIMENTS = (
-    "cmi-uncorrelated",
-    "rate-zero",
-    "fig2",
-    "smi-protocol",
-    "commuting-null",
-)
-
-WORKERS_ENV = "MEDQSL_WORKERS"
-
-_DEFAULT_N = {
+# each experiment and its default instance count; ``run_sweep`` calls
+# the module's ``run_<name>`` function for it
+EXPERIMENTS = {
     "cmi-uncorrelated": 10_000,
     "rate-zero": 1_000,
-    "fig2": 1,
     "smi-protocol": 200,
     "commuting-null": 1_000,
 }
+
+WORKERS_ENV = "MEDQSL_WORKERS"
 
 _REDRAW_CAP = 100
 
@@ -116,21 +109,29 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; choices: {EXPERIMENTS}")
+            raise ValueError(
+                f"unknown experiment {self.experiment!r}; choices: {tuple(EXPERIMENTS)}")
         if self.d < 2:
             raise ValueError(f"need d >= 2, got {self.d}")
         if self.n_instances is not None and self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
         if self.jump_type not in ("none", "dephasing", "damping"):
             raise ValueError(f"unknown jump type {self.jump_type!r}")
+        # the total-dimension cap fails here, before anything is drawn
+        self.layout
 
     @property
     def n(self) -> int:
-        return self.n_instances if self.n_instances is not None else _DEFAULT_N[self.experiment]
+        return self.n_instances if self.n_instances is not None else EXPERIMENTS[self.experiment]
 
     @property
     def mediator_dim(self) -> int:
         return self.d_c if self.d_c is not None else self.d
+
+    @property
+    def layout(self) -> SystemLayout:
+        """A:d, B:d, C:d_c, the layout the instances are drawn on."""
+        return SystemLayout((("A", self.d), ("B", self.d), ("C", self.mediator_dim)))
 
     def resolved_workers(self) -> int:
         """``workers``, else MEDQSL_WORKERS, else 1; a count of 0 also means 1."""
@@ -244,13 +245,9 @@ def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]
     h = h.scaled(k_scale)
     s0 = DensityState(h.layout, rho0)
     cut = Bipartition(("A",), ("B",))
-    if rc["jump_type"] == "none":
-        jumps = JumpOperatorSet(h.layout, ())
-    else:
-        jumps = getattr(JumpOperatorSet, rc["jump_type"])(h.layout, JUMP_RATE)
     n0 = float(negativity_array(rho_ab0, (d, d), (1,)))
     dn_closed = entanglement_change_at_zero(h, s0, cut, RATE_DELTA)
-    dn_open = entanglement_change_at_zero(h, s0, cut, RATE_DELTA, jumps)
+    dn_open = entanglement_change_at_zero(h, s0, cut, RATE_DELTA, rc["jumps"])
     return dn_closed, dn_open, n0, n0 + dn_closed, redraws
 
 
@@ -337,31 +334,39 @@ def _commuting_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
     return _ab_curve(d, dc)(w, v, sqrtm_psd(rho0), k_scale * rc["times"]), redraws
 
 
-_KERNELS = {
-    "cmi-uncorrelated": _cmi_instance,
-    "rate-zero": _rate_instance,
-    "smi-protocol": _smi_instance,
-    "commuting-null": _commuting_instance,
-}
-
-
 def _run_range(payload) -> list:
-    experiment, rc, lo, hi = payload
-    kernel = _KERNELS[experiment]
+    kernel, rc, lo, hi = payload
     return [kernel(rc, sid) for sid in range(lo, hi)]
 
 
-def _run_instances(experiment: str, rc: dict, n: int, workers: int) -> list:
+def _run_instances(kernel, rc: dict, n: int, workers: int) -> list:
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or n < 2 * workers:
-        return _run_range((experiment, rc, 0, n))
+        return _run_range((kernel, rc, 0, n))
     chunk = max(1, math.ceil(n / (workers * 4)))
-    payloads = [(experiment, rc, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    payloads = [(kernel, rc, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     results: list = []
     with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         for part in pool.map(_run_range, payloads):
             results.extend(part)
     return results
+
+
+def _sweep(cfg: SweepConfig, kernel, rc: dict) -> tuple[list[np.ndarray], int]:
+    """``kernel(rc, sid)`` over streams 0..n-1: one array per field, and the redraws.
+
+    A kernel returns a tuple whose last entry is its redraw count; the
+    other entries are stacked over the instances, in stream order.
+    """
+    results = _run_instances(kernel, rc, cfg.n, cfg.resolved_workers())
+    *fields, redraws = zip(*results)
+    return [np.array(f) for f in fields], sum(redraws)
+
+
+def _first_hits(mask: np.ndarray):
+    """``(row, column)`` of the first True in each row of ``mask`` that has one."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    return zip(rows.tolist(), mask[rows].argmax(axis=1).tolist())
 
 
 def _envelope(matrix: np.ndarray) -> dict[str, np.ndarray]:
@@ -403,20 +408,11 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     times = t_max * np.arange(CMI_N_TIMES + 1) / CMI_N_TIMES
     witness = d == 2 and dc == 2
     rc = {"seed": cfg.seed, "d": d, "d_c": dc, "times": times, "witness": witness}
-    results = _run_instances("cmi-uncorrelated", rc, cfg.n, cfg.resolved_workers())
-    curves = np.stack([r[0] for r in results])
-    redraws = sum(r[1] for r in results)
-    bound_t = di_bound(d) + 1e-3
+    (curves,), redraws = _sweep(cfg, _cmi_instance, rc)
     level = (d - 1) / 2.0 - 1e-6
-    violations = []
-    early = times <= bound_t
-    for sid in range(cfg.n):
-        bad = np.nonzero(curves[sid] >= level)[0]
-        bad = [k for k in bad if early[k]]
-        if bad:
-            k = bad[0]
-            violations.append({"stream_id": sid, "T": float(times[k]),
-                               "negativity": float(curves[sid][k])})
+    early = times <= di_bound(d) + 1e-3
+    violations = [{"stream_id": sid, "T": float(times[k]), "negativity": float(curves[sid, k])}
+                  for sid, k in _first_hits((curves >= level) & early)]
     flat_max = np.unravel_index(int(np.argmax(curves)), curves.shape)
     extremes = {
         "max_negativity": {
@@ -450,13 +446,12 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     t0 = time.perf_counter()
     d = cfg.d
     dc = cfg.mediator_dim
-    rc = {"seed": cfg.seed, "d": d, "d_c": dc, "jump_type": cfg.jump_type}
-    results = _run_instances("rate-zero", rc, cfg.n, cfg.resolved_workers())
-    dn_closed = np.array([r[0] for r in results])
-    dn_open = np.array([r[1] for r in results])
-    n_start = np.array([r[2] for r in results])
-    n_delta = np.array([r[3] for r in results])
-    redraws = sum(r[4] for r in results)
+    if cfg.jump_type == "none":
+        jumps = JumpOperatorSet(cfg.layout, ())
+    else:
+        jumps = getattr(JumpOperatorSet, cfg.jump_type)(cfg.layout, JUMP_RATE)
+    rc = {"seed": cfg.seed, "d": d, "d_c": dc, "jumps": jumps}
+    (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(cfg, _rate_instance, rc)
     violations = []
     for sid in range(cfg.n):
         if abs(dn_closed[sid]) > 1e-6:
@@ -512,7 +507,7 @@ def run_fig2(d: int, grid: TimeGrid | None = None) -> Trajectory:
     return evolve_unitary(h, s0, grid)
 
 
-def run_smi_protocol(d: int, cfg: SweepConfig | None = None) -> SweepReport:
+def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     """Two-stage swap protocol timing evidence.
 
     Stage one entangles A with the mediator C at the optimal direct rate,
@@ -521,12 +516,9 @@ def run_smi_protocol(d: int, cfg: SweepConfig | None = None) -> SweepReport:
     fastest arrival of N_{A:B} at (d-1)/2 - 1e-6; no draw may beat
     arccos(1/d), the angle fixed by the 1/d stage-boundary fidelity.
     """
+    d = cfg.d
     if not 2 <= d <= 4:
         raise BadDimensionError(f"need 2 <= d <= 4, got {d}")
-    if cfg is None:
-        cfg = SweepConfig("smi-protocol", d=d)
-    if cfg.d != d:
-        raise ValueError(f"config d={cfg.d} disagrees with argument d={d}")
     t0 = time.perf_counter()
     layout = SystemLayout((("A", d), ("B", d), ("C", d)))
     stage1 = embed_operator(layout, ("A", "C"), direct_optimal(d).matrix)
@@ -539,18 +531,11 @@ def run_smi_protocol(d: int, cfg: SweepConfig | None = None) -> SweepReport:
     n_pts = int(math.floor(horizon / SMI_T_STEP + 1e-9))
     times = SMI_T_STEP * np.arange(n_pts + 1)
     rc = {"seed": cfg.seed, "d": d, "psi1": psi1, "times": times}
-    results = _run_instances("smi-protocol", rc, cfg.n, cfg.resolved_workers())
-    crossings = np.array([r[0] for r in results])
-    peaks = np.array([r[1] for r in results])
-    peak_times = np.array([r[2] for r in results])
-    curves = np.stack([r[3] for r in results])
-    redraws = sum(r[4] for r in results)
+    (crossings, peaks, peak_times, curves), redraws = _sweep(cfg, _smi_instance, rc)
     stage2_bound = math.acos(1.0 / d)
-    violations = []
-    for sid in range(cfg.n):
-        if not math.isnan(crossings[sid]) and crossings[sid] < stage2_bound - 1e-6:
-            violations.append({"stream_id": sid, "kind": "stage2-too-fast",
-                               "T": float(crossings[sid])})
+    # a nan crossing (never reached) compares False
+    violations = [{"stream_id": sid, "kind": "stage2-too-fast", "T": t}
+                  for sid, t in enumerate(crossings.tolist()) if t < stage2_bound - 1e-6]
     reached = ~np.isnan(crossings)
     best = None
     if reached.any():
@@ -592,17 +577,10 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     dc = cfg.mediator_dim
     times = COMMUTING_T_MAX * np.arange(COMMUTING_N_TIMES + 1) / COMMUTING_N_TIMES
     rc = {"seed": cfg.seed, "d": d, "d_c": dc, "times": times}
-    results = _run_instances("commuting-null", rc, cfg.n, cfg.resolved_workers())
-    curves = np.stack([r[0] for r in results])
-    redraws = sum(r[1] for r in results)
+    (curves,), redraws = _sweep(cfg, _commuting_instance, rc)
     excess = curves - curves[:, :1]
-    violations = []
-    for sid in range(cfg.n):
-        bad = np.nonzero(excess[sid] > 1e-10)[0]
-        if bad.size:
-            k = int(bad[0])
-            violations.append({"stream_id": sid, "T": float(times[k]),
-                               "excess": float(excess[sid][k])})
+    violations = [{"stream_id": sid, "T": float(times[k]), "excess": float(excess[sid, k])}
+                  for sid, k in _first_hits(excess > 1e-10)]
     worst = np.unravel_index(int(np.argmax(excess)), excess.shape)
     extremes = {
         "max_excess": {"stream_id": int(worst[0]), "T": float(times[worst[1]]),
@@ -623,14 +601,10 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     )
 
 
-def run_sweep(cfg: SweepConfig):
-    """Dispatch on ``cfg.experiment``; fig2 returns a Trajectory."""
-    if cfg.experiment == "cmi-uncorrelated":
-        return run_cmi_uncorrelated(cfg)
-    if cfg.experiment == "rate-zero":
-        return run_rate_zero(cfg)
-    if cfg.experiment == "fig2":
-        return run_fig2(cfg.d)
-    if cfg.experiment == "smi-protocol":
-        return run_smi_protocol(cfg.d, cfg)
-    return run_commuting_null(cfg)
+def run_sweep(cfg: SweepConfig) -> SweepReport:
+    """Run ``cfg.experiment`` through its ``run_<name>`` function.
+
+    The function is looked up among the module globals at call time, so
+    a rebound ``run_*`` (a wrapper, say) is the one that runs.
+    """
+    return globals()["run_" + cfg.experiment.replace("-", "_")](cfg)

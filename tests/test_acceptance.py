@@ -166,7 +166,7 @@ def test_criterion_09_swap_protocol_bounds():
     for d in (2, 3, 4):
         assert abs(swap_stage_fidelity(d) - 1.0 / d) < 1e-12
     assert abs(smi_bound(2) - (math.pi / 4 + math.pi / 3)) < 1e-12
-    rep = run_smi_protocol(2)
+    rep = run_smi_protocol(SweepConfig(experiment="smi-protocol", d=2))
     assert rep.violations == [], rep.violations[:3]
     _passline(9, "stage fidelity 1/d, bound pi/4 + pi/3, no early completion")
 

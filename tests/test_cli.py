@@ -276,6 +276,23 @@ class TestExitCodes:
         assert rc == 4
         assert "stationary" in capsys.readouterr().err
 
+    def test_positivity_lost_is_exit_3(self, tmp_path, capsys):
+        rc = main(["evolve", "--ham", "open-system", "--lindblad", "damping:1000",
+                   "--tmax", "0.01", "--dt", "0.01"])
+        assert rc == 3
+        assert "reduce the step" in capsys.readouterr().err
+
+    def test_dimension_cap(self, tmp_path, capsys):
+        # d**3 = 10**6 is refused before a single instance is drawn
+        assert main(["reproduce", "rate-zero", "--d", "100", "--out", "rz"]) == 2
+        assert "cap" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        spec = tmp_path / "big.hspec"
+        spec.write_text("system A:100000;\nH = I(A);")
+        assert main(["evolve", "--ham", str(spec), "--state", "ket:0", "--tmax", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "line 1, col 10" in err and "^" in err
+
     def test_negative_workers(self, capsys):
         rc = main(["reproduce", "rate-zero", "--n", "1", "--workers", "-5"])
         assert rc == 2

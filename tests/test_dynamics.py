@@ -184,6 +184,13 @@ class TestLindblad:
         for st in traj.states:
             assert abs(np.trace(st.matrix).real - 1) < 1e-10
 
+    def test_positivity_lost(self):
+        # one 1e-3 RK4 step at rate 1000 overshoots far below the floor
+        h, s = open_system_example()
+        jumps = JumpOperatorSet.damping(h.layout, 1000.0)
+        with pytest.raises(PositivityLostError, match="T=0.010000"):
+            evolve_lindblad(h, s, TimeGrid(0.0, 0.01, 0.01), jumps)
+
     def test_qudit_jump_rejected(self):
         lay = SystemLayout((("A", 3), ("B", 3)))
         with pytest.raises(BadDimensionError):
@@ -209,6 +216,13 @@ class TestRateProbe:
         dn = entanglement_change_at_zero(h, s, Bipartition.parse("A:B"),
                                          delta=1e-4, jumps=jumps)
         assert dn <= 1e-10
+
+    def test_open_positivity_lost(self):
+        h, s = open_system_example()
+        jumps = JumpOperatorSet.damping(h.layout, 1000.0)
+        with pytest.raises(PositivityLostError, match="T=0.001000"):
+            entanglement_change_at_zero(h, s, Bipartition.parse("A:B"),
+                                        delta=1e-3, jumps=jumps)
 
     def test_delta_range_enforced(self):
         h = direct_optimal(2)

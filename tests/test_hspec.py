@@ -151,6 +151,14 @@ class TestErrors:
         with pytest.raises(HSpecSyntaxError, match="1 MB"):
             parse(big)
 
+    def test_total_dimension_cap(self):
+        with pytest.raises(HSpecSyntaxError, match="cap") as exc:
+            parse("system A:2;\nsystem B:64; system C:33;\nH = X(A);")
+        assert (exc.value.line, exc.value.col) == (2, 23)
+        with pytest.raises(HSpecSyntaxError, match="cap") as exc:
+            parse("system A:100000; H = I(A);")
+        assert (exc.value.line, exc.value.col) == (1, 10)
+
     def test_bad_token(self):
         with pytest.raises(HSpecSyntaxError) as exc:
             parse("system A:2; H = X(A) $ Z(A);")

@@ -22,6 +22,7 @@ from medqsl.errors import (
     UnknownLabelError,
 )
 from medqsl.states import (
+    MAX_TOTAL_DIM,
     Bipartition,
     DensityState,
     SystemLayout,
@@ -83,6 +84,14 @@ class TestSystemLayout:
     def test_zero_dim_rejected(self):
         with pytest.raises(BadDimensionError):
             SystemLayout((("A", 0),))
+
+    def test_total_dimension_cap(self):
+        # checked on the declared dimensions, so nothing is allocated; a
+        # fixed-width product of 10**10 * 10**10 would wrap instead
+        assert SystemLayout((("A", 2), ("B", 2048))).dim == MAX_TOTAL_DIM
+        for subs in ((("A", 2), ("B", 2049)), (("A", 10**10), ("B", 10**10))):
+            with pytest.raises(BadDimensionError, match="cap"):
+                SystemLayout(subs)
 
 
 class TestBipartition:

@@ -14,6 +14,7 @@ from medqsl import (
     BadDimensionError,
     Bipartition,
     DensityState,
+    Hamiltonian,
     ObserveConfig,
     RngStream,
     SweepConfig,
@@ -88,6 +89,24 @@ class TestCmiUncorrelated:
         assert abs(rep.times[mid] - np.pi / 4) < 1e-12
         assert abs(rep.envelope["max"][mid] - 0.1035533905932737) < 1e-12
         assert abs(rep.envelope["max"][-1] - 0.5) < 1e-8
+
+    def test_forced_violation_matches_instance_loop(self, monkeypatch):
+        # with the direct-time window stretched over the whole grid, the d=2
+        # witness (stream 0, N = 1/2 at the end) counts as a violation
+        monkeypatch.setattr(sweep, "di_bound", lambda d: 10.0)
+        cfg = SweepConfig(experiment="cmi-uncorrelated", n_instances=6, seed=3)
+        rep = run_cmi_uncorrelated(cfg)
+        rc = {"seed": 3, "d": 2, "d_c": 2, "times": rep.times, "witness": True}
+        expected = []
+        for sid in range(cfg.n):
+            curve, _ = _cmi_instance(rc, sid)
+            for k, value in enumerate(curve):
+                if value >= 0.5 - 1e-6:
+                    expected.append({"stream_id": sid, "T": float(rep.times[k]),
+                                     "negativity": float(value)})
+                    break
+        assert [v["stream_id"] for v in expected] == [0]
+        assert rep.violations == expected
 
     def test_envelope_max_grows_with_instances(self):
         small = run_cmi_uncorrelated(
@@ -226,12 +245,12 @@ class TestWorkerResolution:
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
-        monkeypatch.setitem(sweep._KERNELS, "rate-zero", lambda rc, sid: sid)
-        assert sweep._run_instances("rate-zero", {}, 10_000, 4000) == list(range(10_000))
+        kernel = lambda rc, sid: sid  # noqa: E731
+        assert sweep._run_instances(kernel, {}, 10_000, 4000) == list(range(10_000))
         assert sizes == [3]
         # fewer cpus than requested workers can mean no pool at all
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 1)
-        assert sweep._run_instances("rate-zero", {}, 50, 4) == list(range(50))
+        assert sweep._run_instances(kernel, {}, 50, 4) == list(range(50))
         assert sizes == [3]
 
 
@@ -272,6 +291,17 @@ class TestRateZero:
         # the direct-coupling control must register an actual increase
         assert rep.details["direct_control_change"] > 1e-6
 
+    def test_qudit_jumps_fail_before_any_draw(self, monkeypatch):
+        # the jump set is built once, up front: no pool, no instance
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached the instances")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(sweep, "_rate_instance", refuse)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        with pytest.raises(BadDimensionError, match="dim 3"):
+            run_rate_zero(SweepConfig("rate-zero", d=3, n_instances=100, workers=2))
+
     def test_damping_channel(self):
         cfg = SweepConfig(
             experiment="rate-zero", n_instances=5, seed=6, jump_type="damping"
@@ -300,18 +330,14 @@ class TestFig2:
 class TestSmiProtocol:
     def test_range_check(self):
         with pytest.raises(BadDimensionError):
-            run_smi_protocol(5)
-        with pytest.raises(BadDimensionError):
-            run_smi_protocol(1)
-
-    def test_dimension_must_agree(self):
-        cfg = SweepConfig(experiment="smi-protocol", d=3, n_instances=2)
+            run_smi_protocol(SweepConfig(experiment="smi-protocol", d=5))
+        # d = 1 never gets as far as the protocol
         with pytest.raises(ValueError):
-            run_smi_protocol(2, cfg)
+            SweepConfig(experiment="smi-protocol", d=1)
 
     def test_small_run(self):
         cfg = SweepConfig(experiment="smi-protocol", d=2, n_instances=6, seed=13)
-        rep = run_smi_protocol(2, cfg)
+        rep = run_smi_protocol(cfg)
         assert rep.violations == []
         assert abs(rep.details["stage1_time"] - np.pi / 4) < 1e-12
         assert abs(rep.details["stage2_bound"] - np.pi / 3) < 1e-12
@@ -328,10 +354,35 @@ class TestCommutingNull:
         # coupling does generate entanglement
         assert rep.details["correlated_control_max"] > 0.4
 
+    def test_forced_violations_match_instance_loop(self, monkeypatch):
+        # a strong direct A-B term entangles the purer separable inputs
+        x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        direct = 10 * np.kron(np.kron(x, x) + np.kron(z, z), np.eye(2))
+
+        def with_direct_term(h_a, h_b, h_c):
+            h = commuting_mediated(h_a, h_b, h_c)
+            return Hamiltonian(h.layout, h.matrix + direct)
+
+        monkeypatch.setattr(sweep, "commuting_mediated", with_direct_term)
+        cfg = SweepConfig(experiment="commuting-null", n_instances=10, seed=8)
+        rep = run_commuting_null(cfg)
+        rc = {"seed": 8, "d": 2, "d_c": 2, "times": rep.times}
+        expected = []
+        for sid in range(cfg.n):
+            curve, _ = _commuting_instance(rc, sid)
+            for k, value in enumerate(curve - curve[0]):
+                if value > 1e-10:
+                    expected.append({"stream_id": sid, "T": float(rep.times[k]),
+                                     "excess": float(value)})
+                    break
+        assert len(expected) >= 4
+        assert rep.violations == expected
+
 
 class TestDispatch:
     def test_run_sweep_routes(self):
         rep = run_sweep(SweepConfig(experiment="rate-zero", n_instances=2, seed=1))
         assert rep.config["experiment"] == "rate-zero"
-        traj = run_sweep(SweepConfig(experiment="fig2", d=2))
-        assert isinstance(traj, Trajectory)
+        # fig2 is a trajectory, run through run_fig2, not a sweep
+        with pytest.raises(ValueError, match="experiment"):
+            SweepConfig(experiment="fig2")
