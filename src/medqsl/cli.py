@@ -153,8 +153,8 @@ def _resolve_lindblad(text: str | None, layout: SystemLayout) -> JumpOperatorSet
             ) from None
         if kind not in ("dephasing", "damping"):
             raise CliInputError(f"unknown jump type {kind!r}")
-        if rate < 0:
-            raise CliInputError(f"negative rate {rate}")
+        if not 0 <= rate < math.inf:
+            raise CliInputError(f"rate {rate_text!r} is not a finite non-negative number")
         labels = (label,) if label is not None else layout.labels
         maker = JumpOperatorSet.dephasing if kind == "dephasing" else JumpOperatorSet.damping
         ops.extend(maker(layout, rate, labels).ops)

@@ -42,6 +42,10 @@ from .states import (
     purity,
     uhlmann_fidelity,
 )
+from .tolerances import (
+    FIRST_MAX_SLACK, GRID_SLACK, LINDBLAD_EIG_FLOOR, PEAK_SLACK, RATE_DELTA, RATE_DELTA_MIN,
+    REFINE_TOL, SUBSTEP_SLACK,
+)
 
 __all__ = [
     "TimeGrid",
@@ -53,13 +57,15 @@ __all__ = [
     "negativity_curve",
     "entanglement_change_at_zero",
     "first_max_entanglement_time",
+    "refine_peak",
+    "bisect_crossing",
+    "first_crossing",
 ]
 
 MAX_GRID_POINTS = 1e7
 # grid points per propagate call: bounds the factors held next to the states
 PROPAGATE_CHUNK = 256
 LINDBLAD_MAX_STEP = 1e-3
-LINDBLAD_EIG_FLOOR = -1e-6
 TRAJECTORY_COLUMNS = (
     "T",
     "negativity",
@@ -96,7 +102,7 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         span = self.stop - self.start
-        n = int(math.floor(span / self.step + 1e-9))
+        n = int(math.floor(span / self.step + GRID_SLACK))
         return self.start + self.step * np.arange(n + 1)
 
 
@@ -146,8 +152,10 @@ class JumpOperatorSet:
     layout: SystemLayout
     ops: tuple[tuple[str, np.ndarray], ...]
 
-    def embedded(self) -> list[np.ndarray]:
-        return [embed_operator(self.layout, (lab,), op) for lab, op in self.ops]
+    def embedded(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each operator Q on the full layout, paired with Q+Q."""
+        qs = [embed_operator(self.layout, (lab,), op) for lab, op in self.ops]
+        return [(q, q.conj().T @ q) for q in qs]
 
     @classmethod
     def dephasing(cls, layout: SystemLayout, rate: float = 0.1,
@@ -236,23 +244,22 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     return _observe(h, s0, observe, times, states)
 
 
-def _lindblad_rhs(m: np.ndarray, rho: np.ndarray, jumps: list[np.ndarray],
-                  jump_sq: list[np.ndarray]) -> np.ndarray:
+def _lindblad_rhs(m: np.ndarray, rho: np.ndarray, jumps) -> np.ndarray:
     out = -1j * (m @ rho - rho @ m)
-    for q, qq in zip(jumps, jump_sq):
+    for q, qq in jumps:
         out += q @ rho @ q.conj().T - 0.5 * (qq @ rho + rho @ qq)
     return out
 
 
-def _rk4_segment(m, rho, jumps, jump_sq, span: float) -> np.ndarray:
+def _rk4_segment(m, rho, jumps, span: float) -> np.ndarray:
     """Advance ``rho`` by ``span`` with RK4 substeps no larger than 1e-3."""
-    n_sub = max(1, int(math.ceil(span / LINDBLAD_MAX_STEP - 1e-12)))
+    n_sub = max(1, int(math.ceil(span / LINDBLAD_MAX_STEP - SUBSTEP_SLACK)))
     dt = span / n_sub
     for _ in range(n_sub):
-        k1 = _lindblad_rhs(m, rho, jumps, jump_sq)
-        k2 = _lindblad_rhs(m, rho + 0.5 * dt * k1, jumps, jump_sq)
-        k3 = _lindblad_rhs(m, rho + 0.5 * dt * k2, jumps, jump_sq)
-        k4 = _lindblad_rhs(m, rho + dt * k3, jumps, jump_sq)
+        k1 = _lindblad_rhs(m, rho, jumps)
+        k2 = _lindblad_rhs(m, rho + 0.5 * dt * k1, jumps)
+        k3 = _lindblad_rhs(m, rho + 0.5 * dt * k2, jumps)
+        k4 = _lindblad_rhs(m, rho + dt * k3, jumps)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
     return rho
@@ -280,14 +287,13 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     if observe is None:
         observe = ObserveConfig.default_for(s0.layout)
     ops = jumps.embedded()
-    ops_sq = [q.conj().T @ q for q in ops]
     times = grid.times
     states = []
     rho = np.array(s0.matrix, dtype=complex)
     prev_t = grid.start
     for t in times:
         if t > prev_t:
-            rho = _rk4_segment(h.matrix, rho, ops, ops_sq, t - prev_t)
+            rho = _rk4_segment(h.matrix, rho, ops, t - prev_t)
             prev_t = t
         states.append(_stepped_state(s0.layout, rho, t))
     return _observe(h, s0, observe, times, states)
@@ -324,7 +330,7 @@ def negativity_curve(layout: SystemLayout, cut: Bipartition):
 
 
 def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition,
-                                delta: float = 1e-4,
+                                delta: float = RATE_DELTA,
                                 jumps: JumpOperatorSet | None = None) -> float:
     """N(delta) - N(0) across ``p``, a finite-difference rate probe.
 
@@ -333,15 +339,13 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
     closed, and never positive to first order when jumps are local.
     """
     _check_layouts(h, s0)
-    if not 1e-6 <= delta <= 1e-3:
-        raise ValueError(f"delta {delta} outside [1e-6, 1e-3]")
+    if not RATE_DELTA_MIN <= delta <= 1e-3:
+        raise ValueError(f"delta {delta} outside [{RATE_DELTA_MIN}, 1e-3]")
     if jumps is None:
         w, v = hermitian_eig(h.matrix)
         n0, n_delta = negativity_curve(s0.layout, p)(w, v, _factor(s0), [0.0, delta])
         return float(n_delta - n0)
-    ops = jumps.embedded()
-    ops_sq = [q.conj().T @ q for q in ops]
-    rho = _rk4_segment(h.matrix, np.array(s0.matrix, dtype=complex), ops, ops_sq, delta)
+    rho = _rk4_segment(h.matrix, np.array(s0.matrix, dtype=complex), jumps.embedded(), delta)
     s_delta = _stepped_state(s0.layout, rho, delta)
     return negativity(_marginal(s_delta, p), p) - negativity(_marginal(s0, p), p)
 
@@ -350,21 +354,18 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
                                 d: int, horizon: float = 50.0) -> float | None:
     """Time of the first maximal-entanglement peak across ``p``, or None.
 
-    Scans N(T) on a 1e-3 grid, ``PROPAGATE_CHUNK`` points at a time; each
-    grid-local maximum that comes within 1e-4 of (d-1)/2 is refined, in
-    time order, by golden-section search to 1e-9, and the first refined
-    peak clearing (d-1)/2 - 1e-7 is returned.  A coarse threshold test
-    alone would not do: near a quadratic peak the window where N sits
-    within 1e-7 of maximal is narrower than the scan step.  Returns None
-    when no peak attains the level within the horizon (at most 50).
+    Scans N(T) on a 1e-3 grid, ``PROPAGATE_CHUNK`` points at a time, and
+    returns the first grid-local maximum within ``PEAK_SLACK`` of (d-1)/2
+    that ``refine_peak`` lifts to within ``FIRST_MAX_SLACK`` of it: near a
+    quadratic peak that window is narrower than the scan step.  Returns
+    None when no peak attains the level within the horizon (at most 50).
     """
     _check_layouts(h, s0)
     if d < 2:
         raise BadDimensionError(f"need d >= 2, got {d}")
     if not 0 < horizon <= 50.0:
         raise ValueError(f"horizon {horizon} outside (0, 50]")
-    strict = (d - 1) / 2.0 - 1e-7
-    loose = (d - 1) / 2.0 - 1e-4
+    level = (d - 1) / 2.0
     curve = negativity_curve(s0.layout, p)
     w, v = hermitian_eig(h.matrix)
     x0 = _factor(s0)
@@ -373,45 +374,82 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
         return float(curve(w, v, x0, [t])[0])
 
     def peak_at(lo: float, hi: float) -> float | None:
-        t_peak = _golden_max(neg, lo, hi, tol=1e-9)
-        return t_peak if neg(t_peak) >= strict else None
+        t_peak, n_peak = refine_peak(neg, lo, hi)
+        return t_peak if n_peak >= level - FIRST_MAX_SLACK else None
 
-    step = 1e-3
-    n_pts = int(math.floor(horizon / step + 1e-9))
-    times = step * np.arange(n_pts + 1)
-    values = np.empty(n_pts + 1)
-    for lo in range(0, n_pts + 1, PROPAGATE_CHUNK):
-        hi = min(lo + PROPAGATE_CHUNK, n_pts + 1)
+    times = TimeGrid(0.0, horizon, 1e-3).times
+    values = np.empty(len(times))
+    for lo in range(0, len(times), PROPAGATE_CHUNK):
+        hi = min(lo + PROPAGATE_CHUNK, len(times))
         values[lo:hi] = curve(w, v, x0, times[lo:hi])
         # completed grid-local peaks: points whose right neighbour is known
-        j = np.arange(max(lo - 1, 0), hi - 1)
-        at = values[j]
-        peaks = (at >= loose) & (at >= values[j + 1]) & (at >= values[np.maximum(j - 1, 0)])
-        for k in j[peaks].tolist():
-            t_peak = peak_at(max(0.0, (k - 1) * step), min(horizon, (k + 1) * step))
+        for k in _near_peaks(values, np.arange(max(lo - 1, 0), hi - 1), level).tolist():
+            t_peak = peak_at(times[max(k - 1, 0)], min(horizon, times[k + 1]))
             if t_peak is not None:
                 return t_peak
     # the curve may still be rising at the horizon
-    if n_pts >= 1 and values[-1] >= loose and values[-1] >= values[-2]:
-        return peak_at((n_pts - 1) * step, horizon)
+    if len(times) > 1 and values[-1] >= level - PEAK_SLACK and values[-1] >= values[-2]:
+        return peak_at(times[-2], horizon)
     return None
 
 
+# scan and refine: f sampled on a grid, then refined between the samples
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
+def refine_peak(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximum of ``f`` on [lo, hi] to ``REFINE_TOL``: ``(T, f(T))``."""
+    a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
-    d_ = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d_)
-    while (b - a) > tol:
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > REFINE_TOL:
         if fc >= fd:
-            b, d_, fd = d_, c, fc
+            b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = f(c)
         else:
-            a, c, fc = c, d_, fd
-            d_ = a + _INVPHI * (b - a)
-            fd = f(d_)
-    return 0.5 * (a + b)
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    t = 0.5 * (a + b)
+    return t, f(t)
+
+
+def bisect_crossing(f, lo: float, hi: float, level: float) -> float:
+    """Bisect [lo, hi] to ``REFINE_TOL``, given f(hi) >= level > f(lo): the upper end."""
+    lo, hi = float(lo), float(hi)
+    while hi - lo > REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= level:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _near_peaks(values: np.ndarray, j: np.ndarray, level: float) -> np.ndarray:
+    """Those ``j`` that are grid-local maxima within ``PEAK_SLACK`` below ``level``."""
+    at = values[j]
+    return j[(at >= level - PEAK_SLACK) & (at >= values[j + 1])
+             & (at >= values[np.maximum(j - 1, 0)])]
+
+
+def first_crossing(f, times: np.ndarray, values: np.ndarray, level: float) -> float:
+    """First T with f(T) >= level, given the samples ``values = f(times)``; nan if never.
+
+    Before the first sample at the level is bisected against the sample
+    before it, each interior grid-local peak within ``PEAK_SLACK`` below
+    the level goes to ``refine_peak``, so a graze between samples is found.
+    """
+    above = np.flatnonzero(values >= level)
+    first = int(above[0]) if len(above) else len(times)
+    for k in _near_peaks(values, np.arange(1, min(first, len(times) - 1)), level).tolist():
+        t_peak, n_peak = refine_peak(f, times[k - 1], times[k + 1])
+        if n_peak >= level:
+            return bisect_crossing(f, times[k - 1], t_peak, level)
+    if first == len(times):
+        return math.nan
+    if first == 0:
+        return float(times[0])
+    return bisect_crossing(f, times[first - 1], times[first], level)

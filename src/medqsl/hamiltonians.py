@@ -27,6 +27,7 @@ from .errors import (
 )
 from .linalg import require_hermitian
 from .states import DensityState, SystemLayout, embed_operator
+from .tolerances import STATIONARY_TOL
 
 __all__ = [
     "Hamiltonian",
@@ -45,8 +46,6 @@ __all__ = [
     "BUILTIN_PAIRS",
     "builtin_pair",
 ]
-
-STATIONARY_TOL = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -120,8 +119,8 @@ def resource_equality_scale(h: Hamiltonian, s: DensityState) -> tuple[Hamiltonia
     """Rescale ``h`` so that min{mean, std} = 1 in state ``s``.
 
     Returns the scaled Hamiltonian and the applied factor k.  Raises
-    StationaryStateError when both moments are below 1e-12, since no
-    finite rescaling moves a stationary state.
+    StationaryStateError when both moments are at most ``STATIONARY_TOL``,
+    since no finite rescaling moves a stationary state.
     """
     em = energy_moments(h, s)
     if em.smaller <= STATIONARY_TOL:
@@ -244,9 +243,7 @@ def commuting_mediated(h_a: np.ndarray, h_b: np.ndarray, h_c: np.ndarray,
     Such Hamiltonians cannot entangle A with B from any product
     rho_AB (x) rho_C, whatever the local factors are.
     """
-    h_a = require_hermitian(h_a)
-    h_b = require_hermitian(h_b)
-    h_c = require_hermitian(h_c)
+    h_a, h_b, h_c = (require_hermitian(h) for h in (h_a, h_b, h_c))
     layout = SystemLayout(((labels[0], h_a.shape[0]),
                            (labels[1], h_b.shape[0]),
                            (labels[2], h_c.shape[0])))

@@ -175,6 +175,9 @@ def _lex(text: str) -> tuple[list[_Token], list[str]]:
                                    line, col, lines[line - 1])
         kind = m.lastgroup
         lexeme = m.group()
+        if kind == "num" and math.isinf(float(lexeme)):
+            raise HSpecSyntaxError(f"number {lexeme[:12]}... does not fit a finite float",
+                                   line, col, lines[line - 1])
         if kind not in ("ws", "comment"):
             tokens.append(_Token(kind, lexeme, line, col))
         newlines = lexeme.count("\n")
@@ -369,26 +372,16 @@ def parse_file(path) -> HSpecAst:
         return parse(fh.read())
 
 
-def _op_matrix(name: str, d: int, arg: int | None) -> np.ndarray:
-    if name == "I":
-        return np.eye(d, dtype=complex)
-    if name == "X":
-        return PAULI_X
-    if name == "Y":
-        return PAULI_Y
-    if name == "Z":
-        return PAULI_Z
-    if name == "GX":
-        return generalized_x(d, arg)
-    if name == "GY":
-        return generalized_y(d, arg)
-    return _projector(d, arg)
-
-
-def _projector(d: int, k: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[k, k] = 1.0
-    return m
+# each operator's matrix on a d-level subsystem, from its level argument
+_OP_MATRIX = {
+    "I": lambda d, arg: np.eye(d, dtype=complex),
+    "X": lambda d, arg: PAULI_X,
+    "Y": lambda d, arg: PAULI_Y,
+    "Z": lambda d, arg: PAULI_Z,
+    "GX": generalized_x,
+    "GY": generalized_y,
+    "P": lambda d, arg: np.diag(np.eye(d, dtype=complex)[arg]),
+}
 
 
 def build(ast: HSpecAst) -> Hamiltonian:
@@ -402,7 +395,7 @@ def build(ast: HSpecAst) -> Hamiltonian:
     for term in ast.terms:
         factors: dict[str, np.ndarray] = {}
         for op in term.ops:
-            m = _op_matrix(op.name, layout.dim_of(op.label), op.arg)
+            m = _OP_MATRIX[op.name](layout.dim_of(op.label), op.arg)
             factors[op.label] = factors[op.label] @ m if op.label in factors else m
         labels = tuple(factors)
         block = factors[labels[0]]

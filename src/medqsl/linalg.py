@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotHermitianError, NotPSDError
+from .tolerances import HERM_TOL, PSD_FLOOR
 
 __all__ = [
     "require_hermitian",
@@ -20,24 +21,21 @@ __all__ = [
     "sqrtm_psd",
 ]
 
-HERM_TOL = 1e-10
-
-# eigenvalues of a PSD matrix may dip slightly negative in floating point;
-# below this floor the matrix is treated as genuinely indefinite
-PSD_FLOOR = -1e-10
-
 
 def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     """Return ``m`` as a complex array, raising NotHermitianError beyond ``tol``.
 
-    The tolerance is absolute on the max entry of ``m - m†``.
+    The tolerance is absolute on the max entry of ``m - m†``; a NaN or
+    infinite entry fails too, and the error names where it sits.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
     dev = np.abs(m - m.conj().T).max()
-    if dev > tol:
-        raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
+    if not dev <= tol:
+        bad = np.argwhere(~np.isfinite(m)).tolist()
+        raise NotHermitianError(f"matrix has {len(bad)} non-finite entries, at {bad[:4]}"
+                                if bad else f"matrix deviates from Hermitian by {dev:.3e}")
     return m
 
 
@@ -72,7 +70,7 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     floor raises NotPSDError.
     """
     w, v = hermitian_eig(m)
-    if w[0] < PSD_FLOOR:
+    if not w[0] >= PSD_FLOOR:
         raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} below {PSD_FLOOR:.0e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T

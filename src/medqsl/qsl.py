@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensionError, LayoutMismatchError, StationaryStateError
-from .hamiltonians import STATIONARY_TOL, EnergyMoments, Hamiltonian, energy_moments
+from .errors import BadDimensionError, StationaryStateError
+from .hamiltonians import EnergyMoments, Hamiltonian, energy_moments
 from .states import (
     DensityState,
     SystemLayout,
@@ -23,6 +23,7 @@ from .states import (
     maximally_entangled,
     uhlmann_fidelity,
 )
+from .tolerances import STATIONARY_TOL
 
 __all__ = [
     "BoundReport",
@@ -67,10 +68,6 @@ def unified_bound(s0: DensityState, target: DensityState, h: Hamiltonian) -> Bou
     Raises StationaryStateError when both energy moments vanish, since
     the bound would be vacuous (the state never moves).
     """
-    if s0.layout != target.layout:
-        raise LayoutMismatchError("start and target states on different layouts")
-    if s0.layout != h.layout:
-        raise LayoutMismatchError("state and Hamiltonian on different layouts")
     theta = bures_angle(s0, target)
     em = energy_moments(h, s0)
     if em.smaller <= STATIONARY_TOL:
@@ -101,8 +98,6 @@ def conjecture_bound(d: int) -> float:
 
 def smi_bound(d: int) -> float:
     """arccos(1/sqrt(d)) + arccos(1/d): proven two-stage swap-protocol bound."""
-    if d < 2:
-        raise BadDimensionError(f"need d >= 2, got {d}")
     return di_bound(d) + math.acos(1.0 / d)
 
 

@@ -21,12 +21,15 @@ from .errors import (
     DimensionMismatchError,
     FullOrEmptySetError,
     LayoutMismatchError,
-    NotHermitianError,
     NotPSDError,
     PartitionMismatchError,
     UnknownLabelError,
 )
-from .linalg import sqrtm_psd
+from .linalg import require_hermitian, sqrtm_psd
+from .tolerances import (
+    CLASSICAL_TOL, ENTROPY_CUTOFF, MARGINAL_DEGENERACY_TOL, NEG_EIG_TOL,
+    PROBE_DEGENERACY_TOL, PROJECTOR_TOL, PSD_FLOOR, TRACE_TOL,
+)
 
 __all__ = [
     "SystemLayout",
@@ -51,12 +54,6 @@ __all__ = [
     "save_state",
     "load_state",
 ]
-
-# eigenvalues of a partial transpose in (-NEG_EIG_TOL, 0) count as zero,
-# so eigensolver noise never reads as spurious entanglement
-NEG_EIG_TOL = 1e-10
-
-STATE_TOL = 1e-10
 
 # the largest total dimension a layout may have: one dense complex
 # matrix of it is 256 MiB (12 qubits)
@@ -156,11 +153,8 @@ class Bipartition:
         halves = text.split(":")
         if len(halves) != 2:
             raise PartitionMismatchError(f"expected one ':' in bipartition, got {text!r}")
-        sides = []
-        for half in halves:
-            labels = tuple(p.strip() for p in half.split(",") if p.strip())
-            sides.append(labels)
-        return cls(sides[0], sides[1])
+        a, b = (tuple(p.strip() for p in half.split(",") if p.strip()) for half in halves)
+        return cls(a, b)
 
     def validate_covering(self, layout: SystemLayout) -> None:
         """Require the two sides to cover the layout's labels exactly."""
@@ -175,10 +169,11 @@ class Bipartition:
 class DensityState:
     """A density matrix tied to a layout, optionally carrying its pure vector.
 
-    Validation on construction: Hermitian within 1e-10, unit trace within
-    1e-10, eigenvalues above ``eig_floor`` (default -1e-10).  When
-    ``pure_vector`` is given the matrix must equal the projector onto it,
-    and positivity is then automatic.
+    Validation on construction: Hermitian within ``HERM_TOL``, unit trace
+    within ``TRACE_TOL``, eigenvalues above ``eig_floor`` (default
+    ``PSD_FLOOR``); a NaN or infinite entry fails.  When ``pure_vector``
+    is given the matrix must equal the projector onto it, and positivity
+    is then automatic.
 
     Args:
         layout: subsystem structure of the state.
@@ -192,32 +187,31 @@ class DensityState:
 
     def __init__(self, layout: SystemLayout, matrix: np.ndarray,
                  pure_vector: np.ndarray | None = None, *,
-                 eig_floor: float = -1e-10):
+                 eig_floor: float = PSD_FLOOR):
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape != (layout.dim, layout.dim):
             raise DimensionMismatchError(
                 f"matrix shape {matrix.shape} does not match layout dim {layout.dim}"
             )
-        dev = np.abs(matrix - matrix.conj().T).max()
-        if dev > STATE_TOL:
-            raise NotHermitianError(f"density matrix deviates from Hermitian by {dev:.3e}")
+        require_hermitian(matrix)
         tr = matrix.trace()
-        if abs(tr - 1.0) > STATE_TOL:
-            raise ValueError(f"trace {tr:.12f} is not 1 within {STATE_TOL:.0e}")
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise ValueError(f"trace {tr:.12f} is not 1 within {TRACE_TOL:.0e}")
         if pure_vector is not None:
             pure_vector = np.array(pure_vector, dtype=complex).reshape(-1)
             if pure_vector.shape != (layout.dim,):
                 raise DimensionMismatchError(
                     f"pure vector length {pure_vector.shape[0]} != layout dim {layout.dim}"
                 )
-            if abs(np.vdot(pure_vector, pure_vector) - 1.0) > STATE_TOL:
+            if not abs(np.vdot(pure_vector, pure_vector) - 1.0) <= TRACE_TOL:
                 raise ValueError("pure vector is not normalized")
-            if np.abs(matrix - np.outer(pure_vector, pure_vector.conj())).max() > 1e-9:
+            if not np.abs(matrix - np.outer(pure_vector, pure_vector.conj())).max() \
+                    <= PROJECTOR_TOL:
                 raise ValueError("matrix is not the projector onto pure_vector")
             pure_vector.setflags(write=False)
         else:
             wmin = np.linalg.eigvalsh(matrix)[0]
-            if wmin < eig_floor:
+            if not wmin >= eig_floor:
                 raise NotPSDError(f"minimum eigenvalue {wmin:.3e} below {eig_floor:.0e}")
         matrix.setflags(write=False)
         self.layout = layout
@@ -230,6 +224,9 @@ class DensityState:
         norm = np.linalg.norm(vector)
         if norm == 0:
             raise ValueError("zero vector cannot be normalized")
+        if not math.isfinite(norm):
+            bad = np.flatnonzero(~np.isfinite(vector))
+            raise ValueError(f"vector has non-finite entries at {bad[:4].tolist()}")
         vector = vector / norm
         return cls(layout, np.outer(vector, vector.conj()), vector)
 
@@ -251,8 +248,7 @@ def maximally_entangled(d: int, layout: SystemLayout) -> DensityState:
             f"layout dims {layout.dims} do not form a {d}x{d} pair"
         )
     v = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        v[j * d + j] = 1.0
+    v[:: d + 1] = 1.0
     return DensityState.from_pure(layout, v / math.sqrt(d))
 
 
@@ -395,7 +391,7 @@ def bures_angle(s1: DensityState, s2: DensityState) -> float:
 def von_neumann_entropy(s: DensityState) -> float:
     """Entropy -sum(w log2 w) of the spectrum, in bits."""
     w = np.linalg.eigvalsh(s.matrix)
-    w = w[w > 1e-15]
+    w = w[w > ENTROPY_CUTOFF]
     return float(-(w * np.log2(w)).sum())
 
 
@@ -445,7 +441,8 @@ def _cluster(values: np.ndarray, indices: list[int], tol: float) -> list[list[in
     return groups
 
 
-def is_classically_correlated_on(s: DensityState, label: str, tol: float = 1e-8) -> bool:
+def is_classically_correlated_on(s: DensityState, label: str,
+                                 tol: float = CLASSICAL_TOL) -> bool:
     """Whether ``s`` is block diagonal in some orthonormal basis of ``label``.
 
     Candidates come from the eigenbasis of the mediator marginal.  Inside a
@@ -459,7 +456,7 @@ def is_classically_correlated_on(s: DensityState, label: str, tol: float = 1e-8)
         return True
     rho_m = np.einsum("ijkk->ij", blocks)
     w, basis = np.linalg.eigh(rho_m)
-    clusters = _cluster(w, list(range(dm)), 1e-8)
+    clusters = _cluster(w, list(range(dm)), MARGINAL_DEGENERACY_TOL)
     for round_idx in range(4):
         if all(len(c) == 1 for c in clusters):
             break
@@ -477,15 +474,11 @@ def is_classically_correlated_on(s: DensityState, label: str, tol: float = 1e-8)
             basis[:, c] = basis[:, c] @ u
             vals = np.full(dm, np.nan)
             vals[c] = w2
-            next_clusters.extend(_cluster(vals, c, 1e-10))
+            next_clusters.extend(_cluster(vals, c, PROBE_DEGENERACY_TOL))
         clusters = next_clusters
     rotated = np.einsum("ik,jl,ijab->klab", basis.conj(), basis, blocks)
-    off = 0.0
-    for i in range(dm):
-        for j in range(dm):
-            if i != j:
-                off = max(off, float(np.linalg.norm(rotated[i, j])))
-    return off <= tol
+    return max(float(np.linalg.norm(rotated[i, j]))
+               for i in range(dm) for j in range(dm) if i != j) <= tol
 
 
 # ---------------------------------------------------------------------------

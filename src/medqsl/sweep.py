@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,14 +29,14 @@ from .dynamics import (
     JumpOperatorSet,
     Trajectory,
     TimeGrid,
-    _golden_max,
     entanglement_change_at_zero,
     evolve_unitary,
+    first_crossing,
     negativity_curve,
+    refine_peak,
 )
 from .errors import BadDimensionError, StationaryStateError
 from .hamiltonians import (
-    STATIONARY_TOL,
     cmi_product_example,
     classical_mediator_example,
     direct_optimal,
@@ -59,6 +58,10 @@ from .states import (
     SystemLayout,
     embed_operator,
     negativity_array,
+)
+from .tolerances import (
+    ATTAIN_SLACK, CLOSED_RATE_TOL, EARLY_SLACK, EXCESS_TOL, OPEN_RATE_TOL, RATE_DELTA,
+    STAGE2_TIME_SLACK, STATIONARY_TOL,
 )
 
 __all__ = [
@@ -91,7 +94,6 @@ CMI_N_TIMES = 64
 COMMUTING_T_MAX = 2.0
 COMMUTING_N_TIMES = 32
 SMI_T_STEP = 1e-3
-RATE_DELTA = 1e-4
 JUMP_RATE = 0.1
 
 
@@ -117,6 +119,9 @@ class SweepConfig:
             raise ValueError("n_instances must be >= 1")
         if self.jump_type not in ("none", "dephasing", "damping"):
             raise ValueError(f"unknown jump type {self.jump_type!r}")
+        if self.experiment == "smi-protocol" and self.d_c not in (None, self.d):
+            raise ValueError(f"smi-protocol runs on a mediator of dim d={self.d}, "
+                             f"got d_c={self.d_c}")
         # the total-dimension cap fails here, before anything is drawn
         self.layout
 
@@ -147,9 +152,8 @@ class SweepConfig:
 class SweepReport:
     """Aggregated sweep outcome; JSON/CSV forms are byte-stable.
 
-    The wall clock never enters the serialized report so that re-runs
-    with the same configuration compare byte-identical; timing is for
-    the run manifest.
+    No timing enters the report, so re-runs with the same configuration
+    compare byte-identical; the CLI's run manifest records the wall clock.
     """
 
     config: dict
@@ -159,7 +163,6 @@ class SweepReport:
     violations: list[dict]
     redraws: int
     details: dict = field(default_factory=dict)
-    wall_clock_s: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,14 +255,10 @@ def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]
 
 
 def _smi_instance(rc: dict, sid: int) -> tuple[float, float, float, np.ndarray, int]:
-    d = rc["d"]
-    psi1 = rc["psi1"]
-    times = rc["times"]
-    theta = (d - 1) / 2.0 - 1e-6
-    layout = SystemLayout((("A", d), ("B", d), ("C", d)))
+    d, psi1, times = rc["d"], rc["psi1"], rc["times"]
 
     def draw(stream):
-        return embed_operator(layout, ("B", "C"), random_hermitian(d * d, stream)), psi1
+        return embed_operator(rc["layout"], ("B", "C"), random_hermitian(d * d, stream)), psi1
 
     w, v, k_scale, redraws, _ = _normalized_draw(rc, sid, draw)
     ab = _ab_curve(d, d)
@@ -268,50 +267,11 @@ def _smi_instance(rc: dict, sid: int) -> tuple[float, float, float, np.ndarray, 
         return float(ab(w, v, psi1, np.array([k_scale * t]))[0])
 
     curve = ab(w, v, psi1, k_scale * times)
-    peak_idx = int(np.argmax(curve))
-    crossing = _refine_first_crossing(neg_at, times, curve, theta)
-    peak_t, peak_v = _refine_peak(neg_at, times, curve, peak_idx)
+    crossing = first_crossing(neg_at, times, curve, (d - 1) / 2.0 - ATTAIN_SLACK)
+    top = int(np.argmax(curve))
+    peak_t, peak_v = refine_peak(neg_at, times[max(top - 1, 0)],
+                                 times[min(top + 1, len(times) - 1)])
     return crossing, peak_v, peak_t, curve, redraws
-
-
-def _refine_peak(f, times, curve, idx) -> tuple[float, float]:
-    lo = times[max(idx - 1, 0)]
-    hi = times[min(idx + 1, len(times) - 1)]
-    if hi <= lo:
-        return float(times[idx]), float(curve[idx])
-    t = _golden_max(f, float(lo), float(hi), tol=1e-9)
-    return t, f(t)
-
-
-def _refine_first_crossing(f, times, curve, theta) -> float:
-    """First T with f(T) >= theta, refined by bisection; nan when never reached.
-
-    Grid-local peaks within 1e-4 of theta are golden-refined first so a
-    narrow graze between grid points is not missed.
-    """
-    n = len(times)
-    for k in range(n):
-        if curve[k] >= theta:
-            lo = float(times[k - 1]) if k > 0 else 0.0
-            hi = float(times[k])
-            return _bisect_crossing(f, lo, hi, theta)
-        if 0 < k < n - 1 and curve[k] >= theta - 1e-4 \
-                and curve[k] >= curve[k - 1] and curve[k] >= curve[k + 1]:
-            t_peak = _golden_max(f, float(times[k - 1]), float(times[k + 1]), tol=1e-9)
-            if f(t_peak) >= theta:
-                return _bisect_crossing(f, float(times[k - 1]), t_peak, theta)
-    return math.nan
-
-
-def _bisect_crossing(f, lo: float, hi: float, theta: float) -> float:
-    # invariant: f(hi) >= theta, f(lo) < theta (or lo == 0 start)
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= theta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _commuting_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
@@ -378,15 +338,8 @@ def _envelope(matrix: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _config_echo(cfg: SweepConfig, **extra) -> dict:
-    echo = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "n_instances": cfg.n,
-        "d": cfg.d,
-        "d_c": cfg.mediator_dim,
-    }
-    echo.update(extra)
-    return echo
+    return {"experiment": cfg.experiment, "seed": cfg.seed, "n_instances": cfg.n,
+            "d": cfg.d, "d_c": cfg.mediator_dim, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +354,6 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     2 arccos(1/sqrt(d)).  For d = 2 instance 0 is the product-state
     witness that attains 0.5 exactly at T = pi/2.
     """
-    t0 = time.perf_counter()
     d = cfg.d
     dc = cfg.mediator_dim
     t_max = conjecture_bound(d)
@@ -409,8 +361,8 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     witness = d == 2 and dc == 2
     rc = {"seed": cfg.seed, "d": d, "d_c": dc, "times": times, "witness": witness}
     (curves,), redraws = _sweep(cfg, _cmi_instance, rc)
-    level = (d - 1) / 2.0 - 1e-6
-    early = times <= di_bound(d) + 1e-3
+    level = (d - 1) / 2.0 - ATTAIN_SLACK
+    early = times <= di_bound(d) + EARLY_SLACK
     violations = [{"stream_id": sid, "T": float(times[k]), "negativity": float(curves[sid, k])}
                   for sid, k in _first_hits((curves >= level) & early)]
     flat_max = np.unravel_index(int(np.argmax(curves)), curves.shape)
@@ -431,7 +383,6 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
         config=_config_echo(cfg, t_max=float(t_max), n_times=CMI_N_TIMES),
         times=times, envelope=_envelope(curves), extremes=extremes,
         violations=violations, redraws=redraws, details=details,
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 
@@ -443,7 +394,6 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     increase negativity at first order.  A direct (non-mediated) control
     shows the contrast: its N grows linearly from the start.
     """
-    t0 = time.perf_counter()
     d = cfg.d
     dc = cfg.mediator_dim
     if cfg.jump_type == "none":
@@ -454,10 +404,10 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(cfg, _rate_instance, rc)
     violations = []
     for sid in range(cfg.n):
-        if abs(dn_closed[sid]) > 1e-6:
+        if abs(dn_closed[sid]) > CLOSED_RATE_TOL:
             violations.append({"stream_id": sid, "kind": "closed",
                                "delta_negativity": float(dn_closed[sid])})
-        if dn_open[sid] > 1e-8:
+        if dn_open[sid] > OPEN_RATE_TOL:
             violations.append({"stream_id": sid, "kind": "open",
                                "delta_negativity": float(dn_open[sid])})
     worst_closed = int(np.argmax(np.abs(dn_closed)))
@@ -490,7 +440,6 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
                             jump_rate=JUMP_RATE),
         times=times, envelope=_envelope(matrix), extremes=extremes,
         violations=violations, redraws=redraws, details=details,
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 
@@ -513,29 +462,27 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     Stage one entangles A with the mediator C at the optimal direct rate,
     ending exactly maximally entangled at arccos(1/sqrt(d)).  Stage two
     draws random B-C couplings from that state and searches for the
-    fastest arrival of N_{A:B} at (d-1)/2 - 1e-6; no draw may beat
+    fastest arrival of N_{A:B} at (d-1)/2 - ATTAIN_SLACK; no draw may beat
     arccos(1/d), the angle fixed by the 1/d stage-boundary fidelity.
     """
     d = cfg.d
     if not 2 <= d <= 4:
         raise BadDimensionError(f"need 2 <= d <= 4, got {d}")
-    t0 = time.perf_counter()
-    layout = SystemLayout((("A", d), ("B", d), ("C", d)))
-    stage1 = embed_operator(layout, ("A", "C"), direct_optimal(d).matrix)
+    stage1 = embed_operator(cfg.layout, ("A", "C"), direct_optimal(d).matrix)
     t1 = di_bound(d)
     w, v = np.linalg.eigh(stage1)
     psi0 = np.zeros(d ** 3, dtype=complex)
     psi0[0] = 1.0
     psi1 = propagate(w, v, psi0, [t1])[0]
     horizon = math.acos(1.0 / d) + 1.0
-    n_pts = int(math.floor(horizon / SMI_T_STEP + 1e-9))
-    times = SMI_T_STEP * np.arange(n_pts + 1)
-    rc = {"seed": cfg.seed, "d": d, "psi1": psi1, "times": times}
+    times = TimeGrid(0.0, horizon, SMI_T_STEP).times
+    rc = {"seed": cfg.seed, "d": d, "layout": cfg.layout, "psi1": psi1, "times": times}
     (crossings, peaks, peak_times, curves), redraws = _sweep(cfg, _smi_instance, rc)
     stage2_bound = math.acos(1.0 / d)
     # a nan crossing (never reached) compares False
     violations = [{"stream_id": sid, "kind": "stage2-too-fast", "T": t}
-                  for sid, t in enumerate(crossings.tolist()) if t < stage2_bound - 1e-6]
+                  for sid, t in enumerate(crossings.tolist())
+                  if t < stage2_bound - STAGE2_TIME_SLACK]
     reached = ~np.isnan(crossings)
     best = None
     if reached.any():
@@ -554,13 +501,12 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
         "stage2_attainments": int(reached.sum()),
         "best_stage2_time": None if best is None else best["T"],
         "protocol_bound": float(t1 + stage2_bound),
-        "attain_level": (d - 1) / 2.0 - 1e-6,
+        "attain_level": (d - 1) / 2.0 - ATTAIN_SLACK,
     }
     return SweepReport(
         config=_config_echo(cfg, horizon=float(horizon), t_step=SMI_T_STEP),
         times=times, envelope=_envelope(curves), extremes=extremes,
         violations=violations, redraws=redraws, details=details,
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 
@@ -572,7 +518,6 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     correlated-input control with the same kind of Hamiltonian shows
     growth, so the null result is about the inputs, not the coupling.
     """
-    t0 = time.perf_counter()
     d = cfg.d
     dc = cfg.mediator_dim
     times = COMMUTING_T_MAX * np.arange(COMMUTING_N_TIMES + 1) / COMMUTING_N_TIMES
@@ -580,7 +525,7 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     (curves,), redraws = _sweep(cfg, _commuting_instance, rc)
     excess = curves - curves[:, :1]
     violations = [{"stream_id": sid, "T": float(times[k]), "excess": float(excess[sid, k])}
-                  for sid, k in _first_hits(excess > 1e-10)]
+                  for sid, k in _first_hits(excess > EXCESS_TOL)]
     worst = np.unravel_index(int(np.argmax(excess)), excess.shape)
     extremes = {
         "max_excess": {"stream_id": int(worst[0]), "T": float(times[worst[1]]),
@@ -597,7 +542,6 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
         config=_config_echo(cfg, t_max=COMMUTING_T_MAX, n_times=COMMUTING_N_TIMES),
         times=times, envelope=_envelope(curves), extremes=extremes,
         violations=violations, redraws=redraws, details=details,
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 

@@ -1,0 +1,38 @@
+"""Every numeric threshold of the package, by name; each value is absolute.
+
+A name is shared only where the meaning is the same: two thresholds
+that agree in value but answer different questions keep two names.
+"""
+
+# validation; a PSD matrix may dip slightly negative in floating point, and
+# below its floor it is indefinite (RK4-stepped states get a looser floor)
+HERM_TOL = 1e-10            # max entry of |M - M+|
+TRACE_TOL = 1e-10           # |tr rho - 1|, and |<v|v> - 1| of a pure vector
+PROJECTOR_TOL = 1e-9        # max entry of |rho - v v+| for a pure state
+PSD_FLOOR = -1e-10
+LINDBLAD_EIG_FLOOR = -1e-6
+STATIONARY_TOL = 1e-12      # both energy moments at most this: the state never moves
+
+# measures
+NEG_EIG_TOL = 1e-10         # partial-transpose eigenvalues in (-tol, 0) count as zero
+ENTROPY_CUTOFF = 1e-15      # spectrum entries at or below it add no entropy
+CLASSICAL_TOL = 1e-8        # off-diagonal block norm of a classically correlated state
+MARGINAL_DEGENERACY_TOL = 1e-8   # mediator marginal eigenvalues this close are one
+PROBE_DEGENERACY_TOL = 1e-10     # probe eigenvalues this close stay one cluster
+
+# time grids, the scan-and-refine primitives and the rate probe
+GRID_SLACK = 1e-9           # in steps: a span that is a multiple of the step keeps its end
+SUBSTEP_SLACK = 1e-12       # in steps: an exact multiple of the RK4 step takes no extra one
+REFINE_TOL = 1e-9           # bracket width at which golden section and bisection stop
+PEAK_SLACK = 1e-4           # grid-local peaks this close below a level are refined
+FIRST_MAX_SLACK = 1e-7      # a refined peak this close to (d-1)/2 counts as maximal
+RATE_DELTA = 1e-4           # default delta of the rate probe N(delta) - N(0)
+RATE_DELTA_MIN = 1e-6       # the smallest delta it accepts (the largest is 1e-3)
+
+# sweep verdicts
+ATTAIN_SLACK = 1e-6         # N reaches the level (d-1)/2 within this
+EARLY_SLACK = 1e-3          # cmi: up to arccos(1/sqrt d) plus this counts as early
+STAGE2_TIME_SLACK = 1e-6    # smi: a crossing this far before arccos(1/d) is a violation
+CLOSED_RATE_TOL = 1e-6      # rate-zero: |N(delta) - N(0)| without jumps
+OPEN_RATE_TOL = 1e-8        # rate-zero: N(delta) - N(0) with local jumps
+EXCESS_TOL = 1e-10          # commuting-null: N above its T = 0 value

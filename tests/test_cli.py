@@ -259,6 +259,45 @@ class TestExitCodes:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate(self, rate, capsys):
+        rc = main(["evolve", "--ham", "cmi-product", "--tmax", "0.1",
+                   "--lindblad", f"dephasing:{rate}"])
+        assert rc == 2
+        assert f"rate '{rate}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--target", "maxent"],
+        ["evolve", "--tmax", "0.1"],
+    ], ids=["bound", "evolve"])
+    @pytest.mark.parametrize("entry", ["pure", "density"])
+    def test_non_finite_state(self, tmp_path, capsys, argv, entry):
+        nan = tmp_path / "nan.json"
+        if entry == "pure":
+            nan.write_text('{"layout": [["A", 2], ["B", 2]], '
+                           '"pure": [[1, 0], [NaN, 0], [0, 0], [0, 0]]}')
+            where = "at [1]"
+        else:
+            rows = [[[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)]
+            rows[2][3] = rows[3][2] = [float("nan"), 0]
+            nan.write_text(json.dumps({"layout": [["A", 2], ["B", 2]], "density": rows}))
+            where = "at [[2, 3], [3, 2]]"
+        rc = main([argv[0], "--ham", "direct-optimal:2", "--state", str(nan), *argv[1:]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non-finite entries" in err and where in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("emit", [[], ["--emit", "matrix"]])
+    def test_overflowing_hspec_number(self, tmp_path, capsys, emit):
+        for body in ("1/sqrt(1" + "0" * 400 + ")", "1" + "0" * 5000):
+            spec = tmp_path / "big.hspec"
+            spec.write_text(f"system A:2; system B:2;\nH = {body}*X(A)@X(B);\n")
+            assert main(["parse", "--check", str(spec), *emit]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "line 2" in captured.err and "finite float" in captured.err
+
     def test_stationary_is_exit_4(self, tmp_path, capsys):
         spec = tmp_path / "zz.hspec"
         spec.write_text("system A:2; system B:2; H = Z(A)@Z(B);")

@@ -10,11 +10,14 @@ from medqsl.dynamics import (
     JumpOperatorSet,
     ObserveConfig,
     TimeGrid,
+    bisect_crossing,
     entanglement_change_at_zero,
     evolve_lindblad,
     evolve_unitary,
+    first_crossing,
     first_max_entanglement_time,
     negativity_curve,
+    refine_peak,
 )
 from medqsl.errors import (
     BadDimensionError,
@@ -279,6 +282,50 @@ class TestFirstMaxTime:
         s = maximally_entangled(2, h.layout)
         t = first_max_entanglement_time(h, s, Bipartition.parse("A:B"), 2, horizon=1.0)
         assert t is not None and t < 2e-3
+
+
+class TestScanAndRefine:
+    """The grid refiner on analytic functions with known answers."""
+
+    TIMES = TimeGrid(0.0, 1.0, 0.1).times
+
+    @staticmethod
+    def bump(top, t0=0.33, c=0.02):
+        """A parabola peaking at ``top`` at T = t0, between the samples 0.3 and 0.4."""
+        return lambda t: top - c * (t - t0) ** 2
+
+    def scan(self, f, level):
+        values = np.array([f(t) for t in self.TIMES])
+        return values, first_crossing(f, self.TIMES, values, level)
+
+    def test_graze_between_samples(self):
+        level = 0.5
+        values, t = self.scan(self.bump(level + 1e-5), level)
+        # no sample reaches the level, the nearest lies 8e-6 below it
+        assert values.max() < level
+        assert level - values.max() < 1e-5
+        assert abs(t - (0.33 - math.sqrt(1e-5 / 0.02))) < 1e-8
+
+    def test_first_sample_at_level(self):
+        assert self.scan(lambda t: 1.0 - t, 0.9)[1] == 0.0
+
+    def test_never_reached(self):
+        # a grid-local peak within the slack is refined, and stays below
+        values, t = self.scan(self.bump(0.5 - 1e-6), 0.5)
+        assert 0.5 - values.max() < 1e-4
+        assert math.isnan(t)
+        assert math.isnan(self.scan(lambda t: 0.0 * t, 0.5)[1])
+
+    def test_peak_at_grid_end(self):
+        t, value = refine_peak(lambda t: t, 0.9, 1.0)
+        assert 1.0 - t < 1e-9 and value == t
+        t, value = refine_peak(lambda t: -t, 0.0, 0.1)
+        assert t < 1e-9 and value == -t
+        assert abs(self.scan(lambda t: t, 0.95)[1] - 0.95) < 1e-9
+
+    def test_bisection(self):
+        t = bisect_crossing(lambda t: t * t, 0.0, 1.0, 0.25)
+        assert 0.0 <= t - 0.5 < 1e-9
 
 
 def test_trajectory_csv_round_trip(tmp_path):

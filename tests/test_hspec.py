@@ -159,6 +159,18 @@ class TestErrors:
             parse("system A:100000; H = I(A);")
         assert (exc.value.line, exc.value.col) == (1, 10)
 
+    @pytest.mark.parametrize("text,col", [
+        ("system A:2; system B:2; H = 1/sqrt(1" + "0" * 400 + ")*X(A)@X(B);", 36),
+        ("system A:2; H = 1" + "0" * 5000 + "*X(A);", 17),
+        ("system A:1" + "0" * 400 + "; H = I(A);", 10),
+    ], ids=["sqrt-argument", "coefficient", "dimension"])
+    def test_number_must_fit_a_float(self, text, col):
+        with pytest.raises(HSpecSyntaxError, match="finite float") as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (1, col)
+        # the largest finite coefficient still parses
+        parse("system A:2; H = 1" + "0" * 308 + "*X(A);")
+
     def test_bad_token(self):
         with pytest.raises(HSpecSyntaxError) as exc:
             parse("system A:2; H = X(A) $ Z(A);")

@@ -37,6 +37,14 @@ class TestRequireHermitian:
         with pytest.raises(NotHermitianError):
             require_hermitian(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        # NaN compares False against any tolerance; it must still fail
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(NotHermitianError, match=r"non-finite entries, at \[\[1, 2\]\]"):
+            require_hermitian(m)
+
 
 def unitary_at(m, t):
     """exp(-i t m) from ``propagate`` applied to the identity factor."""
@@ -93,6 +101,10 @@ class TestSqrtmPsd:
         p = np.diag([1.0, -1e-11])  # inside the -1e-10 floor
         r = sqrtm_psd(p)
         assert r[1, 1] == 0.0
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            sqrtm_psd(np.diag([1.0, np.nan]))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):

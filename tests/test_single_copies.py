@@ -1,9 +1,10 @@
 """Guards against private copies of library primitives creeping back.
 
 The spectral propagation exp(-iTM) lives in ``linalg.propagate`` alone,
-negativity over time goes through ``dynamics.negativity_curve``, and the
+negativity over time goes through ``dynamics.negativity_curve``, the
 sweep kernels build on public library functions rather than on another
-module's private helpers.
+module's private helpers, and every small threshold is named once, in
+``tolerances.py``.
 """
 
 import ast
@@ -11,7 +12,7 @@ import inspect
 from pathlib import Path
 
 import medqsl
-from medqsl import linalg
+from medqsl import dynamics, linalg, sweep
 
 SRC = Path(medqsl.__file__).resolve().parent
 
@@ -27,7 +28,34 @@ def test_sweep_imports_no_private_names():
     private = {alias.name
                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_")}
-    assert private <= {"_golden_max"}
+    assert private == set()
+
+
+def test_one_refiner():
+    # golden section and bisection are while loops; sweep.py has none of them
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    assert not any(isinstance(node, ast.While) for node in ast.walk(tree))
+    for func in (dynamics.first_max_entanglement_time, sweep._smi_instance):
+        assert "refine_peak" in inspect.getsource(func)
+
+
+def _small_floats(path: Path) -> list[tuple[int, float]]:
+    """(line, value) of each float literal with 0 < |x| < 1e-3, docstrings aside."""
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and id(node) not in docstrings
+            and isinstance(node.value, float) and 0 < abs(node.value) < 1e-3]
+
+
+def test_small_thresholds_live_in_tolerances():
+    found = {path.name: _small_floats(path) for path in SRC.glob("*.py")
+             if path.name != "tolerances.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    assert len(_small_floats(SRC / "tolerances.py")) > 10
 
 
 def _propagate_callers(module: str) -> list[str]:

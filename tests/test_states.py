@@ -134,6 +134,16 @@ class TestDensityState:
         with pytest.raises(NotPSDError):
             DensityState(Q2, m)
 
+    def test_non_finite_rejected(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 3] = m[3, 2] = np.nan
+        with pytest.raises(NotHermitianError, match=r"\[\[2, 3\], \[3, 2\]\]"):
+            DensityState(Q2, m)
+        with pytest.raises(ValueError, match=r"non-finite entries at \[1\]"):
+            DensityState.from_pure(Q2, np.array([1.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityState.from_pure(Q2, np.array([1.0, 0.0, np.inf, 0.0]))
+
     def test_eig_floor_loosens(self):
         m = np.diag([0.5, 0.5 + 1e-7, -1e-7, 0.0]).astype(complex)
         with pytest.raises(NotPSDError):

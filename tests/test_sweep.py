@@ -259,7 +259,6 @@ class TestReportSerialization:
         rep = run_rate_zero(
             SweepConfig(experiment="rate-zero", n_instances=3, seed=2)
         )
-        assert rep.wall_clock_s > 0
         d = rep.to_json_dict()
         flat = json.dumps(d)
         assert "wall_clock" not in flat
@@ -334,6 +333,13 @@ class TestSmiProtocol:
         # d = 1 never gets as far as the protocol
         with pytest.raises(ValueError):
             SweepConfig(experiment="smi-protocol", d=1)
+
+    def test_mediator_is_d_dimensional(self):
+        # the protocol swaps through C:d, so another d_c is refused, not echoed
+        with pytest.raises(ValueError, match="d_c=3"):
+            SweepConfig(experiment="smi-protocol", d=2, d_c=3)
+        cfg = SweepConfig(experiment="smi-protocol", d=2, d_c=2, n_instances=1)
+        assert run_smi_protocol(cfg).config["d_c"] == 2
 
     def test_small_run(self):
         cfg = SweepConfig(experiment="smi-protocol", d=2, n_instances=6, seed=13)
