@@ -141,9 +141,8 @@ def _resolve_lindblad(text: str | None, layout: SystemLayout) -> JumpOperatorSet
     ops: list[tuple[str, np.ndarray]] = []
     for entry in text.split(","):
         entry = entry.strip()
-        label = None
-        if "=" in entry:
-            label, entry = entry.split("=", 1)
+        label, eq, entry = entry.rpartition("=")
+        labels = (label,) if eq else None
         try:
             kind, rate_text = entry.split(":", 1)
             rate = float(rate_text)
@@ -151,13 +150,7 @@ def _resolve_lindblad(text: str | None, layout: SystemLayout) -> JumpOperatorSet
             raise CliInputError(
                 f"bad --lindblad entry {entry!r}: expected TYPE:RATE"
             ) from None
-        if kind not in ("dephasing", "damping"):
-            raise CliInputError(f"unknown jump type {kind!r}")
-        if not 0 <= rate < math.inf:
-            raise CliInputError(f"rate {rate_text!r} is not a finite non-negative number")
-        labels = (label,) if label is not None else layout.labels
-        maker = JumpOperatorSet.dephasing if kind == "dephasing" else JumpOperatorSet.damping
-        ops.extend(maker(layout, rate, labels).ops)
+        ops.extend(JumpOperatorSet.local(layout, kind, rate, labels).ops)
     return JumpOperatorSet(layout, tuple(ops))
 
 

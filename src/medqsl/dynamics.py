@@ -51,6 +51,7 @@ __all__ = [
     "TimeGrid",
     "ObserveConfig",
     "Trajectory",
+    "JUMP_KINDS",
     "JumpOperatorSet",
     "evolve_unitary",
     "evolve_lindblad",
@@ -145,6 +146,22 @@ class Trajectory:
                 fh.write(",".join(f"{self.columns[n][k]:.17g}" for n in names) + "\n")
 
 
+def _clock(d: int) -> np.ndarray:
+    """diag(omega^j), omega = exp(2 pi i / d), the quarter turns exact (Z at d = 2)."""
+    j = np.arange(d)
+    w, quarter = np.exp(2j * np.pi * j / d), 4 * j % d == 0
+    w[quarter] = np.array([1, 1j, -1, -1j])[4 * j[quarter] // d]  # exp(i pi) != -1
+    return np.diag(w)
+
+
+# each jump kind and its operator on a d-level subsystem: the clock
+# operator (Z at d = 2) and the lowering operator sum_j sqrt(j)|j-1><j|
+JUMP_KINDS = {
+    "dephasing": _clock,
+    "damping": lambda d: np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex),
+}
+
+
 @dataclass(frozen=True)
 class JumpOperatorSet:
     """Jump operators, each acting on one labeled subsystem."""
@@ -152,44 +169,42 @@ class JumpOperatorSet:
     layout: SystemLayout
     ops: tuple[tuple[str, np.ndarray], ...]
 
-    def embedded(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each operator Q on the full layout, paired with Q+Q."""
-        qs = [embed_operator(self.layout, (lab,), op) for lab, op in self.ops]
-        return [(q, q.conj().T @ q) for q in qs]
+    def embedded(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each operator Q on the full layout, paired with Q+Q; built once per set."""
+        if "_embedded" not in self.__dict__:
+            qs = [embed_operator(self.layout, (lab,), op) for lab, op in self.ops]
+            object.__setattr__(self, "_embedded", tuple((q, q.conj().T @ q) for q in qs))
+        return self._embedded
 
     @classmethod
-    def dephasing(cls, layout: SystemLayout, rate: float = 0.1,
-                  labels=None) -> "JumpOperatorSet":
-        """sqrt(rate) * Z on each chosen qubit (all subsystems by default)."""
-        return cls._local_qubit_ops(
-            layout, labels, math.sqrt(rate) * np.array([[1, 0], [0, -1]], dtype=complex)
-        )
+    def local(cls, layout: SystemLayout, kind: str, rate: float,
+              labels=None) -> "JumpOperatorSet":
+        """sqrt(rate) * ``JUMP_KINDS[kind]`` on each chosen subsystem (all by default)."""
+        if kind not in JUMP_KINDS:
+            raise ValueError(f"unknown jump type {kind!r}; choices: {tuple(JUMP_KINDS)}")
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"rate '{rate}' is not a finite non-negative number")
+        labels = layout.labels if labels is None else tuple(labels)
+        return cls(layout, tuple(
+            (lab, math.sqrt(rate) * JUMP_KINDS[kind](layout.dim_of(lab))) for lab in labels))
 
     @classmethod
-    def damping(cls, layout: SystemLayout, rate: float = 0.1,
-                labels=None) -> "JumpOperatorSet":
-        """sqrt(rate) * |0><1| on each chosen qubit (all subsystems by default)."""
-        return cls._local_qubit_ops(
-            layout, labels, math.sqrt(rate) * np.array([[0, 1], [0, 0]], dtype=complex)
-        )
+    def dephasing(cls, layout, rate=0.1, labels=None) -> "JumpOperatorSet":
+        """``local`` with the clock operator diag(omega^j): Z on a qubit."""
+        return cls.local(layout, "dephasing", rate, labels)
 
     @classmethod
-    def _local_qubit_ops(cls, layout, labels, op) -> "JumpOperatorSet":
-        if labels is None:
-            labels = layout.labels
-        for lab in labels:
-            if layout.dim_of(lab) != 2:
-                raise BadDimensionError(
-                    f"qubit jump operator on {lab!r} with dim {layout.dim_of(lab)}"
-                )
-        return cls(layout, tuple((lab, op) for lab in labels))
+    def damping(cls, layout, rate=0.1, labels=None) -> "JumpOperatorSet":
+        """``local`` with the lowering operator sum_j sqrt(j)|j-1><j|: |0><1| on a qubit."""
+        return cls.local(layout, "damping", rate, labels)
 
 
-def _check_layouts(h: Hamiltonian, s0: DensityState) -> None:
-    if h.layout != s0.layout:
-        raise LayoutMismatchError(
-            f"hamiltonian on {h.layout.labels}, state on {s0.layout.labels}"
-        )
+def _check_layouts(h: Hamiltonian, s0: DensityState,
+                   jumps: JumpOperatorSet | None = None) -> None:
+    for name, other in (("hamiltonian", h), ("jump operators", jumps)):
+        if other is not None and other.layout != s0.layout:
+            raise LayoutMismatchError(
+                f"{name} on {other.layout.labels}, state on {s0.layout.labels}")
 
 
 def _marginal(s: DensityState, p: Bipartition) -> DensityState:
@@ -281,9 +296,7 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     With an empty jump set this agrees with ``evolve_unitary`` up to the
     integrator error of the 1e-3 substeps.
     """
-    _check_layouts(h, s0)
-    if jumps.layout != s0.layout:
-        raise LayoutMismatchError("jump operators defined on a different layout")
+    _check_layouts(h, s0, jumps)
     if observe is None:
         observe = ObserveConfig.default_for(s0.layout)
     ops = jumps.embedded()
@@ -338,7 +351,7 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
     product system-mediator inputs this is zero to second order when
     closed, and never positive to first order when jumps are local.
     """
-    _check_layouts(h, s0)
+    _check_layouts(h, s0, jumps)
     if not RATE_DELTA_MIN <= delta <= 1e-3:
         raise ValueError(f"delta {delta} outside [{RATE_DELTA_MIN}, 1e-3]")
     if jumps is None:

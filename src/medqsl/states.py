@@ -509,7 +509,9 @@ def state_from_dict(d: dict) -> DensityState:
         v = np.array([complex(re, im) for re, im in d["pure"]])
         return DensityState.from_pure(layout, v)
     m = np.array([[complex(re, im) for re, im in row] for row in d["density"]])
-    return DensityState(layout, m)
+    # validation names a non-finite entry: no numpy warning for inf - inf first
+    with np.errstate(invalid="ignore"):
+        return DensityState(layout, m)
 
 
 def save_state(s: DensityState, path) -> None:

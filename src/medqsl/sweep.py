@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    JUMP_KINDS,
     JumpOperatorSet,
     Trajectory,
     TimeGrid,
@@ -117,8 +118,9 @@ class SweepConfig:
             raise ValueError(f"need d >= 2, got {self.d}")
         if self.n_instances is not None and self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
-        if self.jump_type not in ("none", "dephasing", "damping"):
-            raise ValueError(f"unknown jump type {self.jump_type!r}")
+        if self.jump_type not in ("none", *JUMP_KINDS):
+            raise ValueError(f"unknown jump type {self.jump_type!r}; "
+                             f"choices: {('none', *JUMP_KINDS)}")
         if self.experiment == "smi-protocol" and self.d_c not in (None, self.d):
             raise ValueError(f"smi-protocol runs on a mediator of dim d={self.d}, "
                              f"got d_c={self.d_c}")
@@ -396,10 +398,8 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     """
     d = cfg.d
     dc = cfg.mediator_dim
-    if cfg.jump_type == "none":
-        jumps = JumpOperatorSet(cfg.layout, ())
-    else:
-        jumps = getattr(JumpOperatorSet, cfg.jump_type)(cfg.layout, JUMP_RATE)
+    jumps = (JumpOperatorSet(cfg.layout, ()) if cfg.jump_type == "none"
+             else JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE))
     rc = {"seed": cfg.seed, "d": d, "d_c": dc, "jumps": jumps}
     (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(cfg, _rate_instance, rc)
     violations = []

@@ -162,6 +162,15 @@ def test_criterion_08_zero_rate_at_product_inputs():
     _passline(8, "10^3 instances, closed and both jump families")
 
 
+def test_zero_rate_with_qutrit_jumps():
+    # criterion 8 on qutrits: local clock or lowering jumps never raise N_{A:B}
+    rep = run_rate_zero(SweepConfig(experiment="rate-zero", n_instances=1000, seed=7,
+                                    d=3, jump_type="damping"))
+    assert rep.violations == [], rep.violations[:3]
+    assert rep.details["max_abs_closed_change"] <= 1e-6
+    assert rep.details["max_open_change"] <= 1e-8
+
+
 def test_criterion_09_swap_protocol_bounds():
     for d in (2, 3, 4):
         assert abs(swap_stage_fidelity(d) - 1.0 / d) < 1e-12

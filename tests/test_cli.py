@@ -62,6 +62,17 @@ class TestEvolve:
         assert rc == 0
         assert (tmp_path / "open.csv").exists()
 
+    def test_lindblad_on_qutrit_mediator(self, tmp_path):
+        spec = tmp_path / "q.hspec"
+        spec.write_text("system A:2; system B:2; system C:3;\n"
+                        "H = 1/sqrt(2)*X(A)@GX(C,1) + 1/sqrt(2)*Y(B)@GY(C,2);\n")
+        rc = main(["evolve", "--ham", str(spec), "--state", "ket:002", "--tmax", "0.5",
+                   "--dt", "0.1", "--lindblad", "C=damping:0.2,A=dephasing:0.1",
+                   "--out", "q.csv"])
+        assert rc == 0
+        rows = _read_csv(tmp_path / "q.csv")
+        assert len(rows) == 6 and float(rows[-1]["bures_angle_from_initial"]) > 0
+
     def test_bipartition_flag(self, tmp_path):
         rc = main([
             "evolve", "--ham", "cmi-entangled", "--tmax", "0.1", "--dt", "0.05",
@@ -147,11 +158,13 @@ class TestReproduce:
         assert rc == 0
         assert json.loads((tmp_path / "cn.json").read_text())["config"]["d"] == 3
 
-    def test_d_reaches_rate_zero(self, tmp_path, capsys):
-        # the rate-zero jumps are qubit operators, so d = 3 is refused, not run at d = 2
-        rc = main(["reproduce", "rate-zero", "--d", "3", "--n", "1", "--out", "rz"])
-        assert rc == 2
-        assert "dim 3" in capsys.readouterr().err
+    def test_d_reaches_rate_zero(self, tmp_path):
+        # qutrit jumps: the zero first-order rate holds closed and open
+        rc = main(["reproduce", "rate-zero", "--d", "3", "--n", "1000", "--out", "rz"])
+        assert rc == 0
+        report = json.loads((tmp_path / "rz.json").read_text())
+        assert report["config"]["d"] == 3
+        assert report["violations"] == []
 
     @pytest.mark.parametrize("argv, flag", [
         (["conjecture-d2", "--tmax", "0.5"], "--tmax"),
@@ -252,6 +265,12 @@ class TestExitCodes:
         assert rc == 2
         assert "lindblad" in capsys.readouterr().err
 
+    def test_unknown_jump_type(self, capsys):
+        rc = main(["evolve", "--ham", "cmi-product", "--tmax", "0.1",
+                   "--lindblad", "A=thermal:0.1"])
+        assert rc == 2
+        assert "unknown jump type 'thermal'; choices" in capsys.readouterr().err
+
     def test_negative_rate(self, capsys):
         rc = main([
             "evolve", "--ham", "cmi-product", "--tmax", "0.1",
@@ -270,22 +289,28 @@ class TestExitCodes:
         ["bound", "--target", "maxent"],
         ["evolve", "--tmax", "0.1"],
     ], ids=["bound", "evolve"])
-    @pytest.mark.parametrize("entry", ["pure", "density"])
+    @pytest.mark.parametrize("entry", ["pure", "density", "infinity"])
     def test_non_finite_state(self, tmp_path, capsys, argv, entry):
         nan = tmp_path / "nan.json"
+        rows = [[[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)]
         if entry == "pure":
             nan.write_text('{"layout": [["A", 2], ["B", 2]], '
                            '"pure": [[1, 0], [NaN, 0], [0, 0], [0, 0]]}')
             where = "at [1]"
-        else:
-            rows = [[[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)]
+        elif entry == "density":
             rows[2][3] = rows[3][2] = [float("nan"), 0]
             nan.write_text(json.dumps({"layout": [["A", 2], ["B", 2]], "density": rows}))
             where = "at [[2, 3], [3, 2]]"
+        else:
+            # inf - inf in the Hermitian check: only the error line reaches stderr
+            rows[0][0] = [float("inf"), 0]
+            nan.write_text(json.dumps({"layout": [["A", 2], ["B", 2]], "density": rows}))
+            where = "at [[0, 0]]"
         rc = main([argv[0], "--ham", "direct-optimal:2", "--state", str(nan), *argv[1:]])
         assert rc == 2
         err = capsys.readouterr().err
         assert "non-finite entries" in err and where in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("emit", [[], ["--emit", "matrix"]])

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from medqsl.dynamics import (
+    JUMP_KINDS,
     JumpOperatorSet,
     ObserveConfig,
     TimeGrid,
@@ -20,7 +21,6 @@ from medqsl.dynamics import (
     refine_peak,
 )
 from medqsl.errors import (
-    BadDimensionError,
     LayoutMismatchError,
     PositivityLostError,
     UnknownLabelError,
@@ -194,10 +194,61 @@ class TestLindblad:
         with pytest.raises(PositivityLostError, match="T=0.010000"):
             evolve_lindblad(h, s, TimeGrid(0.0, 0.01, 0.01), jumps)
 
-    def test_qudit_jump_rejected(self):
+    def test_qutrit_clock_operator(self):
         lay = SystemLayout((("A", 3), ("B", 3)))
-        with pytest.raises(BadDimensionError):
-            JumpOperatorSet.dephasing(lay, 0.1)
+        (_, op), _ = JumpOperatorSet.dephasing(lay, 0.25).ops
+        w = np.exp(2j * np.pi / 3)
+        assert_allclose(op, 0.5 * np.diag([1, w, w * w]), atol=1e-15)
+        assert op[0, 0] == 0.5
+
+    @pytest.mark.parametrize("kind, qubit", [
+        ("dephasing", [[1, 0], [0, -1]]),
+        ("damping", [[0, 1], [0, 0]]),
+    ])
+    def test_qubit_operators_exact(self, kind, qubit):
+        # exp(i pi) is not exactly -1: Z and |0><1| must come out bit for bit
+        assert np.array_equal(JUMP_KINDS[kind](2), np.array(qubit, dtype=complex))
+        lay = SystemLayout((("A", 2), ("B", 2)))
+        for _, op in JumpOperatorSet.local(lay, kind, 0.1).ops:
+            assert op.tobytes() == (math.sqrt(0.1) * np.array(qubit, dtype=complex)).tobytes()
+
+    def test_quarter_turns_exact(self):
+        assert np.array_equal(np.diag(JUMP_KINDS["dephasing"](4)), [1, 1j, -1, -1j])
+
+    def test_qutrit_pure_dephasing_rate(self):
+        # H = 0: rho_01 of the qutrit decays as exp(-gamma (1 - cos 2pi/3) T)
+        lay = SystemLayout((("A", 3), ("B", 2)))
+        h = Hamiltonian(lay, np.zeros((6, 6)))
+        s = DensityState.from_pure(lay, np.array([1, 0, 1, 0, 0, 0]) / math.sqrt(2))
+        gamma = 0.25
+        jumps = JumpOperatorSet.dephasing(lay, gamma, labels=("A",))
+        traj = evolve_lindblad(h, s, TimeGrid(0.0, 2.0, 0.1), jumps)
+        coherence = np.array([abs(st.matrix[0, 2]) for st in traj.states])
+        expect = 0.5 * np.exp(-gamma * (1 - math.cos(2 * math.pi / 3)) * traj.times)
+        assert np.abs(coherence - expect).max() < 1e-9
+
+    def test_qutrit_damping_reaches_ground(self):
+        lay = SystemLayout((("A", 3), ("B", 2)))
+        h = Hamiltonian(lay, np.zeros((6, 6)))
+        jumps = JumpOperatorSet.damping(lay, 1.0, labels=("A",))
+        traj = evolve_lindblad(h, ket(lay, 4), TimeGrid(0.0, 12.0, 0.5), jumps)  # |2>|0>
+        assert traj.states[-1].matrix[0, 0].real > 1 - 1e-4
+
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+    def test_bad_rate_named(self, rate):
+        lay = SystemLayout((("A", 2), ("B", 2)))
+        with pytest.raises(ValueError, match=f"rate '{rate}'"):
+            JumpOperatorSet.damping(lay, rate)
+
+    def test_unknown_kind_names_choices(self):
+        lay = SystemLayout((("A", 2), ("B", 2)))
+        with pytest.raises(ValueError, match="'thermal'; choices: .*dephasing.*damping"):
+            JumpOperatorSet.local(lay, "thermal", 0.1)
+
+    def test_unknown_label(self):
+        lay = SystemLayout((("A", 2), ("B", 2)))
+        with pytest.raises(UnknownLabelError):
+            JumpOperatorSet.dephasing(lay, 0.1, labels=("C",))
 
 
 class TestRateProbe:
@@ -232,6 +283,37 @@ class TestRateProbe:
         with pytest.raises(ValueError):
             entanglement_change_at_zero(h, ket(h.layout, 0),
                                         Bipartition.parse("A:B"), delta=0.5)
+
+    @pytest.mark.parametrize("layout", [
+        (("X", 2), ("Y", 2), ("Z", 2)),
+        (("A", 2), ("B", 2)),
+    ], ids=["relabelled", "two-subsystems"])
+    def test_jump_layout_checked(self, layout):
+        # the same check as evolve_lindblad, before any matrix product
+        h, s = cmi_product_example()
+        jumps = JumpOperatorSet.dephasing(SystemLayout(layout), 0.1)
+        with pytest.raises(LayoutMismatchError, match="jump operators"):
+            entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
+        with pytest.raises(LayoutMismatchError, match="jump operators"):
+            evolve_lindblad(h, s, TimeGrid(0.0, 0.1, 0.1), jumps)
+
+    def test_embedded_once_per_set(self, monkeypatch):
+        import medqsl.dynamics as dynamics
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return embed(*args)
+
+        embed = dynamics.embed_operator
+        monkeypatch.setattr(dynamics, "embed_operator", counting)
+        h, s = cmi_product_example()
+        jumps = JumpOperatorSet.damping(h.layout, 0.1)
+        dns = [entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
+               for _ in range(3)]
+        assert calls == [("A",), ("B",), ("C",)]
+        assert dns[0] == dns[1] == dns[2]
+        assert jumps.embedded() is jumps.embedded()
 
 
 class TestFirstMaxTime:

@@ -70,3 +70,15 @@ def test_one_negativity_over_time():
     assert _propagate_callers("dynamics.py") == ["evolve_unitary", "negativity_curve"]
     # the smi stage-one state; every negativity curve goes through negativity_curve
     assert _propagate_callers("sweep.py") == ["run_smi_protocol"]
+
+
+def test_one_jump_builder():
+    # a jump kind is named, mapped to a matrix and rate-checked in dynamics
+    # alone; sweep names only the default of SweepConfig.jump_type
+    named = {}
+    for path in SRC.glob("*.py"):
+        kinds = {node.value for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant) and node.value in dynamics.JUMP_KINDS}
+        if kinds:
+            named[path.name] = kinds
+    assert named == {"dynamics.py": set(dynamics.JUMP_KINDS), "sweep.py": {"dephasing"}}

@@ -36,6 +36,7 @@ from medqsl import (
     run_sweep,
 )
 from medqsl import sweep
+from medqsl.dynamics import JUMP_KINDS
 from medqsl.sweep import _cmi_instance, _commuting_instance
 
 
@@ -53,8 +54,12 @@ class TestSweepConfig:
             SweepConfig(experiment="cmi-uncorrelated", d=1)
 
     def test_bad_jump_type(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'thermal'; choices: .*none.*dephasing"):
             SweepConfig(experiment="rate-zero", jump_type="thermal")
+
+    def test_jump_types_are_none_and_the_kinds(self):
+        for jump_type in ("none", *JUMP_KINDS):
+            assert SweepConfig(experiment="rate-zero", jump_type=jump_type).jump_type == jump_type
 
     def test_defaults_fill_in(self):
         cfg = SweepConfig(experiment="cmi-uncorrelated")
@@ -290,7 +295,7 @@ class TestRateZero:
         # the direct-coupling control must register an actual increase
         assert rep.details["direct_control_change"] > 1e-6
 
-    def test_qudit_jumps_fail_before_any_draw(self, monkeypatch):
+    def test_bad_jumps_fail_before_any_draw(self, monkeypatch):
         # the jump set is built once, up front: no pool, no instance
         def refuse(*args, **kwargs):
             raise AssertionError("reached the instances")
@@ -298,7 +303,8 @@ class TestRateZero:
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(sweep, "_rate_instance", refuse)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
-        with pytest.raises(BadDimensionError, match="dim 3"):
+        monkeypatch.setattr(sweep, "JUMP_RATE", -1.0)
+        with pytest.raises(ValueError, match="rate '-1.0'"):
             run_rate_zero(SweepConfig("rate-zero", d=3, n_instances=100, workers=2))
 
     def test_damping_channel(self):
