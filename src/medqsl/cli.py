@@ -104,7 +104,7 @@ def _resolve_state(text: str | None, layout: SystemLayout,
             raise CliInputError("--state is required for this Hamiltonian")
         return default
     if text == "maxent":
-        return maximally_entangled(layout.dims[0], layout)
+        return maximally_entangled(layout)
     if text.startswith("ket:"):
         spec = text[4:]
         digits = spec.split(",") if "," in spec else list(spec)

@@ -364,18 +364,21 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
 
 
 def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition,
-                                d: int, horizon: float = 50.0) -> float | None:
+                                horizon: float = 50.0) -> float | None:
     """Time of the first maximal-entanglement peak across ``p``, or None.
 
     Scans N(T) on a 1e-3 grid, ``PROPAGATE_CHUNK`` points at a time, and
-    returns the first grid-local maximum within ``PEAK_SLACK`` of (d-1)/2
-    that ``refine_peak`` lifts to within ``FIRST_MAX_SLACK`` of it: near a
-    quadratic peak that window is narrower than the scan step.  Returns
-    None when no peak attains the level within the horizon (at most 50).
+    returns the first grid-local maximum within ``PEAK_SLACK`` of (d-1)/2,
+    d the smaller total dimension of the cut's sides, that ``refine_peak``
+    lifts to within ``FIRST_MAX_SLACK`` of it: near a quadratic peak that
+    window is narrower than the scan step.  Returns None when no peak
+    attains the level within the horizon (at most 50).
     """
     _check_layouts(h, s0)
+    d = min(math.prod(s0.layout.dim_of(lab) for lab in side)
+            for side in (p.side_a, p.side_b))
     if d < 2:
-        raise BadDimensionError(f"need d >= 2, got {d}")
+        raise BadDimensionError(f"a side of the cut has dimension {d}: need d >= 2")
     if not 0 < horizon <= 50.0:
         raise ValueError(f"horizon {horizon} outside (0, 50]")
     level = (d - 1) / 2.0

@@ -384,15 +384,9 @@ _OP_MATRIX = {
 }
 
 
-def build(ast: HSpecAst) -> Hamiltonian:
-    """Assemble the dense matrix; Hermiticity is verified on construction.
-
-    Terms are summed in the AST's canonical order regardless of how the
-    source was written, so permuted inputs build identical matrices.
-    """
-    layout = ast.layout
-    total = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for term in ast.terms:
+def _term_matrices(layout: SystemLayout, terms):
+    """Each term with its weighted matrix on the whole layout, in order."""
+    for term in terms:
         factors: dict[str, np.ndarray] = {}
         for op in term.ops:
             m = _OP_MATRIX[op.name](layout.dim_of(op.label), op.arg)
@@ -401,7 +395,30 @@ def build(ast: HSpecAst) -> Hamiltonian:
         block = factors[labels[0]]
         for lab in labels[1:]:
             block = np.kron(block, factors[lab])
-        total += term.coefficient.value * embed_operator(layout, labels, block)
+        yield term, term.coefficient.value * embed_operator(layout, labels, block)
+
+
+def build(ast: HSpecAst) -> Hamiltonian:
+    """Assemble the dense matrix; Hermiticity is verified on construction.
+
+    Terms are summed in the AST's canonical order regardless of how the
+    source was written, so permuted inputs build identical matrices.
+    Finite coefficients can still sum past the largest float: the first
+    term whose addition leaves a non-finite entry is then named.
+    """
+    layout = ast.layout
+    total = np.zeros((layout.dim, layout.dim), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, m in _term_matrices(layout, ast.terms):
+            total += m
+        if not np.isfinite(total).all():
+            total[:] = 0.0
+            for term, m in _term_matrices(layout, ast.terms):
+                total += m
+                if not np.isfinite(total).all():
+                    op = term.ops[0]
+                    raise HSpecSyntaxError("the sum of the terms up to this one "
+                                           "overflows a float", op.line, op.col)
     return Hamiltonian(layout, total)
 
 

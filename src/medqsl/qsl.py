@@ -111,8 +111,8 @@ def swap_stage_fidelity(d: int) -> float:
     if d < 2:
         raise BadDimensionError(f"need d >= 2, got {d}")
     layout = SystemLayout((("A", d), ("B", d), ("C", d)))
-    psi_ac = maximally_entangled(d, SystemLayout((("A", d), ("C", d)))).pure_vector
-    psi_ab = maximally_entangled(d, SystemLayout((("A", d), ("B", d)))).pure_vector
+    psi_ac = maximally_entangled(SystemLayout((("A", d), ("C", d)))).pure_vector
+    psi_ab = maximally_entangled(SystemLayout((("A", d), ("B", d)))).pure_vector
     ket0 = np.zeros(d, dtype=complex)
     ket0[0] = 1.0
     # layout order A,B,C: stage one parks |0> on B, the target parks |0> on C

@@ -26,10 +26,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .linalg import require_hermitian, sqrtm_psd
-from .tolerances import (
-    CLASSICAL_TOL, ENTROPY_CUTOFF, MARGINAL_DEGENERACY_TOL, NEG_EIG_TOL,
-    PROBE_DEGENERACY_TOL, PROJECTOR_TOL, PSD_FLOOR, TRACE_TOL,
-)
+from .tolerances import CLASSICAL_TOL, ENTROPY_CUTOFF, NEG_EIG_TOL, PSD_FLOOR, TRACE_TOL
 
 __all__ = [
     "SystemLayout",
@@ -167,26 +164,24 @@ class Bipartition:
 
 
 class DensityState:
-    """A density matrix tied to a layout, optionally carrying its pure vector.
+    """A density matrix tied to a layout, carrying its vector when pure.
 
     Validation on construction: Hermitian within ``HERM_TOL``, unit trace
     within ``TRACE_TOL``, eigenvalues above ``eig_floor`` (default
-    ``PSD_FLOOR``); a NaN or infinite entry fails.  When ``pure_vector``
-    is given the matrix must equal the projector onto it, and positivity
-    is then automatic.
+    ``PSD_FLOOR``); a NaN or infinite entry fails.  A pure state comes
+    from ``from_pure``, which checks its vector instead: the projector
+    onto a normalized vector passes all of the above by construction.
 
     Args:
         layout: subsystem structure of the state.
         matrix: square density matrix of size ``layout.dim``.
-        pure_vector: optional unit vector with ``matrix == outer(v, v*)``.
         eig_floor: most negative eigenvalue tolerated by validation.
             Integrators hand in slightly looser floors for stepped states.
     """
 
     __slots__ = ("layout", "matrix", "pure_vector")
 
-    def __init__(self, layout: SystemLayout, matrix: np.ndarray,
-                 pure_vector: np.ndarray | None = None, *,
+    def __init__(self, layout: SystemLayout, matrix: np.ndarray, *,
                  eig_floor: float = PSD_FLOOR):
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape != (layout.dim, layout.dim):
@@ -197,30 +192,21 @@ class DensityState:
         tr = matrix.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr:.12f} is not 1 within {TRACE_TOL:.0e}")
-        if pure_vector is not None:
-            pure_vector = np.array(pure_vector, dtype=complex).reshape(-1)
-            if pure_vector.shape != (layout.dim,):
-                raise DimensionMismatchError(
-                    f"pure vector length {pure_vector.shape[0]} != layout dim {layout.dim}"
-                )
-            if not abs(np.vdot(pure_vector, pure_vector) - 1.0) <= TRACE_TOL:
-                raise ValueError("pure vector is not normalized")
-            if not np.abs(matrix - np.outer(pure_vector, pure_vector.conj())).max() \
-                    <= PROJECTOR_TOL:
-                raise ValueError("matrix is not the projector onto pure_vector")
-            pure_vector.setflags(write=False)
-        else:
-            wmin = np.linalg.eigvalsh(matrix)[0]
-            if not wmin >= eig_floor:
-                raise NotPSDError(f"minimum eigenvalue {wmin:.3e} below {eig_floor:.0e}")
+        wmin = np.linalg.eigvalsh(matrix)[0]
+        if not wmin >= eig_floor:
+            raise NotPSDError(f"minimum eigenvalue {wmin:.3e} below {eig_floor:.0e}")
         matrix.setflags(write=False)
         self.layout = layout
         self.matrix = matrix
-        self.pure_vector = pure_vector
+        self.pure_vector = None
 
     @classmethod
     def from_pure(cls, layout: SystemLayout, vector) -> "DensityState":
         vector = np.asarray(vector, dtype=complex).reshape(-1)
+        if vector.shape != (layout.dim,):
+            raise DimensionMismatchError(
+                f"pure vector length {vector.shape[0]} != layout dim {layout.dim}"
+            )
         norm = np.linalg.norm(vector)
         if norm == 0:
             raise ValueError("zero vector cannot be normalized")
@@ -228,7 +214,12 @@ class DensityState:
             bad = np.flatnonzero(~np.isfinite(vector))
             raise ValueError(f"vector has non-finite entries at {bad[:4].tolist()}")
         vector = vector / norm
-        return cls(layout, np.outer(vector, vector.conj()), vector)
+        matrix = np.outer(vector, vector.conj())
+        vector.setflags(write=False)
+        matrix.setflags(write=False)
+        s = object.__new__(cls)
+        s.layout, s.matrix, s.pure_vector = layout, matrix, vector
+        return s
 
     @property
     def is_pure(self) -> bool:
@@ -239,14 +230,13 @@ class DensityState:
         return f"DensityState({kind}, labels={self.layout.labels}, dims={self.layout.dims})"
 
 
-def maximally_entangled(d: int, layout: SystemLayout) -> DensityState:
-    """The state sum_j |jj> / sqrt(d) on a two-subsystem layout of equal dims."""
+def maximally_entangled(layout: SystemLayout) -> DensityState:
+    """The state sum_j |jj> / sqrt(d) on a two-subsystem layout of dims (d, d)."""
+    if len(layout) != 2 or layout.dims[0] != layout.dims[1]:
+        raise DimensionMismatchError(f"layout dims {layout.dims} do not form a d x d pair")
+    d = layout.dims[0]
     if d < 2:
         raise BadDimensionError(f"need d >= 2, got {d}")
-    if len(layout) != 2 or layout.dims != (d, d):
-        raise DimensionMismatchError(
-            f"layout dims {layout.dims} do not form a {d}x{d} pair"
-        )
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0
     return DensityState.from_pure(layout, v / math.sqrt(d))
@@ -408,77 +398,38 @@ def purity(s: DensityState) -> float:
     return float(np.vdot(s.matrix, s.matrix).real)
 
 
-def _mediator_blocks(s: DensityState, label: str) -> tuple[np.ndarray, int, int]:
-    """Reshape the state into mediator-indexed blocks of operators on the rest."""
-    layout = s.layout
-    pos = layout.position(label)
-    dims = layout.dims
-    n = len(dims)
-    dm = dims[pos]
-    dr = layout.dim // dm
-    t = s.matrix.reshape(dims + dims)
-    perm = [k for k in range(n) if k != pos] + [pos]
-    t = t.transpose(perm + [k + n for k in perm]).reshape(dr, dm, dr, dm)
-    # blocks[i, j] = <i|_m rho |j>_m
-    return np.ascontiguousarray(t.transpose(1, 3, 0, 2)), dm, dr
-
-
-def _probe_operator(dr: int, round_idx: int) -> np.ndarray:
-    # fixed-key counter RNG: the classicality test must be deterministic
-    gen = np.random.Generator(np.random.Philox(key=[0xC1A55, round_idx]))
-    return gen.standard_normal((dr, dr)) + 1j * gen.standard_normal((dr, dr))
-
-
-def _cluster(values: np.ndarray, indices: list[int], tol: float) -> list[list[int]]:
-    """Split ``indices`` into runs whose ``values`` differ by more than ``tol``."""
-    order = sorted(indices, key=lambda k: values[k])
-    groups: list[list[int]] = [[order[0]]]
-    for k in order[1:]:
-        if values[k] - values[groups[-1][-1]] <= tol:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return groups
-
-
-def is_classically_correlated_on(s: DensityState, label: str,
-                                 tol: float = CLASSICAL_TOL) -> bool:
+def is_classically_correlated_on(s: DensityState, label: str) -> bool:
     """Whether ``s`` is block diagonal in some orthonormal basis of ``label``.
 
-    Candidates come from the eigenbasis of the mediator marginal.  Inside a
-    degenerate eigenspace that basis is arbitrary, so it is refined by
-    jointly diagonalizing probe contractions of the cross blocks; the final
-    verdict is always the measured off-diagonal block norm against ``tol``,
-    never the refinement itself.
+    One fixed generic complex probe G on the rest of the system gives
+    K_ij = tr(G <i|rho|j>), diagonal with entries p_k tr(G rho_k) in every
+    basis where rho = sum_k p_k |k><k| (x) rho_k.  Distinct blocks p_k rho_k
+    almost surely get distinct entries, and equal blocks span an eigenspace
+    on which rho is block diagonal in any basis, so the orthonormalized
+    eigenvectors of K are the one candidate.  The verdict is the largest
+    off-diagonal block norm measured in it against ``CLASSICAL_TOL``: a
+    state called classical is classical in a basis it exhibits.
     """
-    blocks, dm, dr = _mediator_blocks(s, label)
+    layout = s.layout
+    pos = layout.position(label)
+    dm = layout.dims[pos]
     if dm == 1:
         return True
-    rho_m = np.einsum("ijkk->ij", blocks)
-    w, basis = np.linalg.eigh(rho_m)
-    clusters = _cluster(w, list(range(dm)), MARGINAL_DEGENERACY_TOL)
-    for round_idx in range(4):
-        if all(len(c) == 1 for c in clusters):
-            break
-        rotated = np.einsum("ik,jl,ijab->klab", basis.conj(), basis, blocks)
-        probe = _probe_operator(dr, round_idx)
-        k_mat = np.einsum("ab,klab->kl", probe.conj(), rotated)
-        k_herm = 0.5 * (k_mat + k_mat.conj().T)
-        next_clusters: list[list[int]] = []
-        for c in clusters:
-            if len(c) == 1:
-                next_clusters.append(c)
-                continue
-            sub = k_herm[np.ix_(c, c)]
-            w2, u = np.linalg.eigh(sub)
-            basis[:, c] = basis[:, c] @ u
-            vals = np.full(dm, np.nan)
-            vals[c] = w2
-            next_clusters.extend(_cluster(vals, c, PROBE_DEGENERACY_TOL))
-        clusters = next_clusters
-    rotated = np.einsum("ik,jl,ijab->klab", basis.conj(), basis, blocks)
-    return max(float(np.linalg.norm(rotated[i, j]))
-               for i in range(dm) for j in range(dm) if i != j) <= tol
+    dr = layout.dim // dm
+    n = len(layout)
+    perm = [pos] + [k for k in range(n) if k != pos]
+    t = s.matrix.reshape(layout.dims + layout.dims)
+    # blocks[i, :, j, :] = <i|rho|j> on the rest of the system
+    blocks = t.transpose(perm + [k + n for k in perm]).reshape(dm, dr, dm, dr)
+    # fixed-key counter RNG: the classicality test must be deterministic
+    gen = np.random.Generator(np.random.Philox(key=[0xC1A55, 0]))
+    probe = gen.standard_normal((dr, dr)) + 1j * gen.standard_normal((dr, dr))
+    k_mat = np.einsum("ab,ibja->ij", probe, blocks)
+    # inside a degenerate eigenspace eig's vectors need not be orthogonal
+    basis = np.linalg.qr(np.linalg.eig(k_mat)[1])[0]
+    rotated = np.einsum("ik,iajb,jl->kalb", basis.conj(), blocks, basis)
+    norms = np.linalg.norm(rotated, axis=(1, 3))
+    return float(norms[~np.eye(dm, dtype=bool)].max()) <= CLASSICAL_TOL
 
 
 # ---------------------------------------------------------------------------

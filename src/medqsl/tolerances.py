@@ -7,8 +7,7 @@ that agree in value but answer different questions keep two names.
 # validation; a PSD matrix may dip slightly negative in floating point, and
 # below its floor it is indefinite (RK4-stepped states get a looser floor)
 HERM_TOL = 1e-10            # max entry of |M - M+|
-TRACE_TOL = 1e-10           # |tr rho - 1|, and |<v|v> - 1| of a pure vector
-PROJECTOR_TOL = 1e-9        # max entry of |rho - v v+| for a pure state
+TRACE_TOL = 1e-10           # |tr rho - 1|
 PSD_FLOOR = -1e-10
 LINDBLAD_EIG_FLOOR = -1e-6
 STATIONARY_TOL = 1e-12      # both energy moments at most this: the state never moves
@@ -17,8 +16,6 @@ STATIONARY_TOL = 1e-12      # both energy moments at most this: the state never 
 NEG_EIG_TOL = 1e-10         # partial-transpose eigenvalues in (-tol, 0) count as zero
 ENTROPY_CUTOFF = 1e-15      # spectrum entries at or below it add no entropy
 CLASSICAL_TOL = 1e-8        # off-diagonal block norm of a classically correlated state
-MARGINAL_DEGENERACY_TOL = 1e-8   # mediator marginal eigenvalues this close are one
-PROBE_DEGENERACY_TOL = 1e-10     # probe eigenvalues this close stay one cluster
 
 # time grids, the scan-and-refine primitives and the rate probe
 GRID_SLACK = 1e-9           # in steps: a span that is a multiple of the step keeps its end

@@ -60,7 +60,7 @@ def test_criterion_01_fig2_closed_form():
         err = np.abs(traj.column("negativity") - expected).max()
         assert err < 1e-8, (d, err)
         t_peak = first_max_entanglement_time(
-            direct_optimal(d), _ket00(direct_optimal(d)), AB, d, horizon=2.0
+            direct_optimal(d), _ket00(direct_optimal(d)), AB, horizon=2.0
         )
         assert t_peak is not None, d
         assert abs(t_peak - math.acos(1 / math.sqrt(d))) < 1e-6, (d, t_peak)
@@ -123,7 +123,7 @@ def test_criterion_05_open_system():
 
 def test_criterion_06_cmi_product_timing():
     ham, s0 = builtin_pair("cmi-product")
-    t_peak = first_max_entanglement_time(ham, s0, AB, 2, horizon=2.0)
+    t_peak = first_max_entanglement_time(ham, s0, AB, horizon=2.0)
     assert t_peak is not None
     assert abs(t_peak - math.pi / 2) < 1e-6, t_peak
     traj = evolve_unitary(ham, s0, TimeGrid(0.0, math.pi / 4, math.pi / 8))

@@ -323,6 +323,22 @@ class TestExitCodes:
             assert captured.out == ""
             assert "line 2" in captured.err and "finite float" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["parse", "--check", "big.hspec", "--emit", "matrix"],
+        ["evolve", "--ham", "big.hspec", "--state", "ket:00", "--tmax", "0.1"],
+    ], ids=["parse", "evolve"])
+    def test_overflowing_hspec_sum(self, tmp_path, capsys, argv):
+        # each coefficient fits a float, their sum does not
+        big = "1" + "0" * 308
+        (tmp_path / "big.hspec").write_text(
+            f"system A:2; system B:2;\nH = {big}*X(A)@X(B)\n  + {big}*X(A)@X(B);\n")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 3, col 315:")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_stationary_is_exit_4(self, tmp_path, capsys):
         spec = tmp_path / "zz.hspec"
         spec.write_text("system A:2; system B:2; H = Z(A)@Z(B);")

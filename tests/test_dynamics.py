@@ -21,6 +21,7 @@ from medqsl.dynamics import (
     refine_peak,
 )
 from medqsl.errors import (
+    BadDimensionError,
     LayoutMismatchError,
     PositivityLostError,
     UnknownLabelError,
@@ -109,7 +110,7 @@ class TestUnitaryEvolution:
     def test_observe_custom_target(self):
         h = direct_optimal(2)
         from medqsl.states import maximally_entangled
-        target = maximally_entangled(2, h.layout)
+        target = maximally_entangled(h.layout)
         obs = ObserveConfig(cut=Bipartition.parse("A:B"), target=target)
         traj = evolve_unitary(h, ket(h.layout, 0), TimeGrid(0.0, math.pi / 4, math.pi / 8),
                               observe=obs)
@@ -321,18 +322,18 @@ class TestFirstMaxTime:
     def test_direct_optimal_times(self, d):
         h = direct_optimal(d)
         t = first_max_entanglement_time(h, ket(h.layout, 0),
-                                        Bipartition.parse("A:B"), d, horizon=2.0)
+                                        Bipartition.parse("A:B"), horizon=2.0)
         assert type(t) is float
         assert abs(t - math.acos(1 / math.sqrt(d))) < 1e-6
 
     def test_mediated_pair_needs_double_time(self):
         h, s = cmi_product_example()
-        t = first_max_entanglement_time(h, s, Bipartition.parse("A:B"), 2, horizon=2.0)
+        t = first_max_entanglement_time(h, s, Bipartition.parse("A:B"), horizon=2.0)
         assert abs(t - math.pi / 2) < 1e-6
 
     def test_entangled_mediator_meets_direct_time(self):
         h, s = entangled_mediator_example()
-        t = first_max_entanglement_time(h, s, Bipartition.parse("A:B"), 2, horizon=1.0)
+        t = first_max_entanglement_time(h, s, Bipartition.parse("A:B"), horizon=1.0)
         assert abs(t - math.pi / 4) < 1e-6
 
     def test_commuting_never_reaches(self):
@@ -341,28 +342,45 @@ class TestFirstMaxTime:
         lay = h.layout
         plusplus = np.ones(8) / math.sqrt(8)
         s = DensityState.from_pure(lay, plusplus)
-        t = first_max_entanglement_time(h, s, Bipartition.parse("A:B"), 2, horizon=3.0)
+        t = first_max_entanglement_time(h, s, Bipartition.parse("A:B"), horizon=3.0)
         assert t is None
 
     def test_peak_past_first_chunk(self):
         # a tenfold slower coupling peaks thousands of grid points in
         h = direct_optimal(2).scaled(0.1)
         t = first_max_entanglement_time(h, ket(h.layout, 0),
-                                        Bipartition.parse("A:B"), 2, horizon=10.0)
+                                        Bipartition.parse("A:B"), horizon=10.0)
         assert abs(t - 10 * math.pi / 4) < 1e-6
 
     def test_never_peaks_within_longest_horizon(self):
         z = np.diag([1.0, -1.0]).astype(complex)
         h = commuting_mediated(z, z, z)
         s = DensityState.from_pure(h.layout, np.ones(8) / math.sqrt(8))
-        assert first_max_entanglement_time(h, s, Bipartition.parse("A:B"), 2,
+        assert first_max_entanglement_time(h, s, Bipartition.parse("A:B"),
                                            horizon=50.0) is None
+
+    def test_level_comes_from_the_cut(self):
+        # the level is (d-1)/2 for the smaller side: a qubit pair plus a
+        # spectator qubit reaches 1/2 across A:B and across A:B,S alike
+        h = direct_optimal(2)
+        lay = SystemLayout((("A", 2), ("B", 2), ("S", 2)))
+        h3 = Hamiltonian(lay, np.kron(h.matrix, np.eye(2)))
+        s0 = ket(lay, 0)
+        for cut in ("A:B", "A:B,S", "A,S:B"):
+            t = first_max_entanglement_time(h3, s0, Bipartition.parse(cut), horizon=1.0)
+            assert abs(t - math.pi / 4) < 1e-6, cut
+
+    def test_side_of_dimension_one_rejected(self):
+        lay = SystemLayout((("A", 2), ("B", 1)))
+        h = Hamiltonian(lay, np.diag([1.0, -1.0]).astype(complex))
+        with pytest.raises(BadDimensionError, match="dimension 1"):
+            first_max_entanglement_time(h, ket(lay, 0), Bipartition.parse("A:B"))
 
     def test_already_maximal_at_zero(self):
         from medqsl.states import maximally_entangled
         h = direct_optimal(2)
-        s = maximally_entangled(2, h.layout)
-        t = first_max_entanglement_time(h, s, Bipartition.parse("A:B"), 2, horizon=1.0)
+        s = maximally_entangled(h.layout)
+        t = first_max_entanglement_time(h, s, Bipartition.parse("A:B"), horizon=1.0)
         assert t is not None and t < 2e-3
 
 

@@ -17,8 +17,10 @@ from medqsl import (
     SystemLayout,
     bures_angle,
     direct_optimal,
+    embed_operator,
     energy_moments,
     haar_pure,
+    is_classically_correlated_on,
     negativity,
     partial_trace,
     random_density,
@@ -111,6 +113,66 @@ class TestNegativityLaws:
             expected = (coeffs.sum() ** 2 - 1) / 2
             got = negativity(DensityState.from_pure(lay, v), cut)
             assert abs(got - expected) < 1e-10, i
+
+
+def _layout_with_c(i, dc):
+    """Qubit A, qubit or qutrit B and a dc-level C, with C first, middle or last."""
+    subs = [("A", 2), ("B", 2 + (i // 3) % 2)]
+    subs.insert(i % 3, ("C", dc))
+    return SystemLayout(tuple(subs))
+
+
+def _classical_on_c(i, rc, eps):
+    """sum_k p_k |u_k><u_k| (x) rho_k in a Haar-random basis u of C, plus eps X
+    |u_0><u_1| + h.c. for a random unit X, with C placed by ``_layout_with_c``.
+
+    Even cases take equal weights, and every other pair of cases repeats
+    the first conditional state, so equal blocks p_k rho_k occur too.
+    Each rho_k is at least half maximally mixed, so a small coupling
+    keeps the state positive.
+    """
+    dc = 2 + i % 3
+    dr = 2 * (2 + (i // 3) % 2)
+    u = _haar_unitary(dc, rc)
+    p = np.ones(dc) if i % 2 == 0 else np.abs(rc.normals(dc)) + 0.1
+    p = p / p.sum()
+    conds = [0.5 * random_density(dr, rc) + 0.5 * np.eye(dr) / dr for _ in range(dc)]
+    if (i // 2) % 2:
+        conds[1] = conds[0]
+    m = sum(p[k] * np.kron(np.outer(u[:, k], u[:, k].conj()), conds[k])
+            for k in range(dc))
+    x = rc.complex_normals(dr, dr)
+    off = eps * np.kron(np.outer(u[:, 0], u[:, 1].conj()), x / np.linalg.norm(x))
+    lay = _layout_with_c(i, dc)
+    return DensityState(lay, embed_operator(lay, ("C", "A", "B"), m + off + off.conj().T))
+
+
+class TestClassicalityLaws:
+    def test_classical_states_are_found(self):
+        for i in range(N_CASES):
+            s = _classical_on_c(i, RngStream(108, i), 0.0)
+            assert is_classically_correlated_on(s, "C"), i
+
+    def test_coherence_within_tolerance_is_classical(self):
+        # a coherence of 1e-11 is a thousand times below CLASSICAL_TOL
+        for i in range(N_CASES):
+            s = _classical_on_c(i, RngStream(111, i), 1e-11)
+            assert is_classically_correlated_on(s, "C"), i
+
+    def test_coherent_coupling_is_not_classical(self):
+        for i in range(N_CASES):
+            s = _classical_on_c(i, RngStream(109, i), 1e-6)
+            assert not is_classically_correlated_on(s, "C"), i
+
+    def test_random_states_are_not_classical(self):
+        for i in range(N_CASES):
+            rc = RngStream(110, i)
+            lay = _layout_with_c(i, 2 + i % 3)
+            if i % 2:
+                s = DensityState.from_pure(lay, haar_pure(lay.dim, rc))
+            else:
+                s = DensityState(lay, random_density(lay.dim, rc))
+            assert not is_classically_correlated_on(s, "C"), i
 
 
 class TestSpeedLimitLaws:

@@ -27,7 +27,7 @@ class TestUnifiedBound:
     def test_qubit_pair_to_bell(self):
         h = direct_optimal(2)
         s0 = ket0(h.layout)
-        target = maximally_entangled(2, h.layout)
+        target = maximally_entangled(h.layout)
         rep = unified_bound(s0, target, h)
         assert_allclose(rep.angle, math.pi / 4, atol=1e-12)
         assert_allclose(rep.bound, math.pi / 4, atol=1e-12)
@@ -37,7 +37,7 @@ class TestUnifiedBound:
     def test_bound_divides_by_smaller_moment(self):
         h = direct_optimal(2).scaled(2.0)
         s0 = ket0(h.layout)
-        target = maximally_entangled(2, h.layout)
+        target = maximally_entangled(h.layout)
         rep = unified_bound(s0, target, h)
         # doubling the coupling halves the minimal time
         assert_allclose(rep.bound, math.pi / 8, atol=1e-12)
@@ -49,7 +49,7 @@ class TestUnifiedBound:
         from medqsl.hamiltonians import Hamiltonian
         hzz = Hamiltonian(lay, np.kron(z, z))
         with pytest.raises(StationaryStateError):
-            unified_bound(ket0(lay), maximally_entangled(2, lay), hzz)
+            unified_bound(ket0(lay), maximally_entangled(lay), hzz)
 
     def test_layout_mismatch(self):
         h = direct_optimal(2)
@@ -59,7 +59,7 @@ class TestUnifiedBound:
 
     def test_report_dict(self):
         h = direct_optimal(2)
-        rep = unified_bound(ket0(h.layout), maximally_entangled(2, h.layout), h)
+        rep = unified_bound(ket0(h.layout), maximally_entangled(h.layout), h)
         doc = rep.to_dict()
         assert set(doc) >= {"angle", "bound", "mean_energy", "energy_std",
                             "reference_bounds", "d"}

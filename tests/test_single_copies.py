@@ -4,7 +4,7 @@ The spectral propagation exp(-iTM) lives in ``linalg.propagate`` alone,
 negativity over time goes through ``dynamics.negativity_curve``, the
 sweep kernels build on public library functions rather than on another
 module's private helpers, and every small threshold is named once, in
-``tolerances.py``.
+``tolerances.py``, and used.
 """
 
 import ast
@@ -56,6 +56,20 @@ def test_small_thresholds_live_in_tolerances():
              if path.name != "tolerances.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
     assert len(_small_floats(SRC / "tolerances.py")) > 10
+
+
+def test_every_tolerance_is_used():
+    # a threshold whose last user is deleted goes with it
+    tree = ast.parse((SRC / "tolerances.py").read_text())
+    named = {target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets}
+    imported = {alias.name
+                for path in SRC.glob("*.py") if path.name != "tolerances.py"
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "tolerances"
+                for alias in node.names}
+    assert len(named) > 10
+    assert named - imported == set()
 
 
 def _propagate_callers(module: str) -> list[str]:

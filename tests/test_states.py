@@ -119,6 +119,21 @@ class TestDensityState:
         s = DensityState.from_pure(Q2, np.array([2.0, 0, 0, 0]))
         assert_allclose(s.matrix[0, 0], 1.0)
 
+    def test_from_pure_checks_length(self):
+        for n in (3, 8):
+            with pytest.raises(DimensionMismatchError, match=f"length {n} != layout dim 4"):
+                DensityState.from_pure(Q2, np.ones(n))
+
+    def test_read_only(self):
+        v = np.array([1.0, 0, 0, 1j]) / math.sqrt(2)
+        pure = DensityState.from_pure(Q2, v)
+        mixed = DensityState(Q2, np.eye(4) / 4)
+        for arr in (pure.matrix, pure.pure_vector, mixed.matrix):
+            assert not arr.flags.writeable
+        v[0] = 0.0  # the caller's vector is not the state's
+        assert abs(pure.pure_vector[0] - 1 / math.sqrt(2)) < 1e-15
+        assert mixed.pure_vector is None and not mixed.is_pure
+
     def test_nonhermitian_rejected(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1
@@ -154,8 +169,17 @@ class TestDensityState:
 def test_maximally_entangled_negativity():
     for d in (2, 3, 4):
         lay = SystemLayout((("A", d), ("B", d)))
-        s = maximally_entangled(d, lay)
+        s = maximally_entangled(lay)
         assert_allclose(negativity(s, Bipartition.parse("A:B")), (d - 1) / 2, atol=1e-12)
+
+
+def test_maximally_entangled_needs_a_pair():
+    for dims in ((2, 3), (2, 2, 2)):
+        lay = SystemLayout(tuple(zip("ABC", dims)))
+        with pytest.raises(DimensionMismatchError, match="pair"):
+            maximally_entangled(lay)
+    with pytest.raises(BadDimensionError):
+        maximally_entangled(SystemLayout((("A", 1), ("B", 1))))
 
 
 class TestPartialTrace:
