@@ -27,7 +27,7 @@ from .errors import (
     NotPSDError,
     PositivityLostError,
 )
-from .hamiltonians import Hamiltonian, energy_moments_array
+from .hamiltonians import Hamiltonian, energy_moments
 from .linalg import hermitian_eig, propagate, sqrtm_psd
 from .states import (
     Bipartition,
@@ -214,30 +214,42 @@ def _marginal(s: DensityState, p: Bipartition) -> DensityState:
     return partial_trace(s, p.side_a + p.side_b)
 
 
-def _observe(h: Hamiltonian, s0: DensityState, observe: ObserveConfig,
-             times: np.ndarray, states: list[DensityState]) -> Trajectory:
+def _observe(h: Hamiltonian, s0: DensityState, observe: ObserveConfig, times: np.ndarray,
+             states: list[DensityState], stacks: list[DensityState]) -> Trajectory:
+    """The trajectory of ``states``, its columns taken from the same states in ``stacks``.
+
+    Each stack is measured in one call per measure, so validation, the
+    marginals and the eigensolves run once per stack, not once per state.
+    """
     target = observe.target if observe.target is not None else s0
     cut = observe.cut
-    ground = h.ground_energy()
-    cols = {name: np.empty(len(times)) for name in TRAJECTORY_COLUMNS}
-    cols["T"] = np.asarray(times, dtype=float)
-    for k, s in enumerate(states):
+    parts = {name: [] for name in TRAJECTORY_COLUMNS[1:]}
+    for s in stacks:
         marg = _marginal(s, cut)
-        em = energy_moments_array(h.matrix, s.pure_vector if s.is_pure else s.matrix,
-                                  ground)
-        cols["negativity"][k] = negativity(marg, cut)
-        cols["fidelity_to_target"][k] = uhlmann_fidelity(s, target)
-        cols["bures_angle_from_initial"][k] = bures_angle(s0, s)
-        cols["purity_marginal"][k] = purity(marg)
-        cols["mutual_information"][k] = mutual_information(marg, cut)
-        cols["mean_energy"][k] = em.mean
-        cols["energy_std"][k] = em.std
-    return Trajectory(times=np.asarray(times, dtype=float), states=states, columns=cols)
+        em = energy_moments(h, s)
+        for name, values in (("negativity", negativity(marg, cut)),
+                             ("fidelity_to_target", uhlmann_fidelity(s, target)),
+                             ("bures_angle_from_initial", bures_angle(s0, s)),
+                             ("purity_marginal", purity(marg)),
+                             ("mutual_information", mutual_information(marg, cut)),
+                             ("mean_energy", em.mean),
+                             ("energy_std", em.std)):
+            parts[name].append(values)
+    times = np.asarray(times, dtype=float)
+    cols = {name: np.concatenate(values) for name, values in parts.items()}
+    return Trajectory(times, states, {"T": times, **cols})
 
 
 def _factor(s: DensityState) -> np.ndarray:
     """The pure vector, or sqrt(rho) as a column factor of a mixed state."""
     return s.pure_vector if s.is_pure else sqrtm_psd(s.matrix)
+
+
+def _from_factors(s0: DensityState, x: np.ndarray) -> DensityState:
+    """The stack of states with pure vectors, or column factors, ``x``, as ``_factor(s0)`` is."""
+    if s0.is_pure:
+        return DensityState.from_pure(s0.layout, x)
+    return DensityState(s0.layout, x @ x.conj().swapaxes(1, 2))
 
 
 def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
@@ -249,14 +261,10 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     w, v = hermitian_eig(h.matrix)
     x0 = _factor(s0)
     times = grid.times
-    states = []
-    for lo in range(0, len(times), PROPAGATE_CHUNK):
-        for x in propagate(w, v, x0, times[lo:lo + PROPAGATE_CHUNK] - grid.start):
-            if s0.is_pure:
-                states.append(DensityState.from_pure(s0.layout, x))
-            else:
-                states.append(DensityState(s0.layout, x @ x.conj().T))
-    return _observe(h, s0, observe, times, states)
+    stacks = [_from_factors(s0, propagate(w, v, x0, times[lo:lo + PROPAGATE_CHUNK] - grid.start))
+              for lo in range(0, len(times), PROPAGATE_CHUNK)]
+    states = [st for stack in stacks for st in stack]
+    return _observe(h, s0, observe, times, states, stacks)
 
 
 def _lindblad_rhs(m: np.ndarray, rho: np.ndarray, jumps) -> np.ndarray:
@@ -309,7 +317,9 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
             rho = _rk4_segment(h.matrix, rho, ops, t - prev_t)
             prev_t = t
         states.append(_stepped_state(s0.layout, rho, t))
-    return _observe(h, s0, observe, times, states)
+    stacks = [DensityState.stack(states[lo:lo + PROPAGATE_CHUNK])
+              for lo in range(0, len(states), PROPAGATE_CHUNK)]
+    return _observe(h, s0, observe, times, states, stacks)
 
 
 def negativity_curve(layout: SystemLayout, cut: Bipartition):

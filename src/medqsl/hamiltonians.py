@@ -25,7 +25,7 @@ from .errors import (
     LayoutMismatchError,
     StationaryStateError,
 )
-from .linalg import require_hermitian
+from .linalg import dot_rows, require_hermitian
 from .states import DensityState, SystemLayout, embed_operator
 from .tolerances import STATIONARY_TOL
 
@@ -78,7 +78,10 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class EnergyMoments:
-    """Mean energy above the ground state, and the energy spread."""
+    """Mean energy above the ground state, and the energy spread.
+
+    For a stack of states both are arrays, and ``smaller`` is for one state.
+    """
 
     mean: float
     std: float
@@ -88,31 +91,41 @@ class EnergyMoments:
         return min(self.mean, self.std)
 
 
-def energy_moments_array(m: np.ndarray, x: np.ndarray, ground: float) -> EnergyMoments:
-    """Moments of ``m`` in a state vector or density matrix ``x``.
+def energy_moments_array(m: np.ndarray, x: np.ndarray, ground: float, *,
+                         stacked: bool = False) -> EnergyMoments:
+    """Moments of ``m`` in a state vector ``(n,)`` or a density matrix ``(n, n)``.
 
-    The mean is quoted above ``ground``, the lowest eigenvalue of ``m``,
-    which the caller supplies so that no extra eigensolve is needed.
+    With ``stacked`` the first axis of ``x`` runs over states, ``(T, n)``
+    vectors or ``(T, n, n)`` matrices, and the moments are arrays of T
+    values, each equal to the single-state moments of its row.  The mean
+    is quoted above ``ground``, the lowest eigenvalue of ``m``, which the
+    caller supplies so that no extra eigensolve is needed.
     """
-    if x.ndim == 1:
-        mx = m @ x
-        raw_mean = float(np.vdot(x, mx).real)
-        raw_sq = float(np.vdot(mx, mx).real)
+    if x.ndim == 1 + stacked:
+        mx = (m @ x[..., None])[..., 0]
+        raw_mean = dot_rows(x.conj(), mx).real
+        raw_sq = dot_rows(mx.conj(), mx).real
     else:
-        raw_mean = float(np.einsum("ij,ji->", m, x).real)
-        raw_sq = float(np.einsum("ij,jk,ki->", m, m, x).real)
-    var = max(raw_sq - raw_mean * raw_mean, 0.0)
-    return EnergyMoments(mean=raw_mean - ground, std=math.sqrt(var))
+        raw_mean = np.einsum("ij,...ji->...", m, x).real
+        raw_sq = np.einsum("ij,jk,...ki->...", m, m, x).real
+    var = np.maximum(raw_sq - raw_mean * raw_mean, 0.0)
+    mean, std = raw_mean - ground, np.sqrt(var)
+    if stacked:
+        return EnergyMoments(mean=mean, std=std)
+    return EnergyMoments(mean=float(mean), std=float(std))
 
 
 def energy_moments(h: Hamiltonian, s: DensityState) -> EnergyMoments:
-    """Moments of ``h`` in state ``s``: (tr(M rho) - E_ground, sqrt(var))."""
+    """Moments of ``h`` in state ``s``: (tr(M rho) - E_ground, sqrt(var)).
+
+    For a stack of states the moments are arrays, one value per state.
+    """
     if h.layout != s.layout:
         raise LayoutMismatchError(
             f"hamiltonian on {h.layout.labels}, state on {s.layout.labels}"
         )
     x = s.pure_vector if s.is_pure else s.matrix
-    return energy_moments_array(h.matrix, x, h.ground_energy())
+    return energy_moments_array(h.matrix, x, h.ground_energy(), stacked=s.matrix.ndim == 3)
 
 
 def resource_equality_scale(h: Hamiltonian, s: DensityState) -> tuple[Hamiltonian, float]:

@@ -25,7 +25,7 @@ from .errors import (
     PartitionMismatchError,
     UnknownLabelError,
 )
-from .linalg import require_hermitian, sqrtm_psd
+from .linalg import at_index, dot_rows, first_failure, require_hermitian, sqrtm_psd
 from .tolerances import CLASSICAL_TOL, ENTROPY_CUTOFF, NEG_EIG_TOL, PSD_FLOOR, TRACE_TOL
 
 __all__ = [
@@ -166,15 +166,21 @@ class Bipartition:
 class DensityState:
     """A density matrix tied to a layout, carrying its vector when pure.
 
+    A state may also be a stack of T states on one layout: a ``(T, n, n)``
+    matrix, with a ``(T, n)`` vector when pure.  The measures below take a
+    stack and return one value per state, and a float for a single state.
+
     Validation on construction: Hermitian within ``HERM_TOL``, unit trace
     within ``TRACE_TOL``, eigenvalues above ``eig_floor`` (default
-    ``PSD_FLOOR``); a NaN or infinite entry fails.  A pure state comes
-    from ``from_pure``, which checks its vector instead: the projector
-    onto a normalized vector passes all of the above by construction.
+    ``PSD_FLOOR``); a NaN or infinite entry fails.  A stack is validated
+    in one pass, and an error names the first failing state by its stack
+    index.  A pure state comes from ``from_pure``, which checks its vector
+    instead: the projector onto a normalized vector passes all of the
+    above by construction.
 
     Args:
         layout: subsystem structure of the state.
-        matrix: square density matrix of size ``layout.dim``.
+        matrix: square density matrix of size ``layout.dim``, or a stack.
         eig_floor: most negative eigenvalue tolerated by validation.
             Integrators hand in slightly looser floors for stepped states.
     """
@@ -184,42 +190,82 @@ class DensityState:
     def __init__(self, layout: SystemLayout, matrix: np.ndarray, *,
                  eig_floor: float = PSD_FLOOR):
         matrix = np.array(matrix, dtype=complex)
-        if matrix.shape != (layout.dim, layout.dim):
+        if matrix.ndim not in (2, 3) or matrix.shape[-2:] != (layout.dim, layout.dim):
             raise DimensionMismatchError(
                 f"matrix shape {matrix.shape} does not match layout dim {layout.dim}"
             )
         require_hermitian(matrix)
-        tr = matrix.trace()
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"trace {tr:.12f} is not 1 within {TRACE_TOL:.0e}")
-        wmin = np.linalg.eigvalsh(matrix)[0]
-        if not wmin >= eig_floor:
-            raise NotPSDError(f"minimum eigenvalue {wmin:.3e} below {eig_floor:.0e}")
+        tr = np.trace(matrix, axis1=-2, axis2=-1)
+        k = first_failure(abs(tr - 1.0) <= TRACE_TOL)
+        if k is not None:
+            raise ValueError(f"trace {tr[k]:.12f} is not 1 within {TRACE_TOL:.0e}"
+                             + at_index(k))
+        wmin = np.linalg.eigvalsh(matrix)[..., 0]
+        k = first_failure(wmin >= eig_floor)
+        if k is not None:
+            raise NotPSDError(f"minimum eigenvalue {wmin[k]:.3e} below {eig_floor:.0e}"
+                              + at_index(k))
         matrix.setflags(write=False)
         self.layout = layout
         self.matrix = matrix
         self.pure_vector = None
 
     @classmethod
-    def from_pure(cls, layout: SystemLayout, vector) -> "DensityState":
-        vector = np.asarray(vector, dtype=complex).reshape(-1)
-        if vector.shape != (layout.dim,):
-            raise DimensionMismatchError(
-                f"pure vector length {vector.shape[0]} != layout dim {layout.dim}"
-            )
-        norm = np.linalg.norm(vector)
-        if norm == 0:
-            raise ValueError("zero vector cannot be normalized")
-        if not math.isfinite(norm):
-            bad = np.flatnonzero(~np.isfinite(vector))
-            raise ValueError(f"vector has non-finite entries at {bad[:4].tolist()}")
-        vector = vector / norm
-        matrix = np.outer(vector, vector.conj())
-        vector.setflags(write=False)
-        matrix.setflags(write=False)
+    def _trusted(cls, layout: SystemLayout, matrix: np.ndarray,
+                 vector: np.ndarray | None = None) -> "DensityState":
+        """A state from arrays already checked, read-only, without validating them."""
         s = object.__new__(cls)
         s.layout, s.matrix, s.pure_vector = layout, matrix, vector
         return s
+
+    @classmethod
+    def from_pure(cls, layout: SystemLayout, vector) -> "DensityState":
+        """The projector onto ``vector`` normalized; a ``(T, n)`` array gives a stack."""
+        vector = np.asarray(vector, dtype=complex)
+        if vector.ndim != 2 or vector.shape[1] != layout.dim:
+            vector = vector.reshape(-1)
+        if vector.shape[-1] != layout.dim:
+            raise DimensionMismatchError(
+                f"pure vector length {vector.shape[-1]} != layout dim {layout.dim}"
+            )
+        # np.linalg.norm of each vector, bit for bit: the BLAS dots of its
+        # real and imaginary parts
+        norm = np.sqrt(dot_rows(vector.real, vector.real) + dot_rows(vector.imag, vector.imag))
+        k = first_failure(norm != 0)
+        if k is not None:
+            raise ValueError("zero vector cannot be normalized" + at_index(k))
+        k = first_failure(np.isfinite(norm))
+        if k is not None:
+            bad = np.flatnonzero(~np.isfinite(vector[k]))
+            raise ValueError(f"vector has non-finite entries at {bad[:4].tolist()}"
+                             + at_index(k))
+        vector = vector / norm[..., None]
+        matrix = vector[..., :, None] * vector.conj()[..., None, :]
+        vector.setflags(write=False)
+        matrix.setflags(write=False)
+        return cls._trusted(layout, matrix, vector)
+
+    @classmethod
+    def stack(cls, states) -> "DensityState":
+        """The stack of single ``states`` on one layout, each validated already."""
+        states = list(states)
+        layout = states[0].layout
+        if any(st.layout != layout for st in states):
+            raise LayoutMismatchError("a stack needs all of its states on one layout")
+        matrix = np.stack([st.matrix for st in states])
+        matrix.setflags(write=False)
+        vector = None
+        if all(st.is_pure for st in states):
+            vector = np.stack([st.pure_vector for st in states])
+            vector.setflags(write=False)
+        return cls._trusted(layout, matrix, vector)
+
+    def __iter__(self):
+        """The states of a stack, one at a time, as views that are not validated again."""
+        if self.matrix.ndim == 2:
+            raise TypeError("a single state is not a stack")
+        vectors = self.pure_vector if self.is_pure else [None] * len(self.matrix)
+        return (DensityState._trusted(self.layout, m, x) for m, x in zip(self.matrix, vectors))
 
     @property
     def is_pure(self) -> bool:
@@ -227,7 +273,13 @@ class DensityState:
 
     def __repr__(self) -> str:
         kind = "pure" if self.is_pure else "mixed"
-        return f"DensityState({kind}, labels={self.layout.labels}, dims={self.layout.dims})"
+        stack = f", stack of {len(self.matrix)}" if self.matrix.ndim == 3 else ""
+        return f"DensityState({kind}, labels={self.layout.labels}, dims={self.layout.dims}{stack})"
+
+
+def _value(s: DensityState, values: np.ndarray) -> float | np.ndarray:
+    """One measure's values: a float for a single state, the array for a stack."""
+    return float(values) if s.matrix.ndim == 2 else values
 
 
 def maximally_entangled(layout: SystemLayout) -> DensityState:
@@ -293,7 +345,8 @@ def partial_trace_array(m: np.ndarray, dims: tuple[int, ...], keep_pos) -> np.nd
 def partial_trace(s: DensityState, keep) -> DensityState:
     """Trace out everything except ``keep``, preserving layout order.
 
-    ``keep`` must be a nonempty proper subset of the layout labels.
+    ``keep`` must be a nonempty proper subset of the layout labels.  A
+    stack gives the stack of marginals, validated in one pass.
     """
     keep = tuple(keep)
     keep_set = set(keep)
@@ -343,7 +396,7 @@ def negativity_array(m: np.ndarray, dims: tuple[int, ...], b_pos) -> np.ndarray:
     return np.where(w < -NEG_EIG_TOL, -w, 0.0).sum(axis=-1)
 
 
-def negativity(s: DensityState, p: Bipartition) -> float:
+def negativity(s: DensityState, p: Bipartition) -> float | np.ndarray:
     """Sum of |negative eigenvalues| of the partial transpose across ``p``.
 
     Maximal value is (d-1)/2 for the smaller side dimension d.  Callers
@@ -351,41 +404,58 @@ def negativity(s: DensityState, p: Bipartition) -> float:
     """
     p.validate_covering(s.layout)
     b_pos = [s.layout.position(lab) for lab in p.side_b]
-    return float(negativity_array(s.matrix, s.layout.dims, b_pos))
+    return _value(s, negativity_array(s.matrix, s.layout.dims, b_pos))
 
 
-def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float:
+def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
     """Root fidelity tr sqrt(sqrt(r1) r2 sqrt(r1)), in [0, 1].
 
     Symmetric in its arguments.  When both states carry pure vectors this
-    reduces to |<u|v>|.
+    reduces to |<u|v>|.  Either state may be a stack: a single state is
+    compared with each state of a stack, and two stacks pair state k with
+    state k.
     """
     if s1.layout != s2.layout:
         raise LayoutMismatchError(
             f"states on different layouts: {s1.layout.labels} vs {s2.layout.labels}"
         )
     if s1.is_pure and s2.is_pure:
-        f = abs(np.vdot(s1.pure_vector, s2.pure_vector))
+        z = dot_rows(s1.pure_vector.conj(), s2.pure_vector)
+        f = np.hypot(z.real, z.imag)  # abs of each, as a complex scalar takes it
     else:
         root = sqrtm_psd(s1.matrix)
         inner = root @ s2.matrix @ root
-        f = float(np.real(np.trace(sqrtm_psd(inner))))
-    return float(min(max(f, 0.0), 1.0))
+        del root  # a stack of roots need not stay alive through the second one
+        f = np.real(np.trace(sqrtm_psd(inner), axis1=-2, axis2=-1))
+    f = np.clip(f, 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
-def bures_angle(s1: DensityState, s2: DensityState) -> float:
+def bures_angle(s1: DensityState, s2: DensityState) -> float | np.ndarray:
     """arccos of the root fidelity; a metric, in [0, pi/2]."""
-    return float(math.acos(uhlmann_fidelity(s1, s2)))
+    f = uhlmann_fidelity(s1, s2)
+    if isinstance(f, float):
+        return math.acos(f)
+    # math.acos per value: numpy's vectorized arccos may differ in the last bit
+    return np.fromiter(map(math.acos, f), float, len(f))
 
 
-def von_neumann_entropy(s: DensityState) -> float:
+def von_neumann_entropy(s: DensityState) -> float | np.ndarray:
     """Entropy -sum(w log2 w) of the spectrum, in bits."""
-    w = np.linalg.eigvalsh(s.matrix)
-    w = w[w > ENTROPY_CUTOFF]
-    return float(-(w * np.log2(w)).sum())
+    w = np.linalg.eigvalsh(s.matrix).reshape(-1, s.layout.dim)
+    # the spectrum is ascending, so the entries above the cutoff end each
+    # row; rows that keep as many entries are summed together, and each
+    # sum runs over the kept entries alone, as it does for one state
+    start = (w <= ENTROPY_CUTOFF).sum(axis=1)
+    out = np.empty(len(w))
+    for j in np.unique(start).tolist():
+        rows = start == j
+        kept = w[rows, j:]
+        out[rows] = -(kept * np.log2(kept)).sum(axis=1)
+    return _value(s, out.reshape(s.matrix.shape[:-2]))
 
 
-def mutual_information(s: DensityState, p: Bipartition) -> float:
+def mutual_information(s: DensityState, p: Bipartition) -> float | np.ndarray:
     """S(A) + S(B) - S(AB) across ``p``, which must cover the layout."""
     p.validate_covering(s.layout)
     sa = von_neumann_entropy(partial_trace(s, p.side_a))
@@ -393,9 +463,10 @@ def mutual_information(s: DensityState, p: Bipartition) -> float:
     return sa + sb - von_neumann_entropy(s)
 
 
-def purity(s: DensityState) -> float:
+def purity(s: DensityState) -> float | np.ndarray:
     """tr(rho^2), which is 1 exactly for pure states."""
-    return float(np.vdot(s.matrix, s.matrix).real)
+    flat = s.matrix.reshape(s.matrix.shape[:-2] + (-1,))
+    return _value(s, dot_rows(flat.conj(), flat).real)
 
 
 def is_classically_correlated_on(s: DensityState, label: str) -> bool:
@@ -460,9 +531,7 @@ def state_from_dict(d: dict) -> DensityState:
         v = np.array([complex(re, im) for re, im in d["pure"]])
         return DensityState.from_pure(layout, v)
     m = np.array([[complex(re, im) for re, im in row] for row in d["density"]])
-    # validation names a non-finite entry: no numpy warning for inf - inf first
-    with np.errstate(invalid="ignore"):
-        return DensityState(layout, m)
+    return DensityState(layout, m)
 
 
 def save_state(s: DensityState, path) -> None:

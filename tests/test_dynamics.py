@@ -116,6 +116,41 @@ class TestUnitaryEvolution:
                               observe=obs)
         assert_allclose(traj.columns["fidelity_to_target"][-1], 1.0, atol=1e-10)
 
+    def test_eigensolves_do_not_grow_with_the_grid(self, monkeypatch):
+        # both grids fit in one propagation chunk, so a mixed 3-qubit evolve
+        # makes as many eigensolves for 250 points as for 10; one per grid
+        # point anywhere in the observation would break this
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        h, s0 = classical_mediator_example()
+        stream = RngStream(5, 0)
+        psi = haar_pure(8, stream)
+        s0 = DensityState(s0.layout, 0.9 * np.outer(psi, psi.conj())
+                          + 0.1 * random_density(8, stream))
+        seen = []
+        for points in (10, 250):
+            before = dict(counts)
+            traj = evolve_unitary(h, s0, TimeGrid(0.0, (points - 1) * 1e-3, 1e-3))
+            assert len(traj.states) == points
+            seen.append({name: counts[name] - before[name] for name in counts})
+        assert seen[0] == seen[1]
+        assert 0 < seen[0]["eigh"] and 0 < seen[0]["eigvalsh"] < 20
+
+    def test_states_are_views_of_the_validated_stack(self):
+        h, s0 = entangled_mediator_example()
+        traj = evolve_unitary(h, s0, TimeGrid(0.0, 0.3, 1e-3))
+        assert len(traj.states) == len(traj.times) == 301
+        assert all(st.is_pure and st.matrix.shape == (8, 8) for st in traj.states)
+        last = traj.states[-1]
+        assert not last.matrix.flags.writeable and not last.pure_vector.flags.writeable
+        assert_allclose(last.matrix, np.outer(last.pure_vector, last.pure_vector.conj()),
+                        rtol=0, atol=0)
+
 
 class TestNegativityCurve:
     """The factor path against the per-state negativity of evolve_unitary."""
@@ -194,6 +229,15 @@ class TestLindblad:
         jumps = JumpOperatorSet.damping(h.layout, 1000.0)
         with pytest.raises(PositivityLostError, match="T=0.010000"):
             evolve_lindblad(h, s, TimeGrid(0.0, 0.01, 0.01), jumps)
+
+    def test_positivity_lost_names_the_time_not_a_stack_index(self):
+        # each stepped state is checked on its own before the columns are
+        # taken from the stack, so the first failing grid point is named
+        h, s = open_system_example()
+        jumps = JumpOperatorSet.damping(h.layout, 1000.0)
+        with pytest.raises(PositivityLostError, match="T=0.010000") as info:
+            evolve_lindblad(h, s, TimeGrid(0.0, 0.05, 0.01), jumps)
+        assert "stack index" not in str(info.value)
 
     def test_qutrit_clock_operator(self):
         lay = SystemLayout((("A", 3), ("B", 3)))

@@ -45,6 +45,14 @@ class TestRequireHermitian:
         with pytest.raises(NotHermitianError, match=r"non-finite entries, at \[\[1, 2\]\]"):
             require_hermitian(m)
 
+    def test_infinite_diagonal_names_the_entry_without_a_warning(self):
+        # inf - inf is NaN; under the suite's error::RuntimeWarning filter a
+        # numpy warning would fail this test before the error is raised
+        m = np.eye(3, dtype=complex)
+        m[0, 0] = np.inf
+        with pytest.raises(NotHermitianError, match=r"non-finite entries, at \[\[0, 0\]\]$"):
+            require_hermitian(m)
+
 
 def unitary_at(m, t):
     """exp(-i t m) from ``propagate`` applied to the identity factor."""

@@ -1,0 +1,244 @@
+"""Stacked states: one validation and one call per measure for T states.
+
+Every stack-aware measure is checked against the per-state call on each
+slice of seeded random stacks, mixed and pure, and a stack that fails
+validation names the first failing state by its stack index.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from medqsl import (
+    Bipartition,
+    DensityState,
+    RngStream,
+    SystemLayout,
+    bures_angle,
+    energy_moments,
+    haar_pure,
+    mutual_information,
+    negativity,
+    partial_trace,
+    purity,
+    random_density,
+    random_hermitian,
+    uhlmann_fidelity,
+    von_neumann_entropy,
+)
+from medqsl.errors import NotHermitianError, NotPSDError
+from medqsl.hamiltonians import Hamiltonian, energy_moments_array
+from medqsl.linalg import require_hermitian, sqrtm_psd
+
+LAYOUTS = {
+    "2x2": SystemLayout((("A", 2), ("B", 2))),
+    "2x2x2": SystemLayout((("A", 2), ("B", 2), ("C", 2))),
+    "3x3": SystemLayout((("A", 3), ("B", 3))),
+}
+CUT = Bipartition(("A",), ("B",))
+SIZES = (1, 3, 17)
+
+
+def _vectors(layout, count, rc):
+    return np.array([haar_pure(layout.dim, rc) for _ in range(count)])
+
+
+def _matrices(layout, count, rc):
+    """Mostly near-pure states, entangled across A:B; every third one of rank 1."""
+    out = []
+    for k, v in enumerate(_vectors(layout, count, rc)):
+        rho = np.outer(v, v.conj())
+        if k % 3:
+            rho = 0.9 * rho + 0.1 * random_density(layout.dim, rc)
+        out.append(rho)
+    return np.array(out)
+
+
+def _case(name, count, pure, seed):
+    """A stack and its states one by one, built the same way."""
+    layout = LAYOUTS[name]
+    rc = RngStream(seed, count)
+    if pure:
+        vectors = _vectors(layout, count, rc)
+        return (DensityState.from_pure(layout, vectors),
+                [DensityState.from_pure(layout, v) for v in vectors])
+    matrices = _matrices(layout, count, rc)
+    return DensityState(layout, matrices), [DensityState(layout, m) for m in matrices]
+
+
+CASES = [(name, count, pure, seed) for name in LAYOUTS for count in SIZES
+         for pure in (False, True) for seed in (3, 4)]
+
+
+@pytest.mark.parametrize("name, count, pure, seed", CASES)
+class TestStackedMeasures:
+    """Each measure on a stack equals it on each slice, bit for bit."""
+
+    def test_states_and_marginals(self, name, count, pure, seed):
+        stack, singles = _case(name, count, pure, seed)
+        assert stack.matrix.shape == (count, stack.layout.dim, stack.layout.dim)
+        assert not stack.matrix.flags.writeable
+        assert stack.is_pure == pure
+        for got, single in zip(stack, singles):
+            assert_array_equal(got.matrix, single.matrix)
+            if pure:
+                assert_array_equal(got.pure_vector, single.pure_vector)
+            else:
+                assert got.pure_vector is None
+        for keep in (("A",), ("B",)):
+            marg = partial_trace(stack, keep)
+            for got, single in zip(marg, singles):
+                assert_array_equal(got.matrix, partial_trace(single, keep).matrix)
+
+    def test_measures(self, name, count, pure, seed):
+        stack, singles = _case(name, count, pure, seed)
+        if len(stack.layout) == 3:
+            stack = partial_trace(stack, ("A", "B"))
+            singles = [partial_trace(s, ("A", "B")) for s in singles]
+        measures = (
+            lambda s: negativity(s, CUT),
+            purity,
+            von_neumann_entropy,
+            lambda s: mutual_information(s, CUT),
+        )
+        for measure in measures:
+            got = measure(stack)
+            assert got.shape == (count,)
+            want = np.array([measure(s) for s in singles])
+            assert isinstance(measure(singles[0]), float)
+            assert np.abs(got - want).max() <= 1e-12
+            assert_array_equal(got, want)
+        assert negativity(stack, CUT).max() > 0.05
+
+    def test_fidelity_and_angle(self, name, count, pure, seed):
+        stack, singles = _case(name, count, pure, seed)
+        other, others = _case(name, count, pure, seed + 100)
+        fixed = (others[0], DensityState.from_pure(stack.layout, haar_pure(stack.layout.dim,
+                                                                           RngStream(seed, 0))))
+        for target in fixed:
+            for measure in (uhlmann_fidelity, bures_angle):
+                got = measure(stack, target)
+                want = np.array([measure(s, target) for s in singles])
+                assert np.abs(got - want).max() <= 1e-12
+                assert_array_equal(got, want)
+                assert_array_equal(measure(target, stack),
+                                   [measure(target, s) for s in singles])
+        # two stacks pair state k with state k
+        assert_array_equal(uhlmann_fidelity(stack, other),
+                           [uhlmann_fidelity(s, o) for s, o in zip(singles, others)])
+
+    def test_energy_moments(self, name, count, pure, seed):
+        stack, singles = _case(name, count, pure, seed)
+        m = random_hermitian(stack.layout.dim, RngStream(seed, 999))
+        ground = float(np.linalg.eigvalsh(m)[0])
+        for x, xs in ((stack.matrix, [s.matrix for s in singles]),
+                      (stack.pure_vector, [s.pure_vector for s in singles])):
+            if x is None:
+                continue
+            got = energy_moments_array(m, x, ground, stacked=True)
+            ones = [energy_moments_array(m, xk, ground) for xk in xs]
+            for field in ("mean", "std"):
+                want = np.array([getattr(em, field) for em in ones])
+                assert np.abs(getattr(got, field) - want).max() <= 1e-12
+                assert_array_equal(getattr(got, field), want)
+        h = Hamiltonian(stack.layout, m)
+        em = energy_moments(h, stack)
+        assert_array_equal(em.mean, [energy_moments(h, s).mean for s in singles])
+        assert_array_equal(em.std, [energy_moments(h, s).std for s in singles])
+
+
+Q2 = LAYOUTS["2x2"]
+
+
+def _valid_stack(count=5):
+    return _matrices(Q2, count, RngStream(21, 0))
+
+
+def _nonhermitian(m):
+    m[0, 1] += 0.1
+
+
+def _off_trace(m):
+    m *= 1.1
+
+
+def _below_floor(m):
+    m[:] = np.diag([0.6, 0.5, -0.1, 0.0])
+
+
+def _nan(m):
+    m[1, 1] = np.nan
+
+
+BREAKS = [
+    (_nonhermitian, NotHermitianError, "deviates from Hermitian"),
+    (_off_trace, ValueError, "is not 1 within"),
+    (_below_floor, NotPSDError, "minimum eigenvalue -1.000e-01"),
+    (_nan, NotHermitianError, r"non-finite entries, at \[\[1, 1\]\]"),
+]
+
+
+class TestStackedValidation:
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    @pytest.mark.parametrize("breaks, error, message", BREAKS)
+    def test_names_the_failing_index(self, breaks, error, message, k):
+        m = _valid_stack()
+        breaks(m[k])
+        with pytest.raises(error, match=rf"{message}.*\(stack index {k}\)"):
+            DensityState(Q2, m)
+
+    @pytest.mark.parametrize("breaks, error, message", BREAKS)
+    def test_names_the_first_of_two(self, breaks, error, message):
+        m = _valid_stack()
+        breaks(m[3])
+        breaks(m[1])
+        with pytest.raises(error, match=r"\(stack index 1\)"):
+            DensityState(Q2, m)
+
+    def test_single_state_names_no_index(self):
+        m = _valid_stack(1)[0]
+        m[0, 1] += 0.1
+        with pytest.raises(NotHermitianError) as info:
+            DensityState(Q2, m)
+        assert "stack index" not in str(info.value)
+
+    def test_linalg_checks_every_matrix(self):
+        m = _valid_stack()
+        m[3, 2, 2] = -0.5
+        with pytest.raises(NotPSDError, match=r"\(stack index 3\)"):
+            sqrtm_psd(m)
+        m[2, 0, 3] = 1.0
+        with pytest.raises(NotHermitianError, match=r"\(stack index 2\)"):
+            require_hermitian(m)
+        # a (2, 3) stack of stacks names both indices
+        grid = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
+        grid[1, 2, 0, 0] = np.inf
+        with pytest.raises(NotHermitianError, match=r"at \[\[0, 0\]\] \(stack index \(1, 2\)\)"):
+            require_hermitian(grid)
+
+    def test_from_pure_names_the_failing_vector(self):
+        v = np.eye(4, dtype=complex)
+        v[2] = 0.0
+        with pytest.raises(ValueError, match=r"zero vector .*\(stack index 2\)"):
+            DensityState.from_pure(Q2, v)
+        v[2, 3] = np.inf
+        with pytest.raises(ValueError, match=r"non-finite entries at \[3\] \(stack index 2\)"):
+            DensityState.from_pure(Q2, v)
+
+    def test_stack_of_validated_states(self):
+        singles = [DensityState(Q2, m) for m in _valid_stack(3)]
+        stack = DensityState.stack(singles)
+        assert_array_equal(stack.matrix, [s.matrix for s in singles])
+        assert stack.pure_vector is None and not stack.matrix.flags.writeable
+        with pytest.raises(TypeError):
+            iter(singles[0])
+
+
+def test_single_state_values_stay_floats():
+    s = DensityState(Q2, _valid_stack(1)[0])
+    for value in (negativity(s, CUT), purity(s), von_neumann_entropy(s),
+                  mutual_information(s, CUT), uhlmann_fidelity(s, s), bures_angle(s, s)):
+        assert type(value) is float
+    assert math.isclose(uhlmann_fidelity(s, s), 1.0, abs_tol=1e-12)

@@ -159,6 +159,12 @@ class TestDensityState:
         with pytest.raises(ValueError, match="non-finite"):
             DensityState.from_pure(Q2, np.array([1.0, 0.0, np.inf, 0.0]))
 
+    def test_infinite_diagonal_names_the_entry_without_a_warning(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 0] = np.inf
+        with pytest.raises(NotHermitianError, match=r"non-finite entries, at \[\[0, 0\]\]"):
+            DensityState(Q2, m)
+
     def test_eig_floor_loosens(self):
         m = np.diag([0.5, 0.5 + 1e-7, -1e-7, 0.0]).astype(complex)
         with pytest.raises(NotPSDError):
