@@ -59,7 +59,6 @@ from .hamiltonians import (
 )
 from .dynamics import (
     JumpOperatorSet,
-    ObserveConfig,
     TimeGrid,
     Trajectory,
     entanglement_change_at_zero,

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     JumpOperatorSet,
-    ObserveConfig,
     TimeGrid,
     evolve_lindblad,
     evolve_unitary,
@@ -124,14 +123,13 @@ def _resolve_state(text: str | None, layout: SystemLayout,
     return s
 
 
-def _resolve_observe(bipartition: str | None, layout: SystemLayout,
-                     target: DensityState | None) -> ObserveConfig:
+def _resolve_cut(bipartition: str | None, layout: SystemLayout) -> Bipartition | None:
     if bipartition is None:
-        return ObserveConfig(ObserveConfig.default_for(layout).cut, target)
+        return None
     cut = Bipartition.parse(bipartition)
     for lab in cut.side_a + cut.side_b:
         layout.position(lab)
-    return ObserveConfig(cut, target)
+    return cut
 
 
 def _resolve_lindblad(text: str | None, layout: SystemLayout) -> JumpOperatorSet | None:
@@ -195,13 +193,13 @@ def _cmd_evolve(args) -> int:
     target = None
     if args.target is not None:
         target = _resolve_state(args.target, ham.layout, None)
-    observe = _resolve_observe(args.bipartition, ham.layout, target)
+    cut = _resolve_cut(args.bipartition, ham.layout)
     grid = TimeGrid(0.0, args.tmax, args.dt)
     jumps = _resolve_lindblad(args.lindblad, ham.layout)
     if jumps is None:
-        traj = evolve_unitary(ham, s0, grid, observe)
+        traj = evolve_unitary(ham, s0, grid, cut=cut, target=target)
     else:
-        traj = evolve_lindblad(ham, s0, grid, jumps, observe)
+        traj = evolve_lindblad(ham, s0, grid, jumps, cut=cut, target=target)
     out = args.out
     traj.to_csv(out)
     config = {

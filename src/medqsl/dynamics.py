@@ -49,7 +49,6 @@ from .tolerances import (
 
 __all__ = [
     "TimeGrid",
-    "ObserveConfig",
     "Trajectory",
     "JUMP_KINDS",
     "JumpOperatorSet",
@@ -105,26 +104,6 @@ class TimeGrid:
         span = self.stop - self.start
         n = int(math.floor(span / self.step + GRID_SLACK))
         return self.start + self.step * np.arange(n + 1)
-
-
-@dataclass(frozen=True)
-class ObserveConfig:
-    """Which cut and which fidelity target a trajectory records.
-
-    The marginal measures (negativity, purity, mutual information) are
-    taken on the state traced down to the cut's labels.  The default
-    splits the first two subsystems one against the other and compares
-    fidelities against the initial state.
-    """
-
-    cut: Bipartition
-    target: DensityState | None = None
-
-    @classmethod
-    def default_for(cls, layout: SystemLayout) -> "ObserveConfig":
-        if len(layout) == 1:
-            raise DimensionMismatchError("observation needs at least two subsystems")
-        return cls(Bipartition((layout.labels[0],), (layout.labels[1],)))
 
 
 @dataclass
@@ -214,15 +193,23 @@ def _marginal(s: DensityState, p: Bipartition) -> DensityState:
     return partial_trace(s, p.side_a + p.side_b)
 
 
-def _observe(h: Hamiltonian, s0: DensityState, observe: ObserveConfig, times: np.ndarray,
-             states: list[DensityState], stacks: list[DensityState]) -> Trajectory:
-    """The trajectory of ``states``, its columns taken from the same states in ``stacks``.
+def _observed(s0: DensityState, cut: Bipartition | None,
+              target: DensityState | None) -> tuple[Bipartition, DensityState]:
+    """``cut`` and ``target``, or the defaults that ``evolve_unitary`` documents."""
+    if cut is None:
+        if len(s0.layout) == 1:
+            raise DimensionMismatchError("observation needs at least two subsystems")
+        cut = Bipartition((s0.layout.labels[0],), (s0.layout.labels[1],))
+    return cut, s0 if target is None else target
+
+
+def _observe(h: Hamiltonian, s0: DensityState, times: np.ndarray, stacks: list[DensityState],
+             cut: Bipartition, target: DensityState) -> Trajectory:
+    """The trajectory of the validated chunk ``stacks``, one state per time.
 
     Each stack is measured in one call per measure, so validation, the
     marginals and the eigensolves run once per stack, not once per state.
     """
-    target = observe.target if observe.target is not None else s0
-    cut = observe.cut
     parts = {name: [] for name in TRAJECTORY_COLUMNS[1:]}
     for s in stacks:
         marg = _marginal(s, cut)
@@ -235,8 +222,8 @@ def _observe(h: Hamiltonian, s0: DensityState, observe: ObserveConfig, times: np
                              ("mean_energy", em.mean),
                              ("energy_std", em.std)):
             parts[name].append(values)
-    times = np.asarray(times, dtype=float)
     cols = {name: np.concatenate(values) for name, values in parts.items()}
+    states = [st for stack in stacks for st in stack]
     return Trajectory(times, states, {"T": times, **cols})
 
 
@@ -252,19 +239,23 @@ def _from_factors(s0: DensityState, x: np.ndarray) -> DensityState:
     return DensityState(s0.layout, x @ x.conj().swapaxes(1, 2))
 
 
-def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
-                   observe: ObserveConfig | None = None) -> Trajectory:
-    """Closed evolution of ``s0`` (the state at ``grid.start``) under ``h``."""
+def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
+                   cut: Bipartition | None = None,
+                   target: DensityState | None = None) -> Trajectory:
+    """Closed evolution of ``s0`` (the state at ``grid.start``) under ``h``.
+
+    The marginal columns are taken across ``cut`` (by default the first two
+    subsystems, one against the other) and the fidelities against ``target``
+    (by default ``s0``).
+    """
     _check_layouts(h, s0)
-    if observe is None:
-        observe = ObserveConfig.default_for(s0.layout)
+    cut, target = _observed(s0, cut, target)
     w, v = hermitian_eig(h.matrix)
     x0 = _factor(s0)
     times = grid.times
     stacks = [_from_factors(s0, propagate(w, v, x0, times[lo:lo + PROPAGATE_CHUNK] - grid.start))
               for lo in range(0, len(times), PROPAGATE_CHUNK)]
-    states = [st for stack in stacks for st in stack]
-    return _observe(h, s0, observe, times, states, stacks)
+    return _observe(h, s0, times, stacks, cut, target)
 
 
 def _lindblad_rhs(m: np.ndarray, rho: np.ndarray, jumps) -> np.ndarray:
@@ -297,29 +288,30 @@ def _stepped_state(layout: SystemLayout, rho: np.ndarray, t: float) -> DensitySt
 
 
 def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
-                    jumps: JumpOperatorSet,
-                    observe: ObserveConfig | None = None) -> Trajectory:
+                    jumps: JumpOperatorSet, *, cut: Bipartition | None = None,
+                    target: DensityState | None = None) -> Trajectory:
     """Open evolution under ``h`` and the jump operators in ``jumps``.
 
-    With an empty jump set this agrees with ``evolve_unitary`` up to the
+    ``cut`` and ``target`` are observed as in ``evolve_unitary``.  With an
+    empty jump set this agrees with ``evolve_unitary`` up to the
     integrator error of the 1e-3 substeps.
     """
     _check_layouts(h, s0, jumps)
-    if observe is None:
-        observe = ObserveConfig.default_for(s0.layout)
+    cut, target = _observed(s0, cut, target)
     ops = jumps.embedded()
     times = grid.times
-    states = []
+    rhos = []
     rho = np.array(s0.matrix, dtype=complex)
     prev_t = grid.start
     for t in times:
         if t > prev_t:
             rho = _rk4_segment(h.matrix, rho, ops, t - prev_t)
             prev_t = t
-        states.append(_stepped_state(s0.layout, rho, t))
-    stacks = [DensityState.stack(states[lo:lo + PROPAGATE_CHUNK])
-              for lo in range(0, len(states), PROPAGATE_CHUNK)]
-    return _observe(h, s0, observe, times, states, stacks)
+        rhos.append(_stepped_state(s0.layout, rho, t).matrix)
+    stacks = [DensityState(s0.layout, np.stack(rhos[lo:lo + PROPAGATE_CHUNK]),
+                           eig_floor=LINDBLAD_EIG_FLOOR)
+              for lo in range(0, len(rhos), PROPAGATE_CHUNK)]
+    return _observe(h, s0, times, stacks, cut, target)
 
 
 def negativity_curve(layout: SystemLayout, cut: Bipartition):

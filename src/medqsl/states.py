@@ -245,21 +245,6 @@ class DensityState:
         matrix.setflags(write=False)
         return cls._trusted(layout, matrix, vector)
 
-    @classmethod
-    def stack(cls, states) -> "DensityState":
-        """The stack of single ``states`` on one layout, each validated already."""
-        states = list(states)
-        layout = states[0].layout
-        if any(st.layout != layout for st in states):
-            raise LayoutMismatchError("a stack needs all of its states on one layout")
-        matrix = np.stack([st.matrix for st in states])
-        matrix.setflags(write=False)
-        vector = None
-        if all(st.is_pure for st in states):
-            vector = np.stack([st.pure_vector for st in states])
-            vector.setflags(write=False)
-        return cls._trusted(layout, matrix, vector)
-
     def __iter__(self):
         """The states of a stack, one at a time, as views that are not validated again."""
         if self.matrix.ndim == 2:

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from medqsl.dynamics import (
     JUMP_KINDS,
     JumpOperatorSet,
-    ObserveConfig,
     TimeGrid,
     bisect_crossing,
     entanglement_change_at_zero,
@@ -111,9 +110,8 @@ class TestUnitaryEvolution:
         h = direct_optimal(2)
         from medqsl.states import maximally_entangled
         target = maximally_entangled(h.layout)
-        obs = ObserveConfig(cut=Bipartition.parse("A:B"), target=target)
         traj = evolve_unitary(h, ket(h.layout, 0), TimeGrid(0.0, math.pi / 4, math.pi / 8),
-                              observe=obs)
+                              cut=Bipartition.parse("A:B"), target=target)
         assert_allclose(traj.columns["fidelity_to_target"][-1], 1.0, atol=1e-10)
 
     def test_eigensolves_do_not_grow_with_the_grid(self, monkeypatch):
@@ -173,7 +171,7 @@ class TestNegativityCurve:
         h, s0 = self._case(pure)
         p = Bipartition.parse(cut)
         grid = TimeGrid(0.0, 2.0, 0.05)
-        ref = evolve_unitary(h, s0, grid, ObserveConfig(p)).columns["negativity"]
+        ref = evolve_unitary(h, s0, grid, cut=p).columns["negativity"]
         assert ref.max() > 1e-2
         w, v = hermitian_eig(h.matrix)
         x0 = s0.pure_vector if pure else sqrtm_psd(s0.matrix)

@@ -15,7 +15,6 @@ from medqsl import (
     Bipartition,
     DensityState,
     Hamiltonian,
-    ObserveConfig,
     RngStream,
     SweepConfig,
     SweepReport,
@@ -146,11 +145,11 @@ class TestCmiUncorrelated:
 class TestKernelsAgainstLibrary:
     """Instance kernels against evolve_unitary + negativity(partial_trace)."""
 
-    AB = ObserveConfig(cut=Bipartition(("A",), ("B",)))
+    AB = Bipartition(("A",), ("B",))
 
     def _reference(self, h, s0, grid):
         h, _ = resource_equality_scale(h, s0)
-        return evolve_unitary(h, s0, grid, self.AB).columns["negativity"]
+        return evolve_unitary(h, s0, grid, cut=self.AB).columns["negativity"]
 
     def test_cmi_curve(self):
         grid = TimeGrid(0.0, np.pi / 2, np.pi / 32)
