@@ -63,6 +63,9 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 1e7
+# the most memory a trajectory may ask for: one dense complex matrix per
+# grid point, checked before the grid or any state is built
+MAX_TRAJECTORY_BYTES = 2 ** 31
 # grid points per propagate call: bounds the factors held next to the states
 PROPAGATE_CHUNK = 256
 LINDBLAD_MAX_STEP = 1e-3
@@ -99,11 +102,13 @@ class TimeGrid:
         if (self.stop - self.start) / self.step > MAX_GRID_POINTS:
             raise ValueError("grid would exceed 1e7 points")
 
+    def __len__(self) -> int:
+        """The number of grid points, without building them."""
+        return int(math.floor((self.stop - self.start) / self.step + GRID_SLACK)) + 1
+
     @property
     def times(self) -> np.ndarray:
-        span = self.stop - self.start
-        n = int(math.floor(span / self.step + GRID_SLACK))
-        return self.start + self.step * np.arange(n + 1)
+        return self.start + self.step * np.arange(len(self))
 
 
 @dataclass
@@ -193,9 +198,18 @@ def _marginal(s: DensityState, p: Bipartition) -> DensityState:
     return partial_trace(s, p.side_a + p.side_b)
 
 
-def _observed(s0: DensityState, cut: Bipartition | None,
+def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
               target: DensityState | None) -> tuple[Bipartition, DensityState]:
-    """``cut`` and ``target``, or the defaults that ``evolve_unitary`` documents."""
+    """``cut`` and ``target``, or the defaults that ``evolve_unitary`` documents.
+
+    A trajectory of ``s0`` on ``grid`` above ``MAX_TRAJECTORY_BYTES`` is
+    refused first, before anything is allocated.
+    """
+    need = len(grid) * s0.layout.dim ** 2 * 16
+    if need > MAX_TRAJECTORY_BYTES:
+        raise ValueError(
+            f"a trajectory of {len(grid)} states of dimension {s0.layout.dim} needs "
+            f"{need / 2 ** 30:.1f} GiB, above the cap of {MAX_TRAJECTORY_BYTES // 2 ** 30} GiB")
     if cut is None:
         if len(s0.layout) == 1:
             raise DimensionMismatchError("observation needs at least two subsystems")
@@ -249,7 +263,7 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
     (by default ``s0``).
     """
     _check_layouts(h, s0)
-    cut, target = _observed(s0, cut, target)
+    cut, target = _observed(s0, grid, cut, target)
     w, v = hermitian_eig(h.matrix)
     x0 = _factor(s0)
     times = grid.times
@@ -297,7 +311,7 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     integrator error of the 1e-3 substeps.
     """
     _check_layouts(h, s0, jumps)
-    cut, target = _observed(s0, cut, target)
+    cut, target = _observed(s0, grid, cut, target)
     ops = jumps.embedded()
     times = grid.times
     rhos = []

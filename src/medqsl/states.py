@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,16 @@ __all__ = [
 MAX_TOTAL_DIM = 4096
 
 
+def _integer_dim(label, dim) -> int:
+    """``dim`` as an int: an int or a numpy integer, never a bool, float or string."""
+    if not isinstance(dim, (bool, np.bool_)):
+        try:
+            return operator.index(dim)
+        except TypeError:
+            pass
+    raise BadDimensionError(f"subsystem {str(label)!r} has dimension {dim!r}: not an integer")
+
+
 @dataclass(frozen=True)
 class SystemLayout:
     """Ordered collection of labeled subsystems with fixed dimensions."""
@@ -64,7 +75,7 @@ class SystemLayout:
     subsystems: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        subs = tuple((str(lab), int(dim)) for lab, dim in self.subsystems)
+        subs = tuple((str(lab), _integer_dim(lab, dim)) for lab, dim in self.subsystems)
         object.__setattr__(self, "subsystems", subs)
         if not subs:
             raise BadDimensionError("layout needs at least one subsystem")
@@ -512,11 +523,16 @@ def state_from_dict(d: dict) -> DensityState:
         raise DimensionMismatchError(f"bad layout entry: {exc}") from exc
     if ("pure" in d) == ("density" in d):
         raise DimensionMismatchError("state dict needs exactly one of 'pure', 'density'")
-    if "pure" in d:
-        v = np.array([complex(re, im) for re, im in d["pure"]])
-        return DensityState.from_pure(layout, v)
-    m = np.array([[complex(re, im) for re, im in row] for row in d["density"]])
-    return DensityState(layout, m)
+    key = "pure" if "pure" in d else "density"
+    try:
+        rows = [d[key]] if key == "pure" else d[key]
+        entries = np.array([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(
+            f"bad {key!r} field: expected [re, im] number pairs ({exc})") from None
+    if key == "pure":
+        return DensityState.from_pure(layout, entries[0])
+    return DensityState(layout, entries)
 
 
 def save_state(s: DensityState, path) -> None:

@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from medqsl import builtin_pair, format_ast, parse_file
+from medqsl import (
+    SystemLayout, TimeGrid, builtin_pair, format_ast, maximally_entangled, parse_file,
+    save_state,
+)
 from medqsl.cli import main
 
 
@@ -72,6 +75,18 @@ class TestEvolve:
         assert rc == 0
         rows = _read_csv(tmp_path / "q.csv")
         assert len(rows) == 6 and float(rows[-1]["bures_angle_from_initial"]) > 0
+
+    def test_target_flag(self, tmp_path):
+        # from |00> the optimal coupling reaches the maximally entangled
+        # target at pi/4, while the fidelity to the initial state falls
+        rc = main(["evolve", "--ham", "direct-optimal:2", "--state", "ket:00",
+                   "--target", "maxent", "--tmax", str(math.pi / 4),
+                   "--dt", str(math.pi / 8), "--out", "tgt.csv"])
+        assert rc == 0
+        rows = _read_csv(tmp_path / "tgt.csv")
+        assert abs(float(rows[0]["fidelity_to_target"]) - 1 / math.sqrt(2)) < 1e-10
+        assert abs(float(rows[-1]["fidelity_to_target"]) - 1.0) < 1e-10
+        assert abs(float(rows[-1]["bures_angle_from_initial"]) - math.pi / 4) < 1e-6
 
     def test_bipartition_flag(self, tmp_path):
         rc = main([
@@ -312,6 +327,52 @@ class TestExitCodes:
         assert "non-finite entries" in err and where in err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("field, body", [
+        ("density", '"density": 5'),
+        ("pure", '"pure": [["x", 0], [0, 0], [0, 0], [0, 0]]'),
+        ("pure", '"pure": [1, 0, 0, 0]'),
+    ], ids=["density-number", "string-entry", "flat-pure"])
+    def test_malformed_state_file(self, tmp_path, capsys, field, body):
+        (tmp_path / "bad.json").write_text('{"layout": [["A", 2], ["B", 2]], ' + body + "}")
+        rc = main(["bound", "--ham", "direct-optimal:2", "--state", "bad.json",
+                   "--target", "maxent"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad '{field}' field") and len(err.splitlines()) == 1
+
+    def test_non_integer_state_dimension(self, tmp_path, capsys):
+        # int() would have read 2.9 as a qubit and run the bound
+        (tmp_path / "bad.json").write_text(
+            '{"layout": [["A", 2.9], ["B", 2.9]], "pure": [[1, 0], [0, 0], [0, 0], [0, 0]]}')
+        rc = main(["bound", "--ham", "direct-optimal:2", "--state", "bad.json",
+                   "--target", "maxent"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: subsystem 'A' has dimension 2.9: not an integer\n"
+
+    def test_state_file_on_another_layout(self, tmp_path, capsys):
+        save_state(maximally_entangled(SystemLayout((("A", 3), ("B", 3)))), "qutrits.json")
+        rc = main(["bound", "--ham", "direct-optimal:2", "--state", "qutrits.json",
+                   "--target", "maxent"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "state layout (('A', 3), ('B', 3)) does not match" in err
+        assert "Hamiltonian layout (('A', 2), ('B', 2))" in err
+
+    def test_trajectory_cap_returns_at_once(self, tmp_path, capsys, monkeypatch):
+        # 1e7 + 1 retained 4x4 states: refused before the time array, an
+        # eigensolve or any state is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(TimeGrid, "times", property(refuse))
+        monkeypatch.setattr("medqsl.dynamics.hermitian_eig", refuse)
+        rc = main(["evolve", "--ham", "direct-optimal:2", "--state", "ket:00",
+                   "--tmax", "10000", "--dt", "1e-3"])
+        assert rc == 2
+        assert "above the cap of 2 GiB" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("emit", [[], ["--emit", "matrix"]])
     def test_overflowing_hspec_number(self, tmp_path, capsys, emit):

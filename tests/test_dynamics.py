@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from medqsl import dynamics
 from medqsl.dynamics import (
     JUMP_KINDS,
     JumpOperatorSet,
@@ -65,6 +66,44 @@ class TestTimeGrid:
     def test_rejects_huge_grid(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 1e-9)
+
+    def test_len_without_building_the_times(self):
+        for step in (0.25, 0.3):
+            g = TimeGrid(0.0, 1.0, step)
+            assert len(g) == len(g.times)
+        assert len(TimeGrid(0.0, 10000.0, 1e-3)) == 10_000_001
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated before the size check")
+
+
+class TestTrajectoryCap:
+    """A trajectory above MAX_TRAJECTORY_BYTES is refused before any allocation."""
+
+    @pytest.mark.parametrize("open_", [False, True], ids=["unitary", "lindblad"])
+    def test_refused_before_the_grid_is_built(self, monkeypatch, open_):
+        monkeypatch.setattr(TimeGrid, "times", property(_refuse))
+        monkeypatch.setattr(dynamics, "hermitian_eig", _refuse)
+        monkeypatch.setattr(JumpOperatorSet, "embedded", _refuse)
+        h = direct_optimal(2)
+        # 1e7 + 1 points of 4x4 complex matrices: 2.4 GiB
+        args = (h, ket(h.layout, 0), TimeGrid(0.0, 10000.0, 1e-3))
+        with pytest.raises(ValueError, match=r"10000001 states of dimension 4 needs 2.4 GiB, "
+                                             r"above the cap of 2 GiB"):
+            if open_:
+                evolve_lindblad(*args, JumpOperatorSet.dephasing(h.layout))
+            else:
+                evolve_unitary(*args)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        h = direct_optimal(2)
+        grid = TimeGrid(0.0, 1.0, 0.1)
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 11 * 4 * 4 * 16)
+        assert len(evolve_unitary(h, ket(h.layout, 0), grid).states) == 11
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 11 * 4 * 4 * 16 - 1)
+        with pytest.raises(ValueError, match="above the cap"):
+            evolve_unitary(h, ket(h.layout, 0), grid)
 
 
 class TestUnitaryEvolution:
@@ -417,6 +456,14 @@ class TestFirstMaxTime:
         h = Hamiltonian(lay, np.diag([1.0, -1.0]).astype(complex))
         with pytest.raises(BadDimensionError, match="dimension 1"):
             first_max_entanglement_time(h, ket(lay, 0), Bipartition.parse("A:B"))
+
+    def test_peak_at_the_horizon(self):
+        # the last grid point, 0.785, is still rising: only the refinement
+        # past it, up to the horizon, finds the peak at pi/4
+        h = direct_optimal(2)
+        t = first_max_entanglement_time(h, ket(h.layout, 0), Bipartition.parse("A:B"),
+                                        horizon=0.7855)
+        assert t is not None and abs(t - math.pi / 4) < 1e-6
 
     def test_already_maximal_at_zero(self):
         from medqsl.states import maximally_entangled

@@ -85,6 +85,15 @@ class TestSystemLayout:
         with pytest.raises(BadDimensionError):
             SystemLayout((("A", 0),))
 
+    @pytest.mark.parametrize("dim", [2.9, 2.0, True, "2", None])
+    def test_non_integer_dimension_rejected(self, dim):
+        with pytest.raises(BadDimensionError, match=r"subsystem 'B' has dimension .*: not an integer"):
+            SystemLayout((("A", 2), ("B", dim)))
+
+    def test_numpy_integer_dimension_accepted(self):
+        lay = SystemLayout((("A", np.int64(2)), ("B", np.uint8(3))))
+        assert lay.dims == (2, 3) and all(type(d) is int for d in lay.dims)
+
     def test_total_dimension_cap(self):
         # checked on the declared dimensions, so nothing is allocated; a
         # fixed-width product of 10**10 * 10**10 would wrap instead
@@ -400,6 +409,15 @@ class TestSerialization:
         s = DensityState(Q2, random_density(4))
         back = state_from_dict(state_to_dict(s))
         assert_allclose(back.matrix, s.matrix, atol=1e-15)
+
+    @pytest.mark.parametrize("field, doc", [
+        ("density", {"density": 5}),
+        ("pure", {"pure": [["x", 0], [0, 0], [0, 0], [0, 0]]}),
+        ("pure", {"pure": [1, 0, 0, 0]}),
+    ], ids=["density-number", "string-entry", "flat-pure"])
+    def test_malformed_entries_name_the_field(self, field, doc):
+        with pytest.raises(DimensionMismatchError, match=f"bad '{field}' field"):
+            state_from_dict({"layout": [["A", 2], ["B", 2]], **doc})
 
     def test_json_is_plain_data(self, tmp_path):
         path = tmp_path / "s.json"

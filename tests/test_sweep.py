@@ -284,6 +284,20 @@ class TestReportSerialization:
         assert float(first[0]) == rep.times[0]
 
 
+def _recorded(monkeypatch, kernel: str, pick) -> dict:
+    """Wrap the sweep kernel ``kernel``; return ``{stream_id: pick(result)}`` as it runs."""
+    seen = {}
+    original = getattr(sweep, kernel)
+
+    def recording(rc, sid):
+        out = original(rc, sid)
+        seen[sid] = pick(out)
+        return out
+
+    monkeypatch.setattr(sweep, kernel, recording)
+    return seen
+
+
 class TestRateZero:
     def test_small_run(self):
         cfg = SweepConfig(experiment="rate-zero", n_instances=10, seed=6)
@@ -305,6 +319,27 @@ class TestRateZero:
         monkeypatch.setattr(sweep, "JUMP_RATE", -1.0)
         with pytest.raises(ValueError, match="rate '-1.0'"):
             run_rate_zero(SweepConfig("rate-zero", d=3, n_instances=100, workers=2))
+
+    def test_forced_violations_match_instance_loop(self, monkeypatch):
+        # with each tolerance at the median change of a first run, about half
+        # the instances violate it, closed before open within a stream
+        cfg = SweepConfig(experiment="rate-zero", n_instances=6, seed=6)
+        changes = _recorded(monkeypatch, "_rate_instance", lambda out: out[:2])
+        run_rate_zero(cfg)
+        closed, open_ = (np.array([changes[sid][k] for sid in range(cfg.n)]) for k in (0, 1))
+        monkeypatch.setattr(sweep, "CLOSED_RATE_TOL", float(np.median(np.abs(closed))))
+        monkeypatch.setattr(sweep, "OPEN_RATE_TOL", float(np.median(open_)))
+        rep = run_rate_zero(cfg)
+        expected = []
+        for sid in range(cfg.n):
+            if abs(closed[sid]) > sweep.CLOSED_RATE_TOL:
+                expected.append({"stream_id": sid, "kind": "closed",
+                                 "delta_negativity": float(closed[sid])})
+            if open_[sid] > sweep.OPEN_RATE_TOL:
+                expected.append({"stream_id": sid, "kind": "open",
+                                 "delta_negativity": float(open_[sid])})
+        assert {v["kind"] for v in expected} == {"closed", "open"}
+        assert rep.violations == expected
 
     def test_damping_channel(self):
         cfg = SweepConfig(
@@ -353,6 +388,20 @@ class TestSmiProtocol:
         assert abs(rep.details["stage1_time"] - np.pi / 4) < 1e-12
         assert abs(rep.details["stage2_bound"] - np.pi / 3) < 1e-12
         assert rep.details["stage2_attainments"] == 0
+
+
+    def test_forced_attainment_is_reported(self, monkeypatch):
+        # with the attain level lowered to 0.2 some draws reach it: the
+        # fastest is the extreme, and its time the best stage-two time
+        monkeypatch.setattr(sweep, "ATTAIN_SLACK", 0.3)
+        crossings = _recorded(monkeypatch, "_smi_instance", lambda out: out[0])
+        cfg = SweepConfig(experiment="smi-protocol", d=2, n_instances=6, seed=13)
+        rep = run_smi_protocol(cfg)
+        reached = {sid: t for sid, t in crossings.items() if not np.isnan(t)}
+        assert 2 <= len(reached) == rep.details["stage2_attainments"]
+        best = min(reached, key=reached.get)
+        assert rep.extremes["fastest_attainment"] == {"stream_id": best, "T": reached[best]}
+        assert rep.details["best_stage2_time"] == reached[best]
 
 
 class TestCommutingNull:
