@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +59,9 @@ MAX_TOTAL_DIM = 4096
 
 def _integer_dim(label, dim) -> int:
     """``dim`` as an int: an int or a numpy integer, never a bool, float or string."""
-    if not isinstance(dim, (bool, np.bool_)):
-        try:
-            return operator.index(dim)
-        except TypeError:
-            pass
-    raise BadDimensionError(f"subsystem {str(label)!r} has dimension {dim!r}: not an integer")
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise BadDimensionError(f"subsystem {str(label)!r} has dimension {dim!r}: not an integer")
+    return int(dim)
 
 
 @dataclass(frozen=True)
