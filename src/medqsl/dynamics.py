@@ -3,14 +3,15 @@
 Unitary evolution is spectral and exact at every requested time: the
 Hamiltonian is diagonalized once and each grid point gets its own
 exponential, so there is no step-to-step error accumulation.  The open
-system integrator is a fixed-step RK4 on the master equation
+system integrator is one fixed-step RK4 loop on the master equation in
+effective-Hamiltonian form
 
-    d rho / dT = -i [M, rho] + sum_q (Q rho Q+ - {Q+Q, rho}/2)
+    d rho / dT = K rho + (K rho)+ + sum_q Q rho Q+,   K = -iM - sum_q Q+Q / 2
 
-with the state re-Hermitized after every step and an effective step
-never above 1e-3.  RK4 increments are exactly traceless, so the trace
-is conserved to roundoff; positivity is monitored instead and a dip
-below -1e-6 aborts with PositivityLostError.
+with the jumps applied as one stack, the state re-Hermitized after every
+step and an effective step never above 1e-3.  RK4 increments are exactly
+traceless, so the trace is conserved to roundoff; positivity is monitored
+instead and a dip below -1e-6 aborts with PositivityLostError.
 """
 
 from __future__ import annotations
@@ -153,11 +154,13 @@ class JumpOperatorSet:
     layout: SystemLayout
     ops: tuple[tuple[str, np.ndarray], ...]
 
-    def embedded(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Each operator Q on the full layout, paired with Q+Q; built once per set."""
+    def embedded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stack of operators Q on the full layout, its adjoints, sum_q Q+Q; built once."""
         if "_embedded" not in self.__dict__:
-            qs = [embed_operator(self.layout, (lab,), op) for lab, op in self.ops]
-            object.__setattr__(self, "_embedded", tuple((q, q.conj().T @ q) for q in qs))
+            q = np.array([embed_operator(self.layout, (lab,), op) for lab, op in self.ops],
+                         dtype=complex).reshape((-1,) + 2 * (self.layout.dim,))
+            q_adj = q.conj().swapaxes(1, 2)
+            object.__setattr__(self, "_embedded", (q, q_adj, (q_adj @ q).sum(axis=0)))
         return self._embedded
 
     @classmethod
@@ -272,33 +275,43 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
     return _observe(h, s0, times, stacks, cut, target)
 
 
-def _lindblad_rhs(m: np.ndarray, rho: np.ndarray, jumps) -> np.ndarray:
-    out = -1j * (m @ rho - rho @ m)
-    for q, qq in jumps:
-        out += q @ rho @ q.conj().T - 0.5 * (qq @ rho + rho @ qq)
-    return out
+def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
+                 times) -> list[DensityState]:
+    """``s0``, the state at ``times[0]``, RK4-stepped to each of ``times``.
 
+    Substeps of at most ``LINDBLAD_MAX_STEP`` on the master equation above,
+    each re-Hermitized.  Each stepped state is checked as it is reached, so
+    PositivityLostError names the first T that fails; the states come back
+    in stacks of up to ``PROPAGATE_CHUNK``.
+    """
+    q, q_adj, qq = jumps.embedded()
+    k_eff = -1j * h.matrix - 0.5 * qq
 
-def _rk4_segment(m, rho, jumps, span: float) -> np.ndarray:
-    """Advance ``rho`` by ``span`` with RK4 substeps no larger than 1e-3."""
-    n_sub = max(1, int(math.ceil(span / LINDBLAD_MAX_STEP - SUBSTEP_SLACK)))
-    dt = span / n_sub
-    for _ in range(n_sub):
-        k1 = _lindblad_rhs(m, rho, jumps)
-        k2 = _lindblad_rhs(m, rho + 0.5 * dt * k1, jumps)
-        k3 = _lindblad_rhs(m, rho + 0.5 * dt * k2, jumps)
-        k4 = _lindblad_rhs(m, rho + dt * k3, jumps)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-    return rho
+    def rhs(r: np.ndarray) -> np.ndarray:
+        kr = k_eff @ r
+        return kr + kr.conj().T + (q @ r @ q_adj).sum(axis=0)
 
-
-def _stepped_state(layout: SystemLayout, rho: np.ndarray, t: float) -> DensityState:
-    """The RK4-stepped ``rho`` at time ``t`` as a state, held to the looser floor."""
-    try:
-        return DensityState(layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
-    except NotPSDError as e:
-        raise PositivityLostError(f"{e} at T={t:.6f}; reduce the step or the rates") from None
+    rhos = np.empty((len(times),) + s0.matrix.shape, dtype=complex)
+    rhos[0] = rho = s0.matrix
+    for i in range(1, len(times)):
+        span = times[i] - times[i - 1]
+        n_sub = max(1, int(math.ceil(span / LINDBLAD_MAX_STEP - SUBSTEP_SLACK)))
+        dt = span / n_sub
+        for _ in range(n_sub):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = 0.5 * (rho + rho.conj().T)
+        try:
+            DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
+        except NotPSDError as e:
+            raise PositivityLostError(
+                f"{e} at T={times[i]:.6f}; reduce the step or the rates") from None
+        rhos[i] = rho
+    return [DensityState(s0.layout, rhos[lo:lo + PROPAGATE_CHUNK], eig_floor=LINDBLAD_EIG_FLOOR)
+            for lo in range(0, len(rhos), PROPAGATE_CHUNK)]
 
 
 def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
@@ -312,20 +325,8 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     """
     _check_layouts(h, s0, jumps)
     cut, target = _observed(s0, grid, cut, target)
-    ops = jumps.embedded()
     times = grid.times
-    rhos = []
-    rho = np.array(s0.matrix, dtype=complex)
-    prev_t = grid.start
-    for t in times:
-        if t > prev_t:
-            rho = _rk4_segment(h.matrix, rho, ops, t - prev_t)
-            prev_t = t
-        rhos.append(_stepped_state(s0.layout, rho, t).matrix)
-    stacks = [DensityState(s0.layout, np.stack(rhos[lo:lo + PROPAGATE_CHUNK]),
-                           eig_floor=LINDBLAD_EIG_FLOOR)
-              for lo in range(0, len(rhos), PROPAGATE_CHUNK)]
-    return _observe(h, s0, times, stacks, cut, target)
+    return _observe(h, s0, times, _open_stacks(h, s0, jumps, times), cut, target)
 
 
 def negativity_curve(layout: SystemLayout, cut: Bipartition):
@@ -373,10 +374,10 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
     if jumps is None:
         w, v = hermitian_eig(h.matrix)
         n0, n_delta = negativity_curve(s0.layout, p)(w, v, _factor(s0), [0.0, delta])
-        return float(n_delta - n0)
-    rho = _rk4_segment(h.matrix, np.array(s0.matrix, dtype=complex), jumps.embedded(), delta)
-    s_delta = _stepped_state(s0.layout, rho, delta)
-    return negativity(_marginal(s_delta, p), p) - negativity(_marginal(s0, p), p)
+    else:
+        [pair] = _open_stacks(h, s0, jumps, [0.0, delta])
+        n0, n_delta = negativity(_marginal(pair, p), p)
+    return float(n_delta - n0)
 
 
 def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition,

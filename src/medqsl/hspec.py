@@ -91,7 +91,8 @@ class Coefficient:
         return self.num / math.sqrt(self.root) if self.root is not None else self.num
 
     def formatted(self) -> str:
-        body = _fmt_num(abs(self.num))
+        # positional, in the fewest digits that read back: NUM has no exponent
+        body = np.format_float_positional(abs(self.num), unique=True, trim="-")
         if self.root is not None:
             body += f"/sqrt({self.root})"
         return body
@@ -143,12 +144,6 @@ class HSpecAst:
     @property
     def layout(self) -> SystemLayout:
         return SystemLayout(self.declarations)
-
-
-def _fmt_num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
 
 
 # ---------------------------------------------------------------------------

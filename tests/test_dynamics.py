@@ -37,7 +37,7 @@ from medqsl.hamiltonians import (
 )
 from medqsl.linalg import hermitian_eig, sqrtm_psd
 from medqsl.randgen import RngStream, haar_pure, random_density, random_hermitian
-from medqsl.states import Bipartition, DensityState, SystemLayout
+from medqsl.states import Bipartition, DensityState, SystemLayout, embed_operator
 
 
 def ket(layout, index):
@@ -231,6 +231,33 @@ class TestLindblad:
         closed_traj = evolve_unitary(h, s, grid)
         diff = np.abs(open_traj.columns["negativity"] - closed_traj.columns["negativity"])
         assert diff.max() < 1e-9
+
+    def test_matches_rk4_polynomial_map(self):
+        # one RK4 substep of d rho/dT = L rho is S = sum_{k<=4} (hL)^k / k!, so
+        # each grid step of 0.0125 (13 substeps) is S^13 on row-stacked rho; at
+        # |L| ~ 34 a 12- or 14-substep map, or exp(0.0125 L), is 2e-10 or more away
+        lay = SystemLayout((("A", 3), ("B", 2)))
+        stream = RngStream(11, 0)
+        h = Hamiltonian(lay, 5.0 * random_hermitian(6, stream))
+        s0 = DensityState(lay, random_density(6, stream))
+        jumps = JumpOperatorSet(lay, JumpOperatorSet.dephasing(lay, 1.5, labels=("A",)).ops
+                                + JumpOperatorSet.damping(lay, 1.0, labels=("B",)).ops)
+        grid = TimeGrid(0.0, 0.1, 0.0125)
+        traj = evolve_lindblad(h, s0, grid, jumps)
+        eye = np.eye(lay.dim)
+        gen = -1j * (np.kron(h.matrix, eye) - np.kron(eye, h.matrix.T))
+        for label, op in jumps.ops:
+            q = embed_operator(lay, (label,), op)
+            qq = q.conj().T @ q
+            gen += np.kron(q, q.conj()) - 0.5 * (np.kron(qq, eye) + np.kron(eye, qq.T))
+        hl = gen * (grid.step / 13)
+        step = sum(np.linalg.matrix_power(hl, k) / math.factorial(k) for k in range(5))
+        segment = np.linalg.matrix_power(step, 13)
+        rho = s0.matrix.reshape(-1)
+        assert len(traj.states) == 9
+        for st in traj.states:
+            assert np.abs(st.matrix - rho.reshape(lay.dim, lay.dim)).max() <= 1e-12
+            rho = segment @ rho
 
     def test_pure_dephasing_rate(self):
         # single qubit, H = 0: coherence decays exactly as exp(-2 gamma T)

@@ -231,6 +231,18 @@ class TestCanonicalForm:
         assert format_ast(parse(text)) == text
         assert parse(text) == parse(format_ast(parse(text)))
 
+    @pytest.mark.parametrize("num, written", [
+        (1e-05, "0.00001"),
+        (1.2345678901234567e+19, "12345678901234567000"),
+    ])
+    def test_roundtrip_without_exponent(self, num, written):
+        # NUM has no exponent, so repr's 1e-05 would not parse back
+        ast = HSpecAst((("A", 2),), (Term(Coefficient(num), (OpRef("X", "A"),)),))
+        text = format_ast(ast)
+        assert f"H = {written}*X(A);" in text
+        assert parse(text) == ast
+        assert format_ast(parse(text)) == text
+
 
 _labels = st.sampled_from(["A", "B", "C"])
 

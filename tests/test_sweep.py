@@ -348,6 +348,16 @@ class TestRateZero:
         rep = run_rate_zero(cfg)
         assert rep.violations == []
 
+    def test_no_jumps_open_matches_closed(self, monkeypatch):
+        # "none" steps an empty jump stack: the open probe is the closed one by RK4
+        changes = _recorded(monkeypatch, "_rate_instance", lambda out: out[:2])
+        rep = run_rate_zero(SweepConfig("rate-zero", n_instances=4, seed=6,
+                                        jump_type="none", workers=1))
+        assert rep.violations == []
+        assert sorted(changes) == [0, 1, 2, 3]
+        for dn_closed, dn_open in changes.values():
+            assert abs(dn_open - dn_closed) <= 1e-12
+
 
 class TestFig2:
     def test_signature_and_range(self):
