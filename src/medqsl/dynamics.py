@@ -16,6 +16,7 @@ instead and a dip below -1e-6 aborts with PositivityLostError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +62,7 @@ __all__ = [
     "refine_peak",
     "bisect_crossing",
     "first_crossing",
+    "write_csv",
 ]
 
 MAX_GRID_POINTS = 1e7
@@ -114,21 +116,28 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Evolved states plus the observable columns, ready for CSV export."""
+    """Evolved states, as the validated chunk stacks, plus the observable columns."""
 
     times: np.ndarray
-    states: list[DensityState]
+    stacks: list[DensityState]
     columns: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @functools.cached_property
+    def states(self) -> list[DensityState]:
+        """One state per time, views into ``stacks`` built on first read."""
+        return [st for stack in self.stacks for st in stack]
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
 
     def to_csv(self, path) -> None:
-        names = TRAJECTORY_COLUMNS
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for k in range(len(self.times)):
-                fh.write(",".join(f"{self.columns[n][k]:.17g}" for n in names) + "\n")
+        write_csv(path, TRAJECTORY_COLUMNS, [self.columns[n] for n in TRAJECTORY_COLUMNS])
+
+
+def write_csv(path, names, columns) -> None:
+    """Equal-length float ``columns`` under the header ``names``, each value as ``%.17g``."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(names), comments="")
 
 
 def _clock(d: int) -> np.ndarray:
@@ -240,8 +249,7 @@ def _observe(h: Hamiltonian, s0: DensityState, times: np.ndarray, stacks: list[D
                              ("energy_std", em.std)):
             parts[name].append(values)
     cols = {name: np.concatenate(values) for name, values in parts.items()}
-    states = [st for stack in stacks for st in stack]
-    return Trajectory(times, states, {"T": times, **cols})
+    return Trajectory(times, stacks, {"T": times, **cols})
 
 
 def _factor(s: DensityState) -> np.ndarray:

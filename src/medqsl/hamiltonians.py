@@ -249,19 +249,16 @@ def open_system_example() -> tuple[Hamiltonian, DensityState]:
     return Hamiltonian(layout, m), _classical_initial_state(layout)
 
 
-def commuting_mediated(h_a: np.ndarray, h_b: np.ndarray, h_c: np.ndarray,
-                       labels: tuple[str, str, str] = ("A", "B", "C")) -> Hamiltonian:
+def commuting_mediated(h_a: np.ndarray, h_b: np.ndarray, h_c: np.ndarray) -> Hamiltonian:
     """(H_A (x) I + I (x) H_B) (x) H_C: both couplings commute.
 
     Such Hamiltonians cannot entangle A with B from any product
     rho_AB (x) rho_C, whatever the local factors are.
     """
     h_a, h_b, h_c = (require_hermitian(h) for h in (h_a, h_b, h_c))
-    layout = SystemLayout(((labels[0], h_a.shape[0]),
-                           (labels[1], h_b.shape[0]),
-                           (labels[2], h_c.shape[0])))
-    m = embed_operator(layout, (labels[0], labels[2]), np.kron(h_a, h_c)) \
-        + embed_operator(layout, (labels[1], labels[2]), np.kron(h_b, h_c))
+    layout = SystemLayout((("A", h_a.shape[0]), ("B", h_b.shape[0]), ("C", h_c.shape[0])))
+    m = embed_operator(layout, ("A", "C"), np.kron(h_a, h_c)) \
+        + embed_operator(layout, ("B", "C"), np.kron(h_b, h_c))
     return Hamiltonian(layout, m)
 
 

@@ -71,8 +71,17 @@ __all__ = [
 
 MAX_SOURCE_BYTES = 1 << 20
 
-OPERATOR_NAMES = ("I", "X", "Y", "Z", "GX", "GY", "P")
-_NO_ARG = ("I", "X", "Y", "Z")
+# each operator: its lowest level argument (None when it takes none),
+# whether it needs a dim-2 subsystem, and its matrix on d levels at an argument
+OPERATORS = {
+    "I": (None, False, lambda d, arg: np.eye(d, dtype=complex)),
+    "X": (None, True, lambda d, arg: PAULI_X),
+    "Y": (None, True, lambda d, arg: PAULI_Y),
+    "Z": (None, True, lambda d, arg: PAULI_Z),
+    "GX": (1, False, generalized_x),
+    "GY": (1, False, generalized_y),
+    "P": (0, False, lambda d, arg: np.diag(np.eye(d, dtype=complex)[arg])),
+}
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<num>\d+(?:\.\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[;:=+\-*@(),/])"
@@ -305,9 +314,9 @@ class _Parser:
 
     def parse_opref(self) -> OpRef:
         name_tok = self.expect_name("an operator name")
-        if name_tok.text not in OPERATOR_NAMES:
+        if name_tok.text not in OPERATORS:
             self.fail(f"unknown operator {name_tok.text!r}; "
-                      f"expected one of {', '.join(OPERATOR_NAMES)}", name_tok)
+                      f"expected one of {', '.join(OPERATORS)}", name_tok)
         self.expect_sym("(")
         lab_tok = self.expect_name("a subsystem label")
         arg = None
@@ -332,12 +341,13 @@ def _validate(ast: HSpecAst, lines: list[str]) -> None:
                     f"undeclared subsystem {op.label!r}",
                     op.line, op.col, excerpt(op))
             d = dims[op.label]
-            if op.name in _NO_ARG:
+            lo, qubit_only, _ = OPERATORS[op.name]
+            if lo is None:
                 if op.arg is not None:
                     raise ArgOutOfRangeError(
                         f"{op.name} takes no argument",
                         op.line, op.col, excerpt(op))
-                if op.name != "I" and d != 2:
+                if qubit_only and d != 2:
                     raise PauliOnQuditError(
                         f"{op.name} needs a dim-2 subsystem; {op.label!r} has dim {d}",
                         op.line, op.col, excerpt(op))
@@ -346,7 +356,6 @@ def _validate(ast: HSpecAst, lines: list[str]) -> None:
                     raise ArgOutOfRangeError(
                         f"{op.name} requires a level argument",
                         op.line, op.col, excerpt(op))
-                lo = 1 if op.name in ("GX", "GY") else 0
                 if not lo <= op.arg < d:
                     raise ArgOutOfRangeError(
                         f"{op.name} argument {op.arg} outside [{lo}, {d - 1}] "
@@ -367,24 +376,12 @@ def parse_file(path) -> HSpecAst:
         return parse(fh.read())
 
 
-# each operator's matrix on a d-level subsystem, from its level argument
-_OP_MATRIX = {
-    "I": lambda d, arg: np.eye(d, dtype=complex),
-    "X": lambda d, arg: PAULI_X,
-    "Y": lambda d, arg: PAULI_Y,
-    "Z": lambda d, arg: PAULI_Z,
-    "GX": generalized_x,
-    "GY": generalized_y,
-    "P": lambda d, arg: np.diag(np.eye(d, dtype=complex)[arg]),
-}
-
-
 def _term_matrices(layout: SystemLayout, terms):
     """Each term with its weighted matrix on the whole layout, in order."""
     for term in terms:
         factors: dict[str, np.ndarray] = {}
         for op in term.ops:
-            m = _OP_MATRIX[op.name](layout.dim_of(op.label), op.arg)
+            m = OPERATORS[op.name][2](layout.dim_of(op.label), op.arg)
             factors[op.label] = factors[op.label] @ m if op.label in factors else m
         labels = tuple(factors)
         block = factors[labels[0]]

@@ -44,8 +44,8 @@ def at_index(k: tuple[int, ...]) -> str:
     return f" (stack index {k[0] if len(k) == 1 else k})"
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Return ``m`` as a complex array, raising NotHermitianError beyond ``tol``.
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """Return ``m`` as a complex array, raising NotHermitianError beyond ``HERM_TOL``.
 
     ``m`` is a matrix or a ``(..., n, n)`` stack.  The tolerance is
     absolute on the max entry of ``m - m†``, per matrix; a NaN or infinite
@@ -57,7 +57,7 @@ def require_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     # an infinite entry makes inf - inf here; the error below names it
     with np.errstate(invalid="ignore"):
         dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    k = first_failure(dev <= tol)
+    k = first_failure(dev <= HERM_TOL)
     if k is not None:
         bad = np.argwhere(~np.isfinite(m[k])).tolist()
         raise NotHermitianError((f"matrix has {len(bad)} non-finite entries, at {bad[:4]}"

@@ -84,9 +84,8 @@ def random_hermitian(dim: int, stream: RngStream) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def random_mediated_hamiltonian(d_a: int, d_b: int, d_c: int, stream: RngStream,
-                                labels: tuple[str, str, str] = ("A", "B", "C"),
-                                ) -> Hamiltonian:
+def random_mediated_hamiltonian(d_a: int, d_b: int, d_c: int,
+                                stream: RngStream) -> Hamiltonian:
     """H_AC (x) I_B + I_A (x) H_BC with independent GUE pair couplings.
 
     There is never a direct A-B term: any entanglement between the ends
@@ -97,9 +96,8 @@ def random_mediated_hamiltonian(d_a: int, d_b: int, d_c: int, stream: RngStream,
         raise BadDimensionError(f"need d_a, d_b >= 2, got {d_a}, {d_b}")
     if d_c < 1:
         raise BadDimensionError(f"need d_c >= 1, got {d_c}")
-    layout = SystemLayout(((labels[0], d_a), (labels[1], d_b), (labels[2], d_c)))
+    layout = SystemLayout((("A", d_a), ("B", d_b), ("C", d_c)))
     h_ac = random_hermitian(d_a * d_c, stream)
     h_bc = random_hermitian(d_b * d_c, stream)
-    m = embed_operator(layout, (labels[0], labels[2]), h_ac) \
-        + embed_operator(layout, (labels[1], labels[2]), h_bc)
+    m = embed_operator(layout, ("A", "C"), h_ac) + embed_operator(layout, ("B", "C"), h_bc)
     return Hamiltonian(layout, m)

@@ -403,9 +403,10 @@ def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
     """Root fidelity tr sqrt(sqrt(r1) r2 sqrt(r1)), in [0, 1].
 
     Symmetric in its arguments.  When both states carry pure vectors this
-    reduces to |<u|v>|.  Either state may be a stack: a single state is
-    compared with each state of a stack, and two stacks pair state k with
-    state k.
+    reduces to |<u|v>|, and when one does, to sqrt(<u|rho|u>): sqrtm of the
+    rank-one product would be good only to about sqrt(eps).  Either state
+    may be a stack: a single state is compared with each state of a
+    stack, and two stacks pair state k with state k.
     """
     if s1.layout != s2.layout:
         raise LayoutMismatchError(
@@ -414,6 +415,9 @@ def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
     if s1.is_pure and s2.is_pure:
         z = dot_rows(s1.pure_vector.conj(), s2.pure_vector)
         f = np.hypot(z.real, z.imag)  # abs of each, as a complex scalar takes it
+    elif s1.is_pure or s2.is_pure:
+        u, rho = (s1.pure_vector, s2.matrix) if s1.is_pure else (s2.pure_vector, s1.matrix)
+        f = np.sqrt(np.maximum(dot_rows(u.conj(), (rho @ u[..., None])[..., 0]).real, 0.0))
     else:
         root = sqrtm_psd(s1.matrix)
         inner = root @ s2.matrix @ root

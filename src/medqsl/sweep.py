@@ -35,6 +35,7 @@ from .dynamics import (
     first_crossing,
     negativity_curve,
     refine_peak,
+    write_csv,
 )
 from .errors import BadDimensionError, StationaryStateError
 from .hamiltonians import (
@@ -183,12 +184,8 @@ class SweepReport:
             fh.write("\n")
 
     def save_envelope_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("T,max,mean,p99\n")
-            for k in range(len(self.times)):
-                row = (self.times[k], self.envelope["max"][k],
-                       self.envelope["mean"][k], self.envelope["p99"][k])
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        names = ("max", "mean", "p99")
+        write_csv(path, ("T",) + names, [self.times] + [self.envelope[k] for k in names])
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +328,23 @@ def _first_hits(mask: np.ndarray):
     return zip(rows.tolist(), mask[rows].argmax(axis=1).tolist())
 
 
-def _envelope(matrix: np.ndarray) -> dict[str, np.ndarray]:
-    return {
-        "max": matrix.max(axis=0),
-        "mean": matrix.mean(axis=0),
-        "p99": np.quantile(matrix, 0.99, axis=0),
-    }
+def _at_max(values: np.ndarray, times: np.ndarray) -> dict:
+    """``{stream_id, T, value}`` at the largest entry of an (instance, time) matrix."""
+    sid, k = np.unravel_index(int(np.argmax(values)), values.shape)
+    return {"stream_id": int(sid), "T": float(times[k]), "value": float(values[sid, k])}
 
 
-def _config_echo(cfg: SweepConfig, **extra) -> dict:
-    return {"experiment": cfg.experiment, "seed": cfg.seed, "n_instances": cfg.n,
-            "d": cfg.d, "d_c": cfg.mediator_dim, **extra}
+def _report(cfg: SweepConfig, times: np.ndarray, matrix: np.ndarray, extremes: dict,
+            violations: list[dict], redraws: int, details: dict, **echo) -> SweepReport:
+    """The report of ``cfg``, its config echoed with ``echo``, and the envelope of ``matrix``.
+
+    ``matrix`` holds one row per instance and one column per time.
+    """
+    config = {"experiment": cfg.experiment, "seed": cfg.seed, "n_instances": cfg.n,
+              "d": cfg.d, "d_c": cfg.mediator_dim, **echo}
+    envelope = {"max": matrix.max(axis=0), "mean": matrix.mean(axis=0),
+                "p99": np.quantile(matrix, 0.99, axis=0)}
+    return SweepReport(config, times, envelope, extremes, violations, redraws, details)
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +370,14 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     early = times <= di_bound(d) + EARLY_SLACK
     violations = [{"stream_id": sid, "T": float(times[k]), "negativity": float(curves[sid, k])}
                   for sid, k in _first_hits((curves >= level) & early)]
-    flat_max = np.unravel_index(int(np.argmax(curves)), curves.shape)
-    extremes = {
-        "max_negativity": {
-            "stream_id": int(flat_max[0]),
-            "T": float(times[flat_max[1]]),
-            "value": float(curves[flat_max]),
-        }
-    }
     details = {
         "di_bound": di_bound(d),
         "conjecture_bound": conjecture_bound(d),
         "attain_level": level,
         "witness_included": witness,
     }
-    return SweepReport(
-        config=_config_echo(cfg, t_max=float(t_max), n_times=CMI_N_TIMES),
-        times=times, envelope=_envelope(curves), extremes=extremes,
-        violations=violations, redraws=redraws, details=details,
-    )
+    return _report(cfg, times, curves, {"max_negativity": _at_max(curves, times)},
+                   violations, redraws, details, t_max=float(t_max), n_times=CMI_N_TIMES)
 
 
 def run_rate_zero(cfg: SweepConfig) -> SweepReport:
@@ -435,12 +427,8 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
         "max_open_change": float(dn_open.max()),
         "direct_control_change": float(control),
     }
-    return SweepReport(
-        config=_config_echo(cfg, delta=RATE_DELTA, jump_type=cfg.jump_type,
-                            jump_rate=JUMP_RATE),
-        times=times, envelope=_envelope(matrix), extremes=extremes,
-        violations=violations, redraws=redraws, details=details,
-    )
+    return _report(cfg, times, matrix, extremes, violations, redraws, details,
+                   delta=RATE_DELTA, jump_type=cfg.jump_type, jump_rate=JUMP_RATE)
 
 
 def run_fig2(d: int, grid: TimeGrid | None = None) -> Trajectory:
@@ -503,11 +491,8 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
         "protocol_bound": float(t1 + stage2_bound),
         "attain_level": (d - 1) / 2.0 - ATTAIN_SLACK,
     }
-    return SweepReport(
-        config=_config_echo(cfg, horizon=float(horizon), t_step=SMI_T_STEP),
-        times=times, envelope=_envelope(curves), extremes=extremes,
-        violations=violations, redraws=redraws, details=details,
-    )
+    return _report(cfg, times, curves, extremes, violations, redraws, details,
+                   horizon=float(horizon), t_step=SMI_T_STEP)
 
 
 def run_commuting_null(cfg: SweepConfig) -> SweepReport:
@@ -526,11 +511,6 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     excess = curves - curves[:, :1]
     violations = [{"stream_id": sid, "T": float(times[k]), "excess": float(excess[sid, k])}
                   for sid, k in _first_hits(excess > EXCESS_TOL)]
-    worst = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    extremes = {
-        "max_excess": {"stream_id": int(worst[0]), "T": float(times[worst[1]]),
-                       "value": float(excess[worst])},
-    }
     # control: correlated inputs under a commuting coupling do entangle
     h_ctl, s_ctl = classical_mediator_example()
     ctl = evolve_unitary(h_ctl, s_ctl, TimeGrid(0.0, times[-1], times[1]))
@@ -538,11 +518,9 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
         "max_excess": float(excess.max()),
         "correlated_control_max": float(ctl.columns["negativity"].max()),
     }
-    return SweepReport(
-        config=_config_echo(cfg, t_max=COMMUTING_T_MAX, n_times=COMMUTING_N_TIMES),
-        times=times, envelope=_envelope(curves), extremes=extremes,
-        violations=violations, redraws=redraws, details=details,
-    )
+    return _report(cfg, times, curves, {"max_excess": _at_max(excess, times)},
+                   violations, redraws, details, t_max=COMMUTING_T_MAX,
+                   n_times=COMMUTING_N_TIMES)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:

@@ -555,3 +555,24 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert len(lines) == 1 + len(traj.times)
     back = float(lines[-1].split(",")[1])
     assert_allclose(back, traj.columns["negativity"][-1], rtol=1e-15)
+
+
+def test_write_csv_matches_formatted_rows(tmp_path):
+    gen = np.random.default_rng(12)
+    cols = [gen.standard_normal(1000) * 10.0 ** gen.integers(-300, 300, 1000) for _ in range(4)]
+    cols[0][:4] = (0.0, -0.0, 5e-324, -2.2250738585072014e-309)
+    cols[1][:4] = (1.0, -1.0, 1e300, np.pi)
+    names = ("T", "a", "b", "c")
+    dynamics.write_csv(tmp_path / "w.csv", names, cols)
+    rows = [",".join(f"{c[k]:.17g}" for c in cols) for k in range(1000)]
+    assert (tmp_path / "w.csv").read_text() == "\n".join(["T,a,b,c", *rows]) + "\n"
+
+
+def test_trajectory_keeps_its_chunk_stacks():
+    h, s = cmi_product_example()
+    traj = evolve_unitary(h, s, TimeGrid(0.0, 0.599, 1e-3))
+    assert [len(st.matrix) for st in traj.stacks] == [256, 256, 88]
+    assert "states" not in vars(traj)
+    assert len(traj.states) == 600
+    for k in (0, 255, 256, 599):
+        assert np.shares_memory(traj.states[k].matrix, traj.stacks[k // 256].matrix)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from medqsl import randgen
+from medqsl.randgen import RngStream
 from medqsl.errors import (
     BadDimensionError,
     DimensionMismatchError,
@@ -317,6 +319,21 @@ class TestFidelityAndAngle:
         s = DensityState(Q2, np.eye(4, dtype=complex) / 4)
         k = DensityState.from_pure(Q2, np.array([1, 0, 0, 0.0]))
         assert_allclose(uhlmann_fidelity(k, s), 0.5, atol=1e-12)
+
+    def test_mixed_against_pure_is_the_closed_form(self):
+        # sqrtm of the rank-one product sqrt(rho)|u><u|sqrt(rho) is good
+        # only to about sqrt(eps); F = sqrt(<u|rho|u>) is good to eps
+        layout = SystemLayout((("A", 2), ("B", 2), ("C", 3)))
+        worst = 0.0
+        for sid in range(50):
+            stream = RngStream(11, sid)
+            s = DensityState(layout, randgen.random_density(12, stream))
+            u = randgen.haar_pure(12, stream)
+            k = DensityState.from_pure(layout, u)
+            want = math.sqrt(np.vdot(u, s.matrix @ u).real)
+            worst = max(worst, abs(uhlmann_fidelity(s, k) - want),
+                        abs(uhlmann_fidelity(k, s) - want))
+        assert worst <= 1e-13
 
     def test_layout_mismatch(self):
         other = DensityState(SystemLayout((("X", 4),)), random_density(4))
