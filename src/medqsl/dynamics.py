@@ -35,7 +35,7 @@ from .states import (
     Bipartition,
     DensityState,
     SystemLayout,
-    bures_angle,
+    _acos,
     embed_operator,
     mutual_information,
     negativity,
@@ -136,8 +136,10 @@ class Trajectory:
 
 def write_csv(path, names, columns) -> None:
     """Equal-length float ``columns`` under the header ``names``, each value as ``%.17g``."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(names), comments="")
+    fmt = ",".join(["%.17g"] * len(names)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(fmt % tuple(row) for row in np.column_stack(columns).tolist())
 
 
 def _clock(d: int) -> np.ndarray:
@@ -235,14 +237,18 @@ def _observe(h: Hamiltonian, s0: DensityState, times: np.ndarray, stacks: list[D
 
     Each stack is measured in one call per measure, so validation, the
     marginals and the eigensolves run once per stack, not once per state.
+    The fidelities put the single state first, so only its root is taken,
+    and F(s0, s) serves both columns when ``target`` is ``s0``.
     """
     parts = {name: [] for name in TRAJECTORY_COLUMNS[1:]}
     for s in stacks:
         marg = _marginal(s, cut)
         em = energy_moments(h, s)
+        f0 = uhlmann_fidelity(s0, s)
         for name, values in (("negativity", negativity(marg, cut)),
-                             ("fidelity_to_target", uhlmann_fidelity(s, target)),
-                             ("bures_angle_from_initial", bures_angle(s0, s)),
+                             ("fidelity_to_target",
+                              f0 if target is s0 else uhlmann_fidelity(target, s)),
+                             ("bures_angle_from_initial", _acos(f0)),
                              ("purity_marginal", purity(marg)),
                              ("mutual_information", mutual_information(marg, cut)),
                              ("mean_energy", em.mean),

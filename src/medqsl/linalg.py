@@ -20,6 +20,7 @@ from .tolerances import HERM_TOL, PSD_FLOOR
 
 __all__ = [
     "require_hermitian",
+    "require_psd",
     "hermitian_eig",
     "propagate",
     "sqrtm_psd",
@@ -66,6 +67,14 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def require_psd(w: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
+    """Return ascending spectra ``w``, raising NotPSDError where one starts below ``floor``."""
+    k = first_failure(w[..., 0] >= floor)
+    if k is not None:
+        raise NotPSDError(f"minimum eigenvalue {w[k][0]:.3e} below {floor:.0e}" + at_index(k))
+    return w
+
+
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
     m = require_hermitian(m)
@@ -97,10 +106,7 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     floor, in any matrix of a stack, raises NotPSDError.
     """
     w, v = hermitian_eig(m)
-    k = first_failure(w[..., 0] >= PSD_FLOOR)
-    if k is not None:
-        raise NotPSDError(f"minimum eigenvalue {w[k][0]:.3e} below {PSD_FLOOR:.0e}"
-                          + at_index(k))
+    require_psd(w)
     scaled = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     # conjugated in place: for a stack, a copy of v would be one more
     # temporary as large as the stack

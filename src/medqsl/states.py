@@ -21,11 +21,10 @@ from .errors import (
     DimensionMismatchError,
     FullOrEmptySetError,
     LayoutMismatchError,
-    NotPSDError,
     PartitionMismatchError,
     UnknownLabelError,
 )
-from .linalg import at_index, dot_rows, first_failure, require_hermitian, sqrtm_psd
+from .linalg import at_index, dot_rows, first_failure, require_hermitian, require_psd, sqrtm_psd
 from .tolerances import CLASSICAL_TOL, ENTROPY_CUTOFF, NEG_EIG_TOL, PSD_FLOOR, TRACE_TOL
 
 __all__ = [
@@ -183,7 +182,9 @@ class DensityState:
     in one pass, and an error names the first failing state by its stack
     index.  A pure state comes from ``from_pure``, which checks its vector
     instead: the projector onto a normalized vector passes all of the
-    above by construction.
+    above by construction.  A validated state keeps the ascending
+    spectrum it was checked with as ``spectrum`` (read-only, ``(T, n)``
+    for a stack); it is None for ``from_pure`` and for states of a stack.
 
     Args:
         layout: subsystem structure of the state.
@@ -192,7 +193,7 @@ class DensityState:
             Integrators hand in slightly looser floors for stepped states.
     """
 
-    __slots__ = ("layout", "matrix", "pure_vector")
+    __slots__ = ("layout", "matrix", "pure_vector", "spectrum")
 
     def __init__(self, layout: SystemLayout, matrix: np.ndarray, *,
                  eig_floor: float = PSD_FLOOR):
@@ -207,22 +208,17 @@ class DensityState:
         if k is not None:
             raise ValueError(f"trace {tr[k]:.12f} is not 1 within {TRACE_TOL:.0e}"
                              + at_index(k))
-        wmin = np.linalg.eigvalsh(matrix)[..., 0]
-        k = first_failure(wmin >= eig_floor)
-        if k is not None:
-            raise NotPSDError(f"minimum eigenvalue {wmin[k]:.3e} below {eig_floor:.0e}"
-                              + at_index(k))
+        w = require_psd(np.linalg.eigvalsh(matrix), eig_floor)
         matrix.setflags(write=False)
-        self.layout = layout
-        self.matrix = matrix
-        self.pure_vector = None
+        w.setflags(write=False)
+        self.layout, self.matrix, self.pure_vector, self.spectrum = layout, matrix, None, w
 
     @classmethod
     def _trusted(cls, layout: SystemLayout, matrix: np.ndarray,
                  vector: np.ndarray | None = None) -> "DensityState":
         """A state from arrays already checked, read-only, without validating them."""
         s = object.__new__(cls)
-        s.layout, s.matrix, s.pure_vector = layout, matrix, vector
+        s.layout, s.matrix, s.pure_vector, s.spectrum = layout, matrix, vector, None
         return s
 
     @classmethod
@@ -406,7 +402,9 @@ def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
     reduces to |<u|v>|, and when one does, to sqrt(<u|rho|u>): sqrtm of the
     rank-one product would be good only to about sqrt(eps).  Either state
     may be a stack: a single state is compared with each state of a
-    stack, and two stacks pair state k with state k.
+    stack, and two stacks pair state k with state k.  Two mixed states
+    give sum sqrt(w) over the eigenvalues w of the product, so only
+    ``s1`` is square-rooted: pass a single state first.
     """
     if s1.layout != s2.layout:
         raise LayoutMismatchError(
@@ -420,25 +418,28 @@ def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
         f = np.sqrt(np.maximum(dot_rows(u.conj(), (rho @ u[..., None])[..., 0]).real, 0.0))
     else:
         root = sqrtm_psd(s1.matrix)
-        inner = root @ s2.matrix @ root
-        del root  # a stack of roots need not stay alive through the second one
-        f = np.real(np.trace(sqrtm_psd(inner), axis1=-2, axis2=-1))
+        w = require_psd(np.linalg.eigvalsh(root @ s2.matrix @ root))
+        f = np.sqrt(np.maximum(w, 0.0)).sum(axis=-1)
     f = np.clip(f, 0.0, 1.0)
     return float(f) if f.ndim == 0 else f
 
 
-def bures_angle(s1: DensityState, s2: DensityState) -> float | np.ndarray:
-    """arccos of the root fidelity; a metric, in [0, pi/2]."""
-    f = uhlmann_fidelity(s1, s2)
+def _acos(f: float | np.ndarray) -> float | np.ndarray:
+    """math.acos of each root fidelity: numpy's arccos may differ in the last bit."""
     if isinstance(f, float):
         return math.acos(f)
-    # math.acos per value: numpy's vectorized arccos may differ in the last bit
     return np.fromiter(map(math.acos, f), float, len(f))
+
+
+def bures_angle(s1: DensityState, s2: DensityState) -> float | np.ndarray:
+    """arccos of the root fidelity; a metric, in [0, pi/2]."""
+    return _acos(uhlmann_fidelity(s1, s2))
 
 
 def von_neumann_entropy(s: DensityState) -> float | np.ndarray:
     """Entropy -sum(w log2 w) of the spectrum, in bits."""
-    w = np.linalg.eigvalsh(s.matrix).reshape(-1, s.layout.dim)
+    w = np.linalg.eigvalsh(s.matrix) if s.spectrum is None else s.spectrum
+    w = w.reshape(-1, s.layout.dim)
     # the spectrum is ascending, so the entries above the cutoff end each
     # row; rows that keep as many entries are summed together, and each
     # sum runs over the kept entries alone, as it does for one state

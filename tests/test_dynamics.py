@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from medqsl import dynamics
 from medqsl.dynamics import (
@@ -37,7 +37,14 @@ from medqsl.hamiltonians import (
 )
 from medqsl.linalg import hermitian_eig, sqrtm_psd
 from medqsl.randgen import RngStream, haar_pure, random_density, random_hermitian
-from medqsl.states import Bipartition, DensityState, SystemLayout, embed_operator
+from medqsl.states import (
+    Bipartition,
+    DensityState,
+    SystemLayout,
+    bures_angle,
+    embed_operator,
+    uhlmann_fidelity,
+)
 
 
 def ket(layout, index):
@@ -187,6 +194,42 @@ class TestUnitaryEvolution:
         assert not last.matrix.flags.writeable and not last.pure_vector.flags.writeable
         assert_allclose(last.matrix, np.outer(last.pure_vector, last.pure_vector.conj()),
                         rtol=0, atol=0)
+
+
+def _evolve_open(h, s0, grid, **observed):
+    return evolve_lindblad(h, s0, grid, JumpOperatorSet.dephasing(h.layout, 0.1), **observed)
+
+
+@pytest.mark.parametrize("evolve", [evolve_unitary, _evolve_open])
+class TestObserve:
+    """The fidelity and angle columns of a mixed trajectory, over two chunks."""
+
+    grid = TimeGrid(0.0, 0.3, 1e-3)
+
+    @staticmethod
+    def _mixed(seed):
+        h, s0 = classical_mediator_example()
+        stream = RngStream(seed, 0)
+        psi = haar_pure(8, stream)
+        return h, DensityState(s0.layout, 0.9 * np.outer(psi, psi.conj())
+                               + 0.1 * random_density(8, stream))
+
+    def test_default_target_angle_is_acos_of_its_fidelity(self, evolve):
+        h, s0 = self._mixed(5)
+        traj = evolve(h, s0, self.grid)
+        assert len(traj.stacks) == 2
+        fid = traj.columns["fidelity_to_target"]
+        assert traj.columns["bures_angle_from_initial"].tolist() == [math.acos(f) for f in fid]
+        assert_array_equal(fid, np.concatenate([uhlmann_fidelity(s0, st) for st in traj.stacks]))
+
+    def test_distinct_target_is_its_own_fidelity(self, evolve):
+        h, s0 = self._mixed(5)
+        target = self._mixed(6)[1]
+        traj = evolve(h, s0, self.grid, target=target)
+        assert_array_equal(traj.columns["fidelity_to_target"],
+                           np.concatenate([uhlmann_fidelity(target, st) for st in traj.stacks]))
+        assert_array_equal(traj.columns["bures_angle_from_initial"],
+                           np.concatenate([bures_angle(s0, st) for st in traj.stacks]))
 
 
 class TestNegativityCurve:

@@ -227,6 +227,21 @@ class TestStackedValidation:
         with pytest.raises(ValueError, match=r"non-finite entries at \[3\] \(stack index 2\)"):
             DensityState.from_pure(Q2, v)
 
+    def test_fidelity_names_the_non_psd_product(self):
+        m = _valid_stack()
+        _below_floor(m[2])
+        bad = DensityState._trusted(Q2, m)
+        with pytest.raises(NotPSDError, match=r"minimum eigenvalue -2\.500e-02 .*\(stack index 2\)"):
+            uhlmann_fidelity(DensityState(Q2, np.eye(4) / 4), bad)
+
+    def test_stack_keeps_its_spectrum(self):
+        stack = DensityState(Q2, _valid_stack())
+        assert_array_equal(stack.spectrum, np.linalg.eigvalsh(stack.matrix))
+        assert not stack.spectrum.flags.writeable
+        assert all(s.spectrum is None for s in stack)
+        pure = DensityState.from_pure(Q2, _vectors(Q2, 3, RngStream(21, 1)))
+        assert pure.spectrum is None
+
     def test_stack_of_validated_states(self):
         single = DensityState(Q2, _valid_stack(1)[0])
         with pytest.raises(TypeError):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from medqsl import randgen
 from medqsl.randgen import RngStream
@@ -23,6 +23,7 @@ from medqsl.errors import (
     PartitionMismatchError,
     UnknownLabelError,
 )
+from medqsl.linalg import sqrtm_psd
 from medqsl.states import (
     MAX_TOTAL_DIM,
     Bipartition,
@@ -182,6 +183,28 @@ class TestDensityState:
             DensityState(Q2, m)
         DensityState(Q2, m, eig_floor=-1e-6)
 
+    def test_spectrum_is_the_validated_one(self):
+        s = DensityState(Q3, random_density(8))
+        assert_array_equal(s.spectrum, np.linalg.eigvalsh(s.matrix))
+        assert not s.spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            s.spectrum[0] = 0.0
+        assert DensityState.from_pure(Q2, [1.0, 0, 0, 0]).spectrum is None
+        assert DensityState._trusted(Q3, s.matrix).spectrum is None
+
+    def test_entropy_reads_the_spectrum(self, monkeypatch):
+        s = DensityState(Q3, random_density(8))
+        again = DensityState._trusted(Q3, s.matrix)
+        assert von_neumann_entropy(s) == von_neumann_entropy(again)
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or original(m))
+        marg = partial_trace(s, ("A", "B"))
+        assert len(calls) == 1  # validation
+        mutual_information(marg, Bipartition.parse("A:B"))
+        # one per validated single-side marginal; none for the entropies
+        assert len(calls) == 3
+
 
 def test_maximally_entangled_negativity():
     for d in (2, 3, 4):
@@ -334,6 +357,22 @@ class TestFidelityAndAngle:
             worst = max(worst, abs(uhlmann_fidelity(s, k) - want),
                         abs(uhlmann_fidelity(k, s) - want))
         assert worst <= 1e-13
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 3)])
+    def test_mixed_mixed_is_the_trace_of_the_root(self, dims):
+        # sum sqrt(w) over the spectrum of r sigma r, r = sqrt(rho), is the
+        # trace of its square root; F is symmetric, so both orders agree
+        layout = SystemLayout(tuple((f"S{k}", d) for k, d in enumerate(dims)))
+        worst = 0.0
+        for sid in range(50):
+            stream = RngStream(17, sid)
+            rho, sigma = (DensityState(layout, randgen.random_density(layout.dim, stream))
+                          for _ in range(2))
+            r = sqrtm_psd(rho.matrix)
+            want = np.trace(sqrtm_psd(r @ sigma.matrix @ r)).real
+            worst = max(worst, abs(uhlmann_fidelity(rho, sigma) - want),
+                        abs(uhlmann_fidelity(sigma, rho) - want))
+        assert worst <= 1e-12
 
     def test_layout_mismatch(self):
         other = DensityState(SystemLayout((("X", 4),)), random_density(4))
