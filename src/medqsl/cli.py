@@ -111,9 +111,7 @@ def _resolve_state(text: str | None, layout: SystemLayout,
             indices = tuple(int(x) for x in digits)
         except ValueError:
             raise CliInputError(f"bad basis-state literal {text!r}") from None
-        v = np.zeros(layout.dim)
-        v[layout.basis_index(indices)] = 1.0
-        return DensityState.from_pure(layout, v)
+        return DensityState.basis(layout, indices)
     s = load_state(text)
     if s.layout != layout:
         raise CliInputError(
@@ -121,15 +119,6 @@ def _resolve_state(text: str | None, layout: SystemLayout,
             f"Hamiltonian layout {layout.subsystems}"
         )
     return s
-
-
-def _resolve_cut(bipartition: str | None, layout: SystemLayout) -> Bipartition | None:
-    if bipartition is None:
-        return None
-    cut = Bipartition.parse(bipartition)
-    for lab in cut.side_a + cut.side_b:
-        layout.position(lab)
-    return cut
 
 
 def _resolve_lindblad(text: str | None, layout: SystemLayout) -> JumpOperatorSet | None:
@@ -193,7 +182,7 @@ def _cmd_evolve(args) -> int:
     target = None
     if args.target is not None:
         target = _resolve_state(args.target, ham.layout, None)
-    cut = _resolve_cut(args.bipartition, ham.layout)
+    cut = None if args.bipartition is None else Bipartition.parse(args.bipartition)
     grid = TimeGrid(0.0, args.tmax, args.dt)
     jumps = _resolve_lindblad(args.lindblad, ham.layout)
     if jumps is None:

@@ -216,8 +216,9 @@ def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
               target: DensityState | None) -> tuple[Bipartition, DensityState]:
     """``cut`` and ``target``, or the defaults that ``evolve_unitary`` documents.
 
-    A trajectory of ``s0`` on ``grid`` above ``MAX_TRAJECTORY_BYTES`` is
-    refused first, before anything is allocated.
+    Refused before anything is allocated or propagated: a trajectory of
+    ``s0`` on ``grid`` above ``MAX_TRAJECTORY_BYTES``, and a cut with a
+    label that ``s0.layout`` lacks.
     """
     need = len(grid) * s0.layout.dim ** 2 * 16
     if need > MAX_TRAJECTORY_BYTES:
@@ -228,6 +229,8 @@ def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
         if len(s0.layout) == 1:
             raise DimensionMismatchError("observation needs at least two subsystems")
         cut = Bipartition((s0.layout.labels[0],), (s0.layout.labels[1],))
+    for lab in cut.side_a + cut.side_b:
+        s0.layout.position(lab)
     return cut, s0 if target is None else target
 
 

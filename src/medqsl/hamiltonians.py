@@ -90,6 +90,13 @@ class EnergyMoments:
     def smaller(self) -> float:
         return min(self.mean, self.std)
 
+    def scale(self) -> float:
+        """k = 1 / min{mean, std}, refused when both are at most ``STATIONARY_TOL``."""
+        if self.smaller <= STATIONARY_TOL:
+            raise StationaryStateError(f"state is stationary (min energy moment "
+                                       f"{self.smaller:.3e}): its speed limit is vacuous")
+        return 1.0 / self.smaller
+
 
 def energy_moments_array(m: np.ndarray, x: np.ndarray, ground: float, *,
                          stacked: bool = False) -> EnergyMoments:
@@ -131,16 +138,10 @@ def energy_moments(h: Hamiltonian, s: DensityState) -> EnergyMoments:
 def resource_equality_scale(h: Hamiltonian, s: DensityState) -> tuple[Hamiltonian, float]:
     """Rescale ``h`` so that min{mean, std} = 1 in state ``s``.
 
-    Returns the scaled Hamiltonian and the applied factor k.  Raises
-    StationaryStateError when both moments are at most ``STATIONARY_TOL``,
-    since no finite rescaling moves a stationary state.
+    Returns the scaled Hamiltonian and the applied factor k; a stationary
+    state is refused as ``EnergyMoments.scale`` refuses it.
     """
-    em = energy_moments(h, s)
-    if em.smaller <= STATIONARY_TOL:
-        raise StationaryStateError(
-            f"state is stationary for this Hamiltonian (min moment {em.smaller:.3e})"
-        )
-    k = 1.0 / em.smaller
+    k = energy_moments(h, s).scale()
     return h.scaled(k), k
 
 
@@ -190,9 +191,7 @@ def cmi_product_example() -> tuple[Hamiltonian, DensityState]:
     layout = _three_qubits()
     m = (embed_operator(layout, ("A", "C"), np.kron(PAULI_X, PAULI_Y))
          + embed_operator(layout, ("B", "C"), np.kron(PAULI_Y, PAULI_X))) / math.sqrt(2)
-    v = np.zeros(8, dtype=complex)
-    v[0] = 1.0
-    return Hamiltonian(layout, m), DensityState.from_pure(layout, v)
+    return Hamiltonian(layout, m), DensityState.basis(layout)
 
 
 def entangled_mediator_example() -> tuple[Hamiltonian, DensityState]:

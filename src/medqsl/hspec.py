@@ -165,6 +165,9 @@ class _Token:
     line: int
     col: int
 
+    def __str__(self) -> str:
+        return "end of input" if self.kind == "eof" else repr(self.text)
+
 
 def _lex(text: str) -> tuple[list[_Token], list[str]]:
     lines = text.split("\n")
@@ -217,15 +220,13 @@ class _Parser:
     def expect_sym(self, sym: str) -> _Token:
         t = self.peek()
         if t.kind != "sym" or t.text != sym:
-            self.fail(f"expected {sym!r}, got {t.text!r}" if t.kind != "eof"
-                      else f"expected {sym!r}, got end of input")
+            self.fail(f"expected {sym!r}, got {t}")
         return self.next()
 
     def expect_name(self, what: str) -> _Token:
         t = self.peek()
         if t.kind != "name":
-            self.fail(f"expected {what}, got {t.text!r}" if t.kind != "eof"
-                      else f"expected {what}, got end of input")
+            self.fail(f"expected {what}, got {t}")
         return self.next()
 
     def expect_int(self, what: str) -> tuple[int, _Token]:
@@ -267,8 +268,7 @@ class _Parser:
                 terms = self.parse_expr()
                 self.expect_sym(";")
             else:
-                self.fail(f"expected 'system' or 'H', got {t.text!r}"
-                          if t.kind != "eof" else "expected 'system' or 'H'")
+                self.fail(f"expected 'system' or 'H', got {t}")
         if not decls:
             self.fail("no system declarations")
         if terms is None:
@@ -373,21 +373,8 @@ def parse(text: str) -> HSpecAst:
 
 def parse_file(path) -> HSpecAst:
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
-def _term_matrices(layout: SystemLayout, terms):
-    """Each term with its weighted matrix on the whole layout, in order."""
-    for term in terms:
-        factors: dict[str, np.ndarray] = {}
-        for op in term.ops:
-            m = OPERATORS[op.name][2](layout.dim_of(op.label), op.arg)
-            factors[op.label] = factors[op.label] @ m if op.label in factors else m
-        labels = tuple(factors)
-        block = factors[labels[0]]
-        for lab in labels[1:]:
-            block = np.kron(block, factors[lab])
-        yield term, term.coefficient.value * embed_operator(layout, labels, block)
+        # each character is at least one byte, so a file cut off here is over the cap
+        return parse(fh.read(MAX_SOURCE_BYTES + 1))
 
 
 def build(ast: HSpecAst) -> Hamiltonian:
@@ -396,21 +383,25 @@ def build(ast: HSpecAst) -> Hamiltonian:
     Terms are summed in the AST's canonical order regardless of how the
     source was written, so permuted inputs build identical matrices.
     Finite coefficients can still sum past the largest float: the first
-    term whose addition leaves a non-finite entry is then named.
+    term whose addition leaves a non-finite entry is named.
     """
     layout = ast.layout
     total = np.zeros((layout.dim, layout.dim), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, m in _term_matrices(layout, ast.terms):
-            total += m
+    for term in ast.terms:
+        factors: dict[str, np.ndarray] = {}
+        for op in term.ops:
+            m = OPERATORS[op.name][2](layout.dim_of(op.label), op.arg)
+            factors[op.label] = factors[op.label] @ m if op.label in factors else m
+        labels = tuple(factors)
+        block = factors[labels[0]]
+        for lab in labels[1:]:
+            block = np.kron(block, factors[lab])
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += term.coefficient.value * embed_operator(layout, labels, block)
         if not np.isfinite(total).all():
-            total[:] = 0.0
-            for term, m in _term_matrices(layout, ast.terms):
-                total += m
-                if not np.isfinite(total).all():
-                    op = term.ops[0]
-                    raise HSpecSyntaxError("the sum of the terms up to this one "
-                                           "overflows a float", op.line, op.col)
+            op = term.ops[0]
+            raise HSpecSyntaxError("the sum of the terms up to this one "
+                                   "overflows a float", op.line, op.col)
     return Hamiltonian(layout, total)
 
 

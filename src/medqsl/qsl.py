@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensionError, StationaryStateError
+from .errors import BadDimensionError
 from .hamiltonians import EnergyMoments, Hamiltonian, energy_moments
 from .states import (
     DensityState,
@@ -23,7 +23,6 @@ from .states import (
     maximally_entangled,
     uhlmann_fidelity,
 )
-from .tolerances import STATIONARY_TOL
 
 __all__ = [
     "BoundReport",
@@ -65,15 +64,12 @@ def _principal_dim(layout: SystemLayout) -> int:
 def unified_bound(s0: DensityState, target: DensityState, h: Hamiltonian) -> BoundReport:
     """Minimal T to reach ``target`` from ``s0`` under any dynamics driven by ``h``.
 
-    Raises StationaryStateError when both energy moments vanish, since
-    the bound would be vacuous (the state never moves).
+    Raises StationaryStateError, through ``EnergyMoments.scale``, when both
+    energy moments vanish, since the bound would be vacuous.
     """
     theta = bures_angle(s0, target)
     em = energy_moments(h, s0)
-    if em.smaller <= STATIONARY_TOL:
-        raise StationaryStateError(
-            f"vacuous bound: min energy moment {em.smaller:.3e}"
-        )
+    em.scale()
     d = _principal_dim(s0.layout)
     refs = {
         "di": di_bound(d),

@@ -26,6 +26,13 @@ __all__ = [
 ]
 
 
+def require_integer(name: str, value) -> int:
+    """``value`` as an int: an int or a numpy integer, never a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class RngStream:
     """One independent, restartable random stream.
 
@@ -36,8 +43,8 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int):
-        seed = int(seed)
-        stream_id = int(stream_id)
+        seed = require_integer("seed", seed)
+        stream_id = require_integer("stream_id", stream_id)
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed {seed} outside [0, 2^64)")
         if not 0 <= stream_id < 2**64:

@@ -248,6 +248,13 @@ class DensityState:
         matrix.setflags(write=False)
         return cls._trusted(layout, matrix, vector)
 
+    @classmethod
+    def basis(cls, layout: SystemLayout, indices=None) -> "DensityState":
+        """The product basis state |i_1 ... i_k> of ``layout``, |0...0> by default."""
+        vector = np.zeros(layout.dim, dtype=complex)
+        vector[layout.basis_index((0,) * len(layout) if indices is None else indices)] = 1.0
+        return cls.from_pure(layout, vector)
+
     def __iter__(self):
         """The states of a stack, one at a time, as views that are not validated again."""
         if self.matrix.ndim == 2:

@@ -53,6 +53,7 @@ from .randgen import (
     random_density,
     random_hermitian,
     random_mediated_hamiltonian,
+    require_integer,
 )
 from .states import (
     Bipartition,
@@ -63,7 +64,7 @@ from .states import (
 )
 from .tolerances import (
     ATTAIN_SLACK, CLOSED_RATE_TOL, EARLY_SLACK, EXCESS_TOL, OPEN_RATE_TOL, RATE_DELTA,
-    STAGE2_TIME_SLACK, STATIONARY_TOL,
+    STAGE2_TIME_SLACK,
 )
 
 __all__ = [
@@ -98,6 +99,9 @@ COMMUTING_N_TIMES = 32
 SMI_T_STEP = 1e-3
 JUMP_RATE = 0.1
 
+# the cut whose negativity every experiment tracks
+AB_CUT = Bipartition(("A",), ("B",))
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -117,8 +121,11 @@ class SweepConfig:
                 f"unknown experiment {self.experiment!r}; choices: {tuple(EXPERIMENTS)}")
         if self.d < 2:
             raise ValueError(f"need d >= 2, got {self.d}")
-        if self.n_instances is not None and self.n_instances < 1:
-            raise ValueError("n_instances must be >= 1")
+        object.__setattr__(self, "seed", require_integer("seed", self.seed))
+        if self.n_instances is not None:
+            object.__setattr__(self, "n_instances", require_integer("n_instances", self.n_instances))
+            if self.n_instances < 1:
+                raise ValueError("n_instances must be >= 1")
         if self.jump_type not in ("none", *JUMP_KINDS):
             raise ValueError(f"unknown jump type {self.jump_type!r}; "
                              f"choices: {('none', *JUMP_KINDS)}")
@@ -195,22 +202,24 @@ class SweepReport:
 def _ab_curve(d: int, dc: int):
     """The ``negativity_curve`` of the A:B cut on layout A:d, B:d, C:dc."""
     layout = SystemLayout((("A", d), ("B", d), ("C", dc)))
-    return negativity_curve(layout, Bipartition(("A",), ("B",)))
+    return negativity_curve(layout, AB_CUT)
 
 
 def _normalized_draw(rc: dict, sid: int, draw):
     """Redraw ``draw(stream) = (M, state, ...)`` until the state moves under M.
 
     Returns ``(w, v, k, redraws, drawn)``: the spectrum of M, the scale
-    k = 1 / min{mean, std}, the stationary draws skipped, and the draw.
+    k of ``EnergyMoments.scale``, the stationary draws skipped, and the draw.
     """
     stream = RngStream(rc["seed"], sid)
     for redraws in range(_REDRAW_CAP):
         drawn = draw(stream)
         w, v = np.linalg.eigh(drawn[0])
-        em = energy_moments_array(drawn[0], drawn[1], w[0])
-        if em.smaller > STATIONARY_TOL:
-            return w, v, 1.0 / em.smaller, redraws, drawn
+        try:
+            k = energy_moments_array(drawn[0], drawn[1], w[0]).scale()
+        except StationaryStateError:
+            continue
+        return w, v, k, redraws, drawn
     raise StationaryStateError(
         f"stream {sid}: all {_REDRAW_CAP} draws were stationary (redraw cap)")
 
@@ -246,10 +255,9 @@ def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]
     _, _, k_scale, redraws, (_, rho0, h, rho_ab0) = _normalized_draw(rc, sid, draw)
     h = h.scaled(k_scale)
     s0 = DensityState(h.layout, rho0)
-    cut = Bipartition(("A",), ("B",))
     n0 = float(negativity_array(rho_ab0, (d, d), (1,)))
-    dn_closed = entanglement_change_at_zero(h, s0, cut, RATE_DELTA)
-    dn_open = entanglement_change_at_zero(h, s0, cut, RATE_DELTA, rc["jumps"])
+    dn_closed = entanglement_change_at_zero(h, s0, AB_CUT, RATE_DELTA)
+    dn_open = entanglement_change_at_zero(h, s0, AB_CUT, RATE_DELTA, rc["jumps"])
     return dn_closed, dn_open, n0, n0 + dn_closed, redraws
 
 
@@ -266,7 +274,7 @@ def _smi_instance(rc: dict, sid: int) -> tuple[float, float, float, np.ndarray, 
         return float(ab(w, v, psi1, np.array([k_scale * t]))[0])
 
     curve = ab(w, v, psi1, k_scale * times)
-    crossing = first_crossing(neg_at, times, curve, (d - 1) / 2.0 - ATTAIN_SLACK)
+    crossing = first_crossing(neg_at, times, curve, rc["level"])
     top = int(np.argmax(curve))
     peak_t, peak_v = refine_peak(neg_at, times[max(top - 1, 0)],
                                  times[min(top + 1, len(times) - 1)])
@@ -412,11 +420,8 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     }
     # contrast control: the optimal direct coupling entangles at unit rate
     h_direct = direct_optimal(d)
-    v00 = np.zeros(d * d)
-    v00[0] = 1.0
-    control = entanglement_change_at_zero(
-        h_direct, DensityState.from_pure(h_direct.layout, v00),
-        Bipartition(("A",), ("B",)), RATE_DELTA)
+    control = entanglement_change_at_zero(h_direct, DensityState.basis(h_direct.layout),
+                                          AB_CUT, RATE_DELTA)
     times = np.array([0.0, RATE_DELTA])
     matrix = np.stack([n_start, n_delta], axis=1)
     details = {
@@ -438,10 +443,7 @@ def run_fig2(d: int, grid: TimeGrid | None = None) -> Trajectory:
     if grid is None:
         grid = TimeGrid(0.0, math.pi / 2, 1e-3)
     h = direct_optimal(d)
-    v0 = np.zeros(d * d)
-    v0[0] = 1.0
-    s0 = DensityState.from_pure(h.layout, v0)
-    return evolve_unitary(h, s0, grid)
+    return evolve_unitary(h, DensityState.basis(h.layout), grid)
 
 
 def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
@@ -459,14 +461,14 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     stage1 = embed_operator(cfg.layout, ("A", "C"), direct_optimal(d).matrix)
     t1 = di_bound(d)
     w, v = np.linalg.eigh(stage1)
-    psi0 = np.zeros(d ** 3, dtype=complex)
-    psi0[0] = 1.0
-    psi1 = propagate(w, v, psi0, [t1])[0]
-    horizon = math.acos(1.0 / d) + 1.0
-    times = TimeGrid(0.0, horizon, SMI_T_STEP).times
-    rc = {"seed": cfg.seed, "d": d, "layout": cfg.layout, "psi1": psi1, "times": times}
-    (crossings, peaks, peak_times, curves), redraws = _sweep(cfg, _smi_instance, rc)
+    psi1 = propagate(w, v, DensityState.basis(cfg.layout).pure_vector, [t1])[0]
     stage2_bound = math.acos(1.0 / d)
+    horizon = stage2_bound + 1.0
+    times = TimeGrid(0.0, horizon, SMI_T_STEP).times
+    level = (d - 1) / 2.0 - ATTAIN_SLACK
+    rc = {"seed": cfg.seed, "d": d, "layout": cfg.layout, "psi1": psi1, "times": times,
+          "level": level}
+    (crossings, peaks, peak_times, curves), redraws = _sweep(cfg, _smi_instance, rc)
     # a nan crossing (never reached) compares False
     violations = [{"stream_id": sid, "kind": "stage2-too-fast", "T": t}
                   for sid, t in enumerate(crossings.tolist())
@@ -489,7 +491,7 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
         "stage2_attainments": int(reached.sum()),
         "best_stage2_time": None if best is None else best["T"],
         "protocol_bound": float(t1 + stage2_bound),
-        "attain_level": (d - 1) / 2.0 - ATTAIN_SLACK,
+        "attain_level": level,
     }
     return _report(cfg, times, curves, extremes, violations, redraws, details,
                    horizon=float(horizon), t_step=SMI_T_STEP)

@@ -98,6 +98,16 @@ class TestEvolve:
         # across the AB:C cut the entangled-mediator state starts at 1/2
         assert abs(float(rows[0]["negativity"]) - 0.5) < 1e-10
 
+    @pytest.mark.parametrize("lindblad", [[], ["--lindblad", "dephasing:0.1"]],
+                             ids=["unitary", "lindblad"])
+    def test_unknown_bipartition_label(self, tmp_path, capsys, lindblad):
+        rc = main(["evolve", "--ham", "cmi-entangled", "--tmax", "0.1",
+                   "--bipartition", "A:Z", *lindblad])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: no subsystem labeled 'Z' in layout ('A', 'B', 'C')\n")
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 class TestBound:
     def test_json_on_stdout(self, capsys):

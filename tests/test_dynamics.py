@@ -113,6 +113,24 @@ class TestTrajectoryCap:
             evolve_unitary(h, ket(h.layout, 0), grid)
 
 
+def _not_reached(*args, **kwargs):
+    raise AssertionError("evolved before the cut was checked")
+
+
+@pytest.mark.parametrize("open_", [False, True], ids=["unitary", "lindblad"])
+@pytest.mark.parametrize("cut", ["A:Z", "Z:B", "A,Z:C"])
+def test_unknown_cut_label_refused_before_evolving(monkeypatch, open_, cut):
+    monkeypatch.setattr(dynamics, "propagate", _not_reached)
+    monkeypatch.setattr(dynamics, "_open_stacks", _not_reached)
+    h, s0 = cmi_product_example()
+    args = (h, s0, TimeGrid(0.0, 1.0, 1e-3))
+    with pytest.raises(UnknownLabelError, match="no subsystem labeled 'Z'"):
+        if open_:
+            evolve_lindblad(*args, JumpOperatorSet.dephasing(h.layout), cut=Bipartition.parse(cut))
+        else:
+            evolve_unitary(*args, cut=Bipartition.parse(cut))
+
+
 class TestUnitaryEvolution:
     def test_direct_qubit_closed_form(self):
         h = direct_optimal(2)

@@ -14,6 +14,7 @@ from medqsl.errors import (
 )
 from medqsl.hamiltonians import (
     BUILTIN_PAIRS,
+    EnergyMoments,
     Hamiltonian,
     builtin_pair,
     classical_mediator_example,
@@ -27,7 +28,9 @@ from medqsl.hamiltonians import (
     open_system_example,
     resource_equality_scale,
 )
+from medqsl.qsl import unified_bound
 from medqsl.states import DensityState, SystemLayout
+from medqsl.tolerances import STATIONARY_TOL
 
 SQ2 = math.sqrt(2)
 
@@ -113,6 +116,41 @@ class TestEnergyMoments:
         v[0] = 1.0
         with pytest.raises(LayoutMismatchError):
             energy_moments(h, DensityState.from_pure(other_lay, v))
+
+
+class TestScale:
+    """``EnergyMoments.scale``: the one home of k = 1 / min{mean, std}."""
+
+    @pytest.mark.parametrize("mean,std", [(1.0, 3.0), (0.7, 0.3), (3.0, 3.0), (5.0, 2.0 ** -39)])
+    def test_is_one_over_the_smaller_bit_for_bit(self, mean, std):
+        assert EnergyMoments(mean, std).scale() == 1.0 / min(mean, std)
+
+    @pytest.mark.parametrize("mean,std", [(0.0, 0.0), (STATIONARY_TOL, 2.0), (2.0, 1e-13)])
+    def test_refuses_at_and_below_the_tolerance(self, mean, std):
+        with pytest.raises(StationaryStateError, match="stationary.*vacuous"):
+            EnergyMoments(mean, std).scale()
+
+    def test_builtin_states_scale_to_their_reciprocal(self):
+        for name in BUILTIN_PAIRS:
+            em = energy_moments(*builtin_pair(name))
+            assert em.scale() == 1.0 / em.smaller
+
+    def test_refuses_a_stationary_state(self):
+        h, _ = classical_mediator_example()
+        em = energy_moments(h, DensityState.basis(h.layout))
+        with pytest.raises(StationaryStateError, match="stationary.*vacuous"):
+            em.scale()
+
+    def test_normalization_and_bound_share_it(self):
+        h, _ = classical_mediator_example()
+        s = DensityState.basis(h.layout)
+        messages = set()
+        for call in (lambda: resource_equality_scale(h, s),
+                     lambda: unified_bound(s, s, h)):
+            with pytest.raises(StationaryStateError) as exc:
+                call()
+            messages.add(str(exc.value))
+        assert len(messages) == 1
 
 
 class TestResourceEquality:

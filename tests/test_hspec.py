@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medqsl import hspec
 from medqsl import (
     ArgOutOfRangeError,
     Coefficient,
@@ -150,6 +151,58 @@ class TestErrors:
         big = "system A:2; H = X(A);" + " " * (1 << 20)
         with pytest.raises(HSpecSyntaxError, match="1 MB"):
             parse(big)
+
+    def test_file_read_stops_past_the_cap(self, tmp_path, monkeypatch):
+        # a file far over the cap is refused after reading one character past it
+        monkeypatch.setattr(hspec, "MAX_SOURCE_BYTES", 64)
+        read = []
+
+        def spy(text):
+            read.append(len(text))
+            return parse(text)
+
+        monkeypatch.setattr(hspec, "parse", spy)
+        fits = tmp_path / "fits.hspec"
+        fits.write_text("system A:2; H = X(A);".ljust(64))
+        assert parse_file(fits) == parse("system A:2; H = X(A);")
+        big = tmp_path / "big.hspec"
+        big.write_text("system A:2; H = X(A);" + " " * 10_000)
+        with pytest.raises(HSpecSyntaxError, match="1 MB"):
+            parse_file(big)
+        # multi-byte characters: 30 of them are 60 bytes, 33 are over the cap
+        wide = tmp_path / "wide.hspec"
+        wide.write_text("system A:2; H = X(A); #" + "\u00e9" * 1000, encoding="utf-8")
+        with pytest.raises(HSpecSyntaxError, match="1 MB"):
+            parse_file(wide)
+        assert read == [64, 65, 65]
+
+    @pytest.mark.parametrize("text,message", [
+        ("system A:2; H = X(A)", "expected ';', got end of input"),
+        ("system", "expected a subsystem label, got end of input"),
+        ("system A:2; H = X(A) X(A);", "expected ';', got 'X'"),
+        ("system A:2; H = X(", "expected a subsystem label, got end of input"),
+        ("system A:2; K = X(A);", "expected 'system' or 'H', got 'K'"),
+    ])
+    def test_expected_got_messages(self, text, message):
+        with pytest.raises(HSpecSyntaxError) as exc:
+            parse(text)
+        assert exc.value.message == message
+
+    def test_sum_is_built_in_one_pass(self, monkeypatch):
+        # the overflowing term is found as it is added, not by summing again
+        calls = []
+        embed = hspec.embed_operator
+        monkeypatch.setattr(hspec, "embed_operator",
+                            lambda *args: calls.append(1) or embed(*args))
+        big = "1" + "0" * 308
+        text = f"system A:2; system B:2;\nH = {big}*X(A)@X(B)\n  + {big}*X(A)@X(B) + Z(A)@Z(B);"
+        with pytest.raises(HSpecSyntaxError, match="overflows a float") as exc:
+            build(parse(text))
+        assert (exc.value.line, exc.value.col) == (3, 315)
+        assert len(calls) == 2
+        calls.clear()
+        assert build(parse(text.replace(big, "2", 1))).matrix[0, 3] == 2.0 + float(big)
+        assert len(calls) == 3
 
     def test_total_dimension_cap(self):
         with pytest.raises(HSpecSyntaxError, match="cap") as exc:

@@ -50,6 +50,22 @@ class TestStreams:
         with pytest.raises(ValueError):
             RngStream(0, 2 ** 64)
 
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True, "7"])
+    def test_seed_must_be_an_integer(self, seed):
+        # int() used to truncate 7.9 to stream 7 without a word
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            RngStream(seed, 0)
+
+    @pytest.mark.parametrize("stream_id", [1.5, 1.0, False, "1"])
+    def test_stream_id_must_be_an_integer(self, stream_id):
+        with pytest.raises(ValueError, match=f"stream_id must be an integer, got {stream_id!r}"):
+            RngStream(7, stream_id)
+
+    def test_numpy_integers_accepted(self):
+        s = RngStream(np.uint64(7), np.int32(3))
+        assert (type(s.seed), type(s.stream_id)) == (int, int)
+        assert np.array_equal(s.normals(4), RngStream(7, 3).normals(4))
+
     def test_complex_normals_shape(self):
         z = RngStream(1, 1).complex_normals(3, 4)
         assert z.shape == (3, 4) and np.iscomplexobj(z)

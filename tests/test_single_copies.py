@@ -3,8 +3,9 @@
 The spectral propagation exp(-iTM) lives in ``linalg.propagate`` alone,
 negativity over time goes through ``dynamics.negativity_curve``, the
 sweep kernels build on public library functions rather than on another
-module's private helpers, and every small threshold is named once, in
-``tolerances.py``, and used.
+module's private helpers, every small threshold is named once, in
+``tolerances.py``, and used, and the stationary-state rule is applied in
+one place.
 """
 
 import ast
@@ -12,7 +13,7 @@ import inspect
 from pathlib import Path
 
 import medqsl
-from medqsl import dynamics, linalg, sweep
+from medqsl import dynamics, hamiltonians, linalg, sweep
 
 SRC = Path(medqsl.__file__).resolve().parent
 
@@ -70,6 +71,18 @@ def test_every_tolerance_is_used():
                 for alias in node.names}
     assert len(named) > 10
     assert named - imported == set()
+
+
+def test_one_stationary_rule():
+    # the scale k = 1 / min{mean, std} and the refusal of a stationary state
+    # live in EnergyMoments.scale; every other module goes through it
+    users = {path.name
+             for path in SRC.glob("*.py") if path.name != "tolerances.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "tolerances"
+             for alias in node.names if alias.name == "STATIONARY_TOL"}
+    assert users == {"hamiltonians.py"}
+    assert "STATIONARY_TOL" in inspect.getsource(hamiltonians.EnergyMoments.scale)
 
 
 def _propagate_callers(module: str) -> list[str]:

@@ -136,6 +136,26 @@ class TestDensityState:
             with pytest.raises(DimensionMismatchError, match=f"length {n} != layout dim 4"):
                 DensityState.from_pure(Q2, np.ones(n))
 
+    def test_basis_defaults_to_all_zeros(self):
+        s = DensityState.basis(Q2)
+        assert s.is_pure and s.pure_vector.dtype == complex
+        assert_array_equal(s.pure_vector, [1, 0, 0, 0])
+        assert_array_equal(s.matrix, np.diag([1, 0, 0, 0]))
+
+    def test_basis_packs_its_indices(self):
+        lay = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+        for indices in ((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
+            v = DensityState.basis(lay, indices).pure_vector
+            assert_array_equal(v, np.eye(8)[lay.basis_index(indices)])
+        # big-endian: A is the most significant digit
+        assert DensityState.basis(lay, (1, 1, 0)).pure_vector[6] == 1
+
+    @pytest.mark.parametrize("indices", [(0, 0), (0, 0, 0, 0), (2, 0, 0), (0, -1, 0)])
+    def test_basis_refuses_bad_indices(self, indices):
+        lay = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+        with pytest.raises(DimensionMismatchError):
+            DensityState.basis(lay, indices)
+
     def test_read_only(self):
         v = np.array([1.0, 0, 0, 1j]) / math.sqrt(2)
         pure = DensityState.from_pure(Q2, v)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from medqsl import (
+    EXPERIMENTS,
     BadDimensionError,
     Bipartition,
     DensityState,
@@ -59,6 +60,25 @@ class TestSweepConfig:
     def test_jump_types_are_none_and_the_kinds(self):
         for jump_type in ("none", *JUMP_KINDS):
             assert SweepConfig(experiment="rate-zero", jump_type=jump_type).jump_type == jump_type
+
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True, "7"])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float seed used to run as its int() while the report echoed the float
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            SweepConfig(experiment="cmi-uncorrelated", seed=seed, n_instances=3)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_instance_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"n_instances must be an integer, got {n!r}"):
+            SweepConfig(experiment="cmi-uncorrelated", n_instances=n)
+
+    def test_numpy_integers_are_echoed_as_ints(self, tmp_path):
+        cfg = SweepConfig(experiment="cmi-uncorrelated", seed=np.int64(3),
+                          n_instances=np.int32(2))
+        assert type(cfg.seed) is int and type(cfg.n_instances) is int
+        run_cmi_uncorrelated(cfg).save_json(tmp_path / "r.json")
+        config = json.loads((tmp_path / "r.json").read_text())["config"]
+        assert (config["seed"], config["n_instances"]) == (3, 2)
 
     def test_defaults_fill_in(self):
         cfg = SweepConfig(experiment="cmi-uncorrelated")
@@ -183,33 +203,17 @@ class TestKernelsAgainstLibrary:
 
 
 class TestWorkerDeterminism:
-    def test_json_bytes_identical(self, tmp_path):
-        rep1 = run_cmi_uncorrelated(
-            SweepConfig(experiment="cmi-uncorrelated", n_instances=6, seed=21,
-                        workers=1)
-        )
-        rep2 = run_cmi_uncorrelated(
-            SweepConfig(experiment="cmi-uncorrelated", n_instances=6, seed=21,
-                        workers=2)
-        )
-        p1 = tmp_path / "w1.json"
-        p2 = tmp_path / "w2.json"
-        rep1.save_json(p1)
-        rep2.save_json(p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_csv_bytes_identical(self, tmp_path):
-        rep1 = run_rate_zero(
-            SweepConfig(experiment="rate-zero", n_instances=6, seed=4, workers=1)
-        )
-        rep2 = run_rate_zero(
-            SweepConfig(experiment="rate-zero", n_instances=6, seed=4, workers=3)
-        )
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        rep1.save_envelope_csv(p1)
-        rep2.save_envelope_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_report_bytes_identical(self, tmp_path, experiment):
+        outputs = []
+        for workers in (1, 2):
+            rep = run_sweep(SweepConfig(experiment=experiment, n_instances=6, seed=21,
+                                        workers=workers))
+            rep.save_json(tmp_path / f"w{workers}.json")
+            rep.save_envelope_csv(tmp_path / f"w{workers}.csv")
+            outputs.append([(tmp_path / f"w{workers}.{ext}").read_bytes()
+                            for ext in ("json", "csv")])
+        assert outputs[0] == outputs[1]
 
 
 class TestWorkerResolution:
