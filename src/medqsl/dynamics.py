@@ -30,7 +30,7 @@ from .errors import (
     PositivityLostError,
 )
 from .hamiltonians import Hamiltonian, energy_moments
-from .linalg import hermitian_eig, propagate, sqrtm_psd
+from .linalg import propagate, sqrtm_psd
 from .states import (
     Bipartition,
     DensityState,
@@ -284,10 +284,9 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
     """
     _check_layouts(h, s0)
     cut, target = _observed(s0, grid, cut, target)
-    w, v = hermitian_eig(h.matrix)
     x0 = _factor(s0)
     times = grid.times
-    stacks = [_from_factors(s0, propagate(w, v, x0, times[lo:lo + PROPAGATE_CHUNK] - grid.start))
+    stacks = [_from_factors(s0, propagate(*h.eig, x0, times[lo:lo + PROPAGATE_CHUNK] - grid.start))
               for lo in range(0, len(times), PROPAGATE_CHUNK)]
     return _observe(h, s0, times, stacks, cut, target)
 
@@ -347,14 +346,15 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
 
 
 def negativity_curve(layout: SystemLayout, cut: Bipartition):
-    """Callable ``curve(w, v, x0, times)`` -> N_cut(T) for each T in ``times``.
+    """Callable ``curve(h, x0, times)`` -> N_cut(T) for each T in ``times``.
 
-    ``w, v`` is the ``hermitian_eig`` of M and ``x0`` a state vector or a
-    column factor X of rho = X X+ on ``layout``; the state at T is
-    exp(-iTM) x0.  The labels, positions and marginal layout of ``cut``
-    are resolved once here.  With the kept labels as the rows of Y, the
-    marginal tr_rest(X X+) is Y Y+, so no full density matrix is formed;
-    the factor is transposed only when the kept labels do not lead.
+    ``h`` is a ``Hamiltonian`` M on ``layout``, propagated through its
+    kept ``h.eig``, and ``x0`` a state vector or a column factor X of
+    rho = X X+; the state at T is exp(-iTM) x0.  The labels, positions
+    and marginal layout of ``cut`` are resolved once here.  With the kept
+    labels as the rows of Y, the marginal tr_rest(X X+) is Y Y+, so no
+    full density matrix is formed; the factor is transposed only when the
+    kept labels do not lead.
     """
     kept = sorted(layout.position(lab) for lab in cut.side_a + cut.side_b)
     marg = layout.restricted(cut.side_a + cut.side_b)
@@ -366,8 +366,8 @@ def negativity_curve(layout: SystemLayout, cut: Bipartition):
         rest = [k for k in range(n) if k not in kept]
         order = [0] + [1 + k for k in kept + rest] + [n + 1]
 
-    def curve(w, v, x0, times) -> np.ndarray:
-        x = propagate(w, v, x0, times)
+    def curve(h, x0, times) -> np.ndarray:
+        x = propagate(*h.eig, x0, times)
         if order is not None:
             x = x.reshape((len(x),) + layout.dims + (-1,)).transpose(order)
         y = x.reshape(len(x), d_keep, -1)
@@ -389,8 +389,7 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
     if not RATE_DELTA_MIN <= delta <= 1e-3:
         raise ValueError(f"delta {delta} outside [{RATE_DELTA_MIN}, 1e-3]")
     if jumps is None:
-        w, v = hermitian_eig(h.matrix)
-        n0, n_delta = negativity_curve(s0.layout, p)(w, v, _factor(s0), [0.0, delta])
+        n0, n_delta = negativity_curve(s0.layout, p)(h, _factor(s0), [0.0, delta])
     else:
         [pair] = _open_stacks(h, s0, jumps, [0.0, delta])
         n0, n_delta = negativity(_marginal(pair, p), p)
@@ -417,11 +416,10 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
         raise ValueError(f"horizon {horizon} outside (0, 50]")
     level = (d - 1) / 2.0
     curve = negativity_curve(s0.layout, p)
-    w, v = hermitian_eig(h.matrix)
     x0 = _factor(s0)
 
     def neg(t: float) -> float:
-        return float(curve(w, v, x0, [t])[0])
+        return float(curve(h, x0, [t])[0])
 
     def peak_at(lo: float, hi: float) -> float | None:
         t_peak, n_peak = refine_peak(neg, lo, hi)
@@ -431,7 +429,7 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
     values = np.empty(len(times))
     for lo in range(0, len(times), PROPAGATE_CHUNK):
         hi = min(lo + PROPAGATE_CHUNK, len(times))
-        values[lo:hi] = curve(w, v, x0, times[lo:hi])
+        values[lo:hi] = curve(h, x0, times[lo:hi])
         # completed grid-local peaks: points whose right neighbour is known
         for k in _near_peaks(values, np.arange(max(lo - 1, 0), hi - 1), level).tolist():
             t_peak = peak_at(times[max(k - 1, 0)], min(horizon, times[k + 1]))

@@ -14,6 +14,7 @@ with scale 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .errors import (
     LayoutMismatchError,
     StationaryStateError,
 )
-from .linalg import dot_rows, require_hermitian
+from .linalg import dot_rows, hermitian_eig, require_hermitian
 from .states import DensityState, SystemLayout, embed_operator
 from .tolerances import STATIONARY_TOL
 
@@ -69,8 +70,13 @@ class Hamiltonian:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def ground_energy(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+    @functools.cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``hermitian_eig`` of ``matrix``, read-only, computed on first use and kept."""
+        w, v = hermitian_eig(self.matrix)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
     def scaled(self, k: float) -> "Hamiltonian":
         return Hamiltonian(self.layout, k * self.matrix)
@@ -98,16 +104,16 @@ class EnergyMoments:
         return 1.0 / self.smaller
 
 
-def energy_moments_array(m: np.ndarray, x: np.ndarray, ground: float, *,
+def energy_moments_array(h: Hamiltonian, x: np.ndarray, *,
                          stacked: bool = False) -> EnergyMoments:
-    """Moments of ``m`` in a state vector ``(n,)`` or a density matrix ``(n, n)``.
+    """Moments of ``h`` in a state vector ``(n,)`` or a density matrix ``(n, n)``.
 
     With ``stacked`` the first axis of ``x`` runs over states, ``(T, n)``
     vectors or ``(T, n, n)`` matrices, and the moments are arrays of T
     values, each equal to the single-state moments of its row.  The mean
-    is quoted above ``ground``, the lowest eigenvalue of ``m``, which the
-    caller supplies so that no extra eigensolve is needed.
+    is quoted above the lowest eigenvalue in ``h.eig``.
     """
+    m = h.matrix
     if x.ndim == 1 + stacked:
         mx = (m @ x[..., None])[..., 0]
         raw_mean = dot_rows(x.conj(), mx).real
@@ -116,7 +122,7 @@ def energy_moments_array(m: np.ndarray, x: np.ndarray, ground: float, *,
         raw_mean = np.einsum("ij,...ji->...", m, x).real
         raw_sq = np.einsum("ij,jk,...ki->...", m, m, x).real
     var = np.maximum(raw_sq - raw_mean * raw_mean, 0.0)
-    mean, std = raw_mean - ground, np.sqrt(var)
+    mean, std = raw_mean - h.eig[0][0], np.sqrt(var)
     if stacked:
         return EnergyMoments(mean=mean, std=std)
     return EnergyMoments(mean=float(mean), std=float(std))
@@ -132,7 +138,7 @@ def energy_moments(h: Hamiltonian, s: DensityState) -> EnergyMoments:
             f"hamiltonian on {h.layout.labels}, state on {s.layout.labels}"
         )
     x = s.pure_vector if s.is_pure else s.matrix
-    return energy_moments_array(h.matrix, x, h.ground_energy(), stacked=s.matrix.ndim == 3)
+    return energy_moments_array(h, x, stacked=s.matrix.ndim == 3)
 
 
 def resource_equality_scale(h: Hamiltonian, s: DensityState) -> tuple[Hamiltonian, float]:

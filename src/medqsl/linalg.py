@@ -85,9 +85,10 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def propagate(w: np.ndarray, v: np.ndarray, x0: np.ndarray, times) -> np.ndarray:
     """exp(-i T M) x0 for each T in ``times``, shape ``(len(times),) + x0.shape``.
 
-    ``w, v`` is the ``hermitian_eig`` of M.  ``x0`` is a state vector or a
-    column factor X of rho = X X+ (such as ``sqrtm_psd(rho)``).  Exact per
-    time point: no scaling-and-squaring, no step accumulation.
+    ``w, v`` is the ``hermitian_eig`` of M, as a ``Hamiltonian`` keeps it
+    in ``eig``.  ``x0`` is a state vector or a column factor X of
+    rho = X X+ (such as ``sqrtm_psd(rho)``).  Exact per time point: no
+    scaling-and-squaring, no step accumulation.
     """
     x0 = np.asarray(x0)
     times = np.asarray(times, dtype=float)

@@ -12,15 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadDimensionError
 from .hamiltonians import EnergyMoments, Hamiltonian, energy_moments
 from .states import (
     DensityState,
     SystemLayout,
     bures_angle,
-    maximally_entangled,
     uhlmann_fidelity,
 )
 
@@ -107,13 +104,7 @@ def swap_stage_fidelity(d: int) -> float:
     if d < 2:
         raise BadDimensionError(f"need d >= 2, got {d}")
     layout = SystemLayout((("A", d), ("B", d), ("C", d)))
-    psi_ac = maximally_entangled(SystemLayout((("A", d), ("C", d)))).pure_vector
-    psi_ab = maximally_entangled(SystemLayout((("A", d), ("B", d)))).pure_vector
-    ket0 = np.zeros(d, dtype=complex)
-    ket0[0] = 1.0
     # layout order A,B,C: stage one parks |0> on B, the target parks |0> on C
-    v1 = np.einsum("ac,b->abc", psi_ac.reshape(d, d), ket0).reshape(-1)
-    v2 = np.kron(psi_ab, ket0)
-    s1 = DensityState.from_pure(layout, v1)
-    s2 = DensityState.from_pure(layout, v2)
-    return uhlmann_fidelity(s1, s2)
+    v1 = sum(DensityState.basis(layout, (j, 0, j)).pure_vector for j in range(d))
+    v2 = sum(DensityState.basis(layout, (j, j, 0)).pure_vector for j in range(d))
+    return uhlmann_fidelity(DensityState.from_pure(layout, v1), DensityState.from_pure(layout, v2))

@@ -33,6 +33,14 @@ def require_integer(name: str, value) -> int:
     return int(value)
 
 
+def require_uint64(name: str, value) -> int:
+    """``value`` as an int in [0, 2^64), the range of a Philox key word."""
+    value = require_integer(name, value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} {value} outside [0, 2^64)")
+    return value
+
+
 class RngStream:
     """One independent, restartable random stream.
 
@@ -43,15 +51,9 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int):
-        seed = require_integer("seed", seed)
-        stream_id = require_integer("stream_id", stream_id)
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed {seed} outside [0, 2^64)")
-        if not 0 <= stream_id < 2**64:
-            raise ValueError(f"stream_id {stream_id} outside [0, 2^64)")
-        self.seed = seed
-        self.stream_id = stream_id
-        key = np.array([seed, stream_id], dtype=np.uint64)
+        self.seed = require_uint64("seed", seed)
+        self.stream_id = require_uint64("stream_id", stream_id)
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normals(self, *shape: int) -> np.ndarray:

@@ -39,6 +39,7 @@ from .dynamics import (
 )
 from .errors import BadDimensionError, StationaryStateError
 from .hamiltonians import (
+    Hamiltonian,
     cmi_product_example,
     classical_mediator_example,
     direct_optimal,
@@ -54,6 +55,7 @@ from .randgen import (
     random_hermitian,
     random_mediated_hamiltonian,
     require_integer,
+    require_uint64,
 )
 from .states import (
     Bipartition,
@@ -121,7 +123,7 @@ class SweepConfig:
                 f"unknown experiment {self.experiment!r}; choices: {tuple(EXPERIMENTS)}")
         if self.d < 2:
             raise ValueError(f"need d >= 2, got {self.d}")
-        object.__setattr__(self, "seed", require_integer("seed", self.seed))
+        object.__setattr__(self, "seed", require_uint64("seed", self.seed))
         if self.n_instances is not None:
             object.__setattr__(self, "n_instances", require_integer("n_instances", self.n_instances))
             if self.n_instances < 1:
@@ -206,20 +208,19 @@ def _ab_curve(d: int, dc: int):
 
 
 def _normalized_draw(rc: dict, sid: int, draw):
-    """Redraw ``draw(stream) = (M, state, ...)`` until the state moves under M.
+    """Redraw ``draw(stream) = (h, state, ...)`` until the state moves under ``h``.
 
-    Returns ``(w, v, k, redraws, drawn)``: the spectrum of M, the scale
-    k of ``EnergyMoments.scale``, the stationary draws skipped, and the draw.
+    Returns ``(k, redraws, drawn)``: the scale k of ``EnergyMoments.scale``,
+    the stationary draws skipped, and the draw, whose ``h.eig`` is now kept.
     """
     stream = RngStream(rc["seed"], sid)
     for redraws in range(_REDRAW_CAP):
         drawn = draw(stream)
-        w, v = np.linalg.eigh(drawn[0])
         try:
-            k = energy_moments_array(drawn[0], drawn[1], w[0]).scale()
+            k = energy_moments_array(drawn[0], drawn[1]).scale()
         except StationaryStateError:
             continue
-        return w, v, k, redraws, drawn
+        return k, redraws, drawn
     raise StationaryStateError(
         f"stream {sid}: all {_REDRAW_CAP} draws were stationary (redraw cap)")
 
@@ -228,19 +229,18 @@ def _cmi_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
     d, dc = rc["d"], rc["d_c"]
     if rc["witness"] and sid == 0:
         ham, s0 = cmi_product_example()
-        w, v = np.linalg.eigh(ham.matrix)
-        return _ab_curve(d, dc)(w, v, s0.pure_vector, rc["times"]), 0
+        return _ab_curve(d, dc)(ham, s0.pure_vector, rc["times"]), 0
 
     def draw(stream):
         ab = np.kron(haar_pure(d, stream), haar_pure(d, stream))
         rho_c = random_density(dc, stream)
-        m = random_mediated_hamiltonian(d, d, dc, stream).matrix
+        h = random_mediated_hamiltonian(d, d, dc, stream)
         # the product state as a density matrix, and as a d_c-column factor
-        return (m, np.kron(np.outer(ab, ab.conj()), rho_c),
+        return (h, np.kron(np.outer(ab, ab.conj()), rho_c),
                 np.kron(ab[:, None], sqrtm_psd(rho_c)))
 
-    w, v, k_scale, redraws, (_, _, x0) = _normalized_draw(rc, sid, draw)
-    return _ab_curve(d, dc)(w, v, x0, k_scale * rc["times"]), redraws
+    k_scale, redraws, (h, _, x0) = _normalized_draw(rc, sid, draw)
+    return _ab_curve(d, dc)(h, x0, k_scale * rc["times"]), redraws
 
 
 def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]:
@@ -250,9 +250,9 @@ def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]
         rho_ab0 = random_density(d * d, stream)
         rho_c = random_density(dc, stream)
         h = random_mediated_hamiltonian(d, d, dc, stream)
-        return h.matrix, np.kron(rho_ab0, rho_c), h, rho_ab0
+        return h, np.kron(rho_ab0, rho_c), rho_ab0
 
-    _, _, k_scale, redraws, (_, rho0, h, rho_ab0) = _normalized_draw(rc, sid, draw)
+    k_scale, redraws, (h, rho0, rho_ab0) = _normalized_draw(rc, sid, draw)
     h = h.scaled(k_scale)
     s0 = DensityState(h.layout, rho0)
     n0 = float(negativity_array(rho_ab0, (d, d), (1,)))
@@ -265,15 +265,16 @@ def _smi_instance(rc: dict, sid: int) -> tuple[float, float, float, np.ndarray, 
     d, psi1, times = rc["d"], rc["psi1"], rc["times"]
 
     def draw(stream):
-        return embed_operator(rc["layout"], ("B", "C"), random_hermitian(d * d, stream)), psi1
+        m = embed_operator(rc["layout"], ("B", "C"), random_hermitian(d * d, stream))
+        return Hamiltonian(rc["layout"], m), psi1
 
-    w, v, k_scale, redraws, _ = _normalized_draw(rc, sid, draw)
+    k_scale, redraws, (h, _) = _normalized_draw(rc, sid, draw)
     ab = _ab_curve(d, d)
 
     def neg_at(t: float) -> float:
-        return float(ab(w, v, psi1, np.array([k_scale * t]))[0])
+        return float(ab(h, psi1, np.array([k_scale * t]))[0])
 
-    curve = ab(w, v, psi1, k_scale * times)
+    curve = ab(h, psi1, k_scale * times)
     crossing = first_crossing(neg_at, times, curve, rc["level"])
     top = int(np.argmax(curve))
     peak_t, peak_v = refine_peak(neg_at, times[max(top - 1, 0)],
@@ -295,10 +296,10 @@ def _commuting_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
         for q in mix:
             rho_ab += q * np.kron(random_density(d, stream), random_density(d, stream))
         rho_c = random_density(dc, stream)
-        return commuting_mediated(h_a, h_b, h_c).matrix, np.kron(rho_ab, rho_c)
+        return commuting_mediated(h_a, h_b, h_c), np.kron(rho_ab, rho_c)
 
-    w, v, k_scale, redraws, (_, rho0) = _normalized_draw(rc, sid, draw)
-    return _ab_curve(d, dc)(w, v, sqrtm_psd(rho0), k_scale * rc["times"]), redraws
+    k_scale, redraws, (h, rho0) = _normalized_draw(rc, sid, draw)
+    return _ab_curve(d, dc)(h, sqrtm_psd(rho0), k_scale * rc["times"]), redraws
 
 
 def _run_range(payload) -> list:
@@ -458,10 +459,10 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     d = cfg.d
     if not 2 <= d <= 4:
         raise BadDimensionError(f"need 2 <= d <= 4, got {d}")
-    stage1 = embed_operator(cfg.layout, ("A", "C"), direct_optimal(d).matrix)
+    stage1 = Hamiltonian(cfg.layout,
+                         embed_operator(cfg.layout, ("A", "C"), direct_optimal(d).matrix))
     t1 = di_bound(d)
-    w, v = np.linalg.eigh(stage1)
-    psi1 = propagate(w, v, DensityState.basis(cfg.layout).pure_vector, [t1])[0]
+    psi1 = propagate(*stage1.eig, DensityState.basis(cfg.layout).pure_vector, [t1])[0]
     stage2_bound = math.acos(1.0 / d)
     horizon = stage2_bound + 1.0
     times = TimeGrid(0.0, horizon, SMI_T_STEP).times

@@ -377,7 +377,7 @@ class TestExitCodes:
             raise AssertionError("allocated before the size check")
 
         monkeypatch.setattr(TimeGrid, "times", property(refuse))
-        monkeypatch.setattr("medqsl.dynamics.hermitian_eig", refuse)
+        monkeypatch.setattr("medqsl.hamiltonians.hermitian_eig", refuse)
         rc = main(["evolve", "--ham", "direct-optimal:2", "--state", "ket:00",
                    "--tmax", "10000", "--dt", "1e-3"])
         assert rc == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from medqsl import dynamics
+from medqsl import dynamics, hamiltonians
 from medqsl.dynamics import (
     JUMP_KINDS,
     JumpOperatorSet,
@@ -35,7 +35,7 @@ from medqsl.hamiltonians import (
     entangled_mediator_example,
     open_system_example,
 )
-from medqsl.linalg import hermitian_eig, sqrtm_psd
+from medqsl.linalg import sqrtm_psd
 from medqsl.randgen import RngStream, haar_pure, random_density, random_hermitian
 from medqsl.states import (
     Bipartition,
@@ -91,7 +91,7 @@ class TestTrajectoryCap:
     @pytest.mark.parametrize("open_", [False, True], ids=["unitary", "lindblad"])
     def test_refused_before_the_grid_is_built(self, monkeypatch, open_):
         monkeypatch.setattr(TimeGrid, "times", property(_refuse))
-        monkeypatch.setattr(dynamics, "hermitian_eig", _refuse)
+        monkeypatch.setattr(hamiltonians, "hermitian_eig", _refuse)
         monkeypatch.setattr(JumpOperatorSet, "embedded", _refuse)
         h = direct_optimal(2)
         # 1e7 + 1 points of 4x4 complex matrices: 2.4 GiB
@@ -189,13 +189,15 @@ class TestUnitaryEvolution:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        h, s0 = classical_mediator_example()
+        s0 = classical_mediator_example()[1]
         stream = RngStream(5, 0)
         psi = haar_pure(8, stream)
         s0 = DensityState(s0.layout, 0.9 * np.outer(psi, psi.conj())
                           + 0.1 * random_density(8, stream))
         seen = []
         for points in (10, 250):
+            # a fresh Hamiltonian each time, so neither run reuses a kept spectrum
+            h = classical_mediator_example()[0]
             before = dict(counts)
             traj = evolve_unitary(h, s0, TimeGrid(0.0, (points - 1) * 1e-3, 1e-3))
             assert len(traj.states) == points
@@ -273,9 +275,8 @@ class TestNegativityCurve:
         grid = TimeGrid(0.0, 2.0, 0.05)
         ref = evolve_unitary(h, s0, grid, cut=p).columns["negativity"]
         assert ref.max() > 1e-2
-        w, v = hermitian_eig(h.matrix)
         x0 = s0.pure_vector if pure else sqrtm_psd(s0.matrix)
-        got = negativity_curve(self.LAYOUT, p)(w, v, x0, grid.times)
+        got = negativity_curve(self.LAYOUT, p)(h, x0, grid.times)
         assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_unknown_label(self):

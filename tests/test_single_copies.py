@@ -4,16 +4,19 @@ The spectral propagation exp(-iTM) lives in ``linalg.propagate`` alone,
 negativity over time goes through ``dynamics.negativity_curve``, the
 sweep kernels build on public library functions rather than on another
 module's private helpers, every small threshold is named once, in
-``tolerances.py``, and used, and the stationary-state rule is applied in
-one place.
+``tolerances.py``, and used, the stationary-state rule is applied in
+one place, and a coupling is diagonalized by ``Hamiltonian.eig`` alone.
 """
 
 import ast
 import inspect
+import math
 from pathlib import Path
 
+import pytest
+
 import medqsl
-from medqsl import dynamics, hamiltonians, linalg, sweep
+from medqsl import Bipartition, DensityState, dynamics, hamiltonians, linalg, qsl, sweep
 
 SRC = Path(medqsl.__file__).resolve().parent
 
@@ -85,18 +88,28 @@ def test_one_stationary_rule():
     assert "STATIONARY_TOL" in inspect.getsource(hamiltonians.EnergyMoments.scale)
 
 
-def _propagate_callers(module: str) -> list[str]:
-    """The top-level function around each call of ``propagate`` in a module."""
-    tree = ast.parse((SRC / module).read_text())
-    return sorted(getattr(top, "name", "<module>")
-                  for top in tree.body for node in ast.walk(top)
-                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "propagate")
+def _callers_of(name: str) -> list[str]:
+    """``module.Scope.function`` around each call of ``name`` in ``src/``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return sorted(found)
 
 
 def test_one_negativity_over_time():
-    assert _propagate_callers("dynamics.py") == ["evolve_unitary", "negativity_curve"]
     # the smi stage-one state; every negativity curve goes through negativity_curve
-    assert _propagate_callers("sweep.py") == ["run_smi_protocol"]
+    assert _callers_of("propagate") == ["dynamics.evolve_unitary",
+                                        "dynamics.negativity_curve.curve",
+                                        "sweep.run_smi_protocol"]
 
 
 def test_one_jump_builder():
@@ -109,3 +122,28 @@ def test_one_jump_builder():
         if kinds:
             named[path.name] = kinds
     assert named == {"dynamics.py": set(dynamics.JUMP_KINDS), "sweep.py": {"dephasing"}}
+
+
+def _numpy_linalg_uses(module: str) -> list[int]:
+    """Lines of ``module`` that reach numpy's linalg: ``np.linalg``, or an import from numpy."""
+    return [node.lineno for node in ast.walk(ast.parse((SRC / module).read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "linalg"
+            or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")]
+
+
+def test_one_spectrum_per_hamiltonian(monkeypatch):
+    # sweep and dynamics make no eigensolve of their own, and every library
+    # call on one Hamiltonian shares the spectrum it keeps
+    assert _numpy_linalg_uses("sweep.py") == [] and _numpy_linalg_uses("dynamics.py") == []
+    assert _callers_of("hermitian_eig") == ["hamiltonians.Hamiltonian.eig", "linalg.sqrtm_psd"]
+    calls = []
+    original = hamiltonians.hermitian_eig
+    monkeypatch.setattr(hamiltonians, "hermitian_eig", lambda m: calls.append(m) or original(m))
+    h, s0 = hamiltonians.cmi_product_example()
+    p = Bipartition.parse("A:B")
+    dynamics.evolve_unitary(h, s0, dynamics.TimeGrid(0.0, 0.5, 0.01))
+    hamiltonians.energy_moments(h, s0)
+    assert dynamics.first_max_entanglement_time(h, s0, p) == pytest.approx(math.pi / 2, abs=1e-6)
+    dynamics.entanglement_change_at_zero(h, s0, p)
+    qsl.unified_bound(s0, DensityState.basis(h.layout, (1, 1, 0)), h)
+    assert len(calls) == 1 and calls[0] is h.matrix

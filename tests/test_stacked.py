@@ -131,19 +131,17 @@ class TestStackedMeasures:
 
     def test_energy_moments(self, name, count, pure, seed):
         stack, singles = _case(name, count, pure, seed)
-        m = random_hermitian(stack.layout.dim, RngStream(seed, 999))
-        ground = float(np.linalg.eigvalsh(m)[0])
+        h = Hamiltonian(stack.layout, random_hermitian(stack.layout.dim, RngStream(seed, 999)))
         for x, xs in ((stack.matrix, [s.matrix for s in singles]),
                       (stack.pure_vector, [s.pure_vector for s in singles])):
             if x is None:
                 continue
-            got = energy_moments_array(m, x, ground, stacked=True)
-            ones = [energy_moments_array(m, xk, ground) for xk in xs]
+            got = energy_moments_array(h, x, stacked=True)
+            ones = [energy_moments_array(h, xk) for xk in xs]
             for field in ("mean", "std"):
                 want = np.array([getattr(em, field) for em in ones])
                 assert np.abs(getattr(got, field) - want).max() <= 1e-12
                 assert_array_equal(getattr(got, field), want)
-        h = Hamiltonian(stack.layout, m)
         em = energy_moments(h, stack)
         assert_array_equal(em.mean, [energy_moments(h, s).mean for s in singles])
         assert_array_equal(em.std, [energy_moments(h, s).std for s in singles])

@@ -67,6 +67,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
             SweepConfig(experiment="cmi-uncorrelated", seed=seed, n_instances=3)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_range(self, seed):
+        # refused with the config, before the experiment's setup or any draw
+        with pytest.raises(ValueError, match=rf"seed {seed} outside \[0, 2\^64\)"):
+            SweepConfig(experiment="smi-protocol", seed=seed, n_instances=2)
+
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
     def test_instance_count_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match=f"n_instances must be an integer, got {n!r}"):
