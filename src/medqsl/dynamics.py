@@ -3,15 +3,15 @@
 Unitary evolution is spectral and exact at every requested time: the
 Hamiltonian is diagonalized once and each grid point gets its own
 exponential, so there is no step-to-step error accumulation.  The open
-system integrator is one fixed-step RK4 loop on the master equation in
-effective-Hamiltonian form
+system integrator is one fixed-step loop on the master equation
 
-    d rho / dT = K rho + (K rho)+ + sum_q Q rho Q+,   K = -iM - sum_q Q+Q / 2
+    d rho / dT = L rho = K rho + (K rho)+ + sum_q Q rho Q+,   K = -iM - sum_q Q+Q / 2
 
-with the jumps applied as one stack, the state re-Hermitized after every
-step and an effective step never above 1e-3.  RK4 increments are exactly
-traceless, so the trace is conserved to roundoff; positivity is monitored
-instead and a dip below -1e-6 aborts with PositivityLostError.
+whose substeps, never above 1e-3, are the RK4 map of L in Horner form,
+each L two matrix products, the state re-Hermitized after every substep.
+RK4 increments are exactly traceless, so the trace is conserved to
+roundoff; positivity is monitored instead and a dip below -1e-6 aborts
+with PositivityLostError.
 """
 
 from __future__ import annotations
@@ -241,13 +241,17 @@ def _observe(h: Hamiltonian, s0: DensityState, times: np.ndarray, stacks: list[D
     Each stack is measured in one call per measure, so validation, the
     marginals and the eigensolves run once per stack, not once per state.
     The fidelities put the single state first, so only its root is taken,
-    and F(s0, s) serves both columns when ``target`` is ``s0``.
+    and F(s0, s) serves both columns when ``target`` is ``s0``.  The first
+    state is ``s0`` by definition, so its F(s0, s) is 1 and its Bures angle
+    0 exactly, where the computed root fidelity may miss 1 by roundoff.
     """
     parts = {name: [] for name in TRAJECTORY_COLUMNS[1:]}
-    for s in stacks:
+    for j, s in enumerate(stacks):
         marg = _marginal(s, cut)
         em = energy_moments(h, s)
         f0 = uhlmann_fidelity(s0, s)
+        if j == 0:
+            f0[0] = 1.0
         for name, values in (("negativity", negativity(marg, cut)),
                              ("fidelity_to_target",
                               f0 if target is s0 else uhlmann_fidelity(target, s)),
@@ -293,40 +297,59 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
 
 def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
                  times) -> list[DensityState]:
-    """``s0``, the state at ``times[0]``, RK4-stepped to each of ``times``.
+    """``s0``, the state at ``times[0]``, stepped to each of ``times``.
 
-    Substeps of at most ``LINDBLAD_MAX_STEP`` on the master equation above,
-    each re-Hermitized.  Each stepped state is checked as it is reached, so
-    PositivityLostError names the first T that fails; the states come back
-    in stacks of up to ``PROPAGATE_CHUNK``.
+    Substeps of at most ``LINDBLAD_MAX_STEP``, each re-Hermitized, are the
+    RK4 map of the generator L above, which for a linear, time-independent
+    L is the degree-4 Taylor map, here in Horner form
+
+        rho <- rho + dt L(rho + dt/2 L(rho + dt/3 L(rho + dt/4 L rho))).
+
+    Each c L(r) is two products: P = c [K; Q_1; ...; Q_m] r on the factors
+    with their rows interleaved, so that P reads as P_0 = c K r beside
+    [P_1 ... P_m], and c L(r) = P_0 + P_0+ + [P_1 ... P_m] [Q_1+; ...; Q_m+].
+    The four constants c are folded into scaled copies of the factors,
+    made once per segment.  Each stepped state is validated once, as it is
+    reached, so PositivityLostError names the first T that fails; the
+    states come back in stacks of up to ``PROPAGATE_CHUNK``, keeping the
+    spectra they were checked with.
     """
     q, q_adj, qq = jumps.embedded()
-    k_eff = -1j * h.matrix - 0.5 * qq
-
-    def rhs(r: np.ndarray) -> np.ndarray:
-        kr = k_eff @ r
-        return kr + kr.conj().T + (q @ r @ q_adj).sum(axis=0)
-
-    rhos = np.empty((len(times),) + s0.matrix.shape, dtype=complex)
-    rhos[0] = rho = s0.matrix
-    for i in range(1, len(times)):
-        span = times[i] - times[i - 1]
-        n_sub = max(1, int(math.ceil(span / LINDBLAD_MAX_STEP - SUBSTEP_SLACK)))
-        dt = span / n_sub
-        for _ in range(n_sub):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
+    n, m = s0.layout.dim, len(q)
+    factors = np.concatenate([(-1j * h.matrix - 0.5 * qq)[:, None], q.swapaxes(0, 1)],
+                             axis=1).reshape(n * (m + 1), n)
+    q_adj = q_adj.reshape(m * n, n)
+    p = np.empty((n, m + 1, n), dtype=complex)
+    p_flat, p_k, p_q = p.reshape(-1, n), p[:, 0], p[:, 1:].reshape(n, m * n)
+    rhos = np.empty((len(times), n, n), dtype=complex)
+    spectra = np.empty((len(times), n))
+    rho = s0.matrix
+    for i in range(len(times)):
+        if i:
+            span = times[i] - times[i - 1]
+            n_sub = max(1, int(math.ceil(span / LINDBLAD_MAX_STEP - SUBSTEP_SLACK)))
+            dt = span / n_sub
+            stages = [(dt / j) * factors for j in (4, 3, 2, 1)]
+            for _ in range(n_sub):
+                y = rho
+                for scaled in stages:
+                    np.matmul(scaled, y, out=p_flat)
+                    y = p_q @ q_adj
+                    y += rho
+                    y += p_k
+                    y += p_k.conj().T
+                rho = y + y.conj().T
+                rho *= 0.5
         try:
-            DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
+            st = DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
         except NotPSDError as e:
             raise PositivityLostError(
                 f"{e} at T={times[i]:.6f}; reduce the step or the rates") from None
-        rhos[i] = rho
-    return [DensityState(s0.layout, rhos[lo:lo + PROPAGATE_CHUNK], eig_floor=LINDBLAD_EIG_FLOOR)
+        rhos[i], spectra[i] = st.matrix, st.spectrum
+    rhos.setflags(write=False)
+    spectra.setflags(write=False)
+    return [DensityState._trusted(s0.layout, rhos[lo:lo + PROPAGATE_CHUNK],
+                                  spectrum=spectra[lo:lo + PROPAGATE_CHUNK])
             for lo in range(0, len(rhos), PROPAGATE_CHUNK)]
 
 
@@ -335,7 +358,10 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
                     target: DensityState | None = None) -> Trajectory:
     """Open evolution under ``h`` and the jump operators in ``jumps``.
 
-    ``cut`` and ``target`` are observed as in ``evolve_unitary``.  With an
+    ``cut`` and ``target`` are observed as in ``evolve_unitary``.  Each
+    substep of at most 1e-3 is the RK4 map of the generator, taken as its
+    Horner-form Taylor map of degree 4, each generator application two
+    products on the stacked factors (see ``_open_stacks``).  With an
     empty jump set this agrees with ``evolve_unitary`` up to the
     integrator error of the 1e-3 substeps.
     """

@@ -79,7 +79,14 @@ class Hamiltonian:
         return w, v
 
     def scaled(self, k: float) -> "Hamiltonian":
-        return Hamiltonian(self.layout, k * self.matrix)
+        """k M; for k >= 0 a kept ``eig`` carries over as (k w, v), still ascending."""
+        out = Hamiltonian(self.layout, k * self.matrix)
+        if k >= 0 and "eig" in self.__dict__:
+            w, v = self.eig
+            w = k * w
+            w.setflags(write=False)
+            out.__dict__["eig"] = (w, v)
+        return out
 
 
 @dataclass(frozen=True)

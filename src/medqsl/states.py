@@ -215,10 +215,11 @@ class DensityState:
 
     @classmethod
     def _trusted(cls, layout: SystemLayout, matrix: np.ndarray,
-                 vector: np.ndarray | None = None) -> "DensityState":
-        """A state from arrays already checked, read-only, without validating them."""
+                 vector: np.ndarray | None = None,
+                 spectrum: np.ndarray | None = None) -> "DensityState":
+        """A state from checked, read-only arrays and their kept spectrum, not validated again."""
         s = object.__new__(cls)
-        s.layout, s.matrix, s.pure_vector, s.spectrum = layout, matrix, vector, None
+        s.layout, s.matrix, s.pure_vector, s.spectrum = layout, matrix, vector, spectrum
         return s
 
     @classmethod
@@ -432,7 +433,12 @@ def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
 
 
 def _acos(f: float | np.ndarray) -> float | np.ndarray:
-    """math.acos of each root fidelity: numpy's arccos may differ in the last bit."""
+    """math.acos of each root fidelity: numpy's arccos may differ in the last bit.
+
+    Near F = 1 the angle is sqrt(2 (1 - F)), so a roundoff eps in F reads
+    as an angle of sqrt(2 eps): about 2e-8 at eps = 2.2e-16, and up to a few
+    1e-7 for a mixed root fidelity, whose roundoff is some 1e-14.
+    """
     if isinstance(f, float):
         return math.acos(f)
     return np.fromiter(map(math.acos, f), float, len(f))

@@ -240,7 +240,19 @@ class TestObserve:
         assert len(traj.stacks) == 2
         fid = traj.columns["fidelity_to_target"]
         assert traj.columns["bures_angle_from_initial"].tolist() == [math.acos(f) for f in fid]
-        assert_array_equal(fid, np.concatenate([uhlmann_fidelity(s0, st) for st in traj.stacks]))
+        # the first state is s0 by definition; the others are computed
+        assert fid[0] == 1.0
+        assert_array_equal(fid[1:], np.concatenate(
+            [uhlmann_fidelity(s0, st) for st in traj.stacks])[1:])
+
+    @pytest.mark.parametrize("seed", [7, 9, 12])
+    def test_first_point_is_s0(self, evolve, seed):
+        # mixed root fidelities miss 1 by ~1e-14, which acos turns into ~1e-7
+        h, s0 = self._mixed(seed)
+        traj = evolve(h, s0, TimeGrid(0.0, 0.01, 1e-3))
+        assert traj.columns["bures_angle_from_initial"][0] == 0.0
+        assert traj.columns["fidelity_to_target"][0] == 1.0
+        assert traj.columns["bures_angle_from_initial"][1] > 0.0
 
     def test_distinct_target_is_its_own_fidelity(self, evolve):
         h, s0 = self._mixed(5)
@@ -248,8 +260,10 @@ class TestObserve:
         traj = evolve(h, s0, self.grid, target=target)
         assert_array_equal(traj.columns["fidelity_to_target"],
                            np.concatenate([uhlmann_fidelity(target, st) for st in traj.stacks]))
-        assert_array_equal(traj.columns["bures_angle_from_initial"],
-                           np.concatenate([bures_angle(s0, st) for st in traj.stacks]))
+        angle = traj.columns["bures_angle_from_initial"]
+        assert angle[0] == 0.0
+        assert_array_equal(angle[1:],
+                           np.concatenate([bures_angle(s0, st) for st in traj.stacks])[1:])
 
 
 class TestNegativityCurve:
@@ -282,6 +296,60 @@ class TestNegativityCurve:
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError):
             negativity_curve(self.LAYOUT, Bipartition.parse("A:D"))
+
+
+def _rk4_reference(h, s0, jumps, times):
+    """Four-stage RK4 on K r + (K r)+ + sum_q Q r Q+: the reference for the stepper."""
+    q, q_adj, qq = jumps.embedded()
+    k_eff = -1j * h.matrix - 0.5 * qq
+
+    def rhs(r):
+        kr = k_eff @ r
+        return kr + kr.conj().T + (q @ r @ q_adj).sum(axis=0)
+
+    rho, out = s0.matrix, [s0.matrix]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        n_sub = max(1, int(math.ceil((t1 - t0) / dynamics.LINDBLAD_MAX_STEP - 1e-12)))
+        dt = (t1 - t0) / n_sub
+        for _ in range(n_sub):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = 0.5 * (rho + rho.conj().T)
+        out.append(rho)
+    return np.array(out)
+
+
+def _jumps(lay, *specs):
+    """The jump set of (kind, rate, label) triples, in order."""
+    return JumpOperatorSet(lay, tuple(op for kind, rate, lab in specs
+                                      for op in JumpOperatorSet.local(lay, kind, rate, (lab,)).ops))
+
+
+@pytest.mark.parametrize("dims, specs", [
+    ((("A", 2), ("B", 2)), ()),
+    ((("A", 2), ("B", 2)), (("dephasing", 0.4, "B"),)),
+    ((("A", 3), ("B", 2)), (("damping", 0.7, "A"),)),
+    ((("A", 3), ("B", 2)), (("dephasing", 1.5, "A"), ("damping", 1.0, "B"))),
+    ((("A", 2), ("B", 2), ("C", 2)),
+     (("damping", 0.3, "A"), ("dephasing", 0.5, "B"), ("damping", 0.2, "C"))),
+], ids=["no-jumps", "dephasing-qubit", "damping-qutrit", "mixed-kinds", "every-qubit"])
+def test_stepper_matches_four_stage_rk4(dims, specs):
+    # the Horner-form Taylor map is the four-stage RK4 map of a linear,
+    # time-independent generator: the two agree to roundoff
+    lay = SystemLayout(dims)
+    stream = RngStream(13, len(specs))
+    h = Hamiltonian(lay, 3.0 * random_hermitian(lay.dim, stream))
+    s0 = DensityState(lay, random_density(lay.dim, stream))
+    grid = TimeGrid(0.0, 0.2, 0.025)
+    jumps = _jumps(lay, *specs)
+    traj = evolve_lindblad(h, s0, grid, jumps)
+    ref = _rk4_reference(h, s0, jumps, grid.times)
+    got = np.array([st.matrix for st in traj.states])
+    assert np.abs(got - ref).max() <= 1e-12
+    assert np.abs(ref[-1] - ref[0]).max() > 1e-2
 
 
 class TestLindblad:

@@ -131,14 +131,19 @@ def _numpy_linalg_uses(module: str) -> list[int]:
             or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")]
 
 
+def _counting_eig(monkeypatch) -> list:
+    calls = []
+    original = hamiltonians.hermitian_eig
+    monkeypatch.setattr(hamiltonians, "hermitian_eig", lambda m: calls.append(m) or original(m))
+    return calls
+
+
 def test_one_spectrum_per_hamiltonian(monkeypatch):
     # sweep and dynamics make no eigensolve of their own, and every library
     # call on one Hamiltonian shares the spectrum it keeps
     assert _numpy_linalg_uses("sweep.py") == [] and _numpy_linalg_uses("dynamics.py") == []
     assert _callers_of("hermitian_eig") == ["hamiltonians.Hamiltonian.eig", "linalg.sqrtm_psd"]
-    calls = []
-    original = hamiltonians.hermitian_eig
-    monkeypatch.setattr(hamiltonians, "hermitian_eig", lambda m: calls.append(m) or original(m))
+    calls = _counting_eig(monkeypatch)
     h, s0 = hamiltonians.cmi_product_example()
     p = Bipartition.parse("A:B")
     dynamics.evolve_unitary(h, s0, dynamics.TimeGrid(0.0, 0.5, 0.01))
@@ -147,3 +152,30 @@ def test_one_spectrum_per_hamiltonian(monkeypatch):
     dynamics.entanglement_change_at_zero(h, s0, p)
     qsl.unified_bound(s0, DensityState.basis(h.layout, (1, 1, 0)), h)
     assert len(calls) == 1 and calls[0] is h.matrix
+
+
+def test_scaled_keeps_the_spectrum(monkeypatch):
+    # k >= 0 carries (k w, v) over; a negative k would reverse the order,
+    # so that coupling is diagonalized afresh
+    h = hamiltonians.cmi_product_example()[0]
+    calls = _counting_eig(monkeypatch)
+    w, v = h.eig
+    for k in (0.0, 2.5):
+        kw, kv = h.scaled(k).eig
+        assert kw.tolist() == (k * w).tolist() and kv is v
+        assert not kw.flags.writeable
+    assert len(calls) == 1
+    neg = h.scaled(-2.0).eig[0]
+    assert len(calls) == 2 and (neg[1:] >= neg[:-1]).all()
+    # nothing kept yet, so nothing is carried and nothing solved
+    assert "eig" not in hamiltonians.Hamiltonian(h.layout, h.matrix).scaled(2.0).__dict__
+    assert len(calls) == 2
+
+
+def test_one_spectrum_per_rate_instance(monkeypatch):
+    # each drawn coupling is diagonalized once: the scale check reads its
+    # eig, and the scaled coupling of the rate probes keeps it (10 draws,
+    # one direct control)
+    calls = _counting_eig(monkeypatch)
+    sweep.run_sweep(sweep.SweepConfig("rate-zero", n_instances=10, seed=7))
+    assert len(calls) == 11
