@@ -10,8 +10,9 @@ system integrator is one fixed-step loop on the master equation
 whose substeps, never above 1e-3, are the RK4 map of L in Horner form,
 each L two matrix products, the state re-Hermitized after every substep.
 RK4 increments are exactly traceless, so the trace is conserved to
-roundoff; positivity is monitored instead and a dip below -1e-6 aborts
-with PositivityLostError.
+roundoff; each chunk of stepped states is checked as one stack, and the
+first state with an eigenvalue below -1e-6, a trace drift or a non-finite
+entry aborts with PositivityLostError.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .errors import (
     BadDimensionError,
     DimensionMismatchError,
     LayoutMismatchError,
-    NotPSDError,
     PositivityLostError,
+    StackCheckError,
 )
 from .hamiltonians import Hamiltonian, energy_moments
 from .linalg import propagate, sqrtm_psd
@@ -309,10 +310,10 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
     with their rows interleaved, so that P reads as P_0 = c K r beside
     [P_1 ... P_m], and c L(r) = P_0 + P_0+ + [P_1 ... P_m] [Q_1+; ...; Q_m+].
     The four constants c are folded into scaled copies of the factors,
-    made once per segment.  Each stepped state is validated once, as it is
-    reached, so PositivityLostError names the first T that fails; the
-    states come back in stacks of up to ``PROPAGATE_CHUNK``, keeping the
-    spectra they were checked with.
+    made once per segment.  Up to ``PROPAGATE_CHUNK`` states are stepped,
+    overflow ignored, into one buffer, which ``DensityState`` copies as it
+    checks them as one stack: PositivityLostError names the T of the first
+    state that fails any check, non-finite entries and trace drift included.
     """
     q, q_adj, qq = jumps.embedded()
     n, m = s0.layout.dim, len(q)
@@ -321,36 +322,37 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
     q_adj = q_adj.reshape(m * n, n)
     p = np.empty((n, m + 1, n), dtype=complex)
     p_flat, p_k, p_q = p.reshape(-1, n), p[:, 0], p[:, 1:].reshape(n, m * n)
-    rhos = np.empty((len(times), n, n), dtype=complex)
-    spectra = np.empty((len(times), n))
-    rho = s0.matrix
-    for i in range(len(times)):
-        if i:
-            span = times[i] - times[i - 1]
-            n_sub = max(1, int(math.ceil(span / LINDBLAD_MAX_STEP - SUBSTEP_SLACK)))
-            dt = span / n_sub
-            stages = [(dt / j) * factors for j in (4, 3, 2, 1)]
-            for _ in range(n_sub):
-                y = rho
-                for scaled in stages:
-                    np.matmul(scaled, y, out=p_flat)
-                    y = p_q @ q_adj
-                    y += rho
-                    y += p_k
-                    y += p_k.conj().T
-                rho = y + y.conj().T
-                rho *= 0.5
+    chunk = np.empty((min(len(times), PROPAGATE_CHUNK), n, n), dtype=complex)
+    stacks, rho = [], s0.matrix
+    for lo in range(0, len(times), PROPAGATE_CHUNK):
+        hi = min(lo + PROPAGATE_CHUNK, len(times))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(lo, hi):
+                if i:
+                    span = times[i] - times[i - 1]
+                    n_sub = max(1, int(math.ceil(span / LINDBLAD_MAX_STEP - SUBSTEP_SLACK)))
+                    dt = span / n_sub
+                    stages = [(dt / j) * factors for j in (4, 3, 2, 1)]
+                    for _ in range(n_sub):
+                        y = rho
+                        for scaled in stages:
+                            np.matmul(scaled, y, out=p_flat)
+                            y = p_q @ q_adj
+                            y += rho
+                            y += p_k
+                            y += p_k.conj().T
+                        rho = y + y.conj().T
+                        rho *= 0.5
+                chunk[i - lo] = rho
+                if not np.isfinite(rho).all():  # it stays non-finite: check the chunk now
+                    hi = i + 1
+                    break
         try:
-            st = DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
-        except NotPSDError as e:
-            raise PositivityLostError(
-                f"{e} at T={times[i]:.6f}; reduce the step or the rates") from None
-        rhos[i], spectra[i] = st.matrix, st.spectrum
-    rhos.setflags(write=False)
-    spectra.setflags(write=False)
-    return [DensityState._trusted(s0.layout, rhos[lo:lo + PROPAGATE_CHUNK],
-                                  spectrum=spectra[lo:lo + PROPAGATE_CHUNK])
-            for lo in range(0, len(rhos), PROPAGATE_CHUNK)]
+            stacks.append(DensityState(s0.layout, chunk[:hi - lo], eig_floor=LINDBLAD_EIG_FLOOR))
+        except StackCheckError as e:
+            raise PositivityLostError(f"{e.message} at T={times[lo + e.index[0]]:.6f}; "
+                                      "reduce the step or the rates") from None
+    return stacks
 
 
 def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,

@@ -7,11 +7,24 @@ class MedqslError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotHermitianError(MedqslError):
+class StackCheckError(MedqslError):
+    """A failed check of a matrix, or of the one at ``index`` of a stack; ``message`` omits it."""
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()):
+        where = f" (stack index {index[0] if len(index) == 1 else index})" if index else ""
+        super().__init__(message + where)
+        self.message, self.index = message, index
+
+
+class NotHermitianError(StackCheckError):
     """Matrix expected to be Hermitian is not, beyond tolerance."""
 
 
-class NotPSDError(MedqslError):
+class NormalizationError(StackCheckError, ValueError):
+    """A density matrix's trace is not 1, or a state vector cannot be normalized."""
+
+
+class NotPSDError(StackCheckError):
     """Matrix expected to be positive semidefinite has a negative eigenvalue."""
 
 

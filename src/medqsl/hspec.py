@@ -330,37 +330,25 @@ class _Parser:
 
 def _validate(ast: HSpecAst, lines: list[str]) -> None:
     dims = dict(ast.declarations)
-
-    def excerpt(op: OpRef) -> str:
-        return lines[op.line - 1] if 0 < op.line <= len(lines) else ""
-
     for term in ast.terms:
         for op in term.ops:
+            at = (op.line, op.col, lines[op.line - 1] if 0 < op.line <= len(lines) else "")
             if op.label not in dims:
-                raise UnknownLabelError(
-                    f"undeclared subsystem {op.label!r}",
-                    op.line, op.col, excerpt(op))
+                raise UnknownLabelError(f"undeclared subsystem {op.label!r}", *at)
             d = dims[op.label]
             lo, qubit_only, _ = OPERATORS[op.name]
             if lo is None:
                 if op.arg is not None:
-                    raise ArgOutOfRangeError(
-                        f"{op.name} takes no argument",
-                        op.line, op.col, excerpt(op))
+                    raise ArgOutOfRangeError(f"{op.name} takes no argument", *at)
                 if qubit_only and d != 2:
                     raise PauliOnQuditError(
-                        f"{op.name} needs a dim-2 subsystem; {op.label!r} has dim {d}",
-                        op.line, op.col, excerpt(op))
+                        f"{op.name} needs a dim-2 subsystem; {op.label!r} has dim {d}", *at)
             else:
                 if op.arg is None:
-                    raise ArgOutOfRangeError(
-                        f"{op.name} requires a level argument",
-                        op.line, op.col, excerpt(op))
+                    raise ArgOutOfRangeError(f"{op.name} requires a level argument", *at)
                 if not lo <= op.arg < d:
-                    raise ArgOutOfRangeError(
-                        f"{op.name} argument {op.arg} outside [{lo}, {d - 1}] "
-                        f"for {op.label!r} of dim {d}",
-                        op.line, op.col, excerpt(op))
+                    raise ArgOutOfRangeError(f"{op.name} argument {op.arg} outside "
+                                             f"[{lo}, {d - 1}] for {op.label!r} of dim {d}", *at)
 
 
 def parse(text: str) -> HSpecAst:

@@ -8,7 +8,8 @@ package stay small (a few thousand at most).
 
 The checks and matrix functions take one matrix or a ``(..., n, n)``
 stack of them.  A stack is checked matrix by matrix in one pass, and a
-failure names the first failing matrix by its stack index.
+failure names the first failing matrix by its stack index, which the
+error keeps as ``index``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "propagate",
     "sqrtm_psd",
     "first_failure",
-    "at_index",
     "dot_rows",
 ]
 
@@ -36,13 +36,6 @@ def first_failure(ok) -> tuple[int, ...] | None:
     if ok.all():
         return None
     return tuple(int(i) for i in np.argwhere(~ok)[0])
-
-
-def at_index(k: tuple[int, ...]) -> str:
-    """Where in a stack a check failed: '' for one matrix, else its stack index."""
-    if not k:
-        return ""
-    return f" (stack index {k[0] if len(k) == 1 else k})"
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -61,9 +54,8 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     k = first_failure(dev <= HERM_TOL)
     if k is not None:
         bad = np.argwhere(~np.isfinite(m[k])).tolist()
-        raise NotHermitianError((f"matrix has {len(bad)} non-finite entries, at {bad[:4]}"
-                                 if bad else f"matrix deviates from Hermitian by {dev[k]:.3e}")
-                                + at_index(k))
+        raise NotHermitianError(f"matrix has {len(bad)} non-finite entries, at {bad[:4]}"
+                                if bad else f"matrix deviates from Hermitian by {dev[k]:.3e}", k)
     return m
 
 
@@ -71,7 +63,7 @@ def require_psd(w: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     """Return ascending spectra ``w``, raising NotPSDError where one starts below ``floor``."""
     k = first_failure(w[..., 0] >= floor)
     if k is not None:
-        raise NotPSDError(f"minimum eigenvalue {w[k][0]:.3e} below {floor:.0e}" + at_index(k))
+        raise NotPSDError(f"minimum eigenvalue {w[k][0]:.3e} below {floor:.0e}", k)
     return w
 
 

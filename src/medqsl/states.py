@@ -21,10 +21,12 @@ from .errors import (
     DimensionMismatchError,
     FullOrEmptySetError,
     LayoutMismatchError,
+    NormalizationError,
     PartitionMismatchError,
+    StackCheckError,
     UnknownLabelError,
 )
-from .linalg import at_index, dot_rows, first_failure, require_hermitian, require_psd, sqrtm_psd
+from .linalg import dot_rows, first_failure, require_hermitian, require_psd, sqrtm_psd
 from .tolerances import CLASSICAL_TOL, ENTROPY_CUTOFF, NEG_EIG_TOL, PSD_FLOOR, TRACE_TOL
 
 __all__ = [
@@ -179,12 +181,13 @@ class DensityState:
     Validation on construction: Hermitian within ``HERM_TOL``, unit trace
     within ``TRACE_TOL``, eigenvalues above ``eig_floor`` (default
     ``PSD_FLOOR``); a NaN or infinite entry fails.  A stack is validated
-    in one pass, and an error names the first failing state by its stack
-    index.  A pure state comes from ``from_pure``, which checks its vector
+    in one pass, and the error is the earliest failing state's first
+    failing check, naming its stack index (kept as the error's ``index``).
+    A pure state comes from ``from_pure``, which checks its vector
     instead: the projector onto a normalized vector passes all of the
-    above by construction.  A validated state keeps the ascending
-    spectrum it was checked with as ``spectrum`` (read-only, ``(T, n)``
-    for a stack); it is None for ``from_pure`` and for states of a stack.
+    above by construction.  Only this constructor keeps a spectrum: the
+    ascending one it checked, as ``spectrum`` (read-only, ``(T, n)`` for
+    a stack); it is None for ``from_pure`` and for states of a stack.
 
     Args:
         layout: subsystem structure of the state.
@@ -202,24 +205,28 @@ class DensityState:
             raise DimensionMismatchError(
                 f"matrix shape {matrix.shape} does not match layout dim {layout.dim}"
             )
-        require_hermitian(matrix)
-        tr = np.trace(matrix, axis1=-2, axis2=-1)
-        k = first_failure(abs(tr - 1.0) <= TRACE_TOL)
-        if k is not None:
-            raise ValueError(f"trace {tr[k]:.12f} is not 1 within {TRACE_TOL:.0e}"
-                             + at_index(k))
-        w = require_psd(np.linalg.eigvalsh(matrix), eig_floor)
+        try:
+            require_hermitian(matrix)
+            tr = np.trace(matrix, axis1=-2, axis2=-1)
+            k = first_failure(abs(tr - 1.0) <= TRACE_TOL)
+            if k is not None:
+                raise NormalizationError(f"trace {tr[k]:.12f} is not 1 within {TRACE_TOL:.0e}", k)
+            w = require_psd(np.linalg.eigvalsh(matrix), eig_floor)
+        except StackCheckError as e:
+            # an earlier state may fail a later check: it raises its own error
+            if e.index:
+                DensityState(layout, matrix[:e.index[0]], eig_floor=eig_floor)
+            raise
         matrix.setflags(write=False)
         w.setflags(write=False)
         self.layout, self.matrix, self.pure_vector, self.spectrum = layout, matrix, None, w
 
     @classmethod
     def _trusted(cls, layout: SystemLayout, matrix: np.ndarray,
-                 vector: np.ndarray | None = None,
-                 spectrum: np.ndarray | None = None) -> "DensityState":
-        """A state from checked, read-only arrays and their kept spectrum, not validated again."""
+                 vector: np.ndarray | None = None) -> "DensityState":
+        """A state from checked, read-only arrays, not validated again."""
         s = object.__new__(cls)
-        s.layout, s.matrix, s.pure_vector, s.spectrum = layout, matrix, vector, spectrum
+        s.layout, s.matrix, s.pure_vector, s.spectrum = layout, matrix, vector, None
         return s
 
     @classmethod
@@ -235,14 +242,11 @@ class DensityState:
         # np.linalg.norm of each vector, bit for bit: the BLAS dots of its
         # real and imaginary parts
         norm = np.sqrt(dot_rows(vector.real, vector.real) + dot_rows(vector.imag, vector.imag))
-        k = first_failure(norm != 0)
-        if k is not None:
-            raise ValueError("zero vector cannot be normalized" + at_index(k))
-        k = first_failure(np.isfinite(norm))
+        k = first_failure((norm != 0) & np.isfinite(norm))
         if k is not None:
             bad = np.flatnonzero(~np.isfinite(vector[k]))
-            raise ValueError(f"vector has non-finite entries at {bad[:4].tolist()}"
-                             + at_index(k))
+            raise NormalizationError("zero vector cannot be normalized" if norm[k] == 0
+                                     else f"vector has non-finite entries at {bad[:4].tolist()}", k)
         vector = vector / norm[..., None]
         matrix = vector[..., :, None] * vector.conj()[..., None, :]
         vector.setflags(write=False)

@@ -433,6 +433,17 @@ class TestExitCodes:
         assert rc == 3
         assert "reduce the step" in capsys.readouterr().err
 
+    def test_divergent_stepper_is_exit_3(self, capsys):
+        # the stepped state overflows between output points: exit 3, and the
+        # error line is all that reaches stderr
+        rc = main(["evolve", "--ham", "open-system", "--tmax", "0.5", "--dt", "0.1",
+                   "--lindblad", "dephasing:1e4"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: matrix has 64 non-finite entries")
+        assert err.endswith(" at T=0.100000; reduce the step or the rates\n")
+        assert err.count("\n") == 1
+
     def test_dimension_cap(self, tmp_path, capsys):
         # d**3 = 10**6 is refused before a single instance is drawn
         assert main(["reproduce", "rate-zero", "--d", "100", "--out", "rz"]) == 2

@@ -433,6 +433,46 @@ class TestLindblad:
             evolve_lindblad(h, s, TimeGrid(0.0, 0.05, 0.01), jumps)
         assert "stack index" not in str(info.value)
 
+    @pytest.mark.parametrize("rate, named", [(940.0, "T=0.397000"), (1000.0, "T=0.066000")])
+    def test_positivity_lost_names_the_first_failing_point(self, rate, named):
+        # one check per chunk of 256 points still names the first grid point
+        # that fails: index 397 lies in the second chunk, 66 in the first
+        h, _ = open_system_example()
+        eps = 1e-15
+        s = DensityState(h.layout, np.diag([1 - 7 * eps] + [eps] * 7))
+        jumps = JumpOperatorSet.damping(h.layout, rate)
+        with pytest.raises(PositivityLostError, match=rf"below -1e-06 at {named};") as info:
+            evolve_lindblad(h, s, TimeGrid(0.0, 1.0, 1e-3), jumps)
+        assert "stack index" not in str(info.value)
+
+    @pytest.mark.parametrize("rate", [1e4, 1e5, 1e6])
+    def test_divergent_stepping_is_positivity_lost(self, rate):
+        # 100 substeps of 1e-3 at these rates overflow to inf and NaN before
+        # the first output point: no numpy warning, and that point is named
+        h, s = open_system_example()
+        jumps = JumpOperatorSet.dephasing(h.layout, rate)
+        with pytest.raises(PositivityLostError,
+                           match=r"non-finite entries.* at T=0\.100000; reduce") as info:
+            evolve_lindblad(h, s, TimeGrid(0.0, 0.5, 0.1), jumps)
+        assert "stack index" not in str(info.value)
+
+    def test_divergent_stepping_stops_at_the_first_non_finite_state(self, monkeypatch):
+        # the chunk is checked once point 1 is non-finite, not after 255
+        # more points of 100 substeps each
+        h, s = open_system_example()
+        jumps = JumpOperatorSet.dephasing(h.layout, 1e4)
+        checked = []
+        init = DensityState.__init__
+
+        def recording(self, layout, matrix, **kwargs):
+            checked.append(len(matrix))
+            init(self, layout, matrix, **kwargs)
+
+        monkeypatch.setattr(DensityState, "__init__", recording)
+        with pytest.raises(PositivityLostError, match="T=0.100000"):
+            dynamics._open_stacks(h, s, jumps, TimeGrid(0.0, 25.5, 0.1).times)
+        assert checked[0] == 2
+
     def test_qutrit_clock_operator(self):
         lay = SystemLayout((("A", 3), ("B", 3)))
         (_, op), _ = JumpOperatorSet.dephasing(lay, 0.25).ops

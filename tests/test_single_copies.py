@@ -5,7 +5,9 @@ negativity over time goes through ``dynamics.negativity_curve``, the
 sweep kernels build on public library functions rather than on another
 module's private helpers, every small threshold is named once, in
 ``tolerances.py``, and used, the stationary-state rule is applied in
-one place, and a coupling is diagonalized by ``Hamiltonian.eig`` alone.
+one place, a coupling is diagonalized by ``Hamiltonian.eig`` alone, and
+the open stepper checks each chunk of stepped states with one
+``DensityState``.
 """
 
 import ast
@@ -179,3 +181,24 @@ def test_one_spectrum_per_rate_instance(monkeypatch):
     calls = _counting_eig(monkeypatch)
     sweep.run_sweep(sweep.SweepConfig("rate-zero", n_instances=10, seed=7))
     assert len(calls) == 11
+
+
+def test_one_check_per_stepped_chunk(monkeypatch):
+    # the open stepper validates each chunk of up to PROPAGATE_CHUNK states
+    # through one DensityState, which alone keeps the spectrum it checked
+    assert "spectrum" not in inspect.signature(DensityState._trusted).parameters
+    h, s0 = hamiltonians.open_system_example()
+    jumps = dynamics.JumpOperatorSet.dephasing(h.layout, 0.1)
+    times = dynamics.TimeGrid(0.0, 0.5, 1e-3).times
+    calls = []
+    init = DensityState.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensityState, "__init__", counting)
+    stacks = dynamics._open_stacks(h, s0, jumps, times)
+    assert len(times) == 501 and len(calls) == 2
+    assert [len(s.matrix) for s in stacks] == [256, 245]
+    assert all(s.spectrum.shape == (len(s.matrix), 8) for s in stacks)

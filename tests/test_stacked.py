@@ -2,7 +2,7 @@
 
 Every stack-aware measure is checked against the per-state call on each
 slice of seeded random stacks, mixed and pure, and a stack that fails
-validation names the first failing state by its stack index.
+validation names the earliest failing state by its stack index.
 """
 
 import math
@@ -195,6 +195,22 @@ class TestStackedValidation:
         with pytest.raises(error, match=r"\(stack index 1\)"):
             DensityState(Q2, m)
 
+    @pytest.mark.parametrize("early, error, late", [
+        (_off_trace, ValueError, _nonhermitian),
+        (_below_floor, NotPSDError, _nonhermitian),
+        (_below_floor, NotPSDError, _off_trace),
+        (_below_floor, NotPSDError, _nan),
+    ], ids=["trace-then-hermitian", "psd-then-hermitian", "psd-then-trace", "psd-then-nan"])
+    def test_names_the_earliest_failing_state(self, early, error, late):
+        # state 1 fails a later check than state 3 does: state 1 is named,
+        # with its own error, and no eigensolve sees the NaN of state 3
+        m = _valid_stack()
+        late(m[3])
+        early(m[1])
+        with pytest.raises(error, match=r"\(stack index 1\)$") as info:
+            DensityState(Q2, m)
+        assert info.value.index == (1,)
+
     def test_single_state_names_no_index(self):
         m = _valid_stack(1)[0]
         m[0, 1] += 0.1
@@ -223,6 +239,10 @@ class TestStackedValidation:
             DensityState.from_pure(Q2, v)
         v[2, 3] = np.inf
         with pytest.raises(ValueError, match=r"non-finite entries at \[3\] \(stack index 2\)"):
+            DensityState.from_pure(Q2, v)
+        # a non-finite vector before a zero one is the one named
+        v[2, 3], v[3], v[1, 0] = 1.0, 0.0, np.nan
+        with pytest.raises(ValueError, match=r"non-finite entries at \[0\] \(stack index 1\)"):
             DensityState.from_pure(Q2, v)
 
     def test_fidelity_names_the_non_psd_product(self):
