@@ -35,7 +35,6 @@ from .states import (
     mutual_information,
     negativity,
     partial_trace,
-    partial_transpose,
     purity,
     save_state,
     uhlmann_fidelity,
@@ -55,7 +54,6 @@ from .hamiltonians import (
     generalized_x,
     generalized_y,
     open_system_example,
-    resource_equality_scale,
 )
 from .dynamics import (
     JumpOperatorSet,

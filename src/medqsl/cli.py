@@ -13,7 +13,6 @@ is stationary, no finite time rescaling exists).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -38,7 +37,7 @@ from .hamiltonians import (
     Hamiltonian,
     builtin_pair,
     direct_optimal,
-    resource_equality_scale,
+    energy_moments,
 )
 from .hspec import build, format_ast, parse_file
 from .qsl import unified_bound
@@ -46,6 +45,7 @@ from .states import (
     Bipartition,
     DensityState,
     SystemLayout,
+    json_text,
     load_state,
     maximally_entangled,
 )
@@ -160,8 +160,7 @@ def _write_manifest(base: str, subcommand: str, config: dict, seed: int | None,
         "wall_clock_s": wall_clock_s,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(doc))
     return path
 
 
@@ -205,14 +204,11 @@ def _cmd_bound(args) -> int:
     ham, default_state = _resolve_ham(args.ham)
     s0 = _resolve_state(args.state, ham.layout, default_state)
     target = _resolve_state(args.target, ham.layout, None)
-    doc_extra = {}
-    if args.normalize:
-        ham, k = resource_equality_scale(ham, s0)
-        doc_extra["normalize_scale"] = k
-    report = unified_bound(s0, target, ham)
-    doc = report.to_dict()
-    doc.update(doc_extra)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    k = energy_moments(ham, s0).scale() if args.normalize else None
+    doc = unified_bound(s0, target, ham if k is None else ham.scaled(k)).to_dict()
+    if k is not None:
+        doc["normalize_scale"] = k
+    print(json_text(doc), end="")
     return EXIT_OK
 
 
@@ -229,11 +225,12 @@ def _cmd_reproduce(args) -> int:
               "tmax": args.tmax, "dt": args.dt, "workers": args.workers}
 
     if experiment is None:
-        tmax = args.tmax if args.tmax is not None else math.pi / 2
+        config["tmax"] = args.tmax if args.tmax is not None else math.pi / 2
         config["dt"] = args.dt if args.dt is not None else 1e-3
-        grid = TimeGrid(0.0, tmax, config["dt"])
+        grid = TimeGrid(0.0, config["tmax"], config["dt"])
         if name == "fig2":
-            traj = run_fig2(args.d if args.d is not None else 2, grid)
+            config["d"] = args.d if args.d is not None else 2
+            traj = run_fig2(config["d"], grid)
         else:
             traj = evolve_unitary(*builtin_pair(name), grid)
         out = base + ".csv"
@@ -245,6 +242,7 @@ def _cmd_reproduce(args) -> int:
     given = {"n_instances": args.n, "d": args.d}
     cfg = SweepConfig(experiment, seed=seed, workers=args.workers, **fixed,
                       **{k: v for k, v in given.items() if v is not None})
+    config.update(n=cfg.n, d=cfg.d)
     report = run_sweep(cfg)
     json_out = base + ".json"
     csv_out = base + ".envelope.csv"
@@ -265,7 +263,7 @@ def _cmd_parse(args) -> int:
             "layout": [[lab, dim] for lab, dim in ast.layout.subsystems],
             "matrix": [[[z.real, z.imag] for z in row] for row in ham.matrix],
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json_text(doc), end="")
     return EXIT_OK
 
 

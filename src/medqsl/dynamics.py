@@ -46,8 +46,8 @@ from .states import (
     uhlmann_fidelity,
 )
 from .tolerances import (
-    FIRST_MAX_SLACK, GRID_SLACK, LINDBLAD_EIG_FLOOR, PEAK_SLACK, RATE_DELTA, RATE_DELTA_MIN,
-    REFINE_TOL, SUBSTEP_SLACK,
+    FIRST_MAX_SLACK, GRID_SLACK, LINDBLAD_EIG_FLOOR, PEAK_SLACK, RATE_DELTA, REFINE_TOL,
+    SUBSTEP_SLACK,
 )
 
 __all__ = [
@@ -67,8 +67,10 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 1e7
-# the most memory a trajectory may ask for: one dense complex matrix per
-# grid point, checked before the grid or any state is built
+# the most memory a trajectory may ask for, counted as what a returned
+# Trajectory keeps per grid point: a dense complex matrix, a complex pure
+# vector or float spectrum (16 n bytes at most) and a float per column,
+# checked before the grid or any state is built
 MAX_TRAJECTORY_BYTES = 2 ** 31
 # grid points per propagate call: bounds the factors held next to the states
 PROPAGATE_CHUNK = 256
@@ -166,14 +168,13 @@ class JumpOperatorSet:
     layout: SystemLayout
     ops: tuple[tuple[str, np.ndarray], ...]
 
+    @functools.cached_property
     def embedded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stack of operators Q on the full layout, its adjoints, sum_q Q+Q; built once."""
-        if "_embedded" not in self.__dict__:
-            q = np.array([embed_operator(self.layout, (lab,), op) for lab, op in self.ops],
-                         dtype=complex).reshape((-1,) + 2 * (self.layout.dim,))
-            q_adj = q.conj().swapaxes(1, 2)
-            object.__setattr__(self, "_embedded", (q, q_adj, (q_adj @ q).sum(axis=0)))
-        return self._embedded
+        q = np.array([embed_operator(self.layout, (lab,), op) for lab, op in self.ops],
+                     dtype=complex).reshape((-1,) + 2 * (self.layout.dim,))
+        q_adj = q.conj().swapaxes(1, 2)
+        return q, q_adj, (q_adj @ q).sum(axis=0)
 
     @classmethod
     def local(cls, layout: SystemLayout, kind: str, rate: float,
@@ -221,10 +222,11 @@ def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
     ``s0`` on ``grid`` above ``MAX_TRAJECTORY_BYTES``, and a cut with a
     label that ``s0.layout`` lacks.
     """
-    need = len(grid) * s0.layout.dim ** 2 * 16
+    n = s0.layout.dim
+    need = len(grid) * (16 * n * n + 16 * n + 8 * len(TRAJECTORY_COLUMNS))
     if need > MAX_TRAJECTORY_BYTES:
         raise ValueError(
-            f"a trajectory of {len(grid)} states of dimension {s0.layout.dim} needs "
+            f"a trajectory of {len(grid)} states of dimension {n} needs "
             f"{need / 2 ** 30:.1f} GiB, above the cap of {MAX_TRAJECTORY_BYTES // 2 ** 30} GiB")
     if cut is None:
         if len(s0.layout) == 1:
@@ -315,7 +317,7 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
     checks them as one stack: PositivityLostError names the T of the first
     state that fails any check, non-finite entries and trace drift included.
     """
-    q, q_adj, qq = jumps.embedded()
+    q, q_adj, qq = jumps.embedded
     n, m = s0.layout.dim, len(q)
     factors = np.concatenate([(-1j * h.matrix - 0.5 * qq)[:, None], q.swapaxes(0, 1)],
                              axis=1).reshape(n * (m + 1), n)
@@ -405,21 +407,18 @@ def negativity_curve(layout: SystemLayout, cut: Bipartition):
 
 
 def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition,
-                                delta: float = RATE_DELTA,
                                 jumps: JumpOperatorSet | None = None) -> float:
-    """N(delta) - N(0) across ``p``, a finite-difference rate probe.
+    """N(delta) - N(0) across ``p`` at delta = ``RATE_DELTA``, a finite-difference rate probe.
 
-    ``delta`` must lie in [1e-6, 1e-3].  For mediated Hamiltonians and
-    product system-mediator inputs this is zero to second order when
-    closed, and never positive to first order when jumps are local.
+    For mediated Hamiltonians and product system-mediator inputs this is
+    zero to second order when closed, and never positive to first order
+    when jumps are local.
     """
     _check_layouts(h, s0, jumps)
-    if not RATE_DELTA_MIN <= delta <= 1e-3:
-        raise ValueError(f"delta {delta} outside [{RATE_DELTA_MIN}, 1e-3]")
     if jumps is None:
-        n0, n_delta = negativity_curve(s0.layout, p)(h, _factor(s0), [0.0, delta])
+        n0, n_delta = negativity_curve(s0.layout, p)(h, _factor(s0), [0.0, RATE_DELTA])
     else:
-        [pair] = _open_stacks(h, s0, jumps, [0.0, delta])
+        [pair] = _open_stacks(h, s0, jumps, [0.0, RATE_DELTA])
         n0, n_delta = negativity(_marginal(pair, p), p)
     return float(n_delta - n0)
 

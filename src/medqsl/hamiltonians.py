@@ -7,9 +7,9 @@ energy is always quoted above the ground state, so the pair
 
 The builtin pairs are three-qubit systems where two parties A and B
 interact only through a mediator C, plus the optimal direct two-qudit
-coupling.  ``resource_equality_scale`` normalizes any (Hamiltonian,
-state) pair so min{mean, std} = 1; the builtins already satisfy this
-with scale 1.
+coupling.  ``EnergyMoments.scale`` gives the factor k that normalizes
+any (Hamiltonian, state) pair to min{mean, std} = 1 through
+``Hamiltonian.scaled``; the builtins already satisfy this with k = 1.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "EnergyMoments",
     "energy_moments",
     "energy_moments_array",
-    "resource_equality_scale",
     "direct_optimal",
     "generalized_x",
     "generalized_y",
@@ -148,16 +147,6 @@ def energy_moments(h: Hamiltonian, s: DensityState) -> EnergyMoments:
     return energy_moments_array(h, x, stacked=s.matrix.ndim == 3)
 
 
-def resource_equality_scale(h: Hamiltonian, s: DensityState) -> tuple[Hamiltonian, float]:
-    """Rescale ``h`` so that min{mean, std} = 1 in state ``s``.
-
-    Returns the scaled Hamiltonian and the applied factor k; a stationary
-    state is refused as ``EnergyMoments.scale`` refuses it.
-    """
-    k = energy_moments(h, s).scale()
-    return h.scaled(k), k
-
-
 def generalized_x(d: int, j: int) -> np.ndarray:
     """|0><j| + |j><0| on a d-level system."""
     m = np.zeros((d, d), dtype=complex)
@@ -174,7 +163,7 @@ def generalized_y(d: int, j: int) -> np.ndarray:
     return m
 
 
-def direct_optimal(d: int, labels: tuple[str, str] = ("A", "B")) -> Hamiltonian:
+def direct_optimal(d: int) -> Hamiltonian:
     """The fastest direct entangler of two d-level systems.
 
     H = 1/(2 sqrt(d-1)) * sum_j (X^j + Y^j) (x) (X^j + Y^j), which drives
@@ -183,7 +172,7 @@ def direct_optimal(d: int, labels: tuple[str, str] = ("A", "B")) -> Hamiltonian:
     """
     if d < 2:
         raise BadDimensionError(f"need d >= 2, got {d}")
-    layout = SystemLayout(((labels[0], d), (labels[1], d)))
+    layout = SystemLayout((("A", d), ("B", d)))
     m = np.zeros((d * d, d * d), dtype=complex)
     for j in range(1, d):
         a = generalized_x(d, j) + generalized_y(d, j)

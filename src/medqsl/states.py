@@ -36,7 +36,6 @@ __all__ = [
     "maximally_entangled",
     "embed_operator",
     "partial_trace",
-    "partial_transpose",
     "negativity",
     "partial_trace_array",
     "partial_transpose_array",
@@ -49,6 +48,7 @@ __all__ = [
     "is_classically_correlated_on",
     "state_to_dict",
     "state_from_dict",
+    "json_text",
     "save_state",
     "load_state",
 ]
@@ -375,17 +375,6 @@ def partial_transpose_array(m: np.ndarray, dims: tuple[int, ...], b_pos) -> np.n
     return np.ascontiguousarray(t.reshape(m.shape))
 
 
-def partial_transpose(s: DensityState, p: Bipartition) -> np.ndarray:
-    """Transpose the ``side_b`` subsystems; returns a plain matrix.
-
-    The result is Hermitian but generally not positive, so it is not a
-    DensityState.  ``p`` must cover the layout exactly.
-    """
-    p.validate_covering(s.layout)
-    b_pos = [s.layout.position(lab) for lab in p.side_b]
-    return partial_transpose_array(s.matrix, s.layout.dims, b_pos)
-
-
 def negativity_array(m: np.ndarray, dims: tuple[int, ...], b_pos) -> np.ndarray:
     """Negativity of a density matrix or a ``(..., n, n)`` stack, transposing ``b_pos``.
 
@@ -553,10 +542,14 @@ def state_from_dict(d: dict) -> DensityState:
     return DensityState(layout, entries)
 
 
+def json_text(doc) -> str:
+    """``doc`` as every JSON document here is written: indent 2, sorted keys, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def save_state(s: DensityState, path) -> None:
     with open(path, "w") as fh:
-        json.dump(state_to_dict(s), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(state_to_dict(s)))
 
 
 def load_state(path) -> DensityState:

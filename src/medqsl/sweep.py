@@ -17,7 +17,6 @@ mediator ensemble); growing n can only push the max envelope up.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -62,6 +61,7 @@ from .states import (
     DensityState,
     SystemLayout,
     embed_operator,
+    json_text,
     negativity_array,
 )
 from .tolerances import (
@@ -128,9 +128,9 @@ class SweepConfig:
             object.__setattr__(self, "n_instances", require_integer("n_instances", self.n_instances))
             if self.n_instances < 1:
                 raise ValueError("n_instances must be >= 1")
-        if self.jump_type not in ("none", *JUMP_KINDS):
+        if self.jump_type not in JUMP_KINDS:
             raise ValueError(f"unknown jump type {self.jump_type!r}; "
-                             f"choices: {('none', *JUMP_KINDS)}")
+                             f"choices: {tuple(JUMP_KINDS)}")
         if self.experiment == "smi-protocol" and self.d_c not in (None, self.d):
             raise ValueError(f"smi-protocol runs on a mediator of dim d={self.d}, "
                              f"got d_c={self.d_c}")
@@ -189,8 +189,7 @@ class SweepReport:
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(self.to_json_dict()))
 
     def save_envelope_csv(self, path) -> None:
         names = ("max", "mean", "p99")
@@ -256,8 +255,8 @@ def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]
     h = h.scaled(k_scale)
     s0 = DensityState(h.layout, rho0)
     n0 = float(negativity_array(rho_ab0, (d, d), (1,)))
-    dn_closed = entanglement_change_at_zero(h, s0, AB_CUT, RATE_DELTA)
-    dn_open = entanglement_change_at_zero(h, s0, AB_CUT, RATE_DELTA, rc["jumps"])
+    dn_closed = entanglement_change_at_zero(h, s0, AB_CUT)
+    dn_open = entanglement_change_at_zero(h, s0, AB_CUT, rc["jumps"])
     return dn_closed, dn_open, n0, n0 + dn_closed, redraws
 
 
@@ -302,22 +301,14 @@ def _commuting_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
     return _ab_curve(d, dc)(h, sqrtm_psd(rho0), k_scale * rc["times"]), redraws
 
 
-def _run_range(payload) -> list:
-    kernel, rc, lo, hi = payload
-    return [kernel(rc, sid) for sid in range(lo, hi)]
-
-
 def _run_instances(kernel, rc: dict, n: int, workers: int) -> list:
+    """``kernel(rc, sid)`` for sid in 0..n-1, in stream order, on up to ``workers`` cpus."""
     workers = min(workers, os.cpu_count() or 1)
+    run = functools.partial(kernel, rc)
     if workers <= 1 or n < 2 * workers:
-        return _run_range((kernel, rc, 0, n))
-    chunk = max(1, math.ceil(n / (workers * 4)))
-    payloads = [(kernel, rc, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    results: list = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        for part in pool.map(_run_range, payloads):
-            results.extend(part)
-    return results
+        return list(map(run, range(n)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(n), chunksize=math.ceil(n / (workers * 4))))
 
 
 def _sweep(cfg: SweepConfig, kernel, rc: dict) -> tuple[list[np.ndarray], int]:
@@ -399,8 +390,7 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     """
     d = cfg.d
     dc = cfg.mediator_dim
-    jumps = (JumpOperatorSet(cfg.layout, ()) if cfg.jump_type == "none"
-             else JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE))
+    jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
     rc = {"seed": cfg.seed, "d": d, "d_c": dc, "jumps": jumps}
     (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(cfg, _rate_instance, rc)
     violations = []
@@ -421,8 +411,7 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     }
     # contrast control: the optimal direct coupling entangles at unit rate
     h_direct = direct_optimal(d)
-    control = entanglement_change_at_zero(h_direct, DensityState.basis(h_direct.layout),
-                                          AB_CUT, RATE_DELTA)
+    control = entanglement_change_at_zero(h_direct, DensityState.basis(h_direct.layout), AB_CUT)
     times = np.array([0.0, RATE_DELTA])
     matrix = np.stack([n_start, n_delta], axis=1)
     details = {

@@ -23,8 +23,7 @@ SUBSTEP_SLACK = 1e-12       # in steps: an exact multiple of the RK4 step takes 
 REFINE_TOL = 1e-9           # bracket width at which golden section and bisection stop
 PEAK_SLACK = 1e-4           # grid-local peaks this close below a level are refined
 FIRST_MAX_SLACK = 1e-7      # a refined peak this close to (d-1)/2 counts as maximal
-RATE_DELTA = 1e-4           # default delta of the rate probe N(delta) - N(0)
-RATE_DELTA_MIN = 1e-6       # the smallest delta it accepts (the largest is 1e-3)
+RATE_DELTA = 1e-4           # the delta of the rate probe N(delta) - N(0)
 
 # sweep verdicts
 ATTAIN_SLACK = 1e-6         # N reaches the level (d-1)/2 within this

@@ -213,6 +213,20 @@ class TestReproduce:
         manifest = json.loads((tmp_path / "rz.manifest.json").read_text())
         assert manifest["config"]["dt"] is None
 
+    def test_manifest_records_resolved_defaults(self, tmp_path):
+        # flag-less runs: the manifest holds the values the run used, not null
+        assert main(["reproduce", "fig2"]) == 0
+        config = json.loads((tmp_path / "fig2.manifest.json").read_text())["config"]
+        assert config == {"name": "fig2", "seed": 7, "n": None, "d": 2, "tmax": math.pi / 2,
+                          "dt": 1e-3, "workers": None}
+        assert len(_read_csv(tmp_path / "fig2.csv")) == 1571
+        assert main(["reproduce", "rate-zero"]) == 0
+        config = json.loads((tmp_path / "rate-zero.manifest.json").read_text())["config"]
+        assert config == {"name": "rate-zero", "seed": 7, "n": 1000, "d": 2, "tmax": None,
+                          "dt": None, "workers": None}
+        report = json.loads((tmp_path / "rate-zero.json").read_text())
+        assert report["config"]["n_instances"] == 1000
+
     def test_builtin_pair_names(self, tmp_path):
         rc = main([
             "reproduce", "cmi-product", "--tmax", "0.2", "--dt", "0.1",

@@ -32,11 +32,18 @@ from medqsl.hamiltonians import (
     cmi_product_example,
     commuting_mediated,
     direct_optimal,
+    energy_moments,
     entangled_mediator_example,
     open_system_example,
 )
 from medqsl.linalg import sqrtm_psd
-from medqsl.randgen import RngStream, haar_pure, random_density, random_hermitian
+from medqsl.randgen import (
+    RngStream,
+    haar_pure,
+    random_density,
+    random_hermitian,
+    random_mediated_hamiltonian,
+)
 from medqsl.states import (
     Bipartition,
     DensityState,
@@ -92,11 +99,12 @@ class TestTrajectoryCap:
     def test_refused_before_the_grid_is_built(self, monkeypatch, open_):
         monkeypatch.setattr(TimeGrid, "times", property(_refuse))
         monkeypatch.setattr(hamiltonians, "hermitian_eig", _refuse)
-        monkeypatch.setattr(JumpOperatorSet, "embedded", _refuse)
+        monkeypatch.setattr(JumpOperatorSet, "embedded", property(_refuse))
         h = direct_optimal(2)
-        # 1e7 + 1 points of 4x4 complex matrices: 2.4 GiB
+        # 1e7 + 1 points of a 4x4 complex matrix (256 B), a 4-vector (64 B)
+        # and eight float columns (64 B): 3.84e9 B, 3.6 GiB
         args = (h, ket(h.layout, 0), TimeGrid(0.0, 10000.0, 1e-3))
-        with pytest.raises(ValueError, match=r"10000001 states of dimension 4 needs 2.4 GiB, "
+        with pytest.raises(ValueError, match=r"10000001 states of dimension 4 needs 3.6 GiB, "
                                              r"above the cap of 2 GiB"):
             if open_:
                 evolve_lindblad(*args, JumpOperatorSet.dephasing(h.layout))
@@ -106,9 +114,11 @@ class TestTrajectoryCap:
     def test_cap_is_inclusive(self, monkeypatch):
         h = direct_optimal(2)
         grid = TimeGrid(0.0, 1.0, 0.1)
-        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 11 * 4 * 4 * 16)
+        per_point = 4 * 4 * 16 + 4 * 16 + 8 * len(dynamics.TRAJECTORY_COLUMNS)
+        assert per_point == 384
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 11 * per_point)
         assert len(evolve_unitary(h, ket(h.layout, 0), grid).states) == 11
-        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 11 * 4 * 4 * 16 - 1)
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 11 * per_point - 1)
         with pytest.raises(ValueError, match="above the cap"):
             evolve_unitary(h, ket(h.layout, 0), grid)
 
@@ -300,7 +310,7 @@ class TestNegativityCurve:
 
 def _rk4_reference(h, s0, jumps, times):
     """Four-stage RK4 on K r + (K r)+ + sum_q Q r Q+: the reference for the stepper."""
-    q, q_adj, qq = jumps.embedded()
+    q, q_adj, qq = jumps.embedded
     k_eff = -1j * h.matrix - 0.5 * qq
 
     def rhs(r):
@@ -533,35 +543,47 @@ class TestLindblad:
 class TestRateProbe:
     def test_direct_coupling_linear_rate(self):
         h = direct_optimal(2)
-        dn = entanglement_change_at_zero(h, ket(h.layout, 0), Bipartition.parse("A:B"),
-                                         delta=1e-4)
-        # N = sin(2 delta)/2 ~ delta - (2/3) delta^3
+        dn = entanglement_change_at_zero(h, ket(h.layout, 0), Bipartition.parse("A:B"))
+        # N = sin(2 delta)/2 ~ delta - (2/3) delta^3, at delta = 1e-4
         assert_allclose(dn, 1e-4, rtol=1e-6)
 
     def test_mediated_coupling_flat_at_zero(self):
         h, s = cmi_product_example()
-        dn = entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), delta=1e-4)
+        dn = entanglement_change_at_zero(h, s, Bipartition.parse("A:B"))
         assert abs(dn) < 1e-7
 
     def test_open_variant_never_positive_for_product_input(self):
         h, s = cmi_product_example()
         jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
-        dn = entanglement_change_at_zero(h, s, Bipartition.parse("A:B"),
-                                         delta=1e-4, jumps=jumps)
+        dn = entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
         assert dn <= 1e-10
 
     def test_open_positivity_lost(self):
         h, s = open_system_example()
-        jumps = JumpOperatorSet.damping(h.layout, 1000.0)
-        with pytest.raises(PositivityLostError, match="T=0.001000"):
-            entanglement_change_at_zero(h, s, Bipartition.parse("A:B"),
-                                        delta=1e-3, jumps=jumps)
+        # rate x delta = 1: the one RK4 substep of the probe overshoots
+        jumps = JumpOperatorSet.damping(h.layout, 1e4)
+        with pytest.raises(PositivityLostError, match="T=0.000100"):
+            entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
 
-    def test_delta_range_enforced(self):
+    def test_no_jumps_open_matches_closed(self):
+        # an empty jump set steps the closed dynamics by RK4: the open probe
+        # agrees with the spectral closed one, for the direct control's
+        # linear rate and for seeded rate-zero draws
+        p = Bipartition.parse("A:B")
         h = direct_optimal(2)
-        with pytest.raises(ValueError):
-            entanglement_change_at_zero(h, ket(h.layout, 0),
-                                        Bipartition.parse("A:B"), delta=0.5)
+        cases = [(h, ket(h.layout, 0))]
+        for sid in range(4):
+            stream = RngStream(6, sid)
+            rho_ab = random_density(4, stream)
+            rho_c = random_density(2, stream)
+            h = random_mediated_hamiltonian(2, 2, 2, stream)
+            s = DensityState(h.layout, np.kron(rho_ab, rho_c))
+            cases.append((h.scaled(energy_moments(h, s).scale()), s))
+        closed = [entanglement_change_at_zero(h, s, p) for h, s in cases]
+        stepped = [entanglement_change_at_zero(h, s, p, JumpOperatorSet(h.layout, ()))
+                   for h, s in cases]
+        assert_allclose(closed[0], 1e-4, rtol=1e-6)
+        assert_allclose(stepped, closed, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("layout", [
         (("X", 2), ("Y", 2), ("Z", 2)),
@@ -592,7 +614,7 @@ class TestRateProbe:
                for _ in range(3)]
         assert calls == [("A",), ("B",), ("C",)]
         assert dns[0] == dns[1] == dns[2]
-        assert jumps.embedded() is jumps.embedded()
+        assert jumps.embedded is jumps.embedded
 
 
 class TestFirstMaxTime:

@@ -26,7 +26,6 @@ from medqsl.hamiltonians import (
     generalized_x,
     generalized_y,
     open_system_example,
-    resource_equality_scale,
 )
 from medqsl.qsl import unified_bound
 from medqsl.states import DensityState, SystemLayout
@@ -72,10 +71,6 @@ class TestDirectOptimal:
     def test_d1_rejected(self):
         with pytest.raises(BadDimensionError):
             direct_optimal(1)
-
-    def test_custom_labels(self):
-        h = direct_optimal(2, labels=("A", "C"))
-        assert h.layout.labels == ("A", "C")
 
 
 def test_generalized_paulis_reduce_to_qubit_ones():
@@ -145,7 +140,7 @@ class TestScale:
         h, _ = classical_mediator_example()
         s = DensityState.basis(h.layout)
         messages = set()
-        for call in (lambda: resource_equality_scale(h, s),
+        for call in (lambda: energy_moments(h, s).scale(),
                      lambda: unified_bound(s, s, h)):
             with pytest.raises(StationaryStateError) as exc:
                 call()
@@ -154,14 +149,16 @@ class TestScale:
 
 
 class TestResourceEquality:
+    """k = energy_moments(h, s).scale() and h.scaled(k), as ``bound --normalize`` applies them."""
+
     def test_scale_factor(self):
-        h = direct_optimal(2)
+        h = direct_optimal(2).scaled(3.0)
         v = np.zeros(4)
         v[0] = 1.0
         s = DensityState.from_pure(h.layout, v)
-        scaled, k = resource_equality_scale(h.scaled(3.0), s)
+        k = energy_moments(h, s).scale()
         assert_allclose(k, 1 / 3, atol=1e-12)
-        em = energy_moments(scaled, s)
+        em = energy_moments(h.scaled(k), s)
         assert_allclose(em.smaller, 1.0, atol=1e-12)
 
     def test_stationary_rejected(self):
@@ -170,7 +167,7 @@ class TestResourceEquality:
         v[0] = 1.0  # |000> is an eigenstate of the dephasing-style coupling
         s = DensityState.from_pure(h.layout, v)
         with pytest.raises(StationaryStateError):
-            resource_equality_scale(h, s)
+            energy_moments(h, s).scale()
 
 
 class TestBuiltinStructure:

@@ -5,9 +5,9 @@ negativity over time goes through ``dynamics.negativity_curve``, the
 sweep kernels build on public library functions rather than on another
 module's private helpers, every small threshold is named once, in
 ``tolerances.py``, and used, the stationary-state rule is applied in
-one place, a coupling is diagonalized by ``Hamiltonian.eig`` alone, and
-the open stepper checks each chunk of stepped states with one
-``DensityState``.
+one place, a coupling is diagonalized by ``Hamiltonian.eig`` alone, the
+open stepper checks each chunk of stepped states with one
+``DensityState``, and every JSON document is written by ``json_text``.
 """
 
 import ast
@@ -112,6 +112,15 @@ def test_one_negativity_over_time():
     assert _callers_of("propagate") == ["dynamics.evolve_unitary",
                                         "dynamics.negativity_curve.curve",
                                         "sweep.run_smi_protocol"]
+
+
+def test_one_json_text():
+    # the JSON byte format (indent 2, sorted keys, final newline) is decided
+    # in states.json_text alone; every file and stdout document goes through it
+    assert _callers_of("dumps") == ["states.json_text"]
+    assert _callers_of("dump") == []
+    assert _callers_of("json_text") == ["cli._cmd_bound", "cli._cmd_parse", "cli._write_manifest",
+                                        "states.save_state", "sweep.SweepReport.save_json"]
 
 
 def test_one_jump_builder():

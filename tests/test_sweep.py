@@ -22,12 +22,12 @@ from medqsl import (
     TimeGrid,
     Trajectory,
     commuting_mediated,
+    energy_moments,
     evolve_unitary,
     haar_pure,
     random_density,
     random_hermitian,
     random_mediated_hamiltonian,
-    resource_equality_scale,
     run_cmi_uncorrelated,
     run_commuting_null,
     run_fig2,
@@ -54,12 +54,15 @@ class TestSweepConfig:
             SweepConfig(experiment="cmi-uncorrelated", d=1)
 
     def test_bad_jump_type(self):
-        with pytest.raises(ValueError, match="'thermal'; choices: .*none.*dephasing"):
+        with pytest.raises(ValueError, match="'thermal'; choices: .'dephasing', 'damping'.$"):
             SweepConfig(experiment="rate-zero", jump_type="thermal")
 
-    def test_jump_types_are_none_and_the_kinds(self):
-        for jump_type in ("none", *JUMP_KINDS):
+    def test_jump_types_are_the_kinds(self):
+        for jump_type in JUMP_KINDS:
             assert SweepConfig(experiment="rate-zero", jump_type=jump_type).jump_type == jump_type
+        # the closed probe runs beside every open one: no jump type stands for it
+        with pytest.raises(ValueError, match="'none'"):
+            SweepConfig(experiment="rate-zero", jump_type="none")
 
     @pytest.mark.parametrize("seed", [7.9, 7.0, True, "7"])
     def test_seed_must_be_an_integer(self, seed):
@@ -174,7 +177,7 @@ class TestKernelsAgainstLibrary:
     AB = Bipartition(("A",), ("B",))
 
     def _reference(self, h, s0, grid):
-        h, _ = resource_equality_scale(h, s0)
+        h = h.scaled(energy_moments(h, s0).scale())
         return evolve_unitary(h, s0, grid, cut=self.AB).columns["negativity"]
 
     def test_cmi_curve(self):
@@ -240,9 +243,9 @@ class TestWorkerResolution:
                 SweepConfig(experiment="rate-zero", workers=bad).resolved_workers()
 
     def test_pool_clamped_to_cpus(self, monkeypatch):
-        # a stub pool records its size and runs chunks in-process, so no
+        # a stub pool records its size and chunk and runs in-process, so no
         # worker process is ever started here
-        sizes = []
+        sizes, chunks = [], []
 
         class StubPool:
             def __init__(self, max_workers):
@@ -254,14 +257,15 @@ class TestWorkerResolution:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads):
-                return map(fn, payloads)
+            def map(self, fn, items, chunksize=1):
+                chunks.append(chunksize)
+                return map(fn, items)
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
         kernel = lambda rc, sid: sid  # noqa: E731
         assert sweep._run_instances(kernel, {}, 10_000, 4000) == list(range(10_000))
-        assert sizes == [3]
+        assert sizes == [3] and chunks == [834]
         # fewer cpus than requested workers can mean no pool at all
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 1)
         assert sweep._run_instances(kernel, {}, 50, 4) == list(range(50))
@@ -357,16 +361,6 @@ class TestRateZero:
         )
         rep = run_rate_zero(cfg)
         assert rep.violations == []
-
-    def test_no_jumps_open_matches_closed(self, monkeypatch):
-        # "none" steps an empty jump stack: the open probe is the closed one by RK4
-        changes = _recorded(monkeypatch, "_rate_instance", lambda out: out[:2])
-        rep = run_rate_zero(SweepConfig("rate-zero", n_instances=4, seed=6,
-                                        jump_type="none", workers=1))
-        assert rep.violations == []
-        assert sorted(changes) == [0, 1, 2, 3]
-        for dn_closed, dn_open in changes.values():
-            assert abs(dn_open - dn_closed) <= 1e-12
 
 
 class TestFig2:
