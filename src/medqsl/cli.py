@@ -13,7 +13,7 @@ is stationary, no finite time rescaling exists).
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
 import time
 
@@ -49,7 +49,7 @@ from .states import (
     load_state,
     maximally_entangled,
 )
-from .sweep import SweepConfig, run_fig2, run_sweep
+from .sweep import TRAJECTORY_GRID, SweepConfig, run_fig2, run_sweep
 
 __all__ = ["main"]
 
@@ -59,11 +59,11 @@ __all__ = ["main"]
 REPRODUCE = {
     "fig2": (None, {}, ("d", "tmax", "dt")),
     **dict.fromkeys(BUILTIN_PAIRS, (None, {}, ("tmax", "dt"))),
-    "conjecture-d2": ("cmi-uncorrelated", {"d": 2}, ("n", "workers")),
-    "conjecture-d3": ("cmi-uncorrelated", {"d": 3}, ("n", "workers")),
-    "smi": ("smi-protocol", {}, ("n", "d", "workers")),
-    "rate-zero": ("rate-zero", {}, ("n", "d", "workers")),
-    "commuting-null": ("commuting-null", {}, ("n", "d", "workers")),
+    "conjecture-d2": ("cmi-uncorrelated", {"d": 2}, ("n", "seed", "workers")),
+    "conjecture-d3": ("cmi-uncorrelated", {"d": 3}, ("n", "seed", "workers")),
+    "smi": ("smi-protocol", {}, ("n", "d", "seed", "workers")),
+    "rate-zero": ("rate-zero", {}, ("n", "d", "seed", "workers")),
+    "commuting-null": ("commuting-null", {}, ("n", "d", "seed", "workers")),
 }
 
 EXIT_OK = 0
@@ -217,17 +217,17 @@ def _cmd_reproduce(args) -> int:
     name = args.name
     experiment, fixed, flags = REPRODUCE[name]
     base = _strip_ext(args.out) if args.out else name
-    seed = args.seed
-    for flag in ("n", "d", "tmax", "dt", "workers"):
+    for flag in ("n", "d", "seed", "tmax", "dt", "workers"):
         if getattr(args, flag) is not None and flag not in flags:
             raise CliInputError(f"reproduce {name} does not take --{flag}")
-    config = {"name": name, "seed": seed, "n": args.n, "d": args.d,
+    config = {"name": name, "seed": args.seed, "n": args.n, "d": args.d,
               "tmax": args.tmax, "dt": args.dt, "workers": args.workers}
 
     if experiment is None:
-        config["tmax"] = args.tmax if args.tmax is not None else math.pi / 2
-        config["dt"] = args.dt if args.dt is not None else 1e-3
-        grid = TimeGrid(0.0, config["tmax"], config["dt"])
+        given = {"stop": args.tmax, "step": args.dt}
+        grid = dataclasses.replace(TRAJECTORY_GRID,
+                                   **{k: v for k, v in given.items() if v is not None})
+        config.update(tmax=grid.stop, dt=grid.step)
         if name == "fig2":
             config["d"] = args.d if args.d is not None else 2
             traj = run_fig2(config["d"], grid)
@@ -235,20 +235,20 @@ def _cmd_reproduce(args) -> int:
             traj = evolve_unitary(*builtin_pair(name), grid)
         out = base + ".csv"
         traj.to_csv(out)
-        _write_manifest(base, "reproduce", config, seed, [out],
+        _write_manifest(base, "reproduce", config, None, [out],
                         time.perf_counter() - t0)
         return EXIT_OK
 
-    given = {"n_instances": args.n, "d": args.d}
-    cfg = SweepConfig(experiment, seed=seed, workers=args.workers, **fixed,
+    given = {"n_instances": args.n, "d": args.d, "seed": args.seed}
+    cfg = SweepConfig(experiment, workers=args.workers, **fixed,
                       **{k: v for k, v in given.items() if v is not None})
-    config.update(n=cfg.n, d=cfg.d)
+    config.update(n=cfg.n_instances, d=cfg.d, seed=cfg.seed)
     report = run_sweep(cfg)
     json_out = base + ".json"
     csv_out = base + ".envelope.csv"
     report.save_json(json_out)
     report.save_envelope_csv(csv_out)
-    _write_manifest(base, "reproduce", config, seed, [json_out, csv_out],
+    _write_manifest(base, "reproduce", config, cfg.seed, [json_out, csv_out],
                     time.perf_counter() - t0)
     return EXIT_OK
 
@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--state", help="state JSON file, ket:<indices>, or maxent")
     ev.add_argument("--target", help="fidelity target (same forms as --state)")
     ev.add_argument("--tmax", type=float, required=True)
-    ev.add_argument("--dt", type=float, default=1e-3)
+    ev.add_argument("--dt", type=float, default=TRAJECTORY_GRID.step)
     ev.add_argument("--bipartition", help="negativity cut, e.g. A:B or A,B:C")
     ev.add_argument("--lindblad",
                     help="jump spec TYPE:RATE or LABEL=TYPE:RATE[,...]")
@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("name", choices=tuple(REPRODUCE))
     rp.add_argument("--n", type=int, help="instance count override (sweeps)")
     rp.add_argument("--d", type=int, help="dimension (fig2, smi, rate-zero, commuting-null)")
-    rp.add_argument("--seed", type=int, default=7)
+    rp.add_argument("--seed", type=int, help=f"stream seed (sweeps; default {SweepConfig.seed})")
     rp.add_argument("--tmax", type=float, help="end time, default pi/2 (trajectories)")
     rp.add_argument("--dt", type=float, help="time step, default 1e-3 (trajectories)")
     rp.add_argument("--workers", type=int,

@@ -375,35 +375,34 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     return _observe(h, s0, times, _open_stacks(h, s0, jumps, times), cut, target)
 
 
-def negativity_curve(layout: SystemLayout, cut: Bipartition):
-    """Callable ``curve(h, x0, times)`` -> N_cut(T) for each T in ``times``.
-
-    ``h`` is a ``Hamiltonian`` M on ``layout``, propagated through its
-    kept ``h.eig``, and ``x0`` a state vector or a column factor X of
-    rho = X X+; the state at T is exp(-iTM) x0.  The labels, positions
-    and marginal layout of ``cut`` are resolved once here.  With the kept
-    labels as the rows of Y, the marginal tr_rest(X X+) is Y Y+, so no
-    full density matrix is formed; the factor is transposed only when the
-    kept labels do not lead.
-    """
+@functools.cache
+def _cut_plan(layout: SystemLayout, cut: Bipartition):
+    """The marginal dims and dim of ``cut`` on ``layout``, side B's positions in
+    it, and the axis order that brings the kept labels first (None if they lead)."""
     kept = sorted(layout.position(lab) for lab in cut.side_a + cut.side_b)
     marg = layout.restricted(cut.side_a + cut.side_b)
-    dims, d_keep = marg.dims, marg.dim
-    b_pos = [marg.position(lab) for lab in cut.side_b]
-    order = None
-    if kept != list(range(len(kept))):
-        n = len(layout)
-        rest = [k for k in range(n) if k not in kept]
-        order = [0] + [1 + k for k in kept + rest] + [n + 1]
+    b_pos = tuple(marg.position(lab) for lab in cut.side_b)
+    if kept == list(range(len(kept))):
+        return marg.dims, marg.dim, b_pos, None
+    rest = [k for k in range(len(layout)) if k not in kept]
+    return marg.dims, marg.dim, b_pos, (0, *[1 + k for k in kept + rest], len(layout) + 1)
 
-    def curve(h, x0, times) -> np.ndarray:
-        x = propagate(*h.eig, x0, times)
-        if order is not None:
-            x = x.reshape((len(x),) + layout.dims + (-1,)).transpose(order)
-        y = x.reshape(len(x), d_keep, -1)
-        return negativity_array(y @ y.conj().swapaxes(1, 2), dims, b_pos)
 
-    return curve
+def negativity_curve(h: Hamiltonian, x0, times, cut: Bipartition) -> np.ndarray:
+    """N across ``cut`` of exp(-iTM) x0 for each T in ``times``.
+
+    ``h`` is a ``Hamiltonian`` M, propagated through its kept ``h.eig``, and
+    ``x0`` a state vector or a column factor X of rho = X X+.  The cut is
+    resolved once per (``h.layout``, cut) pair, by ``_cut_plan``.  With the
+    kept labels as the rows of Y, the marginal tr_rest(X X+) is Y Y+: no
+    full density matrix is formed.
+    """
+    dims, d_keep, b_pos, order = _cut_plan(h.layout, cut)
+    x = propagate(*h.eig, x0, times)
+    if order is not None:
+        x = x.reshape((len(x),) + h.layout.dims + (-1,)).transpose(order)
+    y = x.reshape(len(x), d_keep, -1)
+    return negativity_array(y @ y.conj().swapaxes(1, 2), dims, b_pos)
 
 
 def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition,
@@ -416,7 +415,7 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
     """
     _check_layouts(h, s0, jumps)
     if jumps is None:
-        n0, n_delta = negativity_curve(s0.layout, p)(h, _factor(s0), [0.0, RATE_DELTA])
+        n0, n_delta = negativity_curve(h, _factor(s0), [0.0, RATE_DELTA], p)
     else:
         [pair] = _open_stacks(h, s0, jumps, [0.0, RATE_DELTA])
         n0, n_delta = negativity(_marginal(pair, p), p)
@@ -442,11 +441,10 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
     if not 0 < horizon <= 50.0:
         raise ValueError(f"horizon {horizon} outside (0, 50]")
     level = (d - 1) / 2.0
-    curve = negativity_curve(s0.layout, p)
     x0 = _factor(s0)
 
     def neg(t: float) -> float:
-        return float(curve(h, x0, [t])[0])
+        return float(negativity_curve(h, x0, [t], p)[0])
 
     def peak_at(lo: float, hi: float) -> float | None:
         t_peak, n_peak = refine_peak(neg, lo, hi)
@@ -456,7 +454,7 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
     values = np.empty(len(times))
     for lo in range(0, len(times), PROPAGATE_CHUNK):
         hi = min(lo + PROPAGATE_CHUNK, len(times))
-        values[lo:hi] = curve(h, x0, times[lo:hi])
+        values[lo:hi] = negativity_curve(h, x0, times[lo:hi], p)
         # completed grid-local peaks: points whose right neighbour is known
         for k in _near_peaks(values, np.arange(max(lo - 1, 0), hi - 1), level).tolist():
             t_peak = peak_at(times[max(k - 1, 0)], min(horizon, times[k + 1]))

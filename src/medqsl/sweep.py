@@ -46,7 +46,7 @@ from .hamiltonians import (
     energy_moments_array,
 )
 from .linalg import propagate, sqrtm_psd
-from .qsl import conjecture_bound, di_bound
+from .qsl import conjecture_bound, di_bound, smi_bound
 from .randgen import (
     RngStream,
     haar_pure,
@@ -71,6 +71,7 @@ from .tolerances import (
 
 __all__ = [
     "EXPERIMENTS",
+    "TRAJECTORY_GRID",
     "SweepConfig",
     "SweepReport",
     "run_sweep",
@@ -100,6 +101,8 @@ COMMUTING_T_MAX = 2.0
 COMMUTING_N_TIMES = 32
 SMI_T_STEP = 1e-3
 JUMP_RATE = 0.1
+# the default grid of a trajectory: run_fig2, and the CLI's trajectory names and evolve
+TRAJECTORY_GRID = TimeGrid(0.0, math.pi / 2, 1e-3)
 
 # the cut whose negativity every experiment tracks
 AB_CUT = Bipartition(("A",), ("B",))
@@ -107,7 +110,11 @@ AB_CUT = Bipartition(("A",), ("B",))
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What varies between runs of an experiment; unset fields take its defaults."""
+    """What varies between runs of an experiment, each field resolved on construction.
+
+    Unset, ``n_instances`` is the ``EXPERIMENTS`` count, ``d_c`` is ``d`` and
+    ``workers`` is MEDQSL_WORKERS, else 1; a worker count of 0 means 1.
+    """
 
     experiment: str
     seed: int = 7
@@ -121,43 +128,35 @@ class SweepConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choices: {tuple(EXPERIMENTS)}")
+        setting, workers = "workers", self.workers
+        if workers is None:
+            setting, workers = WORKERS_ENV, os.environ.get(WORKERS_ENV, "").strip() or "1"
+        if not str(workers).strip().isdecimal():
+            raise ValueError(f"{setting} must be a non-negative integer, got {workers!r}")
+        d = require_integer("d", self.d)
+        n = EXPERIMENTS[self.experiment] if self.n_instances is None else self.n_instances
+        for name, value in (("seed", require_uint64("seed", self.seed)), ("d", d),
+                            ("n_instances", require_integer("n_instances", n)),
+                            ("d_c", require_integer("d_c", d if self.d_c is None else self.d_c)),
+                            ("workers", max(1, int(workers)))):
+            object.__setattr__(self, name, value)
         if self.d < 2:
             raise ValueError(f"need d >= 2, got {self.d}")
-        object.__setattr__(self, "seed", require_uint64("seed", self.seed))
-        if self.n_instances is not None:
-            object.__setattr__(self, "n_instances", require_integer("n_instances", self.n_instances))
-            if self.n_instances < 1:
-                raise ValueError("n_instances must be >= 1")
+        if self.n_instances < 1:
+            raise ValueError("n_instances must be >= 1")
         if self.jump_type not in JUMP_KINDS:
             raise ValueError(f"unknown jump type {self.jump_type!r}; "
                              f"choices: {tuple(JUMP_KINDS)}")
-        if self.experiment == "smi-protocol" and self.d_c not in (None, self.d):
+        if self.experiment == "smi-protocol" and self.d_c != self.d:
             raise ValueError(f"smi-protocol runs on a mediator of dim d={self.d}, "
                              f"got d_c={self.d_c}")
         # the total-dimension cap fails here, before anything is drawn
         self.layout
 
     @property
-    def n(self) -> int:
-        return self.n_instances if self.n_instances is not None else EXPERIMENTS[self.experiment]
-
-    @property
-    def mediator_dim(self) -> int:
-        return self.d_c if self.d_c is not None else self.d
-
-    @property
     def layout(self) -> SystemLayout:
         """A:d, B:d, C:d_c, the layout the instances are drawn on."""
-        return SystemLayout((("A", self.d), ("B", self.d), ("C", self.mediator_dim)))
-
-    def resolved_workers(self) -> int:
-        """``workers``, else MEDQSL_WORKERS, else 1; a count of 0 also means 1."""
-        setting, value = "workers", self.workers
-        if value is None:
-            setting, value = WORKERS_ENV, os.environ.get(WORKERS_ENV, "").strip() or "1"
-        if not str(value).strip().isdecimal():
-            raise ValueError(f"{setting} must be a non-negative integer, got {value!r}")
-        return max(1, int(value))
+        return SystemLayout((("A", self.d), ("B", self.d), ("C", self.d_c)))
 
 
 @dataclass
@@ -199,13 +198,6 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 # instance kernels (pure functions of (config, stream_id), run in workers)
 
-@functools.cache
-def _ab_curve(d: int, dc: int):
-    """The ``negativity_curve`` of the A:B cut on layout A:d, B:d, C:dc."""
-    layout = SystemLayout((("A", d), ("B", d), ("C", dc)))
-    return negativity_curve(layout, AB_CUT)
-
-
 def _normalized_draw(rc: dict, sid: int, draw):
     """Redraw ``draw(stream) = (h, state, ...)`` until the state moves under ``h``.
 
@@ -228,7 +220,7 @@ def _cmi_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
     d, dc = rc["d"], rc["d_c"]
     if rc["witness"] and sid == 0:
         ham, s0 = cmi_product_example()
-        return _ab_curve(d, dc)(ham, s0.pure_vector, rc["times"]), 0
+        return negativity_curve(ham, s0.pure_vector, rc["times"], AB_CUT), 0
 
     def draw(stream):
         ab = np.kron(haar_pure(d, stream), haar_pure(d, stream))
@@ -239,7 +231,7 @@ def _cmi_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
                 np.kron(ab[:, None], sqrtm_psd(rho_c)))
 
     k_scale, redraws, (h, _, x0) = _normalized_draw(rc, sid, draw)
-    return _ab_curve(d, dc)(h, x0, k_scale * rc["times"]), redraws
+    return negativity_curve(h, x0, k_scale * rc["times"], AB_CUT), redraws
 
 
 def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]:
@@ -268,12 +260,11 @@ def _smi_instance(rc: dict, sid: int) -> tuple[float, float, float, np.ndarray, 
         return Hamiltonian(rc["layout"], m), psi1
 
     k_scale, redraws, (h, _) = _normalized_draw(rc, sid, draw)
-    ab = _ab_curve(d, d)
 
     def neg_at(t: float) -> float:
-        return float(ab(h, psi1, np.array([k_scale * t]))[0])
+        return float(negativity_curve(h, psi1, np.array([k_scale * t]), AB_CUT)[0])
 
-    curve = ab(h, psi1, k_scale * times)
+    curve = negativity_curve(h, psi1, k_scale * times, AB_CUT)
     crossing = first_crossing(neg_at, times, curve, rc["level"])
     top = int(np.argmax(curve))
     peak_t, peak_v = refine_peak(neg_at, times[max(top - 1, 0)],
@@ -298,7 +289,7 @@ def _commuting_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
         return commuting_mediated(h_a, h_b, h_c), np.kron(rho_ab, rho_c)
 
     k_scale, redraws, (h, rho0) = _normalized_draw(rc, sid, draw)
-    return _ab_curve(d, dc)(h, sqrtm_psd(rho0), k_scale * rc["times"]), redraws
+    return negativity_curve(h, sqrtm_psd(rho0), k_scale * rc["times"], AB_CUT), redraws
 
 
 def _run_instances(kernel, rc: dict, n: int, workers: int) -> list:
@@ -317,7 +308,7 @@ def _sweep(cfg: SweepConfig, kernel, rc: dict) -> tuple[list[np.ndarray], int]:
     A kernel returns a tuple whose last entry is its redraw count; the
     other entries are stacked over the instances, in stream order.
     """
-    results = _run_instances(kernel, rc, cfg.n, cfg.resolved_workers())
+    results = _run_instances(kernel, rc, cfg.n_instances, cfg.workers)
     *fields, redraws = zip(*results)
     return [np.array(f) for f in fields], sum(redraws)
 
@@ -340,8 +331,8 @@ def _report(cfg: SweepConfig, times: np.ndarray, matrix: np.ndarray, extremes: d
 
     ``matrix`` holds one row per instance and one column per time.
     """
-    config = {"experiment": cfg.experiment, "seed": cfg.seed, "n_instances": cfg.n,
-              "d": cfg.d, "d_c": cfg.mediator_dim, **echo}
+    config = {"experiment": cfg.experiment, "seed": cfg.seed, "n_instances": cfg.n_instances,
+              "d": cfg.d, "d_c": cfg.d_c, **echo}
     envelope = {"max": matrix.max(axis=0), "mean": matrix.mean(axis=0),
                 "p99": np.quantile(matrix, 0.99, axis=0)}
     return SweepReport(config, times, envelope, extremes, violations, redraws, details)
@@ -359,8 +350,7 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     2 arccos(1/sqrt(d)).  For d = 2 instance 0 is the product-state
     witness that attains 0.5 exactly at T = pi/2.
     """
-    d = cfg.d
-    dc = cfg.mediator_dim
+    d, dc = cfg.d, cfg.d_c
     t_max = conjecture_bound(d)
     times = t_max * np.arange(CMI_N_TIMES + 1) / CMI_N_TIMES
     witness = d == 2 and dc == 2
@@ -388,13 +378,12 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     increase negativity at first order.  A direct (non-mediated) control
     shows the contrast: its N grows linearly from the start.
     """
-    d = cfg.d
-    dc = cfg.mediator_dim
+    d, dc = cfg.d, cfg.d_c
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
     rc = {"seed": cfg.seed, "d": d, "d_c": dc, "jumps": jumps}
     (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(cfg, _rate_instance, rc)
     violations = []
-    for sid in range(cfg.n):
+    for sid in range(cfg.n_instances):
         if abs(dn_closed[sid]) > CLOSED_RATE_TOL:
             violations.append({"stream_id": sid, "kind": "closed",
                                "delta_negativity": float(dn_closed[sid])})
@@ -426,12 +415,10 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
                    delta=RATE_DELTA, jump_type=cfg.jump_type, jump_rate=JUMP_RATE)
 
 
-def run_fig2(d: int, grid: TimeGrid | None = None) -> Trajectory:
+def run_fig2(d: int, grid: TimeGrid = TRAJECTORY_GRID) -> Trajectory:
     """Optimal direct trajectory from |00>: N and Bures angle against T."""
     if not 2 <= d <= 6:
         raise BadDimensionError(f"need 2 <= d <= 6, got {d}")
-    if grid is None:
-        grid = TimeGrid(0.0, math.pi / 2, 1e-3)
     h = direct_optimal(d)
     return evolve_unitary(h, DensityState.basis(h.layout), grid)
 
@@ -480,7 +467,7 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
         "stage2_bound": float(stage2_bound),
         "stage2_attainments": int(reached.sum()),
         "best_stage2_time": None if best is None else best["T"],
-        "protocol_bound": float(t1 + stage2_bound),
+        "protocol_bound": smi_bound(d),
         "attain_level": level,
     }
     return _report(cfg, times, curves, extremes, violations, redraws, details,
@@ -495,8 +482,7 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     correlated-input control with the same kind of Hamiltonian shows
     growth, so the null result is about the inputs, not the coupling.
     """
-    d = cfg.d
-    dc = cfg.mediator_dim
+    d, dc = cfg.d, cfg.d_c
     times = COMMUTING_T_MAX * np.arange(COMMUTING_N_TIMES + 1) / COMMUTING_N_TIMES
     rc = {"seed": cfg.seed, "d": d, "d_c": dc, "times": times}
     (curves,), redraws = _sweep(cfg, _commuting_instance, rc)

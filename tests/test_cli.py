@@ -197,8 +197,10 @@ class TestReproduce:
         (["conjecture-d3", "--d", "2"], "--d"),
         (["fig2", "--n", "5"], "--n"),
         (["cmi-product", "--workers", "2"], "--workers"),
+        (["fig2", "--seed", "99"], "--seed"),
+        (["cmi-product", "--seed", "99"], "--seed"),
     ], ids=["tmax-to-sweep", "dt-to-sweep", "d-to-conjecture", "n-to-fig2",
-            "workers-to-pair"])
+            "workers-to-pair", "seed-to-fig2", "seed-to-pair"])
     def test_ignored_flag_is_refused(self, tmp_path, capsys, argv, flag):
         assert main(["reproduce", *argv, "--out", "x"]) == 2
         assert f"does not take {flag}" in capsys.readouterr().err
@@ -214,16 +216,19 @@ class TestReproduce:
         assert manifest["config"]["dt"] is None
 
     def test_manifest_records_resolved_defaults(self, tmp_path):
-        # flag-less runs: the manifest holds the values the run used, not null
+        # flag-less runs: the manifest holds the values the run used, not null;
+        # a trajectory draws nothing, so its seed is null
         assert main(["reproduce", "fig2"]) == 0
-        config = json.loads((tmp_path / "fig2.manifest.json").read_text())["config"]
-        assert config == {"name": "fig2", "seed": 7, "n": None, "d": 2, "tmax": math.pi / 2,
-                          "dt": 1e-3, "workers": None}
+        manifest = json.loads((tmp_path / "fig2.manifest.json").read_text())
+        assert manifest["config"] == {"name": "fig2", "seed": None, "n": None, "d": 2,
+                                      "tmax": math.pi / 2, "dt": 1e-3, "workers": None}
+        assert manifest["seed"] is None
         assert len(_read_csv(tmp_path / "fig2.csv")) == 1571
         assert main(["reproduce", "rate-zero"]) == 0
-        config = json.loads((tmp_path / "rate-zero.manifest.json").read_text())["config"]
-        assert config == {"name": "rate-zero", "seed": 7, "n": 1000, "d": 2, "tmax": None,
-                          "dt": None, "workers": None}
+        manifest = json.loads((tmp_path / "rate-zero.manifest.json").read_text())
+        assert manifest["config"] == {"name": "rate-zero", "seed": 7, "n": 1000, "d": 2,
+                                      "tmax": None, "dt": None, "workers": None}
+        assert manifest["seed"] == 7
         report = json.loads((tmp_path / "rate-zero.json").read_text())
         assert report["config"]["n_instances"] == 1000
 

@@ -300,12 +300,15 @@ class TestNegativityCurve:
         ref = evolve_unitary(h, s0, grid, cut=p).columns["negativity"]
         assert ref.max() > 1e-2
         x0 = s0.pure_vector if pure else sqrtm_psd(s0.matrix)
-        got = negativity_curve(self.LAYOUT, p)(h, x0, grid.times)
+        got = negativity_curve(h, x0, grid.times, p)
         assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownLabelError):
-            negativity_curve(self.LAYOUT, Bipartition.parse("A:D"))
+        # refused at the call, whichever side names the label
+        h, s0 = self._case(True)
+        for cut in ("A:D", "D:A"):
+            with pytest.raises(UnknownLabelError):
+                negativity_curve(h, s0.pure_vector, [0.0], Bipartition.parse(cut))
 
 
 def _rk4_reference(h, s0, jumps, times):

@@ -7,7 +7,8 @@ module's private helpers, every small threshold is named once, in
 ``tolerances.py``, and used, the stationary-state rule is applied in
 one place, a coupling is diagonalized by ``Hamiltonian.eig`` alone, the
 open stepper checks each chunk of stepped states with one
-``DensityState``, and every JSON document is written by ``json_text``.
+``DensityState``, every JSON document is written by ``json_text``, and a
+sweep's layout is built by ``SweepConfig.layout`` alone.
 """
 
 import ast
@@ -110,8 +111,15 @@ def _callers_of(name: str) -> list[str]:
 def test_one_negativity_over_time():
     # the smi stage-one state; every negativity curve goes through negativity_curve
     assert _callers_of("propagate") == ["dynamics.evolve_unitary",
-                                        "dynamics.negativity_curve.curve",
+                                        "dynamics.negativity_curve",
                                         "sweep.run_smi_protocol"]
+
+
+def test_one_sweep_layout():
+    # the A:d, B:d, C:d_c layout of a sweep is built by SweepConfig.layout
+    # alone; the kernels read it from there or from their Hamiltonians
+    assert [c for c in _callers_of("SystemLayout") if c.startswith("sweep.")] == [
+        "sweep.SweepConfig.layout"]
 
 
 def test_one_json_text():

@@ -89,13 +89,28 @@ class TestSweepConfig:
         config = json.loads((tmp_path / "r.json").read_text())["config"]
         assert (config["seed"], config["n_instances"]) == (3, 2)
 
-    def test_defaults_fill_in(self):
+    @pytest.mark.parametrize("field", ["d", "d_c"])
+    @pytest.mark.parametrize("value", ["3", 2.0, True])
+    def test_dimension_must_be_an_integer(self, field, value):
+        # "3" used to fail on a str < int comparison, True to read as 1,
+        # and d_c="2" to surface as BadDimensionError from the layout
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            SweepConfig(experiment="rate-zero", **{field: value})
+
+    def test_defaults_fill_in(self, monkeypatch):
+        monkeypatch.delenv("MEDQSL_WORKERS", raising=False)
         cfg = SweepConfig(experiment="cmi-uncorrelated")
-        assert cfg.n == 10_000
-        assert cfg.mediator_dim == 2
-        cfg2 = SweepConfig(experiment="rate-zero", n_instances=17, d_c=3)
-        assert cfg2.n == 17
-        assert cfg2.mediator_dim == 3
+        assert (cfg.seed, cfg.n_instances, cfg.d, cfg.d_c, cfg.workers) == (7, 10_000, 2, 2, 1)
+        cfg2 = SweepConfig(experiment="rate-zero", n_instances=17, d=3)
+        assert (cfg2.n_instances, cfg2.d_c) == (17, 3)
+        assert SweepConfig(experiment="rate-zero", d=3, d_c=2).d_c == 2
+
+    def test_default_equals_its_explicit_twin(self, monkeypatch):
+        monkeypatch.delenv("MEDQSL_WORKERS", raising=False)
+        assert SweepConfig("rate-zero") == SweepConfig("rate-zero", n_instances=1000)
+        assert SweepConfig("rate-zero", d=3) == SweepConfig(
+            "rate-zero", seed=7, n_instances=1000, d=3, d_c=3, workers=1)
+        assert SweepConfig("rate-zero", workers=0) == SweepConfig("rate-zero")
 
 
 class TestCmiUncorrelated:
@@ -131,7 +146,7 @@ class TestCmiUncorrelated:
         rep = run_cmi_uncorrelated(cfg)
         rc = {"seed": 3, "d": 2, "d_c": 2, "times": rep.times, "witness": True}
         expected = []
-        for sid in range(cfg.n):
+        for sid in range(cfg.n_instances):
             curve, _ = _cmi_instance(rc, sid)
             for k, value in enumerate(curve):
                 if value >= 0.5 - 1e-6:
@@ -227,20 +242,24 @@ class TestWorkerDeterminism:
 
 class TestWorkerResolution:
     def test_env_var_fallback(self, monkeypatch):
-        cfg = SweepConfig(experiment="rate-zero")
+        # the environment is read once, when the config is built
         monkeypatch.delenv("MEDQSL_WORKERS", raising=False)
-        assert cfg.resolved_workers() == 1
+        assert SweepConfig(experiment="rate-zero").workers == 1
+        for value, want in (("3", 3), ("0", 1), (" 2 ", 2), ("", 1)):
+            monkeypatch.setenv("MEDQSL_WORKERS", value)
+            assert SweepConfig(experiment="rate-zero").workers == want
+        cfg = SweepConfig(experiment="rate-zero")
         monkeypatch.setenv("MEDQSL_WORKERS", "3")
-        assert cfg.resolved_workers() == 3
+        assert cfg.workers == 1
         # explicit setting beats the environment
-        assert SweepConfig(experiment="rate-zero", workers=2).resolved_workers() == 2
+        assert SweepConfig(experiment="rate-zero", workers=2).workers == 2
         for bad in ("abc", "-5", "2.5"):
             monkeypatch.setenv("MEDQSL_WORKERS", bad)
-            with pytest.raises(ValueError, match="MEDQSL_WORKERS"):
-                cfg.resolved_workers()
+            with pytest.raises(ValueError, match=f"MEDQSL_WORKERS must be .*{bad!r}"):
+                SweepConfig(experiment="rate-zero")
         for bad in (-5, 2.5):
-            with pytest.raises(ValueError, match="workers"):
-                SweepConfig(experiment="rate-zero", workers=bad).resolved_workers()
+            with pytest.raises(ValueError, match=f"^workers must be .*{bad!r}"):
+                SweepConfig(experiment="rate-zero", workers=bad)
 
     def test_pool_clamped_to_cpus(self, monkeypatch):
         # a stub pool records its size and chunk and runs in-process, so no
@@ -340,12 +359,12 @@ class TestRateZero:
         cfg = SweepConfig(experiment="rate-zero", n_instances=6, seed=6)
         changes = _recorded(monkeypatch, "_rate_instance", lambda out: out[:2])
         run_rate_zero(cfg)
-        closed, open_ = (np.array([changes[sid][k] for sid in range(cfg.n)]) for k in (0, 1))
+        closed, open_ = (np.array([changes[sid][k] for sid in range(cfg.n_instances)]) for k in (0, 1))
         monkeypatch.setattr(sweep, "CLOSED_RATE_TOL", float(np.median(np.abs(closed))))
         monkeypatch.setattr(sweep, "OPEN_RATE_TOL", float(np.median(open_)))
         rep = run_rate_zero(cfg)
         expected = []
-        for sid in range(cfg.n):
+        for sid in range(cfg.n_instances):
             if abs(closed[sid]) > sweep.CLOSED_RATE_TOL:
                 expected.append({"stream_id": sid, "kind": "closed",
                                  "delta_negativity": float(closed[sid])})
@@ -442,7 +461,7 @@ class TestCommutingNull:
         rep = run_commuting_null(cfg)
         rc = {"seed": 8, "d": 2, "d_c": 2, "times": rep.times}
         expected = []
-        for sid in range(cfg.n):
+        for sid in range(cfg.n_instances):
             curve, _ = _commuting_instance(rc, sid)
             for k, value in enumerate(curve - curve[0]):
                 if value > 1e-10:
