@@ -232,8 +232,7 @@ def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
         if len(s0.layout) == 1:
             raise DimensionMismatchError("observation needs at least two subsystems")
         cut = Bipartition((s0.layout.labels[0],), (s0.layout.labels[1],))
-    for lab in cut.side_a + cut.side_b:
-        s0.layout.position(lab)
+    s0.layout.positions(cut.side_a + cut.side_b)
     return cut, s0 if target is None else target
 
 
@@ -377,15 +376,13 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
 
 @functools.cache
 def _cut_plan(layout: SystemLayout, cut: Bipartition):
-    """The marginal dims and dim of ``cut`` on ``layout``, side B's positions in
-    it, and the axis order that brings the kept labels first (None if they lead)."""
-    kept = sorted(layout.position(lab) for lab in cut.side_a + cut.side_b)
+    """The marginal dims and dim of ``cut`` on ``layout``, side B's positions in it,
+    and the axes of a ``(T, *layout.dims, k)`` stack that bring the kept labels first,
+    in layout order; all from ``SystemLayout``'s label resolvers.  When the kept
+    labels lead already, the transpose is the identity: a view, no data moves."""
     marg = layout.restricted(cut.side_a + cut.side_b)
-    b_pos = tuple(marg.position(lab) for lab in cut.side_b)
-    if kept == list(range(len(kept))):
-        return marg.dims, marg.dim, b_pos, None
-    rest = [k for k in range(len(layout)) if k not in kept]
-    return marg.dims, marg.dim, b_pos, (0, *[1 + k for k in kept + rest], len(layout) + 1)
+    axes = (0, *(1 + k for k in layout.axes_first(marg.labels)), len(layout) + 1)
+    return marg.dims, marg.dim, marg.positions(cut.side_b), axes
 
 
 def negativity_curve(h: Hamiltonian, x0, times, cut: Bipartition) -> np.ndarray:
@@ -397,10 +394,9 @@ def negativity_curve(h: Hamiltonian, x0, times, cut: Bipartition) -> np.ndarray:
     kept labels as the rows of Y, the marginal tr_rest(X X+) is Y Y+: no
     full density matrix is formed.
     """
-    dims, d_keep, b_pos, order = _cut_plan(h.layout, cut)
+    dims, d_keep, b_pos, axes = _cut_plan(h.layout, cut)
     x = propagate(*h.eig, x0, times)
-    if order is not None:
-        x = x.reshape((len(x),) + h.layout.dims + (-1,)).transpose(order)
+    x = x.reshape((len(x),) + h.layout.dims + (-1,)).transpose(axes)
     y = x.reshape(len(x), d_keep, -1)
     return negativity_array(y @ y.conj().swapaxes(1, 2), dims, b_pos)
 

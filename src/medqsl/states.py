@@ -113,6 +113,18 @@ class SystemLayout:
     def dim_of(self, label: str) -> int:
         return self.subsystems[self.position(label)][1]
 
+    def positions(self, labels) -> tuple[int, ...]:
+        """The position of each of ``labels``, in the order given; none may repeat."""
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            raise UnknownLabelError(f"repeated label in {labels}")
+        return tuple(self.position(lab) for lab in labels)
+
+    def axes_first(self, labels) -> tuple[int, ...]:
+        """Every axis position: those of ``labels`` first, as given, then the rest in order."""
+        first = self.positions(labels)
+        return first + tuple(k for k in range(len(self)) if k not in first)
+
     def basis_index(self, indices) -> int:
         """Pack per-subsystem indices into a flat basis index, big-endian."""
         indices = tuple(int(i) for i in indices)
@@ -129,8 +141,7 @@ class SystemLayout:
 
     def restricted(self, labels) -> "SystemLayout":
         """Sub-layout of ``labels``, kept in this layout's order."""
-        labels = set(labels)
-        return SystemLayout(tuple(s for s in self.subsystems if s[0] in labels))
+        return SystemLayout(tuple(self.subsystems[k] for k in sorted(self.positions(labels))))
 
 
 @dataclass(frozen=True)
@@ -301,26 +312,17 @@ def embed_operator(layout: SystemLayout, labels, op: np.ndarray) -> np.ndarray:
     indexed in layout order.
     """
     labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise UnknownLabelError(f"repeated label in {labels}")
-    positions = [layout.position(lab) for lab in labels]
+    order = layout.axes_first(labels)
     op = np.asarray(op, dtype=complex)
-    d_act = int(np.prod([layout.dims[p] for p in positions]))
+    d_act = math.prod(layout.dims[k] for k in order[:len(labels)])
     if op.shape != (d_act, d_act):
         raise DimensionMismatchError(
             f"operator shape {op.shape} does not match joint dim {d_act} of {labels}"
         )
-    rest = [lab for lab in layout.labels if lab not in labels]
-    d_rest = int(np.prod([layout.dim_of(lab) for lab in rest])) if rest else 1
-    big = np.kron(op, np.eye(d_rest, dtype=complex))
-    order = list(labels) + rest
-    if order == list(layout.labels):
-        return big
-    dims_order = [layout.dim_of(lab) for lab in order]
-    n = len(order)
-    perm = [order.index(lab) for lab in layout.labels]
-    t = big.reshape(dims_order + dims_order)
-    t = t.transpose(perm + [p + n for p in perm])
+    big = np.kron(op, np.eye(layout.dim // d_act, dtype=complex))
+    dims = [layout.dims[k] for k in order]
+    perm = np.argsort(order)
+    t = big.reshape(dims + dims).transpose([*perm, *(perm + len(order))])
     return np.ascontiguousarray(t.reshape(layout.dim, layout.dim))
 
 
@@ -349,18 +351,11 @@ def partial_trace(s: DensityState, keep) -> DensityState:
     stack gives the stack of marginals, validated in one pass.
     """
     keep = tuple(keep)
-    keep_set = set(keep)
-    if len(keep_set) != len(keep):
-        raise UnknownLabelError(f"repeated label in {keep}")
-    for lab in keep:
-        s.layout.position(lab)
-    if not keep_set or keep_set == set(s.layout.labels):
-        raise FullOrEmptySetError(
-            "partial trace must keep a nonempty proper subset of subsystems"
-        )
-    keep_pos = [k for k, lab in enumerate(s.layout.labels) if lab in keep_set]
-    out = partial_trace_array(s.matrix, s.layout.dims, keep_pos)
-    return DensityState(s.layout.restricted(keep_set), out)
+    kept = sorted(s.layout.positions(keep))
+    if not 0 < len(kept) < len(s.layout):
+        raise FullOrEmptySetError("partial trace must keep a nonempty proper subset of subsystems")
+    out = partial_trace_array(s.matrix, s.layout.dims, kept)
+    return DensityState(s.layout.restricted(keep), out)
 
 
 def partial_transpose_array(m: np.ndarray, dims: tuple[int, ...], b_pos) -> np.ndarray:
@@ -392,8 +387,7 @@ def negativity(s: DensityState, p: Bipartition) -> float | np.ndarray:
     must trace out any subsystem not in the bipartition first.
     """
     p.validate_covering(s.layout)
-    b_pos = [s.layout.position(lab) for lab in p.side_b]
-    return _value(s, negativity_array(s.matrix, s.layout.dims, b_pos))
+    return _value(s, negativity_array(s.matrix, s.layout.dims, s.layout.positions(p.side_b)))
 
 
 def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
@@ -473,7 +467,7 @@ def purity(s: DensityState) -> float | np.ndarray:
 
 
 def is_classically_correlated_on(s: DensityState, label: str) -> bool:
-    """Whether ``s`` is block diagonal in some orthonormal basis of ``label``.
+    """Whether ``s``, one state, is block diagonal in some orthonormal basis of ``label``.
 
     One fixed generic complex probe G on the rest of the system gives
     K_ij = tr(G <i|rho|j>), diagonal with entries p_k tr(G rho_k) in every
@@ -485,16 +479,16 @@ def is_classically_correlated_on(s: DensityState, label: str) -> bool:
     state called classical is classical in a basis it exhibits.
     """
     layout = s.layout
-    pos = layout.position(label)
-    dm = layout.dims[pos]
+    if s.matrix.ndim != 2:
+        raise DimensionMismatchError(f"a stack of {len(s.matrix)} states: test one at a time")
+    perm = layout.axes_first((label,))
+    dm = layout.dims[perm[0]]
     if dm == 1:
         return True
     dr = layout.dim // dm
-    n = len(layout)
-    perm = [pos] + [k for k in range(n) if k != pos]
     t = s.matrix.reshape(layout.dims + layout.dims)
     # blocks[i, :, j, :] = <i|rho|j> on the rest of the system
-    blocks = t.transpose(perm + [k + n for k in perm]).reshape(dm, dr, dm, dr)
+    blocks = t.transpose(perm + tuple(k + len(perm) for k in perm)).reshape(dm, dr, dm, dr)
     # fixed-key counter RNG: the classicality test must be deterministic
     gen = np.random.Generator(np.random.Philox(key=[0xC1A55, 0]))
     probe = gen.standard_normal((dr, dr)) + 1j * gen.standard_normal((dr, dr))

@@ -128,11 +128,13 @@ class SweepConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choices: {tuple(EXPERIMENTS)}")
-        setting, workers = "workers", self.workers
+        workers = self.workers
         if workers is None:
-            setting, workers = WORKERS_ENV, os.environ.get(WORKERS_ENV, "").strip() or "1"
-        if not str(workers).strip().isdecimal():
-            raise ValueError(f"{setting} must be a non-negative integer, got {workers!r}")
+            workers = os.environ.get(WORKERS_ENV, "").strip() or "1"
+            if not workers.isdecimal():
+                raise ValueError(f"{WORKERS_ENV} must be a non-negative integer, got {workers!r}")
+        elif require_integer("workers", workers) < 0:
+            raise ValueError(f"workers must be a non-negative integer, got {workers!r}")
         d = require_integer("d", self.d)
         n = EXPERIMENTS[self.experiment] if self.n_instances is None else self.n_instances
         for name, value in (("seed", require_uint64("seed", self.seed)), ("d", d),
@@ -196,15 +198,15 @@ class SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# instance kernels (pure functions of (config, stream_id), run in workers)
+# instance kernels: pure functions kernel(cfg, stream_id, **setup), run in workers
 
-def _normalized_draw(rc: dict, sid: int, draw):
+def _normalized_draw(cfg: SweepConfig, sid: int, draw):
     """Redraw ``draw(stream) = (h, state, ...)`` until the state moves under ``h``.
 
     Returns ``(k, redraws, drawn)``: the scale k of ``EnergyMoments.scale``,
     the stationary draws skipped, and the draw, whose ``h.eig`` is now kept.
     """
-    stream = RngStream(rc["seed"], sid)
+    stream = RngStream(cfg.seed, sid)
     for redraws in range(_REDRAW_CAP):
         drawn = draw(stream)
         try:
@@ -216,11 +218,12 @@ def _normalized_draw(rc: dict, sid: int, draw):
         f"stream {sid}: all {_REDRAW_CAP} draws were stationary (redraw cap)")
 
 
-def _cmi_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
-    d, dc = rc["d"], rc["d_c"]
-    if rc["witness"] and sid == 0:
+def _cmi_instance(cfg: SweepConfig, sid: int, *, times: np.ndarray,
+                  witness: bool) -> tuple[np.ndarray, int]:
+    d, dc = cfg.d, cfg.d_c
+    if witness and sid == 0:
         ham, s0 = cmi_product_example()
-        return negativity_curve(ham, s0.pure_vector, rc["times"], AB_CUT), 0
+        return negativity_curve(ham, s0.pure_vector, times, AB_CUT), 0
 
     def draw(stream):
         ab = np.kron(haar_pure(d, stream), haar_pure(d, stream))
@@ -230,12 +233,13 @@ def _cmi_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
         return (h, np.kron(np.outer(ab, ab.conj()), rho_c),
                 np.kron(ab[:, None], sqrtm_psd(rho_c)))
 
-    k_scale, redraws, (h, _, x0) = _normalized_draw(rc, sid, draw)
-    return negativity_curve(h, x0, k_scale * rc["times"], AB_CUT), redraws
+    k_scale, redraws, (h, _, x0) = _normalized_draw(cfg, sid, draw)
+    return negativity_curve(h, x0, k_scale * times, AB_CUT), redraws
 
 
-def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]:
-    d, dc = rc["d"], rc["d_c"]
+def _rate_instance(cfg: SweepConfig, sid: int, *,
+                   jumps: JumpOperatorSet) -> tuple[float, float, float, float, int]:
+    d, dc = cfg.d, cfg.d_c
 
     def draw(stream):
         rho_ab0 = random_density(d * d, stream)
@@ -243,37 +247,36 @@ def _rate_instance(rc: dict, sid: int) -> tuple[float, float, float, float, int]
         h = random_mediated_hamiltonian(d, d, dc, stream)
         return h, np.kron(rho_ab0, rho_c), rho_ab0
 
-    k_scale, redraws, (h, rho0, rho_ab0) = _normalized_draw(rc, sid, draw)
+    k_scale, redraws, (h, rho0, rho_ab0) = _normalized_draw(cfg, sid, draw)
     h = h.scaled(k_scale)
     s0 = DensityState(h.layout, rho0)
     n0 = float(negativity_array(rho_ab0, (d, d), (1,)))
     dn_closed = entanglement_change_at_zero(h, s0, AB_CUT)
-    dn_open = entanglement_change_at_zero(h, s0, AB_CUT, rc["jumps"])
+    dn_open = entanglement_change_at_zero(h, s0, AB_CUT, jumps)
     return dn_closed, dn_open, n0, n0 + dn_closed, redraws
 
 
-def _smi_instance(rc: dict, sid: int) -> tuple[float, float, float, np.ndarray, int]:
-    d, psi1, times = rc["d"], rc["psi1"], rc["times"]
-
+def _smi_instance(cfg: SweepConfig, sid: int, *, psi1: np.ndarray, times: np.ndarray,
+                  level: float) -> tuple[float, float, float, np.ndarray, int]:
     def draw(stream):
-        m = embed_operator(rc["layout"], ("B", "C"), random_hermitian(d * d, stream))
-        return Hamiltonian(rc["layout"], m), psi1
+        m = embed_operator(cfg.layout, ("B", "C"), random_hermitian(cfg.d ** 2, stream))
+        return Hamiltonian(cfg.layout, m), psi1
 
-    k_scale, redraws, (h, _) = _normalized_draw(rc, sid, draw)
+    k_scale, redraws, (h, _) = _normalized_draw(cfg, sid, draw)
 
     def neg_at(t: float) -> float:
         return float(negativity_curve(h, psi1, np.array([k_scale * t]), AB_CUT)[0])
 
     curve = negativity_curve(h, psi1, k_scale * times, AB_CUT)
-    crossing = first_crossing(neg_at, times, curve, rc["level"])
+    crossing = first_crossing(neg_at, times, curve, level)
     top = int(np.argmax(curve))
     peak_t, peak_v = refine_peak(neg_at, times[max(top - 1, 0)],
                                  times[min(top + 1, len(times) - 1)])
     return crossing, peak_v, peak_t, curve, redraws
 
 
-def _commuting_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
-    d, dc = rc["d"], rc["d_c"]
+def _commuting_instance(cfg: SweepConfig, sid: int, *, times: np.ndarray) -> tuple[np.ndarray, int]:
+    d, dc = cfg.d, cfg.d_c
 
     def draw(stream):
         h_a = random_hermitian(d, stream)
@@ -288,27 +291,24 @@ def _commuting_instance(rc: dict, sid: int) -> tuple[np.ndarray, int]:
         rho_c = random_density(dc, stream)
         return commuting_mediated(h_a, h_b, h_c), np.kron(rho_ab, rho_c)
 
-    k_scale, redraws, (h, rho0) = _normalized_draw(rc, sid, draw)
-    return negativity_curve(h, sqrtm_psd(rho0), k_scale * rc["times"], AB_CUT), redraws
+    k_scale, redraws, (h, rho0) = _normalized_draw(cfg, sid, draw)
+    return negativity_curve(h, sqrtm_psd(rho0), k_scale * times, AB_CUT), redraws
 
 
-def _run_instances(kernel, rc: dict, n: int, workers: int) -> list:
-    """``kernel(rc, sid)`` for sid in 0..n-1, in stream order, on up to ``workers`` cpus."""
-    workers = min(workers, os.cpu_count() or 1)
-    run = functools.partial(kernel, rc)
-    if workers <= 1 or n < 2 * workers:
-        return list(map(run, range(n)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(n), chunksize=math.ceil(n / (workers * 4))))
+def _sweep(cfg: SweepConfig, kernel, **setup) -> tuple[list[np.ndarray], int]:
+    """``kernel(cfg, sid, **setup)`` over streams 0..n-1: one array per field, and the redraws.
 
-
-def _sweep(cfg: SweepConfig, kernel, rc: dict) -> tuple[list[np.ndarray], int]:
-    """``kernel(rc, sid)`` over streams 0..n-1: one array per field, and the redraws.
-
-    A kernel returns a tuple whose last entry is its redraw count; the
-    other entries are stacked over the instances, in stream order.
+    With two or more instances per worker, a pool of up to ``cfg.workers``
+    cpus runs them.  A kernel returns a tuple whose last entry is its redraw
+    count; the other entries are stacked over the instances, in stream order.
     """
-    results = _run_instances(kernel, rc, cfg.n_instances, cfg.workers)
+    n, workers = cfg.n_instances, min(cfg.workers, os.cpu_count() or 1)
+    run = functools.partial(kernel, cfg, **setup)
+    if workers <= 1 or n < 2 * workers:
+        results = list(map(run, range(n)))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, range(n), chunksize=math.ceil(n / (workers * 4))))
     *fields, redraws = zip(*results)
     return [np.array(f) for f in fields], sum(redraws)
 
@@ -354,8 +354,7 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     t_max = conjecture_bound(d)
     times = t_max * np.arange(CMI_N_TIMES + 1) / CMI_N_TIMES
     witness = d == 2 and dc == 2
-    rc = {"seed": cfg.seed, "d": d, "d_c": dc, "times": times, "witness": witness}
-    (curves,), redraws = _sweep(cfg, _cmi_instance, rc)
+    (curves,), redraws = _sweep(cfg, _cmi_instance, times=times, witness=witness)
     level = (d - 1) / 2.0 - ATTAIN_SLACK
     early = times <= di_bound(d) + EARLY_SLACK
     violations = [{"stream_id": sid, "T": float(times[k]), "negativity": float(curves[sid, k])}
@@ -378,10 +377,8 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     increase negativity at first order.  A direct (non-mediated) control
     shows the contrast: its N grows linearly from the start.
     """
-    d, dc = cfg.d, cfg.d_c
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
-    rc = {"seed": cfg.seed, "d": d, "d_c": dc, "jumps": jumps}
-    (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(cfg, _rate_instance, rc)
+    (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(cfg, _rate_instance, jumps=jumps)
     violations = []
     for sid in range(cfg.n_instances):
         if abs(dn_closed[sid]) > CLOSED_RATE_TOL:
@@ -399,7 +396,7 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
                             "value": float(dn_open[worst_open])},
     }
     # contrast control: the optimal direct coupling entangles at unit rate
-    h_direct = direct_optimal(d)
+    h_direct = direct_optimal(cfg.d)
     control = entanglement_change_at_zero(h_direct, DensityState.basis(h_direct.layout), AB_CUT)
     times = np.array([0.0, RATE_DELTA])
     matrix = np.stack([n_start, n_delta], axis=1)
@@ -443,9 +440,8 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     horizon = stage2_bound + 1.0
     times = TimeGrid(0.0, horizon, SMI_T_STEP).times
     level = (d - 1) / 2.0 - ATTAIN_SLACK
-    rc = {"seed": cfg.seed, "d": d, "layout": cfg.layout, "psi1": psi1, "times": times,
-          "level": level}
-    (crossings, peaks, peak_times, curves), redraws = _sweep(cfg, _smi_instance, rc)
+    (crossings, peaks, peak_times, curves), redraws = _sweep(
+        cfg, _smi_instance, psi1=psi1, times=times, level=level)
     # a nan crossing (never reached) compares False
     violations = [{"stream_id": sid, "kind": "stage2-too-fast", "T": t}
                   for sid, t in enumerate(crossings.tolist())
@@ -482,10 +478,8 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     correlated-input control with the same kind of Hamiltonian shows
     growth, so the null result is about the inputs, not the coupling.
     """
-    d, dc = cfg.d, cfg.d_c
     times = COMMUTING_T_MAX * np.arange(COMMUTING_N_TIMES + 1) / COMMUTING_N_TIMES
-    rc = {"seed": cfg.seed, "d": d, "d_c": dc, "times": times}
-    (curves,), redraws = _sweep(cfg, _commuting_instance, rc)
+    (curves,), redraws = _sweep(cfg, _commuting_instance, times=times)
     excess = curves - curves[:, :1]
     violations = [{"stream_id": sid, "T": float(times[k]), "excess": float(excess[sid, k])}
                   for sid, k in _first_hits(excess > EXCESS_TOL)]

@@ -7,8 +7,10 @@ module's private helpers, every small threshold is named once, in
 ``tolerances.py``, and used, the stationary-state rule is applied in
 one place, a coupling is diagonalized by ``Hamiltonian.eig`` alone, the
 open stepper checks each chunk of stepped states with one
-``DensityState``, every JSON document is written by ``json_text``, and a
-sweep's layout is built by ``SweepConfig.layout`` alone.
+``DensityState``, every JSON document is written by ``json_text``, a
+sweep's layout is built by ``SweepConfig.layout`` alone, every label list
+is turned into axes by ``SystemLayout``, and the sweep kernels read the
+``SweepConfig`` itself.
 """
 
 import ast
@@ -120,6 +122,34 @@ def test_one_sweep_layout():
     # alone; the kernels read it from there or from their Hamiltonians
     assert [c for c in _callers_of("SystemLayout") if c.startswith("sweep.")] == [
         "sweep.SweepConfig.layout"]
+
+
+def test_one_label_resolver():
+    # labels become axis positions in SystemLayout alone: every other
+    # module goes through positions, axes_first or restricted
+    assert _callers_of("position") == ["states.SystemLayout.dim_of",
+                                       "states.SystemLayout.positions"]
+    assert _callers_of("axes_first") == ["dynamics._cut_plan", "states.embed_operator",
+                                         "states.is_classically_correlated_on"]
+
+
+def test_sweep_kernels_take_the_config():
+    # a kernel is kernel(cfg, sid, *, setup...): it reads the SweepConfig
+    # itself, never a dict of settings copied out of it
+    kernels = {name: f for name, f in vars(sweep).items()
+               if name.startswith("_") and name.endswith("_instance")}
+    assert sorted(kernels) == ["_cmi_instance", "_commuting_instance", "_rate_instance",
+                               "_smi_instance"]
+    param = inspect.Parameter
+    for name, kernel in kernels.items():
+        params = list(inspect.signature(kernel).parameters.values())
+        assert [(p.name, p.kind, p.annotation) for p in params[:2]] == [
+            ("cfg", param.POSITIONAL_OR_KEYWORD, "SweepConfig"),
+            ("sid", param.POSITIONAL_OR_KEYWORD, "int")], name
+        assert params[2:] and all(p.kind is param.KEYWORD_ONLY for p in params[2:]), name
+        assert all("dict" not in str(p.annotation) for p in params), name
+    setup = list(inspect.signature(sweep._sweep).parameters.values())[-1]
+    assert setup.kind is param.VAR_KEYWORD
 
 
 def test_one_json_text():

@@ -117,6 +117,34 @@ class TestSystemLayout:
             with pytest.raises(BadDimensionError, match="cap"):
                 SystemLayout(subs)
 
+    def test_positions_and_axes_first(self):
+        lay = SystemLayout((("A", 2), ("B", 3), ("C", 2)))
+        assert lay.positions(("C", "A")) == (2, 0)
+        assert lay.positions(()) == ()
+        assert lay.axes_first(("C", "A")) == (2, 0, 1)
+        assert lay.axes_first(("B",)) == (1, 0, 2)
+        assert lay.axes_first(()) == lay.axes_first(("A", "B", "C")) == (0, 1, 2)
+        with pytest.raises(UnknownLabelError, match=r"repeated label in \('B', 'B'\)"):
+            lay.positions(("B", "B"))
+        with pytest.raises(UnknownLabelError, match="no subsystem labeled 'D'"):
+            lay.axes_first(("A", "D"))
+
+    def test_restricted_keeps_layout_order(self):
+        lay = SystemLayout((("A", 2), ("B", 3), ("C", 2)))
+        assert lay.restricted(("C", "A")) == SystemLayout((("A", 2), ("C", 2)))
+        assert lay.restricted(["B"]).subsystems == (("B", 3),)
+
+    @pytest.mark.parametrize("labels, message", [
+        (("D", "A"), "no subsystem labeled 'D'"),
+        (("D",), "no subsystem labeled 'D'"),
+        (("A", "A"), "repeated label"),
+    ])
+    def test_restricted_refuses_unknown_and_repeated_labels(self, labels, message):
+        # an unknown label is never dropped, and a sub-layout of it alone is
+        # no dimension error
+        with pytest.raises(UnknownLabelError, match=message):
+            SystemLayout((("A", 2), ("B", 3), ("C", 2))).restricted(labels)
+
 
 class TestBipartition:
     def test_parse(self):
@@ -467,6 +495,15 @@ class TestClassicalCorrelation:
             + 0.5 * np.kron(np.outer(phi, phi.conj()), k1)
         s = DensityState(Q3, m.astype(complex))
         assert is_classically_correlated_on(s, "C")
+
+    def test_stack_refused_before_reshape(self):
+        stack = DensityState(Q3, np.stack([np.eye(8) / 8] * 3).astype(complex))
+        with pytest.raises(DimensionMismatchError, match="a stack of 3 states"):
+            is_classically_correlated_on(stack, "C")
+        # a one-dimensional label would otherwise pass without a look
+        lay = SystemLayout((("A", 2), ("C", 1)))
+        with pytest.raises(DimensionMismatchError, match="a stack of 2 states"):
+            is_classically_correlated_on(DensityState(lay, np.stack([np.eye(2) / 2] * 2)), "C")
 
 
 class TestEmbedOperator:

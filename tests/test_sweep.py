@@ -144,10 +144,9 @@ class TestCmiUncorrelated:
         monkeypatch.setattr(sweep, "di_bound", lambda d: 10.0)
         cfg = SweepConfig(experiment="cmi-uncorrelated", n_instances=6, seed=3)
         rep = run_cmi_uncorrelated(cfg)
-        rc = {"seed": 3, "d": 2, "d_c": 2, "times": rep.times, "witness": True}
         expected = []
         for sid in range(cfg.n_instances):
-            curve, _ = _cmi_instance(rc, sid)
+            curve, _ = _cmi_instance(cfg, sid, times=rep.times, witness=True)
             for k, value in enumerate(curve):
                 if value >= 0.5 - 1e-6:
                     expected.append({"stream_id": sid, "T": float(rep.times[k]),
@@ -168,13 +167,10 @@ class TestCmiUncorrelated:
             assert hi >= lo - 1e-15
 
     def test_instance_kernel_replays(self):
-        rc = {
-            "seed": 9, "d": 2, "d_c": 2,
-            "times": np.linspace(0.0, np.pi / 2, 9),
-            "witness": False,
-        }
-        a, ra = _cmi_instance(rc, 2)
-        b, rb = _cmi_instance(rc, 2)
+        cfg = SweepConfig(experiment="cmi-uncorrelated", seed=9, d=2, d_c=2)
+        setup = {"times": np.linspace(0.0, np.pi / 2, 9), "witness": False}
+        a, ra = _cmi_instance(cfg, 2, **setup)
+        b, rb = _cmi_instance(cfg, 2, **setup)
         assert np.array_equal(a, b)
         assert ra == rb
 
@@ -197,8 +193,8 @@ class TestKernelsAgainstLibrary:
 
     def test_cmi_curve(self):
         grid = TimeGrid(0.0, np.pi / 2, np.pi / 32)
-        rc = {"seed": 5, "d": 2, "d_c": 3, "times": grid.times, "witness": False}
-        curve, redraws = _cmi_instance(rc, 1)
+        cfg = SweepConfig(experiment="cmi-uncorrelated", seed=5, d=2, d_c=3)
+        curve, redraws = _cmi_instance(cfg, 1, times=grid.times, witness=False)
         assert redraws == 0
         # the same draws, in the kernel's order
         stream = RngStream(5, 1)
@@ -212,8 +208,8 @@ class TestKernelsAgainstLibrary:
 
     def test_commuting_curve(self):
         grid = TimeGrid(0.0, 2.0, 1.0 / 16)
-        rc = {"seed": 8, "d": 2, "d_c": 2, "times": grid.times}
-        curve, redraws = _commuting_instance(rc, 3)
+        cfg = SweepConfig(experiment="commuting-null", seed=8, d=2, d_c=2)
+        curve, redraws = _commuting_instance(cfg, 3, times=grid.times)
         assert redraws == 0
         stream = RngStream(8, 3)
         hs = [random_hermitian(dim, stream) for dim in (2, 2, 2)]
@@ -257,7 +253,8 @@ class TestWorkerResolution:
             monkeypatch.setenv("MEDQSL_WORKERS", bad)
             with pytest.raises(ValueError, match=f"MEDQSL_WORKERS must be .*{bad!r}"):
                 SweepConfig(experiment="rate-zero")
-        for bad in (-5, 2.5):
+        # a given count is an integer, never text: only the environment is parsed
+        for bad in (-5, 2.5, "2", " 3 "):
             with pytest.raises(ValueError, match=f"^workers must be .*{bad!r}"):
                 SweepConfig(experiment="rate-zero", workers=bad)
 
@@ -282,12 +279,16 @@ class TestWorkerResolution:
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
-        kernel = lambda rc, sid: sid  # noqa: E731
-        assert sweep._run_instances(kernel, {}, 10_000, 4000) == list(range(10_000))
+        kernel = lambda cfg, sid, *, step: (step * sid, cfg.seed)  # noqa: E731
+        cfg = SweepConfig("rate-zero", seed=1, n_instances=10_000, workers=4000)
+        (fields,), redraws = sweep._sweep(cfg, kernel, step=2)
+        assert fields.tolist() == list(range(0, 20_000, 2)) and redraws == 10_000
         assert sizes == [3] and chunks == [834]
         # fewer cpus than requested workers can mean no pool at all
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 1)
-        assert sweep._run_instances(kernel, {}, 50, 4) == list(range(50))
+        cfg = SweepConfig("rate-zero", seed=1, n_instances=50, workers=4)
+        (fields,), redraws = sweep._sweep(cfg, kernel, step=3)
+        assert fields.tolist() == list(range(0, 150, 3)) and redraws == 50
         assert sizes == [3]
 
 
@@ -322,8 +323,8 @@ def _recorded(monkeypatch, kernel: str, pick) -> dict:
     seen = {}
     original = getattr(sweep, kernel)
 
-    def recording(rc, sid):
-        out = original(rc, sid)
+    def recording(cfg, sid, **setup):
+        out = original(cfg, sid, **setup)
         seen[sid] = pick(out)
         return out
 
@@ -459,10 +460,9 @@ class TestCommutingNull:
         monkeypatch.setattr(sweep, "commuting_mediated", with_direct_term)
         cfg = SweepConfig(experiment="commuting-null", n_instances=10, seed=8)
         rep = run_commuting_null(cfg)
-        rc = {"seed": 8, "d": 2, "d_c": 2, "times": rep.times}
         expected = []
         for sid in range(cfg.n_instances):
-            curve, _ = _commuting_instance(rc, sid)
+            curve, _ = _commuting_instance(cfg, sid, times=rep.times)
             for k, value in enumerate(curve - curve[0]):
                 if value > 1e-10:
                     expected.append({"stream_id": sid, "T": float(rep.times[k]),
