@@ -389,16 +389,18 @@ def negativity_curve(h: Hamiltonian, x0, times, cut: Bipartition) -> np.ndarray:
     """N across ``cut`` of exp(-iTM) x0 for each T in ``times``.
 
     ``h`` is a ``Hamiltonian`` M, propagated through its kept ``h.eig``, and
-    ``x0`` a state vector or a column factor X of rho = X X+.  The cut is
-    resolved once per (``h.layout``, cut) pair, by ``_cut_plan``.  With the
-    kept labels as the rows of Y, the marginal tr_rest(X X+) is Y Y+: no
-    full density matrix is formed.
+    ``x0`` a state vector or a column factor X of rho = X X+.  A stack of B
+    couplings takes a ``(B, n)`` or ``(B, n, k)`` stack ``x0`` and ``(B, T)``
+    times, instance b on row b of each, and gives the ``(B, T)`` curves.
+    The cut is resolved once per (``h.layout``, cut) pair, by ``_cut_plan``.
+    With the kept labels as the rows of Y, the marginal tr_rest(X X+) is
+    Y Y+: no full density matrix is formed.
     """
     dims, d_keep, b_pos, axes = _cut_plan(h.layout, cut)
     x = propagate(*h.eig, x0, times)
-    x = x.reshape((len(x),) + h.layout.dims + (-1,)).transpose(axes)
+    x = x.reshape((np.size(times),) + h.layout.dims + (-1,)).transpose(axes)
     y = x.reshape(len(x), d_keep, -1)
-    return negativity_array(y @ y.conj().swapaxes(1, 2), dims, b_pos)
+    return negativity_array(y @ y.conj().swapaxes(1, 2), dims, b_pos).reshape(np.shape(times))
 
 
 def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition,

@@ -91,7 +91,7 @@ class LayoutMismatchError(MedqslError):
     """Two objects defined on different system layouts were combined."""
 
 
-class StationaryStateError(MedqslError):
+class StationaryStateError(StackCheckError):
     """Both energy moments vanish: the state does not move under this Hamiltonian."""
 
 

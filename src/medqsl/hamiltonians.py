@@ -26,7 +26,7 @@ from .errors import (
     LayoutMismatchError,
     StationaryStateError,
 )
-from .linalg import dot_rows, hermitian_eig, require_hermitian
+from .linalg import dot_rows, first_failure, hermitian_eig, kron_stack, require_hermitian
 from .states import DensityState, SystemLayout, embed_operator
 from .tolerances import STATIONARY_TOL
 
@@ -55,14 +55,18 @@ ID2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Hermitian generator on a layout, in units of hbar Omega."""
+    """Hermitian generator on a layout, in units of hbar Omega.
+
+    ``matrix`` may also be a ``(B, n, n)`` stack of B couplings on one
+    layout; ``eig`` and ``scaled`` then work on the stack.
+    """
 
     layout: SystemLayout
     matrix: np.ndarray
 
     def __post_init__(self):
         m = require_hermitian(self.matrix)
-        if m.shape != (self.layout.dim, self.layout.dim):
+        if m.ndim > 3 or m.shape[-2:] != (self.layout.dim, self.layout.dim):
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match layout dim {self.layout.dim}"
             )
@@ -77,12 +81,16 @@ class Hamiltonian:
         v.setflags(write=False)
         return w, v
 
-    def scaled(self, k: float) -> "Hamiltonian":
-        """k M; for k >= 0 a kept ``eig`` carries over as (k w, v), still ascending."""
-        out = Hamiltonian(self.layout, k * self.matrix)
-        if k >= 0 and "eig" in self.__dict__:
+    def scaled(self, k) -> "Hamiltonian":
+        """k M, one k per coupling of a stack.
+
+        For k >= 0 a kept ``eig`` carries over as (k w, v), still ascending.
+        """
+        k = np.asarray(k, dtype=float)
+        out = Hamiltonian(self.layout, k[..., None, None] * self.matrix)
+        if (k >= 0).all() and "eig" in self.__dict__:
             w, v = self.eig
-            w = k * w
+            w = k[..., None] * w
             w.setflags(write=False)
             out.__dict__["eig"] = (w, v)
         return out
@@ -92,22 +100,31 @@ class Hamiltonian:
 class EnergyMoments:
     """Mean energy above the ground state, and the energy spread.
 
-    For a stack of states both are arrays, and ``smaller`` is for one state.
+    For a stack of states both are arrays, and so are ``smaller`` and ``scale``.
     """
 
     mean: float
     std: float
 
     @property
-    def smaller(self) -> float:
+    def smaller(self) -> float | np.ndarray:
+        if np.ndim(self.mean):
+            return np.minimum(self.mean, self.std)
         return min(self.mean, self.std)
 
-    def scale(self) -> float:
-        """k = 1 / min{mean, std}, refused when both are at most ``STATIONARY_TOL``."""
-        if self.smaller <= STATIONARY_TOL:
+    def scale(self) -> float | np.ndarray:
+        """k = 1 / min{mean, std}, refused when both are at most ``STATIONARY_TOL``.
+
+        For a stack, any stationary state refuses the whole stack, and the
+        error names the first one by its stack index (kept as ``index``).
+        """
+        smaller = self.smaller
+        k = first_failure(~(np.asarray(smaller) <= STATIONARY_TOL))
+        if k is not None:
             raise StationaryStateError(f"state is stationary (min energy moment "
-                                       f"{self.smaller:.3e}): its speed limit is vacuous")
-        return 1.0 / self.smaller
+                                       f"{np.asarray(smaller)[k]:.3e}): its speed limit "
+                                       "is vacuous", k)
+        return 1.0 / smaller
 
 
 def energy_moments_array(h: Hamiltonian, x: np.ndarray, *,
@@ -116,11 +133,19 @@ def energy_moments_array(h: Hamiltonian, x: np.ndarray, *,
 
     With ``stacked`` the first axis of ``x`` runs over states, ``(T, n)``
     vectors or ``(T, n, n)`` matrices, and the moments are arrays of T
-    values, each equal to the single-state moments of its row.  The mean
-    is quoted above the lowest eigenvalue in ``h.eig``.
+    values, each equal to the single-state moments of its row.  A stack of
+    B couplings pairs coupling b with the column factor ``x[b]`` of
+    rho_b = X X+, ``x`` being ``(B, n, k)``: the moments are the arrays of
+    tr(X+ M X) and |M X|^2, and no density matrix is formed.  The mean is
+    quoted above the lowest eigenvalue in ``h.eig``.
     """
     m = h.matrix
-    if x.ndim == 1 + stacked:
+    if m.ndim == 3:
+        mx = (m @ x).reshape(len(x), -1)
+        x = x.reshape(len(x), -1)
+        raw_mean = dot_rows(x.conj(), mx).real
+        raw_sq = dot_rows(mx.conj(), mx).real
+    elif x.ndim == 1 + stacked:
         mx = (m @ x[..., None])[..., 0]
         raw_mean = dot_rows(x.conj(), mx).real
         raw_sq = dot_rows(mx.conj(), mx).real
@@ -128,8 +153,8 @@ def energy_moments_array(h: Hamiltonian, x: np.ndarray, *,
         raw_mean = np.einsum("ij,...ji->...", m, x).real
         raw_sq = np.einsum("ij,jk,...ki->...", m, m, x).real
     var = np.maximum(raw_sq - raw_mean * raw_mean, 0.0)
-    mean, std = raw_mean - h.eig[0][0], np.sqrt(var)
-    if stacked:
+    mean, std = raw_mean - h.eig[0][..., 0], np.sqrt(var)
+    if stacked or m.ndim == 3:
         return EnergyMoments(mean=mean, std=std)
     return EnergyMoments(mean=float(mean), std=float(std))
 
@@ -254,12 +279,13 @@ def commuting_mediated(h_a: np.ndarray, h_b: np.ndarray, h_c: np.ndarray) -> Ham
     """(H_A (x) I + I (x) H_B) (x) H_C: both couplings commute.
 
     Such Hamiltonians cannot entangle A with B from any product
-    rho_AB (x) rho_C, whatever the local factors are.
+    rho_AB (x) rho_C, whatever the local factors are.  Three ``(B, d, d)``
+    stacks of factors give the stack of B couplings.
     """
     h_a, h_b, h_c = (require_hermitian(h) for h in (h_a, h_b, h_c))
-    layout = SystemLayout((("A", h_a.shape[0]), ("B", h_b.shape[0]), ("C", h_c.shape[0])))
-    m = embed_operator(layout, ("A", "C"), np.kron(h_a, h_c)) \
-        + embed_operator(layout, ("B", "C"), np.kron(h_b, h_c))
+    layout = SystemLayout((("A", h_a.shape[-1]), ("B", h_b.shape[-1]), ("C", h_c.shape[-1])))
+    m = embed_operator(layout, ("A", "C"), kron_stack(h_a, h_c)) \
+        + embed_operator(layout, ("B", "C"), kron_stack(h_b, h_c))
     return Hamiltonian(layout, m)
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "require_psd",
     "hermitian_eig",
     "propagate",
+    "kron_stack",
     "sqrtm_psd",
     "first_failure",
     "dot_rows",
@@ -75,21 +76,27 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagate(w: np.ndarray, v: np.ndarray, x0: np.ndarray, times) -> np.ndarray:
-    """exp(-i T M) x0 for each T in ``times``, shape ``(len(times),) + x0.shape``.
+    """exp(-i T M) x0 for each T in ``times``.
 
     ``w, v`` is the ``hermitian_eig`` of M, as a ``Hamiltonian`` keeps it
     in ``eig``.  ``x0`` is a state vector or a column factor X of
-    rho = X X+ (such as ``sqrtm_psd(rho)``).  Exact per time point: no
-    scaling-and-squaring, no step accumulation.
+    rho = X X+ (such as ``sqrtm_psd(rho)``), and the result has shape
+    ``(len(times),) + x0.shape``.  With a leading instance axis, ``w, v``
+    is the ``(B, n)``, ``(B, n, n)`` spectrum of a stack of couplings,
+    ``x0`` a ``(B, n)`` or ``(B, n, k)`` stack and ``times`` ``(B, T)``:
+    row b of each belongs to instance b, and the result is ``(B, T, n)`` or
+    ``(B, T, n, k)``.  Exact per time point: no scaling-and-squaring, no
+    step accumulation; each instance is one product of v with the phased
+    coefficients of all its times, an ``(n, T k)`` matrix.
     """
     x0 = np.asarray(x0)
     times = np.asarray(times, dtype=float)
-    # columns of the factor as rows, so each phase product runs along a
-    # contiguous axis exactly as it does for a single vector
-    c = np.atleast_2d((v.conj().T @ x0).T)
-    y = np.exp(-1j * np.multiply.outer(times, w))[:, None, :] * c
-    out = v @ y.swapaxes(1, 2)
-    return out.reshape(times.shape + x0.shape)
+    lead, n = w.shape[:-1], w.shape[-1]
+    c = v.conj().swapaxes(-1, -2) @ x0.reshape(lead + (n, -1))
+    # y[..., j, t, :] = exp(-i T_t w_j) c_j: the phased coefficients, (n, T, k)
+    y = np.exp(-1j * (w[..., :, None] * times[..., None, :]))[..., None] * c[..., :, None, :]
+    out = (v @ y.reshape(lead + (n, -1))).reshape(y.shape)
+    return out.swapaxes(-3, -2).reshape(times.shape + x0.shape[len(lead):])
 
 
 def sqrtm_psd(m: np.ndarray) -> np.ndarray:
@@ -104,6 +111,17 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     # conjugated in place: for a stack, a copy of v would be one more
     # temporary as large as the stack
     return scaled @ np.conjugate(v, out=v).swapaxes(-1, -2)
+
+
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the last two axes of ``a`` and ``b``, over their broadcast leading axes.
+
+    Each entry is the one product a_ij b_kl that ``np.kron`` forms, so a
+    matrix pair gives ``np.kron``'s result bit for bit.
+    """
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3],
+                                         out.shape[-2] * out.shape[-1]))
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

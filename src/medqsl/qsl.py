@@ -85,7 +85,12 @@ def di_bound(d: int) -> float:
 
 
 def conjecture_bound(d: int) -> float:
-    """2 arccos(1/sqrt(d)): conjectured minimum when the mediator starts uncorrelated."""
+    """2 arccos(1/sqrt(d)), when the product-state witness reaches maximal A:B entanglement.
+
+    No mediator that starts uncorrelated reaches the level by
+    ``di_bound(d)``; this time is the witness's own, not a minimum for
+    uncorrelated mediators.
+    """
     return 2.0 * di_bound(d)
 
 

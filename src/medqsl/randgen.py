@@ -93,20 +93,24 @@ def random_hermitian(dim: int, stream: RngStream) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def random_mediated_hamiltonian(d_a: int, d_b: int, d_c: int,
-                                stream: RngStream) -> Hamiltonian:
+def random_mediated_hamiltonian(d_a: int, d_b: int, d_c: int, stream) -> Hamiltonian:
     """H_AC (x) I_B + I_A (x) H_BC with independent GUE pair couplings.
 
     There is never a direct A-B term: any entanglement between the ends
     has to flow through the mediator C.  A one-dimensional mediator is
-    allowed and degenerates this to purely local dynamics.
+    allowed and degenerates this to purely local dynamics.  ``stream`` is
+    one ``RngStream``, or a sequence of them for a ``(B, n, n)`` stack of
+    couplings, one per stream: each draws H_AC and then H_BC from its own
+    stream, as one coupling does.
     """
     if d_a < 2 or d_b < 2:
         raise BadDimensionError(f"need d_a, d_b >= 2, got {d_a}, {d_b}")
     if d_c < 1:
         raise BadDimensionError(f"need d_c >= 1, got {d_c}")
     layout = SystemLayout((("A", d_a), ("B", d_b), ("C", d_c)))
-    h_ac = random_hermitian(d_a * d_c, stream)
-    h_bc = random_hermitian(d_b * d_c, stream)
+    one = isinstance(stream, RngStream)
+    streams = [stream] if one else stream
+    h_ac, h_bc = (np.array(h) for h in zip(*(
+        (random_hermitian(d_a * d_c, s), random_hermitian(d_b * d_c, s)) for s in streams)))
     m = embed_operator(layout, ("A", "C"), h_ac) + embed_operator(layout, ("B", "C"), h_bc)
-    return Hamiltonian(layout, m)
+    return Hamiltonian(layout, m[0] if one else m)

@@ -26,7 +26,9 @@ from .errors import (
     StackCheckError,
     UnknownLabelError,
 )
-from .linalg import dot_rows, first_failure, require_hermitian, require_psd, sqrtm_psd
+from .linalg import (
+    dot_rows, first_failure, kron_stack, require_hermitian, require_psd, sqrtm_psd,
+)
 from .tolerances import CLASSICAL_TOL, ENTROPY_CUTOFF, NEG_EIG_TOL, PSD_FLOOR, TRACE_TOL
 
 __all__ = [
@@ -309,21 +311,24 @@ def embed_operator(layout: SystemLayout, labels, op: np.ndarray) -> np.ndarray:
     """Extend an operator acting jointly on ``labels`` by identity elsewhere.
 
     ``op`` is indexed in the order the labels are given; the result is
-    indexed in layout order.
+    indexed in layout order.  A ``(B, m, m)`` stack of operators gives the
+    ``(B, n, n)`` stack of their extensions, each the one its matrix gives.
     """
     labels = tuple(labels)
     order = layout.axes_first(labels)
     op = np.asarray(op, dtype=complex)
     d_act = math.prod(layout.dims[k] for k in order[:len(labels)])
-    if op.shape != (d_act, d_act):
+    if op.ndim not in (2, 3) or op.shape[-2:] != (d_act, d_act):
         raise DimensionMismatchError(
             f"operator shape {op.shape} does not match joint dim {d_act} of {labels}"
         )
-    big = np.kron(op, np.eye(layout.dim // d_act, dtype=complex))
+    lead = op.shape[:-2]
+    big = kron_stack(op, np.eye(layout.dim // d_act, dtype=complex))
     dims = [layout.dims[k] for k in order]
-    perm = np.argsort(order)
-    t = big.reshape(dims + dims).transpose([*perm, *(perm + len(order))])
-    return np.ascontiguousarray(t.reshape(layout.dim, layout.dim))
+    perm = len(lead) + np.argsort(order)
+    t = big.reshape(lead + (*dims, *dims)).transpose(
+        [*range(len(lead)), *perm, *(perm + len(order))])
+    return np.ascontiguousarray(t.reshape(lead + (layout.dim, layout.dim)))
 
 
 def partial_trace_array(m: np.ndarray, dims: tuple[int, ...], keep_pos) -> np.ndarray:

@@ -10,6 +10,15 @@ stationary for its Hamiltonian the whole instance is redrawn from the
 same stream (the redraw count is reported), which keeps the prefix
 property intact.
 
+The curve experiments (cmi-uncorrelated, commuting-null) run in fixed
+blocks of stream ids, ``range(b * B, min((b + 1) * B, n))``, with B set by
+``BLOCK_BYTES`` and the experiment's shape alone.  A block draws each
+instance from its own stream, in the order one instance draws, and then
+makes one stacked coupling, one stacked eigensolve, stacked energy
+moments and one stacked negativity curve; each instance's curve has the
+same bits in a block of any size.  A block with a stationary first draw
+replays its instances one at a time.  Worker processes split the blocks.
+
 Instance counts default to desk scale (10^4 for the uncorrelated-
 mediator ensemble); growing n can only push the max envelope up.
 """
@@ -45,7 +54,7 @@ from .hamiltonians import (
     commuting_mediated,
     energy_moments_array,
 )
-from .linalg import propagate, sqrtm_psd
+from .linalg import kron_stack, propagate, sqrtm_psd
 from .qsl import conjecture_bound, di_bound, smi_bound
 from .randgen import (
     RngStream,
@@ -92,6 +101,12 @@ EXPERIMENTS = {
 }
 
 WORKERS_ENV = "MEDQSL_WORKERS"
+
+# the bytes of the largest stack a block of instances builds, the (B, T, n, k)
+# propagated factors of its curves; it fixes B per experiment and shape, so
+# that a block's memory stays small whatever n and the worker count are.
+# The instance bodies of rate-zero and smi-protocol run one per block.
+BLOCK_BYTES = 2 ** 19
 
 _REDRAW_CAP = 100
 
@@ -198,7 +213,14 @@ class SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# instance kernels: pure functions kernel(cfg, stream_id, **setup), run in workers
+# kernels: pure functions run in workers.  A block kernel kernel(cfg, sids,
+# **setup) takes a range of stream ids and returns its fields stacked over
+# them, then its redraw count; an instance body takes one stream id.
+
+def _block_size(n_times: int, n: int, k: int) -> int:
+    """Instances per block: how many ``(n_times, n, k)`` complex stacks fit in ``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // (16 * n_times * n * k))
+
 
 def _normalized_draw(cfg: SweepConfig, sid: int, draw):
     """Redraw ``draw(stream) = (h, state, ...)`` until the state moves under ``h``.
@@ -218,23 +240,76 @@ def _normalized_draw(cfg: SweepConfig, sid: int, draw):
         f"stream {sid}: all {_REDRAW_CAP} draws were stationary (redraw cap)")
 
 
-def _cmi_instance(cfg: SweepConfig, sid: int, *, times: np.ndarray,
-                  witness: bool) -> tuple[np.ndarray, int]:
+def _normalized_draws(cfg: SweepConfig, sids: range, draw):
+    """``_normalized_draw`` for the streams ``sids`` at once: ``(k, redraws, h, x)``.
+
+    ``draw(cfg, streams)`` gives a stack of couplings ``h`` and the column
+    factors ``x`` of their states, instance i drawing from ``streams[i]``
+    alone.  A block with any stationary first draw replays each of its
+    instances through ``_normalized_draw``, so that the redraws and the
+    stream of an instance do not depend on its block.
+    """
+    h, x = draw(cfg, [RngStream(cfg.seed, sid) for sid in sids])
+    try:
+        return energy_moments_array(h, x).scale(), 0, h, x
+    except StationaryStateError:
+        pass
+    ks, redraws, drawn = zip(*(_normalized_draw(cfg, sid, lambda stream: draw(cfg, [stream]))
+                               for sid in sids))
+    h = Hamiltonian(h.layout, np.concatenate([one.matrix for one, _ in drawn]))
+    return np.concatenate(ks), sum(redraws), h, np.concatenate([x for _, x in drawn])
+
+
+def _cmi_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
+    """Product inputs ab (x) rho_c under mediated couplings, as ``(B, n, d_c)`` factors."""
     d, dc = cfg.d, cfg.d_c
-    if witness and sid == 0:
+    draws = [(haar_pure(d, stream), haar_pure(d, stream), random_density(dc, stream))
+             for stream in streams]
+    h = random_mediated_hamiltonian(d, d, dc, streams)
+    a, b, rho_c = (np.array(x) for x in zip(*draws))
+    return h, kron_stack(kron_stack(a[:, :, None], b[:, :, None]), sqrtm_psd(rho_c))
+
+
+def _cmi_block(cfg: SweepConfig, sids: range, *, times: np.ndarray,
+               witness: bool) -> tuple[np.ndarray, int]:
+    curves, redraws = [], 0
+    if witness and sids[0] == 0:
         ham, s0 = cmi_product_example()
-        return negativity_curve(ham, s0.pure_vector, times, AB_CUT), 0
+        curves.append(negativity_curve(ham, s0.pure_vector, times, AB_CUT)[None])
+        sids = sids[1:]
+    if sids:
+        k_scale, redraws, h, x0 = _normalized_draws(cfg, sids, _cmi_draw)
+        curves.append(negativity_curve(h, x0, k_scale[:, None] * times, AB_CUT))
+    return np.concatenate(curves), redraws
 
-    def draw(stream):
-        ab = np.kron(haar_pure(d, stream), haar_pure(d, stream))
-        rho_c = random_density(dc, stream)
-        h = random_mediated_hamiltonian(d, d, dc, stream)
-        # the product state as a density matrix, and as a d_c-column factor
-        return (h, np.kron(np.outer(ab, ab.conj()), rho_c),
-                np.kron(ab[:, None], sqrtm_psd(rho_c)))
 
-    k_scale, redraws, (h, _, x0) = _normalized_draw(cfg, sid, draw)
-    return negativity_curve(h, x0, k_scale * times, AB_CUT), redraws
+def _commuting_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
+    """Separable inputs rho_ab (x) rho_c under commuting couplings, as ``(B, n, n)`` factors."""
+    d, dc = cfg.d, cfg.d_c
+    parts, rho_ab, rho_c = [], [], []
+    for stream in streams:
+        parts.append([random_hermitian(dim, stream) for dim in (d, d, dc)])
+        # separable by construction: a four-term mixture of product states
+        raw_w = stream.normals(4) ** 2
+        mix = np.zeros((d * d, d * d), dtype=complex)
+        for q in raw_w / raw_w.sum():
+            mix += q * np.kron(random_density(d, stream), random_density(d, stream))
+        rho_ab.append(mix)
+        rho_c.append(random_density(dc, stream))
+    h = commuting_mediated(*(np.array(f) for f in zip(*parts)))
+    return h, sqrtm_psd(kron_stack(np.array(rho_ab), np.array(rho_c)))
+
+
+def _commuting_block(cfg: SweepConfig, sids: range, *,
+                     times: np.ndarray) -> tuple[np.ndarray, int]:
+    k_scale, redraws, h, x0 = _normalized_draws(cfg, sids, _commuting_draw)
+    return negativity_curve(h, x0, k_scale[:, None] * times, AB_CUT), redraws
+
+
+def _each(cfg: SweepConfig, sids: range, *, instance, **setup) -> tuple:
+    """The block kernel of an instance body ``instance(cfg, sid, **setup)``."""
+    *fields, redraws = zip(*(instance(cfg, sid, **setup) for sid in sids))
+    return (*map(np.array, fields), sum(redraws))
 
 
 def _rate_instance(cfg: SweepConfig, sid: int, *,
@@ -275,42 +350,27 @@ def _smi_instance(cfg: SweepConfig, sid: int, *, psi1: np.ndarray, times: np.nda
     return crossing, peak_v, peak_t, curve, redraws
 
 
-def _commuting_instance(cfg: SweepConfig, sid: int, *, times: np.ndarray) -> tuple[np.ndarray, int]:
-    d, dc = cfg.d, cfg.d_c
+def _sweep(cfg: SweepConfig, kernel, block: int, **setup) -> tuple[list[np.ndarray], int]:
+    """``kernel(cfg, sids, **setup)`` over blocks of streams 0..n-1: the fields, and the redraws.
 
-    def draw(stream):
-        h_a = random_hermitian(d, stream)
-        h_b = random_hermitian(d, stream)
-        h_c = random_hermitian(dc, stream)
-        # separable by construction: a four-term mixture of product states
-        raw_w = stream.normals(4) ** 2
-        mix = raw_w / raw_w.sum()
-        rho_ab = np.zeros((d * d, d * d), dtype=complex)
-        for q in mix:
-            rho_ab += q * np.kron(random_density(d, stream), random_density(d, stream))
-        rho_c = random_density(dc, stream)
-        return commuting_mediated(h_a, h_b, h_c), np.kron(rho_ab, rho_c)
-
-    k_scale, redraws, (h, rho0) = _normalized_draw(cfg, sid, draw)
-    return negativity_curve(h, sqrtm_psd(rho0), k_scale * times, AB_CUT), redraws
-
-
-def _sweep(cfg: SweepConfig, kernel, **setup) -> tuple[list[np.ndarray], int]:
-    """``kernel(cfg, sid, **setup)`` over streams 0..n-1: one array per field, and the redraws.
-
-    With two or more instances per worker, a pool of up to ``cfg.workers``
-    cpus runs them.  A kernel returns a tuple whose last entry is its redraw
-    count; the other entries are stacked over the instances, in stream order.
+    Block b holds the streams ``range(b * block, min((b + 1) * block, n))``,
+    and instance i still draws only from ``RngStream(seed, i)``; a kernel
+    gives each instance the same bits in a block of any size, so the output
+    of an instance depends neither on the worker count nor on n.  With two
+    or more blocks per worker, a pool of up to ``cfg.workers`` cpus runs
+    them.  The fields are concatenated over the blocks, in stream order.
     """
     n, workers = cfg.n_instances, min(cfg.workers, os.cpu_count() or 1)
+    blocks = [range(lo, min(lo + block, n)) for lo in range(0, n, block)]
     run = functools.partial(kernel, cfg, **setup)
-    if workers <= 1 or n < 2 * workers:
-        results = list(map(run, range(n)))
+    if workers <= 1 or len(blocks) < 2 * workers:
+        results = list(map(run, blocks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(n), chunksize=math.ceil(n / (workers * 4))))
+            results = list(pool.map(run, blocks,
+                                    chunksize=math.ceil(len(blocks) / (workers * 4))))
     *fields, redraws = zip(*results)
-    return [np.array(f) for f in fields], sum(redraws)
+    return [np.concatenate(f) for f in fields], sum(redraws)
 
 
 def _first_hits(mask: np.ndarray):
@@ -344,17 +404,20 @@ def _report(cfg: SweepConfig, times: np.ndarray, matrix: np.ndarray, extremes: d
 def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     """Random mediated dynamics from product system-mediator inputs.
 
-    Tests the conjecture that no uncorrelated-mediator instance beats
-    twice the direct time: the envelope of N_{A:B}(T) should stay below
-    (d-1)/2 for all T up to arccos(1/sqrt(d)) and only approach it near
-    2 arccos(1/sqrt(d)).  For d = 2 instance 0 is the product-state
-    witness that attains 0.5 exactly at T = pi/2.
+    Tests that no uncorrelated-mediator instance matches the direct time:
+    the envelope of N_{A:B}(T) should stay below (d-1)/2 for all T up to
+    arccos(1/sqrt(d)), where any instance that reaches it is a violation.
+    The grid runs to 2 arccos(1/sqrt(d)), where the product-state witness
+    attains the level; that is not a minimum time for an uncorrelated
+    mediator.  For d = 2 instance 0 is that witness, which attains 0.5
+    exactly at T = pi/2.
     """
     d, dc = cfg.d, cfg.d_c
     t_max = conjecture_bound(d)
     times = t_max * np.arange(CMI_N_TIMES + 1) / CMI_N_TIMES
     witness = d == 2 and dc == 2
-    (curves,), redraws = _sweep(cfg, _cmi_instance, times=times, witness=witness)
+    block = _block_size(len(times), cfg.layout.dim, dc)
+    (curves,), redraws = _sweep(cfg, _cmi_block, block, times=times, witness=witness)
     level = (d - 1) / 2.0 - ATTAIN_SLACK
     early = times <= di_bound(d) + EARLY_SLACK
     violations = [{"stream_id": sid, "T": float(times[k]), "negativity": float(curves[sid, k])}
@@ -378,7 +441,8 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     shows the contrast: its N grows linearly from the start.
     """
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
-    (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(cfg, _rate_instance, jumps=jumps)
+    (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(
+        cfg, _each, 1, instance=_rate_instance, jumps=jumps)
     violations = []
     for sid in range(cfg.n_instances):
         if abs(dn_closed[sid]) > CLOSED_RATE_TOL:
@@ -441,7 +505,7 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     times = TimeGrid(0.0, horizon, SMI_T_STEP).times
     level = (d - 1) / 2.0 - ATTAIN_SLACK
     (crossings, peaks, peak_times, curves), redraws = _sweep(
-        cfg, _smi_instance, psi1=psi1, times=times, level=level)
+        cfg, _each, 1, instance=_smi_instance, psi1=psi1, times=times, level=level)
     # a nan crossing (never reached) compares False
     violations = [{"stream_id": sid, "kind": "stage2-too-fast", "T": t}
                   for sid, t in enumerate(crossings.tolist())
@@ -479,7 +543,9 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     growth, so the null result is about the inputs, not the coupling.
     """
     times = COMMUTING_T_MAX * np.arange(COMMUTING_N_TIMES + 1) / COMMUTING_N_TIMES
-    (curves,), redraws = _sweep(cfg, _commuting_instance, times=times)
+    n = cfg.layout.dim
+    (curves,), redraws = _sweep(cfg, _commuting_block, _block_size(len(times), n, n),
+                                times=times)
     excess = curves - curves[:, :1]
     violations = [{"stream_id": sid, "T": float(times[k]), "excess": float(excess[sid, k])}
                   for sid, k in _first_hits(excess > EXCESS_TOL)]

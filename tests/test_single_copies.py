@@ -134,19 +134,27 @@ def test_one_label_resolver():
 
 
 def test_sweep_kernels_take_the_config():
-    # a kernel is kernel(cfg, sid, *, setup...): it reads the SweepConfig
-    # itself, never a dict of settings copied out of it
+    # a block kernel is kernel(cfg, sids, *, setup...) and an instance body
+    # body(cfg, sid, *, setup...): each reads the SweepConfig itself, never a
+    # dict of settings copied out of it
     kernels = {name: f for name, f in vars(sweep).items()
-               if name.startswith("_") and name.endswith("_instance")}
-    assert sorted(kernels) == ["_cmi_instance", "_commuting_instance", "_rate_instance",
+               if name.startswith("_") and name.endswith(("_instance", "_block"))}
+    kernels["_each"] = sweep._each
+    assert sorted(kernels) == ["_cmi_block", "_commuting_block", "_each", "_rate_instance",
                                "_smi_instance"]
     param = inspect.Parameter
     for name, kernel in kernels.items():
         params = list(inspect.signature(kernel).parameters.values())
+        ids = ("sid", "int") if name.endswith("_instance") else ("sids", "range")
         assert [(p.name, p.kind, p.annotation) for p in params[:2]] == [
             ("cfg", param.POSITIONAL_OR_KEYWORD, "SweepConfig"),
-            ("sid", param.POSITIONAL_OR_KEYWORD, "int")], name
-        assert params[2:] and all(p.kind is param.KEYWORD_ONLY for p in params[2:]), name
+            (ids[0], param.POSITIONAL_OR_KEYWORD, ids[1])], name
+        if name == "_each":
+            # an instance body and its setup, handed on to the body as given
+            assert [(p.name, p.kind) for p in params[2:]] == [
+                ("instance", param.KEYWORD_ONLY), ("setup", param.VAR_KEYWORD)]
+        else:
+            assert params[2:] and all(p.kind is param.KEYWORD_ONLY for p in params[2:]), name
         assert all("dict" not in str(p.annotation) for p in params), name
     setup = list(inspect.signature(sweep._sweep).parameters.values())[-1]
     assert setup.kind is param.VAR_KEYWORD

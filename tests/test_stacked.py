@@ -2,7 +2,10 @@
 
 Every stack-aware measure is checked against the per-state call on each
 slice of seeded random stacks, mixed and pure, and a stack that fails
-validation names the earliest failing state by its stack index.
+validation names the earliest failing state by its stack index.  Stacks
+of couplings (the sweeps' blocks) are checked the same way: each row of
+a stacked draw, embedding, propagation, moment and curve equals its own
+one-coupling call.
 """
 
 import math
@@ -15,6 +18,10 @@ from medqsl import (
     Bipartition,
     DensityState,
     RngStream,
+    commuting_mediated,
+    embed_operator,
+    negativity_curve,
+    random_mediated_hamiltonian,
     SystemLayout,
     bures_angle,
     energy_moments,
@@ -28,9 +35,9 @@ from medqsl import (
     uhlmann_fidelity,
     von_neumann_entropy,
 )
-from medqsl.errors import NotHermitianError, NotPSDError
-from medqsl.hamiltonians import Hamiltonian, energy_moments_array
-from medqsl.linalg import require_hermitian, sqrtm_psd
+from medqsl.errors import NotHermitianError, NotPSDError, StationaryStateError
+from medqsl.hamiltonians import EnergyMoments, Hamiltonian, energy_moments_array
+from medqsl.linalg import kron_stack, propagate, require_hermitian, sqrtm_psd
 
 LAYOUTS = {
     "2x2": SystemLayout((("A", 2), ("B", 2))),
@@ -272,3 +279,97 @@ def test_single_state_values_stay_floats():
                   mutual_information(s, CUT), uhlmann_fidelity(s, s), bures_angle(s, s)):
         assert type(value) is float
     assert math.isclose(uhlmann_fidelity(s, s), 1.0, abs_tol=1e-12)
+
+
+def _couplings(count: int, seed: int, d: int = 2, dc: int = 3):
+    """``count`` mediated couplings drawn one stream each, and mixed start factors."""
+    streams = [RngStream(seed, sid) for sid in range(count)]
+    h = random_mediated_hamiltonian(d, d, dc, streams)
+    rho = np.array([random_density(h.layout.dim, RngStream(seed + 1, sid))
+                    for sid in range(count)])
+    return streams, h, sqrtm_psd(rho)
+
+
+class TestStackedCouplings:
+    @pytest.mark.parametrize("count", SIZES)
+    def test_draws_and_embeddings(self, count):
+        streams, h, _ = _couplings(count, 31)
+        assert h.matrix.shape == (count, 12, 12)
+        for sid in range(count):
+            one = random_mediated_hamiltonian(2, 2, 3, RngStream(31, sid))
+            assert_array_equal(h.matrix[sid], one.matrix)
+        # the streams moved on exactly as one draw each moves them
+        assert_array_equal([s.normals(1) for s in streams],
+                           [_advanced(31, sid).normals(1) for sid in range(count)])
+        ops = np.array([random_hermitian(6, RngStream(5, k)) for k in range(count)])
+        stacked = embed_operator(h.layout, ("C", "A"), ops)
+        for k in range(count):
+            assert_array_equal(stacked[k], embed_operator(h.layout, ("C", "A"), ops[k]))
+        a, b = ops[:, :2, :3], ops[:, 3:, 1:]
+        for k in range(count):
+            assert_array_equal(kron_stack(a, b)[k], np.kron(a[k], b[k]))
+
+    @pytest.mark.parametrize("count", SIZES)
+    def test_eig_scaled_and_moments(self, count):
+        _, h, x = _couplings(count, 32)
+        w, v = h.eig
+        k = np.linspace(0.5, 2.0, count)
+        scaled = h.scaled(k)
+        assert scaled.eig[1] is v
+        em = energy_moments_array(h, x)
+        for i in range(count):
+            one = Hamiltonian(h.layout, h.matrix[i])
+            assert_array_equal(w[i], one.eig[0])
+            assert_array_equal(scaled.matrix[i], one.scaled(k[i]).matrix)
+            assert_array_equal(scaled.eig[0][i], one.scaled(k[i]).eig[0])
+            # the moments from X+MX against those of the density matrix X X+
+            ref = energy_moments(one, DensityState(h.layout, x[i] @ x[i].conj().T))
+            assert em.mean[i] == pytest.approx(ref.mean, abs=1e-12)
+            assert em.std[i] == pytest.approx(ref.std, abs=1e-12)
+
+    @pytest.mark.parametrize("count", SIZES)
+    def test_propagation_and_curves(self, count):
+        _, h, x = _couplings(count, 33)
+        times = np.linspace(0.0, 2.0, 9)[None, :] * np.linspace(1.0, 1.5, count)[:, None]
+        w, v = h.eig
+        out = propagate(w, v, x, times)
+        curves = negativity_curve(h, x, times, CUT)
+        assert out.shape == (count, 9, 12, 12) and curves.shape == (count, 9)
+        for i in range(count):
+            one = Hamiltonian(h.layout, h.matrix[i])
+            assert_array_equal(out[i], propagate(*one.eig, x[i], times[i]))
+            assert_array_equal(curves[i], negativity_curve(one, x[i], times[i], CUT))
+            # exp(-iTM) from the spectrum, one time at a time
+            for t, got in zip(times[i], out[i]):
+                u = (v[i] * np.exp(-1j * t * w[i])) @ v[i].conj().T
+                np.testing.assert_allclose(got, u @ x[i], rtol=0, atol=1e-12)
+        vectors = x[:, :, 0] / np.linalg.norm(x[:, :, 0], axis=1, keepdims=True)
+        pure = propagate(w, v, vectors, times)
+        assert pure.shape == (count, 9, 12)
+        assert_array_equal(pure[-1], propagate(w[-1], v[-1], vectors[-1], times[-1]))
+
+    def test_commuting_couplings(self):
+        factors = [np.array([random_hermitian(dim, RngStream(6, k)) for k in range(4)])
+                   for dim in (2, 3, 2)]
+        h = commuting_mediated(*factors)
+        assert h.layout.dims == (2, 3, 2) and h.matrix.shape == (4, 12, 12)
+        for k in range(4):
+            assert_array_equal(h.matrix[k], commuting_mediated(*(f[k] for f in factors)).matrix)
+
+    def test_scale_names_the_first_stationary_state(self):
+        em = EnergyMoments(mean=np.array([1.0, 0.0, 2.0, 0.0]),
+                           std=np.array([0.5, 0.0, 1.0, 1e-13]))
+        with pytest.raises(StationaryStateError, match=r"vacuous \(stack index 1\)$") as exc:
+            em.scale()
+        assert exc.value.index == (1,)
+        ok = EnergyMoments(mean=np.array([1.0, 4.0]), std=np.array([0.5, 2.0]))
+        assert_array_equal(ok.scale(), [2.0, 0.5])
+        assert_array_equal(ok.smaller, [0.5, 2.0])
+        assert EnergyMoments(mean=1.0, std=0.25).scale() == 4.0
+
+
+def _advanced(seed: int, sid: int) -> RngStream:
+    """Stream ``sid`` after one lone coupling draw."""
+    stream = RngStream(seed, sid)
+    random_mediated_hamiltonian(2, 2, 3, stream)
+    return stream

@@ -13,7 +13,6 @@ import pytest
 from medqsl import (
     EXPERIMENTS,
     BadDimensionError,
-    Bipartition,
     DensityState,
     Hamiltonian,
     RngStream,
@@ -21,6 +20,7 @@ from medqsl import (
     SweepReport,
     TimeGrid,
     Trajectory,
+    cmi_product_example,
     commuting_mediated,
     energy_moments,
     evolve_unitary,
@@ -37,7 +37,8 @@ from medqsl import (
 )
 from medqsl import sweep
 from medqsl.dynamics import JUMP_KINDS
-from medqsl.sweep import _cmi_instance, _commuting_instance
+from medqsl.dynamics import negativity_curve
+from medqsl.sweep import AB_CUT, _cmi_block, _commuting_block
 
 
 class TestSweepConfig:
@@ -146,7 +147,7 @@ class TestCmiUncorrelated:
         rep = run_cmi_uncorrelated(cfg)
         expected = []
         for sid in range(cfg.n_instances):
-            curve, _ = _cmi_instance(cfg, sid, times=rep.times, witness=True)
+            (curve,), _ = _cmi_block(cfg, range(sid, sid + 1), times=rep.times, witness=True)
             for k, value in enumerate(curve):
                 if value >= 0.5 - 1e-6:
                     expected.append({"stream_id": sid, "T": float(rep.times[k]),
@@ -167,12 +168,17 @@ class TestCmiUncorrelated:
             assert hi >= lo - 1e-15
 
     def test_instance_kernel_replays(self):
+        # a block replays bit for bit, and each of its rows is the curve of
+        # its stream alone: a block of one gives the same bits
         cfg = SweepConfig(experiment="cmi-uncorrelated", seed=9, d=2, d_c=2)
         setup = {"times": np.linspace(0.0, np.pi / 2, 9), "witness": False}
-        a, ra = _cmi_instance(cfg, 2, **setup)
-        b, rb = _cmi_instance(cfg, 2, **setup)
+        a, ra = _cmi_block(cfg, range(1, 5), **setup)
+        b, rb = _cmi_block(cfg, range(1, 5), **setup)
+        assert a.shape == (4, 9)
         assert np.array_equal(a, b)
-        assert ra == rb
+        assert ra == rb == 0
+        alone, _ = _cmi_block(cfg, range(2, 3), **setup)
+        assert np.array_equal(alone[0], a[1])
 
     def test_extremes_recorded(self):
         cfg = SweepConfig(experiment="cmi-uncorrelated", n_instances=5, seed=3)
@@ -182,57 +188,173 @@ class TestCmiUncorrelated:
         assert ext["value"] <= 0.5 + 1e-9
 
 
-class TestKernelsAgainstLibrary:
-    """Instance kernels against evolve_unitary + negativity(partial_trace)."""
+def _cmi_pair(seed: int, sid: int, d: int, dc: int):
+    """Stream ``sid``'s first cmi draw, in the kernel's order, as a coupling and a state."""
+    stream = RngStream(seed, sid)
+    ab = np.kron(haar_pure(d, stream), haar_pure(d, stream))
+    rho_c = random_density(dc, stream)
+    h = random_mediated_hamiltonian(d, d, dc, stream)
+    return h, DensityState(h.layout, np.kron(np.outer(ab, ab.conj()), rho_c))
 
-    AB = Bipartition(("A",), ("B",))
 
-    def _reference(self, h, s0, grid):
+def _commuting_pair(seed: int, sid: int, d: int, dc: int, coupling=commuting_mediated):
+    """Stream ``sid``'s first commuting-null draw, as a coupling and a state."""
+    stream = RngStream(seed, sid)
+    hs = [random_hermitian(dim, stream) for dim in (d, d, dc)]
+    raw_w = stream.normals(4) ** 2
+    rho_ab = sum(q * np.kron(random_density(d, stream), random_density(d, stream))
+                 for q in raw_w / raw_w.sum())
+    rho_c = random_density(dc, stream)
+    h = coupling(*hs)
+    return h, DensityState(h.layout, np.kron(rho_ab, rho_c))
+
+
+def _negativity_reference(h, s0, grid, scale=True):
+    """N_{A:B} on ``grid`` by evolve_unitary, ``h`` scaled by ``EnergyMoments.scale`` first."""
+    if scale:
         h = h.scaled(energy_moments(h, s0).scale())
-        return evolve_unitary(h, s0, grid, cut=self.AB).columns["negativity"]
+    return evolve_unitary(h, s0, grid, cut=AB_CUT).columns["negativity"]
+
+
+class TestKernelsAgainstLibrary:
+    """Block kernels against evolve_unitary + negativity(partial_trace)."""
 
     def test_cmi_curve(self):
         grid = TimeGrid(0.0, np.pi / 2, np.pi / 32)
         cfg = SweepConfig(experiment="cmi-uncorrelated", seed=5, d=2, d_c=3)
-        curve, redraws = _cmi_instance(cfg, 1, times=grid.times, witness=False)
+        (curve,), redraws = _cmi_block(cfg, range(1, 2), times=grid.times, witness=False)
         assert redraws == 0
-        # the same draws, in the kernel's order
-        stream = RngStream(5, 1)
-        ab = np.kron(haar_pure(2, stream), haar_pure(2, stream))
-        rho_c = random_density(3, stream)
-        h = random_mediated_hamiltonian(2, 2, 3, stream)
-        s0 = DensityState(h.layout, np.kron(np.outer(ab, ab.conj()), rho_c))
-        ref = self._reference(h, s0, grid)
+        ref = _negativity_reference(*_cmi_pair(5, 1, 2, 3), grid)
         assert ref.max() > 1e-3
         np.testing.assert_allclose(curve, ref, rtol=0, atol=1e-12)
 
     def test_commuting_curve(self):
         grid = TimeGrid(0.0, 2.0, 1.0 / 16)
         cfg = SweepConfig(experiment="commuting-null", seed=8, d=2, d_c=2)
-        curve, redraws = _commuting_instance(cfg, 3, times=grid.times)
+        (curve,), redraws = _commuting_block(cfg, range(3, 4), times=grid.times)
         assert redraws == 0
-        stream = RngStream(8, 3)
-        hs = [random_hermitian(dim, stream) for dim in (2, 2, 2)]
-        raw_w = stream.normals(4) ** 2
-        rho_ab = sum(q * np.kron(random_density(2, stream), random_density(2, stream))
-                     for q in raw_w / raw_w.sum())
-        rho_c = random_density(2, stream)
-        h = commuting_mediated(*hs)
-        s0 = DensityState(h.layout, np.kron(rho_ab, rho_c))
-        np.testing.assert_allclose(curve, self._reference(h, s0, grid), rtol=0, atol=1e-12)
+        ref = _negativity_reference(*_commuting_pair(8, 3, 2, 2), grid)
+        np.testing.assert_allclose(curve, ref, rtol=0, atol=1e-12)
+
+
+def _block_run(monkeypatch, cfg: SweepConfig) -> dict:
+    """Run ``cfg``'s experiment; return the block size, times and curves its ``_sweep`` gave."""
+    seen = {}
+    original = sweep._sweep
+
+    def recording(cfg, kernel, block, **setup):
+        out = original(cfg, kernel, block, **setup)
+        seen.update(block=block, times=setup["times"], curves=out[0][0])
+        return out
+
+    monkeypatch.setattr(sweep, "_sweep", recording)
+    run_sweep(cfg)
+    monkeypatch.setattr(sweep, "_sweep", original)
+    return seen
+
+
+class TestBlockPath:
+    """The curve experiments in blocks of streams, against the library, stream by stream."""
+
+    @pytest.mark.parametrize("experiment, d, dc", [
+        ("cmi-uncorrelated", 2, 2), ("cmi-uncorrelated", 2, 3), ("cmi-uncorrelated", 3, 3),
+        ("commuting-null", 2, 2)])
+    def test_curves_match_the_reference(self, monkeypatch, experiment, d, dc):
+        seed = 12
+        block = _block_run(monkeypatch, SweepConfig(experiment, seed=seed, n_instances=1,
+                                                    d=d, d_c=dc))["block"]
+        assert block > 1
+        # two full blocks and a partial one
+        n = 2 * block + 3
+        run = _block_run(monkeypatch, SweepConfig(experiment, seed=seed, n_instances=n,
+                                                  d=d, d_c=dc))
+        times, curves = run["times"], run["curves"]
+        assert curves.shape == (n, len(times))
+        grid = TimeGrid(0.0, times[-1], times[-1] / (len(times) - 1))
+        assert len(grid) == len(times)
+        for sid in range(n):
+            if experiment == "commuting-null":
+                ref = _negativity_reference(*_commuting_pair(seed, sid, d, dc), grid)
+            elif sid == 0 and d == dc == 2:
+                # the product-state witness, which the sweep does not rescale
+                ref = _negativity_reference(*cmi_product_example(), grid, scale=False)
+                assert ref[-1] == pytest.approx(0.5, abs=1e-8)
+            else:
+                ref = _negativity_reference(*_cmi_pair(seed, sid, d, dc), grid)
+            np.testing.assert_allclose(curves[sid], ref, rtol=0, atol=1e-12)
+        if experiment == "cmi-uncorrelated":
+            assert curves.max() > 1e-2
+        # each stream's bits are its own: the same in a run three times longer,
+        # whose blocks are all full where this run's last one is partial
+        longer = _block_run(monkeypatch, SweepConfig(experiment, seed=seed, n_instances=3 * n,
+                                                     d=d, d_c=dc))["curves"]
+        assert np.array_equal(longer[:n], curves)
+
+    def test_stationary_first_draw_replays_its_block(self, monkeypatch):
+        # stream `target`, in the middle block, is drawn with H = 1 first, so
+        # its state is an eigenvector of H and does not move: the block is
+        # replayed one instance at a time, and only that stream redraws
+        cfg = SweepConfig("cmi-uncorrelated", seed=4, n_instances=1, d=3)
+        block = _block_run(monkeypatch, cfg)["block"]
+        target = block + 1
+        original = sweep._cmi_draw
+        drawn = []
+
+        def forced(cfg, streams):
+            h, x = original(cfg, streams)
+            m = h.matrix.copy()
+            for i, stream in enumerate(streams):
+                if stream.stream_id == target and not any(s is stream for s in drawn):
+                    m[i] = np.eye(h.layout.dim)
+                drawn.append(stream)
+            return Hamiltonian(h.layout, m), x
+
+        monkeypatch.setattr(sweep, "_cmi_draw", forced)
+        cfg = SweepConfig("cmi-uncorrelated", seed=4, n_instances=2 * block + 3, d=3)
+        run = _block_run(monkeypatch, cfg)
+        times, curves = run["times"], run["curves"]
+        assert run_cmi_uncorrelated(cfg).redraws == 1
+        for sid in range(cfg.n_instances):
+            k, redraws, (h, x) = sweep._normalized_draw(cfg, sid,
+                                                         lambda stream: forced(cfg, [stream]))
+            assert redraws == (sid == target)
+            lone = negativity_curve(h, x, k[:, None] * times, AB_CUT)[0]
+            assert np.array_equal(curves[sid], lone), sid
+        # every other stream keeps the bits of a run with nothing forced,
+        # the replayed ones of the middle block included
+        monkeypatch.setattr(sweep, "_cmi_draw", original)
+        plain = _block_run(monkeypatch, cfg)["curves"]
+        others = np.arange(cfg.n_instances) != target
+        assert np.array_equal(plain[others], curves[others])
+        assert not np.array_equal(plain[target], curves[target])
 
 
 class TestWorkerDeterminism:
+    # enough instances for four blocks or more, so that two workers share a
+    # real pool: the blocks of rate-zero and smi-protocol hold one instance
+    N_POOLED = {"cmi-uncorrelated": 100, "rate-zero": 6, "smi-protocol": 6,
+                "commuting-null": 50}
+
     @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
-    def test_report_bytes_identical(self, tmp_path, experiment):
+    def test_report_bytes_identical(self, tmp_path, monkeypatch, experiment):
+        pools = []
+
+        class RecordingPool(sweep.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         outputs = []
         for workers in (1, 2):
-            rep = run_sweep(SweepConfig(experiment=experiment, n_instances=6, seed=21,
-                                        workers=workers))
+            rep = run_sweep(SweepConfig(experiment=experiment, seed=21, workers=workers,
+                                        n_instances=self.N_POOLED[experiment]))
             rep.save_json(tmp_path / f"w{workers}.json")
             rep.save_envelope_csv(tmp_path / f"w{workers}.csv")
             outputs.append([(tmp_path / f"w{workers}.{ext}").read_bytes()
                             for ext in ("json", "csv")])
+        assert pools == [2]
         assert outputs[0] == outputs[1]
 
 
@@ -259,9 +381,9 @@ class TestWorkerResolution:
                 SweepConfig(experiment="rate-zero", workers=bad)
 
     def test_pool_clamped_to_cpus(self, monkeypatch):
-        # a stub pool records its size and chunk and runs in-process, so no
-        # worker process is ever started here
-        sizes, chunks = [], []
+        # a stub pool records its size, its chunk and the blocks it was
+        # given and runs in-process, so no worker process is ever started here
+        sizes, chunks, given = [], [], []
 
         class StubPool:
             def __init__(self, max_workers):
@@ -275,21 +397,35 @@ class TestWorkerResolution:
 
             def map(self, fn, items, chunksize=1):
                 chunks.append(chunksize)
+                given.append(items)
                 return map(fn, items)
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
-        kernel = lambda cfg, sid, *, step: (step * sid, cfg.seed)  # noqa: E731
+
+        def kernel(cfg, sids, *, step):
+            return step * np.array(sids), cfg.seed * len(sids)
+
         cfg = SweepConfig("rate-zero", seed=1, n_instances=10_000, workers=4000)
-        (fields,), redraws = sweep._sweep(cfg, kernel, step=2)
+        (fields,), redraws = sweep._sweep(cfg, kernel, 7, step=2)
         assert fields.tolist() == list(range(0, 20_000, 2)) and redraws == 10_000
-        assert sizes == [3] and chunks == [834]
+        # 1,429 blocks of 7 streams, the last of 4, in chunks of a twelfth of
+        # the blocks: three workers, four chunks each
+        [blocks] = given
+        assert blocks[:2] == [range(0, 7), range(7, 14)] and blocks[-1] == range(9996, 10_000)
+        assert len(blocks) == 1429
+        assert sizes == [3] and chunks == [120]
         # fewer cpus than requested workers can mean no pool at all
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 1)
         cfg = SweepConfig("rate-zero", seed=1, n_instances=50, workers=4)
-        (fields,), redraws = sweep._sweep(cfg, kernel, step=3)
+        (fields,), redraws = sweep._sweep(cfg, kernel, 7, step=3)
         assert fields.tolist() == list(range(0, 150, 3)) and redraws == 50
         assert sizes == [3]
+        # and so can too few blocks for two per worker: 50 streams in 8 blocks
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
+        (fields,), _ = sweep._sweep(SweepConfig("rate-zero", seed=1, n_instances=50,
+                                                workers=5), kernel, 7, step=1)
+        assert fields.tolist() == list(range(50)) and sizes == [3]
 
 
 class TestReportSerialization:
@@ -462,7 +598,7 @@ class TestCommutingNull:
         rep = run_commuting_null(cfg)
         expected = []
         for sid in range(cfg.n_instances):
-            curve, _ = _commuting_instance(cfg, sid, times=rep.times)
+            (curve,), _ = _commuting_block(cfg, range(sid, sid + 1), times=rep.times)
             for k, value in enumerate(curve - curve[0]):
                 if value > 1e-10:
                     expected.append({"stream_id": sid, "T": float(rep.times[k]),
