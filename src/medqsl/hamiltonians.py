@@ -58,7 +58,7 @@ class Hamiltonian:
     """Hermitian generator on a layout, in units of hbar Omega.
 
     ``matrix`` may also be a ``(B, n, n)`` stack of B couplings on one
-    layout; ``eig`` and ``scaled`` then work on the stack.
+    layout; ``eig`` and ``scaled`` then work on the stack, and ``h[i]`` is coupling i.
     """
 
     layout: SystemLayout
@@ -81,6 +81,13 @@ class Hamiltonian:
         v.setflags(write=False)
         return w, v
 
+    def __getitem__(self, i) -> "Hamiltonian":
+        """Coupling ``i`` of a stack, so a stack iterates; a kept ``eig`` keeps its row."""
+        out = Hamiltonian(self.layout, self.matrix[i])
+        if "eig" in self.__dict__:
+            out.__dict__["eig"] = tuple(a[i] for a in self.eig)
+        return out
+
     def scaled(self, k) -> "Hamiltonian":
         """k M, one k per coupling of a stack.
 
@@ -100,7 +107,7 @@ class Hamiltonian:
 class EnergyMoments:
     """Mean energy above the ground state, and the energy spread.
 
-    For a stack of states both are arrays, and so are ``smaller`` and ``scale``.
+    For a stack both are arrays, and so are ``smaller`` and ``scale``.
     """
 
     mean: float
@@ -128,33 +135,30 @@ class EnergyMoments:
 
 
 def energy_moments_array(h: Hamiltonian, x: np.ndarray, *,
-                         stacked: bool = False) -> EnergyMoments:
-    """Moments of ``h`` in a state vector ``(n,)`` or a density matrix ``(n, n)``.
+                         density: bool = False) -> EnergyMoments:
+    """Moments of ``h`` in the states ``x``, arrays over its leading axes.
 
-    With ``stacked`` the first axis of ``x`` runs over states, ``(T, n)``
-    vectors or ``(T, n, n)`` matrices, and the moments are arrays of T
-    values, each equal to the single-state moments of its row.  A stack of
-    B couplings pairs coupling b with the column factor ``x[b]`` of
-    rho_b = X X+, ``x`` being ``(B, n, k)``: the moments are the arrays of
-    tr(X+ M X) and |M X|^2, and no density matrix is formed.  The mean is
-    quoted above the lowest eigenvalue in ``h.eig``.
+    ``x`` holds column factors X of rho = X X+, ``(..., n, k)``, a pure
+    state being its one-column factor: the moments are tr(X+ M X) and
+    |M X|^2, and no density matrix is formed.  With ``density`` it holds
+    density matrices ``(..., n, n)``; shape cannot tell the two apart at
+    k = n.  Leading axes broadcast against a ``(B, n, n)`` stack ``h``, and
+    each value is the one-state call's bit for bit.  The mean is quoted
+    above the lowest eigenvalue in ``h.eig``.
     """
     m = h.matrix
-    if m.ndim == 3:
-        mx = (m @ x).reshape(len(x), -1)
-        x = x.reshape(len(x), -1)
-        raw_mean = dot_rows(x.conj(), mx).real
-        raw_sq = dot_rows(mx.conj(), mx).real
-    elif x.ndim == 1 + stacked:
-        mx = (m @ x[..., None])[..., 0]
-        raw_mean = dot_rows(x.conj(), mx).real
-        raw_sq = dot_rows(mx.conj(), mx).real
+    if density:
+        raw_mean = np.einsum("...ij,...ji->...", m, x).real
+        raw_sq = np.einsum("...ij,...jk,...ki->...", m, m, x).real
     else:
-        raw_mean = np.einsum("ij,...ji->...", m, x).real
-        raw_sq = np.einsum("ij,jk,...ki->...", m, m, x).real
+        mx = m @ x
+        rows = mx.shape[:-2] + (-1,)
+        x, mx = np.broadcast_to(x, mx.shape).reshape(rows), mx.reshape(rows)
+        raw_mean = dot_rows(x.conj(), mx).real
+        raw_sq = dot_rows(mx.conj(), mx).real
     var = np.maximum(raw_sq - raw_mean * raw_mean, 0.0)
     mean, std = raw_mean - h.eig[0][..., 0], np.sqrt(var)
-    if stacked or m.ndim == 3:
+    if mean.ndim:
         return EnergyMoments(mean=mean, std=std)
     return EnergyMoments(mean=float(mean), std=float(std))
 
@@ -162,14 +166,15 @@ def energy_moments_array(h: Hamiltonian, x: np.ndarray, *,
 def energy_moments(h: Hamiltonian, s: DensityState) -> EnergyMoments:
     """Moments of ``h`` in state ``s``: (tr(M rho) - E_ground, sqrt(var)).
 
-    For a stack of states the moments are arrays, one value per state.
+    For a stack of states or of couplings the moments are arrays, one value per row.
     """
     if h.layout != s.layout:
         raise LayoutMismatchError(
             f"hamiltonian on {h.layout.labels}, state on {s.layout.labels}"
         )
-    x = s.pure_vector if s.is_pure else s.matrix
-    return energy_moments_array(h, x, stacked=s.matrix.ndim == 3)
+    pure = s.is_pure
+    return energy_moments_array(h, s.pure_vector[..., None] if pure else s.matrix,
+                                density=not pure)
 
 
 def generalized_x(d: int, j: int) -> np.ndarray:

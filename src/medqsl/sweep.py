@@ -5,19 +5,19 @@ normalizes every instance to the resource equality min{mean, std} = 1,
 tracks A:B negativity, and aggregates an envelope over the ensemble.
 Instance ``i`` draws exclusively from ``RngStream(seed, i)``, so results
 are independent of worker count and an n-instance ensemble is a strict
-prefix of any larger one with the same seed.  If a drawn state is
-stationary for its Hamiltonian the whole instance is redrawn from the
-same stream (the redraw count is reported), which keeps the prefix
-property intact.
+prefix of any larger one with the same seed.
 
-The curve experiments (cmi-uncorrelated, commuting-null) run in fixed
-blocks of stream ids, ``range(b * B, min((b + 1) * B, n))``, with B set by
-``BLOCK_BYTES`` and the experiment's shape alone.  A block draws each
-instance from its own stream, in the order one instance draws, and then
-makes one stacked coupling, one stacked eigensolve, stacked energy
-moments and one stacked negativity curve; each instance's curve has the
-same bits in a block of any size.  A block with a stationary first draw
-replays its instances one at a time.  Worker processes split the blocks.
+Every experiment runs in fixed blocks of stream ids, ``range(b * B,
+min((b + 1) * B, n))``, through one block kernel.  A block draws a stack
+of couplings, each instance from its own stream in the order one instance
+draws; an instance whose state is stationary for its coupling is redrawn
+from its stream alone (the redraw count is reported), so the prefix
+property holds.  The curve experiments (cmi-uncorrelated,
+commuting-null) set B by ``BLOCK_BYTES`` and their shape, and make one
+stacked eigensolve, stacked energy moments and one stacked negativity
+curve per block; rate-zero and smi-protocol run one instance per block.
+Each instance has the same bits in a block of any size.  Worker
+processes split the blocks.
 
 Instance counts default to desk scale (10^4 for the uncorrelated-
 mediator ensemble); growing n can only push the max envelope up.
@@ -105,7 +105,6 @@ WORKERS_ENV = "MEDQSL_WORKERS"
 # the bytes of the largest stack a block of instances builds, the (B, T, n, k)
 # propagated factors of its curves; it fixes B per experiment and shape, so
 # that a block's memory stays small whatever n and the worker count are.
-# The instance bodies of rate-zero and smi-protocol run one per block.
 BLOCK_BYTES = 2 ** 19
 
 _REDRAW_CAP = 100
@@ -215,49 +214,48 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 # kernels: pure functions run in workers.  A block kernel kernel(cfg, sids,
 # **setup) takes a range of stream ids and returns its fields stacked over
-# them, then its redraw count; an instance body takes one stream id.
+# them, then its redraw count.
 
 def _block_size(n_times: int, n: int, k: int) -> int:
     """Instances per block: how many ``(n_times, n, k)`` complex stacks fit in ``BLOCK_BYTES``."""
     return max(1, BLOCK_BYTES // (16 * n_times * n * k))
 
 
-def _normalized_draw(cfg: SweepConfig, sid: int, draw):
-    """Redraw ``draw(stream) = (h, state, ...)`` until the state moves under ``h``.
+def _with_row(stack, i: int, row):
+    """``stack`` with its row ``i`` replaced by the one row of ``row``; a ``Hamiltonian`` too."""
+    if isinstance(stack, Hamiltonian):
+        return Hamiltonian(stack.layout, _with_row(stack.matrix, i, row.matrix))
+    return np.concatenate([stack[:i], row, stack[i + 1:]])
 
-    Returns ``(k, redraws, drawn)``: the scale k of ``EnergyMoments.scale``,
-    the stationary draws skipped, and the draw, whose ``h.eig`` is now kept.
+
+def _normalized_draws(cfg: SweepConfig, sids: range, draw, *, density: bool = False):
+    """Draw the instances ``sids`` until every state moves: ``(k, redraws, drawn)``.
+
+    ``draw(cfg, streams)`` gives ``drawn = (h, x, *extras)``: a stack of
+    couplings, their states as ``energy_moments_array`` reads them with
+    ``density``, and any extras, row i from ``streams[i]`` alone.  A row
+    whose state is stationary is redrawn from its own stream alone, at
+    most ``_REDRAW_CAP`` draws per stream, the first included.  k holds
+    the scales of ``EnergyMoments.scale``; ``h.eig`` is now kept.
     """
-    stream = RngStream(cfg.seed, sid)
-    for redraws in range(_REDRAW_CAP):
-        drawn = draw(stream)
+    streams = [RngStream(cfg.seed, sid) for sid in sids]
+    draws = np.zeros(len(sids), dtype=int)
+    rows, drawn = range(len(sids)), None
+    # one draw of every row, then at most _REDRAW_CAP - 1 more of each row
+    for _ in range(len(sids) * _REDRAW_CAP):
+        fresh = draw(cfg, [streams[i] for i in rows])
+        draws[rows] += 1
+        drawn = fresh if drawn is None else tuple(
+            _with_row(old, rows[0], new) for old, new in zip(drawn, fresh))
         try:
-            k = energy_moments_array(drawn[0], drawn[1]).scale()
-        except StationaryStateError:
-            continue
-        return k, redraws, drawn
+            k = energy_moments_array(drawn[0], drawn[1], density=density).scale()
+            return k, int(draws.sum()) - len(sids), drawn
+        except StationaryStateError as err:
+            rows = err.index
+        if draws[rows[0]] == _REDRAW_CAP:
+            break
     raise StationaryStateError(
-        f"stream {sid}: all {_REDRAW_CAP} draws were stationary (redraw cap)")
-
-
-def _normalized_draws(cfg: SweepConfig, sids: range, draw):
-    """``_normalized_draw`` for the streams ``sids`` at once: ``(k, redraws, h, x)``.
-
-    ``draw(cfg, streams)`` gives a stack of couplings ``h`` and the column
-    factors ``x`` of their states, instance i drawing from ``streams[i]``
-    alone.  A block with any stationary first draw replays each of its
-    instances through ``_normalized_draw``, so that the redraws and the
-    stream of an instance do not depend on its block.
-    """
-    h, x = draw(cfg, [RngStream(cfg.seed, sid) for sid in sids])
-    try:
-        return energy_moments_array(h, x).scale(), 0, h, x
-    except StationaryStateError:
-        pass
-    ks, redraws, drawn = zip(*(_normalized_draw(cfg, sid, lambda stream: draw(cfg, [stream]))
-                               for sid in sids))
-    h = Hamiltonian(h.layout, np.concatenate([one.matrix for one, _ in drawn]))
-    return np.concatenate(ks), sum(redraws), h, np.concatenate([x for _, x in drawn])
+        f"stream {sids[rows[0]]}: all {_REDRAW_CAP} draws were stationary (redraw cap)")
 
 
 def _cmi_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
@@ -278,7 +276,7 @@ def _cmi_block(cfg: SweepConfig, sids: range, *, times: np.ndarray,
         curves.append(negativity_curve(ham, s0.pure_vector, times, AB_CUT)[None])
         sids = sids[1:]
     if sids:
-        k_scale, redraws, h, x0 = _normalized_draws(cfg, sids, _cmi_draw)
+        k_scale, redraws, (h, x0) = _normalized_draws(cfg, sids, _cmi_draw)
         curves.append(negativity_curve(h, x0, k_scale[:, None] * times, AB_CUT))
     return np.concatenate(curves), redraws
 
@@ -302,52 +300,48 @@ def _commuting_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]
 
 def _commuting_block(cfg: SweepConfig, sids: range, *,
                      times: np.ndarray) -> tuple[np.ndarray, int]:
-    k_scale, redraws, h, x0 = _normalized_draws(cfg, sids, _commuting_draw)
+    k_scale, redraws, (h, x0) = _normalized_draws(cfg, sids, _commuting_draw)
     return negativity_curve(h, x0, k_scale[:, None] * times, AB_CUT), redraws
 
 
-def _each(cfg: SweepConfig, sids: range, *, instance, **setup) -> tuple:
-    """The block kernel of an instance body ``instance(cfg, sid, **setup)``."""
-    *fields, redraws = zip(*(instance(cfg, sid, **setup) for sid in sids))
-    return (*map(np.array, fields), sum(redraws))
-
-
-def _rate_instance(cfg: SweepConfig, sid: int, *,
-                   jumps: JumpOperatorSet) -> tuple[float, float, float, float, int]:
+def _rate_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray, np.ndarray]:
+    """Product inputs rho_ab (x) rho_c under mediated couplings, as density matrices, and rho_ab."""
     d, dc = cfg.d, cfg.d_c
+    rho_ab, rho_c = (np.array(x) for x in zip(*(
+        (random_density(d * d, stream), random_density(dc, stream)) for stream in streams)))
+    return random_mediated_hamiltonian(d, d, dc, streams), kron_stack(rho_ab, rho_c), rho_ab
 
-    def draw(stream):
-        rho_ab0 = random_density(d * d, stream)
-        rho_c = random_density(dc, stream)
-        h = random_mediated_hamiltonian(d, d, dc, stream)
-        return h, np.kron(rho_ab0, rho_c), rho_ab0
 
-    k_scale, redraws, (h, rho0, rho_ab0) = _normalized_draw(cfg, sid, draw)
+def _rate_block(cfg: SweepConfig, sids: range, *, jumps: JumpOperatorSet) -> tuple:
+    k_scale, redraws, (h, rho0, rho_ab0) = _normalized_draws(cfg, sids, _rate_draw,
+                                                              density=True)
     h = h.scaled(k_scale)
-    s0 = DensityState(h.layout, rho0)
-    n0 = float(negativity_array(rho_ab0, (d, d), (1,)))
-    dn_closed = entanglement_change_at_zero(h, s0, AB_CUT)
-    dn_open = entanglement_change_at_zero(h, s0, AB_CUT, jumps)
+    changes = [[entanglement_change_at_zero(one, s0, AB_CUT, probe) for probe in (None, jumps)]
+               for one, s0 in zip(h, DensityState(h.layout, rho0))]
+    dn_closed, dn_open = np.array(changes).T
+    n0 = negativity_array(rho_ab0, (cfg.d, cfg.d), (1,))
     return dn_closed, dn_open, n0, n0 + dn_closed, redraws
 
 
-def _smi_instance(cfg: SweepConfig, sid: int, *, psi1: np.ndarray, times: np.ndarray,
-                  level: float) -> tuple[float, float, float, np.ndarray, int]:
-    def draw(stream):
-        m = embed_operator(cfg.layout, ("B", "C"), random_hermitian(cfg.d ** 2, stream))
-        return Hamiltonian(cfg.layout, m), psi1
+def _smi_block(cfg: SweepConfig, sids: range, *, psi1: np.ndarray, times: np.ndarray,
+               level: float) -> tuple:
+    def draw(cfg, streams):
+        ops = np.array([random_hermitian(cfg.d ** 2, stream) for stream in streams])
+        return (Hamiltonian(cfg.layout, embed_operator(cfg.layout, ("B", "C"), ops)),
+                np.tile(psi1[:, None], (len(streams), 1, 1)))
 
-    k_scale, redraws, (h, _) = _normalized_draw(cfg, sid, draw)
+    k_scale, redraws, (h, _) = _normalized_draws(cfg, sids, draw)
+    rows = []
+    for one, k in zip(h, k_scale):
+        def neg_at(t: float) -> float:
+            return float(negativity_curve(one, psi1, np.array([k * t]), AB_CUT)[0])
 
-    def neg_at(t: float) -> float:
-        return float(negativity_curve(h, psi1, np.array([k_scale * t]), AB_CUT)[0])
-
-    curve = negativity_curve(h, psi1, k_scale * times, AB_CUT)
-    crossing = first_crossing(neg_at, times, curve, level)
-    top = int(np.argmax(curve))
-    peak_t, peak_v = refine_peak(neg_at, times[max(top - 1, 0)],
-                                 times[min(top + 1, len(times) - 1)])
-    return crossing, peak_v, peak_t, curve, redraws
+        curve = negativity_curve(one, psi1, k * times, AB_CUT)
+        top = int(np.argmax(curve))
+        peak_t, peak_v = refine_peak(neg_at, times[max(top - 1, 0)],
+                                     times[min(top + 1, len(times) - 1)])
+        rows.append((first_crossing(neg_at, times, curve, level), peak_v, peak_t, curve))
+    return (*map(np.array, zip(*rows)), redraws)
 
 
 def _sweep(cfg: SweepConfig, kernel, block: int, **setup) -> tuple[list[np.ndarray], int]:
@@ -441,8 +435,7 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     shows the contrast: its N grows linearly from the start.
     """
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
-    (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(
-        cfg, _each, 1, instance=_rate_instance, jumps=jumps)
+    (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(cfg, _rate_block, 1, jumps=jumps)
     violations = []
     for sid in range(cfg.n_instances):
         if abs(dn_closed[sid]) > CLOSED_RATE_TOL:
@@ -505,7 +498,7 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     times = TimeGrid(0.0, horizon, SMI_T_STEP).times
     level = (d - 1) / 2.0 - ATTAIN_SLACK
     (crossings, peaks, peak_times, curves), redraws = _sweep(
-        cfg, _each, 1, instance=_smi_instance, psi1=psi1, times=times, level=level)
+        cfg, _smi_block, 1, psi1=psi1, times=times, level=level)
     # a nan crossing (never reached) compares False
     violations = [{"stream_id": sid, "kind": "stage2-too-fast", "T": t}
                   for sid, t in enumerate(crossings.tolist())

@@ -207,7 +207,7 @@ def test_criterion_11_property_suites():
 def test_criterion_12_worker_count_determinism(tmp_path):
     blobs = []
     for workers in (1, 3):
-        cfg = SweepConfig(experiment="cmi-uncorrelated", d=2, n_instances=40,
+        cfg = SweepConfig(experiment="cmi-uncorrelated", d=2, n_instances=200,
                           seed=7, workers=workers)
         rep = run_cmi_uncorrelated(cfg)
         jp = tmp_path / f"w{workers}.json"

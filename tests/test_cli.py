@@ -440,11 +440,14 @@ class TestExitCodes:
         assert "vacuous" in capsys.readouterr().err
 
     def test_redraw_cap_is_exit_4(self, monkeypatch, capsys):
-        # with no redraws allowed every instance counts as stationary
+        # with no draw allowed every instance counts as stationary, in the
+        # block sweeps as in the one-instance ones (conjecture-d2's stream 0
+        # is its witness, which is not drawn)
         monkeypatch.setattr("medqsl.sweep._REDRAW_CAP", 0)
-        rc = main(["reproduce", "rate-zero", "--n", "1", "--out", "rz"])
-        assert rc == 4
-        assert "stationary" in capsys.readouterr().err
+        for name, n in (("rate-zero", "1"), ("conjecture-d2", "2")):
+            rc = main(["reproduce", name, "--n", n, "--out", "rz"])
+            assert rc == 4, name
+            assert "stationary" in capsys.readouterr().err
 
     def test_positivity_lost_is_exit_3(self, tmp_path, capsys):
         rc = main(["evolve", "--ham", "open-system", "--lindblad", "damping:1000",

@@ -9,8 +9,9 @@ one place, a coupling is diagonalized by ``Hamiltonian.eig`` alone, the
 open stepper checks each chunk of stepped states with one
 ``DensityState``, every JSON document is written by ``json_text``, a
 sweep's layout is built by ``SweepConfig.layout`` alone, every label list
-is turned into axes by ``SystemLayout``, and the sweep kernels read the
-``SweepConfig`` itself.
+is turned into axes by ``SystemLayout``, the sweep kernels read the
+``SweepConfig`` itself, and a sweep's streams are made and redrawn in one
+loop.
 """
 
 import ast
@@ -44,7 +45,7 @@ def test_one_refiner():
     # golden section and bisection are while loops; sweep.py has none of them
     tree = ast.parse((SRC / "sweep.py").read_text())
     assert not any(isinstance(node, ast.While) for node in ast.walk(tree))
-    for func in (dynamics.first_max_entanglement_time, sweep._smi_instance):
+    for func in (dynamics.first_max_entanglement_time, sweep._smi_block):
         assert "refine_peak" in inspect.getsource(func)
 
 
@@ -134,30 +135,29 @@ def test_one_label_resolver():
 
 
 def test_sweep_kernels_take_the_config():
-    # a block kernel is kernel(cfg, sids, *, setup...) and an instance body
-    # body(cfg, sid, *, setup...): each reads the SweepConfig itself, never a
-    # dict of settings copied out of it
+    # every experiment is one block kernel kernel(cfg, sids, *, setup...): it
+    # reads the SweepConfig itself, never a dict of settings copied out of it
     kernels = {name: f for name, f in vars(sweep).items()
-               if name.startswith("_") and name.endswith(("_instance", "_block"))}
-    kernels["_each"] = sweep._each
-    assert sorted(kernels) == ["_cmi_block", "_commuting_block", "_each", "_rate_instance",
-                               "_smi_instance"]
+               if name.startswith("_") and name.endswith(("_instance", "_block", "_each"))}
+    assert sorted(kernels) == ["_cmi_block", "_commuting_block", "_rate_block", "_smi_block"]
     param = inspect.Parameter
     for name, kernel in kernels.items():
         params = list(inspect.signature(kernel).parameters.values())
-        ids = ("sid", "int") if name.endswith("_instance") else ("sids", "range")
         assert [(p.name, p.kind, p.annotation) for p in params[:2]] == [
             ("cfg", param.POSITIONAL_OR_KEYWORD, "SweepConfig"),
-            (ids[0], param.POSITIONAL_OR_KEYWORD, ids[1])], name
-        if name == "_each":
-            # an instance body and its setup, handed on to the body as given
-            assert [(p.name, p.kind) for p in params[2:]] == [
-                ("instance", param.KEYWORD_ONLY), ("setup", param.VAR_KEYWORD)]
-        else:
-            assert params[2:] and all(p.kind is param.KEYWORD_ONLY for p in params[2:]), name
+            ("sids", param.POSITIONAL_OR_KEYWORD, "range")], name
+        assert params[2:] and all(p.kind is param.KEYWORD_ONLY for p in params[2:]), name
         assert all("dict" not in str(p.annotation) for p in params), name
     setup = list(inspect.signature(sweep._sweep).parameters.values())[-1]
     assert setup.kind is param.VAR_KEYWORD
+
+
+def test_one_redraw_loop():
+    # the streams of a block are made, and its stationary draws redrawn, in
+    # _normalized_draws alone: no kernel has a stream or a redraw loop of its own
+    assert _callers_of("RngStream") == ["sweep._normalized_draws"]
+    assert _callers_of("_normalized_draws") == [
+        "sweep._cmi_block", "sweep._commuting_block", "sweep._rate_block", "sweep._smi_block"]
 
 
 def test_one_json_text():

@@ -139,12 +139,15 @@ class TestStackedMeasures:
     def test_energy_moments(self, name, count, pure, seed):
         stack, singles = _case(name, count, pure, seed)
         h = Hamiltonian(stack.layout, random_hermitian(stack.layout.dim, RngStream(seed, 999)))
-        for x, xs in ((stack.matrix, [s.matrix for s in singles]),
-                      (stack.pure_vector, [s.pure_vector for s in singles])):
+        # density matrices, and pure states as their one-column factors
+        for x, xs, density in ((stack.matrix, [s.matrix for s in singles], True),
+                               (stack.pure_vector, [s.pure_vector for s in singles], False)):
             if x is None:
                 continue
-            got = energy_moments_array(h, x, stacked=True)
-            ones = [energy_moments_array(h, xk) for xk in xs]
+            if not density:
+                x, xs = x[..., None], [xk[:, None] for xk in xs]
+            got = energy_moments_array(h, x, density=density)
+            ones = [energy_moments_array(h, xk, density=density) for xk in xs]
             for field in ("mean", "std"):
                 want = np.array([getattr(em, field) for em in ones])
                 assert np.abs(getattr(got, field) - want).max() <= 1e-12
@@ -326,6 +329,32 @@ class TestStackedCouplings:
             ref = energy_moments(one, DensityState(h.layout, x[i] @ x[i].conj().T))
             assert em.mean[i] == pytest.approx(ref.mean, abs=1e-12)
             assert em.std[i] == pytest.approx(ref.std, abs=1e-12)
+        # a stack iterates over its couplings, each keeping its row of the
+        # kept spectrum rather than solving again
+        rows = list(scaled)
+        assert len(rows) == count
+        for i, one in enumerate(rows):
+            assert_array_equal(one.matrix, scaled.matrix[i])
+            assert "eig" in one.__dict__ and np.shares_memory(one.eig[1], v)
+            assert_array_equal(one.eig[0], scaled.eig[0][i])
+
+    def test_moments_of_a_coupling_stack(self):
+        # each coupling of a stack pairs with its own row of a state stack,
+        # mixed or pure, or with the one state given, bit for bit; the form
+        # is read from the state, not from the shape of its matrix
+        _, h, _ = _couplings(3, 35, dc=2)
+        rc = RngStream(36, 0)
+        cases = [DensityState(h.layout, [random_density(8, rc) for _ in range(3)]),
+                 DensityState.from_pure(h.layout, _vectors(h.layout, 3, rc)),
+                 DensityState(h.layout, random_density(8, rc))]
+        ones = [Hamiltonian(h.layout, m) for m in h.matrix]
+        for states in cases:
+            rows = list(states) if states.matrix.ndim == 3 else [states] * 3
+            em = energy_moments(h, states)
+            want = [energy_moments(one, s) for one, s in zip(ones, rows)]
+            assert em.mean.shape == em.std.shape == (3,)
+            assert_array_equal(em.mean, [w.mean for w in want])
+            assert_array_equal(em.std, [w.std for w in want])
 
     @pytest.mark.parametrize("count", SIZES)
     def test_propagation_and_curves(self, count):

@@ -36,9 +36,9 @@ from medqsl import (
     run_sweep,
 )
 from medqsl import sweep
-from medqsl.dynamics import JUMP_KINDS
-from medqsl.dynamics import negativity_curve
-from medqsl.sweep import AB_CUT, _cmi_block, _commuting_block
+from medqsl.dynamics import JUMP_KINDS, JumpOperatorSet
+from medqsl.errors import StationaryStateError
+from medqsl.sweep import AB_CUT, _cmi_block, _commuting_block, _rate_block
 
 
 class TestSweepConfig:
@@ -290,43 +290,72 @@ class TestBlockPath:
                                                      d=d, d_c=dc))["curves"]
         assert np.array_equal(longer[:n], curves)
 
-    def test_stationary_first_draw_replays_its_block(self, monkeypatch):
+    def test_stationary_draw_is_redrawn_from_its_stream(self, monkeypatch):
         # stream `target`, in the middle block, is drawn with H = 1 first, so
-        # its state is an eigenvector of H and does not move: the block is
-        # replayed one instance at a time, and only that stream redraws
+        # its state is an eigenvector of H and does not move: that row alone
+        # is drawn again, from its own stream, and only it counts a redraw
         cfg = SweepConfig("cmi-uncorrelated", seed=4, n_instances=1, d=3)
         block = _block_run(monkeypatch, cfg)["block"]
         target = block + 1
         original = sweep._cmi_draw
-        drawn = []
-
-        def forced(cfg, streams):
-            h, x = original(cfg, streams)
-            m = h.matrix.copy()
-            for i, stream in enumerate(streams):
-                if stream.stream_id == target and not any(s is stream for s in drawn):
-                    m[i] = np.eye(h.layout.dim)
-                drawn.append(stream)
-            return Hamiltonian(h.layout, m), x
-
-        monkeypatch.setattr(sweep, "_cmi_draw", forced)
+        monkeypatch.setattr(sweep, "_cmi_draw", _stationary_first(original, {target: 1}))
         cfg = SweepConfig("cmi-uncorrelated", seed=4, n_instances=2 * block + 3, d=3)
         run = _block_run(monkeypatch, cfg)
         times, curves = run["times"], run["curves"]
         assert run_cmi_uncorrelated(cfg).redraws == 1
         for sid in range(cfg.n_instances):
-            k, redraws, (h, x) = sweep._normalized_draw(cfg, sid,
-                                                         lambda stream: forced(cfg, [stream]))
+            (lone,), redraws = _cmi_block(cfg, range(sid, sid + 1), times=times, witness=False)
             assert redraws == (sid == target)
-            lone = negativity_curve(h, x, k[:, None] * times, AB_CUT)[0]
             assert np.array_equal(curves[sid], lone), sid
-        # every other stream keeps the bits of a run with nothing forced,
-        # the replayed ones of the middle block included
+        # every other stream keeps the bits of a run with nothing forced
         monkeypatch.setattr(sweep, "_cmi_draw", original)
         plain = _block_run(monkeypatch, cfg)["curves"]
         others = np.arange(cfg.n_instances) != target
         assert np.array_equal(plain[others], curves[others])
         assert not np.array_equal(plain[target], curves[target])
+
+    @pytest.mark.parametrize("experiment, kernel, draw, setup", [
+        ("cmi-uncorrelated", _cmi_block, "_cmi_draw",
+         {"times": np.linspace(0.0, 1.0, 5), "witness": False}),
+        ("commuting-null", _commuting_block, "_commuting_draw",
+         {"times": np.linspace(0.0, 1.0, 5)}),
+        ("rate-zero", _rate_block, "_rate_draw",
+         {"jumps": JumpOperatorSet.local(SweepConfig("rate-zero").layout, "dephasing", 0.1)})])
+    def test_redraw_cap_counts_draws_per_stream(self, monkeypatch, experiment, kernel, draw,
+                                                setup):
+        # streams 1 and 2 are stationary on their first two draws, stream 1
+        # also on its third: it needs four draws and stream 2 three, five
+        # redraws in all; a cap of three refuses stream 1, and a cap of zero
+        # refuses the block before anything is drawn
+        original = getattr(sweep, draw)
+        cfg = SweepConfig(experiment, seed=5, d=2)
+
+        def run(cap):
+            monkeypatch.setattr(sweep, draw, _stationary_first(original, {1: 3, 2: 2}))
+            monkeypatch.setattr(sweep, "_REDRAW_CAP", cap)
+            return kernel(cfg, range(4), **setup)
+
+        assert run(4)[-1] == 5
+        with pytest.raises(StationaryStateError, match="stream 1: all 3 draws"):
+            run(3)
+        with pytest.raises(StationaryStateError, match="stream 0: all 0 draws"):
+            run(0)
+
+
+def _stationary_first(draw, counts: dict):
+    """``draw`` with H = 1 on the first ``counts[sid]`` draws of each stream ``sid`` named."""
+    drawn = []
+
+    def forced(cfg, streams):
+        h, *rest = draw(cfg, streams)
+        m = h.matrix.copy()
+        for i, stream in enumerate(streams):
+            drawn.append(stream)
+            if sum(s is stream for s in drawn) <= counts.get(stream.stream_id, 0):
+                m[i] = np.eye(h.layout.dim)
+        return (Hamiltonian(h.layout, m), *rest)
+
+    return forced
 
 
 class TestWorkerDeterminism:
@@ -455,13 +484,13 @@ class TestReportSerialization:
 
 
 def _recorded(monkeypatch, kernel: str, pick) -> dict:
-    """Wrap the sweep kernel ``kernel``; return ``{stream_id: pick(result)}`` as it runs."""
+    """Wrap the block kernel ``kernel``; return ``{stream_id: its row of pick(fields)}``."""
     seen = {}
     original = getattr(sweep, kernel)
 
-    def recording(cfg, sid, **setup):
-        out = original(cfg, sid, **setup)
-        seen[sid] = pick(out)
+    def recording(cfg, sids, **setup):
+        out = original(cfg, sids, **setup)
+        seen.update(zip(sids, pick(out)))
         return out
 
     monkeypatch.setattr(sweep, kernel, recording)
@@ -484,7 +513,7 @@ class TestRateZero:
             raise AssertionError("reached the instances")
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(sweep, "_rate_instance", refuse)
+        monkeypatch.setattr(sweep, "_rate_block", refuse)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(sweep, "JUMP_RATE", -1.0)
         with pytest.raises(ValueError, match="rate '-1.0'"):
@@ -494,7 +523,7 @@ class TestRateZero:
         # with each tolerance at the median change of a first run, about half
         # the instances violate it, closed before open within a stream
         cfg = SweepConfig(experiment="rate-zero", n_instances=6, seed=6)
-        changes = _recorded(monkeypatch, "_rate_instance", lambda out: out[:2])
+        changes = _recorded(monkeypatch, "_rate_block", lambda out: zip(out[0], out[1]))
         run_rate_zero(cfg)
         closed, open_ = (np.array([changes[sid][k] for sid in range(cfg.n_instances)]) for k in (0, 1))
         monkeypatch.setattr(sweep, "CLOSED_RATE_TOL", float(np.median(np.abs(closed))))
@@ -564,7 +593,7 @@ class TestSmiProtocol:
         # with the attain level lowered to 0.2 some draws reach it: the
         # fastest is the extreme, and its time the best stage-two time
         monkeypatch.setattr(sweep, "ATTAIN_SLACK", 0.3)
-        crossings = _recorded(monkeypatch, "_smi_instance", lambda out: out[0])
+        crossings = _recorded(monkeypatch, "_smi_block", lambda out: out[0])
         cfg = SweepConfig(experiment="smi-protocol", d=2, n_instances=6, seed=13)
         rep = run_smi_protocol(cfg)
         reached = {sid: t for sid, t in crossings.items() if not np.isnan(t)}
