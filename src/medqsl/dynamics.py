@@ -219,8 +219,8 @@ def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
     """``cut`` and ``target``, or the defaults that ``evolve_unitary`` documents.
 
     Refused before anything is allocated or propagated: a trajectory of
-    ``s0`` on ``grid`` above ``MAX_TRAJECTORY_BYTES``, and a cut with a
-    label that ``s0.layout`` lacks.
+    ``s0`` on ``grid`` above ``MAX_TRAJECTORY_BYTES``, a cut with a label
+    that ``s0.layout`` lacks, and a target on another layout.
     """
     n = s0.layout.dim
     need = len(grid) * (16 * n * n + 16 * n + 8 * len(TRAJECTORY_COLUMNS))
@@ -233,6 +233,9 @@ def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
             raise DimensionMismatchError("observation needs at least two subsystems")
         cut = Bipartition((s0.layout.labels[0],), (s0.layout.labels[1],))
     s0.layout.positions(cut.side_a + cut.side_b)
+    if target is not None and target.layout != s0.layout:
+        raise LayoutMismatchError(
+            f"target on {target.layout.subsystems}, state on {s0.layout.subsystems}")
     return cut, s0 if target is None else target
 
 

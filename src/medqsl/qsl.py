@@ -1,10 +1,11 @@
 """Speed-limit bounds on entangling times.
 
 All times are in units of the dimensionless evolution parameter
-T = Omega t.  The unified bound divides the Bures angle between the
-start and target states by min{mean energy above ground, energy
-spread}; with resource-equality normalization that denominator is 1
-and the bound is the angle itself.
+T = Omega t.  The unified bound on turning by a Bures angle theta is the
+larger of theta / (energy spread) and, for a pure start, alpha(theta) /
+(mean energy above ground), alpha(theta) <= theta.  Where the spread is
+the smaller moment that is theta / min{mean, spread}: the angle itself
+under resource-equality normalization.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dynamics import refine_peak
 from .errors import BadDimensionError
 from .hamiltonians import EnergyMoments, Hamiltonian, energy_moments
 from .states import (
@@ -33,11 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Unified speed-limit evaluation for one (start, target, Hamiltonian) triple."""
+    """Unified speed limit for one (start, target, Hamiltonian) triple: ``max(mt, ml)``."""
 
     angle: float
     moments: EnergyMoments
     bound: float
+    mt: float
+    ml: float | None
     d: int
     reference_bounds: dict[str, float]
 
@@ -47,6 +51,8 @@ class BoundReport:
             "mean_energy": self.moments.mean,
             "energy_std": self.moments.std,
             "bound": self.bound,
+            "mt": self.mt,
+            "ml": self.ml,
             "d": self.d,
             "reference_bounds": dict(self.reference_bounds),
         }
@@ -58,23 +64,42 @@ def _principal_dim(layout: SystemLayout) -> int:
     return min(dims[0], dims[1]) if len(dims) >= 2 else dims[0]
 
 
-def unified_bound(s0: DensityState, target: DensityState, h: Hamiltonian) -> BoundReport:
-    """Minimal T to reach ``target`` from ``s0`` under any dynamics driven by ``h``.
+def _ml_angle(theta: float) -> float:
+    """alpha(theta), the least time at mean energy 1 to turn a pure state by theta.
 
-    Raises StationaryStateError, through ``EnergyMoments.scale``, when both
-    energy moments vanish, since the bound would be vacuous.
+    The minimum over p in [(1 - cos theta)/2, 1/2] of p arccos(1 - sin^2
+    theta / (2 p (1 - p))), the two-level extremal problem (Giovannetti,
+    Lloyd & Maccone, PRA 67, 052109), searched on log p so that the
+    tolerance is relative at the small p of small theta; p = 1/2 gives
+    theta, a cap on alpha.
+    """
+    lo, s2 = math.sin(theta / 2) ** 2, math.sin(theta) ** 2
+    if not lo:
+        return 0.0
+
+    def neg(u: float) -> float:
+        p = lo ** (1 - u) * 0.5 ** u
+        return -p * math.acos(max(-1.0, 1 - s2 / (2 * p * (1 - p))))
+
+    return min(theta, -refine_peak(neg, 0.0, 1.0)[1])
+
+
+def unified_bound(s0: DensityState, target: DensityState, h: Hamiltonian) -> BoundReport:
+    """Minimal T to reach ``target`` from ``s0`` under the unitary dynamics of ``h``.
+
+    The larger of ``mt`` = theta / std and, for a pure ``s0``, ``ml`` =
+    alpha(theta) / mean (None for a mixed one).  Raises StationaryStateError,
+    through ``EnergyMoments.scale``, when a moment vanishes.
     """
     theta = bures_angle(s0, target)
     em = energy_moments(h, s0)
     em.scale()
+    mt = theta / em.std
+    ml = _ml_angle(theta) / em.mean if s0.is_pure else None
     d = _principal_dim(s0.layout)
-    refs = {
-        "di": di_bound(d),
-        "conjecture": conjecture_bound(d),
-        "smi": smi_bound(d),
-    }
-    return BoundReport(angle=theta, moments=em, bound=theta / em.smaller,
-                       d=d, reference_bounds=refs)
+    refs = {"di": di_bound(d), "conjecture": conjecture_bound(d), "smi": smi_bound(d)}
+    return BoundReport(angle=theta, moments=em, bound=mt if ml is None else max(mt, ml),
+                       mt=mt, ml=ml, d=d, reference_bounds=refs)
 
 
 def di_bound(d: int) -> float:

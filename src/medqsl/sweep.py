@@ -9,15 +9,14 @@ prefix of any larger one with the same seed.
 
 Every experiment runs in fixed blocks of stream ids, ``range(b * B,
 min((b + 1) * B, n))``, through one block kernel.  A block draws a stack
-of couplings, each instance from its own stream in the order one instance
-draws; an instance whose state is stationary for its coupling is redrawn
-from its stream alone (the redraw count is reported), so the prefix
-property holds.  The curve experiments (cmi-uncorrelated,
-commuting-null) set B by ``BLOCK_BYTES`` and their shape, and make one
-stacked eigensolve, stacked energy moments and one stacked negativity
-curve per block; rate-zero and smi-protocol run one instance per block.
-Each instance has the same bits in a block of any size.  Worker
-processes split the blocks.
+of couplings, each instance once, from its own stream, in the order one
+instance draws; an instance whose state is stationary for its coupling
+refuses the run with ``StationaryStateError`` naming its stream.  The
+curve experiments (cmi-uncorrelated, commuting-null) set B by
+``BLOCK_BYTES`` and their shape, and make one stacked eigensolve, stacked
+energy moments and one stacked negativity curve per block; rate-zero and
+smi-protocol run one instance per block.  Each instance has the same bits
+in a block of any size.  Worker processes split the blocks.
 
 Instance counts default to desk scale (10^4 for the uncorrelated-
 mediator ensemble); growing n can only push the max envelope up.
@@ -106,8 +105,9 @@ WORKERS_ENV = "MEDQSL_WORKERS"
 # propagated factors of its curves; it fixes B per experiment and shape, so
 # that a block's memory stays small whatever n and the worker count are.
 BLOCK_BYTES = 2 ** 19
-
-_REDRAW_CAP = 100
+# the bytes of the (n, T) float64 values a sweep keeps for its report; a
+# larger n is refused before any block is built or drawn
+MAX_SWEEP_BYTES = 2 ** 31
 
 # grids and rates of the experiments, echoed in each report's config
 CMI_N_TIMES = 64
@@ -188,7 +188,6 @@ class SweepReport:
     envelope: dict[str, np.ndarray]
     extremes: dict
     violations: list[dict]
-    redraws: int
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -198,7 +197,8 @@ class SweepReport:
             "envelope": {k: [float(x) for x in v] for k, v in self.envelope.items()},
             "extremes": self.extremes,
             "violations": self.violations,
-            "redraws": self.redraws,
+            # every stream is drawn once; the key stays for readers of the format
+            "redraws": 0,
             "details": self.details,
         }
 
@@ -213,49 +213,28 @@ class SweepReport:
 
 # ---------------------------------------------------------------------------
 # kernels: pure functions run in workers.  A block kernel kernel(cfg, sids,
-# **setup) takes a range of stream ids and returns its fields stacked over
-# them, then its redraw count.
+# **setup) takes a range of stream ids and returns the tuple of its fields,
+# each stacked over them.
 
 def _block_size(n_times: int, n: int, k: int) -> int:
     """Instances per block: how many ``(n_times, n, k)`` complex stacks fit in ``BLOCK_BYTES``."""
     return max(1, BLOCK_BYTES // (16 * n_times * n * k))
 
 
-def _with_row(stack, i: int, row):
-    """``stack`` with its row ``i`` replaced by the one row of ``row``; a ``Hamiltonian`` too."""
-    if isinstance(stack, Hamiltonian):
-        return Hamiltonian(stack.layout, _with_row(stack.matrix, i, row.matrix))
-    return np.concatenate([stack[:i], row, stack[i + 1:]])
-
-
 def _normalized_draws(cfg: SweepConfig, sids: range, draw, *, density: bool = False):
-    """Draw the instances ``sids`` until every state moves: ``(k, redraws, drawn)``.
+    """Draw each of the instances ``sids`` once: ``(k, drawn)``.
 
     ``draw(cfg, streams)`` gives ``drawn = (h, x, *extras)``: a stack of
     couplings, their states as ``energy_moments_array`` reads them with
-    ``density``, and any extras, row i from ``streams[i]`` alone.  A row
-    whose state is stationary is redrawn from its own stream alone, at
-    most ``_REDRAW_CAP`` draws per stream, the first included.  k holds
-    the scales of ``EnergyMoments.scale``; ``h.eig`` is now kept.
+    ``density``, and any extras, row i from ``streams[i]`` alone.  k holds
+    the scales of ``EnergyMoments.scale``, and ``h.eig`` is kept; a
+    stationary row raises ``StationaryStateError`` naming its stream id.
     """
-    streams = [RngStream(cfg.seed, sid) for sid in sids]
-    draws = np.zeros(len(sids), dtype=int)
-    rows, drawn = range(len(sids)), None
-    # one draw of every row, then at most _REDRAW_CAP - 1 more of each row
-    for _ in range(len(sids) * _REDRAW_CAP):
-        fresh = draw(cfg, [streams[i] for i in rows])
-        draws[rows] += 1
-        drawn = fresh if drawn is None else tuple(
-            _with_row(old, rows[0], new) for old, new in zip(drawn, fresh))
-        try:
-            k = energy_moments_array(drawn[0], drawn[1], density=density).scale()
-            return k, int(draws.sum()) - len(sids), drawn
-        except StationaryStateError as err:
-            rows = err.index
-        if draws[rows[0]] == _REDRAW_CAP:
-            break
-    raise StationaryStateError(
-        f"stream {sids[rows[0]]}: all {_REDRAW_CAP} draws were stationary (redraw cap)")
+    drawn = draw(cfg, [RngStream(cfg.seed, sid) for sid in sids])
+    try:
+        return energy_moments_array(drawn[0], drawn[1], density=density).scale(), drawn
+    except StationaryStateError as err:
+        raise StationaryStateError(f"stream {sids[err.index[0]]}: {err.message}") from None
 
 
 def _cmi_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
@@ -269,16 +248,16 @@ def _cmi_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
 
 
 def _cmi_block(cfg: SweepConfig, sids: range, *, times: np.ndarray,
-               witness: bool) -> tuple[np.ndarray, int]:
-    curves, redraws = [], 0
+               witness: bool) -> tuple[np.ndarray]:
+    curves = []
     if witness and sids[0] == 0:
         ham, s0 = cmi_product_example()
         curves.append(negativity_curve(ham, s0.pure_vector, times, AB_CUT)[None])
         sids = sids[1:]
     if sids:
-        k_scale, redraws, (h, x0) = _normalized_draws(cfg, sids, _cmi_draw)
+        k_scale, (h, x0) = _normalized_draws(cfg, sids, _cmi_draw)
         curves.append(negativity_curve(h, x0, k_scale[:, None] * times, AB_CUT))
-    return np.concatenate(curves), redraws
+    return (np.concatenate(curves),)
 
 
 def _commuting_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
@@ -298,10 +277,9 @@ def _commuting_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]
     return h, sqrtm_psd(kron_stack(np.array(rho_ab), np.array(rho_c)))
 
 
-def _commuting_block(cfg: SweepConfig, sids: range, *,
-                     times: np.ndarray) -> tuple[np.ndarray, int]:
-    k_scale, redraws, (h, x0) = _normalized_draws(cfg, sids, _commuting_draw)
-    return negativity_curve(h, x0, k_scale[:, None] * times, AB_CUT), redraws
+def _commuting_block(cfg: SweepConfig, sids: range, *, times: np.ndarray) -> tuple[np.ndarray]:
+    k_scale, (h, x0) = _normalized_draws(cfg, sids, _commuting_draw)
+    return (negativity_curve(h, x0, k_scale[:, None] * times, AB_CUT),)
 
 
 def _rate_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray, np.ndarray]:
@@ -313,24 +291,22 @@ def _rate_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray, np.n
 
 
 def _rate_block(cfg: SweepConfig, sids: range, *, jumps: JumpOperatorSet) -> tuple:
-    k_scale, redraws, (h, rho0, rho_ab0) = _normalized_draws(cfg, sids, _rate_draw,
-                                                              density=True)
+    k_scale, (h, rho0, rho_ab0) = _normalized_draws(cfg, sids, _rate_draw, density=True)
     h = h.scaled(k_scale)
     changes = [[entanglement_change_at_zero(one, s0, AB_CUT, probe) for probe in (None, jumps)]
                for one, s0 in zip(h, DensityState(h.layout, rho0))]
     dn_closed, dn_open = np.array(changes).T
     n0 = negativity_array(rho_ab0, (cfg.d, cfg.d), (1,))
-    return dn_closed, dn_open, n0, n0 + dn_closed, redraws
+    return dn_closed, dn_open, n0, n0 + dn_closed
 
 
 def _smi_block(cfg: SweepConfig, sids: range, *, psi1: np.ndarray, times: np.ndarray,
                level: float) -> tuple:
     def draw(cfg, streams):
         ops = np.array([random_hermitian(cfg.d ** 2, stream) for stream in streams])
-        return (Hamiltonian(cfg.layout, embed_operator(cfg.layout, ("B", "C"), ops)),
-                np.tile(psi1[:, None], (len(streams), 1, 1)))
+        return Hamiltonian(cfg.layout, embed_operator(cfg.layout, ("B", "C"), ops)), psi1[:, None]
 
-    k_scale, redraws, (h, _) = _normalized_draws(cfg, sids, draw)
+    k_scale, (h, _) = _normalized_draws(cfg, sids, draw)
     rows = []
     for one, k in zip(h, k_scale):
         def neg_at(t: float) -> float:
@@ -341,30 +317,35 @@ def _smi_block(cfg: SweepConfig, sids: range, *, psi1: np.ndarray, times: np.nda
         peak_t, peak_v = refine_peak(neg_at, times[max(top - 1, 0)],
                                      times[min(top + 1, len(times) - 1)])
         rows.append((first_crossing(neg_at, times, curve, level), peak_v, peak_t, curve))
-    return (*map(np.array, zip(*rows)), redraws)
+    return tuple(map(np.array, zip(*rows)))
 
 
-def _sweep(cfg: SweepConfig, kernel, block: int, **setup) -> tuple[list[np.ndarray], int]:
-    """``kernel(cfg, sids, **setup)`` over blocks of streams 0..n-1: the fields, and the redraws.
+def _sweep(cfg: SweepConfig, kernel, block: int, n_times: int, **setup) -> list[np.ndarray]:
+    """``kernel(cfg, sids, **setup)`` over blocks of streams 0..n-1: the fields.
 
-    Block b holds the streams ``range(b * block, min((b + 1) * block, n))``,
-    and instance i still draws only from ``RngStream(seed, i)``; a kernel
-    gives each instance the same bits in a block of any size, so the output
-    of an instance depends neither on the worker count nor on n.  With two
-    or more blocks per worker, a pool of up to ``cfg.workers`` cpus runs
-    them.  The fields are concatenated over the blocks, in stream order.
+    An n whose ``(n, n_times)`` float64 values exceed ``MAX_SWEEP_BYTES``
+    is refused first.  Block b, made when it runs, holds the streams
+    ``range(b * block, min((b + 1) * block, n))``; a kernel gives each
+    instance the same bits in a block of any size, so the output of an
+    instance depends neither on the worker count nor on n.  With two or
+    more blocks per worker, a pool of up to ``cfg.workers`` cpus runs them.
+    The fields are concatenated over the blocks, in stream order.
     """
     n, workers = cfg.n_instances, min(cfg.workers, os.cpu_count() or 1)
-    blocks = [range(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    if 8 * n * n_times > MAX_SWEEP_BYTES:
+        raise ValueError(f"n = {n} instances of {n_times} times need "
+                         f"{8 * n * n_times / 2 ** 30:.1f} GiB, above the cap of "
+                         f"{MAX_SWEEP_BYTES // 2 ** 30} GiB; the largest n allowed is "
+                         f"{MAX_SWEEP_BYTES // (8 * n_times)}")
+    n_blocks = math.ceil(n / block)
+    blocks = (range(lo, min(lo + block, n)) for lo in range(0, n, block))
     run = functools.partial(kernel, cfg, **setup)
-    if workers <= 1 or len(blocks) < 2 * workers:
+    if workers <= 1 or n_blocks < 2 * workers:
         results = list(map(run, blocks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks,
-                                    chunksize=math.ceil(len(blocks) / (workers * 4))))
-    *fields, redraws = zip(*results)
-    return [np.concatenate(f) for f in fields], sum(redraws)
+            results = list(pool.map(run, blocks, chunksize=math.ceil(n_blocks / (workers * 4))))
+    return [np.concatenate(f) for f in zip(*results)]
 
 
 def _first_hits(mask: np.ndarray):
@@ -380,7 +361,7 @@ def _at_max(values: np.ndarray, times: np.ndarray) -> dict:
 
 
 def _report(cfg: SweepConfig, times: np.ndarray, matrix: np.ndarray, extremes: dict,
-            violations: list[dict], redraws: int, details: dict, **echo) -> SweepReport:
+            violations: list[dict], details: dict, **echo) -> SweepReport:
     """The report of ``cfg``, its config echoed with ``echo``, and the envelope of ``matrix``.
 
     ``matrix`` holds one row per instance and one column per time.
@@ -389,7 +370,7 @@ def _report(cfg: SweepConfig, times: np.ndarray, matrix: np.ndarray, extremes: d
               "d": cfg.d, "d_c": cfg.d_c, **echo}
     envelope = {"max": matrix.max(axis=0), "mean": matrix.mean(axis=0),
                 "p99": np.quantile(matrix, 0.99, axis=0)}
-    return SweepReport(config, times, envelope, extremes, violations, redraws, details)
+    return SweepReport(config, times, envelope, extremes, violations, details)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +392,7 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     times = t_max * np.arange(CMI_N_TIMES + 1) / CMI_N_TIMES
     witness = d == 2 and dc == 2
     block = _block_size(len(times), cfg.layout.dim, dc)
-    (curves,), redraws = _sweep(cfg, _cmi_block, block, times=times, witness=witness)
+    (curves,) = _sweep(cfg, _cmi_block, block, len(times), times=times, witness=witness)
     level = (d - 1) / 2.0 - ATTAIN_SLACK
     early = times <= di_bound(d) + EARLY_SLACK
     violations = [{"stream_id": sid, "T": float(times[k]), "negativity": float(curves[sid, k])}
@@ -423,7 +404,7 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
         "witness_included": witness,
     }
     return _report(cfg, times, curves, {"max_negativity": _at_max(curves, times)},
-                   violations, redraws, details, t_max=float(t_max), n_times=CMI_N_TIMES)
+                   violations, details, t_max=float(t_max), n_times=CMI_N_TIMES)
 
 
 def run_rate_zero(cfg: SweepConfig) -> SweepReport:
@@ -435,7 +416,8 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     shows the contrast: its N grows linearly from the start.
     """
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
-    (dn_closed, dn_open, n_start, n_delta), redraws = _sweep(cfg, _rate_block, 1, jumps=jumps)
+    times = np.array([0.0, RATE_DELTA])
+    dn_closed, dn_open, n_start, n_delta = _sweep(cfg, _rate_block, 1, len(times), jumps=jumps)
     violations = []
     for sid in range(cfg.n_instances):
         if abs(dn_closed[sid]) > CLOSED_RATE_TOL:
@@ -455,7 +437,6 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     # contrast control: the optimal direct coupling entangles at unit rate
     h_direct = direct_optimal(cfg.d)
     control = entanglement_change_at_zero(h_direct, DensityState.basis(h_direct.layout), AB_CUT)
-    times = np.array([0.0, RATE_DELTA])
     matrix = np.stack([n_start, n_delta], axis=1)
     details = {
         "delta": RATE_DELTA,
@@ -465,7 +446,7 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
         "max_open_change": float(dn_open.max()),
         "direct_control_change": float(control),
     }
-    return _report(cfg, times, matrix, extremes, violations, redraws, details,
+    return _report(cfg, times, matrix, extremes, violations, details,
                    delta=RATE_DELTA, jump_type=cfg.jump_type, jump_rate=JUMP_RATE)
 
 
@@ -497,8 +478,8 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     horizon = stage2_bound + 1.0
     times = TimeGrid(0.0, horizon, SMI_T_STEP).times
     level = (d - 1) / 2.0 - ATTAIN_SLACK
-    (crossings, peaks, peak_times, curves), redraws = _sweep(
-        cfg, _smi_block, 1, psi1=psi1, times=times, level=level)
+    crossings, peaks, peak_times, curves = _sweep(cfg, _smi_block, 1, len(times), psi1=psi1,
+                                                  times=times, level=level)
     # a nan crossing (never reached) compares False
     violations = [{"stream_id": sid, "kind": "stage2-too-fast", "T": t}
                   for sid, t in enumerate(crossings.tolist())
@@ -523,7 +504,7 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
         "protocol_bound": smi_bound(d),
         "attain_level": level,
     }
-    return _report(cfg, times, curves, extremes, violations, redraws, details,
+    return _report(cfg, times, curves, extremes, violations, details,
                    horizon=float(horizon), t_step=SMI_T_STEP)
 
 
@@ -537,8 +518,8 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     """
     times = COMMUTING_T_MAX * np.arange(COMMUTING_N_TIMES + 1) / COMMUTING_N_TIMES
     n = cfg.layout.dim
-    (curves,), redraws = _sweep(cfg, _commuting_block, _block_size(len(times), n, n),
-                                times=times)
+    (curves,) = _sweep(cfg, _commuting_block, _block_size(len(times), n, n), len(times),
+                       times=times)
     excess = curves - curves[:, :1]
     violations = [{"stream_id": sid, "T": float(times[k]), "excess": float(excess[sid, k])}
                   for sid, k in _first_hits(excess > EXCESS_TOL)]
@@ -550,8 +531,7 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
         "correlated_control_max": float(ctl.columns["negativity"].max()),
     }
     return _report(cfg, times, curves, {"max_excess": _at_max(excess, times)},
-                   violations, redraws, details, t_max=COMMUTING_T_MAX,
-                   n_times=COMMUTING_N_TIMES)
+                   violations, details, t_max=COMMUTING_T_MAX, n_times=COMMUTING_N_TIMES)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:

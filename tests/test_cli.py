@@ -3,13 +3,14 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from medqsl import (
-    SystemLayout, TimeGrid, builtin_pair, format_ast, maximally_entangled, parse_file,
-    save_state,
+    Hamiltonian, SystemLayout, TimeGrid, builtin_pair, format_ast, maximally_entangled,
+    parse_file, save_state, sweep,
 )
 from medqsl.cli import main
 
@@ -19,6 +20,10 @@ def _workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MEDQSL_WORKERS", raising=False)
     return tmp_path
+
+
+def _not_run(*args, **kwargs):
+    raise AssertionError("a block ran")
 
 
 def _read_csv(path):
@@ -439,15 +444,35 @@ class TestExitCodes:
         assert rc == 4
         assert "vacuous" in capsys.readouterr().err
 
-    def test_redraw_cap_is_exit_4(self, monkeypatch, capsys):
-        # with no draw allowed every instance counts as stationary, in the
-        # block sweeps as in the one-instance ones (conjecture-d2's stream 0
-        # is its witness, which is not drawn)
-        monkeypatch.setattr("medqsl.sweep._REDRAW_CAP", 0)
-        for name, n in (("rate-zero", "1"), ("conjecture-d2", "2")):
+    def test_stationary_draw_is_exit_4(self, monkeypatch, capsys):
+        # with every drawn coupling H = 1, the one drawn instance of each run
+        # is stationary (conjecture-d2's stream 0 is its witness, which is not
+        # drawn): the run exits 4 and names the stream
+        original = sweep.random_mediated_hamiltonian
+
+        def unit(*args):
+            h = original(*args)
+            return Hamiltonian(h.layout, np.broadcast_to(np.eye(h.layout.dim), h.matrix.shape))
+
+        monkeypatch.setattr(sweep, "random_mediated_hamiltonian", unit)
+        for name, n, sid in (("rate-zero", "1", 0), ("conjecture-d2", "2", 1)):
             rc = main(["reproduce", name, "--n", n, "--out", "rz"])
             assert rc == 4, name
-            assert "stationary" in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith(f"error: stream {sid}: state is stationary")
+
+    def test_huge_instance_count_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # 10^12 instances would keep 65 float64 values each: refused at once,
+        # before any block is built or drawn
+        monkeypatch.setattr(sweep, "_cmi_block", _not_run)
+        start = time.perf_counter()
+        rc = main(["reproduce", "conjecture-d2", "--n", "1000000000000",
+                   "--out", str(tmp_path / "huge")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n = 1000000000000 instances of 65 times need ")
+        assert err.endswith("above the cap of 2 GiB; the largest n allowed is 4129776\n")
+        assert not list(tmp_path.iterdir())
 
     def test_positivity_lost_is_exit_3(self, tmp_path, capsys):
         rc = main(["evolve", "--ham", "open-system", "--lindblad", "damping:1000",

@@ -141,6 +141,21 @@ def test_unknown_cut_label_refused_before_evolving(monkeypatch, open_, cut):
             evolve_unitary(*args, cut=Bipartition.parse(cut))
 
 
+@pytest.mark.parametrize("open_", [False, True], ids=["unitary", "lindblad"])
+def test_target_on_another_layout_refused_before_evolving(monkeypatch, open_):
+    monkeypatch.setattr(dynamics, "propagate", _not_reached)
+    monkeypatch.setattr(dynamics, "_open_stacks", _not_reached)
+    h = direct_optimal(2)
+    target = ket(SystemLayout((("A", 2), ("B", 4))), 0)
+    args = (h, ket(h.layout, 0), TimeGrid(0.0, 50.0, 1e-3))
+    with pytest.raises(LayoutMismatchError, match=r"^target on \(\('A', 2\), \('B', 4\)\), "
+                                                  r"state on \(\('A', 2\), \('B', 2\)\)$"):
+        if open_:
+            evolve_lindblad(*args, JumpOperatorSet.dephasing(h.layout), target=target)
+        else:
+            evolve_unitary(*args, target=target)
+
+
 class TestUnitaryEvolution:
     def test_direct_qubit_closed_form(self):
         h = direct_optimal(2)

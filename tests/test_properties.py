@@ -26,6 +26,7 @@ from medqsl import (
     random_density,
     random_hermitian,
     uhlmann_fidelity,
+    unified_bound,
 )
 
 N_CASES = 1000
@@ -181,7 +182,7 @@ class TestSpeedLimitLaws:
         # regime of every bundled coupling), rescaling to min{mean, std} = 1
         # caps the Bures speed at 1, so no stretch of length T moves the
         # state by more than T.  The mean-side bound is linear only at
-        # orthogonality and is not sampled here.
+        # orthogonality; the next test samples that half.
         for i in range(N_CASES):
             rc = RngStream(106, i)
             d = (2, 2) if i % 2 else (2, 3)
@@ -202,6 +203,36 @@ class TestSpeedLimitLaws:
             psi_t = u @ (np.exp(-1j * w * t) * (u.conj().T @ psi0))
             theta = math.acos(min(1.0, abs(np.vdot(psi0, psi_t))))
             assert theta <= t + 1e-8, (i, theta, t)
+
+    def test_bound_never_beats_the_time_where_the_mean_binds(self):
+        # The other half: starts near the ground state, where the mean energy
+        # above it is the smaller moment.  Rescaled to mean = 1, the state at
+        # T is no further from its start than the unified bound allows,
+        # max(theta / std, alpha(theta)) <= T, although theta itself may
+        # exceed T there, and alpha binds in some draws.
+        beats_angle = alpha_binds = 0
+        for i in range(N_CASES):
+            rc = RngStream(112, i)
+            lay = _pair(2, 2) if i % 2 else _pair(2, 3)
+            n = lay.dim
+            for _ in range(100):
+                h = Hamiltonian(lay, random_hermitian(n, rc))
+                psi0 = h.eig[1][:, 0] + 0.3 * abs(rc.normals(1)[0]) * haar_pure(n, rc)
+                s0 = DensityState.from_pure(lay, psi0)
+                em = energy_moments(h, s0)
+                if em.mean < em.std:
+                    break
+            else:
+                pytest.fail(f"case {i}: no mean-binding draw in 100 tries")
+            h = h.scaled(em.scale())
+            w, u = h.eig
+            t = 0.01 + 2.99 * (i / N_CASES)
+            psi_t = u @ (np.exp(-1j * w * t) * (u.conj().T @ s0.pure_vector))
+            rep = unified_bound(s0, DensityState.from_pure(lay, psi_t), h)
+            assert rep.bound <= t + 1e-8, (i, rep.mt, rep.ml, t)
+            beats_angle += rep.angle > t
+            alpha_binds += rep.ml > rep.mt
+        assert beats_angle > N_CASES // 20 and alpha_binds > N_CASES // 4
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_optimal_coupling_moves_on_a_geodesic(self, d):

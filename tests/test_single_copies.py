@@ -10,8 +10,8 @@ open stepper checks each chunk of stepped states with one
 ``DensityState``, every JSON document is written by ``json_text``, a
 sweep's layout is built by ``SweepConfig.layout`` alone, every label list
 is turned into axes by ``SystemLayout``, the sweep kernels read the
-``SweepConfig`` itself, and a sweep's streams are made and redrawn in one
-loop.
+``SweepConfig`` itself, and a sweep's streams are made, and each drawn
+once, in one place.
 """
 
 import ast
@@ -152,9 +152,9 @@ def test_sweep_kernels_take_the_config():
     assert setup.kind is param.VAR_KEYWORD
 
 
-def test_one_redraw_loop():
-    # the streams of a block are made, and its stationary draws redrawn, in
-    # _normalized_draws alone: no kernel has a stream or a redraw loop of its own
+def test_one_draw_per_stream():
+    # the streams of a block are made, and each drawn once, in
+    # _normalized_draws alone: no kernel makes a stream of its own
     assert _callers_of("RngStream") == ["sweep._normalized_draws"]
     assert _callers_of("_normalized_draws") == [
         "sweep._cmi_block", "sweep._commuting_block", "sweep._rate_block", "sweep._smi_block"]

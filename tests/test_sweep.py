@@ -147,7 +147,7 @@ class TestCmiUncorrelated:
         rep = run_cmi_uncorrelated(cfg)
         expected = []
         for sid in range(cfg.n_instances):
-            (curve,), _ = _cmi_block(cfg, range(sid, sid + 1), times=rep.times, witness=True)
+            [(curve,)] = _cmi_block(cfg, range(sid, sid + 1), times=rep.times, witness=True)
             for k, value in enumerate(curve):
                 if value >= 0.5 - 1e-6:
                     expected.append({"stream_id": sid, "T": float(rep.times[k]),
@@ -172,12 +172,11 @@ class TestCmiUncorrelated:
         # its stream alone: a block of one gives the same bits
         cfg = SweepConfig(experiment="cmi-uncorrelated", seed=9, d=2, d_c=2)
         setup = {"times": np.linspace(0.0, np.pi / 2, 9), "witness": False}
-        a, ra = _cmi_block(cfg, range(1, 5), **setup)
-        b, rb = _cmi_block(cfg, range(1, 5), **setup)
+        (a,) = _cmi_block(cfg, range(1, 5), **setup)
+        (b,) = _cmi_block(cfg, range(1, 5), **setup)
         assert a.shape == (4, 9)
         assert np.array_equal(a, b)
-        assert ra == rb == 0
-        alone, _ = _cmi_block(cfg, range(2, 3), **setup)
+        (alone,) = _cmi_block(cfg, range(2, 3), **setup)
         assert np.array_equal(alone[0], a[1])
 
     def test_extremes_recorded(self):
@@ -222,8 +221,7 @@ class TestKernelsAgainstLibrary:
     def test_cmi_curve(self):
         grid = TimeGrid(0.0, np.pi / 2, np.pi / 32)
         cfg = SweepConfig(experiment="cmi-uncorrelated", seed=5, d=2, d_c=3)
-        (curve,), redraws = _cmi_block(cfg, range(1, 2), times=grid.times, witness=False)
-        assert redraws == 0
+        [(curve,)] = _cmi_block(cfg, range(1, 2), times=grid.times, witness=False)
         ref = _negativity_reference(*_cmi_pair(5, 1, 2, 3), grid)
         assert ref.max() > 1e-3
         np.testing.assert_allclose(curve, ref, rtol=0, atol=1e-12)
@@ -231,8 +229,7 @@ class TestKernelsAgainstLibrary:
     def test_commuting_curve(self):
         grid = TimeGrid(0.0, 2.0, 1.0 / 16)
         cfg = SweepConfig(experiment="commuting-null", seed=8, d=2, d_c=2)
-        (curve,), redraws = _commuting_block(cfg, range(3, 4), times=grid.times)
-        assert redraws == 0
+        [(curve,)] = _commuting_block(cfg, range(3, 4), times=grid.times)
         ref = _negativity_reference(*_commuting_pair(8, 3, 2, 2), grid)
         np.testing.assert_allclose(curve, ref, rtol=0, atol=1e-12)
 
@@ -242,9 +239,9 @@ def _block_run(monkeypatch, cfg: SweepConfig) -> dict:
     seen = {}
     original = sweep._sweep
 
-    def recording(cfg, kernel, block, **setup):
-        out = original(cfg, kernel, block, **setup)
-        seen.update(block=block, times=setup["times"], curves=out[0][0])
+    def recording(cfg, kernel, block, n_times, **setup):
+        out = original(cfg, kernel, block, n_times, **setup)
+        seen.update(block=block, times=setup["times"], curves=out[0])
         return out
 
     monkeypatch.setattr(sweep, "_sweep", recording)
@@ -290,68 +287,90 @@ class TestBlockPath:
                                                      d=d, d_c=dc))["curves"]
         assert np.array_equal(longer[:n], curves)
 
-    def test_stationary_draw_is_redrawn_from_its_stream(self, monkeypatch):
-        # stream `target`, in the middle block, is drawn with H = 1 first, so
-        # its state is an eigenvector of H and does not move: that row alone
-        # is drawn again, from its own stream, and only it counts a redraw
+    def test_stationary_draw_refuses_the_run(self, monkeypatch):
+        # stream `target`, in the middle block, is drawn with H = 1, so its
+        # state is an eigenvector of H and does not move: the run refuses,
+        # naming that stream, and a run of the streams before it is the same
+        # as with nothing forced
         cfg = SweepConfig("cmi-uncorrelated", seed=4, n_instances=1, d=3)
         block = _block_run(monkeypatch, cfg)["block"]
         target = block + 1
-        original = sweep._cmi_draw
-        monkeypatch.setattr(sweep, "_cmi_draw", _stationary_first(original, {target: 1}))
-        cfg = SweepConfig("cmi-uncorrelated", seed=4, n_instances=2 * block + 3, d=3)
-        run = _block_run(monkeypatch, cfg)
-        times, curves = run["times"], run["curves"]
-        assert run_cmi_uncorrelated(cfg).redraws == 1
-        for sid in range(cfg.n_instances):
-            (lone,), redraws = _cmi_block(cfg, range(sid, sid + 1), times=times, witness=False)
-            assert redraws == (sid == target)
-            assert np.array_equal(curves[sid], lone), sid
-        # every other stream keeps the bits of a run with nothing forced
-        monkeypatch.setattr(sweep, "_cmi_draw", original)
-        plain = _block_run(monkeypatch, cfg)["curves"]
-        others = np.arange(cfg.n_instances) != target
-        assert np.array_equal(plain[others], curves[others])
-        assert not np.array_equal(plain[target], curves[target])
+        plain = _block_run(monkeypatch, SweepConfig("cmi-uncorrelated", seed=4,
+                                                     n_instances=target, d=3))["curves"]
+        _force_stationary(monkeypatch, target)
+        with pytest.raises(StationaryStateError, match=f"^stream {target}: state is stationary"):
+            run_cmi_uncorrelated(SweepConfig("cmi-uncorrelated", seed=4,
+                                             n_instances=2 * block + 3, d=3))
+        before = _block_run(monkeypatch, SweepConfig("cmi-uncorrelated", seed=4,
+                                                      n_instances=target, d=3))["curves"]
+        assert np.array_equal(before, plain)
 
-    @pytest.mark.parametrize("experiment, kernel, draw, setup", [
-        ("cmi-uncorrelated", _cmi_block, "_cmi_draw",
-         {"times": np.linspace(0.0, 1.0, 5), "witness": False}),
-        ("commuting-null", _commuting_block, "_commuting_draw",
-         {"times": np.linspace(0.0, 1.0, 5)}),
-        ("rate-zero", _rate_block, "_rate_draw",
-         {"jumps": JumpOperatorSet.local(SweepConfig("rate-zero").layout, "dephasing", 0.1)})])
-    def test_redraw_cap_counts_draws_per_stream(self, monkeypatch, experiment, kernel, draw,
-                                                setup):
-        # streams 1 and 2 are stationary on their first two draws, stream 1
-        # also on its third: it needs four draws and stream 2 three, five
-        # redraws in all; a cap of three refuses stream 1, and a cap of zero
-        # refuses the block before anything is drawn
-        original = getattr(sweep, draw)
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_stationary_draw_names_its_stream(self, monkeypatch, experiment):
+        # every stream is drawn once: a block of streams 1..4 whose stream 3
+        # is stationary refuses in each kernel, naming stream 3
         cfg = SweepConfig(experiment, seed=5, d=2)
+        kernel, setup = _KERNELS[experiment](cfg)
+        kernel(cfg, range(1, 5), **setup)
+        _force_stationary(monkeypatch, 3)
+        with pytest.raises(StationaryStateError, match="^stream 3: state is stationary"):
+            kernel(cfg, range(1, 5), **setup)
 
-        def run(cap):
-            monkeypatch.setattr(sweep, draw, _stationary_first(original, {1: 3, 2: 2}))
-            monkeypatch.setattr(sweep, "_REDRAW_CAP", cap)
-            return kernel(cfg, range(4), **setup)
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_no_draw_is_near_stationary(self, monkeypatch, experiment):
+        # the refusal above is the whole of the stationary path because no
+        # real draw comes near STATIONARY_TOL = 1e-12: these seed-7 draws of
+        # each kernel's own draw function keep min{mean, std} at 0.418 or
+        # more; 10^4 cmi draws (seed 7) and 1,000 commuting-null, 1,000
+        # rate-zero and 200 smi draws (seeds 7 to 9), at d = 2 and 3, keep
+        # it at 0.178 or more (commuting-null, d = 2, seed 8)
+        smallest = []
 
-        assert run(4)[-1] == 5
-        with pytest.raises(StationaryStateError, match="stream 1: all 3 draws"):
-            run(3)
-        with pytest.raises(StationaryStateError, match="stream 0: all 0 draws"):
-            run(0)
+        def record(cfg, sids, draw, **kwargs):
+            k, drawn = original(cfg, sids, draw, **kwargs)
+            smallest.append(float((1.0 / k).min()))
+            raise _Drawn
+
+        original = sweep._normalized_draws
+        monkeypatch.setattr(sweep, "_normalized_draws", record)
+        for d in (2, 3):
+            cfg = SweepConfig(experiment, seed=7, d=d)
+            kernel, setup = _KERNELS[experiment](cfg)
+            with pytest.raises(_Drawn):
+                kernel(cfg, range(200 if d == 2 else 100), **setup)
+        assert min(smallest) >= 1e-2
 
 
-def _stationary_first(draw, counts: dict):
-    """``draw`` with H = 1 on the first ``counts[sid]`` draws of each stream ``sid`` named."""
-    drawn = []
+class _Drawn(Exception):
+    """Raised once a kernel's draws are made, to skip the rest of its work."""
 
+
+# each experiment's block kernel and a small setup for it
+_KERNELS = {
+    "cmi-uncorrelated": lambda cfg: (_cmi_block, {"times": np.linspace(0.0, 1.0, 5),
+                                                  "witness": False}),
+    "rate-zero": lambda cfg: (_rate_block, {"jumps": JumpOperatorSet.dephasing(cfg.layout)}),
+    "smi-protocol": lambda cfg: (sweep._smi_block, {
+        "psi1": haar_pure(cfg.layout.dim, RngStream(1, 0)), "times": np.linspace(0.0, 1.0, 5),
+        "level": 0.5}),
+    "commuting-null": lambda cfg: (_commuting_block, {"times": np.linspace(0.0, 1.0, 5)}),
+}
+
+
+def _force_stationary(monkeypatch, sid: int) -> None:
+    """Make every kernel draw stream ``sid`` with H = 1, through ``_stationary_first``."""
+    original = sweep._normalized_draws
+    monkeypatch.setattr(sweep, "_normalized_draws", lambda cfg, sids, draw, **kwargs: original(
+        cfg, sids, _stationary_first(draw, sid), **kwargs))
+
+
+def _stationary_first(draw, sid: int):
+    """``draw`` with H = 1 in the row of stream ``sid``, whose state then does not move."""
     def forced(cfg, streams):
         h, *rest = draw(cfg, streams)
         m = h.matrix.copy()
         for i, stream in enumerate(streams):
-            drawn.append(stream)
-            if sum(s is stream for s in drawn) <= counts.get(stream.stream_id, 0):
+            if stream.stream_id == sid:
                 m[i] = np.eye(h.layout.dim)
         return (Hamiltonian(h.layout, m), *rest)
 
@@ -426,18 +445,18 @@ class TestWorkerResolution:
 
             def map(self, fn, items, chunksize=1):
                 chunks.append(chunksize)
-                given.append(items)
-                return map(fn, items)
+                given.append(list(items))
+                return map(fn, given[-1])
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
 
         def kernel(cfg, sids, *, step):
-            return step * np.array(sids), cfg.seed * len(sids)
+            return (step * np.array(sids),)
 
         cfg = SweepConfig("rate-zero", seed=1, n_instances=10_000, workers=4000)
-        (fields,), redraws = sweep._sweep(cfg, kernel, 7, step=2)
-        assert fields.tolist() == list(range(0, 20_000, 2)) and redraws == 10_000
+        (fields,) = sweep._sweep(cfg, kernel, 7, 1, step=2)
+        assert fields.tolist() == list(range(0, 20_000, 2))
         # 1,429 blocks of 7 streams, the last of 4, in chunks of a twelfth of
         # the blocks: three workers, four chunks each
         [blocks] = given
@@ -447,14 +466,43 @@ class TestWorkerResolution:
         # fewer cpus than requested workers can mean no pool at all
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 1)
         cfg = SweepConfig("rate-zero", seed=1, n_instances=50, workers=4)
-        (fields,), redraws = sweep._sweep(cfg, kernel, 7, step=3)
-        assert fields.tolist() == list(range(0, 150, 3)) and redraws == 50
+        (fields,) = sweep._sweep(cfg, kernel, 7, 1, step=3)
+        assert fields.tolist() == list(range(0, 150, 3))
         assert sizes == [3]
         # and so can too few blocks for two per worker: 50 streams in 8 blocks
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
-        (fields,), _ = sweep._sweep(SweepConfig("rate-zero", seed=1, n_instances=50,
-                                                workers=5), kernel, 7, step=1)
+        (fields,) = sweep._sweep(SweepConfig("rate-zero", seed=1, n_instances=50,
+                                             workers=5), kernel, 7, 1, step=1)
         assert fields.tolist() == list(range(50)) and sizes == [3]
+
+
+class TestInstanceCap:
+    """An n whose kept (n, T) float64 values exceed MAX_SWEEP_BYTES is refused first."""
+
+    @pytest.mark.parametrize("experiment, n_times", [
+        ("cmi-uncorrelated", 65), ("rate-zero", 2), ("smi-protocol", 2048),
+        ("commuting-null", 33)])
+    def test_refused_before_any_block(self, monkeypatch, experiment, n_times):
+        monkeypatch.setattr(sweep, "_" + experiment.split("-")[0] + "_block", _refuse)
+        monkeypatch.setattr(sweep, "_normalized_draws", _refuse)
+        largest = 2 ** 31 // (8 * n_times)
+        with pytest.raises(ValueError, match=rf"^n = {10 ** 12} instances of {n_times} times "
+                                             rf"need .* the largest n allowed is {largest}$"):
+            run_sweep(SweepConfig(experiment, n_instances=10 ** 12))
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        # rate-zero keeps two values per instance, N(0) and N(delta): 16 bytes
+        cfg = SweepConfig("rate-zero", n_instances=3, seed=2)
+        monkeypatch.setattr(sweep, "MAX_SWEEP_BYTES", 3 * 16)
+        assert run_rate_zero(cfg).config["n_instances"] == 3
+        monkeypatch.setattr(sweep, "MAX_SWEEP_BYTES", 3 * 16 - 1)
+        monkeypatch.setattr(sweep, "_rate_block", _refuse)
+        with pytest.raises(ValueError, match=r"^n = 3 instances .* the largest n allowed is 2$"):
+            run_rate_zero(cfg)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached a block")
 
 
 class TestReportSerialization:
@@ -627,7 +675,7 @@ class TestCommutingNull:
         rep = run_commuting_null(cfg)
         expected = []
         for sid in range(cfg.n_instances):
-            (curve,), _ = _commuting_block(cfg, range(sid, sid + 1), times=rep.times)
+            [(curve,)] = _commuting_block(cfg, range(sid, sid + 1), times=rep.times)
             for k, value in enumerate(curve - curve[0]):
                 if value > 1e-10:
                     expected.append({"stream_id": sid, "T": float(rep.times[k]),
