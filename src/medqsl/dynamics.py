@@ -138,11 +138,15 @@ class Trajectory:
 
 
 def write_csv(path, names, columns) -> None:
-    """Equal-length float ``columns`` under the header ``names``, each value as ``%.17g``."""
+    """Equal-length float ``columns`` under the header ``names``, each value as ``%.17g``.
+
+    The whole table is formatted by one ``%`` on the row format repeated.
+    """
+    table = np.column_stack(columns)
     fmt = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(fmt % tuple(row) for row in np.column_stack(columns).tolist())
+        fh.write(fmt * len(table) % tuple(table.ravel().tolist()))
 
 
 def _clock(d: int) -> np.ndarray:
@@ -471,23 +475,49 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def refine_peak(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximum of ``f`` on [lo, hi] to ``REFINE_TOL``: ``(T, f(T))``."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > REFINE_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    t = 0.5 * (a + b)
-    return t, f(t)
+def refine_peak(f, lo, hi):
+    """Golden-section maximum of ``f`` on [lo, hi] to ``REFINE_TOL``: ``(T, f(T))``.
+
+    Scalar brackets take an ``f`` of one time and give two floats.  ``(B,)``
+    brackets take an ``f`` that maps a ``(B,)`` vector of times to ``(B,)``
+    values, row b for bracket b, and give two ``(B,)`` arrays: each row
+    stops at its own ``REFINE_TOL`` width, with the bits that a scalar
+    search of its bracket would give.
+    """
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    a = np.ravel(np.asarray(lo, dtype=float)).tolist()
+    b = np.ravel(np.asarray(hi, dtype=float)).tolist()
+    rows = range(len(a))
+
+    def at(ts: list) -> list:
+        return [f(ts[0])] if scalar else np.asarray(f(np.array(ts)), dtype=float).tolist()
+
+    c = [b[i] - _INVPHI * (b[i] - a[i]) for i in rows]
+    d = [a[i] + _INVPHI * (b[i] - a[i]) for i in rows]
+    fc, fd = at(c), at(d)
+    live = [i for i in rows if b[i] - a[i] > REFINE_TOL]
+    while live:
+        # a live row keeps [a, d] where f(c) >= f(d), else [c, b], and needs f
+        # at its one new point x; a finished row stays as it is
+        x, left = d[:], {}
+        for i in live:
+            left[i] = fc[i] >= fd[i]
+            if left[i]:
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = x[i] = b[i] - _INVPHI * (b[i] - a[i])
+            else:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = x[i] = a[i] + _INVPHI * (b[i] - a[i])
+        fx = at(x)
+        for i in live:
+            if left[i]:
+                fc[i] = fx[i]
+            else:
+                fd[i] = fx[i]
+        live = [i for i in live if b[i] - a[i] > REFINE_TOL]
+    t = [0.5 * (a[i] + b[i]) for i in rows]
+    ft = at(t)
+    return (t[0], ft[0]) if scalar else (np.array(t), np.array(ft))
 
 
 def bisect_crossing(f, lo: float, hi: float, level: float) -> float:

@@ -120,7 +120,7 @@ class EnergyMoments:
         return min(self.mean, self.std)
 
     def scale(self) -> float | np.ndarray:
-        """k = 1 / min{mean, std}, refused when both are at most ``STATIONARY_TOL``.
+        """k = 1 / min{mean, std}, refused when that smaller moment is at most ``STATIONARY_TOL``.
 
         For a stack, any stationary state refuses the whole stack, and the
         error names the first one by its stack index (kept as ``index``).

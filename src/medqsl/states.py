@@ -542,8 +542,56 @@ def state_from_dict(d: dict) -> DensityState:
 
 
 def json_text(doc) -> str:
-    """``doc`` as every JSON document here is written: indent 2, sorted keys, final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` as every JSON document here is written: the text of
+    ``json.dumps(doc, indent=2, sort_keys=True)`` and a final newline.
+
+    json's encoder runs in pure Python whenever it indents.  Here dicts
+    and lists are walked in Python too, but each list of floats is joined
+    from ``float.__repr__`` in one ``str.join``.
+    """
+    return _json_value(doc, "\n") + "\n"
+
+
+# json's spelling of the floats whose repr is not a JSON number
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_value(value, newline: str) -> str:
+    """``value`` as ``json_text`` writes it, its inner lines led by ``newline``'s indent."""
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_WORDS.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        sep = "," + inner
+        if set(map(type, value)) == {float}:
+            # no finite float's repr has an "n": nan and inf go item by item
+            text = sep.join(map(float.__repr__, value))
+            if "n" not in text:
+                return "[" + inner + text + newline + "]"
+        return "[" + inner + sep.join([_json_value(x, inner) for x in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, (str, int, float)) and key is not None:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            key = key if isinstance(key, str) else _json_value(key, inner)
+            items.append(_json_value(key, inner) + ": " + _json_value(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def save_state(s: DensityState, path) -> None:

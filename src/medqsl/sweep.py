@@ -14,9 +14,11 @@ instance draws; an instance whose state is stationary for its coupling
 refuses the run with ``StationaryStateError`` naming its stream.  The
 curve experiments (cmi-uncorrelated, commuting-null) set B by
 ``BLOCK_BYTES`` and their shape, and make one stacked eigensolve, stacked
-energy moments and one stacked negativity curve per block; rate-zero and
-smi-protocol run one instance per block.  Each instance has the same bits
-in a block of any size.  Worker processes split the blocks.
+energy moments and one stacked negativity curve per block.  smi-protocol
+sets B by ``BLOCK_BYTES`` and what a block keeps, scans each instance's
+curve in turn and refines the block's peaks in one stacked golden
+section; rate-zero runs one instance per block.  Each instance has the
+same bits in a block of any size.  Worker processes split the blocks.
 
 Instance counts default to desk scale (10^4 for the uncorrelated-
 mediator ensemble); growing n can only push the max envelope up.
@@ -24,6 +26,7 @@ mediator ensemble); growing n can only push the max envelope up.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -101,9 +104,10 @@ EXPERIMENTS = {
 
 WORKERS_ENV = "MEDQSL_WORKERS"
 
-# the bytes of the largest stack a block of instances builds, the (B, T, n, k)
-# propagated factors of its curves; it fixes B per experiment and shape, so
-# that a block's memory stays small whatever n and the worker count are.
+# the bytes of the largest stack a block of instances builds or keeps: the
+# (B, T, n, k) propagated factors of the curve experiments, smi's (B, T)
+# curves and (B, n) refinement states; it fixes B per experiment and shape,
+# so that a block's memory stays small whatever n and the worker count are.
 BLOCK_BYTES = 2 ** 19
 # the bytes of the (n, T) float64 values a sweep keeps for its report; a
 # larger n is refused before any block is built or drawn
@@ -193,8 +197,8 @@ class SweepReport:
     def to_json_dict(self) -> dict:
         return {
             "config": self.config,
-            "times": [float(t) for t in self.times],
-            "envelope": {k: [float(x) for x in v] for k, v in self.envelope.items()},
+            "times": self.times.tolist(),
+            "envelope": {k: v.tolist() for k, v in self.envelope.items()},
             "extremes": self.extremes,
             "violations": self.violations,
             # every stream is drawn once; the key stays for readers of the format
@@ -216,9 +220,9 @@ class SweepReport:
 # **setup) takes a range of stream ids and returns the tuple of its fields,
 # each stacked over them.
 
-def _block_size(n_times: int, n: int, k: int) -> int:
-    """Instances per block: how many ``(n_times, n, k)`` complex stacks fit in ``BLOCK_BYTES``."""
-    return max(1, BLOCK_BYTES // (16 * n_times * n * k))
+def _block_size(row_bytes: int) -> int:
+    """Instances per block: how many stacks of ``row_bytes`` each fit in ``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // row_bytes)
 
 
 def _normalized_draws(cfg: SweepConfig, sids: range, draw, *, density: bool = False):
@@ -307,17 +311,21 @@ def _smi_block(cfg: SweepConfig, sids: range, *, psi1: np.ndarray, times: np.nda
         return Hamiltonian(cfg.layout, embed_operator(cfg.layout, ("B", "C"), ops)), psi1[:, None]
 
     k_scale, (h, _) = _normalized_draws(cfg, sids, draw)
-    rows = []
-    for one, k in zip(h, k_scale):
+    # the scan runs per row: a stacked one is no faster, its eigvalsh stacks dominate
+    curves = np.array([negativity_curve(one, psi1, k * times, AB_CUT)
+                       for one, k in zip(h, k_scale)])
+    top = curves.argmax(axis=1)
+    x0 = np.broadcast_to(psi1, (len(k_scale), len(psi1)))
+    peak_t, peak_v = refine_peak(
+        lambda t: negativity_curve(h, x0, (k_scale * t)[:, None], AB_CUT)[:, 0],
+        times[np.maximum(top - 1, 0)], times[np.minimum(top + 1, len(times) - 1)])
+    crossings = []
+    for one, k, curve in zip(h, k_scale, curves):
         def neg_at(t: float) -> float:
             return float(negativity_curve(one, psi1, np.array([k * t]), AB_CUT)[0])
 
-        curve = negativity_curve(one, psi1, k * times, AB_CUT)
-        top = int(np.argmax(curve))
-        peak_t, peak_v = refine_peak(neg_at, times[max(top - 1, 0)],
-                                     times[min(top + 1, len(times) - 1)])
-        rows.append((first_crossing(neg_at, times, curve, level), peak_v, peak_t, curve))
-    return tuple(map(np.array, zip(*rows)))
+        crossings.append(first_crossing(neg_at, times, curve, level))
+    return np.array(crossings), peak_v, peak_t, curves
 
 
 def _sweep(cfg: SweepConfig, kernel, block: int, n_times: int, **setup) -> list[np.ndarray]:
@@ -329,7 +337,10 @@ def _sweep(cfg: SweepConfig, kernel, block: int, n_times: int, **setup) -> list[
     instance the same bits in a block of any size, so the output of an
     instance depends neither on the worker count nor on n.  With two or
     more blocks per worker, a pool of up to ``cfg.workers`` cpus runs them.
-    The fields are concatenated over the blocks, in stream order.
+    Each field is one ``(n, ...)`` array, shaped after the first block's
+    field and filled with each block's rows as its result arrives, in
+    stream order: a block's result is dropped once it is written, so what
+    the sweep keeps is what the cap counts.
     """
     n, workers = cfg.n_instances, min(cfg.workers, os.cpu_count() or 1)
     if 8 * n * n_times > MAX_SWEEP_BYTES:
@@ -337,15 +348,21 @@ def _sweep(cfg: SweepConfig, kernel, block: int, n_times: int, **setup) -> list[
                          f"{8 * n * n_times / 2 ** 30:.1f} GiB, above the cap of "
                          f"{MAX_SWEEP_BYTES // 2 ** 30} GiB; the largest n allowed is "
                          f"{MAX_SWEEP_BYTES // (8 * n_times)}")
-    n_blocks = math.ceil(n / block)
-    blocks = (range(lo, min(lo + block, n)) for lo in range(0, n, block))
+    starts = range(0, n, block)
+    blocks = (range(lo, min(lo + block, n)) for lo in starts)
     run = functools.partial(kernel, cfg, **setup)
-    if workers <= 1 or n_blocks < 2 * workers:
-        results = list(map(run, blocks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks, chunksize=math.ceil(n_blocks / (workers * 4))))
-    return [np.concatenate(f) for f in zip(*results)]
+    pooled = workers > 1 and len(starts) >= 2 * workers
+    fields = None
+    with ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext() as pool:
+        # both maps yield the block results in stream order
+        results = (pool.map(run, blocks, chunksize=math.ceil(len(starts) / (workers * 4)))
+                   if pooled else map(run, blocks))
+        for lo, result in zip(starts, results):
+            if fields is None:
+                fields = [np.empty((n,) + f.shape[1:], f.dtype) for f in result]
+            for out, f in zip(fields, result):
+                out[lo:lo + len(f)] = f
+    return fields
 
 
 def _first_hits(mask: np.ndarray):
@@ -391,7 +408,7 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     t_max = conjecture_bound(d)
     times = t_max * np.arange(CMI_N_TIMES + 1) / CMI_N_TIMES
     witness = d == 2 and dc == 2
-    block = _block_size(len(times), cfg.layout.dim, dc)
+    block = _block_size(16 * len(times) * cfg.layout.dim * dc)
     (curves,) = _sweep(cfg, _cmi_block, block, len(times), times=times, witness=witness)
     level = (d - 1) / 2.0 - ATTAIN_SLACK
     early = times <= di_bound(d) + EARLY_SLACK
@@ -478,7 +495,9 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     horizon = stage2_bound + 1.0
     times = TimeGrid(0.0, horizon, SMI_T_STEP).times
     level = (d - 1) / 2.0 - ATTAIN_SLACK
-    crossings, peaks, peak_times, curves = _sweep(cfg, _smi_block, 1, len(times), psi1=psi1,
+    # a block keeps its (B, T) curves and the (B, n) states of its refinement
+    block = _block_size(8 * len(times) + 16 * cfg.layout.dim)
+    crossings, peaks, peak_times, curves = _sweep(cfg, _smi_block, block, len(times), psi1=psi1,
                                                   times=times, level=level)
     # a nan crossing (never reached) compares False
     violations = [{"stream_id": sid, "kind": "stage2-too-fast", "T": t}
@@ -518,7 +537,7 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     """
     times = COMMUTING_T_MAX * np.arange(COMMUTING_N_TIMES + 1) / COMMUTING_N_TIMES
     n = cfg.layout.dim
-    (curves,) = _sweep(cfg, _commuting_block, _block_size(len(times), n, n), len(times),
+    (curves,) = _sweep(cfg, _commuting_block, _block_size(16 * len(times) * n * n), len(times),
                        times=times)
     excess = curves - curves[:, :1]
     violations = [{"stream_id": sid, "T": float(times[k]), "excess": float(excess[sid, k])}

@@ -10,7 +10,7 @@ HERM_TOL = 1e-10            # max entry of |M - M+|
 TRACE_TOL = 1e-10           # |tr rho - 1|
 PSD_FLOOR = -1e-10
 LINDBLAD_EIG_FLOOR = -1e-6
-STATIONARY_TOL = 1e-12      # both energy moments at most this: the state never moves
+STATIONARY_TOL = 1e-12      # min{mean, std} at most this: the state never moves
 
 # measures
 NEG_EIG_TOL = 1e-10         # partial-transpose eigenvalues in (-tol, 0) count as zero

@@ -12,6 +12,7 @@ from medqsl import (
     Hamiltonian, SystemLayout, TimeGrid, builtin_pair, format_ast, maximally_entangled,
     parse_file, save_state, sweep,
 )
+from medqsl import cli
 from medqsl.cli import main
 
 
@@ -30,6 +31,32 @@ def _read_csv(path):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     return rows
+
+
+class TestJsonDocuments:
+    def test_every_document_is_json_dumps(self, monkeypatch, tmp_path):
+        # each document the CLI writes, as json_text writes it, has the
+        # bytes of json.dumps(indent=2, sort_keys=True): a report and its
+        # manifest, the bound output and the parse --emit matrix output
+        seen = []
+        original = cli.json_text
+
+        def recording(doc):
+            seen.append((doc, original(doc)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "json_text", recording)
+        monkeypatch.setattr(sweep, "json_text", recording)
+        spec = tmp_path / "h.hspec"
+        spec.write_text("system A:2; system B:2; H = 0.5*X(A)@X(B) + Z(B);")
+        assert main(["reproduce", "smi", "--n", "2", "--out", "smi"]) == 0
+        assert main(["bound", "--ham", "direct-optimal:2", "--state", "ket:00",
+                     "--target", "maxent", "--normalize"]) == 0
+        assert main(["parse", "--check", str(spec), "--emit", "matrix"]) == 0
+        assert len(seen) == 4
+        for doc, text in seen:
+            assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "smi.json").read_text() == seen[0][1]
 
 
 class TestEvolve:

@@ -753,6 +753,53 @@ class TestScanAndRefine:
         t = bisect_crossing(lambda t: t * t, 0.0, 1.0, 0.25)
         assert 0.0 <= t - 0.5 < 1e-9
 
+    def test_stacked_rows_match_scalar_searches(self):
+        # row b of one stacked search has the bits of the scalar search of
+        # bracket b: two-step brackets, one-step brackets (a peak at a grid's
+        # first or last point, so fewer iterations), peaks at the lower and
+        # upper bracket ends and a bracket already below REFINE_TOL
+        tops = np.array([0.33, 0.05, 0.95, 0.61, -0.5, 1.2, 0.5])
+        lo = np.array([0.3, 0.0, 0.9, 0.5, 0.0, 0.9, 0.5])
+        hi = np.array([0.5, 0.1, 1.0, 0.7, 0.1, 1.0, 0.5 + 5e-10])
+        calls = []
+
+        def stacked(t):
+            calls.append(t.copy())
+            return -(t - tops) * (t - tops)
+
+        t, value = refine_peak(stacked, lo, hi)
+        assert t.shape == value.shape == (7,)
+        for b in range(7):
+            top = float(tops[b])
+            want = refine_peak(lambda x: -(x - top) * (x - top), float(lo[b]), float(hi[b]))
+            assert type(want[0]) is float and type(want[1]) is float
+            assert (t[b], value[b]) == want
+        assert all(((lo <= x) & (x <= hi)).all() for x in calls)
+        # each row stops at its own width: the narrower brackets stop first
+        scalar_calls = [0] * 7
+        for b in range(7):
+            def count(x, b=b):
+                scalar_calls[b] += 1
+                return -(x - tops[b]) ** 2
+            refine_peak(count, lo[b], hi[b])
+        assert scalar_calls[6] == 3 and scalar_calls[1] < scalar_calls[0]
+        assert len(calls) == max(scalar_calls)
+        assert abs(t[4] - 0.0) < 1e-9 and abs(t[5] - 1.0) < 1e-9
+
+
+def test_write_csv_spells_non_finite_values_as_rows_do(tmp_path):
+    # the one-format writer gives the bytes of a per-row %.17g writer, NaN,
+    # infinities and -0.0 included
+    n = 519
+    cols = [np.linspace(-1.0, 1.0, n) for _ in range(3)]
+    cols[0][[0, 5, n - 1]] = (math.nan, -0.0, math.inf)
+    cols[1][[1, 300, n - 2]] = (-math.inf, math.nan, -0.0)
+    cols[2][:] = math.nan
+    dynamics.write_csv(tmp_path / "w.csv", ("T", "a", "b"), cols)
+    rows = ["%.17g,%.17g,%.17g\n" % row for row in zip(*(c.tolist() for c in cols))]
+    assert (tmp_path / "w.csv").read_text() == "T,a,b\n" + "".join(rows)
+    assert "nan" in rows[0] and "-0," in rows[5] and "inf" in rows[-1]
+
 
 def test_trajectory_csv_round_trip(tmp_path):
     h, s = cmi_product_example()

@@ -162,8 +162,10 @@ def test_one_draw_per_stream():
 
 def test_one_json_text():
     # the JSON byte format (indent 2, sorted keys, final newline) is decided
-    # in states.json_text alone; every file and stdout document goes through it
-    assert _callers_of("dumps") == ["states.json_text"]
+    # in states.json_text and its walker alone, which leaves only strings to
+    # json; every file and stdout document goes through it
+    assert _callers_of("dumps") == ["states._json_value"]
+    assert set(_callers_of("_json_value")) == {"states._json_value", "states.json_text"}
     assert _callers_of("dump") == []
     assert _callers_of("json_text") == ["cli._cmd_bound", "cli._cmd_parse", "cli._write_manifest",
                                         "states.save_state", "sweep.SweepReport.save_json"]

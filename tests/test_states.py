@@ -32,6 +32,7 @@ from medqsl.states import (
     bures_angle,
     embed_operator,
     is_classically_correlated_on,
+    json_text,
     load_state,
     maximally_entangled,
     mutual_information,
@@ -550,3 +551,42 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert doc["layout"] == [["A", 2], ["B", 2]]
         assert "pure" in doc
+
+
+# documents at json's edges: non-finite and signed-zero floats, the
+# extremes of float repr, ints, bools, None, empty and mixed containers,
+# nested [re, im] rows, tuples, escapes, non-ASCII text and non-str keys
+JSON_EDGE_DOCS = [
+    {"nan": [math.nan, 1.0], "inf": [math.inf, -math.inf], "zero": [-0.0, 0.0],
+     "tiny": 5e-324, "big": [1e16, 1.7976931348623157e308, 2.0 ** 70], "int": [0, -3, 10 ** 30],
+     "flags": [True, False, None], "empty": [[], {}, [[]], {"a": {}}],
+     "mixed": [1, 2.5, True, "x", None, 3], "rows": [[1.0, -0.0], [0.5, 1e-300]],
+     "tuple": (1.0, (2, 3.5)), "text": "tab\t quote\" back\\ nl\n ctl\x01 é ü 量 🙂",
+     "é-key": {"b": 1, "a": 2, "A": 3, "": 4}},
+    {2: "two", 1: "one"}, {2.5: "b", math.inf: "c", -1.5: "a"}, {True: "t"}, {None: "n"},
+    [math.nan], [math.inf, 1.0, -0.0], [np.float64(2.5), 1.0], {"x": np.float64(0.1)},
+    [], {}, "", 0, -0.0, math.nan, None, True, 1e-7, [1, 2], [[[1.0]]],
+]
+
+
+@pytest.mark.parametrize("doc", JSON_EDGE_DOCS)
+def test_json_text_is_json_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{"a": np.int64(1)}, {(1, 2): 3}, [object()], {1: 2, "a": 3}])
+def test_json_text_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        json_text(doc)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("state", [bell(), DensityState(Q3, random_density(8))],
+                         ids=["pure", "mixed"])
+def test_state_file_is_json_dumps(tmp_path, state):
+    save_state(state, tmp_path / "s.json")
+    want = json.dumps(state_to_dict(state), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "s.json").read_text() == want
+

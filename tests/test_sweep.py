@@ -6,6 +6,7 @@ determinism across worker counts, and the per-experiment wiring.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,33 @@ class TestBlockPath:
                                                      d=d, d_c=dc))["curves"]
         assert np.array_equal(longer[:n], curves)
 
+    @pytest.mark.parametrize("d, n_times", [(2, None), (2, 40), (3, 700)])
+    def test_smi_block_matches_its_one_stream_blocks(self, monkeypatch, d, n_times):
+        # a block of smi streams, its peaks refined in one stacked golden
+        # section, gives each stream the bits of its own one-stream block.
+        # The setup is the run's own, the grid cut to n_times points and the
+        # level lowered to 0.2 so that some streams cross it; the 40-point
+        # grid peaks at its last point, a one-step bracket
+        seen = {}
+        original = sweep._smi_block
+        monkeypatch.setattr(sweep, "_smi_block", lambda cfg, sids, **setup: (
+            seen.update(setup) or original(cfg, sids, **setup)))
+        cfg = SweepConfig("smi-protocol", seed=9, d=d, n_instances=1)
+        run_smi_protocol(cfg)
+        setup = {**seen, "times": seen["times"][:n_times], "level": 0.2}
+        sids = range(3, 12)
+        block = original(cfg, sids, **setup)
+        assert [f.shape for f in block] == [(9,)] * 3 + [(9, len(setup["times"]))]
+        for i, sid in enumerate(sids):
+            one = original(cfg, range(sid, sid + 1), **setup)
+            for field, row in zip(block, one):
+                assert np.array_equal(field[i], row[0], equal_nan=True)
+        crossings, _, _, curves = block
+        if n_times == 40:
+            assert (curves.argmax(axis=1) == 39).all()
+        else:
+            assert 0 < np.isnan(crossings).sum() < 9
+
     def test_stationary_draw_refuses_the_run(self, monkeypatch):
         # stream `target`, in the middle block, is drawn with H = 1, so its
         # state is an eigenvector of H and does not move: the run refuses,
@@ -379,8 +407,9 @@ def _stationary_first(draw, sid: int):
 
 class TestWorkerDeterminism:
     # enough instances for four blocks or more, so that two workers share a
-    # real pool: the blocks of rate-zero and smi-protocol hold one instance
-    N_POOLED = {"cmi-uncorrelated": 100, "rate-zero": 6, "smi-protocol": 6,
+    # real pool: a rate-zero block holds one instance, an smi-protocol block
+    # 31 at d = 2
+    N_POOLED = {"cmi-uncorrelated": 100, "rate-zero": 6, "smi-protocol": 130,
                 "commuting-null": 50}
 
     @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
@@ -505,6 +534,33 @@ def _refuse(*args, **kwargs):
     raise AssertionError("reached a block")
 
 
+def _sweep_peak(cfg: SweepConfig, **setup) -> int:
+    """The peak traced memory of ``cfg``'s rate-zero sweep, one instance per block."""
+    tracemalloc.start()
+    try:
+        sweep._sweep(cfg, _rate_block, 1, 2, **setup)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKeptMemory:
+    def test_sweep_keeps_its_fields_not_its_block_results(self):
+        # each block's rows are written into the (n, ...) field arrays as the
+        # block arrives, so 400 one-instance rate-zero blocks keep their four
+        # floats each, which MAX_SWEEP_BYTES counts; a sweep that kept every
+        # block's result tuple until the end held some 620 bytes per instance.
+        # The untraced run first brings the interpreter's caches to steady state
+        n = 400
+        cfg = SweepConfig("rate-zero", seed=3, n_instances=n, workers=1)
+        jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, sweep.JUMP_RATE)
+        sweep._sweep(cfg, _rate_block, 1, 2, jumps=jumps)
+        one = _sweep_peak(SweepConfig("rate-zero", seed=3, n_instances=1, workers=1),
+                          jumps=jumps)
+        many = _sweep_peak(cfg, jumps=jumps)
+        assert many - one < 16 * 8 * n
+
+
 class TestReportSerialization:
     def test_wall_clock_not_in_json(self, tmp_path):
         rep = run_rate_zero(
@@ -517,6 +573,15 @@ class TestReportSerialization:
         rep.save_json(p)
         loaded = json.loads(p.read_text())
         assert loaded == d
+
+    def test_report_text_is_json_dumps(self, tmp_path):
+        # an smi report: long float lists, a None detail, nested dicts
+        rep = run_smi_protocol(SweepConfig("smi-protocol", n_instances=3, seed=2))
+        rep.save_json(tmp_path / "r.json")
+        doc = rep.to_json_dict()
+        assert doc["details"]["best_stage2_time"] is None
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "r.json").read_text() == want
 
     def test_envelope_csv_format(self, tmp_path):
         rep = run_rate_zero(
