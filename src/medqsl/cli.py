@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 
@@ -270,6 +271,7 @@ def _cmd_parse(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.cache  # parse_args leaves the parser as it was: build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="medqsl",

@@ -7,12 +7,12 @@ system integrator is one fixed-step loop on the master equation
 
     d rho / dT = L rho = K rho + (K rho)+ + sum_q Q rho Q+,   K = -iM - sum_q Q+Q / 2
 
-whose substeps, never above 1e-3, are the RK4 map of L in Horner form,
-each L two matrix products, the state re-Hermitized after every substep.
-RK4 increments are exactly traceless, so the trace is conserved to
-roundoff; each chunk of stepped states is checked as one stack, and the
-first state with an eigenvalue below -1e-6, a trace drift or a non-finite
-entry aborts with PositivityLostError.
+whose substeps, never above 1e-3, are the RK4 map of L in Horner form
+(each L two products, or each substep one product with its n^2 x n^2 map
+when n is small), re-Hermitized.  RK4 increments are exactly traceless,
+so the trace is conserved to roundoff; each chunk of stepped states is
+checked as one stack, and the first state with an eigenvalue below -1e-6,
+a trace drift or a non-finite entry aborts with PositivityLostError.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ MAX_TRAJECTORY_BYTES = 2 ** 31
 # grid points per propagate call: bounds the factors held next to the states
 PROPAGATE_CHUNK = 256
 LINDBLAD_MAX_STEP = 1e-3
+LIOUVILLE_MAX_BYTES = 2 ** 20  # cap on the open stepper's n^2 x n^2 substep map: n <= 16
 TRAJECTORY_COLUMNS = (
     "T",
     "negativity",
@@ -304,32 +305,86 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
     return _observe(h, s0, times, stacks, cut, target)
 
 
+def _generator(h: Hamiltonian, jumps: JumpOperatorSet):
+    """L as both substep forms build it: K = -iM - sum_q Q+Q / 2 and the jump stack Q."""
+    q, _, qq = jumps.embedded
+    return -1j * h.matrix - 0.5 * qq, q
+
+
+def _factor_form(k, q):
+    """``step(rho, dt, n_sub)``: n_sub RK4 substeps of dt, each c L(r) two products.
+
+    P = c [K; Q_1; ...] r, the factors' rows interleaved, reads as P_0 = c K r beside
+    [P_1 ...], and c L(r) = P_0 + P_0+ + [P_1 ...] [Q_1+; ...], c folded into the factors.
+    """
+    n, m = len(k), len(q)
+    factors = np.concatenate([k[:, None], q.swapaxes(0, 1)], axis=1).reshape(n * (m + 1), n)
+    q_adj = q.conj().swapaxes(1, 2).reshape(m * n, n)
+    p = np.empty((n, m + 1, n), dtype=complex)
+    p_flat, p_k, p_q = p.reshape(-1, n), p[:, 0], p[:, 1:].reshape(n, m * n)
+
+    def step(rho, dt, n_sub):
+        stages = [(dt / j) * factors for j in (4, 3, 2, 1)]
+        for _ in range(n_sub):
+            y = rho
+            for scaled in stages:
+                np.matmul(scaled, y, out=p_flat)
+                y = p_q @ q_adj
+                y += rho
+                y += p_k
+                y += p_k.conj().T
+            rho = y + y.conj().T
+            rho *= 0.5
+        return rho
+    return step
+
+
+def _liouville_form(k, q):
+    """``step(rho, dt, n_sub)``: the same substeps, each one product with an n^2 x n^2 map.
+
+    On row-major vec(rho), L = K (x) I + I (x) conj K + sum_q Q (x) conj Q, and
+    P = I + dt L(I + dt/2 L(I + dt/3 L(I + dt/4 L))) is formed once per dt.
+    """
+    n = len(k)
+    gen = (np.kron(k, np.eye(n)) + np.kron(np.eye(n), k.conj())
+           + np.einsum("qij,qkl->ikjl", q, q.conj()).reshape(n * n, n * n))
+    maps = {}
+
+    def step(rho, dt, n_sub):
+        if dt not in maps:
+            a = (dt / 4) * gen  # P - I, in Horner form
+            for j in (3, 2, 1):
+                a = (dt / j) * (gen + gen @ a)
+            maps[dt] = 0.5 * (np.eye(n * n) + a)  # halving is exact: y + y+ re-Hermitizes
+        p = maps[dt]
+        for _ in range(n_sub):
+            y = (p @ rho.reshape(-1)).reshape(n, n)
+            rho = y + y.conj().T
+        return rho
+    return step
+
+
 def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
                  times) -> list[DensityState]:
     """``s0``, the state at ``times[0]``, stepped to each of ``times``.
 
     Substeps of at most ``LINDBLAD_MAX_STEP``, each re-Hermitized, are the
-    RK4 map of the generator L above, which for a linear, time-independent
-    L is the degree-4 Taylor map, here in Horner form
-
-        rho <- rho + dt L(rho + dt/2 L(rho + dt/3 L(rho + dt/4 L rho))).
-
-    Each c L(r) is two products: P = c [K; Q_1; ...; Q_m] r on the factors
-    with their rows interleaved, so that P reads as P_0 = c K r beside
-    [P_1 ... P_m], and c L(r) = P_0 + P_0+ + [P_1 ... P_m] [Q_1+; ...; Q_m+].
-    The four constants c are folded into scaled copies of the factors,
-    made once per segment.  Up to ``PROPAGATE_CHUNK`` states are stepped,
+    RK4 map of L above, for a linear, time-independent L its degree-4
+    Taylor map rho + dt L(rho + dt/2 L(rho + dt/3 L(rho + dt/4 L rho))).
+    This rule alone picks the form, both built from ``_generator``:
+    ``_liouville_form`` when its map fits in ``LIOUVILLE_MAX_BYTES`` (n <= 16)
+    and the run takes at least n^2 substeps per map it forms, else
+    ``_factor_form``.  Up to ``PROPAGATE_CHUNK`` states are stepped,
     overflow ignored, into one buffer, which ``DensityState`` copies as it
     checks them as one stack: PositivityLostError names the T of the first
     state that fails any check, non-finite entries and trace drift included.
     """
-    q, q_adj, qq = jumps.embedded
-    n, m = s0.layout.dim, len(q)
-    factors = np.concatenate([(-1j * h.matrix - 0.5 * qq)[:, None], q.swapaxes(0, 1)],
-                             axis=1).reshape(n * (m + 1), n)
-    q_adj = q_adj.reshape(m * n, n)
-    p = np.empty((n, m + 1, n), dtype=complex)
-    p_flat, p_k, p_q = p.reshape(-1, n), p[:, 0], p[:, 1:].reshape(n, m * n)
+    spans = np.diff(np.asarray(times, dtype=float))
+    n_subs = np.maximum(1, np.ceil(spans / LINDBLAD_MAX_STEP - SUBSTEP_SLACK)).astype(int)
+    dts = (spans / n_subs).tolist()
+    n = s0.layout.dim
+    liouville = 16 * n ** 4 <= LIOUVILLE_MAX_BYTES and n_subs.sum() >= n * n * len(set(dts))
+    step = (_liouville_form if liouville else _factor_form)(*_generator(h, jumps))
     chunk = np.empty((min(len(times), PROPAGATE_CHUNK), n, n), dtype=complex)
     stacks, rho = [], s0.matrix
     for lo in range(0, len(times), PROPAGATE_CHUNK):
@@ -337,20 +392,7 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(lo, hi):
                 if i:
-                    span = times[i] - times[i - 1]
-                    n_sub = max(1, int(math.ceil(span / LINDBLAD_MAX_STEP - SUBSTEP_SLACK)))
-                    dt = span / n_sub
-                    stages = [(dt / j) * factors for j in (4, 3, 2, 1)]
-                    for _ in range(n_sub):
-                        y = rho
-                        for scaled in stages:
-                            np.matmul(scaled, y, out=p_flat)
-                            y = p_q @ q_adj
-                            y += rho
-                            y += p_k
-                            y += p_k.conj().T
-                        rho = y + y.conj().T
-                        rho *= 0.5
+                    rho = step(rho, dts[i - 1], n_subs[i - 1])
                 chunk[i - lo] = rho
                 if not np.isfinite(rho).all():  # it stays non-finite: check the chunk now
                     hi = i + 1
@@ -370,9 +412,8 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
 
     ``cut`` and ``target`` are observed as in ``evolve_unitary``.  Each
     substep of at most 1e-3 is the RK4 map of the generator, taken as its
-    Horner-form Taylor map of degree 4, each generator application two
-    products on the stacked factors (see ``_open_stacks``).  With an
-    empty jump set this agrees with ``evolve_unitary`` up to the
+    Horner-form Taylor map of degree 4, in the form ``_open_stacks`` picks.
+    With an empty jump set this agrees with ``evolve_unitary`` up to the
     integrator error of the 1e-3 substeps.
     """
     _check_layouts(h, s0, jumps)
@@ -448,11 +489,8 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
     level = (d - 1) / 2.0
     x0 = _factor(s0)
 
-    def neg(t: float) -> float:
-        return float(negativity_curve(h, x0, [t], p)[0])
-
     def peak_at(lo: float, hi: float) -> float | None:
-        t_peak, n_peak = refine_peak(neg, lo, hi)
+        t_peak, n_peak = refine_peak(lambda t: float(negativity_curve(h, x0, [t], p)[0]), lo, hi)
         return t_peak if n_peak >= level - FIRST_MAX_SLACK else None
 
     times = TimeGrid(0.0, horizon, 1e-3).times

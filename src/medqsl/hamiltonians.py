@@ -149,7 +149,7 @@ def energy_moments_array(h: Hamiltonian, x: np.ndarray, *,
     m = h.matrix
     if density:
         raw_mean = np.einsum("...ij,...ji->...", m, x).real
-        raw_sq = np.einsum("...ij,...jk,...ki->...", m, m, x).real
+        raw_sq = np.einsum("...ij,...ji->...", m @ m, x).real
     else:
         mx = m @ x
         rows = mx.shape[:-2] + (-1,)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,56 @@ class TestJsonDocuments:
         for doc, text in seen:
             assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "smi.json").read_text() == seen[0][1]
+
+
+class TestParserOnce:
+    """One parser per process: consecutive calls see nothing of each other."""
+
+    @staticmethod
+    def _help(parser, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(argv)
+        assert info.value.code == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def _config(base):
+        return json.loads(Path(base + ".manifest.json").read_text())["config"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["evolve", "--help"], ["reproduce", "-h"]])
+    def test_help_matches_a_fresh_parser(self, capsys, argv):
+        fresh = self._help(cli._build_parser.__wrapped__(), argv, capsys)
+        assert "usage: medqsl" in fresh
+        assert self._help(cli._build_parser(), argv, capsys) == fresh
+        assert main(["bound", "--ham", "direct-optimal:2", "--state", "ket:00",
+                     "--target", "maxent", "--normalize"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr().out == fresh
+
+    def test_consecutive_calls_share_no_state(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        assert main(["reproduce", "conjecture-d2", "--n", "3", "--seed", "5",
+                     "--workers", "1", "--out", "sweep"]) == 0
+        assert main(["evolve", "--ham", "direct-optimal:2", "--state", "ket:00",
+                     "--target", "maxent", "--bipartition", "A:B",
+                     "--lindblad", "dephasing:0.1", "--tmax", "0.02", "--dt", "0.01",
+                     "--out", "open.csv"]) == 0
+        assert main(["evolve", "--ham", "direct-optimal:2", "--state", "ket:00",
+                     "--tmax", "0.002", "--out", "closed.csv"]) == 0
+        with pytest.raises(SystemExit):
+            main(["evolve", "--tmax", "0.1", "--no-such-flag"])
+        assert main(["reproduce", "fig2", "--tmax", "0.002", "--out", "fig2"]) == 0
+        assert self._config("sweep") == {"name": "conjecture-d2", "n": 3, "d": 2, "seed": 5,
+                                         "tmax": None, "dt": None, "workers": 1}
+        assert self._config("open")["lindblad"] == "dephasing:0.1"
+        assert self._config("closed") == {
+            "ham": "direct-optimal:2", "state": "ket:00", "target": None,
+            "bipartition": None, "lindblad": None, "tmax": 0.002, "dt": 1e-3}
+        assert self._config("fig2") == {"name": "fig2", "n": None, "d": 2, "seed": None,
+                                        "tmax": 0.002, "dt": 1e-3, "workers": None}
+        assert len(_read_csv("closed.csv")) == 3
 
 
 class TestEvolve:

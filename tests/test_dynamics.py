@@ -1,6 +1,8 @@
 """Evolution, the open-system integrator, and the timing probes."""
 
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +54,7 @@ from medqsl.states import (
     embed_operator,
     uhlmann_fidelity,
 )
+from medqsl.sweep import SweepConfig, run_rate_zero
 
 
 def ket(layout, index):
@@ -326,6 +329,13 @@ class TestNegativityCurve:
                 negativity_curve(h, s0.pure_vector, [0.0], Bipartition.parse(cut))
 
 
+def _substeps(times):
+    """(count, dt) per segment of ``times``: the fewest substeps of at most 1e-3."""
+    for t0, t1 in zip(times[:-1], times[1:]):
+        n_sub = max(1, int(math.ceil((t1 - t0) / dynamics.LINDBLAD_MAX_STEP - 1e-12)))
+        yield n_sub, (t1 - t0) / n_sub
+
+
 def _rk4_reference(h, s0, jumps, times):
     """Four-stage RK4 on K r + (K r)+ + sum_q Q r Q+: the reference for the stepper."""
     q, q_adj, qq = jumps.embedded
@@ -336,9 +346,7 @@ def _rk4_reference(h, s0, jumps, times):
         return kr + kr.conj().T + (q @ r @ q_adj).sum(axis=0)
 
     rho, out = s0.matrix, [s0.matrix]
-    for t0, t1 in zip(times[:-1], times[1:]):
-        n_sub = max(1, int(math.ceil((t1 - t0) / dynamics.LINDBLAD_MAX_STEP - 1e-12)))
-        dt = (t1 - t0) / n_sub
+    for n_sub, dt in _substeps(times):
         for _ in range(n_sub):
             k1 = rhs(rho)
             k2 = rhs(rho + 0.5 * dt * k1)
@@ -356,28 +364,97 @@ def _jumps(lay, *specs):
                                       for op in JumpOperatorSet.local(lay, kind, rate, (lab,)).ops))
 
 
-@pytest.mark.parametrize("dims, specs", [
-    ((("A", 2), ("B", 2)), ()),
-    ((("A", 2), ("B", 2)), (("dephasing", 0.4, "B"),)),
-    ((("A", 3), ("B", 2)), (("damping", 0.7, "A"),)),
-    ((("A", 3), ("B", 2)), (("dephasing", 1.5, "A"), ("damping", 1.0, "B"))),
-    ((("A", 2), ("B", 2), ("C", 2)),
-     (("damping", 0.3, "A"), ("dephasing", 0.5, "B"), ("damping", 0.2, "C"))),
-], ids=["no-jumps", "dephasing-qubit", "damping-qutrit", "mixed-kinds", "every-qubit"])
-def test_stepper_matches_four_stage_rk4(dims, specs):
+_STEPPER_CASES = {
+    "no-jumps": ((("A", 2), ("B", 2)), ()),
+    "dephasing-qubit": ((("A", 2), ("B", 2)), (("dephasing", 0.4, "B"),)),
+    "damping-qutrit": ((("A", 3), ("B", 2)), (("damping", 0.7, "A"),)),
+    "mixed-kinds": ((("A", 3), ("B", 2)), (("dephasing", 1.5, "A"), ("damping", 1.0, "B"))),
+    "every-qubit": ((("A", 2), ("B", 2), ("C", 2)),
+                    (("damping", 0.3, "A"), ("dephasing", 0.5, "B"), ("damping", 0.2, "C"))),
+}
+
+
+@pytest.mark.parametrize("form, dims, specs", [
+    pytest.param(form, dims, specs, id=prefix + name)
+    for form, prefix in ((dynamics._factor_form, ""), (dynamics._liouville_form, "liouville-"))
+    for name, (dims, specs) in _STEPPER_CASES.items()])
+def test_stepper_matches_four_stage_rk4(form, dims, specs):
     # the Horner-form Taylor map is the four-stage RK4 map of a linear,
-    # time-independent generator: the two agree to roundoff
+    # time-independent generator: either form agrees with it to roundoff
     lay = SystemLayout(dims)
     stream = RngStream(13, len(specs))
     h = Hamiltonian(lay, 3.0 * random_hermitian(lay.dim, stream))
     s0 = DensityState(lay, random_density(lay.dim, stream))
     grid = TimeGrid(0.0, 0.2, 0.025)
     jumps = _jumps(lay, *specs)
-    traj = evolve_lindblad(h, s0, grid, jumps)
+    step = form(*dynamics._generator(h, jumps))
+    got = [s0.matrix]
+    for n_sub, dt in _substeps(grid.times):
+        got.append(step(got[-1], dt, n_sub))
     ref = _rk4_reference(h, s0, jumps, grid.times)
-    got = np.array([st.matrix for st in traj.states])
-    assert np.abs(got - ref).max() <= 1e-12
+    assert np.abs(np.array(got) - ref).max() <= 1e-12
     assert np.abs(ref[-1] - ref[0]).max() > 1e-2
+
+
+class TestStepperForm:
+    """The one rule in ``_open_stacks`` that picks the substep's form."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # the forms built, by name and dimension, each still the real one
+        built = []
+        for name in ("_factor_form", "_liouville_form"):
+            def recording(k, q, name=name, form=getattr(dynamics, name)):
+                built.append((name, len(k)))
+                return form(k, q)
+            monkeypatch.setattr(dynamics, name, recording)
+        return built
+
+    def test_no_setting_chooses_it(self):
+        assert list(inspect.signature(dynamics._open_stacks).parameters) == [
+            "h", "s0", "jumps", "times"]
+        assert 16 * 16 ** 4 <= dynamics.LIOUVILLE_MAX_BYTES < 16 * 17 ** 4
+
+    def test_lindblad_open_shape_takes_the_liouville_form(self, built):
+        # n = 8, three dephasing jumps, 5 segments of 100 substeps: 500 >= 64 per map
+        h, s0 = open_system_example()
+        jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
+        evolve_lindblad(h, s0, TimeGrid(0.0, 0.5, 0.1), jumps)
+        assert built == [("_liouville_form", 8)]
+
+    def test_few_substeps_take_the_factor_form(self, built):
+        # 10 substeps at n = 8 are fewer than n^2
+        h, s0 = open_system_example()
+        evolve_lindblad(h, s0, TimeGrid(0.0, 0.01, 0.01), JumpOperatorSet.dephasing(h.layout, 0.1))
+        assert built == [("_factor_form", 8)]
+
+    @pytest.mark.parametrize("d, n", [(2, 8), (3, 27)])
+    def test_rate_zero_probe_takes_the_factor_form(self, built, d, n):
+        # one substep of RATE_DELTA per instance: at d = 3 the map would not fit either
+        run_rate_zero(SweepConfig(experiment="rate-zero", n_instances=2, seed=7, d=d))
+        assert built == [("_factor_form", n)] * 2
+
+    def test_long_qutrit_run_builds_no_map_above_the_cap(self, monkeypatch):
+        # 10^4 substeps at n = 27: its map (8.5 MB) would exceed the cap, so
+        # the factor form steps it, here with its substeps stubbed out
+        built = []
+
+        def unstepped(k, q):
+            built.append(len(k))
+            return lambda rho, dt, n_sub: rho
+
+        monkeypatch.setattr(dynamics, "_factor_form", unstepped)
+        lay = SystemLayout((("A", 3), ("B", 3), ("C", 3)))
+        h = Hamiltonian(lay, random_hermitian(27, RngStream(3, 0)))
+        jumps = JumpOperatorSet.damping(lay, 0.1)
+        tracemalloc.start()
+        try:
+            dynamics._open_stacks(h, ket(lay, 0), jumps, [0.0, 10.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == [27]
+        assert peak < dynamics.LIOUVILLE_MAX_BYTES
 
 
 class TestLindblad:
