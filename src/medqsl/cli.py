@@ -71,6 +71,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_VACUOUS = 4
+# the exit code of each error that is not an input or validation error
+EXIT_CODES = {PositivityLostError: EXIT_NUMERIC, StationaryStateError: EXIT_VACUOUS}
 
 
 class CliInputError(Exception):
@@ -323,18 +325,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PositionedError as e:
-        print(f"error: {e.diagnostic()}", file=sys.stderr)
-        return EXIT_INPUT
-    except PositivityLostError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except StationaryStateError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VACUOUS
     except (CliInputError, MedqslError, OSError, ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        print(f"error: {e.diagnostic() if isinstance(e, PositionedError) else e}", file=sys.stderr)
+        return EXIT_CODES.get(type(e), EXIT_INPUT)
 
 
 if __name__ == "__main__":

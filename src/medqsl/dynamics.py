@@ -7,12 +7,14 @@ system integrator is one fixed-step loop on the master equation
 
     d rho / dT = L rho = K rho + (K rho)+ + sum_q Q rho Q+,   K = -iM - sum_q Q+Q / 2
 
-whose substeps, never above 1e-3, are the RK4 map of L in Horner form
-(each L two products, or each substep one product with its n^2 x n^2 map
-when n is small), re-Hermitized.  RK4 increments are exactly traceless,
-so the trace is conserved to roundoff; each chunk of stepped states is
-checked as one stack, and the first state with an eigenvalue below -1e-6,
-a trace drift or a non-finite entry aborts with PositivityLostError.
+whose equal substeps, never above 1e-3, are the RK4 map of L in Horner
+form (each L two products, or each substep one product with its n^2 x n^2
+map when n is small), re-Hermitized.  RK4 increments are exactly
+traceless, so the trace is conserved to roundoff; each chunk of stepped
+states is checked as one stack, and the first state with an eigenvalue
+below -1e-6, a trace drift or a non-finite entry aborts with
+PositivityLostError.  The rate probe and the scan and refine behind the
+timing probes each run a stack of instances as one.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .states import (
     DensityState,
     SystemLayout,
     _acos,
+    _value,
     embed_operator,
     mutual_information,
     negativity,
@@ -316,12 +319,15 @@ def _factor_form(k, q):
 
     P = c [K; Q_1; ...] r, the factors' rows interleaved, reads as P_0 = c K r beside
     [P_1 ...], and c L(r) = P_0 + P_0+ + [P_1 ...] [Q_1+; ...], c folded into the factors.
+    A ``(B, n, n)`` stack of K, the jumps Q shared, steps a ``(B, n, n)`` stack of rho.
     """
-    n, m = len(k), len(q)
-    factors = np.concatenate([k[:, None], q.swapaxes(0, 1)], axis=1).reshape(n * (m + 1), n)
+    lead, n, m = k.shape[:-2], k.shape[-1], len(q)
+    factors = np.concatenate([k[..., None, :], np.broadcast_to(q.swapaxes(0, 1), lead + (n, m, n))],
+                             axis=-2).reshape(lead + (n * (m + 1), n))
     q_adj = q.conj().swapaxes(1, 2).reshape(m * n, n)
-    p = np.empty((n, m + 1, n), dtype=complex)
-    p_flat, p_k, p_q = p.reshape(-1, n), p[:, 0], p[:, 1:].reshape(n, m * n)
+    p = np.empty(lead + (n, m + 1, n), dtype=complex)
+    p_flat, p_k = p.reshape(lead + (-1, n)), p[..., 0, :]
+    p_q = p[..., 1:, :].reshape(lead + (n, m * n))
 
     def step(rho, dt, n_sub):
         stages = [(dt / j) * factors for j in (4, 3, 2, 1)]
@@ -332,8 +338,8 @@ def _factor_form(k, q):
                 y = p_q @ q_adj
                 y += rho
                 y += p_k
-                y += p_k.conj().T
-            rho = y + y.conj().T
+                y += p_k.conj().swapaxes(-1, -2)
+            rho = y + y.conj().swapaxes(-1, -2)
             rho *= 0.5
         return rho
     return step
@@ -365,25 +371,22 @@ def _liouville_form(k, q):
 
 
 def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
-                 times) -> list[DensityState]:
-    """``s0``, the state at ``times[0]``, stepped to each of ``times``.
+                 grid: TimeGrid) -> list[DensityState]:
+    """``s0``, the state at ``grid.start``, stepped to each point of ``grid``.
 
-    Substeps of at most ``LINDBLAD_MAX_STEP``, each re-Hermitized, are the
-    RK4 map of L above, for a linear, time-independent L its degree-4
-    Taylor map rho + dt L(rho + dt/2 L(rho + dt/3 L(rho + dt/4 L rho))).
-    This rule alone picks the form, both built from ``_generator``:
-    ``_liouville_form`` when its map fits in ``LIOUVILLE_MAX_BYTES`` (n <= 16)
-    and the run takes at least n^2 substeps per map it forms, else
-    ``_factor_form``.  Up to ``PROPAGATE_CHUNK`` states are stepped,
-    overflow ignored, into one buffer, which ``DensityState`` copies as it
-    checks them as one stack: PositivityLostError names the T of the first
-    state that fails any check, non-finite entries and trace drift included.
+    Each grid step is the fewest equal RK4 substeps of at most
+    ``LINDBLAD_MAX_STEP``, counted from ``grid.step``, in the form this rule
+    alone picks: ``_liouville_form`` when its map fits in
+    ``LIOUVILLE_MAX_BYTES`` (n <= 16) and the run takes at least n^2
+    substeps, else ``_factor_form``.  Up to ``PROPAGATE_CHUNK`` states are
+    stepped, overflow ignored, into one buffer, checked as one stack as
+    ``DensityState`` copies it: PositivityLostError names the T of the
+    first state that fails any check, non-finite entries included.
     """
-    spans = np.diff(np.asarray(times, dtype=float))
-    n_subs = np.maximum(1, np.ceil(spans / LINDBLAD_MAX_STEP - SUBSTEP_SLACK)).astype(int)
-    dts = (spans / n_subs).tolist()
+    times = grid.times
+    n_sub = max(1, math.ceil(grid.step / LINDBLAD_MAX_STEP - SUBSTEP_SLACK))
     n = s0.layout.dim
-    liouville = 16 * n ** 4 <= LIOUVILLE_MAX_BYTES and n_subs.sum() >= n * n * len(set(dts))
+    liouville = 16 * n ** 4 <= LIOUVILLE_MAX_BYTES and n_sub * (len(times) - 1) >= n * n
     step = (_liouville_form if liouville else _factor_form)(*_generator(h, jumps))
     chunk = np.empty((min(len(times), PROPAGATE_CHUNK), n, n), dtype=complex)
     stacks, rho = [], s0.matrix
@@ -392,7 +395,7 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(lo, hi):
                 if i:
-                    rho = step(rho, dts[i - 1], n_subs[i - 1])
+                    rho = step(rho, grid.step / n_sub, n_sub)
                 chunk[i - lo] = rho
                 if not np.isfinite(rho).all():  # it stays non-finite: check the chunk now
                     hi = i + 1
@@ -408,18 +411,15 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
 def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
                     jumps: JumpOperatorSet, *, cut: Bipartition | None = None,
                     target: DensityState | None = None) -> Trajectory:
-    """Open evolution under ``h`` and the jump operators in ``jumps``.
+    """Open evolution under ``h`` and the jump operators in ``jumps``, stepped by ``_open_stacks``.
 
-    ``cut`` and ``target`` are observed as in ``evolve_unitary``.  Each
-    substep of at most 1e-3 is the RK4 map of the generator, taken as its
-    Horner-form Taylor map of degree 4, in the form ``_open_stacks`` picks.
-    With an empty jump set this agrees with ``evolve_unitary`` up to the
-    integrator error of the 1e-3 substeps.
+    ``cut`` and ``target`` are observed as in ``evolve_unitary``.  With an
+    empty jump set this agrees with ``evolve_unitary`` up to the integrator
+    error of the 1e-3 substeps.
     """
     _check_layouts(h, s0, jumps)
     cut, target = _observed(s0, grid, cut, target)
-    times = grid.times
-    return _observe(h, s0, times, _open_stacks(h, s0, jumps, times), cut, target)
+    return _observe(h, s0, grid.times, _open_stacks(h, s0, jumps, grid), cut, target)
 
 
 @functools.cache
@@ -452,20 +452,29 @@ def negativity_curve(h: Hamiltonian, x0, times, cut: Bipartition) -> np.ndarray:
 
 
 def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition,
-                                jumps: JumpOperatorSet | None = None) -> float:
+                                jumps: JumpOperatorSet | None = None) -> float | np.ndarray:
     """N(delta) - N(0) across ``p`` at delta = ``RATE_DELTA``, a finite-difference rate probe.
 
     For mediated Hamiltonians and product system-mediator inputs this is
     zero to second order when closed, and never positive to first order
-    when jumps are local.
+    when jumps are local, stepped by one factor-form RK4 substep.  A stack
+    of B couplings and B states gives the ``(B,)`` changes; a stepped state
+    that fails its check raises PositivityLostError naming T and its index.
     """
     _check_layouts(h, s0, jumps)
     if jumps is None:
-        n0, n_delta = negativity_curve(h, _factor(s0), [0.0, RATE_DELTA], p)
+        times = np.broadcast_to([0.0, RATE_DELTA], h.matrix.shape[:-2] + (2,))
+        n0, n_delta = np.moveaxis(negativity_curve(h, _factor(s0), times, p), -1, 0)
     else:
-        [pair] = _open_stacks(h, s0, jumps, [0.0, RATE_DELTA])
-        n0, n_delta = negativity(_marginal(pair, p), p)
-    return float(n_delta - n0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = _factor_form(*_generator(h, jumps))(s0.matrix, RATE_DELTA, 1)
+        try:
+            stepped = DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
+        except StackCheckError as e:
+            raise PositivityLostError(f"{e.message} at T={RATE_DELTA:.6f}; "
+                                      "reduce the step or the rates", e.index) from None
+        n0, n_delta = (negativity(_marginal(s, p), p) for s in (s0, stepped))
+    return _value(s0, n_delta - n0)
 
 
 def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition,
@@ -487,111 +496,112 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
     if not 0 < horizon <= 50.0:
         raise ValueError(f"horizon {horizon} outside (0, 50]")
     level = (d - 1) / 2.0
-    x0 = _factor(s0)
-
-    def peak_at(lo: float, hi: float) -> float | None:
-        t_peak, n_peak = refine_peak(lambda t: float(negativity_curve(h, x0, [t], p)[0]), lo, hi)
-        return t_peak if n_peak >= level - FIRST_MAX_SLACK else None
-
+    f = functools.partial(negativity_curve, h, _factor(s0), cut=p)
     times = TimeGrid(0.0, horizon, 1e-3).times
-    values = np.empty(len(times))
+    # past the last point a bracket ends at the horizon, and the -inf there
+    # lets a last point that still rises count as a peak
+    ends = np.append(np.minimum(times, horizon), horizon)
+    values = np.full((1, len(times) + 1), -np.inf)
     for lo in range(0, len(times), PROPAGATE_CHUNK):
         hi = min(lo + PROPAGATE_CHUNK, len(times))
-        values[lo:hi] = negativity_curve(h, x0, times[lo:hi], p)
-        # completed grid-local peaks: points whose right neighbour is known
-        for k in _near_peaks(values, np.arange(max(lo - 1, 0), hi - 1), level).tolist():
-            t_peak = peak_at(times[max(k - 1, 0)], min(horizon, times[k + 1]))
-            if t_peak is not None:
-                return t_peak
-    # the curve may still be rising at the horizon
-    if len(times) > 1 and values[-1] >= level - PEAK_SLACK and values[-1] >= values[-2]:
-        return peak_at(times[-2], horizon)
+        values[0, lo:hi] = f(times[lo:hi])
+        # the peaks completed so far: points whose right neighbour is known
+        j = np.arange(max(lo - 1, 0), hi - (hi < len(times)))
+        t_peak = _first_peak(f, ends, values, j, level, level - FIRST_MAX_SLACK)[1, 0]
+        if not np.isnan(t_peak):
+            return float(t_peak)
     return None
 
 
-# scan and refine: f sampled on a grid, then refined between the samples
+# scan and refine: f sampled on a grid, then refined between the samples.  Each
+# search takes (B,) brackets and an f that maps a (B,) vector of times to (B,)
+# values, row b for bracket b; each row stops at its own width, with the bits
+# of a scalar search of its bracket, which is one row with an f of one time.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _rows(f, scalar: bool, *brackets):
+    """``f`` mapping ``(B,)`` times to new ``(B,)`` floats, and ``(B,)`` copies of ``brackets``."""
+    g = (lambda t: [f(float(t[0]))]) if scalar else f
+    rows = (np.array(x, dtype=float, ndmin=1) for x in brackets)
+    return (lambda t: np.array(g(t), dtype=float)), *rows
+
+
 def refine_peak(f, lo, hi):
-    """Golden-section maximum of ``f`` on [lo, hi] to ``REFINE_TOL``: ``(T, f(T))``.
-
-    Scalar brackets take an ``f`` of one time and give two floats.  ``(B,)``
-    brackets take an ``f`` that maps a ``(B,)`` vector of times to ``(B,)``
-    values, row b for bracket b, and give two ``(B,)`` arrays: each row
-    stops at its own ``REFINE_TOL`` width, with the bits that a scalar
-    search of its bracket would give.
-    """
+    """Golden-section maximum of ``f`` on [lo, hi] to ``REFINE_TOL``: ``(T, f(T))``, two
+    floats for scalar brackets, two ``(B,)`` arrays for ``(B,)`` ones."""
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    a = np.ravel(np.asarray(lo, dtype=float)).tolist()
-    b = np.ravel(np.asarray(hi, dtype=float)).tolist()
-    rows = range(len(a))
-
-    def at(ts: list) -> list:
-        return [f(ts[0])] if scalar else np.asarray(f(np.array(ts)), dtype=float).tolist()
-
-    c = [b[i] - _INVPHI * (b[i] - a[i]) for i in rows]
-    d = [a[i] + _INVPHI * (b[i] - a[i]) for i in rows]
-    fc, fd = at(c), at(d)
-    live = [i for i in rows if b[i] - a[i] > REFINE_TOL]
-    while live:
+    f, a, b = _rows(f, scalar, lo, hi)
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    live = b - a > REFINE_TOL
+    while live.any():
         # a live row keeps [a, d] where f(c) >= f(d), else [c, b], and needs f
-        # at its one new point x; a finished row stays as it is
-        x, left = d[:], {}
-        for i in live:
-            left[i] = fc[i] >= fd[i]
-            if left[i]:
-                b[i], d[i], fd[i] = d[i], c[i], fc[i]
-                c[i] = x[i] = b[i] - _INVPHI * (b[i] - a[i])
-            else:
-                a[i], c[i], fc[i] = c[i], d[i], fd[i]
-                d[i] = x[i] = a[i] + _INVPHI * (b[i] - a[i])
-        fx = at(x)
-        for i in live:
-            if left[i]:
-                fc[i] = fx[i]
-            else:
-                fd[i] = fx[i]
-        live = [i for i in live if b[i] - a[i] > REFINE_TOL]
-    t = [0.5 * (a[i] + b[i]) for i in rows]
-    ft = at(t)
-    return (t[0], ft[0]) if scalar else (np.array(t), np.array(ft))
+        # at its one new point; a finished row stays as it is
+        left, right = live & (fc >= fd), live & ~(fc >= fd)
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = b[left] - _INVPHI * (b[left] - a[left])
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = a[right] + _INVPHI * (b[right] - a[right])
+        fx = f(np.where(left, c, d))
+        fc[left], fd[right] = fx[left], fx[right]
+        live &= b - a > REFINE_TOL
+    t = 0.5 * (a + b)
+    ft = f(t)
+    return (float(t[0]), float(ft[0])) if scalar else (t, ft)
 
 
-def bisect_crossing(f, lo: float, hi: float, level: float) -> float:
-    """Bisect [lo, hi] to ``REFINE_TOL``, given f(hi) >= level > f(lo): the upper end."""
-    lo, hi = float(lo), float(hi)
-    while hi - lo > REFINE_TOL:
+def bisect_crossing(f, lo, hi, level: float):
+    """Bisect [lo, hi] to ``REFINE_TOL``, given f(hi) >= level > f(lo): the upper end(s)."""
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    f, lo, hi = _rows(f, scalar, lo, hi)
+    live = hi - lo > REFINE_TOL
+    while live.any():
         mid = 0.5 * (lo + hi)
-        if f(mid) >= level:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        up = f(mid) >= level
+        hi[live & up], lo[live & ~up] = mid[live & up], mid[live & ~up]
+        live &= hi - lo > REFINE_TOL
+    return float(hi[0]) if scalar else hi
 
 
-def _near_peaks(values: np.ndarray, j: np.ndarray, level: float) -> np.ndarray:
-    """Those ``j`` that are grid-local maxima within ``PEAK_SLACK`` below ``level``."""
-    at = values[j]
-    return j[(at >= level - PEAK_SLACK) & (at >= values[j + 1])
-             & (at >= values[np.maximum(j - 1, 0)])]
+def _first_peak(f, ends, values, j, level: float, accept: float) -> np.ndarray:
+    """Each row's first grid-local maximum among the columns ``j`` of ``values`` within
+    ``PEAK_SLACK`` below ``level`` that ``refine_peak`` lifts to ``accept``: ``(2, B)``, the
+    bracket start and refined time of each row's peak, nan where none is.  Column k is
+    refined on [ends[k - 1], ends[k + 1]], each row's next peak in one search per round."""
+    at = values[:, j]
+    peaks = ((at >= level - PEAK_SLACK) & (at >= values[:, j + 1])
+             & (at >= values[:, np.maximum(j - 1, 0)]))
+    rows, found = np.arange(len(values)), np.full((2, len(values)), np.nan)
+    while peaks.any():
+        # a row with no peak left refines a bracket whose result goes unused
+        i = peaks.argmax(axis=1)
+        lo, hi = ends[np.maximum(j[i] - 1, 0)], ends[j[i] + 1]
+        t, value = refine_peak(f, lo, hi)
+        hit = peaks[rows, i] & (value >= accept)
+        found[:, hit] = lo[hit], t[hit]
+        peaks[rows, i], peaks[hit] = False, False
+    return found
 
 
-def first_crossing(f, times: np.ndarray, values: np.ndarray, level: float) -> float:
+def first_crossing(f, times: np.ndarray, values: np.ndarray, level: float):
     """First T with f(T) >= level, given the samples ``values = f(times)``; nan if never.
 
-    Before the first sample at the level is bisected against the sample
-    before it, each interior grid-local peak within ``PEAK_SLACK`` below
-    the level goes to ``refine_peak``, so a graze between samples is found.
+    Before the first sample at the level is bisected against the one before
+    it, each interior grid-local peak within ``PEAK_SLACK`` below the level
+    goes to ``refine_peak``, so a graze between samples is found.  ``(B, T)``
+    samples on the one grid ``times`` give the ``(B,)`` crossings.
     """
-    above = np.flatnonzero(values >= level)
-    first = int(above[0]) if len(above) else len(times)
-    for k in _near_peaks(values, np.arange(1, min(first, len(times) - 1)), level).tolist():
-        t_peak, n_peak = refine_peak(f, times[k - 1], times[k + 1])
-        if n_peak >= level:
-            return bisect_crossing(f, times[k - 1], t_peak, level)
-    if first == len(times):
-        return math.nan
-    if first == 0:
-        return float(times[0])
-    return bisect_crossing(f, times[first - 1], times[first], level)
+    scalar = np.ndim(values) == 1
+    f, values = _rows(f, scalar, np.atleast_2d(values))
+    n_t = values.shape[1]
+    first = np.where((values >= level).any(axis=1), (values >= level).argmax(axis=1), n_t)
+    # a graze: a peak before the first sample at the level (nan from there on)
+    before = np.where(np.arange(n_t) < first[:, None], values, np.nan)
+    lo, hi = _first_peak(f, times, before, np.arange(1, n_t - 1), level, level)
+    # else that first sample, against the one before it
+    sample = np.isnan(hi)
+    lo, hi = np.where(sample, times[np.clip([first - 1, first], 0, n_t - 1)], (lo, hi))
+    out = bisect_crossing(f, lo, hi, level)
+    out[sample & (first == n_t)] = np.nan
+    return float(out[0]) if scalar else out

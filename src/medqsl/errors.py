@@ -95,5 +95,5 @@ class StationaryStateError(StackCheckError):
     """Both energy moments vanish: the state does not move under this Hamiltonian."""
 
 
-class PositivityLostError(MedqslError):
+class PositivityLostError(StackCheckError):
     """An evolved density matrix acquired an eigenvalue below the tolerance floor."""

@@ -8,17 +8,14 @@ are independent of worker count and an n-instance ensemble is a strict
 prefix of any larger one with the same seed.
 
 Every experiment runs in fixed blocks of stream ids, ``range(b * B,
-min((b + 1) * B, n))``, through one block kernel.  A block draws a stack
-of couplings, each instance once, from its own stream, in the order one
-instance draws; an instance whose state is stationary for its coupling
-refuses the run with ``StationaryStateError`` naming its stream.  The
-curve experiments (cmi-uncorrelated, commuting-null) set B by
-``BLOCK_BYTES`` and their shape, and make one stacked eigensolve, stacked
-energy moments and one stacked negativity curve per block.  smi-protocol
-sets B by ``BLOCK_BYTES`` and what a block keeps, scans each instance's
-curve in turn and refines the block's peaks in one stacked golden
-section; rate-zero runs one instance per block.  Each instance has the
-same bits in a block of any size.  Worker processes split the blocks.
+min((b + 1) * B, n))``, through one block kernel, B set by ``BLOCK_BYTES``
+and the largest stack a block builds or keeps.  A block draws each of its
+instances once, from its own stream, and makes one stacked eigensolve,
+stacked energy moments and stacked probes: one negativity curve
+(cmi-uncorrelated, commuting-null), smi's searches for its peaks and
+crossings, or rate-zero's closed probe and open RK4 substep.  A row that
+refuses the run names its stream.  Each instance has the same bits in a
+block of any size.  Worker processes split the blocks.
 
 Instance counts default to desk scale (10^4 for the uncorrelated-
 mediator ensemble); growing n can only push the max envelope up.
@@ -47,7 +44,7 @@ from .dynamics import (
     refine_peak,
     write_csv,
 )
-from .errors import BadDimensionError, StationaryStateError
+from .errors import BadDimensionError, PositivityLostError, StationaryStateError
 from .hamiltonians import (
     Hamiltonian,
     cmi_product_example,
@@ -225,20 +222,26 @@ def _block_size(row_bytes: int) -> int:
     return max(1, BLOCK_BYTES // row_bytes)
 
 
+@contextlib.contextmanager
+def _named_streams(sids: range):
+    """Re-raise a refusal of row i of a block as the same error naming stream ``sids[i]``."""
+    try:
+        yield
+    except (StationaryStateError, PositivityLostError) as err:
+        raise type(err)(f"stream {sids[err.index[0]]}: {err.message}") from None
+
+
 def _normalized_draws(cfg: SweepConfig, sids: range, draw, *, density: bool = False):
     """Draw each of the instances ``sids`` once: ``(k, drawn)``.
 
     ``draw(cfg, streams)`` gives ``drawn = (h, x, *extras)``: a stack of
     couplings, their states as ``energy_moments_array`` reads them with
     ``density``, and any extras, row i from ``streams[i]`` alone.  k holds
-    the scales of ``EnergyMoments.scale``, and ``h.eig`` is kept; a
-    stationary row raises ``StationaryStateError`` naming its stream id.
+    the scales of ``EnergyMoments.scale``, and ``h.eig`` is kept.
     """
     drawn = draw(cfg, [RngStream(cfg.seed, sid) for sid in sids])
-    try:
+    with _named_streams(sids):
         return energy_moments_array(drawn[0], drawn[1], density=density).scale(), drawn
-    except StationaryStateError as err:
-        raise StationaryStateError(f"stream {sids[err.index[0]]}: {err.message}") from None
 
 
 def _cmi_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
@@ -296,36 +299,37 @@ def _rate_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray, np.n
 
 def _rate_block(cfg: SweepConfig, sids: range, *, jumps: JumpOperatorSet) -> tuple:
     k_scale, (h, rho0, rho_ab0) = _normalized_draws(cfg, sids, _rate_draw, density=True)
-    h = h.scaled(k_scale)
-    changes = [[entanglement_change_at_zero(one, s0, AB_CUT, probe) for probe in (None, jumps)]
-               for one, s0 in zip(h, DensityState(h.layout, rho0))]
-    dn_closed, dn_open = np.array(changes).T
+    h, s0 = h.scaled(k_scale), DensityState(h.layout, rho0)
+    with _named_streams(sids):
+        dn_closed, dn_open = (entanglement_change_at_zero(h, s0, AB_CUT, probe)
+                              for probe in (None, jumps))
     n0 = negativity_array(rho_ab0, (cfg.d, cfg.d), (1,))
     return dn_closed, dn_open, n0, n0 + dn_closed
 
 
+def _smi_draw(cfg: SweepConfig, streams, *, psi1: np.ndarray) -> tuple[Hamiltonian, np.ndarray]:
+    """Random B-C couplings, each from its stream, and the stage-one state ``psi1`` they share."""
+    ops = np.array([random_hermitian(cfg.d ** 2, stream) for stream in streams])
+    return Hamiltonian(cfg.layout, embed_operator(cfg.layout, ("B", "C"), ops)), psi1[:, None]
+
+
+def _scaled_curve(h: Hamiltonian, k_scale: np.ndarray, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """N_{A:B} of each instance b of ``h``, from the one start x0, at its time k_scale[b] t[b]."""
+    x0 = np.broadcast_to(x0, (len(t), len(x0)))
+    return negativity_curve(h, x0, (k_scale * t)[:, None], AB_CUT)[:, 0]
+
+
 def _smi_block(cfg: SweepConfig, sids: range, *, psi1: np.ndarray, times: np.ndarray,
                level: float) -> tuple:
-    def draw(cfg, streams):
-        ops = np.array([random_hermitian(cfg.d ** 2, stream) for stream in streams])
-        return Hamiltonian(cfg.layout, embed_operator(cfg.layout, ("B", "C"), ops)), psi1[:, None]
-
-    k_scale, (h, _) = _normalized_draws(cfg, sids, draw)
+    k_scale, (h, _) = _normalized_draws(cfg, sids, functools.partial(_smi_draw, psi1=psi1))
     # the scan runs per row: a stacked one is no faster, its eigvalsh stacks dominate
     curves = np.array([negativity_curve(one, psi1, k * times, AB_CUT)
                        for one, k in zip(h, k_scale)])
     top = curves.argmax(axis=1)
-    x0 = np.broadcast_to(psi1, (len(k_scale), len(psi1)))
-    peak_t, peak_v = refine_peak(
-        lambda t: negativity_curve(h, x0, (k_scale * t)[:, None], AB_CUT)[:, 0],
-        times[np.maximum(top - 1, 0)], times[np.minimum(top + 1, len(times) - 1)])
-    crossings = []
-    for one, k, curve in zip(h, k_scale, curves):
-        def neg_at(t: float) -> float:
-            return float(negativity_curve(one, psi1, np.array([k * t]), AB_CUT)[0])
-
-        crossings.append(first_crossing(neg_at, times, curve, level))
-    return np.array(crossings), peak_v, peak_t, curves
+    f = functools.partial(_scaled_curve, h, k_scale, psi1)
+    peak_t, peak_v = refine_peak(f, times[np.maximum(top - 1, 0)],
+                                 times[np.minimum(top + 1, len(times) - 1)])
+    return first_crossing(f, times, curves, level), peak_v, peak_t, curves
 
 
 def _sweep(cfg: SweepConfig, kernel, block: int, n_times: int, **setup) -> list[np.ndarray]:
@@ -434,27 +438,20 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     """
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
     times = np.array([0.0, RATE_DELTA])
-    dn_closed, dn_open, n_start, n_delta = _sweep(cfg, _rate_block, 1, len(times), jumps=jumps)
-    violations = []
-    for sid in range(cfg.n_instances):
-        if abs(dn_closed[sid]) > CLOSED_RATE_TOL:
-            violations.append({"stream_id": sid, "kind": "closed",
-                               "delta_negativity": float(dn_closed[sid])})
-        if dn_open[sid] > OPEN_RATE_TOL:
-            violations.append({"stream_id": sid, "kind": "open",
-                               "delta_negativity": float(dn_open[sid])})
-    worst_closed = int(np.argmax(np.abs(dn_closed)))
-    worst_open = int(np.argmax(dn_open))
-    extremes = {
-        "max_abs_closed_change": {"stream_id": worst_closed,
-                                  "value": float(dn_closed[worst_closed])},
-        "max_open_change": {"stream_id": worst_open,
-                            "value": float(dn_open[worst_open])},
-    }
+    # a block's largest stack is the open probe's (B, n (m + 1), n) factors of K and m jumps
+    block = _block_size(16 * cfg.layout.dim ** 2 * (len(jumps.ops) + 1))
+    dn_closed, dn_open, n_start, n_delta = _sweep(cfg, _rate_block, block, len(times), jumps=jumps)
+    # by stream, closed before open within one
+    bad = np.stack([np.abs(dn_closed) > CLOSED_RATE_TOL, dn_open > OPEN_RATE_TOL], axis=1)
+    violations = [{"stream_id": sid, "kind": ("closed", "open")[k],
+                   "delta_negativity": float((dn_closed, dn_open)[k][sid])}
+                  for sid, k in np.argwhere(bad).tolist()]
+    extremes = {name: {"stream_id": int(k), "value": float(dn[k])} for name, dn, k in (
+        ("max_abs_closed_change", dn_closed, np.argmax(np.abs(dn_closed))),
+        ("max_open_change", dn_open, np.argmax(dn_open)))}
     # contrast control: the optimal direct coupling entangles at unit rate
     h_direct = direct_optimal(cfg.d)
     control = entanglement_change_at_zero(h_direct, DensityState.basis(h_direct.layout), AB_CUT)
-    matrix = np.stack([n_start, n_delta], axis=1)
     details = {
         "delta": RATE_DELTA,
         "jump_type": cfg.jump_type,
@@ -463,8 +460,8 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
         "max_open_change": float(dn_open.max()),
         "direct_control_change": float(control),
     }
-    return _report(cfg, times, matrix, extremes, violations, details,
-                   delta=RATE_DELTA, jump_type=cfg.jump_type, jump_rate=JUMP_RATE)
+    return _report(cfg, times, np.stack([n_start, n_delta], axis=1), extremes, violations,
+                   details, delta=RATE_DELTA, jump_type=cfg.jump_type, jump_rate=JUMP_RATE)
 
 
 def run_fig2(d: int, grid: TimeGrid = TRAJECTORY_GRID) -> Trajectory:
@@ -504,17 +501,13 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
                   for sid, t in enumerate(crossings.tolist())
                   if t < stage2_bound - STAGE2_TIME_SLACK]
     reached = ~np.isnan(crossings)
+    top = int(np.argmax(peaks))
+    extremes = {"max_stage2_negativity": {"stream_id": top, "T": float(peak_times[top]),
+                                          "value": float(peaks[top])}}
     best = None
     if reached.any():
         idx = int(np.nanargmin(crossings))
-        best = {"stream_id": idx, "T": float(crossings[idx])}
-    top = int(np.argmax(peaks))
-    extremes = {
-        "max_stage2_negativity": {"stream_id": top, "T": float(peak_times[top]),
-                                  "value": float(peaks[top])},
-    }
-    if best is not None:
-        extremes["fastest_attainment"] = best
+        best = extremes["fastest_attainment"] = {"stream_id": idx, "T": float(crossings[idx])}
     details = {
         "stage1_time": float(t1),
         "stage2_bound": float(stage2_bound),

@@ -405,14 +405,14 @@ class TestStepperForm:
         built = []
         for name in ("_factor_form", "_liouville_form"):
             def recording(k, q, name=name, form=getattr(dynamics, name)):
-                built.append((name, len(k)))
+                built.append((name, k.shape[-1]))
                 return form(k, q)
             monkeypatch.setattr(dynamics, name, recording)
         return built
 
     def test_no_setting_chooses_it(self):
         assert list(inspect.signature(dynamics._open_stacks).parameters) == [
-            "h", "s0", "jumps", "times"]
+            "h", "s0", "jumps", "grid"]
         assert 16 * 16 ** 4 <= dynamics.LIOUVILLE_MAX_BYTES < 16 * 17 ** 4
 
     def test_lindblad_open_shape_takes_the_liouville_form(self, built):
@@ -430,9 +430,10 @@ class TestStepperForm:
 
     @pytest.mark.parametrize("d, n", [(2, 8), (3, 27)])
     def test_rate_zero_probe_takes_the_factor_form(self, built, d, n):
-        # one substep of RATE_DELTA per instance: at d = 3 the map would not fit either
+        # one substep of RATE_DELTA per block, its K stacked: at d = 3 the map
+        # would not fit either
         run_rate_zero(SweepConfig(experiment="rate-zero", n_instances=2, seed=7, d=d))
-        assert built == [("_factor_form", n)] * 2
+        assert built == [("_factor_form", n)]
 
     def test_long_qutrit_run_builds_no_map_above_the_cap(self, monkeypatch):
         # 10^4 substeps at n = 27: its map (8.5 MB) would exceed the cap, so
@@ -449,12 +450,34 @@ class TestStepperForm:
         jumps = JumpOperatorSet.damping(lay, 0.1)
         tracemalloc.start()
         try:
-            dynamics._open_stacks(h, ket(lay, 0), jumps, [0.0, 10.0])
+            dynamics._open_stacks(h, ket(lay, 0), jumps, TimeGrid(0.0, 10.0, 10.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert built == [27]
         assert peak < dynamics.LIOUVILLE_MAX_BYTES
+
+
+    @pytest.mark.parametrize("grid, substeps", [
+        (TimeGrid(0.0, 10.0, 1e-3), 10_000), (TimeGrid(0.0, 50.0, 0.05), 50_000),
+        (TimeGrid(0.0, 0.5, 0.1), 500)], ids=["1e-3", "0.05", "lindblad-open"])
+    def test_substeps_counted_from_the_grid_step(self, monkeypatch, grid, substeps):
+        # every grid step takes the same substeps, counted from grid.step, so
+        # one map serves the run; counted per segment of the rounded grid
+        # times they were 10,624 and 50,144 in 13 and 11 lengths, and the
+        # lindblad-open grid formed three maps
+        taken = []
+
+        def unstepped(k, q):
+            return lambda rho, dt, n_sub: taken.append((dt, n_sub)) or rho
+
+        for name in ("_factor_form", "_liouville_form"):
+            monkeypatch.setattr(dynamics, name, unstepped)
+        h = direct_optimal(2)
+        dynamics._open_stacks(h, ket(h.layout, 0), JumpOperatorSet.dephasing(h.layout), grid)
+        assert len(taken) == len(grid) - 1
+        assert sum(n for _, n in taken) == substeps and len(set(taken)) == 1
+        assert taken[0][0] == grid.step / taken[0][1] <= dynamics.LINDBLAD_MAX_STEP
 
 
 class TestLindblad:
@@ -575,7 +598,7 @@ class TestLindblad:
 
         monkeypatch.setattr(DensityState, "__init__", recording)
         with pytest.raises(PositivityLostError, match="T=0.100000"):
-            dynamics._open_stacks(h, s, jumps, TimeGrid(0.0, 25.5, 0.1).times)
+            dynamics._open_stacks(h, s, jumps, TimeGrid(0.0, 25.5, 0.1))
         assert checked[0] == 2
 
     def test_qutrit_clock_operator(self):
@@ -693,6 +716,39 @@ class TestRateProbe:
         with pytest.raises(LayoutMismatchError, match="jump operators"):
             evolve_lindblad(h, s, TimeGrid(0.0, 0.1, 0.1), jumps)
 
+    @pytest.mark.parametrize("kind", [None, "dephasing", "damping"])
+    def test_stacked_probe_matches_single_calls(self, kind):
+        # a stack of couplings and states, state b under coupling b, gives
+        # each row the bits of its own call, closed and open
+        p = Bipartition.parse("A:B")
+        ms, rhos = [], []
+        for sid in range(5):
+            stream = RngStream(6, sid)
+            rho = np.kron(random_density(4, stream), random_density(2, stream))
+            h = random_mediated_hamiltonian(2, 2, 2, stream)
+            ms.append(h.scaled(energy_moments(h, DensityState(h.layout, rho)).scale()).matrix)
+            rhos.append(rho)
+        lay = h.layout
+        jumps = None if kind is None else JumpOperatorSet.local(lay, kind, 0.1)
+        stacked = entanglement_change_at_zero(Hamiltonian(lay, np.array(ms)),
+                                              DensityState(lay, np.array(rhos)), p, jumps)
+        single = [entanglement_change_at_zero(Hamiltonian(lay, m), DensityState(lay, rho), p,
+                                              jumps) for m, rho in zip(ms, rhos)]
+        assert stacked.shape == (5,) and stacked.tolist() == single
+        assert all(type(x) is float for x in single)
+
+    def test_stacked_positivity_lost_names_its_index(self):
+        # the stepped stack is checked as one: the earliest failing state is
+        # named by T and by its stack index, which a sweep turns into a stream.
+        # Row 0, the ground state with H = 0, does not move under damping
+        h, s = open_system_example()
+        jumps = JumpOperatorSet.damping(h.layout, 1e4)
+        stack = Hamiltonian(h.layout, np.array([0 * h.matrix, h.matrix, h.matrix]))
+        states = DensityState(h.layout, np.array([ket(h.layout, 0).matrix, s.matrix, s.matrix]))
+        with pytest.raises(PositivityLostError, match=r"T=0\.000100; .*\(stack index 1\)$") as info:
+            entanglement_change_at_zero(stack, states, Bipartition.parse("A:B"), jumps=jumps)
+        assert info.value.index == (1,)
+
     def test_embedded_once_per_set(self, monkeypatch):
         import medqsl.dynamics as dynamics
         calls = []
@@ -787,6 +843,22 @@ class TestFirstMaxTime:
         assert t is not None and t < 2e-3
 
 
+    @pytest.mark.parametrize("deficit, maximal", [(5e-7, False), (5e-8, True)])
+    def test_peak_counts_only_within_the_slack(self, deficit, maximal):
+        # (1 - eps) of the direct pair's path plus eps I/4 peaks at
+        # N = 1/2 - 3 eps / 4: a peak that deficit below (d-1)/2 is maximal
+        # only within FIRST_MAX_SLACK = 1e-7, not within ten times that
+        h = direct_optimal(2)
+        eps = 4 * deficit / 3
+        rho = (1 - eps) * ket(h.layout, 0).matrix + eps * np.eye(4) / 4
+        t = first_max_entanglement_time(h, DensityState(h.layout, rho),
+                                        Bipartition.parse("A:B"), horizon=2.0)
+        if maximal:
+            assert abs(t - math.pi / 4) < 1e-6
+        else:
+            assert t is None
+
+
 class TestScanAndRefine:
     """The grid refiner on analytic functions with known answers."""
 
@@ -862,6 +934,64 @@ class TestScanAndRefine:
         assert scalar_calls[6] == 3 and scalar_calls[1] < scalar_calls[0]
         assert len(calls) == max(scalar_calls)
         assert abs(t[4] - 0.0) < 1e-9 and abs(t[5] - 1.0) < 1e-9
+
+
+    @staticmethod
+    def rowwise(fs, calls):
+        """The stacked f whose row b is ``fs[b]``, recording each (B,) vector of times."""
+        def stacked(t):
+            calls.append(t.copy())
+            return np.array([g(x) for g, x in zip(fs, t.tolist())])
+        return stacked
+
+    def test_stacked_crossings_match_scalar_searches(self):
+        # row b of one stacked first_crossing has the bits of the scalar
+        # search of its samples: a graze between samples, a first sample at
+        # the level, a row that never reaches it (its near-peak refined and
+        # found short), one with no sample near it, and two rows with two
+        # near-peaks before their first crossing, found at a sample after
+        # both and by a graze at the second
+        level = 0.5
+        wave = lambda t: 0.49997 + 2e-5 * math.sin(2 * math.pi * t / 0.4)  # noqa: E731
+        fs = [self.bump(level + 1e-5), lambda t: 1.0 - t, self.bump(level - 1e-6),
+              lambda t: 0.0 * t, lambda t: wave(t) + max(0.0, t - 0.6),
+              lambda t: wave(t) + 5e-5 * max(0.0, 1 - ((t - 0.55) / 0.05) ** 2)]
+        values = np.array([[g(t) for t in self.TIMES.tolist()] for g in fs])
+        calls = []
+        got = first_crossing(self.rowwise(fs, calls), self.TIMES, values, level)
+        want = [first_crossing(g, self.TIMES, v, level) for g, v in zip(fs, values)]
+        assert got.shape == (6,) and all(type(w) is float for w in want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[[2, 3]]).all() and got[1] == 0.0
+        assert 0.3 < got[0] < 0.4 and 0.6 < got[4] <= 0.7 and 0.4 < got[5] < 0.6
+        # rows 4 and 5 have two grid-local peaks within PEAK_SLACK before
+        # their crossing, and no sample reaches the level before 0.7
+        for row in values[4:]:
+            peaks = [k for k in range(1, 10) if row[k] >= max(row[k - 1], row[k + 1])
+                     and level - row[k] <= 1e-4 and row[k] < level]
+            assert peaks[:2] == [1, 5]
+        assert all(len(t) == 6 for t in calls)
+
+    def test_stacked_bisections_match_scalar_searches(self):
+        # row b of one stacked bisection has the bits of the scalar one, and
+        # stops at its own width: a bracket already below REFINE_TOL takes no
+        # step, and the stack takes as many f calls as its longest row
+        level = 0.25
+        lo = np.array([0.0, 0.4, 0.49, 0.5 - 4e-10, 0.2])
+        hi = np.array([1.0, 0.6, 0.5, 0.5 + 4e-10, 0.9])
+        fs = [lambda t, s=s: s * t * t for s in (1.0, 1.0, 1.0, 1.0, 1.5)]
+        calls = []
+        got = bisect_crossing(self.rowwise(fs, calls), lo, hi, level)
+        scalar_calls = []
+        for b in range(5):
+            counted = []
+            want = bisect_crossing(lambda t: counted.append(t) or fs[b](t),
+                                   float(lo[b]), float(hi[b]), level)
+            assert type(want) is float and got[b] == want
+            scalar_calls.append(len(counted))
+        assert scalar_calls[3] == 0 and scalar_calls[2] < scalar_calls[0]
+        assert len(calls) == max(scalar_calls)
+        assert all(((lo <= x) & (x <= hi)).all() for x in calls)
 
 
 def test_write_csv_spells_non_finite_values_as_rows_do(tmp_path):

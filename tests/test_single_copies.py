@@ -11,12 +11,14 @@ open stepper checks each chunk of stepped states with one
 sweep's layout is built by ``SweepConfig.layout`` alone, every label list
 is turned into axes by ``SystemLayout``, the sweep kernels read the
 ``SweepConfig`` itself, and a sweep's streams are made, and each drawn
-once, in one place.
+once, in one place.  No sweep kernel defines a closure per row, and every
+sweep takes its block from ``_block_size``.
 """
 
 import ast
 import inspect
 import math
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -42,11 +44,43 @@ def test_sweep_imports_no_private_names():
 
 
 def test_one_refiner():
-    # golden section and bisection are while loops; sweep.py has none of them
+    # golden section and bisection are while loops; sweep.py has none of them.
+    # Both timing probes reach the one refiner: smi's peaks directly, and
+    # first-max timing and smi's crossings through the one peak driver
     tree = ast.parse((SRC / "sweep.py").read_text())
     assert not any(isinstance(node, ast.While) for node in ast.walk(tree))
-    for func in (dynamics.first_max_entanglement_time, sweep._smi_block):
-        assert "refine_peak" in inspect.getsource(func)
+    assert _callers_of("refine_peak") == ["dynamics._first_peak", "qsl._ml_angle",
+                                          "sweep._smi_block"]
+    assert _callers_of("_first_peak") == ["dynamics.first_crossing",
+                                          "dynamics.first_max_entanglement_time"]
+    assert _callers_of("first_crossing") == ["sweep._smi_block"]
+
+
+def _nested_functions(func) -> list[str]:
+    """The functions and lambdas that ``func`` defines inside itself."""
+    [top] = ast.parse(textwrap.dedent(inspect.getsource(func))).body
+    return [getattr(node, "name", "<lambda>") for node in ast.walk(top)
+            if node is not top and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+
+
+def test_kernels_define_no_nested_function():
+    # a block kernel works on its stacks, and so does first-max timing: no
+    # closure per row, no nested draw; the searches' f is a partial of a
+    # module-level function
+    kernels = [f for name, f in vars(sweep).items() if name.endswith("_block")]
+    assert len(kernels) == 4
+    for func in (*kernels, dynamics.first_max_entanglement_time):
+        assert _nested_functions(func) == [], func.__name__
+
+
+def test_every_sweep_takes_its_block_from_block_size():
+    # no experiment runs a literal block of instances, rate-zero included
+    calls = [node for node in ast.walk(ast.parse((SRC / "sweep.py").read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sweep"]
+    assert len(calls) == 4
+    assert not any(isinstance(call.args[2], ast.Constant) for call in calls)
+    assert _callers_of("_block_size") == ["sweep.run_cmi_uncorrelated", "sweep.run_commuting_null",
+                                          "sweep.run_rate_zero", "sweep.run_smi_protocol"]
 
 
 def _small_floats(path: Path) -> list[tuple[int, float]]:
@@ -233,11 +267,11 @@ def test_scaled_keeps_the_spectrum(monkeypatch):
 
 def test_one_spectrum_per_rate_instance(monkeypatch):
     # each drawn coupling is diagonalized once: the scale check reads its
-    # eig, and the scaled coupling of the rate probes keeps it (10 draws,
-    # one direct control)
+    # eig, and the scaled coupling of the rate probes keeps it (10 draws in
+    # one block, one stacked eigensolve, and the direct control)
     calls = _counting_eig(monkeypatch)
     sweep.run_sweep(sweep.SweepConfig("rate-zero", n_instances=10, seed=7))
-    assert len(calls) == 11
+    assert [m.shape for m in calls] == [(10, 8, 8), (4, 4)]
 
 
 def test_one_check_per_stepped_chunk(monkeypatch):
@@ -246,7 +280,7 @@ def test_one_check_per_stepped_chunk(monkeypatch):
     assert "spectrum" not in inspect.signature(DensityState._trusted).parameters
     h, s0 = hamiltonians.open_system_example()
     jumps = dynamics.JumpOperatorSet.dephasing(h.layout, 0.1)
-    times = dynamics.TimeGrid(0.0, 0.5, 1e-3).times
+    grid = dynamics.TimeGrid(0.0, 0.5, 1e-3)
     calls = []
     init = DensityState.__init__
 
@@ -255,7 +289,7 @@ def test_one_check_per_stepped_chunk(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(DensityState, "__init__", counting)
-    stacks = dynamics._open_stacks(h, s0, jumps, times)
-    assert len(times) == 501 and len(calls) == 2
+    stacks = dynamics._open_stacks(h, s0, jumps, grid)
+    assert len(grid) == 501 and len(calls) == 2
     assert [len(s.matrix) for s in stacks] == [256, 245]
     assert all(s.spectrum.shape == (len(s.matrix), 8) for s in stacks)

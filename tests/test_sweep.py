@@ -5,6 +5,7 @@ in the acceptance suite. What we pin down here is the reporting contract,
 determinism across worker counts, and the per-experiment wiring.
 """
 
+import functools
 import json
 import tracemalloc
 
@@ -37,8 +38,8 @@ from medqsl import (
     run_sweep,
 )
 from medqsl import sweep
-from medqsl.dynamics import JUMP_KINDS, JumpOperatorSet
-from medqsl.errors import StationaryStateError
+from medqsl.dynamics import JUMP_KINDS, JumpOperatorSet, negativity_curve
+from medqsl.errors import PositivityLostError, StationaryStateError
 from medqsl.sweep import AB_CUT, _cmi_block, _commuting_block, _rate_block
 
 
@@ -315,6 +316,33 @@ class TestBlockPath:
         else:
             assert 0 < np.isnan(crossings).sum() < 9
 
+    def test_smi_peaks_refined_on_both_sides_of_the_top_sample(self, monkeypatch):
+        # each refined peak is the maximum of its instance's curve over the
+        # grid steps around its top sample, wherever in them it lies: a
+        # 201-point resample of that bracket finds nothing higher, and some
+        # interior peaks lie before their top sample, some after it (two of
+        # these twelve curves peak at the grid's last point)
+        seen = {}
+        original = sweep._smi_block
+        monkeypatch.setattr(sweep, "_smi_block", lambda cfg, sids, **setup: (
+            seen.update(setup) or original(cfg, sids, **setup)))
+        cfg = SweepConfig("smi-protocol", seed=9, d=2, n_instances=1)
+        run_smi_protocol(cfg)
+        times, psi1 = seen["times"], seen["psi1"]
+        sids = range(3, 15)
+        _, peak_v, peak_t, curves = original(cfg, sids, **seen)
+        k_scale, (h, _) = sweep._normalized_draws(
+            cfg, sids, functools.partial(sweep._smi_draw, psi1=psi1))
+        top = curves.argmax(axis=1)
+        lo, hi = times[np.maximum(top - 1, 0)], times[np.minimum(top + 1, len(times) - 1)]
+        for i, (one, k) in enumerate(zip(h, k_scale)):
+            resampled = negativity_curve(one, psi1, k * np.linspace(lo[i], hi[i], 201), AB_CUT)
+            # at the grid's end, where N still rises (at most at unit slope), golden
+            # section stops within REFINE_TOL = 1e-9 of the resampled end point
+            assert peak_v[i] >= resampled.max() - 1e-9
+        inner = (0 < top) & (top < len(times) - 1)
+        assert (peak_t < times[top])[inner].any() and (peak_t > times[top])[inner].any()
+
     def test_stationary_draw_refuses_the_run(self, monkeypatch):
         # stream `target`, in the middle block, is drawn with H = 1, so its
         # state is an eigenvector of H and does not move: the run refuses,
@@ -407,9 +435,9 @@ def _stationary_first(draw, sid: int):
 
 class TestWorkerDeterminism:
     # enough instances for four blocks or more, so that two workers share a
-    # real pool: a rate-zero block holds one instance, an smi-protocol block
-    # 31 at d = 2
-    N_POOLED = {"cmi-uncorrelated": 100, "rate-zero": 6, "smi-protocol": 130,
+    # real pool: a rate-zero block holds 128 instances at d = 2, an
+    # smi-protocol block 31
+    N_POOLED = {"cmi-uncorrelated": 100, "rate-zero": 400, "smi-protocol": 130,
                 "commuting-null": 50}
 
     @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
@@ -652,6 +680,29 @@ class TestRateZero:
                                  "delta_negativity": float(open_[sid])})
         assert {v["kind"] for v in expected} == {"closed", "open"}
         assert rep.violations == expected
+
+    @pytest.mark.parametrize("d, jump_type", [(2, "dephasing"), (2, "damping"), (3, "damping")])
+    def test_rate_block_matches_its_one_stream_blocks(self, d, jump_type):
+        # one stacked closed probe and one stacked RK4 substep give each
+        # stream of a block the bits of its own one-stream block
+        cfg = SweepConfig("rate-zero", seed=4, d=d, jump_type=jump_type)
+        jumps = JumpOperatorSet.local(cfg.layout, jump_type, sweep.JUMP_RATE)
+        block = _rate_block(cfg, range(2, 13), jumps=jumps)
+        assert [f.shape for f in block] == [(11,)] * 4
+        for i, sid in enumerate(range(2, 13)):
+            one = _rate_block(cfg, range(sid, sid + 1), jumps=jumps)
+            assert [f[i] for f in block] == [f[0] for f in one]
+
+    def test_lost_positivity_names_its_stream(self):
+        # at rate x delta = 1 the open probe's one RK4 substep overshoots:
+        # the run refuses, naming the earliest failing stream of the block,
+        # as a stationary draw does
+        cfg = SweepConfig("rate-zero", seed=5, d=2)
+        jumps = JumpOperatorSet.damping(cfg.layout, 1e4)
+        for sids in (range(3, 7), range(5, 6)):
+            with pytest.raises(PositivityLostError,
+                               match=rf"^stream {sids[0]}: minimum eigenvalue .* at T=0\.000100; "):
+                _rate_block(cfg, sids, jumps=jumps)
 
     def test_damping_channel(self):
         cfg = SweepConfig(
