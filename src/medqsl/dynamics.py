@@ -3,16 +3,17 @@
 Unitary evolution is spectral and exact at every requested time: the
 Hamiltonian is diagonalized once and each grid point gets its own
 exponential, so there is no step-to-step error accumulation.  The open
-system integrator is one fixed-step loop on the master equation
+system integrator steps the master equation
 
     d rho / dT = L rho = K rho + (K rho)+ + sum_q Q rho Q+,   K = -iM - sum_q Q+Q / 2
 
-whose equal substeps, never above 1e-3, are the RK4 map of L in Horner
-form (each L two products, or each substep one product with its n^2 x n^2
-map when n is small), re-Hermitized.  RK4 increments are exactly
-traceless, so the trace is conserved to roundoff; each chunk of stepped
-states is checked as one stack, and the first state with an eigenvalue
-below -1e-6, a trace drift or a non-finite entry aborts with
+from grid point to grid point, re-Hermitized at each: by the exact map
+exp(L dT), one product with its n^2 x n^2 matrix, where that map fits
+(n <= 16) and costs less than the substeps it replaces, else by equal RK4
+substeps of at most 1e-3, each L two products.  The map keeps the trace
+to roundoff and RK4 increments are exactly traceless; each chunk of
+stepped states is checked as one stack, and the first state with an
+eigenvalue below -1e-6, a trace drift or a non-finite entry aborts with
 PositivityLostError.  The rate probe and the scan and refine behind the
 timing probes each run a stack of instances as one.
 """
@@ -33,7 +34,7 @@ from .errors import (
     StackCheckError,
 )
 from .hamiltonians import Hamiltonian, energy_moments
-from .linalg import propagate, sqrtm_psd
+from .linalg import expm, expm_plan, propagate, sqrtm_psd
 from .states import (
     Bipartition,
     DensityState,
@@ -78,7 +79,11 @@ MAX_TRAJECTORY_BYTES = 2 ** 31
 # grid points per propagate call: bounds the factors held next to the states
 PROPAGATE_CHUNK = 256
 LINDBLAD_MAX_STEP = 1e-3
-LIOUVILLE_MAX_BYTES = 2 ** 20  # cap on the open stepper's n^2 x n^2 substep map: n <= 16
+LIOUVILLE_MAX_BYTES = 2 ** 20  # cap on the open stepper's n^2 x n^2 map: n <= 16
+# the factor-form work a run may ask for, substeps x n^3; a substep costs
+# about 1e-8 s per n^3, so this is some 17 minutes, and a longer run is refused
+# before stepping
+MAX_FACTOR_WORK = 1e11
 TRAJECTORY_COLUMNS = (
     "T",
     "negativity",
@@ -253,7 +258,7 @@ def _observe(h: Hamiltonian, s0: DensityState, times: np.ndarray, stacks: list[D
 
     Each stack is measured in one call per measure, so validation, the
     marginals and the eigensolves run once per stack, not once per state.
-    The fidelities put the single state first, so only its root is taken,
+    The fidelities put the single state first, so only it is factored,
     and F(s0, s) serves both columns when ``target`` is ``s0``.  The first
     state is ``s0`` by definition, so its F(s0, s) is 1 and its Bures angle
     0 exactly, where the computed root fidelity may miss 1 by roundoff.
@@ -330,7 +335,11 @@ def _factor_form(k, q):
     p_q = p[..., 1:, :].reshape(lead + (n, m * n))
 
     def step(rho, dt, n_sub):
-        stages = [(dt / j) * factors for j in (4, 3, 2, 1)]
+        # each stage's scaled factors, kept over the substeps of a run; one substep
+        # (the rate probe's) makes them one at a time, so it holds a single copy
+        stages = ((dt / j) * factors for j in (4, 3, 2, 1))
+        if n_sub > 1:
+            stages = list(stages)
         for _ in range(n_sub):
             y = rho
             for scaled in stages:
@@ -346,10 +355,10 @@ def _factor_form(k, q):
 
 
 def _liouville_form(k, q):
-    """``step(rho, dt, n_sub)``: the same substeps, each one product with an n^2 x n^2 map.
+    """``step(rho, dt, n_sub)``: rho over the span dt n_sub, one product with its exact map.
 
     On row-major vec(rho), L = K (x) I + I (x) conj K + sum_q Q (x) conj Q, and
-    P = I + dt L(I + dt/2 L(I + dt/3 L(I + dt/4 L))) is formed once per dt.
+    E = exp(L dt n_sub) is formed by ``expm`` once per distinct span.
     """
     n = len(k)
     gen = (np.kron(k, np.eye(n)) + np.kron(np.eye(n), k.conj())
@@ -357,37 +366,54 @@ def _liouville_form(k, q):
     maps = {}
 
     def step(rho, dt, n_sub):
-        if dt not in maps:
-            a = (dt / 4) * gen  # P - I, in Horner form
-            for j in (3, 2, 1):
-                a = (dt / j) * (gen + gen @ a)
-            maps[dt] = 0.5 * (np.eye(n * n) + a)  # halving is exact: y + y+ re-Hermitizes
-        p = maps[dt]
-        for _ in range(n_sub):
-            y = (p @ rho.reshape(-1)).reshape(n, n)
-            rho = y + y.conj().T
-        return rho
+        span = dt * n_sub
+        if span not in maps:
+            maps[span] = 0.5 * expm(span * gen)  # halving is exact: y + y+ re-Hermitizes
+        y = (maps[span] @ rho.reshape(-1)).reshape(n, n)
+        return y + y.conj().T
     return step
+
+
+def _takes_map(k, q, step: float, substeps: int) -> bool:
+    """Whether ``_liouville_form`` steps a run of ``substeps`` factor-form substeps, in grid
+    steps of ``step``, at less cost than ``_factor_form``, its map in ``LIOUVILLE_MAX_BYTES``.
+
+    Forming exp(L step) costs about m + s + 10 products of n^2 x n^2: ``expm_plan``'s
+    degree and squarings at ||L step||_1 <= (2 ||K||_1 + sum_q ||Q||_1^2) step, the solve
+    and the calls some ten more.  One product costs about (n/8)^4 substeps (measured at
+    n = 4 ... 16); a grid point's one matrix-vector product is left out.
+    """
+    n = k.shape[-1]
+    if 16 * n ** 4 > LIOUVILLE_MAX_BYTES:
+        return False
+    norm = 2 * np.abs(k).sum(axis=0).max() + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()
+    m, s = expm_plan(norm * step)
+    return substeps * 8 ** 4 >= (m + s + 10) * n ** 4
 
 
 def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
                  grid: TimeGrid) -> list[DensityState]:
     """``s0``, the state at ``grid.start``, stepped to each point of ``grid``.
 
-    Each grid step is the fewest equal RK4 substeps of at most
-    ``LINDBLAD_MAX_STEP``, counted from ``grid.step``, in the form this rule
-    alone picks: ``_liouville_form`` when its map fits in
-    ``LIOUVILLE_MAX_BYTES`` (n <= 16) and the run takes at least n^2
-    substeps, else ``_factor_form``.  Up to ``PROPAGATE_CHUNK`` states are
-    stepped, overflow ignored, into one buffer, checked as one stack as
-    ``DensityState`` copies it: PositivityLostError names the T of the
-    first state that fails any check, non-finite entries included.
+    Each grid step is the exact map of ``_liouville_form`` where
+    ``_takes_map`` finds it cheaper, else the fewest equal RK4 substeps of
+    ``_factor_form`` of at most ``LINDBLAD_MAX_STEP``, counted from
+    ``grid.step``; a factor-form run of substeps x n^3 above
+    ``MAX_FACTOR_WORK`` is refused with ValueError before stepping.  Up to
+    ``PROPAGATE_CHUNK`` states are stepped, overflow ignored, into one
+    buffer, checked as one stack as ``DensityState`` copies it:
+    PositivityLostError names the T of the first state that fails any
+    check, non-finite entries included.
     """
     times = grid.times
     n_sub = max(1, math.ceil(grid.step / LINDBLAD_MAX_STEP - SUBSTEP_SLACK))
-    n = s0.layout.dim
-    liouville = 16 * n ** 4 <= LIOUVILLE_MAX_BYTES and n_sub * (len(times) - 1) >= n * n
-    step = (_liouville_form if liouville else _factor_form)(*_generator(h, jumps))
+    n, substeps = s0.layout.dim, n_sub * (len(times) - 1)
+    k, q = _generator(h, jumps)
+    liouville = _takes_map(k, q, grid.step, substeps)
+    if not liouville and substeps * n ** 3 > MAX_FACTOR_WORK:
+        raise ValueError(f"{substeps} RK4 substeps at dimension {n} exceed the cap of "
+                         f"{MAX_FACTOR_WORK:.0e} substeps x n^3; shorten the run")
+    step = (_liouville_form if liouville else _factor_form)(k, q)
     chunk = np.empty((min(len(times), PROPAGATE_CHUNK), n, n), dtype=complex)
     stacks, rho = [], s0.matrix
     for lo in range(0, len(times), PROPAGATE_CHUNK):
@@ -414,8 +440,9 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     """Open evolution under ``h`` and the jump operators in ``jumps``, stepped by ``_open_stacks``.
 
     ``cut`` and ``target`` are observed as in ``evolve_unitary``.  With an
-    empty jump set this agrees with ``evolve_unitary`` up to the integrator
-    error of the 1e-3 substeps.
+    empty jump set this agrees with ``evolve_unitary`` to roundoff where the
+    exact map steps it, and up to the error of the 1e-3 RK4 substeps where
+    they do.
     """
     _check_layouts(h, s0, jumps)
     cut, target = _observed(s0, grid, cut, target)

@@ -1,10 +1,12 @@
 """Dense linear-algebra kernel for small Hilbert spaces.
 
-Everything downstream funnels matrix functions through the Hermitian
+Everything downstream funnels Hermitian matrix functions through the
 eigendecomposition here, so unitaries come out exactly unitary (up to
 roundoff in the eigensolver) and square roots stay positive
-semidefinite by construction.  Dense only; total dimensions in this
-package stay small (a few thousand at most).
+semidefinite by construction; the one non-normal function, the
+exponential of a Liouvillian, is ``expm``'s Pade scaling and squaring.
+Dense only; total dimensions in this package stay small (a few thousand
+at most).
 
 The checks and matrix functions take one matrix or a ``(..., n, n)``
 stack of them.  A stack is checked matrix by matrix in one pass, and a
@@ -13,6 +15,8 @@ error keeps as ``index``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,6 +28,8 @@ __all__ = [
     "require_psd",
     "hermitian_eig",
     "propagate",
+    "expm",
+    "expm_plan",
     "kron_stack",
     "sqrtm_psd",
     "first_failure",
@@ -111,6 +117,48 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
     # conjugated in place: for a stack, a copy of v would be one more
     # temporary as large as the stack
     return scaled @ np.conjugate(v, out=v).swapaxes(-1, -2)
+
+
+# theta_m, the largest ||A||_1 at which Pade [m/m] of exp(A) is exact to unit
+# roundoff in double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+# (2005), Table 2.3)
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068, 13: 5.371920351148152}
+
+
+def expm_plan(norm: float) -> tuple[int, int]:
+    """The Pade degree m and the squarings s that ``expm`` takes at ||a||_1 = ``norm``."""
+    if not norm < math.inf:
+        raise ValueError(f"matrix exponential of a matrix of 1-norm {norm}")
+    m = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
+    return m, max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix, by scaling and squaring (Higham 2005).
+
+    ``expm_plan`` picks the lowest Pade degree m whose theta_m bounds
+    ||a||_1; above theta_13, a is halved s times to within it, and the
+    Pade [13/13] approximant r is squared s times.  The even powers of a
+    make V and U = a (odd part), with the numerator's coefficients
+    b_j = (2m - j)! / (j! (m - j)!), and r = (V - U)^-1 (V + U) is one solve.
+    """
+    a = np.asarray(a, dtype=complex)
+    m, s = expm_plan(np.abs(a).sum(axis=0).max())
+    a = a * 2.0 ** -s  # exact: a power of two
+    b = [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
+         for j in range(m + 1)]
+    powers = [np.eye(len(a)), a @ a]  # I, a^2, a^4, ... a^(m - 1)
+    while len(powers) <= m // 2:
+        powers.append(powers[-1] @ powers[1])
+    u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+    v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    # r - I = (V - U)^-1 2U, squared as (I + x)^2 = I + (2x + x^2): apart from I, x
+    # keeps the slow directions of a near-identity r to its own roundoff
+    x = np.linalg.solve(v - u, 2 * u)
+    for _ in range(s):
+        x = x @ x + 2 * x
+    return x + np.eye(len(x))
 
 
 def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,9 +27,11 @@ from .errors import (
     UnknownLabelError,
 )
 from .linalg import (
-    dot_rows, first_failure, kron_stack, require_hermitian, require_psd, sqrtm_psd,
+    dot_rows, first_failure, kron_stack, require_hermitian, require_psd,
 )
-from .tolerances import CLASSICAL_TOL, ENTROPY_CUTOFF, NEG_EIG_TOL, PSD_FLOOR, TRACE_TOL
+from .tolerances import (
+    CLASSICAL_TOL, ENTROPY_CUTOFF, NEG_EIG_TOL, PSD_FLOOR, SUPPORT_CUT, TRACE_TOL,
+)
 
 __all__ = [
     "SystemLayout",
@@ -403,8 +405,11 @@ def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
     rank-one product would be good only to about sqrt(eps).  Either state
     may be a stack: a single state is compared with each state of a
     stack, and two stacks pair state k with state k.  Two mixed states
-    give sum sqrt(w) over the eigenvalues w of the product, so only
-    ``s1`` is square-rooted: pass a single state first.
+    give sum sqrt(w) over the eigenvalues w of F+ r2 F, F = V_r sqrt(L_r)
+    the factor of r1 = F F+ on its support (eigenvalues above
+    ``SUPPORT_CUT``): they are the nonzero eigenvalues of the product, and
+    r1's null space, whose roundoff would add some sqrt(eps) each, is
+    left out.  Only ``s1`` is factored: pass a single state first.
     """
     if s1.layout != s2.layout:
         raise LayoutMismatchError(
@@ -417,9 +422,20 @@ def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
         u, rho = (s1.pure_vector, s2.matrix) if s1.is_pure else (s2.pure_vector, s1.matrix)
         f = np.sqrt(np.maximum(dot_rows(u.conj(), (rho @ u[..., None])[..., 0]).real, 0.0))
     else:
-        root = sqrtm_psd(s1.matrix)
-        w = require_psd(np.linalg.eigvalsh(root @ s2.matrix @ root))
-        f = np.sqrt(np.maximum(w, 0.0)).sum(axis=-1)
+        w, v = np.linalg.eigh(s1.matrix)
+        factor = v * np.sqrt(np.clip(require_psd(w), 0.0, None))[..., None, :]
+        null = (w <= SUPPORT_CUT).sum(axis=-1)
+        rho = s2.matrix
+        # the product's spectrum on the support first, zeros after it; states of one
+        # rank share a support size, so each rank is one stacked eigensolve
+        prod = np.zeros(np.broadcast_shapes(w.shape[:-1], rho.shape[:-2]) + w.shape[-1:])
+        for j in np.unique(null).tolist():
+            rows = null == j
+            f_r = factor[rows][..., j:]
+            sub = rho[rows] if w.ndim == 2 and rho.ndim == 3 else rho  # two stacks: pairs
+            prod[rows, ..., :f_r.shape[-1]] = np.linalg.eigvalsh(
+                f_r.conj().swapaxes(-1, -2) @ sub @ f_r)
+        f = np.sqrt(np.maximum(require_psd(prod), 0.0)).sum(axis=-1)
     f = np.clip(f, 0.0, 1.0)
     return float(f) if f.ndim == 0 else f
 

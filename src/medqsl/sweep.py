@@ -438,8 +438,10 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     """
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
     times = np.array([0.0, RATE_DELTA])
-    # a block's largest stack is the open probe's (B, n (m + 1), n) factors of K and m jumps
-    block = _block_size(16 * cfg.layout.dim ** 2 * (len(jumps.ops) + 1))
+    # a block's largest stacks are the open probe's: ``_factor_form`` holds the (B, n (m + 1), n)
+    # factors of K and m jumps, one scaled copy of them, the product p of that size, and
+    # the (B, n, n) states beside them, about one more
+    block = _block_size(4 * 16 * cfg.layout.dim ** 2 * (len(jumps.ops) + 1))
     dn_closed, dn_open, n_start, n_delta = _sweep(cfg, _rate_block, block, len(times), jumps=jumps)
     # by stream, closed before open within one
     bad = np.stack([np.abs(dn_closed) > CLOSED_RATE_TOL, dn_open > OPEN_RATE_TOL], axis=1)

@@ -5,7 +5,9 @@ that agree in value but answer different questions keep two names.
 """
 
 # validation; a PSD matrix may dip slightly negative in floating point, and
-# below its floor it is indefinite (RK4-stepped states get a looser floor)
+# below its floor it is indefinite (open-system stepped states get a looser
+# floor: RK4 substeps overshoot by their truncation error, the exact map only
+# by roundoff)
 HERM_TOL = 1e-10            # max entry of |M - M+|
 TRACE_TOL = 1e-10           # |tr rho - 1|
 PSD_FLOOR = -1e-10
@@ -16,6 +18,8 @@ STATIONARY_TOL = 1e-12      # min{mean, std} at most this: the state never moves
 NEG_EIG_TOL = 1e-10         # partial-transpose eigenvalues in (-tol, 0) count as zero
 ENTROPY_CUTOFF = 1e-15      # spectrum entries at or below it add no entropy
 CLASSICAL_TOL = 1e-8        # off-diagonal block norm of a classically correlated state
+SUPPORT_CUT = 1e-12         # fidelity: eigenvalues of the first state at or below it are
+                            # its null space (roundoff of a validated state is some 1e-15)
 
 # time grids, the scan-and-refine primitives and the rate probe
 GRID_SLACK = 1e-9           # in steps: a span that is a multiple of the step keeps its end

@@ -13,7 +13,7 @@ from medqsl import (
     Hamiltonian, SystemLayout, TimeGrid, builtin_pair, format_ast, maximally_entangled,
     parse_file, save_state, sweep,
 )
-from medqsl import cli
+from medqsl import cli, dynamics
 from medqsl.cli import main
 
 
@@ -558,9 +558,11 @@ class TestExitCodes:
         assert rc == 3
         assert "reduce the step" in capsys.readouterr().err
 
-    def test_divergent_stepper_is_exit_3(self, capsys):
-        # the stepped state overflows between output points: exit 3, and the
-        # error line is all that reaches stderr
+    def test_divergent_stepper_is_exit_3(self, monkeypatch, capsys):
+        # the factor-form stepped state overflows between output points: exit
+        # 3, and the error line is all that reaches stderr (the exact map,
+        # which this run would take, does not diverge)
+        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
         rc = main(["evolve", "--ham", "open-system", "--tmax", "0.5", "--dt", "0.1",
                    "--lindblad", "dephasing:1e4"])
         err = capsys.readouterr().err
@@ -568,6 +570,24 @@ class TestExitCodes:
         assert err.startswith("error: matrix has 64 non-finite entries")
         assert err.endswith(" at T=0.100000; reduce the step or the rates\n")
         assert err.count("\n") == 1
+
+    def test_factor_run_too_long_is_exit_2(self, tmp_path, capsys):
+        # 10^9 factor-form substeps at n = 27, where the map does not fit,
+        # are refused before stepping, and no file is written; the same span
+        # at n = 8 takes the exact map and finishes
+        argv = ["--state", "ket:000", "--lindblad", "dephasing:0.1", "--tmax", "1e6",
+                "--dt", "1e6"]
+        (tmp_path / "q3.hspec").write_text(
+            "system A:3; system B:3; system C:3;\nH = GX(A,1)@GX(C,1) + GY(B,2)@GY(C,2);\n")
+        assert main(["evolve", "--ham", "q3.hspec", *argv, "--out", "q3.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: 1000000000 RK4 substeps at dimension 27 exceed the cap of "
+                       "1e+11 substeps x n^3; shorten the run\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["q3.hspec"]
+        (tmp_path / "q2.hspec").write_text(
+            "system A:2; system B:2; system C:2;\nH = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C);\n")
+        assert main(["evolve", "--ham", "q2.hspec", *argv, "--out", "q2.csv"]) == 0
+        assert [row["T"] for row in _read_csv(tmp_path / "q2.csv")] == ["0", "1000000"]
 
     def test_dimension_cap(self, tmp_path, capsys):
         # d**3 = 10**6 is refused before a single instance is drawn

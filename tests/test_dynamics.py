@@ -38,7 +38,7 @@ from medqsl.hamiltonians import (
     entangled_mediator_example,
     open_system_example,
 )
-from medqsl.linalg import sqrtm_psd
+from medqsl.linalg import expm, sqrtm_psd
 from medqsl.randgen import (
     RngStream,
     haar_pure,
@@ -358,6 +358,34 @@ def _rk4_reference(h, s0, jumps, times):
     return np.array(out)
 
 
+def _liouvillian(h, jumps):
+    """L on row-stacked rho, from the embedded jumps: vec(A X B) = (A kron B^T) vec(X)."""
+    eye = np.eye(h.layout.dim)
+    gen = -1j * (np.kron(h.matrix, eye) - np.kron(eye, h.matrix.T))
+    for label, op in jumps.ops:
+        q = embed_operator(h.layout, (label,), op)
+        qq = q.conj().T @ q
+        gen += np.kron(q, q.conj()) - 0.5 * (np.kron(qq, eye) + np.kron(eye, qq.T))
+    return gen
+
+
+def _exact_map(gen, t):
+    """exp(gen t): Taylor to degree 30 of gen t / 2^s, ||gen t||_1 / 2^s <= 2, squared s times.
+
+    The remainder is below 2^31 / 31! < 1e-24, so only roundoff separates it from exp.
+    """
+    a = gen * t
+    s = max(0, math.ceil(math.log2(np.abs(a).sum(axis=0).max() / 2 + 1e-300)))
+    a = a / 2.0 ** s
+    term = out = np.eye(len(a), dtype=complex)
+    for j in range(1, 31):
+        term = term @ a / j
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def _jumps(lay, *specs):
     """The jump set of (kind, rate, label) triples, in order."""
     return JumpOperatorSet(lay, tuple(op for kind, rate, lab in specs
@@ -379,8 +407,10 @@ _STEPPER_CASES = {
     for form, prefix in ((dynamics._factor_form, ""), (dynamics._liouville_form, "liouville-"))
     for name, (dims, specs) in _STEPPER_CASES.items()])
 def test_stepper_matches_four_stage_rk4(form, dims, specs):
-    # the Horner-form Taylor map is the four-stage RK4 map of a linear,
-    # time-independent generator: either form agrees with it to roundoff
+    # each form against its reference, to roundoff: the factor form's
+    # substeps are the four-stage RK4 map of a linear, time-independent
+    # generator; the Liouville form is the exact map exp(L T) of the
+    # segment, here against a Taylor exponential of the test's own L
     lay = SystemLayout(dims)
     stream = RngStream(13, len(specs))
     h = Hamiltonian(lay, 3.0 * random_hermitian(lay.dim, stream))
@@ -391,7 +421,14 @@ def test_stepper_matches_four_stage_rk4(form, dims, specs):
     got = [s0.matrix]
     for n_sub, dt in _substeps(grid.times):
         got.append(step(got[-1], dt, n_sub))
-    ref = _rk4_reference(h, s0, jumps, grid.times)
+    if form is dynamics._factor_form:
+        ref = _rk4_reference(h, s0, jumps, grid.times)
+    else:
+        segment = _exact_map(_liouvillian(h, jumps), grid.step)
+        ref = [s0.matrix.reshape(-1)]
+        for _ in grid.times[1:]:
+            ref.append(segment @ ref[-1])
+        ref = np.array(ref).reshape(-1, lay.dim, lay.dim)
     assert np.abs(np.array(got) - ref).max() <= 1e-12
     assert np.abs(ref[-1] - ref[0]).max() > 1e-2
 
@@ -416,14 +453,15 @@ class TestStepperForm:
         assert 16 * 16 ** 4 <= dynamics.LIOUVILLE_MAX_BYTES < 16 * 17 ** 4
 
     def test_lindblad_open_shape_takes_the_liouville_form(self, built):
-        # n = 8, three dephasing jumps, 5 segments of 100 substeps: 500 >= 64 per map
+        # n = 8, three dephasing jumps, 5 segments of 100 substeps: 500 against
+        # the map's cost of 15 (Pade degree 5, no squaring, and 10)
         h, s0 = open_system_example()
         jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
         evolve_lindblad(h, s0, TimeGrid(0.0, 0.5, 0.1), jumps)
         assert built == [("_liouville_form", 8)]
 
     def test_few_substeps_take_the_factor_form(self, built):
-        # 10 substeps at n = 8 are fewer than n^2
+        # 10 substeps at n = 8 cost less than forming the map (15)
         h, s0 = open_system_example()
         evolve_lindblad(h, s0, TimeGrid(0.0, 0.01, 0.01), JumpOperatorSet.dephasing(h.layout, 0.1))
         assert built == [("_factor_form", 8)]
@@ -480,6 +518,62 @@ class TestStepperForm:
         assert taken[0][0] == grid.step / taken[0][1] <= dynamics.LINDBLAD_MAX_STEP
 
 
+class TestExactMap:
+    """Small systems step by the exact map exp(L T) of each grid step."""
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0, 10.0, 30.0, 100.0])
+    def test_exact_in_any_units(self, scale):
+        # H = s GUE(8), dephasing at 0.3 s on every qubit: 1e-3 RK4 substeps
+        # were 1.3e-14 (s = 0.3) to 1.0e-6 (s = 100) away; the map is within
+        # roundoff of exp(L T) of the test's own L at every s
+        lay = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+        stream = RngStream(5, 0)
+        h = Hamiltonian(lay, scale * random_hermitian(8, stream))
+        s0 = DensityState(lay, random_density(8, stream))
+        jumps = JumpOperatorSet.dephasing(lay, 0.3 * scale)
+        grid = TimeGrid(0.0, 1.0, 0.1)
+        (stack,) = dynamics._open_stacks(h, s0, jumps, grid)
+        gen = _liouvillian(h, jumps)
+        want = [(_exact_map(gen, t) @ s0.matrix.reshape(-1)).reshape(8, 8) for t in grid.times]
+        assert np.abs(stack.matrix - np.array(want)).max() <= 1e-13
+
+    @pytest.mark.parametrize("rate", [1e4, 1e5, 1e6])
+    def test_stiff_rates_keep_a_state(self, rate):
+        # the rates at which factor-form substeps diverge: the map dephases
+        # the state and keeps its trace and positivity
+        h, s = open_system_example()
+        jumps = JumpOperatorSet.dephasing(h.layout, rate)
+        traj = evolve_lindblad(h, s, TimeGrid(0.0, 0.5, 0.1), jumps)
+        for st in traj.states:
+            assert abs(np.trace(st.matrix) - 1) <= 1e-12
+            assert np.linalg.eigvalsh(st.matrix)[0] >= -1e-12
+
+    @pytest.mark.parametrize("grid", [TimeGrid(0.0, 0.5, 0.1), TimeGrid(0.0, 2.0, 1e-3)],
+                             ids=["lindblad-open", "1e-3"])
+    def test_one_map_per_grid_span(self, monkeypatch, grid):
+        spans = []
+        monkeypatch.setattr(dynamics, "expm", lambda a: spans.append(a) or expm(a))
+        h, s0 = open_system_example()
+        jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
+        dynamics._open_stacks(h, s0, jumps, grid)
+        gen = _liouvillian(h, jumps)
+        assert len(spans) == 1
+        assert np.abs(spans[0] - grid.step * gen).max() <= 1e-15
+
+    def test_factor_form_work_is_capped(self, monkeypatch):
+        # 10^9 substeps at n = 27 (the map would not fit) are refused before
+        # one is taken; the same span at n = 8 takes the map
+        monkeypatch.setattr(dynamics, "_factor_form", _not_reached)
+        lay = SystemLayout((("A", 3), ("B", 3), ("C", 3)))
+        h = Hamiltonian(lay, random_hermitian(27, RngStream(3, 0)))
+        grid = TimeGrid(0.0, 1e6, 1e6)
+        with pytest.raises(ValueError, match=r"1000000000 RK4 substeps at dimension 27 exceed"):
+            dynamics._open_stacks(h, ket(lay, 0), JumpOperatorSet.dephasing(lay, 0.1), grid)
+        h, s0 = open_system_example()
+        (stack,) = dynamics._open_stacks(h, s0, JumpOperatorSet.dephasing(h.layout, 0.1), grid)
+        assert len(stack.matrix) == 2
+
+
 class TestLindblad:
     def test_no_jumps_matches_unitary(self):
         h, s = cmi_product_example()
@@ -490,10 +584,10 @@ class TestLindblad:
         diff = np.abs(open_traj.columns["negativity"] - closed_traj.columns["negativity"])
         assert diff.max() < 1e-9
 
-    def test_matches_rk4_polynomial_map(self):
-        # one RK4 substep of d rho/dT = L rho is S = sum_{k<=4} (hL)^k / k!, so
-        # each grid step of 0.0125 (13 substeps) is S^13 on row-stacked rho; at
-        # |L| ~ 34 a 12- or 14-substep map, or exp(0.0125 L), is 2e-10 or more away
+    def test_matches_exact_exponential_map(self):
+        # each grid step of 0.0125 is exp(0.0125 L) on row-stacked rho, to
+        # roundoff; at |L| ~ 34 the RK4 map of 13 substeps of 1e-3 or less,
+        # S^13 with S = sum_{k<=4} (hL)^k / k!, is 1e-10 or more away at T = 0.1
         lay = SystemLayout((("A", 3), ("B", 2)))
         stream = RngStream(11, 0)
         h = Hamiltonian(lay, 5.0 * random_hermitian(6, stream))
@@ -502,20 +596,17 @@ class TestLindblad:
                                 + JumpOperatorSet.damping(lay, 1.0, labels=("B",)).ops)
         grid = TimeGrid(0.0, 0.1, 0.0125)
         traj = evolve_lindblad(h, s0, grid, jumps)
-        eye = np.eye(lay.dim)
-        gen = -1j * (np.kron(h.matrix, eye) - np.kron(eye, h.matrix.T))
-        for label, op in jumps.ops:
-            q = embed_operator(lay, (label,), op)
-            qq = q.conj().T @ q
-            gen += np.kron(q, q.conj()) - 0.5 * (np.kron(qq, eye) + np.kron(eye, qq.T))
+        gen = _liouvillian(h, jumps)
         hl = gen * (grid.step / 13)
         step = sum(np.linalg.matrix_power(hl, k) / math.factorial(k) for k in range(5))
-        segment = np.linalg.matrix_power(step, 13)
+        segment = _exact_map(gen, grid.step)
         rho = s0.matrix.reshape(-1)
         assert len(traj.states) == 9
         for st in traj.states:
             assert np.abs(st.matrix - rho.reshape(lay.dim, lay.dim)).max() <= 1e-12
             rho = segment @ rho
+        rk4 = np.linalg.matrix_power(step, 13 * 8) @ s0.matrix.reshape(-1)
+        assert np.abs(traj.states[-1].matrix.reshape(-1) - rk4).max() >= 1e-10
 
     def test_pure_dephasing_rate(self):
         # single qubit, H = 0: coherence decays exactly as exp(-2 gamma T)
@@ -552,9 +643,11 @@ class TestLindblad:
         with pytest.raises(PositivityLostError, match="T=0.010000"):
             evolve_lindblad(h, s, TimeGrid(0.0, 0.01, 0.01), jumps)
 
-    def test_positivity_lost_names_the_time_not_a_stack_index(self):
+    def test_positivity_lost_names_the_time_not_a_stack_index(self, monkeypatch):
         # each stepped state is checked on its own before the columns are
-        # taken from the stack, so the first failing grid point is named
+        # taken from the stack, so the first failing grid point is named; 50
+        # substeps would take the exact map, which does not overshoot
+        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
         h, s = open_system_example()
         jumps = JumpOperatorSet.damping(h.layout, 1000.0)
         with pytest.raises(PositivityLostError, match="T=0.010000") as info:
@@ -562,9 +655,11 @@ class TestLindblad:
         assert "stack index" not in str(info.value)
 
     @pytest.mark.parametrize("rate, named", [(940.0, "T=0.397000"), (1000.0, "T=0.066000")])
-    def test_positivity_lost_names_the_first_failing_point(self, rate, named):
+    def test_positivity_lost_names_the_first_failing_point(self, monkeypatch, rate, named):
         # one check per chunk of 256 points still names the first grid point
-        # that fails: index 397 lies in the second chunk, 66 in the first
+        # that fails: index 397 lies in the second chunk, 66 in the first.
+        # The factor form overshoots; the exact map would not
+        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
         h, _ = open_system_example()
         eps = 1e-15
         s = DensityState(h.layout, np.diag([1 - 7 * eps] + [eps] * 7))
@@ -574,9 +669,11 @@ class TestLindblad:
         assert "stack index" not in str(info.value)
 
     @pytest.mark.parametrize("rate", [1e4, 1e5, 1e6])
-    def test_divergent_stepping_is_positivity_lost(self, rate):
-        # 100 substeps of 1e-3 at these rates overflow to inf and NaN before
-        # the first output point: no numpy warning, and that point is named
+    def test_divergent_stepping_is_positivity_lost(self, monkeypatch, rate):
+        # 100 factor-form substeps of 1e-3 at these rates overflow to inf and
+        # NaN before the first output point: no numpy warning, and that point
+        # is named (the exact map converges: TestExactMap)
+        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
         h, s = open_system_example()
         jumps = JumpOperatorSet.dephasing(h.layout, rate)
         with pytest.raises(PositivityLostError,
@@ -586,7 +683,8 @@ class TestLindblad:
 
     def test_divergent_stepping_stops_at_the_first_non_finite_state(self, monkeypatch):
         # the chunk is checked once point 1 is non-finite, not after 255
-        # more points of 100 substeps each
+        # more points of 100 factor-form substeps each
+        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
         h, s = open_system_example()
         jumps = JumpOperatorSet.dephasing(h.layout, 1e4)
         checked = []

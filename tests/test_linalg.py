@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from medqsl.errors import NotHermitianError, NotPSDError
 from medqsl.linalg import (
+    expm,
+    expm_plan,
     hermitian_eig,
     propagate,
     require_hermitian,
@@ -96,6 +100,45 @@ class TestExpm:
                     term = (-1j * t / k) * (m @ term)
                     series = series + term
                 assert_allclose(got, series, atol=1e-12)
+
+
+class TestScalingAndSquaring:
+    """``expm``, Pade [m/m] with scaling and squaring, against closed forms."""
+
+    @pytest.mark.parametrize("norm, plan", [
+        (0.01, (3, 0)), (0.2, (5, 0)), (0.9, (7, 0)), (2.0, (9, 0)), (5.0, (13, 0)),
+        (50.0, (13, 4)), (500.0, (13, 7))])
+    def test_unitary_matches_eigh(self, norm, plan):
+        # exp(-i t m) = v exp(-i t w) v+ at a 1-norm that each degree, and
+        # then each count of squarings, is taken for; the roundoff of the
+        # phases grows with the norm
+        m = random_hermitian(6)
+        t = norm / np.abs(m).sum(axis=0).max()
+        assert expm_plan(norm) == plan
+        w, v = hermitian_eig(m)
+        assert_allclose(expm(-1j * t * m), (v * np.exp(-1j * t * w)) @ v.conj().T,
+                        rtol=0, atol=1e-15 * max(norm, 5.0))
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+    def test_jordan_block(self, t):
+        # exp(t (lam I + N)) = exp(lam t) sum_k (t N)^k / k!, N nilpotent
+        lam, n = -1 + 0.5j, 5
+        got = expm(t * (lam * np.eye(n) + np.eye(n, k=1)))
+        want = np.exp(lam * t) * sum(np.eye(n, k=k) * t ** k / math.factorial(k)
+                                     for k in range(n))
+        assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_diagonal(self):
+        # exact to roundoff relative to 1: exp(-50) comes out below 1e-15
+        d = np.array([-50, -3 + 2j, -0.1j, 0, 0.5, 2 + 1j])
+        got = expm(np.diag(d))
+        assert_allclose(np.diag(got), np.exp(d), rtol=1e-14, atol=1e-15)
+        assert np.array_equal(got, np.diag(np.diag(got)))
+
+    def test_non_finite_norm_is_refused(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="1-norm"):
+                expm(np.diag([1.0, bad]))
 
 
 class TestSqrtmPsd:

@@ -435,6 +435,32 @@ class TestFidelityAndAngle:
                         abs(uhlmann_fidelity(sigma, rho) - want))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("rank", range(1, 8))
+    def test_rank_deficient_first_state_is_stable(self, rank):
+        # taken on the support factor of sigma, F moves by roundoff under a
+        # 1e-14 change of either state; summed over sigma's null space, whose
+        # eigenvalues are roundoff, it moved by up to 6e-9
+        layout = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+        worst = 0.0
+        for sid in range(20):
+            stream = RngStream(23, sid)
+            x = stream.complex_normals(8, rank)
+            sigma = x @ x.conj().T / np.vdot(x, x).real
+            rho = randgen.random_density(8, stream)
+            noise = []
+            for _ in range(2):
+                g = stream.complex_normals(8, 8)
+                e = 0.5e-14 * (g + g.conj().T)
+                noise.append(e - np.trace(e) / 8 * np.eye(8))
+            f = uhlmann_fidelity(DensityState(layout, sigma), DensityState(layout, rho))
+            moved = uhlmann_fidelity(DensityState(layout, sigma + noise[0]),
+                                     DensityState(layout, rho + noise[1]))
+            worst = max(worst, abs(moved - f))
+            if rank == 1:  # the closed form of a pure first state
+                u = x[:, 0] / np.linalg.norm(x)
+                assert abs(f - math.sqrt(np.vdot(u, rho @ u).real)) <= 1e-14
+        assert worst <= 1e-12
+
     def test_layout_mismatch(self):
         other = DensityState(SystemLayout((("X", 4),)), random_density(4))
         with pytest.raises(LayoutMismatchError):

@@ -435,7 +435,7 @@ def _stationary_first(draw, sid: int):
 
 class TestWorkerDeterminism:
     # enough instances for four blocks or more, so that two workers share a
-    # real pool: a rate-zero block holds 128 instances at d = 2, an
+    # real pool: a rate-zero block holds 32 instances at d = 2, an
     # smi-protocol block 31
     N_POOLED = {"cmi-uncorrelated": 100, "rate-zero": 400, "smi-protocol": 130,
                 "commuting-null": 50}
@@ -587,6 +587,33 @@ class TestKeptMemory:
                           jumps=jumps)
         many = _sweep_peak(cfg, jumps=jumps)
         assert many - one < 16 * 8 * n
+
+
+    @pytest.mark.parametrize("d, instances", [(2, 32), (3, 2)])
+    def test_rate_block_stays_near_its_budget(self, monkeypatch, d, instances):
+        # a rate-zero block is sized by what the open probe's factor form
+        # holds, not by its factors alone: sized so, one block peaked at
+        # 4.1 MiB at d = 2 (128 instances) and 4.0 MiB at d = 3 (11)
+        seen = {}
+        original = sweep._sweep
+
+        def recording(cfg, kernel, block, n_times, **setup):
+            seen.update(block=block, setup=setup)
+            return original(cfg, kernel, block, n_times, **setup)
+
+        monkeypatch.setattr(sweep, "_sweep", recording)
+        cfg = SweepConfig("rate-zero", seed=7, n_instances=1, d=d, workers=1)
+        run_sweep(cfg)
+        assert seen["block"] == instances
+        sids = range(seen["block"])
+        _rate_block(cfg, sids, **seen["setup"])
+        tracemalloc.start()
+        try:
+            _rate_block(cfg, sids, **seen["setup"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sweep.BLOCK_BYTES
 
 
 class TestReportSerialization:
