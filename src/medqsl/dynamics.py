@@ -2,7 +2,9 @@
 
 Unitary evolution is spectral and exact at every requested time: the
 Hamiltonian is diagonalized once and each grid point gets its own
-exponential, so there is no step-to-step error accumulation.  The open
+exponential, so there is no step-to-step error accumulation.  Its states
+are checked through their pure vectors or column factors, which build a
+valid state by construction, so no eigensolve of rho(T) is made.  The open
 system integrator steps the master equation
 
     d rho / dT = L rho = K rho + (K rho)+ + sum_q Q rho Q+,   K = -iM - sum_q Q+Q / 2
@@ -34,7 +36,7 @@ from .errors import (
     StackCheckError,
 )
 from .hamiltonians import Hamiltonian, energy_moments
-from .linalg import expm, expm_plan, propagate, sqrtm_psd
+from .linalg import expm, expm_plan, kron_stack, propagate, sqrtm_psd
 from .states import (
     Bipartition,
     DensityState,
@@ -128,7 +130,7 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Evolved states, as the validated chunk stacks, plus the observable columns."""
+    """Evolved states, as the checked chunk stacks, plus the observable columns."""
 
     times: np.ndarray
     stacks: list[DensityState]
@@ -254,7 +256,7 @@ def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
 
 def _observe(h: Hamiltonian, s0: DensityState, times: np.ndarray, stacks: list[DensityState],
              cut: Bipartition, target: DensityState) -> Trajectory:
-    """The trajectory of the validated chunk ``stacks``, one state per time.
+    """The trajectory of the checked chunk ``stacks``, one state per time.
 
     Each stack is measured in one call per measure, so validation, the
     marginals and the eigensolves run once per stack, not once per state.
@@ -292,7 +294,7 @@ def _from_factors(s0: DensityState, x: np.ndarray) -> DensityState:
     """The stack of states with pure vectors, or column factors, ``x``, as ``_factor(s0)`` is."""
     if s0.is_pure:
         return DensityState.from_pure(s0.layout, x)
-    return DensityState(s0.layout, x @ x.conj().swapaxes(1, 2))
+    return DensityState.from_factor(s0.layout, x)
 
 
 def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
@@ -302,12 +304,17 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
 
     The marginal columns are taken across ``cut`` (by default the first two
     subsystems, one against the other) and the fidelities against ``target``
-    (by default ``s0``).
+    (by default ``s0``).  A grid whose largest phase max|w| (T - start)
+    overflows a float is refused with ValueError before propagating.
     """
     _check_layouts(h, s0)
     cut, target = _observed(s0, grid, cut, target)
-    x0 = _factor(s0)
     times = grid.times
+    w_max, span = float(np.abs(h.eig[0]).max()), float(times[-1] - grid.start)
+    if not math.isfinite(w_max * span):
+        raise ValueError(f"the phase max|w| (T - start) overflows a float at T = {times[-1]:.6g} "
+                         f"(max|w| = {w_max:.6g}); shorten the run")
+    x0 = _factor(s0)
     stacks = [_from_factors(s0, propagate(*h.eig, x0, times[lo:lo + PROPAGATE_CHUNK] - grid.start))
               for lo in range(0, len(times), PROPAGATE_CHUNK)]
     return _observe(h, s0, times, stacks, cut, target)
@@ -361,7 +368,7 @@ def _liouville_form(k, q):
     E = exp(L dt n_sub) is formed by ``expm`` once per distinct span.
     """
     n = len(k)
-    gen = (np.kron(k, np.eye(n)) + np.kron(np.eye(n), k.conj())
+    gen = (kron_stack(k, np.eye(n)) + kron_stack(np.eye(n), k.conj())
            + np.einsum("qij,qkl->ikjl", q, q.conj()).reshape(n * n, n * n))
     maps = {}
 

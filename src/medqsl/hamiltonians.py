@@ -206,7 +206,7 @@ def direct_optimal(d: int) -> Hamiltonian:
     m = np.zeros((d * d, d * d), dtype=complex)
     for j in range(1, d):
         a = generalized_x(d, j) + generalized_y(d, j)
-        m += np.kron(a, a)
+        m += kron_stack(a, a)
     return Hamiltonian(layout, m / (2.0 * math.sqrt(d - 1)))
 
 
@@ -221,8 +221,8 @@ def cmi_product_example() -> tuple[Hamiltonian, DensityState]:
     optimum, with the mediator disentangling again at the end.
     """
     layout = _three_qubits()
-    m = (embed_operator(layout, ("A", "C"), np.kron(PAULI_X, PAULI_Y))
-         + embed_operator(layout, ("B", "C"), np.kron(PAULI_Y, PAULI_X))) / math.sqrt(2)
+    m = (embed_operator(layout, ("A", "C"), kron_stack(PAULI_X, PAULI_Y))
+         + embed_operator(layout, ("B", "C"), kron_stack(PAULI_Y, PAULI_X))) / math.sqrt(2)
     return Hamiltonian(layout, m), DensityState.basis(layout)
 
 
@@ -236,8 +236,8 @@ def entangled_mediator_example() -> tuple[Hamiltonian, DensityState]:
     layout = _three_qubits()
     hc1 = -(ID2 + PAULI_X + PAULI_Y + PAULI_Z)
     hc2 = ID2 - PAULI_X - PAULI_Y + PAULI_Z
-    m = (embed_operator(layout, ("A", "C"), np.kron(PAULI_Z, hc1))
-         + embed_operator(layout, ("B", "C"), np.kron(PAULI_Z, hc2))) / (2 * math.sqrt(2))
+    m = (embed_operator(layout, ("A", "C"), kron_stack(PAULI_Z, hc1))
+         + embed_operator(layout, ("B", "C"), kron_stack(PAULI_Z, hc2))) / (2 * math.sqrt(2))
     v = np.zeros(8, dtype=complex)
     v[0] = v[7] = 1 / math.sqrt(2)
     return Hamiltonian(layout, m), DensityState.from_pure(layout, v)
@@ -252,20 +252,20 @@ def classical_mediator_example() -> tuple[Hamiltonian, DensityState]:
     throughout.
     """
     layout = _three_qubits()
-    m = (embed_operator(layout, ("A", "C"), np.kron(PAULI_Z, PAULI_Z))
-         + embed_operator(layout, ("B", "C"), np.kron(PAULI_Z, PAULI_Z))) / 2.0
+    m = (embed_operator(layout, ("A", "C"), kron_stack(PAULI_Z, PAULI_Z))
+         + embed_operator(layout, ("B", "C"), kron_stack(PAULI_Z, PAULI_Z))) / 2.0
     return Hamiltonian(layout, m), _classical_initial_state(layout)
 
 
 def _classical_initial_state(layout: SystemLayout) -> DensityState:
-    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    minus = np.array([1, -1], dtype=complex) / math.sqrt(2)
-    psi = (np.kron(plus, minus) + np.kron(minus, plus)) / math.sqrt(2)
-    psi_t = (np.kron(minus, minus) + np.kron(plus, plus)) / math.sqrt(2)
-    k0 = np.array([1, 0], dtype=complex)
-    k1 = np.array([0, 1], dtype=complex)
-    rho = 0.5 * np.outer(np.kron(psi, k0), np.kron(psi, k0).conj()) \
-        + 0.5 * np.outer(np.kron(psi_t, k1), np.kron(psi_t, k1).conj())
+    # column vectors, so each product state is one kron_stack
+    plus = np.array([[1], [1]], dtype=complex) / math.sqrt(2)
+    minus = np.array([[1], [-1]], dtype=complex) / math.sqrt(2)
+    psi = (kron_stack(plus, minus) + kron_stack(minus, plus)) / math.sqrt(2)
+    psi_t = (kron_stack(minus, minus) + kron_stack(plus, plus)) / math.sqrt(2)
+    v0 = kron_stack(psi, np.array([[1], [0]], dtype=complex))
+    v1 = kron_stack(psi_t, np.array([[0], [1]], dtype=complex))
+    rho = 0.5 * np.outer(v0, v0.conj()) + 0.5 * np.outer(v1, v1.conj())
     return DensityState(layout, rho)
 
 
@@ -276,7 +276,7 @@ def open_system_example() -> tuple[Hamiltonian, DensityState]:
     maximal at T = pi/4 while the AB marginal purifies from 1/2 to 1.
     """
     layout = _three_qubits()
-    m = embed_operator(layout, ("A", "C"), np.kron(PAULI_Z, PAULI_Z))
+    m = embed_operator(layout, ("A", "C"), kron_stack(PAULI_Z, PAULI_Z))
     return Hamiltonian(layout, m), _classical_initial_state(layout)
 
 

@@ -56,6 +56,7 @@ from .hamiltonians import (
     generalized_x,
     generalized_y,
 )
+from .linalg import kron_stack
 from .states import MAX_TOTAL_DIM, SystemLayout, embed_operator
 
 __all__ = [
@@ -383,7 +384,7 @@ def build(ast: HSpecAst) -> Hamiltonian:
         labels = tuple(factors)
         block = factors[labels[0]]
         for lab in labels[1:]:
-            block = np.kron(block, factors[lab])
+            block = kron_stack(block, factors[lab])
         with np.errstate(over="ignore", invalid="ignore"):
             total += term.coefficient.value * embed_operator(layout, labels, block)
         if not np.isfinite(total).all():

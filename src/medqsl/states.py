@@ -200,9 +200,11 @@ class DensityState:
     failing check, naming its stack index (kept as the error's ``index``).
     A pure state comes from ``from_pure``, which checks its vector
     instead: the projector onto a normalized vector passes all of the
-    above by construction.  Only this constructor keeps a spectrum: the
-    ascending one it checked, as ``spectrum`` (read-only, ``(T, n)`` for
-    a stack); it is None for ``from_pure`` and for states of a stack.
+    above by construction.  So does the Gram product X X+ of a unit-norm
+    column factor, which ``from_factor`` builds after checking X.  Only
+    this constructor keeps a spectrum: the ascending one it checked, as
+    ``spectrum`` (read-only, ``(T, n)`` for a stack); it is None for
+    ``from_pure``, ``from_factor`` and states of a stack.
 
     Args:
         layout: subsystem structure of the state.
@@ -267,6 +269,36 @@ class DensityState:
         vector.setflags(write=False)
         matrix.setflags(write=False)
         return cls._trusted(layout, matrix, vector)
+
+    @classmethod
+    def from_factor(cls, layout: SystemLayout, x) -> "DensityState":
+        """The Gram product X X+ of a column factor ``x``; a ``(T, n, k)`` array gives a stack.
+
+        The factor is checked, not the matrix it builds: finite entries and
+        tr X X+ = ||X||_F^2 within ``TRACE_TOL`` of 1, the earliest failing
+        factor named by its stack index.  X X+ is Hermitian and PSD by
+        construction, and the computed product misses either by roundoff of
+        some k eps ||X||^2, about 1e-15, far inside ``HERM_TOL`` and
+        ``PSD_FLOOR``; so no eigensolve is made, and ``spectrum`` is None.
+        """
+        x = np.asarray(x, dtype=complex)
+        if x.ndim not in (2, 3) or x.shape[-2] != layout.dim:
+            raise DimensionMismatchError(
+                f"factor shape {x.shape} does not match layout dim {layout.dim}"
+            )
+        flat = x.reshape(x.shape[:-2] + (-1,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = dot_rows(flat.real, flat.real) + dot_rows(flat.imag, flat.imag)
+        # a non-finite entry makes a non-finite trace, so one scan finds both
+        k = first_failure(abs(tr - 1.0) <= TRACE_TOL)
+        if k is not None:
+            bad = np.argwhere(~np.isfinite(x[k])).tolist()
+            raise NormalizationError(f"factor has {len(bad)} non-finite entries, at {bad[:4]}"
+                                     if bad else f"trace {tr[k]:.12f} is not 1 within "
+                                     f"{TRACE_TOL:.0e}", k)
+        matrix = x @ x.conj().swapaxes(-1, -2)
+        matrix.setflags(write=False)
+        return cls._trusted(layout, matrix)
 
     @classmethod
     def basis(cls, layout: SystemLayout, indices=None) -> "DensityState":

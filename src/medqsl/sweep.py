@@ -277,7 +277,7 @@ def _commuting_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]
         raw_w = stream.normals(4) ** 2
         mix = np.zeros((d * d, d * d), dtype=complex)
         for q in raw_w / raw_w.sum():
-            mix += q * np.kron(random_density(d, stream), random_density(d, stream))
+            mix += q * kron_stack(random_density(d, stream), random_density(d, stream))
         rho_ab.append(mix)
         rho_c.append(random_density(dc, stream))
     h = commuting_mediated(*(np.array(f) for f in zip(*parts)))

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -588,6 +589,23 @@ class TestExitCodes:
             "system A:2; system B:2; system C:2;\nH = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C);\n")
         assert main(["evolve", "--ham", "q2.hspec", *argv, "--out", "q2.csv"]) == 0
         assert [row["T"] for row in _read_csv(tmp_path / "q2.csv")] == ["0", "1000000"]
+
+    @pytest.mark.parametrize("state", ["ket:000", "mixed.json"])
+    def test_overflowing_phases_are_exit_2(self, tmp_path, capsys, state):
+        # max|w| = 10, so the phase of T = 1.7e308 overflows: refused before
+        # any numpy warning, the error line alone on stderr, no file written
+        (tmp_path / "ovf.hspec").write_text(
+            "system A:2; system B:2; system C:2;\nH = 5*Z(A)@Z(C) + 5*X(B)@Z(C);\n")
+        save_state(builtin_pair("cmi-classical")[1], tmp_path / "mixed.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["evolve", "--ham", "ovf.hspec", "--state", state, "--tmax", "1.7e308",
+                       "--dt", "1e307", "--out", "ovf.csv"])
+        assert rc == 2 and caught == []
+        assert capsys.readouterr().err == (
+            "error: the phase max|w| (T - start) overflows a float at T = 1.7e+308 "
+            "(max|w| = 10); shorten the run\n")
+        assert not (tmp_path / "ovf.csv").exists()
 
     def test_dimension_cap(self, tmp_path, capsys):
         # d**3 = 10**6 is refused before a single instance is drawn

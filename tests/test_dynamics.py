@@ -233,6 +233,38 @@ class TestUnitaryEvolution:
         assert seen[0] == seen[1]
         assert 0 < seen[0]["eigh"] and 0 < seen[0]["eigvalsh"] < 20
 
+    def test_mixed_states_are_checked_through_their_factor(self, monkeypatch):
+        # the propagated states X X+ are built unchecked from their factors:
+        # no eigvalsh sees a (T, 8, 8) stack; the rank-2 start keeps the
+        # fidelity's eigensolves 2 x 2, so only the marginals' remain
+        shapes = []
+
+        def counted(a, *args, _original=np.linalg.eigvalsh, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        h, s0 = classical_mediator_example()
+        traj = evolve_unitary(h, s0, TimeGrid(0.0, 0.299, 1e-3))
+        assert shapes and not [s for s in shapes if len(s) == 3 and s[1:] == (8, 8)]
+        assert all(stack.spectrum is None for stack in traj.stacks)
+        x = sqrtm_psd(s0.matrix)
+        for stack, t in zip(traj.stacks, (traj.times[:256], traj.times[256:])):
+            y = dynamics.propagate(*h.eig, x, t)
+            assert_array_equal(stack.matrix, y @ y.conj().swapaxes(1, 2))
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_overflowing_phases_refused_before_propagating(self, monkeypatch, mixed):
+        # max|w| = 10 here, so the phase 10 T of the last grid point is inf;
+        # the suite turns any numpy RuntimeWarning into an error
+        h = Hamiltonian(classical_mediator_example()[0].layout,
+                        np.diag([10.0, 0, 0, -10, 0, 0, 0, 0]))
+        s0 = classical_mediator_example()[1] if mixed else ket(h.layout, 0)
+        monkeypatch.setattr(dynamics, "propagate", _refuse)
+        with pytest.raises(ValueError, match=r"overflows a float at T = 1\.7e\+308 "
+                                             r"\(max\|w\| = 10\)"):
+            evolve_unitary(h, s0, TimeGrid(0.0, 1.7e308, 1e307))
+
     def test_states_are_views_of_the_validated_stack(self):
         h, s0 = entangled_mediator_example()
         traj = evolve_unitary(h, s0, TimeGrid(0.0, 0.3, 1e-3))

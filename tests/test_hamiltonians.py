@@ -14,6 +14,10 @@ from medqsl.errors import (
 )
 from medqsl.hamiltonians import (
     BUILTIN_PAIRS,
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     EnergyMoments,
     Hamiltonian,
     builtin_pair,
@@ -28,7 +32,7 @@ from medqsl.hamiltonians import (
     open_system_example,
 )
 from medqsl.qsl import unified_bound
-from medqsl.states import DensityState, SystemLayout
+from medqsl.states import DensityState, SystemLayout, embed_operator
 from medqsl.tolerances import STATIONARY_TOL
 
 SQ2 = math.sqrt(2)
@@ -200,6 +204,53 @@ class TestBuiltinStructure:
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):
             builtin_pair("no-such-system")
+
+
+def _np_kron_builtins():
+    """Each builtin's (matrix, state matrix) as built with np.kron; the GHZ state has no kron."""
+    x, y, z, i2 = PAULI_X, PAULI_Y, PAULI_Z, ID2
+    lay = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+
+    def pair(a, b, scale):
+        return (embed_operator(lay, ("A", "C"), a) + embed_operator(lay, ("B", "C"), b)) / scale
+
+    plus = np.array([1, 1], dtype=complex) / SQ2
+    minus = np.array([1, -1], dtype=complex) / SQ2
+    psi = (np.kron(plus, minus) + np.kron(minus, plus)) / SQ2
+    psi_t = (np.kron(minus, minus) + np.kron(plus, plus)) / SQ2
+    k0 = np.array([1, 0], dtype=complex)
+    k1 = np.array([0, 1], dtype=complex)
+    classical = 0.5 * np.outer(np.kron(psi, k0), np.kron(psi, k0).conj()) \
+        + 0.5 * np.outer(np.kron(psi_t, k1), np.kron(psi_t, k1).conj())
+    hc1, hc2 = -(i2 + x + y + z), i2 - x - y + z
+    basis = np.zeros((8, 8), dtype=complex)
+    basis[0, 0] = 1.0
+    return {
+        "cmi-product": (pair(np.kron(x, y), np.kron(y, x), SQ2), basis),
+        "cmi-entangled": (pair(np.kron(z, hc1), np.kron(z, hc2), 2 * SQ2), None),
+        "cmi-classical": (pair(np.kron(z, z), np.kron(z, z), 2.0), classical),
+        "open-system": (embed_operator(lay, ("A", "C"), np.kron(z, z)), classical),
+    }
+
+
+class TestKronConstruction:
+    """The builtins are built with kron_stack, and keep np.kron's bits."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PAIRS))
+    def test_builtin_pairs(self, name):
+        h, s = builtin_pair(name)
+        matrix, state = _np_kron_builtins()[name]
+        assert np.array_equal(h.matrix, matrix)
+        if state is not None:
+            assert np.array_equal(s.matrix, state)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_direct_optimal(self, d):
+        m = np.zeros((d * d, d * d), dtype=complex)
+        for j in range(1, d):
+            a = generalized_x(d, j) + generalized_y(d, j)
+            m += np.kron(a, a)
+        assert np.array_equal(direct_optimal(d).matrix, m / (2.0 * math.sqrt(d - 1)))
 
 
 class TestCommutingMediated:

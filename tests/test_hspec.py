@@ -20,6 +20,7 @@ from medqsl import (
     build,
     builtin_pair,
     direct_optimal,
+    embed_operator,
     format_ast,
     parse,
     parse_file,
@@ -68,6 +69,19 @@ class TestGrammar:
         m = _build_text("system A:2; system B:2; H = X(A)@X(B);")
         x = np.array([[0, 1], [1, 0]])
         np.testing.assert_allclose(m, np.kron(x, x), atol=1e-15)
+
+    def test_three_label_term_keeps_np_kron_bits(self):
+        # a term's block is one Kronecker product per further label, with
+        # np.kron's bits; the labels are written out of layout order
+        m = _build_text("system A:2; system B:3; system C:2;\n"
+                        "H = 0.5*GX(B,1)@Y(A)@Z(C) + 1/sqrt(3)*P(B,2)@X(C);")
+        block = np.kron(np.kron(hspec.OPERATORS["GX"][2](3, 1), hspec.PAULI_Y), hspec.PAULI_Z)
+        lay = parse("system A:2; system B:3; system C:2; H = X(A);").layout
+        want = np.zeros((12, 12), dtype=complex)
+        want += 0.5 * embed_operator(lay, ("B", "A", "C"), block)
+        want += 1 / np.sqrt(3) * embed_operator(lay, ("B", "C"), np.kron(np.diag(np.eye(3)[2]),
+                                                                         hspec.PAULI_X))
+        assert np.array_equal(m, want)
 
     def test_same_label_factors_multiply_in_order(self):
         # X then Z on one qubit is anti-Hermitian, i(XZ - ZX)/2i... the

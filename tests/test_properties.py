@@ -176,6 +176,26 @@ class TestClassicalityLaws:
             assert not is_classically_correlated_on(s, "C"), i
 
 
+class TestFactorStates:
+    def test_constructor_accepts_every_factor_state(self):
+        # full-rank and rank-deficient factors X (k <= n columns), with
+        # condition numbers from 1 to 1e12: the Gram product that from_factor
+        # builds unchecked passes the constructor's full validation, eigensolve
+        # included, and the two keep the same matrix bits
+        for i in range(N_CASES):
+            rc = RngStream(112, i)
+            lay = _layout_with_c(i, 2 + i % 2)
+            n = lay.dim
+            k = 1 + (i // 5) % n
+            sigma = 10.0 ** (-3 * (i % 5) * np.linspace(0.0, 1.0, k))
+            x = _haar_unitary(n, rc)[:, :k] * (sigma / np.linalg.norm(sigma)) \
+                @ _haar_unitary(k, rc).conj().T
+            s = DensityState.from_factor(lay, x)
+            assert s.spectrum is None and not s.matrix.flags.writeable
+            assert np.array_equal(s.matrix, x @ x.conj().T), i
+            assert np.array_equal(DensityState(lay, s.matrix).matrix, s.matrix), i
+
+
 class TestSpeedLimitLaws:
     def test_angle_never_beats_normalized_time(self):
         # With the energy spread as the binding resource (std <= mean, the

@@ -35,7 +35,10 @@ from medqsl import (
     uhlmann_fidelity,
     von_neumann_entropy,
 )
-from medqsl.errors import NotHermitianError, NotPSDError, StationaryStateError
+from medqsl.errors import (
+    DimensionMismatchError, NormalizationError, NotHermitianError, NotPSDError,
+    StationaryStateError,
+)
 from medqsl.hamiltonians import EnergyMoments, Hamiltonian, energy_moments_array
 from medqsl.linalg import kron_stack, propagate, require_hermitian, sqrtm_psd
 
@@ -254,6 +257,29 @@ class TestStackedValidation:
         v[2, 3], v[3], v[1, 0] = 1.0, 0.0, np.nan
         with pytest.raises(ValueError, match=r"non-finite entries at \[0\] \(stack index 1\)"):
             DensityState.from_pure(Q2, v)
+
+    def test_from_factor_names_the_failing_factor(self):
+        x = np.broadcast_to(np.eye(4, 2) / math.sqrt(2), (5, 4, 2)).astype(complex)
+        x[2, 1, 1] = np.nan
+        with pytest.raises(NormalizationError,
+                           match=r"factor has 1 non-finite entries, at \[\[1, 1\]\] "
+                                 r"\(stack index 2\)$") as info:
+            DensityState.from_factor(Q2, x)
+        assert info.value.index == (2,)
+        # an off-trace factor before the non-finite one is the one named
+        x[1] *= 1.1
+        with pytest.raises(NormalizationError,
+                           match=r"trace 1\.210000000000 is not 1 within 1e-10 "
+                                 r"\(stack index 1\)$"):
+            DensityState.from_factor(Q2, x)
+        with pytest.raises(NormalizationError, match=r"is not 1 within 1e-10$"):
+            DensityState.from_factor(Q2, x[1])
+        # a finite factor whose squares overflow: no numpy warning, an infinite trace
+        x[0] *= 1e200
+        with pytest.raises(NormalizationError, match=r"trace inf is not 1 .*\(stack index 0\)$"):
+            DensityState.from_factor(Q2, x)
+        with pytest.raises(DimensionMismatchError, match=r"factor shape \(3, 2\)"):
+            DensityState.from_factor(Q2, x[0, :3])
 
     def test_fidelity_names_the_non_psd_product(self):
         m = _valid_stack()

@@ -181,6 +181,24 @@ class TestCmiUncorrelated:
         (alone,) = _cmi_block(cfg, range(2, 3), **setup)
         assert np.array_equal(alone[0], a[1])
 
+    @pytest.mark.parametrize("first, violates", [(30, True), (33, False)])
+    def test_violation_window_ends_just_past_the_direct_time(self, monkeypatch, first, violates):
+        # at d = 2 the grid is k pi / 128; index 30 (T = 0.736) lies in
+        # (0.9 arccos(1/sqrt 2), arccos(1/sqrt 2) + EARLY_SLACK], index 33
+        # (T = 0.810) past it: a curve first at the level there violates or not
+        def kernel(cfg, sids, *, times, witness):
+            curves = np.zeros((len(sids), len(times)))
+            curves[:, first:] = 0.5
+            return (curves,)
+
+        monkeypatch.setattr(sweep, "_cmi_block", kernel)
+        rep = run_cmi_uncorrelated(SweepConfig(experiment="cmi-uncorrelated", n_instances=2,
+                                               seed=3, workers=1))
+        assert 0.9 * np.pi / 4 < rep.times[30] <= np.pi / 4 + 1e-3 < rep.times[33]
+        want = [{"stream_id": sid, "T": float(rep.times[first]), "negativity": 0.5}
+                for sid in range(2)]
+        assert rep.violations == (want if violates else [])
+
     def test_extremes_recorded(self):
         cfg = SweepConfig(experiment="cmi-uncorrelated", n_instances=5, seed=3)
         rep = run_cmi_uncorrelated(cfg)
@@ -637,6 +655,15 @@ class TestReportSerialization:
         assert doc["details"]["best_stage2_time"] is None
         want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "r.json").read_text() == want
+
+    def test_envelope_p99_is_the_99th_percentile(self):
+        # 100 rows, so the 0.95 and 0.99 quantiles of each column differ
+        m = np.arange(300.0).reshape(3, 100).T ** 2
+        rep = sweep._report(SweepConfig(experiment="cmi-uncorrelated", n_instances=100),
+                            np.arange(3.0), m, {}, [], {})
+        assert np.array_equal(rep.envelope["p99"], np.quantile(m, 0.99, axis=0))
+        assert not np.array_equal(rep.envelope["p99"], np.quantile(m, 0.95, axis=0))
+        assert np.array_equal(rep.envelope["max"], m[-1])
 
     def test_envelope_csv_format(self, tmp_path):
         rep = run_rate_zero(
