@@ -9,15 +9,16 @@ system integrator steps the master equation
 
     d rho / dT = L rho = K rho + (K rho)+ + sum_q Q rho Q+,   K = -iM - sum_q Q+Q / 2
 
-from grid point to grid point, re-Hermitized at each: by the exact map
-exp(L dT), one product with its n^2 x n^2 matrix, where that map fits
-(n <= 16) and costs less than the substeps it replaces, else by equal RK4
-substeps of at most 1e-3, each L two products.  The map keeps the trace
-to roundoff and RK4 increments are exactly traceless; each chunk of
-stepped states is checked as one stack, and the first state with an
-eigenvalue below -1e-6, a trace drift or a non-finite entry aborts with
-PositivityLostError.  The rate probe and the scan and refine behind the
-timing probes each run a stack of instances as one.
+from grid point to grid point, each stepped state exactly Hermitian: by
+the exact map exp(L dT), one real product on the state's n^2 coordinates
+in a Hermitian operator basis, where that real n^2 x n^2 map fits
+(n <= 19) and costs less than the substeps it replaces, else by equal RK4
+substeps of at most 1e-3, each L two products, re-Hermitized at each.
+The map keeps the trace to roundoff and RK4 increments are exactly
+traceless; each chunk of stepped states is checked as one stack, and the
+first state with an eigenvalue below -1e-6, a trace drift or a non-finite
+entry aborts with PositivityLostError.  The rate probe and the scan and
+refine behind the timing probes each run a stack of instances as one.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ from .errors import (
     StackCheckError,
 )
 from .hamiltonians import Hamiltonian, energy_moments
-from .linalg import expm, expm_plan, kron_stack, propagate, sqrtm_psd
+from .linalg import expm, expm_plan, propagate, sqrtm_psd
 from .states import (
     Bipartition,
     DensityState,
     SystemLayout,
     _acos,
     _value,
-    embed_operator,
+    layout_kron,
     mutual_information,
     negativity,
     negativity_array,
@@ -52,8 +53,8 @@ from .states import (
     uhlmann_fidelity,
 )
 from .tolerances import (
-    FIRST_MAX_SLACK, GRID_SLACK, LINDBLAD_EIG_FLOOR, PEAK_SLACK, RATE_DELTA, REFINE_TOL,
-    SUBSTEP_SLACK,
+    FIRST_MAX_SLACK, GRID_SLACK, LINDBLAD_EIG_FLOOR, PEAK_SLACK, PHASE_MAX, RATE_DELTA,
+    REFINE_TOL, SUBSTEP_SLACK,
 )
 
 __all__ = [
@@ -81,7 +82,7 @@ MAX_TRAJECTORY_BYTES = 2 ** 31
 # grid points per propagate call: bounds the factors held next to the states
 PROPAGATE_CHUNK = 256
 LINDBLAD_MAX_STEP = 1e-3
-LIOUVILLE_MAX_BYTES = 2 ** 20  # cap on the open stepper's n^2 x n^2 map: n <= 16
+LIOUVILLE_MAX_BYTES = 2 ** 20  # cap on the open stepper's real n^2 x n^2 map: n <= 19
 # the factor-form work a run may ask for, substeps x n^3; a substep costs
 # about 1e-8 s per n^3, so this is some 17 minutes, and a longer run is refused
 # before stepping
@@ -160,12 +161,19 @@ def write_csv(path, names, columns) -> None:
         fh.write(fmt * len(table) % tuple(table.ravel().tolist()))
 
 
-def _clock(d: int) -> np.ndarray:
-    """diag(omega^j), omega = exp(2 pi i / d), the quarter turns exact (Z at d = 2)."""
+@functools.cache
+def _clock_phases(d: int) -> np.ndarray:
+    """omega^j, omega = exp(2 pi i / d), the quarter turns exact; once per d, read-only."""
     j = np.arange(d)
     w, quarter = np.exp(2j * np.pi * j / d), 4 * j % d == 0
     w[quarter] = np.array([1, 1j, -1, -1j])[4 * j[quarter] // d]  # exp(i pi) != -1
-    return np.diag(w)
+    w.setflags(write=False)
+    return w
+
+
+def _clock(d: int) -> np.ndarray:
+    """diag(omega^j), omega = exp(2 pi i / d), the quarter turns exact (Z at d = 2)."""
+    return np.diag(_clock_phases(d))
 
 
 # each jump kind and its operator on a d-level subsystem: the clock
@@ -185,8 +193,11 @@ class JumpOperatorSet:
 
     @functools.cached_property
     def embedded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stack of operators Q on the full layout, its adjoints, sum_q Q+Q; built once."""
-        q = np.array([embed_operator(self.layout, (lab,), op) for lab, op in self.ops],
+        """The stack of operators Q on the full layout, its adjoints, sum_q Q+Q; built once.
+
+        Each Q is I (x) q (x) I in layout order, ``layout_kron`` of its one factor.
+        """
+        q = np.array([layout_kron(self.layout, {lab: op}) for lab, op in self.ops],
                      dtype=complex).reshape((-1,) + 2 * (self.layout.dim,))
         q_adj = q.conj().swapaxes(1, 2)
         return q, q_adj, (q_adj @ q).sum(axis=0)
@@ -305,7 +316,9 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
     The marginal columns are taken across ``cut`` (by default the first two
     subsystems, one against the other) and the fidelities against ``target``
     (by default ``s0``).  A grid whose largest phase max|w| (T - start)
-    overflows a float is refused with ValueError before propagating.
+    overflows a float, or exceeds ``PHASE_MAX`` (where its ulp reaches 1/8
+    rad, so the states lose their last significant digits), is refused with
+    ValueError before propagating.
     """
     _check_layouts(h, s0)
     cut, target = _observed(s0, grid, cut, target)
@@ -314,6 +327,10 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
     if not math.isfinite(w_max * span):
         raise ValueError(f"the phase max|w| (T - start) overflows a float at T = {times[-1]:.6g} "
                          f"(max|w| = {w_max:.6g}); shorten the run")
+    if w_max * span > PHASE_MAX:
+        raise ValueError(f"the phase max|w| (T - start) = {w_max * span:.3g} rad at "
+                         f"T = {times[-1]:.6g} exceeds {PHASE_MAX:.3g} rad, where a phase's ulp "
+                         f"is 1/8 rad (max|w| = {w_max:.6g}); shorten the run")
     x0 = _factor(s0)
     stacks = [_from_factors(s0, propagate(*h.eig, x0, times[lo:lo + PROPAGATE_CHUNK] - grid.start))
               for lo in range(0, len(times), PROPAGATE_CHUNK)]
@@ -361,23 +378,76 @@ def _factor_form(k, q):
     return step
 
 
-def _liouville_form(k, q):
-    """``step(rho, dt, n_sub)``: rho over the span dt n_sub, one product with its exact map.
+@functools.cache
+def _hermitian_basis(n: int):
+    """The row-major indices ``_liouville_form`` reads its real basis from, and its gathers.
 
-    On row-major vec(rho), L = K (x) I + I (x) conj K + sum_q Q (x) conj Q, and
-    E = exp(L dt n_sub) is formed by ``expm`` once per distinct span.
+    The real orthonormal basis of n x n Hermitian matrices is E_jj, then (E_jk + E_kj)/sqrt 2
+    and i (E_jk - E_kj)/sqrt 2 for each j < k: ``diag`` holds the indices of (j,j), and
+    ``upper`` and ``lower`` those of (j,k) and (k,j).  A Hermitian rho has the coordinates
+    x = d c in it, c = (rho_jj, Re rho_jk, Im rho_jk) and d = 1 or sqrt 2; ``take`` reads c
+    from the float view of rho, and ``put`` writes that view from (c, -Im rho_jk, 0), so the
+    rebuilt rho is exactly Hermitian.
+    """
+    upper_j, upper_k = np.triu_indices(n, 1)
+    m, diag = len(upper_j), np.arange(n) * (n + 1)
+    upper, lower = upper_j * n + upper_k, upper_k * n + upper_j
+    take = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+    put = np.empty(2 * n * n, dtype=np.intp)
+    put[2 * diag], put[2 * diag + 1] = np.arange(n), n * n + m
+    put[2 * upper] = put[2 * lower] = n + np.arange(m)
+    put[2 * upper + 1], put[2 * lower + 1] = n + m + np.arange(m), n * n + np.arange(m)
+    return diag, upper, lower, take, put
+
+
+def _liouville_form(k, q):
+    """``step(rho, dt, n_sub)``: rho over the span dt n_sub, one real product with its exact map.
+
+    On row-major vec(rho), L = K (x) I + I (x) conj K + sum_q Q (x) conj Q maps Hermitian
+    matrices to Hermitian ones, so in the basis B of ``_hermitian_basis`` it is the real
+    matrix L_r = Re(B+ L B) (Havel, J. Math. Phys. 44, 534 (2003)), gathered from the (j,k)
+    and (k,j) rows and columns of L.  exp(L_r dt n_sub) is formed by ``expm`` once per
+    distinct span and kept as the map of the coordinates c, d^-1 exp(L_r dt n_sub) d; a step
+    reads c from rho's diagonal and upper triangle, makes one real product and rebuilds rho.
+
+    The exact map keeps the trace, sum_j c_jj; but each of ``expm``'s s squarings doubles
+    the roundoff along that conserved direction, some 1e-10 at s = 19 (T = 1e6 at
+    ||L|| ~ 3), so the map's diagonal rows are corrected to sum to the trace functional.
     """
     n = len(k)
-    gen = (kron_stack(k, np.eye(n)) + kron_stack(np.eye(n), k.conj())
-           + np.einsum("qij,qkl->ikjl", q, q.conj()).reshape(n * n, n * n))
-    maps = {}
+    jumps = q.reshape(len(q), n * n)
+    # L[a, b, j, k]: sum_q Q (x) conj Q as one product of the jumps' (aj) and (bk) entries,
+    # then K (x) I on its b = k diagonal and I (x) conj K on its a = j diagonal, added
+    # through einsum's writeable diagonal views
+    gen = (jumps.T @ jumps.conj()).reshape(4 * (n,)).transpose(0, 2, 1, 3).copy()
+    np.einsum("abjb->ajb", gen)[...] += k[:, :, None]
+    np.einsum("abak->abk", gen)[...] += k.conj()
+    gen = gen.reshape(n * n, n * n)
+    diag, upper, lower, take, put = _hermitian_basis(n)
+    s, m = 1 / math.sqrt(2), len(upper)
+    # L B, then Re(B+ L B): the rows and columns of B's elements from those of (j,k) and (k,j)
+    col_jk, col_kj = gen[:, upper], gen[:, lower]
+    cols = np.concatenate([gen[:, diag], s * (col_jk + col_kj), (1j * s) * (col_jk - col_kj)],
+                          axis=1)
+    row_jk, row_kj = cols[upper], cols[lower]
+    l_r = np.concatenate([cols[diag].real, s * (row_jk + row_kj).real,
+                          s * (row_jk - row_kj).imag])
+    d = np.concatenate([np.ones(n), np.full(2 * m, math.sqrt(2))])
+    ratio, maps = d / d[:, None], {}
+    trace = np.arange(n * n) < n  # the trace functional on c
+    # put's sources: the coordinates c out of a step, then -Im rho_jk and a zero
+    src = np.zeros(n * n + m + 1)
+    c, im, minus_im = src[:n * n], src[n + m:n * n], src[n * n:-1]
 
     def step(rho, dt, n_sub):
         span = dt * n_sub
         if span not in maps:
-            maps[span] = 0.5 * expm(span * gen)  # halving is exact: y + y+ re-Hermitizes
-        y = (maps[span] @ rho.reshape(-1)).reshape(n, n)
-        return y + y.conj().T
+            e = ratio * expm(span * l_r)
+            e[:n] -= (e[:n].sum(axis=0) - trace) / n
+            maps[span] = e
+        np.matmul(maps[span], rho.reshape(-1).view(float)[take], out=c)
+        np.negative(im, out=minus_im)
+        return src[put].view(complex).reshape(n, n)
     return step
 
 
@@ -385,17 +455,18 @@ def _takes_map(k, q, step: float, substeps: int) -> bool:
     """Whether ``_liouville_form`` steps a run of ``substeps`` factor-form substeps, in grid
     steps of ``step``, at less cost than ``_factor_form``, its map in ``LIOUVILLE_MAX_BYTES``.
 
-    Forming exp(L step) costs about m + s + 10 products of n^2 x n^2: ``expm_plan``'s
-    degree and squarings at ||L step||_1 <= (2 ||K||_1 + sum_q ||Q||_1^2) step, the solve
-    and the calls some ten more.  One product costs about (n/8)^4 substeps (measured at
-    n = 4 ... 16); a grid point's one matrix-vector product is left out.
+    Forming exp(L_r step) costs about m + s + 10 real products of n^2 x n^2: ``expm_plan``'s
+    degree and squarings at ||L step||_1 <= (2 ||K||_1 + sum_q ||Q||_1^2) step, then the
+    solve, the gathers of L_r and the calls some ten more.  One product costs about
+    0.6 (n/8)^4 substeps (measured at n = 6 ... 18, BLAS at one thread); a grid point's one
+    matrix-vector product is left out.
     """
     n = k.shape[-1]
-    if 16 * n ** 4 > LIOUVILLE_MAX_BYTES:
+    if 8 * n ** 4 > LIOUVILLE_MAX_BYTES:
         return False
     norm = 2 * np.abs(k).sum(axis=0).max() + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()
     m, s = expm_plan(norm * step)
-    return substeps * 8 ** 4 >= (m + s + 10) * n ** 4
+    return 5 * substeps * 8 ** 4 >= 3 * (m + s + 10) * n ** 4
 
 
 def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,

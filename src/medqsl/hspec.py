@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +57,7 @@ from .hamiltonians import (
     generalized_x,
     generalized_y,
 )
-from .linalg import kron_stack
-from .states import MAX_TOTAL_DIM, SystemLayout, embed_operator
+from .states import MAX_TOTAL_DIM, SystemLayout, layout_kron
 
 __all__ = [
     "Coefficient",
@@ -159,8 +159,7 @@ class HSpecAst:
 # ---------------------------------------------------------------------------
 # lexing
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "name" | "sym" | "eof"
     text: str
     line: int
@@ -171,31 +170,35 @@ class _Token:
 
 
 def _lex(text: str) -> tuple[list[_Token], list[str]]:
+    """The tokens of ``text``, in one ``finditer`` pass, and its lines.
+
+    Every match starts where the last one ended; a gap is a character no
+    token starts with, and is reported at its line and column.
+    """
     lines = text.split("\n")
     tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    col = 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise HSpecSyntaxError(f"unexpected character {text[pos]!r}",
-                                   line, col, lines[line - 1])
-        kind = m.lastgroup
-        lexeme = m.group()
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind, pos = m.lastgroup, m.end()
+        if kind == "ws":
+            newlines = m.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + m.group().rfind("\n") + 1
+            continue
+        if kind == "comment":
+            continue
+        lexeme, col = m.group(), m.start() - line_start + 1
         if kind == "num" and math.isinf(float(lexeme)):
             raise HSpecSyntaxError(f"number {lexeme[:12]}... does not fit a finite float",
                                    line, col, lines[line - 1])
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        tokens.append(_Token(kind, lexeme, line, col))
+    if pos < len(text):
+        raise HSpecSyntaxError(f"unexpected character {text[pos]!r}",
+                               line, pos - line_start + 1, lines[line - 1])
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens, lines
 
 
@@ -369,28 +372,26 @@ def parse_file(path) -> HSpecAst:
 def build(ast: HSpecAst) -> Hamiltonian:
     """Assemble the dense matrix; Hermiticity is verified on construction.
 
-    Terms are summed in the AST's canonical order regardless of how the
-    source was written, so permuted inputs build identical matrices.
+    Each term is the ``layout_kron`` of its factors, one matrix per label
+    (oprefs sharing a label multiplied in written order).  Terms are summed
+    in the AST's canonical order regardless of how the source was written,
+    so permuted inputs build identical matrices.
     Finite coefficients can still sum past the largest float: the first
     term whose addition leaves a non-finite entry is named.
     """
     layout = ast.layout
     total = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for term in ast.terms:
-        factors: dict[str, np.ndarray] = {}
-        for op in term.ops:
-            m = OPERATORS[op.name][2](layout.dim_of(op.label), op.arg)
-            factors[op.label] = factors[op.label] @ m if op.label in factors else m
-        labels = tuple(factors)
-        block = factors[labels[0]]
-        for lab in labels[1:]:
-            block = kron_stack(block, factors[lab])
-        with np.errstate(over="ignore", invalid="ignore"):
-            total += term.coefficient.value * embed_operator(layout, labels, block)
-        if not np.isfinite(total).all():
-            op = term.ops[0]
-            raise HSpecSyntaxError("the sum of the terms up to this one "
-                                   "overflows a float", op.line, op.col)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in ast.terms:
+            factors: dict[str, np.ndarray] = {}
+            for op in term.ops:
+                m = OPERATORS[op.name][2](layout.dim_of(op.label), op.arg)
+                factors[op.label] = factors[op.label] @ m if op.label in factors else m
+            total += term.coefficient.value * layout_kron(layout, factors)
+            if not np.isfinite(total).all():
+                op = term.ops[0]
+                raise HSpecSyntaxError("the sum of the terms up to this one "
+                                       "overflows a float", op.line, op.col)
     return Hamiltonian(layout, total)
 
 

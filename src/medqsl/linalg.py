@@ -4,7 +4,9 @@ Everything downstream funnels Hermitian matrix functions through the
 eigendecomposition here, so unitaries come out exactly unitary (up to
 roundoff in the eigensolver) and square roots stay positive
 semidefinite by construction; the one non-normal function, the
-exponential of a Liouvillian, is ``expm``'s Pade scaling and squaring.
+exponential of a Liouvillian, is ``expm``'s Pade scaling and squaring,
+in real arithmetic for a real argument (a Liouvillian written in a real
+Hermitian operator basis).
 Dense only; total dimensions in this package stay small (a few thousand
 at most).
 
@@ -142,8 +144,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     Pade [13/13] approximant r is squared s times.  The even powers of a
     make V and U = a (odd part), with the numerator's coefficients
     b_j = (2m - j)! / (j! (m - j)!), and r = (V - U)^-1 (V + U) is one solve.
+    A real argument stays real: its products and solve are real ones.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, float), copy=False)
     m, s = expm_plan(np.abs(a).sum(axis=0).max())
     a = a * 2.0 ** -s  # exact: a power of two
     b = [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))

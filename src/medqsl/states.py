@@ -10,6 +10,7 @@ Entropies and mutual information are in bits (base-2 logarithms).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ __all__ = [
     "DensityState",
     "maximally_entangled",
     "embed_operator",
+    "layout_kron",
     "partial_trace",
     "negativity",
     "partial_trace_array",
@@ -71,7 +73,12 @@ def _integer_dim(label, dim) -> int:
 
 @dataclass(frozen=True)
 class SystemLayout:
-    """Ordered collection of labeled subsystems with fixed dimensions."""
+    """Ordered collection of labeled subsystems with fixed dimensions.
+
+    ``labels``, ``dims``, ``dim`` and the label positions are resolved once
+    per layout, on first read; equality, hashing and pickles see
+    ``subsystems`` alone.
+    """
 
     subsystems: tuple[tuple[str, int], ...]
 
@@ -93,26 +100,34 @@ class SystemLayout:
         if total > MAX_TOTAL_DIM:
             raise BadDimensionError(f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
 
-    @property
+    def __getstate__(self):
+        return {"subsystems": self.subsystems}
+
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.subsystems)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.subsystems)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return math.prod(self.dims)
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return {lab: k for k, lab in enumerate(self.labels)}
 
     def __len__(self) -> int:
         return len(self.subsystems)
 
     def position(self, label: str) -> int:
-        for k, (lab, _) in enumerate(self.subsystems):
-            if lab == label:
-                return k
-        raise UnknownLabelError(f"no subsystem labeled {label!r} in layout {self.labels}")
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):
+            raise UnknownLabelError(
+                f"no subsystem labeled {label!r} in layout {self.labels}") from None
 
     def dim_of(self, label: str) -> int:
         return self.subsystems[self.position(label)][1]
@@ -363,6 +378,38 @@ def embed_operator(layout: SystemLayout, labels, op: np.ndarray) -> np.ndarray:
     t = big.reshape(lead + (*dims, *dims)).transpose(
         [*range(len(lead)), *perm, *(perm + len(order))])
     return np.ascontiguousarray(t.reshape(lead + (layout.dim, layout.dim)))
+
+
+def layout_kron(layout: SystemLayout, factors) -> np.ndarray:
+    """The Kronecker product, in layout order, of single-subsystem ``factors``.
+
+    ``factors`` maps labels to square matrices on those subsystems; a
+    label it lacks contributes the identity.  Walking ``layout.subsystems``,
+    the chain P of the factors and the identity I on the other labels are
+    laid out on the layout's axes, and each entry is the one product
+    p_ij e_kl that ``embed_operator`` forms for P, so the bits, zero signs
+    included, are the ones the embedding of P gives, without its permutation.
+    """
+    unknown = [lab for lab in factors if lab not in layout.labels]
+    if unknown:
+        raise UnknownLabelError(f"no subsystem labeled {unknown[0]!r} in layout {layout.labels}")
+    chain, p_axes, e_axes = None, [], []
+    for lab, d in layout.subsystems:
+        f = factors.get(lab)
+        p_axes.append(1 if f is None else d)
+        e_axes.append(d if f is None else 1)
+        if f is None:
+            continue
+        f = np.asarray(f, dtype=complex)
+        if f.shape != (d, d):
+            raise DimensionMismatchError(
+                f"operator shape {f.shape} does not match dim {d} of {lab!r}")
+        chain = f if chain is None else kron_stack(chain, f)
+    if chain is None:
+        chain = np.ones((1, 1), dtype=complex)
+    eye = np.eye(math.prod(e_axes), dtype=complex)
+    out = chain.reshape(2 * p_axes) * eye.reshape(2 * e_axes)
+    return out.reshape(layout.dim, layout.dim)
 
 
 def partial_trace_array(m: np.ndarray, dims: tuple[int, ...], keep_pos) -> np.ndarray:

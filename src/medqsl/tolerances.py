@@ -28,6 +28,7 @@ REFINE_TOL = 1e-9           # bracket width at which golden section and bisectio
 PEAK_SLACK = 1e-4           # grid-local peaks this close below a level are refined
 FIRST_MAX_SLACK = 1e-7      # a refined peak this close to (d-1)/2 counts as maximal
 RATE_DELTA = 1e-4           # the delta of the rate probe N(delta) - N(0)
+PHASE_MAX = 2.0 ** 49       # rad: the largest closed phase max|w| (T - start), whose ulp is 1/8
 
 # sweep verdicts
 ATTAIN_SLACK = 1e-6         # N reaches the level (d-1)/2 within this

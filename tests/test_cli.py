@@ -607,6 +607,21 @@ class TestExitCodes:
             "(max|w| = 10); shorten the run\n")
         assert not (tmp_path / "ovf.csv").exists()
 
+    def test_phases_past_their_last_digits_are_exit_2(self, tmp_path, capsys):
+        # max|w| = 10: phases up to 1e21 rad, whose ulp is 1.3e5 rad, are
+        # refused, the error line alone on stderr, no file written; the same
+        # coupling on a 1e-3 grid runs
+        (tmp_path / "ph.hspec").write_text(
+            "system A:2; system B:2; system C:2;\nH = 5*Z(A)@Z(C) + 5*X(B)@Z(C);\n")
+        argv = ["evolve", "--ham", "ph.hspec", "--state", "ket:000", "--out", "ph.csv"]
+        assert main([*argv, "--tmax", "1e20", "--dt", "1e19"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the phase max|w| (T - start) = 1e+21 rad at T = 1e+20 exceeds 5.63e+14 rad, "
+            "where a phase's ulp is 1/8 rad (max|w| = 10); shorten the run\n")
+        assert not (tmp_path / "ph.csv").exists()
+        assert main([*argv, "--tmax", "1", "--dt", "1e-3"]) == 0
+        assert len(_read_csv(tmp_path / "ph.csv")) == 1001
+
     def test_dimension_cap(self, tmp_path, capsys):
         # d**3 = 10**6 is refused before a single instance is drawn
         assert main(["reproduce", "rate-zero", "--d", "100", "--out", "rz"]) == 2

@@ -265,6 +265,25 @@ class TestUnitaryEvolution:
                                              r"\(max\|w\| = 10\)"):
             evolve_unitary(h, s0, TimeGrid(0.0, 1.7e308, 1e307))
 
+    def test_phases_past_their_last_digits_refused(self, monkeypatch):
+        # max|w| = 8: a phase of exactly PHASE_MAX = 2^49 rad (ulp 1/8 rad) is
+        # propagated, one ulp of T more is refused before propagating, and so is
+        # T = 1e20 (phases of 8e20 rad, whose ulp is 1.3e5 rad)
+        h = Hamiltonian(classical_mediator_example()[0].layout,
+                        np.diag([8.0, 0, 0, -8, 0, 0, 0, 0]))
+        s0 = ket(h.layout, 0)
+        assert dynamics.PHASE_MAX == 2.0 ** 49
+        traj = evolve_unitary(h, s0, TimeGrid(0.0, 2.0 ** 46, 2.0 ** 45))
+        assert traj.times[-1] == 2.0 ** 46
+        monkeypatch.setattr(dynamics, "propagate", _refuse)
+        with pytest.raises(ValueError, match=r"= 5\.63e\+14 rad at T = 7\.03687e\+13 exceeds "
+                                             r"5\.63e\+14 rad, where a phase's ulp is 1/8 rad "
+                                             r"\(max\|w\| = 8\)"):
+            above = np.nextafter(2.0 ** 46, np.inf)
+            evolve_unitary(h, s0, TimeGrid(0.0, above, above))
+        with pytest.raises(ValueError, match=r"= 8e\+20 rad at T = 1e\+20 exceeds"):
+            evolve_unitary(h, s0, TimeGrid(0.0, 1e20, 1e19))
+
     def test_states_are_views_of_the_validated_stack(self):
         h, s0 = entangled_mediator_example()
         traj = evolve_unitary(h, s0, TimeGrid(0.0, 0.3, 1e-3))
@@ -418,6 +437,35 @@ def _exact_map(gen, t):
     return out
 
 
+def _hermitian_basis(n):
+    """Columns vec(b) of the orthonormal Hermitian basis: each E_jj, then (E_jk + E_kj)/sqrt 2
+    and i (E_jk - E_kj)/sqrt 2 for the pairs j < k in row-major order."""
+    e = np.eye(n)
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    basis = ([np.outer(e[j], e[j]) for j in range(n)]
+             + [(np.outer(e[j], e[k]) + np.outer(e[k], e[j])) / math.sqrt(2) for j, k in pairs]
+             + [1j * (np.outer(e[j], e[k]) - np.outer(e[k], e[j])) / math.sqrt(2)
+                for j, k in pairs])
+    return np.array([b.reshape(-1) for b in basis]).T
+
+
+@pytest.mark.parametrize("kind", sorted(JUMP_KINDS))
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 2)])
+def test_jumps_keep_the_embedded_bits(kind, dims):
+    # each jump is I (x) q (x) I in layout order, without a permutation, and
+    # keeps the bits of embed_operator's embedding, zero signs included (a
+    # qutrit clock operator chained through two identity products would not)
+    lay = SystemLayout(tuple(zip("ABC", dims)))
+    jumps = JumpOperatorSet.local(lay, kind, 0.3)
+    q, q_adj, qq = jumps.embedded
+    old = np.array([embed_operator(lay, (lab,), op) for lab, op in jumps.ops],
+                   dtype=complex).reshape((-1,) + 2 * (lay.dim,))
+    old_adj = old.conj().swapaxes(1, 2)
+    assert q.tobytes() == old.tobytes()
+    assert q_adj.tobytes() == old_adj.tobytes()
+    assert qq.tobytes() == (old_adj @ old).sum(axis=0).tobytes()
+
+
 def _jumps(lay, *specs):
     """The jump set of (kind, rate, label) triples, in order."""
     return JumpOperatorSet(lay, tuple(op for kind, rate, lab in specs
@@ -480,23 +528,33 @@ class TestStepperForm:
         return built
 
     def test_no_setting_chooses_it(self):
+        # the cap counts the real map's 8 n^4 bytes: up to n = 19
         assert list(inspect.signature(dynamics._open_stacks).parameters) == [
             "h", "s0", "jumps", "grid"]
-        assert 16 * 16 ** 4 <= dynamics.LIOUVILLE_MAX_BYTES < 16 * 17 ** 4
+        assert 8 * 19 ** 4 <= dynamics.LIOUVILLE_MAX_BYTES < 8 * 20 ** 4
 
     def test_lindblad_open_shape_takes_the_liouville_form(self, built):
         # n = 8, three dephasing jumps, 5 segments of 100 substeps: 500 against
-        # the map's cost of 15 (Pade degree 5, no squaring, and 10)
+        # the map's cost of 9 (0.6 of Pade degree 5, no squaring, and 10)
         h, s0 = open_system_example()
         jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
         evolve_lindblad(h, s0, TimeGrid(0.0, 0.5, 0.1), jumps)
         assert built == [("_liouville_form", 8)]
 
     def test_few_substeps_take_the_factor_form(self, built):
-        # 10 substeps at n = 8 cost less than forming the map (15)
+        # at n = 8 forming the map costs about 9 substeps (0.6 of Pade degree
+        # 5, no squaring, and 10; measured: 0.25 ms for the map against 27 us
+        # a substep, BLAS at one thread), so 8 substeps cost less
+        h, s0 = open_system_example()
+        evolve_lindblad(h, s0, TimeGrid(0.0, 0.008, 0.008),
+                        JumpOperatorSet.dephasing(h.layout, 0.1))
+        assert built == [("_factor_form", 8)]
+
+    def test_ten_substeps_take_the_liouville_form(self, built):
+        # past the break-even of about 9 substeps at n = 8
         h, s0 = open_system_example()
         evolve_lindblad(h, s0, TimeGrid(0.0, 0.01, 0.01), JumpOperatorSet.dephasing(h.layout, 0.1))
-        assert built == [("_factor_form", 8)]
+        assert built == [("_liouville_form", 8)]
 
     @pytest.mark.parametrize("d, n", [(2, 8), (3, 27)])
     def test_rate_zero_probe_takes_the_factor_form(self, built, d, n):
@@ -588,9 +646,47 @@ class TestExactMap:
         h, s0 = open_system_example()
         jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
         dynamics._open_stacks(h, s0, jumps, grid)
-        gen = _liouvillian(h, jumps)
-        assert len(spans) == 1
-        assert np.abs(spans[0] - grid.step * gen).max() <= 1e-15
+        b = _hermitian_basis(8)
+        l_r = b.conj().T @ _liouvillian(h, jumps) @ b
+        assert len(spans) == 1 and spans[0].dtype == float
+        assert np.abs(l_r.imag).max() <= 1e-15
+        assert np.abs(spans[0] - grid.step * l_r.real).max() <= 1e-15
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 2, 2, 2), (2, 3, 3)],
+                             ids=["n4", "n8", "n16", "n18"])
+    def test_real_map_states_are_exactly_hermitian(self, monkeypatch, dims):
+        # each grid step is one real product on rho's n^2 coordinates, and rho
+        # is rebuilt from them exactly Hermitian; within roundoff of the test's
+        # own exp(L T) up to n = 18, whose real map (8 n^4 bytes) fits the cap
+        monkeypatch.setattr(dynamics, "_factor_form", _not_reached)
+        lay = SystemLayout(tuple(zip("ABCD", dims)))
+        stream = RngStream(17, len(dims))
+        h = Hamiltonian(lay, 2.0 * random_hermitian(lay.dim, stream))
+        s0 = DensityState(lay, random_density(lay.dim, stream))
+        jumps = _jumps(lay, ("damping", 0.2, "A"), *(("dephasing", 0.3, lab) for lab in lay.labels))
+        grid = TimeGrid(0.0, 0.4, 0.1)
+        (stack,) = dynamics._open_stacks(h, s0, jumps, grid)
+        for rho in stack.matrix[1:]:
+            assert np.array_equal(rho, rho.conj().T)
+        segment = _exact_map(_liouvillian(h, jumps), grid.step)
+        want = [s0.matrix.reshape(-1)]
+        for _ in grid.times[1:]:
+            want.append(segment @ want[-1])
+        assert np.abs(stack.matrix - np.array(want).reshape(stack.matrix.shape)).max() <= 1e-13
+        assert np.abs(stack.matrix[-1] - s0.matrix).max() > 1e-2
+
+    def test_map_keeps_the_trace_over_many_squarings(self):
+        # exp(L_r T) at T = 1e6 takes 19 squarings, each of which doubles the
+        # roundoff of the conserved trace (some 1e-10 uncorrected): the map's
+        # diagonal rows sum to the trace functional, so the trace stays
+        lay = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+        for seed in range(6):
+            stream = RngStream(seed, 0)
+            h = Hamiltonian(lay, random_hermitian(8, stream))
+            rho = random_density(8, stream)
+            step = dynamics._liouville_form(*dynamics._generator(
+                h, JumpOperatorSet.local(lay, sorted(JUMP_KINDS)[seed % 2], 0.1)))
+            assert abs(np.trace(step(rho, 1e6, 1)) - 1) <= 1e-14
 
     def test_factor_form_work_is_capped(self, monkeypatch):
         # 10^9 substeps at n = 27 (the map would not fit) are refused before
@@ -880,15 +976,16 @@ class TestRateProbe:
         assert info.value.index == (1,)
 
     def test_embedded_once_per_set(self, monkeypatch):
+        # three layout-order products, one per jump, over three probes
         import medqsl.dynamics as dynamics
         calls = []
 
-        def counting(*args):
-            calls.append(args[1])
-            return embed(*args)
+        def counting(layout, factors):
+            calls.append(tuple(factors))
+            return product(layout, factors)
 
-        embed = dynamics.embed_operator
-        monkeypatch.setattr(dynamics, "embed_operator", counting)
+        product = dynamics.layout_kron
+        monkeypatch.setattr(dynamics, "layout_kron", counting)
         h, s = cmi_product_example()
         jumps = JumpOperatorSet.damping(h.layout, 0.1)
         dns = [entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)

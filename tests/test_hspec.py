@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medqsl import hspec
+from medqsl.linalg import kron_stack
 from medqsl import (
     ArgOutOfRangeError,
     Coefficient,
@@ -203,11 +204,12 @@ class TestErrors:
         assert exc.value.message == message
 
     def test_sum_is_built_in_one_pass(self, monkeypatch):
-        # the overflowing term is found as it is added, not by summing again
+        # the overflowing term is found as it is added, not by summing again:
+        # one layout-order product per term built
         calls = []
-        embed = hspec.embed_operator
-        monkeypatch.setattr(hspec, "embed_operator",
-                            lambda *args: calls.append(1) or embed(*args))
+        product = hspec.layout_kron
+        monkeypatch.setattr(hspec, "layout_kron",
+                            lambda *args: calls.append(1) or product(*args))
         big = "1" + "0" * 308
         text = f"system A:2; system B:2;\nH = {big}*X(A)@X(B)\n  + {big}*X(A)@X(B) + Z(A)@Z(B);"
         with pytest.raises(HSpecSyntaxError, match="overflows a float") as exc:
@@ -242,6 +244,55 @@ class TestErrors:
         with pytest.raises(HSpecSyntaxError) as exc:
             parse("system A:2; H = X(A) $ Z(A);")
         assert exc.value.col == 22
+
+
+def _embedded_build(ast):
+    """The reference build: each term's factors chained in written label order and
+    embedded by ``embed_operator``, against which the layout-order products are checked."""
+    layout = ast.layout
+    total = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for term in ast.terms:
+        factors = {}
+        for op in term.ops:
+            m = hspec.OPERATORS[op.name][2](layout.dim_of(op.label), op.arg)
+            factors[op.label] = factors[op.label] @ m if op.label in factors else m
+        labels = tuple(factors)
+        block = factors[labels[0]]
+        for lab in labels[1:]:
+            block = kron_stack(block, factors[lab])
+        total += term.coefficient.value * embed_operator(layout, labels, block)
+    return total
+
+
+_BUILD_TEXTS = [
+    "system A:2; system B:3; system C:2;\nH = 0.5*GX(B,1)@Y(A)@Z(C) + 1/sqrt(3)*P(B,2)@X(C);",
+    "system A:2; system C:3; H = GX(C,1) - 2*Z(A)@P(C,2);",
+    "system A:2; system C:3; H = 0.5*Z(A) + GX(C,1)@P(C,1)@GX(C,1) - P(C,0);",
+    "system A:3; system B:2; system C:3;\nH = -GY(C,2)@GY(A,1) + Y(B)@GX(A,2)@GY(C,1) - I(B);",
+    "system A:2; system B:2; H = X(A)@X(B) + 0.5*Z(A);",
+]
+
+
+class TestLayoutOrderBuild:
+    """Each term is one Kronecker product in layout order, with ``embed_operator``'s bits."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.hspec")) + [
+        Path(__file__).parents[1] / "perfbench" / "data" / "open3.hspec"], ids=lambda p: p.stem)
+    def test_files_keep_the_embedded_bits(self, path):
+        ast = parse_file(path)
+        assert build(ast).matrix.tobytes() == _embedded_build(ast).tobytes()
+
+    @pytest.mark.parametrize("text", _BUILD_TEXTS)
+    def test_texts_keep_the_embedded_bits(self, text):
+        # labels written out of layout order, qutrit ladders and projectors
+        ast = parse(text)
+        assert build(ast).matrix.tobytes() == _embedded_build(ast).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_drawn_specs_keep_the_embedded_bits(self, data):
+        ast = data.draw(_ast())
+        assert build(ast).matrix.tobytes() == _embedded_build(ast).tobytes()
 
 
 class TestGoldenFiles:

@@ -6,6 +6,7 @@ calculations kept outside the package.
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from medqsl.states import (
     embed_operator,
     is_classically_correlated_on,
     json_text,
+    layout_kron,
     load_state,
     maximally_entangled,
     mutual_information,
@@ -129,6 +131,34 @@ class TestSystemLayout:
             lay.positions(("B", "B"))
         with pytest.raises(UnknownLabelError, match="no subsystem labeled 'D'"):
             lay.axes_first(("A", "D"))
+
+    def test_resolved_once_and_pickled_as_subsystems(self):
+        # dims, dim, labels and positions are computed on first read and kept;
+        # equality, hashing and pickles (what a sweep pool sends) see only
+        # the subsystems, so a read layout pickles to a fresh one's bytes
+        lay = SystemLayout((("A", 2), ("B", 3), ("C", 2)))
+        fresh = pickle.dumps(SystemLayout(lay.subsystems))
+        assert lay.dims is lay.dims and lay.labels is lay.labels
+        assert (lay.dim, lay.position("C"), lay.dim_of("B")) == (12, 2, 3)
+        assert pickle.dumps(lay) == fresh
+        back = pickle.loads(fresh)
+        assert back == lay and hash(back) == hash(lay) and back.dims == (2, 3, 2)
+        assert {lay: 1}[SystemLayout((("A", 2), ("B", 3), ("C", 2)))] == 1
+        assert lay != SystemLayout((("A", 2), ("C", 2), ("B", 3)))
+        for bad in ("D", 0, ["A"]):
+            with pytest.raises(UnknownLabelError, match="no subsystem labeled"):
+                lay.position(bad)
+
+    def test_layout_kron_checks_labels_and_shapes(self):
+        lay = SystemLayout((("A", 2), ("B", 3)))
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert np.array_equal(layout_kron(lay, {"A": x}), np.kron(x, np.eye(3)))
+        assert np.array_equal(layout_kron(lay, {}), np.eye(6))
+        with pytest.raises(UnknownLabelError, match="no subsystem labeled 'C'"):
+            layout_kron(lay, {"C": x})
+        with pytest.raises(DimensionMismatchError,
+                           match=r"operator shape \(2, 2\) does not match dim 3 of 'B'"):
+            layout_kron(lay, {"B": x})
 
     def test_restricted_keeps_layout_order(self):
         lay = SystemLayout((("A", 2), ("B", 3), ("C", 2)))
