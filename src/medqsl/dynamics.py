@@ -44,7 +44,7 @@ from .states import (
     SystemLayout,
     _acos,
     _value,
-    layout_kron,
+    embed_operator,
     mutual_information,
     negativity,
     negativity_array,
@@ -115,8 +115,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.stop > self.start):
             raise ValueError(f"empty time span [{self.start}, {self.stop}]")
-        if not (self.step > 0):
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if (self.stop - self.start) / self.step > MAX_GRID_POINTS:
             raise ValueError("grid would exceed 1e7 points")
 
@@ -162,18 +162,14 @@ def write_csv(path, names, columns) -> None:
 
 
 @functools.cache
-def _clock_phases(d: int) -> np.ndarray:
-    """omega^j, omega = exp(2 pi i / d), the quarter turns exact; once per d, read-only."""
+def _clock(d: int) -> np.ndarray:
+    """diag(omega^j), omega = exp(2 pi i / d), quarter turns exact (Z at d = 2); read-only."""
     j = np.arange(d)
     w, quarter = np.exp(2j * np.pi * j / d), 4 * j % d == 0
     w[quarter] = np.array([1, 1j, -1, -1j])[4 * j[quarter] // d]  # exp(i pi) != -1
-    w.setflags(write=False)
-    return w
-
-
-def _clock(d: int) -> np.ndarray:
-    """diag(omega^j), omega = exp(2 pi i / d), the quarter turns exact (Z at d = 2)."""
-    return np.diag(_clock_phases(d))
+    z = np.diag(w)
+    z.setflags(write=False)
+    return z
 
 
 # each jump kind and its operator on a d-level subsystem: the clock
@@ -195,9 +191,9 @@ class JumpOperatorSet:
     def embedded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stack of operators Q on the full layout, its adjoints, sum_q Q+Q; built once.
 
-        Each Q is I (x) q (x) I in layout order, ``layout_kron`` of its one factor.
+        Each Q is I (x) q (x) I, ``embed_operator`` of q on its one label.
         """
-        q = np.array([layout_kron(self.layout, {lab: op}) for lab, op in self.ops],
+        q = np.array([embed_operator(self.layout, (lab,), op) for lab, op in self.ops],
                      dtype=complex).reshape((-1,) + 2 * (self.layout.dim,))
         q_adj = q.conj().swapaxes(1, 2)
         return q, q_adj, (q_adj @ q).sum(axis=0)
@@ -458,15 +454,16 @@ def _takes_map(k, q, step: float, substeps: int) -> bool:
     Forming exp(L_r step) costs about m + s + 10 real products of n^2 x n^2: ``expm_plan``'s
     degree and squarings at ||L step||_1 <= (2 ||K||_1 + sum_q ||Q||_1^2) step, then the
     solve, the gathers of L_r and the calls some ten more.  One product costs about
-    0.6 (n/8)^4 substeps (measured at n = 6 ... 18, BLAS at one thread); a grid point's one
-    matrix-vector product is left out.
+    0.6 (n/8)^4 substeps (measured at n = 6 ... 18, BLAS at one thread), but no less than
+    a call's overhead, 0.2 substeps, which binds below n = 6 (at n = 4 the map and one step
+    measured 2.7 substeps); a grid point's one matrix-vector product is left out.
     """
     n = k.shape[-1]
     if 8 * n ** 4 > LIOUVILLE_MAX_BYTES:
         return False
     norm = 2 * np.abs(k).sum(axis=0).max() + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()
     m, s = expm_plan(norm * step)
-    return 5 * substeps * 8 ** 4 >= 3 * (m + s + 10) * n ** 4
+    return 5 * substeps * 8 ** 4 >= (m + s + 10) * max(3 * n ** 4, 8 ** 4)
 
 
 def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
@@ -484,10 +481,14 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
     check, non-finite entries included.
     """
     times = grid.times
-    n_sub = max(1, math.ceil(grid.step / LINDBLAD_MAX_STEP - SUBSTEP_SLACK))
+    # a one-point grid takes no step, so its substeps are neither counted nor priced
+    ratio = grid.step / LINDBLAD_MAX_STEP - SUBSTEP_SLACK if len(times) > 1 else 0.0
+    if ratio == math.inf:
+        raise ValueError(f"a step of {grid.step:.6g} has too many RK4 substeps to count")
+    n_sub = max(1, math.ceil(ratio))
     n, substeps = s0.layout.dim, n_sub * (len(times) - 1)
     k, q = _generator(h, jumps)
-    liouville = _takes_map(k, q, grid.step, substeps)
+    liouville = substeps > 0 and _takes_map(k, q, grid.step, substeps)
     if not liouville and substeps * n ** 3 > MAX_FACTOR_WORK:
         raise ValueError(f"{substeps} RK4 substeps at dimension {n} exceed the cap of "
                          f"{MAX_FACTOR_WORK:.0e} substeps x n^3; shorten the run")

@@ -36,6 +36,7 @@ written.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -57,7 +58,8 @@ from .hamiltonians import (
     generalized_x,
     generalized_y,
 )
-from .states import MAX_TOTAL_DIM, SystemLayout, layout_kron
+from .linalg import kron_stack
+from .states import MAX_TOTAL_DIM, SystemLayout, embed_operator
 
 __all__ = [
     "Coefficient",
@@ -372,8 +374,9 @@ def parse_file(path) -> HSpecAst:
 def build(ast: HSpecAst) -> Hamiltonian:
     """Assemble the dense matrix; Hermiticity is verified on construction.
 
-    Each term is the ``layout_kron`` of its factors, one matrix per label
-    (oprefs sharing a label multiplied in written order).  Terms are summed
+    Each term's factors, one matrix per label (oprefs sharing a label
+    multiplied in written order), are chained by ``kron_stack`` in layout
+    order and placed on their labels by ``embed_operator``.  Terms are summed
     in the AST's canonical order regardless of how the source was written,
     so permuted inputs build identical matrices.
     Finite coefficients can still sum past the largest float: the first
@@ -387,7 +390,9 @@ def build(ast: HSpecAst) -> Hamiltonian:
             for op in term.ops:
                 m = OPERATORS[op.name][2](layout.dim_of(op.label), op.arg)
                 factors[op.label] = factors[op.label] @ m if op.label in factors else m
-            total += term.coefficient.value * layout_kron(layout, factors)
+            labels = [lab for lab in layout.labels if lab in factors]
+            chain = functools.reduce(kron_stack, [factors[lab] for lab in labels])
+            total += term.coefficient.value * embed_operator(layout, labels, chain)
             if not np.isfinite(total).all():
                 op = term.ops[0]
                 raise HSpecSyntaxError("the sum of the terms up to this one "

@@ -27,9 +27,7 @@ from .errors import (
     StackCheckError,
     UnknownLabelError,
 )
-from .linalg import (
-    dot_rows, first_failure, kron_stack, require_hermitian, require_psd,
-)
+from .linalg import dot_rows, first_failure, require_hermitian, require_psd
 from .tolerances import (
     CLASSICAL_TOL, ENTROPY_CUTOFF, NEG_EIG_TOL, PSD_FLOOR, SUPPORT_CUT, TRACE_TOL,
 )
@@ -40,7 +38,6 @@ __all__ = [
     "DensityState",
     "maximally_entangled",
     "embed_operator",
-    "layout_kron",
     "partial_trace",
     "negativity",
     "partial_trace_array",
@@ -362,54 +359,29 @@ def embed_operator(layout: SystemLayout, labels, op: np.ndarray) -> np.ndarray:
     ``op`` is indexed in the order the labels are given; the result is
     indexed in layout order.  A ``(B, m, m)`` stack of operators gives the
     ``(B, n, n)`` stack of their extensions, each the one its matrix gives.
+    One broadcast product lays op, its axes in layout order (a view, skipped
+    when the labels are), against the identity on the other labels, each
+    reshaped onto the layout's axes: every entry is the one product
+    op_ij e_kl of op (x) I, zero signs included, and nothing is permuted.
     """
     labels = tuple(labels)
-    order = layout.axes_first(labels)
+    pos = layout.positions(labels)
     op = np.asarray(op, dtype=complex)
-    d_act = math.prod(layout.dims[k] for k in order[:len(labels)])
+    on, off = [1] * len(layout), list(layout.dims)
+    for k in pos:
+        on[k], off[k] = off[k], 1
+    d_act = math.prod(on)
     if op.ndim not in (2, 3) or op.shape[-2:] != (d_act, d_act):
         raise DimensionMismatchError(
-            f"operator shape {op.shape} does not match joint dim {d_act} of {labels}"
-        )
-    lead = op.shape[:-2]
-    big = kron_stack(op, np.eye(layout.dim // d_act, dtype=complex))
-    dims = [layout.dims[k] for k in order]
-    perm = len(lead) + np.argsort(order)
-    t = big.reshape(lead + (*dims, *dims)).transpose(
-        [*range(len(lead)), *perm, *(perm + len(order))])
-    return np.ascontiguousarray(t.reshape(lead + (layout.dim, layout.dim)))
-
-
-def layout_kron(layout: SystemLayout, factors) -> np.ndarray:
-    """The Kronecker product, in layout order, of single-subsystem ``factors``.
-
-    ``factors`` maps labels to square matrices on those subsystems; a
-    label it lacks contributes the identity.  Walking ``layout.subsystems``,
-    the chain P of the factors and the identity I on the other labels are
-    laid out on the layout's axes, and each entry is the one product
-    p_ij e_kl that ``embed_operator`` forms for P, so the bits, zero signs
-    included, are the ones the embedding of P gives, without its permutation.
-    """
-    unknown = [lab for lab in factors if lab not in layout.labels]
-    if unknown:
-        raise UnknownLabelError(f"no subsystem labeled {unknown[0]!r} in layout {layout.labels}")
-    chain, p_axes, e_axes = None, [], []
-    for lab, d in layout.subsystems:
-        f = factors.get(lab)
-        p_axes.append(1 if f is None else d)
-        e_axes.append(d if f is None else 1)
-        if f is None:
-            continue
-        f = np.asarray(f, dtype=complex)
-        if f.shape != (d, d):
-            raise DimensionMismatchError(
-                f"operator shape {f.shape} does not match dim {d} of {lab!r}")
-        chain = f if chain is None else kron_stack(chain, f)
-    if chain is None:
-        chain = np.ones((1, 1), dtype=complex)
-    eye = np.eye(math.prod(e_axes), dtype=complex)
-    out = chain.reshape(2 * p_axes) * eye.reshape(2 * e_axes)
-    return out.reshape(layout.dim, layout.dim)
+            f"operator shape {op.shape} does not match joint dim {d_act} of {labels}")
+    lead, b = op.shape[:-2], op.ndim - 2
+    if list(pos) != sorted(pos):
+        order = sorted(range(len(pos)), key=pos.__getitem__)
+        op = op.reshape(lead + 2 * tuple(on[k] for k in pos)).transpose(
+            *range(b), *(b + k for k in order), *(b + len(pos) + k for k in order))
+    eye = np.eye(layout.dim // d_act, dtype=complex).reshape(off + off)
+    out = np.multiply(op.reshape(lead + (*on, *on)), eye, order="C")
+    return out.reshape(lead + (layout.dim, layout.dim))
 
 
 def partial_trace_array(m: np.ndarray, dims: tuple[int, ...], keep_pos) -> np.ndarray:

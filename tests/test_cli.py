@@ -607,6 +607,35 @@ class TestExitCodes:
             "(max|w| = 10); shorten the run\n")
         assert not (tmp_path / "ovf.csv").exists()
 
+    @pytest.mark.parametrize("lindblad", [[], ["--lindblad", "dephasing:0.1"]],
+                             ids=["closed", "open"])
+    def test_infinite_step_is_exit_2(self, tmp_path, capsys, lindblad):
+        # refused by the grid before any numpy warning, the error line alone
+        # on stderr, no file written; 1e308, whose RK4 substeps overflow a
+        # float, gives a one-point grid, which takes no step and is written
+        (tmp_path / "dt.hspec").write_text(
+            "system A:2; system B:2; system C:2;\nH = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C);\n")
+        argv = ["evolve", "--ham", "dt.hspec", "--state", "ket:000", *lindblad, "--tmax", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--dt", "inf", "--out", "inf.csv"])
+        assert rc == 2 and caught == []
+        assert capsys.readouterr().err == "error: step must be positive and finite, got inf\n"
+        assert not (tmp_path / "inf.csv").exists()
+        assert main([*argv, "--dt", "1e308", "--out", "one.csv"]) == 0
+        assert [row["T"] for row in _read_csv(tmp_path / "one.csv")] == ["0"]
+
+    def test_step_too_large_to_count_is_exit_2(self, tmp_path, capsys):
+        # 1e306 / 1e-3 overflows a float: the open run is refused before stepping
+        (tmp_path / "dt.hspec").write_text(
+            "system A:2; system B:2; system C:2;\nH = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C);\n")
+        rc = main(["evolve", "--ham", "dt.hspec", "--state", "ket:000", "--lindblad",
+                   "dephasing:0.1", "--tmax", "1.7e308", "--dt", "1e306", "--out", "big.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: a step of 1e+306 has too many RK4 substeps to count\n")
+        assert not (tmp_path / "big.csv").exists()
+
     def test_phases_past_their_last_digits_are_exit_2(self, tmp_path, capsys):
         # max|w| = 10: phases up to 1e21 rad, whose ulp is 1.3e5 rad, are
         # refused, the error line alone on stderr, no file written; the same

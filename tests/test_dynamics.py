@@ -84,6 +84,21 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 1e-9)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_rejects_non_finite_step(self, step):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            TimeGrid(0.0, 1.0, step)
+
+    def test_step_too_large_to_count_in_substeps(self):
+        # 1e308 / 1e-3 overflows: a one-point grid takes no step and is not
+        # counted, and a grid with a step to take is refused before stepping
+        h = direct_optimal(2)
+        jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
+        traj = evolve_lindblad(h, ket(h.layout, 0), TimeGrid(0.0, 1.0, 1e308), jumps)
+        assert traj.times.tolist() == [0.0] and len(traj.states) == 1
+        with pytest.raises(ValueError, match="too many RK4 substeps to count"):
+            evolve_lindblad(h, ket(h.layout, 0), TimeGrid(0.0, 1.7e308, 1e306), jumps)
+
     def test_len_without_building_the_times(self):
         for step in (0.25, 0.3):
             g = TimeGrid(0.0, 1.0, step)
@@ -452,9 +467,9 @@ def _hermitian_basis(n):
 @pytest.mark.parametrize("kind", sorted(JUMP_KINDS))
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 2)])
 def test_jumps_keep_the_embedded_bits(kind, dims):
-    # each jump is I (x) q (x) I in layout order, without a permutation, and
-    # keeps the bits of embed_operator's embedding, zero signs included (a
-    # qutrit clock operator chained through two identity products would not)
+    # the stack, its adjoints and sum_q Q+Q keep the bits of each jump's
+    # embedding, zero signs included (a qutrit clock operator chained
+    # through two identity products would not)
     lay = SystemLayout(tuple(zip("ABC", dims)))
     jumps = JumpOperatorSet.local(lay, kind, 0.3)
     q, q_adj, qq = jumps.embedded
@@ -555,6 +570,16 @@ class TestStepperForm:
         h, s0 = open_system_example()
         evolve_lindblad(h, s0, TimeGrid(0.0, 0.01, 0.01), JumpOperatorSet.dephasing(h.layout, 0.1))
         assert built == [("_liouville_form", 8)]
+
+    @pytest.mark.parametrize("tmax, form", [(0.002, "_factor_form"), (0.003, "_liouville_form")])
+    def test_call_overhead_prices_the_map_at_n4(self, built, tmax, form):
+        # at n = 4 a product costs its call's overhead, 0.2 substeps, so the
+        # map costs 2.6 substeps (0.2 of Pade degree 3, no squaring, and 10;
+        # measured: 64 us for the map and one step against 23.7 us a substep)
+        h = direct_optimal(2)
+        evolve_lindblad(h, ket(h.layout, 0), TimeGrid(0.0, tmax, tmax),
+                        JumpOperatorSet.dephasing(h.layout, 0.1))
+        assert built == [(form, 4)]
 
     @pytest.mark.parametrize("d, n", [(2, 8), (3, 27)])
     def test_rate_zero_probe_takes_the_factor_form(self, built, d, n):
@@ -976,16 +1001,16 @@ class TestRateProbe:
         assert info.value.index == (1,)
 
     def test_embedded_once_per_set(self, monkeypatch):
-        # three layout-order products, one per jump, over three probes
+        # three embeddings, one per jump, over three probes
         import medqsl.dynamics as dynamics
         calls = []
 
-        def counting(layout, factors):
-            calls.append(tuple(factors))
-            return product(layout, factors)
+        def counting(layout, labels, op):
+            calls.append(tuple(labels))
+            return embed(layout, labels, op)
 
-        product = dynamics.layout_kron
-        monkeypatch.setattr(dynamics, "layout_kron", counting)
+        embed = dynamics.embed_operator
+        monkeypatch.setattr(dynamics, "embed_operator", counting)
         h, s = cmi_product_example()
         jumps = JumpOperatorSet.damping(h.layout, 0.1)
         dns = [entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)

@@ -205,11 +205,11 @@ class TestErrors:
 
     def test_sum_is_built_in_one_pass(self, monkeypatch):
         # the overflowing term is found as it is added, not by summing again:
-        # one layout-order product per term built
+        # one embedding per term built
         calls = []
-        product = hspec.layout_kron
-        monkeypatch.setattr(hspec, "layout_kron",
-                            lambda *args: calls.append(1) or product(*args))
+        embed = hspec.embed_operator
+        monkeypatch.setattr(hspec, "embed_operator",
+                            lambda *args: calls.append(1) or embed(*args))
         big = "1" + "0" * 308
         text = f"system A:2; system B:2;\nH = {big}*X(A)@X(B)\n  + {big}*X(A)@X(B) + Z(A)@Z(B);"
         with pytest.raises(HSpecSyntaxError, match="overflows a float") as exc:

@@ -9,7 +9,8 @@ one place, a coupling is diagonalized by ``Hamiltonian.eig`` alone, the
 open stepper checks each chunk of stepped states with one
 ``DensityState``, every JSON document is written by ``json_text``, a
 sweep's layout is built by ``SweepConfig.layout`` alone, every label list
-is turned into axes by ``SystemLayout``, the sweep kernels read the
+is turned into axes by ``SystemLayout``, every operator is placed on a
+layout by ``embed_operator``, the sweep kernels read the
 ``SweepConfig`` itself, and a sweep's streams are made, and each drawn
 once, in one place.  No sweep kernel defines a closure per row, and every
 sweep takes its block from ``_block_size``.
@@ -164,8 +165,26 @@ def test_one_label_resolver():
     # module goes through positions, axes_first or restricted
     assert _callers_of("position") == ["states.SystemLayout.dim_of",
                                        "states.SystemLayout.positions"]
-    assert _callers_of("axes_first") == ["dynamics._cut_plan", "states.embed_operator",
+    assert _callers_of("axes_first") == ["dynamics._cut_plan",
                                          "states.is_classically_correlated_on"]
+
+
+def test_one_operator_embedding():
+    # an operator is padded by the identity on a layout's other labels in
+    # states.embed_operator alone, hspec terms and jumps included: outside
+    # states an identity is a one-subsystem operator (hspec's I and P,
+    # hamiltonians.ID2) or expm's, and no Kronecker product takes one
+    assert [c for c in _callers_of("eye") if not c.startswith("states.")] == [
+        "hamiltonians", "hspec", "hspec", "linalg.expm", "linalg.expm"]
+    assert _callers_of("kron") == [] and _callers_of("identity") == []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "kron_stack":
+                names = {getattr(n, "id", getattr(n, "attr", None))
+                         for arg in node.args for n in ast.walk(arg)}
+                assert not names & {"eye", "ID2"}, (path.name, node.lineno)
+    assert {"dynamics.JumpOperatorSet.embedded", "hspec.build"} <= set(
+        _callers_of("embed_operator"))
 
 
 def test_sweep_kernels_take_the_config():

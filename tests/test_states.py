@@ -4,6 +4,7 @@ Numeric reference values here were frozen from straight dense-numpy
 calculations kept outside the package.
 """
 
+import itertools
 import json
 import math
 import pickle
@@ -24,7 +25,7 @@ from medqsl.errors import (
     PartitionMismatchError,
     UnknownLabelError,
 )
-from medqsl.linalg import sqrtm_psd
+from medqsl.linalg import kron_stack, sqrtm_psd
 from medqsl.states import (
     MAX_TOTAL_DIM,
     Bipartition,
@@ -34,7 +35,6 @@ from medqsl.states import (
     embed_operator,
     is_classically_correlated_on,
     json_text,
-    layout_kron,
     load_state,
     maximally_entangled,
     mutual_information,
@@ -149,16 +149,20 @@ class TestSystemLayout:
             with pytest.raises(UnknownLabelError, match="no subsystem labeled"):
                 lay.position(bad)
 
-    def test_layout_kron_checks_labels_and_shapes(self):
+    def test_embed_operator_checks_labels_and_shapes(self):
         lay = SystemLayout((("A", 2), ("B", 3)))
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.array_equal(layout_kron(lay, {"A": x}), np.kron(x, np.eye(3)))
-        assert np.array_equal(layout_kron(lay, {}), np.eye(6))
+        assert np.array_equal(embed_operator(lay, ("A",), x), np.kron(x, np.eye(3)))
+        assert np.array_equal(embed_operator(lay, (), np.ones((1, 1))), np.eye(6))
         with pytest.raises(UnknownLabelError, match="no subsystem labeled 'C'"):
-            layout_kron(lay, {"C": x})
+            embed_operator(lay, ("C",), x)
+        with pytest.raises(UnknownLabelError, match="repeated label"):
+            embed_operator(lay, ("A", "A"), np.kron(x, x))
         with pytest.raises(DimensionMismatchError,
-                           match=r"operator shape \(2, 2\) does not match dim 3 of 'B'"):
-            layout_kron(lay, {"B": x})
+                           match=r"operator shape \(2, 2\) does not match joint dim 3 of \('B',\)"):
+            embed_operator(lay, ("B",), x)
+        with pytest.raises(DimensionMismatchError, match=r"operator shape \(1, 2, 2, 2\)"):
+            embed_operator(lay, ("A",), np.ones((1, 2, 2, 2)))
 
     def test_restricted_keeps_layout_order(self):
         lay = SystemLayout((("A", 2), ("B", 3), ("C", 2)))
@@ -563,7 +567,38 @@ class TestClassicalCorrelation:
             is_classically_correlated_on(DensityState(lay, np.stack([np.eye(2) / 2] * 2)), "C")
 
 
+def _kron_then_permute(layout, labels, op):
+    """The embedding as op (x) I, then its axes permuted into layout order."""
+    order = layout.axes_first(labels)
+    lead = op.shape[:-2]
+    big = kron_stack(op, np.eye(layout.dim // op.shape[-1], dtype=complex))
+    dims = [layout.dims[k] for k in order]
+    perm = len(lead) + np.argsort(order)
+    t = big.reshape(lead + (*dims, *dims)).transpose(
+        [*range(len(lead)), *perm, *(perm + len(order))])
+    return np.ascontiguousarray(t.reshape(lead + (layout.dim, layout.dim)))
+
+
 class TestEmbedOperator:
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "stack"])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 2), (2, 3, 2, 3)])
+    def test_bits_of_kron_then_permute(self, dims, lead):
+        # every ordered label subset, with a row of -0 and a row of -0 real
+        # parts: each entry is the one product op_ij e_kl of op (x) I, zero
+        # signs included, so the smi seed digest that pins them holds
+        labs = "ABCD"[:len(dims)]
+        lay = SystemLayout(tuple(zip(labs, dims)))
+        gen = np.random.default_rng(len(dims))
+        for r in range(len(dims) + 1):
+            for labels in itertools.permutations(labs, r):
+                m = math.prod(lay.dim_of(lab) for lab in labels)
+                op = gen.standard_normal(lead + (m, m)) + 1j * gen.standard_normal(lead + (m, m))
+                op[..., 0, :] = complex(-0.0, -0.0)
+                op.real[..., -1, :] = -0.0
+                got = embed_operator(lay, labels, op)
+                assert got.flags.c_contiguous, labels
+                assert got.tobytes() == _kron_then_permute(lay, labels, op).tobytes(), labels
+
     def test_single_site(self):
         z = np.diag([1.0, -1.0]).astype(complex)
         m = embed_operator(Q2, ("B",), z)

@@ -6,6 +6,7 @@ determinism across worker counts, and the per-experiment wiring.
 """
 
 import functools
+import gc
 import json
 import tracemalloc
 
@@ -596,14 +597,22 @@ class TestKeptMemory:
         # block arrives, so 400 one-instance rate-zero blocks keep their four
         # floats each, which MAX_SWEEP_BYTES counts; a sweep that kept every
         # block's result tuple until the end held some 620 bytes per instance.
-        # The untraced run first brings the interpreter's caches to steady state
+        # Two untraced runs first bring the interpreter's caches to steady state
+        # (after one, the next 400 blocks still keep some 75 kB more), and the
+        # collector is held off throughout: a full collection empties the free
+        # lists, whose refill (up to some 320 kB) would read as kept memory
         n = 400
         cfg = SweepConfig("rate-zero", seed=3, n_instances=n, workers=1)
         jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, sweep.JUMP_RATE)
-        sweep._sweep(cfg, _rate_block, 1, 2, jumps=jumps)
-        one = _sweep_peak(SweepConfig("rate-zero", seed=3, n_instances=1, workers=1),
-                          jumps=jumps)
-        many = _sweep_peak(cfg, jumps=jumps)
+        gc.disable()
+        try:
+            for _ in range(2):
+                sweep._sweep(cfg, _rate_block, 1, 2, jumps=jumps)
+            one = _sweep_peak(SweepConfig("rate-zero", seed=3, n_instances=1, workers=1),
+                              jumps=jumps)
+            many = _sweep_peak(cfg, jumps=jumps)
+        finally:
+            gc.enable()
         assert many - one < 16 * 8 * n
 
 
