@@ -2,8 +2,9 @@
 
 Every file-writing command drops a ``<base>.manifest.json`` next to its
 outputs with the resolved configuration, the seed, and versions, enough
-to re-run bit-identically.  Stochastic outputs depend only on --seed
-(and configuration), never on --workers or MEDQSL_WORKERS.
+to re-run bit-identically, and the run's wall clock and peak memory.
+Stochastic outputs depend only on --seed (and configuration), never on
+--workers or MEDQSL_WORKERS.
 
 Exit codes are a stable contract: 0 success, 2 input or validation
 error, 3 numeric failure during integration, 4 vacuous bound (the state
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    TRAJECTORY_GRID,
     JumpOperatorSet,
     TimeGrid,
     evolve_lindblad,
@@ -40,8 +42,7 @@ from .hamiltonians import (
     direct_optimal,
     energy_moments,
 )
-from .hspec import build, format_ast, parse_file
-from .qsl import unified_bound
+from .randgen import DEFAULT_SEED
 from .states import (
     Bipartition,
     DensityState,
@@ -50,7 +51,9 @@ from .states import (
     load_state,
     maximally_entangled,
 )
-from .sweep import TRAJECTORY_GRID, SweepConfig, run_fig2, run_sweep
+
+# sweep, hspec and qsl are imported by the commands that run them, so that
+# each command loads only the modules it uses
 
 __all__ = ["main"]
 
@@ -92,6 +95,8 @@ def _resolve_ham(text: str) -> tuple[Hamiltonian, DensityState | None]:
     if text in BUILTIN_PAIRS:
         return builtin_pair(text)
     if text.endswith(".hspec"):
+        from .hspec import build, parse_file
+
         return build(parse_file(text)), None
     raise CliInputError(
         f"unknown Hamiltonian {text!r}: expected direct-optimal:<d>, "
@@ -161,10 +166,23 @@ def _write_manifest(base: str, subcommand: str, config: dict, seed: int | None,
         },
         "outputs": outputs,
         "wall_clock_s": wall_clock_s,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     with open(path, "w") as fh:
         fh.write(json_text(doc))
     return path
+
+
+def _peak_rss_mb() -> float | None:
+    """The largest peak resident set, in MiB, of this process and of the worker
+    processes it has waited for; None where the ``resource`` module is missing."""
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return None
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return peak / 2 ** (20 if sys.platform == "darwin" else 10)  # bytes there, KiB elsewhere
 
 
 def _strip_ext(path: str) -> str:
@@ -204,6 +222,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .qsl import unified_bound
+
     ham, default_state = _resolve_ham(args.ham)
     s0 = _resolve_state(args.state, ham.layout, default_state)
     target = _resolve_state(args.target, ham.layout, None)
@@ -216,6 +236,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .sweep import SweepConfig, run_fig2, run_sweep
+
     t0 = time.perf_counter()
     name = args.name
     experiment, fixed, flags = REPRODUCE[name]
@@ -257,6 +279,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_parse(args) -> int:
+    from .hspec import build, format_ast, parse_file
+
     ast = parse_file(args.check)
     if args.emit == "canonical":
         print(format_ast(ast), end="")
@@ -306,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("name", choices=tuple(REPRODUCE))
     rp.add_argument("--n", type=int, help="instance count override (sweeps)")
     rp.add_argument("--d", type=int, help="dimension (fig2, smi, rate-zero, commuting-null)")
-    rp.add_argument("--seed", type=int, help=f"stream seed (sweeps; default {SweepConfig.seed})")
+    rp.add_argument("--seed", type=int, help=f"stream seed (sweeps; default {DEFAULT_SEED})")
     rp.add_argument("--tmax", type=float, help="end time, default pi/2 (trajectories)")
     rp.add_argument("--dt", type=float, help="time step, default 1e-3 (trajectories)")
     rp.add_argument("--workers", type=int,

@@ -59,6 +59,7 @@ from .tolerances import (
 
 __all__ = [
     "TimeGrid",
+    "TRAJECTORY_GRID",
     "Trajectory",
     "JUMP_KINDS",
     "JumpOperatorSet",
@@ -87,6 +88,10 @@ LIOUVILLE_MAX_BYTES = 2 ** 20  # cap on the open stepper's real n^2 x n^2 map: n
 # about 1e-8 s per n^3, so this is some 17 minutes, and a longer run is refused
 # before stepping
 MAX_FACTOR_WORK = 1e11
+# the most squarings the exact map exp(L dT) of a grid step may take.  Each doubles the
+# map's roundoff: one long step of a three-qubit or two-qutrit run measured its state about
+# 2^s x 1e-17 off the converged one, 4e-10 at s = 26, 1e-9 at 28 and 1e-6 at 36
+MAX_SQUARINGS = 28
 TRAJECTORY_COLUMNS = (
     "T",
     "negativity",
@@ -127,6 +132,10 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return self.start + self.step * np.arange(len(self))
+
+
+# the default grid of a trajectory: sweep.run_fig2, and the CLI's trajectory names and evolve
+TRAJECTORY_GRID = TimeGrid(0.0, math.pi / 2, 1e-3)
 
 
 @dataclass
@@ -334,9 +343,20 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
 
 
 def _generator(h: Hamiltonian, jumps: JumpOperatorSet):
-    """L as both substep forms build it: K = -iM - sum_q Q+Q / 2 and the jump stack Q."""
-    q, _, qq = jumps.embedded
-    return -1j * h.matrix - 0.5 * qq, q
+    """L as both substep forms build it: K = -iM - sum_q Q+Q / 2 and the jump stack Q.
+
+    Jumps whose sum Q+Q, or whose K, has a non-finite entry are refused with
+    ValueError, which names each jump's rate: its largest <j|q+q|j>.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, _, qq = jumps.embedded
+        k = -1j * h.matrix - 0.5 * qq
+        if np.isfinite(k).all():
+            return k, q
+        rates = ", ".join(f"{lab} {(np.abs(op) ** 2).sum(axis=0).max():.6g}"
+                          for lab, op in jumps.ops)
+    raise ValueError(f"the jump rates ({rates}) overflow K = -iM - sum_q Q+Q / 2; "
+                     "lower the rates")
 
 
 def _factor_form(k, q):
@@ -457,12 +477,20 @@ def _takes_map(k, q, step: float, substeps: int) -> bool:
     0.6 (n/8)^4 substeps (measured at n = 6 ... 18, BLAS at one thread), but no less than
     a call's overhead, 0.2 substeps, which binds below n = 6 (at n = 4 the map and one step
     measured 2.7 substeps); a grid point's one matrix-vector product is left out.
+
+    A map that fits but would take more than ``MAX_SQUARINGS`` squarings is refused with
+    ValueError: the factor form, the other choice, diverges at such a step.
     """
     n = k.shape[-1]
     if 8 * n ** 4 > LIOUVILLE_MAX_BYTES:
         return False
     norm = 2 * np.abs(k).sum(axis=0).max() + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()
-    m, s = expm_plan(norm * step)
+    bound = norm * step
+    m, s = expm_plan(bound) if bound < math.inf else (13, math.inf)
+    if s > MAX_SQUARINGS:
+        raise ValueError(f"the exact map exp(L dT) of a step of {step:.6g} (||L dT||_1 up to "
+                         f"{bound:.3g}) takes more than {MAX_SQUARINGS} squarings, each "
+                         "doubling its roundoff; shorten the step")
     return 5 * substeps * 8 ** 4 >= (m + s + 10) * max(3 * n ** 4, 8 ** 4)
 
 
@@ -474,7 +502,9 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
     ``_takes_map`` finds it cheaper, else the fewest equal RK4 substeps of
     ``_factor_form`` of at most ``LINDBLAD_MAX_STEP``, counted from
     ``grid.step``; a factor-form run of substeps x n^3 above
-    ``MAX_FACTOR_WORK`` is refused with ValueError before stepping.  Up to
+    ``MAX_FACTOR_WORK``, and a step whose map takes more than
+    ``MAX_SQUARINGS`` squarings, are refused with ValueError before
+    stepping.  Up to
     ``PROPAGATE_CHUNK`` states are stepped, overflow ignored, into one
     buffer, checked as one stack as ``DensityState`` copies it:
     PositivityLostError names the T of the first state that fails any
@@ -508,7 +538,7 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
         try:
             stacks.append(DensityState(s0.layout, chunk[:hi - lo], eig_floor=LINDBLAD_EIG_FLOOR))
         except StackCheckError as e:
-            raise PositivityLostError(f"{e.message} at T={times[lo + e.index[0]]:.6f}; "
+            raise PositivityLostError(f"{e.message} at T={times[lo + e.index[0]]:.6g}; "
                                       "reduce the step or the rates") from None
     return stacks
 
@@ -577,7 +607,7 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
         try:
             stepped = DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
         except StackCheckError as e:
-            raise PositivityLostError(f"{e.message} at T={RATE_DELTA:.6f}; "
+            raise PositivityLostError(f"{e.message} at T={RATE_DELTA:.6g}; "
                                       "reduce the step or the rates", e.index) from None
         n0, n_delta = (negativity(_marginal(s, p), p) for s in (s0, stepped))
     return _value(s0, n_delta - n0)

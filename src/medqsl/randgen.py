@@ -25,6 +25,9 @@ __all__ = [
     "random_mediated_hamiltonian",
 ]
 
+# the stream seed of a sweep that names none (``SweepConfig.seed``, and the CLI's --seed)
+DEFAULT_SEED = 7
+
 
 def require_integer(name: str, value) -> int:
     """``value`` as an int: an int or a numpy integer, never a bool, float or string."""

@@ -480,7 +480,8 @@ def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
         # the product's spectrum on the support first, zeros after it; states of one
         # rank share a support size, so each rank is one stacked eigensolve
         prod = np.zeros(np.broadcast_shapes(w.shape[:-1], rho.shape[:-2]) + w.shape[-1:])
-        for j in np.unique(null).tolist():
+        # each rank once, not by np.unique: numpy 2.4 imports numpy.ma there
+        for j in sorted(set(null.ravel().tolist())):
             rows = null == j
             f_r = factor[rows][..., j:]
             sub = rho[rows] if w.ndim == 2 and rho.ndim == 3 else rho  # two stacks: pairs
@@ -517,7 +518,8 @@ def von_neumann_entropy(s: DensityState) -> float | np.ndarray:
     # sum runs over the kept entries alone, as it does for one state
     start = (w <= ENTROPY_CUTOFF).sum(axis=1)
     out = np.empty(len(w))
-    for j in np.unique(start).tolist():
+    # each start once, not by np.unique: numpy 2.4 imports numpy.ma there
+    for j in sorted(set(start.tolist())):
         rows = start == j
         kept = w[rows, j:]
         out[rows] = -(kept * np.log2(kept)).sum(axis=1)

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -248,6 +251,15 @@ class TestReproduce:
         assert env[0] == "T,max,mean,p99"
         manifest = json.loads((tmp_path / "rz.manifest.json").read_text())
         assert set(manifest["outputs"]) == {"rz.json", "rz.envelope.csv"}
+
+    def test_manifest_records_peak_memory(self, tmp_path):
+        # the manifest alone records the run's peak resident set, in MiB; the
+        # report and its envelope stay free of it
+        assert main(["reproduce", "conjecture-d2", "--n", "3", "--out", "cd"]) == 0
+        manifest = json.loads((tmp_path / "cd.manifest.json").read_text())
+        assert isinstance(manifest["peak_rss_mb"], float) and 1 < manifest["peak_rss_mb"] < 1e4
+        for out in ("cd.json", "cd.envelope.csv"):
+            assert "rss" not in (tmp_path / out).read_text()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         for w, base in ((1, "a"), (2, "b")):
@@ -569,7 +581,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("error: matrix has 64 non-finite entries")
-        assert err.endswith(" at T=0.100000; reduce the step or the rates\n")
+        assert err.endswith(" at T=0.1; reduce the step or the rates\n")
         assert err.count("\n") == 1
 
     def test_factor_run_too_long_is_exit_2(self, tmp_path, capsys):
@@ -651,6 +663,44 @@ class TestExitCodes:
         assert main([*argv, "--tmax", "1", "--dt", "1e-3"]) == 0
         assert len(_read_csv(tmp_path / "ph.csv")) == 1001
 
+    def test_overflowing_jump_rates_are_exit_2(self, tmp_path, capsys):
+        # sum Q+Q of two jumps at rate 1e308 overflows: refused before any
+        # numpy warning, the rates named, the error line alone on stderr, no
+        # file written
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["evolve", "--ham", "direct-optimal:2", "--state", "ket:00",
+                       "--lindblad", "dephasing:1e308", "--tmax", "0.01", "--dt", "0.001",
+                       "--out", "huge.csv"])
+        assert rc == 2 and caught == []
+        assert capsys.readouterr().err == (
+            "error: the jump rates (A 1e+308, B 1e+308) overflow K = -iM - sum_q Q+Q / 2; "
+            "lower the rates\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dt, step, bound", [("1e300", "1e+300", "2.97e+300"),
+                                                 ("1e9", "1e+09", "2.97e+09")])
+    def test_step_past_the_squaring_cap_is_exit_2(self, tmp_path, capsys, dt, step, bound):
+        # exp(L dT) at ||L dT||_1 <= 2.97 dT: 1e300 would overflow in about
+        # 1,000 squarings and 1e9 takes 29, one above the cap; both are refused
+        # before the map is formed, with no numpy warning and no file written,
+        # and 1e8 (26 squarings) runs
+        (tmp_path / "open3.hspec").write_text(
+            "system A:2; system B:2; system C:2;\n"
+            "H = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C) + 0.3*Z(A)@Z(C);\n")
+        argv = ["evolve", "--ham", "open3.hspec", "--state", "ket:000",
+                "--lindblad", "dephasing:0.1", "--out", "big.csv"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--tmax", str(3 * float(dt)), "--dt", dt])
+        assert rc == 2 and caught == []
+        assert capsys.readouterr().err == (
+            f"error: the exact map exp(L dT) of a step of {step} (||L dT||_1 up to {bound}) "
+            "takes more than 28 squarings, each doubling its roundoff; shorten the step\n")
+        assert not Path("big.csv").exists()
+        assert main([*argv, "--tmax", "1e8", "--dt", "1e8"]) == 0
+        assert [row["T"] for row in _read_csv("big.csv")] == ["0", "100000000"]
+
     def test_dimension_cap(self, tmp_path, capsys):
         # d**3 = 10**6 is refused before a single instance is drawn
         assert main(["reproduce", "rate-zero", "--d", "100", "--out", "rz"]) == 2
@@ -673,3 +723,103 @@ class TestExitCodes:
         rc = main(["bound", "--ham", str(spec), "--target", "maxent"])
         assert rc == 2
         assert "--state" in capsys.readouterr().err
+
+
+# every name the package re-exported when ``import medqsl`` imported all its modules
+EXPORTED = (
+    "ArgOutOfRangeError", "BadDimensionError", "DimensionMismatchError", "FullOrEmptySetError",
+    "HSpecSyntaxError", "LayoutMismatchError", "MedqslError", "NotHermitianError", "NotPSDError",
+    "PartitionMismatchError", "PauliOnQuditError", "PositionedError", "PositivityLostError",
+    "StationaryStateError", "UnknownLabelError",
+    "Bipartition", "DensityState", "SystemLayout", "bures_angle", "embed_operator",
+    "is_classically_correlated_on", "load_state", "maximally_entangled", "mutual_information",
+    "negativity", "partial_trace", "purity", "save_state", "uhlmann_fidelity",
+    "von_neumann_entropy",
+    "BUILTIN_PAIRS", "EnergyMoments", "Hamiltonian", "builtin_pair",
+    "classical_mediator_example", "cmi_product_example", "commuting_mediated", "direct_optimal",
+    "energy_moments", "entangled_mediator_example", "generalized_x", "generalized_y",
+    "open_system_example",
+    "JumpOperatorSet", "TimeGrid", "Trajectory", "entanglement_change_at_zero",
+    "evolve_lindblad", "evolve_unitary", "first_max_entanglement_time", "negativity_curve",
+    "BoundReport", "conjecture_bound", "di_bound", "smi_bound", "swap_stage_fidelity",
+    "unified_bound",
+    "RngStream", "haar_pure", "random_density", "random_hermitian",
+    "random_mediated_hamiltonian",
+    "EXPERIMENTS", "SweepConfig", "SweepReport", "run_cmi_uncorrelated", "run_commuting_null",
+    "run_fig2", "run_rate_zero", "run_smi_protocol", "run_sweep",
+    "Coefficient", "HSpecAst", "OpRef", "Term", "build", "format_ast", "parse", "parse_file",
+)
+
+# a fresh interpreter imports the CLI, runs main(argv) when argv is given, and prints
+# its exit code and the modules it has loaded
+_COLD_RUN = """
+import json, sys
+from medqsl import cli
+rc = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps([rc, sorted(sys.modules)]))
+"""
+
+_COLD_EXPORTS = """
+import sys
+import medqsl
+assert not [m for m in sys.modules if m.startswith("medqsl.")], "import medqsl loaded a module"
+for name in sys.argv[1:]:
+    exec(f"from medqsl import {name}")
+print("ok")
+"""
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """The stdout of ``python -c code argv`` in a fresh interpreter that finds this medqsl."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get(
+        "PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestColdStart:
+    """Each command imports only the code it runs, checked in a fresh interpreter."""
+
+    @staticmethod
+    def _run(*argv):
+        rc, modules = json.loads(_fresh(_COLD_RUN, *argv))
+        return rc, set(modules)
+
+    def test_importing_the_cli_loads_its_own_modules(self):
+        _, modules = self._run()
+        assert {m for m in modules if m.startswith("medqsl")} == {
+            "medqsl", "medqsl.cli", "medqsl.dynamics", "medqsl.errors", "medqsl.hamiltonians",
+            "medqsl.linalg", "medqsl.randgen", "medqsl.states", "medqsl.tolerances"}
+        assert not modules & {"multiprocessing", "numpy.ma", "concurrent.futures"}
+
+    @pytest.mark.parametrize("lindblad", [[], ["--lindblad", "damping:0.2"]],
+                             ids=["closed", "open"])
+    def test_evolve_loads_no_sweep_hspec_qsl_pool_or_masked_arrays(self, lindblad):
+        # a mixed start, so the fidelity, entropy and their rank loops all run
+        rc, modules = self._run("evolve", "--ham", "open-system", *lindblad,
+                                "--tmax", "0.01", "--out", "cold.csv")
+        assert rc == 0 and len(_read_csv("cold.csv")) == 11
+        assert not modules & {"multiprocessing", "numpy.ma", "medqsl.sweep", "medqsl.hspec",
+                              "medqsl.qsl"}
+
+    def test_one_worker_sweep_loads_no_pool_or_masked_arrays(self):
+        rc, modules = self._run("reproduce", "conjecture-d2", "--n", "3", "--workers", "1",
+                                "--out", "cold")
+        assert rc == 0 and json.loads(Path("cold.json").read_text())["envelope"]["p99"]
+        assert not modules & {"multiprocessing", "numpy.ma"}
+
+    def test_every_exported_name_still_imports(self):
+        # each from a fresh interpreter, where ``import medqsl`` loaded none of them
+        assert _fresh(_COLD_EXPORTS, *EXPORTED) == "ok\n"
+        import medqsl
+
+        assert sorted(medqsl.__all__) == sorted(EXPORTED)
+
+    def test_moved_defaults_keep_their_old_names(self):
+        from medqsl import randgen
+
+        assert sweep.TRAJECTORY_GRID is dynamics.TRAJECTORY_GRID
+        assert sweep.SweepConfig("rate-zero").seed == randgen.DEFAULT_SEED == 7

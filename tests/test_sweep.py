@@ -5,6 +5,7 @@ in the acceptance suite. What we pin down here is the reporting contract,
 determinism across worker counts, and the per-experiment wiring.
 """
 
+import concurrent.futures
 import functools
 import gc
 import json
@@ -463,12 +464,12 @@ class TestWorkerDeterminism:
     def test_report_bytes_identical(self, tmp_path, monkeypatch, experiment):
         pools = []
 
-        class RecordingPool(sweep.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         outputs = []
         for workers in (1, 2):
@@ -524,7 +525,7 @@ class TestWorkerResolution:
                 given.append(list(items))
                 return map(fn, given[-1])
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
 
         def kernel(cfg, sids, *, step):
@@ -674,6 +675,15 @@ class TestReportSerialization:
         assert not np.array_equal(rep.envelope["p99"], np.quantile(m, 0.95, axis=0))
         assert np.array_equal(rep.envelope["max"], m[-1])
 
+    def test_envelope_p99_has_the_bits_of_np_quantile(self):
+        # numpy's linear rule, both sides of t = 0.5, at every n up to 300, ties included
+        rng = np.random.default_rng(3)
+        for n in range(1, 301):
+            m = rng.standard_normal((n, 3)) ** 2
+            m[:, 2] = np.round(m[:, 2], 1)
+            want = np.quantile(m, 0.99, axis=0)
+            assert sweep._p99(m).tobytes() == want.tobytes(), n
+
     def test_envelope_csv_format(self, tmp_path):
         rep = run_rate_zero(
             SweepConfig(experiment="rate-zero", n_instances=3, seed=2)
@@ -716,7 +726,7 @@ class TestRateZero:
         def refuse(*args, **kwargs):
             raise AssertionError("reached the instances")
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(sweep, "_rate_block", refuse)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(sweep, "JUMP_RATE", -1.0)
@@ -764,7 +774,7 @@ class TestRateZero:
         jumps = JumpOperatorSet.damping(cfg.layout, 1e4)
         for sids in (range(3, 7), range(5, 6)):
             with pytest.raises(PositivityLostError,
-                               match=rf"^stream {sids[0]}: minimum eigenvalue .* at T=0\.000100; "):
+                               match=rf"^stream {sids[0]}: minimum eigenvalue .* at T=0\.0001; "):
                 _rate_block(cfg, sids, jumps=jumps)
 
     def test_damping_channel(self):
