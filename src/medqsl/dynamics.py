@@ -11,9 +11,9 @@ system integrator steps the master equation
 
 from grid point to grid point, each stepped state exactly Hermitian: by
 the exact map exp(L dT), one real product on the state's n^2 coordinates
-in a Hermitian operator basis, where that real n^2 x n^2 map fits
-(n <= 19) and costs less than the substeps it replaces, else by equal RK4
-substeps of at most 1e-3, each L two products, re-Hermitized at each.
+in a Hermitian operator basis, wherever that real n^2 x n^2 map fits
+(n <= 19), else by equal RK4 substeps of at most 1e-3, each L two
+products, re-Hermitized at each.
 The map keeps the trace to roundoff and RK4 increments are exactly
 traceless; each chunk of stepped states is checked as one stack, and the
 first state with an eigenvalue below -1e-6, a trace drift or a non-finite
@@ -416,15 +416,15 @@ def _hermitian_basis(n: int):
     return diag, upper, lower, take, put
 
 
-def _liouville_form(k, q):
-    """``step(rho, dt, n_sub)``: rho over the span dt n_sub, one real product with its exact map.
+def _liouville_form(k, q, span: float):
+    """``step(rho)``: rho over ``span``, one real product with its exact map.
 
     On row-major vec(rho), L = K (x) I + I (x) conj K + sum_q Q (x) conj Q maps Hermitian
     matrices to Hermitian ones, so in the basis B of ``_hermitian_basis`` it is the real
     matrix L_r = Re(B+ L B) (Havel, J. Math. Phys. 44, 534 (2003)), gathered from the (j,k)
-    and (k,j) rows and columns of L.  exp(L_r dt n_sub) is formed by ``expm`` once per
-    distinct span and kept as the map of the coordinates c, d^-1 exp(L_r dt n_sub) d; a step
-    reads c from rho's diagonal and upper triangle, makes one real product and rebuilds rho.
+    and (k,j) rows and columns of L.  exp(L_r span) is formed by ``expm`` once and kept as
+    the map of the coordinates c, d^-1 exp(L_r span) d; a step reads c from rho's diagonal
+    and upper triangle, makes one real product and rebuilds rho.
 
     The exact map keeps the trace, sum_j c_jj; but each of ``expm``'s s squarings doubles
     the roundoff along that conserved direction, some 1e-10 at s = 19 (T = 1e6 at
@@ -449,80 +449,68 @@ def _liouville_form(k, q):
     l_r = np.concatenate([cols[diag].real, s * (row_jk + row_kj).real,
                           s * (row_jk - row_kj).imag])
     d = np.concatenate([np.ones(n), np.full(2 * m, math.sqrt(2))])
-    ratio, maps = d / d[:, None], {}
-    trace = np.arange(n * n) < n  # the trace functional on c
+    e = d / d[:, None] * expm(span * l_r)
+    e[:n] -= (e[:n].sum(axis=0) - (np.arange(n * n) < n)) / n  # less the trace functional on c
     # put's sources: the coordinates c out of a step, then -Im rho_jk and a zero
     src = np.zeros(n * n + m + 1)
     c, im, minus_im = src[:n * n], src[n + m:n * n], src[n * n:-1]
 
-    def step(rho, dt, n_sub):
-        span = dt * n_sub
-        if span not in maps:
-            e = ratio * expm(span * l_r)
-            e[:n] -= (e[:n].sum(axis=0) - trace) / n
-            maps[span] = e
-        np.matmul(maps[span], rho.reshape(-1).view(float)[take], out=c)
+    def step(rho):
+        np.matmul(e, rho.reshape(-1).view(float)[take], out=c)
         np.negative(im, out=minus_im)
         return src[put].view(complex).reshape(n, n)
     return step
 
 
-def _takes_map(k, q, step: float, substeps: int) -> bool:
-    """Whether ``_liouville_form`` steps a run of ``substeps`` factor-form substeps, in grid
-    steps of ``step``, at less cost than ``_factor_form``, its map in ``LIOUVILLE_MAX_BYTES``.
+def _takes_map(k, q, step: float) -> bool:
+    """Whether ``_liouville_form`` steps the run: its real n^2 x n^2 map, 8 n^4 bytes, fits in
+    ``LIOUVILLE_MAX_BYTES`` (n <= 19).
 
-    Forming exp(L_r step) costs about m + s + 10 real products of n^2 x n^2: ``expm_plan``'s
-    degree and squarings at ||L step||_1 <= (2 ||K||_1 + sum_q ||Q||_1^2) step, then the
-    solve, the gathers of L_r and the calls some ten more.  One product costs about
-    0.6 (n/8)^4 substeps (measured at n = 6 ... 18, BLAS at one thread), but no less than
-    a call's overhead, 0.2 substeps, which binds below n = 6 (at n = 4 the map and one step
-    measured 2.7 substeps); a grid point's one matrix-vector product is left out.
-
-    A map that fits but would take more than ``MAX_SQUARINGS`` squarings is refused with
-    ValueError: the factor form, the other choice, diverges at such a step.
+    A map that fits but would take more than ``MAX_SQUARINGS`` squarings in ``expm``, at
+    ||L step||_1 <= (2 ||K||_1 + sum_q ||Q||_1^2) step, is refused with ValueError before it
+    is formed: the factor form, the other choice, diverges at such a step.
     """
-    n = k.shape[-1]
-    if 8 * n ** 4 > LIOUVILLE_MAX_BYTES:
+    if 8 * k.shape[-1] ** 4 > LIOUVILLE_MAX_BYTES:
         return False
     norm = 2 * np.abs(k).sum(axis=0).max() + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()
     bound = norm * step
-    m, s = expm_plan(bound) if bound < math.inf else (13, math.inf)
-    if s > MAX_SQUARINGS:
+    if bound == math.inf or expm_plan(bound)[1] > MAX_SQUARINGS:
         raise ValueError(f"the exact map exp(L dT) of a step of {step:.6g} (||L dT||_1 up to "
                          f"{bound:.3g}) takes more than {MAX_SQUARINGS} squarings, each "
                          "doubling its roundoff; shorten the step")
-    return 5 * substeps * 8 ** 4 >= (m + s + 10) * max(3 * n ** 4, 8 ** 4)
+    return True
 
 
 def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
                  grid: TimeGrid) -> list[DensityState]:
     """``s0``, the state at ``grid.start``, stepped to each point of ``grid``.
 
-    Each grid step is the exact map of ``_liouville_form`` where
-    ``_takes_map`` finds it cheaper, else the fewest equal RK4 substeps of
-    ``_factor_form`` of at most ``LINDBLAD_MAX_STEP``, counted from
+    Each grid step is the exact map of ``_liouville_form`` wherever
+    ``_takes_map`` finds that it fits, else the fewest equal RK4 substeps
+    of ``_factor_form`` of at most ``LINDBLAD_MAX_STEP``, counted from
     ``grid.step``; a factor-form run of substeps x n^3 above
     ``MAX_FACTOR_WORK``, and a step whose map takes more than
     ``MAX_SQUARINGS`` squarings, are refused with ValueError before
-    stepping.  Up to
-    ``PROPAGATE_CHUNK`` states are stepped, overflow ignored, into one
-    buffer, checked as one stack as ``DensityState`` copies it:
-    PositivityLostError names the T of the first state that fails any
-    check, non-finite entries included.
+    stepping.  Up to ``PROPAGATE_CHUNK`` states are stepped, overflow
+    ignored, into one buffer, checked as one stack as ``DensityState``
+    copies it: PositivityLostError names the T of the first state that
+    fails any check, non-finite entries included.
     """
     times = grid.times
-    # a one-point grid takes no step, so its substeps are neither counted nor priced
+    # a one-point grid takes no step, so its substeps are not counted
     ratio = grid.step / LINDBLAD_MAX_STEP - SUBSTEP_SLACK if len(times) > 1 else 0.0
     if ratio == math.inf:
         raise ValueError(f"a step of {grid.step:.6g} has too many RK4 substeps to count")
     n_sub = max(1, math.ceil(ratio))
     n, substeps = s0.layout.dim, n_sub * (len(times) - 1)
     k, q = _generator(h, jumps)
-    liouville = substeps > 0 and _takes_map(k, q, grid.step, substeps)
-    if not liouville and substeps * n ** 3 > MAX_FACTOR_WORK:
-        raise ValueError(f"{substeps} RK4 substeps at dimension {n} exceed the cap of "
-                         f"{MAX_FACTOR_WORK:.0e} substeps x n^3; shorten the run")
-    step = (_liouville_form if liouville else _factor_form)(k, q)
+    if substeps and _takes_map(k, q, grid.step):
+        step = _liouville_form(k, q, grid.step)
+    else:
+        if substeps * n ** 3 > MAX_FACTOR_WORK:
+            raise ValueError(f"{substeps} RK4 substeps at dimension {n} exceed the cap of "
+                             f"{MAX_FACTOR_WORK:.0e} substeps x n^3; shorten the run")
+        step = functools.partial(_factor_form(k, q), dt=grid.step / n_sub, n_sub=n_sub)
     chunk = np.empty((min(len(times), PROPAGATE_CHUNK), n, n), dtype=complex)
     stacks, rho = [], s0.matrix
     for lo in range(0, len(times), PROPAGATE_CHUNK):
@@ -530,7 +518,7 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(lo, hi):
                 if i:
-                    rho = step(rho, grid.step / n_sub, n_sub)
+                    rho = step(rho)
                 chunk[i - lo] = rho
                 if not np.isfinite(rho).all():  # it stays non-finite: check the chunk now
                     hi = i + 1
@@ -549,9 +537,9 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     """Open evolution under ``h`` and the jump operators in ``jumps``, stepped by ``_open_stacks``.
 
     ``cut`` and ``target`` are observed as in ``evolve_unitary``.  With an
-    empty jump set this agrees with ``evolve_unitary`` to roundoff where the
-    exact map steps it, and up to the error of the 1e-3 RK4 substeps where
-    they do.
+    empty jump set this agrees with ``evolve_unitary`` to roundoff up to
+    n = 19, where the exact map steps it, and up to the error of the 1e-3
+    RK4 substeps above that.
     """
     _check_layouts(h, s0, jumps)
     cut, target = _observed(s0, grid, cut, target)

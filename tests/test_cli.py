@@ -565,7 +565,10 @@ class TestExitCodes:
         assert err.endswith("above the cap of 2 GiB; the largest n allowed is 4129776\n")
         assert not list(tmp_path.iterdir())
 
-    def test_positivity_lost_is_exit_3(self, tmp_path, capsys):
+    def test_positivity_lost_is_exit_3(self, monkeypatch, capsys):
+        # ten factor-form substeps of 1e-3 at rate 1000 overshoot (the exact
+        # map, which this run would take, does not)
+        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
         rc = main(["evolve", "--ham", "open-system", "--lindblad", "damping:1000",
                    "--tmax", "0.01", "--dt", "0.01"])
         assert rc == 3

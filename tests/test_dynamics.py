@@ -1,5 +1,6 @@
 """Evolution, the open-system integrator, and the timing probes."""
 
+import csv
 import inspect
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from medqsl import dynamics, hamiltonians
+from medqsl.cli import main
 from medqsl.dynamics import (
     JUMP_KINDS,
     JumpOperatorSet,
@@ -504,21 +506,26 @@ _STEPPER_CASES = {
 def test_stepper_matches_four_stage_rk4(form, dims, specs):
     # each form against its reference, to roundoff: the factor form's
     # substeps are the four-stage RK4 map of a linear, time-independent
-    # generator; the Liouville form is the exact map exp(L T) of the
-    # segment, here against a Taylor exponential of the test's own L
+    # generator; the Liouville form, built for the one span of the grid
+    # step, is its exact map exp(L T), here against a Taylor exponential of
+    # the test's own L
     lay = SystemLayout(dims)
     stream = RngStream(13, len(specs))
     h = Hamiltonian(lay, 3.0 * random_hermitian(lay.dim, stream))
     s0 = DensityState(lay, random_density(lay.dim, stream))
     grid = TimeGrid(0.0, 0.2, 0.025)
     jumps = _jumps(lay, *specs)
-    step = form(*dynamics._generator(h, jumps))
+    k, q = dynamics._generator(h, jumps)
     got = [s0.matrix]
-    for n_sub, dt in _substeps(grid.times):
-        got.append(step(got[-1], dt, n_sub))
     if form is dynamics._factor_form:
+        step = form(k, q)
+        for n_sub, dt in _substeps(grid.times):
+            got.append(step(got[-1], dt, n_sub))
         ref = _rk4_reference(h, s0, jumps, grid.times)
     else:
+        step = form(k, q, grid.step)
+        for _ in grid.times[1:]:
+            got.append(step(got[-1]))
         segment = _exact_map(_liouvillian(h, jumps), grid.step)
         ref = [s0.matrix.reshape(-1)]
         for _ in grid.times[1:]:
@@ -536,9 +543,9 @@ class TestStepperForm:
         # the forms built, by name and dimension, each still the real one
         built = []
         for name in ("_factor_form", "_liouville_form"):
-            def recording(k, q, name=name, form=getattr(dynamics, name)):
+            def recording(k, q, *span, name=name, form=getattr(dynamics, name)):
                 built.append((name, k.shape[-1]))
-                return form(k, q)
+                return form(k, q, *span)
             monkeypatch.setattr(dynamics, name, recording)
         return built
 
@@ -549,37 +556,23 @@ class TestStepperForm:
         assert 8 * 19 ** 4 <= dynamics.LIOUVILLE_MAX_BYTES < 8 * 20 ** 4
 
     def test_lindblad_open_shape_takes_the_liouville_form(self, built):
-        # n = 8, three dephasing jumps, 5 segments of 100 substeps: 500 against
-        # the map's cost of 9 (0.6 of Pade degree 5, no squaring, and 10)
+        # n = 8, three dephasing jumps, 5 grid steps of 100 substeps
         h, s0 = open_system_example()
         jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
         evolve_lindblad(h, s0, TimeGrid(0.0, 0.5, 0.1), jumps)
         assert built == [("_liouville_form", 8)]
 
-    def test_few_substeps_take_the_factor_form(self, built):
-        # at n = 8 forming the map costs about 9 substeps (0.6 of Pade degree
-        # 5, no squaring, and 10; measured: 0.25 ms for the map against 27 us
-        # a substep, BLAS at one thread), so 8 substeps cost less
-        h, s0 = open_system_example()
-        evolve_lindblad(h, s0, TimeGrid(0.0, 0.008, 0.008),
-                        JumpOperatorSet.dephasing(h.layout, 0.1))
-        assert built == [("_factor_form", 8)]
-
-    def test_ten_substeps_take_the_liouville_form(self, built):
-        # past the break-even of about 9 substeps at n = 8
-        h, s0 = open_system_example()
-        evolve_lindblad(h, s0, TimeGrid(0.0, 0.01, 0.01), JumpOperatorSet.dephasing(h.layout, 0.1))
-        assert built == [("_liouville_form", 8)]
-
-    @pytest.mark.parametrize("tmax, form", [(0.002, "_factor_form"), (0.003, "_liouville_form")])
-    def test_call_overhead_prices_the_map_at_n4(self, built, tmax, form):
-        # at n = 4 a product costs its call's overhead, 0.2 substeps, so the
-        # map costs 2.6 substeps (0.2 of Pade degree 3, no squaring, and 10;
-        # measured: 64 us for the map and one step against 23.7 us a substep)
-        h = direct_optimal(2)
-        evolve_lindblad(h, ket(h.layout, 0), TimeGrid(0.0, tmax, tmax),
-                        JumpOperatorSet.dephasing(h.layout, 0.1))
-        assert built == [(form, 4)]
+    @pytest.mark.parametrize("substeps", [1, 2, 8, 10, 500])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3, 3)], ids=["n4", "n8", "n18"])
+    def test_every_run_whose_map_fits_takes_it(self, built, dims, substeps):
+        # the form follows from the size alone: a grid step of any number of
+        # 1e-3 substeps takes the exact map wherever it fits (n <= 19)
+        lay = SystemLayout(tuple(zip("ABC", dims)))
+        h = Hamiltonian(lay, random_hermitian(lay.dim, RngStream(3, 0)))
+        tmax = substeps * dynamics.LINDBLAD_MAX_STEP
+        evolve_lindblad(h, ket(lay, 0), TimeGrid(0.0, tmax, tmax),
+                        JumpOperatorSet.dephasing(lay, 0.1))
+        assert built == [("_liouville_form", lay.dim)]
 
     @pytest.mark.parametrize("d, n", [(2, 8), (3, 27)])
     def test_rate_zero_probe_takes_the_factor_form(self, built, d, n):
@@ -615,17 +608,17 @@ class TestStepperForm:
         (TimeGrid(0.0, 10.0, 1e-3), 10_000), (TimeGrid(0.0, 50.0, 0.05), 50_000),
         (TimeGrid(0.0, 0.5, 0.1), 500)], ids=["1e-3", "0.05", "lindblad-open"])
     def test_substeps_counted_from_the_grid_step(self, monkeypatch, grid, substeps):
-        # every grid step takes the same substeps, counted from grid.step, so
-        # one map serves the run; counted per segment of the rounded grid
-        # times they were 10,624 and 50,144 in 13 and 11 lengths, and the
-        # lindblad-open grid formed three maps
+        # every grid step of the factor form takes the same substeps, counted
+        # from grid.step; counted per segment of the rounded grid times they
+        # were 10,624 and 50,144 in 13 and 11 lengths (the map's one span per
+        # run: TestExactMap)
         taken = []
 
         def unstepped(k, q):
             return lambda rho, dt, n_sub: taken.append((dt, n_sub)) or rho
 
-        for name in ("_factor_form", "_liouville_form"):
-            monkeypatch.setattr(dynamics, name, unstepped)
+        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
+        monkeypatch.setattr(dynamics, "_factor_form", unstepped)
         h = direct_optimal(2)
         dynamics._open_stacks(h, ket(h.layout, 0), JumpOperatorSet.dephasing(h.layout), grid)
         assert len(taken) == len(grid) - 1
@@ -710,8 +703,8 @@ class TestExactMap:
             h = Hamiltonian(lay, random_hermitian(8, stream))
             rho = random_density(8, stream)
             step = dynamics._liouville_form(*dynamics._generator(
-                h, JumpOperatorSet.local(lay, sorted(JUMP_KINDS)[seed % 2], 0.1)))
-            assert abs(np.trace(step(rho, 1e6, 1)) - 1) <= 1e-14
+                h, JumpOperatorSet.local(lay, sorted(JUMP_KINDS)[seed % 2], 0.1)), 1e6)
+            assert abs(np.trace(step(rho)) - 1) <= 1e-14
 
     def test_factor_form_work_is_capped(self, monkeypatch):
         # 10^9 substeps at n = 27 (the map would not fit) are refused before
@@ -728,14 +721,23 @@ class TestExactMap:
 
 
 class TestLindblad:
-    def test_no_jumps_matches_unitary(self):
-        h, s = cmi_product_example()
+    @pytest.mark.parametrize("n", [4, 8], ids=["n4", "n8"])
+    def test_no_jumps_matches_unitary(self, n):
+        # with no jumps the exact map is the spectral propagator's: every
+        # column to roundoff
+        if n == 4:
+            h = direct_optimal(2)
+            s = ket(h.layout, 0)
+        else:
+            h, s = cmi_product_example()
         grid = TimeGrid(0.0, 0.5, 0.05)
         jumps = JumpOperatorSet(h.layout, ())
         open_traj = evolve_lindblad(h, s, grid, jumps)
         closed_traj = evolve_unitary(h, s, grid)
-        diff = np.abs(open_traj.columns["negativity"] - closed_traj.columns["negativity"])
-        assert diff.max() < 1e-9
+        for name in dynamics.TRAJECTORY_COLUMNS:
+            diff = np.abs(open_traj.columns[name] - closed_traj.columns[name])
+            assert diff.max() <= 1e-12, name
+        assert np.ptp(closed_traj.columns["negativity"]) > 1e-2
 
     def test_matches_exact_exponential_map(self):
         # each grid step of 0.0125 is exp(0.0125 L) on row-stacked rho, to
@@ -789,12 +791,35 @@ class TestLindblad:
         for st in traj.states:
             assert abs(np.trace(st.matrix).real - 1) < 1e-10
 
-    def test_positivity_lost(self):
-        # one 1e-3 RK4 step at rate 1000 overshoots far below the floor
+    def test_positivity_lost(self, monkeypatch):
+        # ten 1e-3 factor-form substeps at rate 1000 overshoot far below the
+        # floor (the exact map, which this run would take, does not)
+        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
         h, s = open_system_example()
         jumps = JumpOperatorSet.damping(h.layout, 1000.0)
         with pytest.raises(PositivityLostError, match="T=0.01;"):
             evolve_lindblad(h, s, TimeGrid(0.0, 0.01, 0.01), jumps)
+
+    def test_stiff_one_step_run_takes_the_exact_map(self, tmp_path, monkeypatch):
+        # dt rate = 1: the ten 1e-3 substeps of this step overshoot, but the
+        # run takes the exact map, in the library and through the CLI
+        h, s = open_system_example()
+        jumps = JumpOperatorSet.damping(h.layout, 1000.0)
+        grid = TimeGrid(0.0, 0.01, 0.01)
+        want = (_exact_map(_liouvillian(h, jumps), 0.01) @ s.matrix.reshape(-1)).reshape(8, 8)
+        traj = evolve_lindblad(h, s, grid, jumps)
+        assert np.abs(traj.states[-1].matrix - want).max() <= 1e-12
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", "--ham", "open-system", "--lindblad", "damping:1000",
+                     "--tmax", "0.01", "--dt", "0.01", "--out", "stiff.csv"]) == 0
+        with open("stiff.csv") as fh:
+            row = list(csv.DictReader(fh))[-1]
+        stack = DensityState(h.layout, np.array([s.matrix, 0.5 * (want + want.conj().T)]))
+        ref = dynamics._observe(h, s, grid.times, [stack],
+                                *dynamics._observed(s, grid, None, None))
+        assert row["T"] == "0.01"
+        for name in dynamics.TRAJECTORY_COLUMNS:
+            assert abs(float(row[name]) - ref.columns[name][-1]) <= 1e-12, name
 
     def test_positivity_lost_names_the_time_not_a_stack_index(self, monkeypatch):
         # each stepped state is checked on its own before the columns are
