@@ -13,7 +13,8 @@ from grid point to grid point, each stepped state exactly Hermitian: by
 the exact map exp(L dT), one real product on the state's n^2 coordinates
 in a Hermitian operator basis, wherever that real n^2 x n^2 map fits
 (n <= 19), else by equal RK4 substeps of at most 1e-3, each L two
-products, re-Hermitized at each.
+products, re-Hermitized at each.  The size alone picks the form, before
+either form plans or refuses its step.
 The map keeps the trace to roundoff and RK4 increments are exactly
 traceless; each chunk of stepped states is checked as one stack, and the
 first state with an eigenvalue below -1e-6, a trace drift or a non-finite
@@ -429,7 +430,16 @@ def _liouville_form(k, q, span: float):
     The exact map keeps the trace, sum_j c_jj; but each of ``expm``'s s squarings doubles
     the roundoff along that conserved direction, some 1e-10 at s = 19 (T = 1e6 at
     ||L|| ~ 3), so the map's diagonal rows are corrected to sum to the trace functional.
+    A span whose map would take more than ``MAX_SQUARINGS`` squarings, at
+    ||L span||_1 <= (2 ||K||_1 + sum_q ||Q||_1^2) span, is refused with ValueError before
+    L is gathered.
     """
+    norm = 2 * np.abs(k).sum(axis=0).max() + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()
+    bound = norm * span
+    if bound == math.inf or expm_plan(bound)[1] > MAX_SQUARINGS:
+        raise ValueError(f"the exact map exp(L dT) of a step of {span:.6g} (||L dT||_1 up to "
+                         f"{bound:.3g}) takes more than {MAX_SQUARINGS} squarings, each "
+                         "doubling its roundoff; shorten the step")
     n = len(k)
     jumps = q.reshape(len(q), n * n)
     # L[a, b, j, k]: sum_q Q (x) conj Q as one product of the jumps' (aj) and (bk) entries,
@@ -462,51 +472,33 @@ def _liouville_form(k, q, span: float):
     return step
 
 
-def _takes_map(k, q, step: float) -> bool:
-    """Whether ``_liouville_form`` steps the run: its real n^2 x n^2 map, 8 n^4 bytes, fits in
-    ``LIOUVILLE_MAX_BYTES`` (n <= 19).
-
-    A map that fits but would take more than ``MAX_SQUARINGS`` squarings in ``expm``, at
-    ||L step||_1 <= (2 ||K||_1 + sum_q ||Q||_1^2) step, is refused with ValueError before it
-    is formed: the factor form, the other choice, diverges at such a step.
-    """
-    if 8 * k.shape[-1] ** 4 > LIOUVILLE_MAX_BYTES:
-        return False
-    norm = 2 * np.abs(k).sum(axis=0).max() + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()
-    bound = norm * step
-    if bound == math.inf or expm_plan(bound)[1] > MAX_SQUARINGS:
-        raise ValueError(f"the exact map exp(L dT) of a step of {step:.6g} (||L dT||_1 up to "
-                         f"{bound:.3g}) takes more than {MAX_SQUARINGS} squarings, each "
-                         "doubling its roundoff; shorten the step")
-    return True
-
-
 def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
                  grid: TimeGrid) -> list[DensityState]:
     """``s0``, the state at ``grid.start``, stepped to each point of ``grid``.
 
-    Each grid step is the exact map of ``_liouville_form`` wherever
-    ``_takes_map`` finds that it fits, else the fewest equal RK4 substeps
-    of ``_factor_form`` of at most ``LINDBLAD_MAX_STEP``, counted from
-    ``grid.step``; a factor-form run of substeps x n^3 above
-    ``MAX_FACTOR_WORK``, and a step whose map takes more than
-    ``MAX_SQUARINGS`` squarings, are refused with ValueError before
-    stepping.  Up to ``PROPAGATE_CHUNK`` states are stepped, overflow
-    ignored, into one buffer, checked as one stack as ``DensityState``
-    copies it: PositivityLostError names the T of the first state that
-    fails any check, non-finite entries included.
+    A grid with a step to take whose real n^2 x n^2 map, 8 n^4 bytes, fits
+    in ``LIOUVILLE_MAX_BYTES`` (n <= 19) steps by the exact map of
+    ``_liouville_form``, which refuses its own span.  Otherwise each grid
+    step is the fewest equal RK4 substeps of ``_factor_form`` of at most
+    ``LINDBLAD_MAX_STEP``, counted from ``grid.step``; a step whose
+    substeps cannot be counted, or a run of substeps x n^3 above
+    ``MAX_FACTOR_WORK``, is refused with ValueError before stepping.  Up
+    to ``PROPAGATE_CHUNK`` states are stepped, overflow ignored, into one
+    buffer, checked as one stack as ``DensityState`` copies it:
+    PositivityLostError names the T of the first state that fails any
+    check, non-finite entries included.
     """
-    times = grid.times
-    # a one-point grid takes no step, so its substeps are not counted
-    ratio = grid.step / LINDBLAD_MAX_STEP - SUBSTEP_SLACK if len(times) > 1 else 0.0
-    if ratio == math.inf:
-        raise ValueError(f"a step of {grid.step:.6g} has too many RK4 substeps to count")
-    n_sub = max(1, math.ceil(ratio))
-    n, substeps = s0.layout.dim, n_sub * (len(times) - 1)
+    times, n = grid.times, s0.layout.dim
     k, q = _generator(h, jumps)
-    if substeps and _takes_map(k, q, grid.step):
+    if len(times) > 1 and 8 * n ** 4 <= LIOUVILLE_MAX_BYTES:
         step = _liouville_form(k, q, grid.step)
     else:
+        # a one-point grid takes no step, so its substeps are not counted
+        ratio = grid.step / LINDBLAD_MAX_STEP - SUBSTEP_SLACK if len(times) > 1 else 0.0
+        if ratio == math.inf:
+            raise ValueError(f"a step of {grid.step:.6g} has too many RK4 substeps to count")
+        n_sub = max(1, math.ceil(ratio))
+        substeps = n_sub * (len(times) - 1)
         if substeps * n ** 3 > MAX_FACTOR_WORK:
             raise ValueError(f"{substeps} RK4 substeps at dimension {n} exceed the cap of "
                              f"{MAX_FACTOR_WORK:.0e} substeps x n^3; shorten the run")

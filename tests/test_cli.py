@@ -641,15 +641,25 @@ class TestExitCodes:
         assert [row["T"] for row in _read_csv(tmp_path / "one.csv")] == ["0"]
 
     def test_step_too_large_to_count_is_exit_2(self, tmp_path, capsys):
-        # 1e306 / 1e-3 overflows a float: the open run is refused before stepping
+        # a step of 1e306 is refused before stepping, by the form that would
+        # take it: on three qubits the exact map would take more than 28
+        # squarings, and on three qutrits (n = 27, the factor form) 1e306 / 1e-3
+        # overflows the count of RK4 substeps
         (tmp_path / "dt.hspec").write_text(
             "system A:2; system B:2; system C:2;\nH = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C);\n")
-        rc = main(["evolve", "--ham", "dt.hspec", "--state", "ket:000", "--lindblad",
-                   "dephasing:0.1", "--tmax", "1.7e308", "--dt", "1e306", "--out", "big.csv"])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: a step of 1e+306 has too many RK4 substeps to count\n")
-        assert not (tmp_path / "big.csv").exists()
+        (tmp_path / "q3.hspec").write_text(
+            "system A:3; system B:3; system C:3;\n"
+            "H = 0.5*GX(A,1)@GX(C,1) + 0.5*GX(B,1)@GX(C,1);\n")
+        for ham, err in (
+                ("dt.hspec", "the exact map exp(L dT) of a step of 1e+306 (||L dT||_1 up to "
+                             "2.6e+306) takes more than 28 squarings, each doubling its "
+                             "roundoff; shorten the step"),
+                ("q3.hspec", "a step of 1e+306 has too many RK4 substeps to count")):
+            rc = main(["evolve", "--ham", ham, "--state", "ket:000", "--lindblad",
+                       "dephasing:0.1", "--tmax", "1.7e308", "--dt", "1e306", "--out", "big.csv"])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {err}\n"
+            assert not (tmp_path / "big.csv").exists()
 
     def test_phases_past_their_last_digits_are_exit_2(self, tmp_path, capsys):
         # max|w| = 10: phases up to 1e21 rad, whose ulp is 1.3e5 rad, are

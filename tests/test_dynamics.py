@@ -91,15 +91,23 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="step must be positive and finite"):
             TimeGrid(0.0, 1.0, step)
 
-    def test_step_too_large_to_count_in_substeps(self):
-        # 1e308 / 1e-3 overflows: a one-point grid takes no step and is not
-        # counted, and a grid with a step to take is refused before stepping
+    def test_step_too_large_to_count_in_substeps(self, monkeypatch):
+        # a one-point grid takes no step and is not counted; a step of 1e306
+        # is refused before stepping: at n = 4 by the exact map, which would
+        # take more than MAX_SQUARINGS squarings, and at n = 27, the factor
+        # form's side, because 1e306 / 1e-3 overflows its substep count
         h = direct_optimal(2)
         jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
         traj = evolve_lindblad(h, ket(h.layout, 0), TimeGrid(0.0, 1.0, 1e308), jumps)
         assert traj.times.tolist() == [0.0] and len(traj.states) == 1
-        with pytest.raises(ValueError, match="too many RK4 substeps to count"):
+        with pytest.raises(ValueError, match="takes more than 28 squarings"):
             evolve_lindblad(h, ket(h.layout, 0), TimeGrid(0.0, 1.7e308, 1e306), jumps)
+        monkeypatch.setattr(dynamics, "_factor_form", _not_reached)
+        lay = SystemLayout((("A", 3), ("B", 3), ("C", 3)))
+        h = Hamiltonian(lay, random_hermitian(27, RngStream(3, 0)))
+        with pytest.raises(ValueError, match="a step of 1e[+]306 has too many RK4 substeps"):
+            evolve_lindblad(h, ket(lay, 0), TimeGrid(0.0, 1.7e308, 1e306),
+                            JumpOperatorSet.dephasing(lay, 0.1))
 
     def test_len_without_building_the_times(self):
         for step in (0.25, 0.3):
@@ -574,6 +582,25 @@ class TestStepperForm:
                         JumpOperatorSet.dephasing(lay, 0.1))
         assert built == [("_liouville_form", lay.dim)]
 
+    @pytest.mark.parametrize("dims, form", [((19,), "_liouville_form"),
+                                            ((4, 5), "_factor_form")], ids=["n19", "n20"])
+    def test_size_rule_at_its_edge(self, built, dims, form):
+        # one grid step each: the real map of n = 19 is 8 * 19^4 bytes, within
+        # the 1 MiB cap, and that of n = 20 is not
+        lay = SystemLayout(tuple(zip("AB", dims)))
+        h = Hamiltonian(lay, random_hermitian(lay.dim, RngStream(3, 0)))
+        (stack,) = dynamics._open_stacks(h, ket(lay, 0), JumpOperatorSet.dephasing(lay, 0.1),
+                                         TimeGrid(0.0, 1e-3, 1e-3))
+        assert built == [(form, lay.dim)] and len(stack.matrix) == 2
+
+    def test_map_side_plans_no_substeps(self, built, monkeypatch):
+        # a run that takes the map never divides by the RK4 substep length
+        monkeypatch.setattr(dynamics, "LINDBLAD_MAX_STEP", 0.0)
+        h, s0 = open_system_example()
+        traj = evolve_lindblad(h, s0, TimeGrid(0.0, 0.5, 0.1),
+                               JumpOperatorSet.dephasing(h.layout, 0.1))
+        assert built == [("_liouville_form", 8)] and len(traj.states) == 6
+
     @pytest.mark.parametrize("d, n", [(2, 8), (3, 27)])
     def test_rate_zero_probe_takes_the_factor_form(self, built, d, n):
         # one substep of RATE_DELTA per block, its K stacked: at d = 3 the map
@@ -705,6 +732,15 @@ class TestExactMap:
             step = dynamics._liouville_form(*dynamics._generator(
                 h, JumpOperatorSet.local(lay, sorted(JUMP_KINDS)[seed % 2], 0.1)), 1e6)
             assert abs(np.trace(step(rho)) - 1) <= 1e-14
+
+    def test_map_refuses_its_span_before_forming_it(self, monkeypatch):
+        # ||L dT||_1 up to 2.97e306 would take some 1,000 squarings: refused
+        # before L is gathered or exponentiated
+        monkeypatch.setattr(dynamics, "expm", _not_reached)
+        h, _ = open_system_example()
+        k, q = dynamics._generator(h, JumpOperatorSet.dephasing(h.layout, 0.1))
+        with pytest.raises(ValueError, match=r"step of 1e\+306 .* more than 28 squarings"):
+            dynamics._liouville_form(k, q, 1e306)
 
     def test_factor_form_work_is_capped(self, monkeypatch):
         # 10^9 substeps at n = 27 (the map would not fit) are refused before
