@@ -9,17 +9,15 @@ system integrator steps the master equation
 
     d rho / dT = L rho = K rho + (K rho)+ + sum_q Q rho Q+,   K = -iM - sum_q Q+Q / 2
 
-from grid point to grid point, each stepped state exactly Hermitian: by
-the exact map exp(L dT), one real product on the state's n^2 coordinates
-in a Hermitian operator basis, wherever that real n^2 x n^2 map fits
-(n <= 19), else by equal RK4 substeps of at most 1e-3, each L two
-products, re-Hermitized at each.  The size alone picks the form, before
-either form plans or refuses its step.
-The map keeps the trace to roundoff and RK4 increments are exactly
-traceless; each chunk of stepped states is checked as one stack, and the
-first state with an eigenvalue below -1e-6, a trace drift or a non-finite
-entry aborts with PositivityLostError.  The rate probe and the scan and
-refine behind the timing probes each run a stack of instances as one.
+from grid point to grid point, exactly to roundoff and exactly Hermitian: by
+the map exp(L dT), one real product on the state's n^2 coordinates in a
+Hermitian operator basis, wherever that real n^2 x n^2 map fits (n <= 19),
+else by the truncated Taylor action of exp(L dT), each L two products.  The
+size alone picks the form, which plans and refuses its own step.  Each chunk
+of stepped states is checked as one stack, and the first state with an
+eigenvalue below -1e-6, a trace drift or a non-finite entry aborts with
+PositivityLostError.  The rate probe and the scan and refine behind the
+timing probes each run a stack of instances as one.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .states import (
 )
 from .tolerances import (
     FIRST_MAX_SLACK, GRID_SLACK, LINDBLAD_EIG_FLOOR, PEAK_SLACK, PHASE_MAX, RATE_DELTA,
-    REFINE_TOL, SUBSTEP_SLACK,
+    REFINE_TOL,
 )
 
 __all__ = [
@@ -83,12 +81,10 @@ MAX_GRID_POINTS = 1e7
 MAX_TRAJECTORY_BYTES = 2 ** 31
 # grid points per propagate call: bounds the factors held next to the states
 PROPAGATE_CHUNK = 256
-LINDBLAD_MAX_STEP = 1e-3
 LIOUVILLE_MAX_BYTES = 2 ** 20  # cap on the open stepper's real n^2 x n^2 map: n <= 19
-# the factor-form work a run may ask for, substeps x n^3; a substep costs
-# about 1e-8 s per n^3, so this is some 17 minutes, and a longer run is refused
-# before stepping
-MAX_FACTOR_WORK = 1e11
+# the factor-form work a run may ask for, L-applications x n^3: at 5e-10 to 2e-9 s per n^3
+# (n = 64 to 20, one core) some 5 to 20 s; a longer run is refused before stepping
+MAX_FACTOR_WORK = 1e10
 # the most squarings the exact map exp(L dT) of a grid step may take.  Each doubles the
 # map's roundoff: one long step of a three-qubit or two-qutrit run measured its state about
 # 2^s x 1e-17 off the converged one, 4e-10 at s = 26, 1e-9 at 28 and 1e-6 at 36
@@ -160,10 +156,8 @@ class Trajectory:
 
 
 def write_csv(path, names, columns) -> None:
-    """Equal-length float ``columns`` under the header ``names``, each value as ``%.17g``.
-
-    The whole table is formatted by one ``%`` on the row format repeated.
-    """
+    """Equal-length float ``columns`` under the header ``names``, each value as ``%.17g``,
+    the whole table formatted by one ``%`` on the row format repeated."""
     table = np.column_stack(columns)
     fmt = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w") as fh:
@@ -198,15 +192,11 @@ class JumpOperatorSet:
     ops: tuple[tuple[str, np.ndarray], ...]
 
     @functools.cached_property
-    def embedded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stack of operators Q on the full layout, its adjoints, sum_q Q+Q; built once.
-
-        Each Q is I (x) q (x) I, ``embed_operator`` of q on its one label.
-        """
+    def embedded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stack of each jump's Q = I (x) q (x) I on the full layout, and sum_q Q+Q; once."""
         q = np.array([embed_operator(self.layout, (lab,), op) for lab, op in self.ops],
                      dtype=complex).reshape((-1,) + 2 * (self.layout.dim,))
-        q_adj = q.conj().swapaxes(1, 2)
-        return q, q_adj, (q_adj @ q).sum(axis=0)
+        return q, (q.conj().swapaxes(1, 2) @ q).sum(axis=0)
 
     @classmethod
     def local(cls, layout: SystemLayout, kind: str, rate: float,
@@ -246,6 +236,11 @@ def _marginal(s: DensityState, p: Bipartition) -> DensityState:
     return partial_trace(s, p.side_a + p.side_b)
 
 
+def _lost(e: StackCheckError, t: float, index: tuple[int, ...] = ()) -> PositivityLostError:
+    """The failed check ``e`` of a stepped state, or of its marginal, naming its T."""
+    return PositivityLostError(f"{e.message} at T={t:.6g}; reduce the step or the rates", index)
+
+
 def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
               target: DensityState | None) -> tuple[Bipartition, DensityState]:
     """``cut`` and ``target``, or the defaults that ``evolve_unitary`` documents.
@@ -280,11 +275,16 @@ def _observe(h: Hamiltonian, s0: DensityState, times: np.ndarray, stacks: list[D
     The fidelities put the single state first, so only it is factored,
     and F(s0, s) serves both columns when ``target`` is ``s0``.  The first
     state is ``s0`` by definition, so its F(s0, s) is 1 and its Bures angle
-    0 exactly, where the computed root fidelity may miss 1 by roundoff.
+    0 exactly, where the computed root fidelity may miss 1 by roundoff.  A
+    marginal that fails its check raises PositivityLostError naming its T.
     """
-    parts = {name: [] for name in TRAJECTORY_COLUMNS[1:]}
+    parts, lo = {name: [] for name in TRAJECTORY_COLUMNS[1:]}, 0
     for j, s in enumerate(stacks):
-        marg = _marginal(s, cut)
+        try:
+            marg = _marginal(s, cut)
+        except StackCheckError as e:
+            raise _lost(e, times[lo + e.index[0]]) from None
+        lo += len(s.matrix)
         em = energy_moments(h, s)
         f0 = uhlmann_fidelity(s0, s)
         if j == 0:
@@ -344,13 +344,13 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
 
 
 def _generator(h: Hamiltonian, jumps: JumpOperatorSet):
-    """L as both substep forms build it: K = -iM - sum_q Q+Q / 2 and the jump stack Q.
+    """L as both stepper forms build it: K = -iM - sum_q Q+Q / 2 and the jump stack Q.
 
     Jumps whose sum Q+Q, or whose K, has a non-finite entry are refused with
     ValueError, which names each jump's rate: its largest <j|q+q|j>.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        q, _, qq = jumps.embedded
+        q, qq = jumps.embedded
         k = -1j * h.matrix - 0.5 * qq
         if np.isfinite(k).all():
             return k, q
@@ -360,37 +360,61 @@ def _generator(h: Hamiltonian, jumps: JumpOperatorSet):
                      "lower the rates")
 
 
-def _factor_form(k, q):
-    """``step(rho, dt, n_sub)``: n_sub RK4 substeps of dt, each c L(r) two products.
+def _l_bound(k, q, span: float):
+    """(2 ||K||_1 + sum_q ||Q||_1^2) span >= ||L span||_1, inf past a float, which both forms
+    plan their span from; one per row of a ``(B, n, n)`` stack of K, the jumps Q shared."""
+    with np.errstate(over="ignore"):
+        return (2 * np.abs(k).sum(axis=-2).max(axis=-1)
+                + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()) * span
 
-    P = c [K; Q_1; ...] r, the factors' rows interleaved, reads as P_0 = c K r beside
-    [P_1 ...], and c L(r) = P_0 + P_0+ + [P_1 ...] [Q_1+; ...], c folded into the factors.
-    A ``(B, n, n)`` stack of K, the jumps Q shared, steps a ``(B, n, n)`` stack of rho.
+
+def _substeps(k, q, span: float, steps: int = 1):
+    """``_factor_form``'s substeps of ``span``, ceil of ``_l_bound`` and at least 1; ``steps``
+    spans of the most, at 18 L-applications each (at ||h L||_1 <= 1, the terms that take 1/j!
+    below eps) x n^3, above ``MAX_FACTOR_WORK`` are refused with ValueError."""
+    subs = np.maximum(1.0, np.ceil(_l_bound(k, q, span)))
+    total, n = float(subs.max()) * steps, k.shape[-1]
+    if not 18 * total * n ** 3 <= MAX_FACTOR_WORK:
+        raise ValueError(f"{steps} step(s) of {span:.6g} take {total:.6g} Taylor substeps at "
+                         f"dimension {n}, above the cap of {MAX_FACTOR_WORK:.0e} L-applications "
+                         "x n^3 at 18 per substep; shorten the run or lower the rates")
+    return subs
+
+
+def _factor_form(k, q, span: float):
+    """``step(rho)``: rho over ``span`` by the truncated Taylor action of exp(L span)
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+
+    Each row of a ``(B, n, n)`` stack of K (the jumps Q shared) takes its own s substeps
+    h = span / s from ``_substeps``, each the sum of (h L)^j rho / j! until a term's entries
+    sum to at most eps of the sum's, re-Hermitized; a finished row is masked, so it keeps
+    the bits of its run alone.  P = h [K; Q_1; ...] r, rows interleaved, is P_0 = h K r
+    beside [P_1 ...], and h L(r) = P_0 + P_0+ + [P_1 ...] [Q_1+; ...]: two products.
     """
     lead, n, m = k.shape[:-2], k.shape[-1], len(q)
+    subs = _substeps(k, q, span)
     factors = np.concatenate([k[..., None, :], np.broadcast_to(q.swapaxes(0, 1), lead + (n, m, n))],
                              axis=-2).reshape(lead + (n * (m + 1), n))
+    factors *= np.reshape(span / subs, lead + (1, 1))
     q_adj = q.conj().swapaxes(1, 2).reshape(m * n, n)
     p = np.empty(lead + (n, m + 1, n), dtype=complex)
     p_flat, p_k = p.reshape(lead + (-1, n)), p[..., 0, :]
     p_q = p[..., 1:, :].reshape(lead + (n, m * n))
 
-    def step(rho, dt, n_sub):
-        # each stage's scaled factors, kept over the substeps of a run; one substep
-        # (the rate probe's) makes them one at a time, so it holds a single copy
-        stages = ((dt / j) * factors for j in (4, 3, 2, 1))
-        if n_sub > 1:
-            stages = list(stages)
-        for _ in range(n_sub):
-            y = rho
-            for scaled in stages:
-                np.matmul(scaled, y, out=p_flat)
-                y = p_q @ q_adj
-                y += rho
-                y += p_k
-                y += p_k.conj().swapaxes(-1, -2)
-            rho = y + y.conj().swapaxes(-1, -2)
-            rho *= 0.5
+    def step(rho):
+        for i in range(int(subs.max())):
+            on = np.reshape(i < subs, lead + (1, 1))
+            term, acc, live, j = rho, rho.copy(), on.copy(), 1
+            while live.any():
+                np.matmul(factors, term, out=p_flat)
+                term = p_q @ q_adj
+                term += p_k + p_k.conj().swapaxes(-1, -2)
+                term *= 1 / j
+                np.add(acc, term, out=acc, where=live)
+                live &= (np.abs(term).sum(axis=(-2, -1), keepdims=True)
+                         > np.finfo(float).eps * np.abs(acc).sum(axis=(-2, -1), keepdims=True))
+                j += 1
+            rho = np.where(on, 0.5 * (acc + acc.conj().swapaxes(-1, -2)), rho)
         return rho
     return step
 
@@ -430,12 +454,10 @@ def _liouville_form(k, q, span: float):
     The exact map keeps the trace, sum_j c_jj; but each of ``expm``'s s squarings doubles
     the roundoff along that conserved direction, some 1e-10 at s = 19 (T = 1e6 at
     ||L|| ~ 3), so the map's diagonal rows are corrected to sum to the trace functional.
-    A span whose map would take more than ``MAX_SQUARINGS`` squarings, at
-    ||L span||_1 <= (2 ||K||_1 + sum_q ||Q||_1^2) span, is refused with ValueError before
-    L is gathered.
+    A span whose map would take more than ``MAX_SQUARINGS`` squarings, at the bound
+    ``_l_bound`` on ||L span||_1, is refused with ValueError before L is gathered.
     """
-    norm = 2 * np.abs(k).sum(axis=0).max() + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()
-    bound = norm * span
+    bound = _l_bound(k, q, span)
     if bound == math.inf or expm_plan(bound)[1] > MAX_SQUARINGS:
         raise ValueError(f"the exact map exp(L dT) of a step of {span:.6g} (||L dT||_1 up to "
                          f"{bound:.3g}) takes more than {MAX_SQUARINGS} squarings, each "
@@ -476,33 +498,21 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
                  grid: TimeGrid) -> list[DensityState]:
     """``s0``, the state at ``grid.start``, stepped to each point of ``grid``.
 
-    A grid with a step to take whose real n^2 x n^2 map, 8 n^4 bytes, fits
-    in ``LIOUVILLE_MAX_BYTES`` (n <= 19) steps by the exact map of
-    ``_liouville_form``, which refuses its own span.  Otherwise each grid
-    step is the fewest equal RK4 substeps of ``_factor_form`` of at most
-    ``LINDBLAD_MAX_STEP``, counted from ``grid.step``; a step whose
-    substeps cannot be counted, or a run of substeps x n^3 above
-    ``MAX_FACTOR_WORK``, is refused with ValueError before stepping.  Up
-    to ``PROPAGATE_CHUNK`` states are stepped, overflow ignored, into one
-    buffer, checked as one stack as ``DensityState`` copies it:
-    PositivityLostError names the T of the first state that fails any
-    check, non-finite entries included.
+    A grid with a step to take steps by one form built for ``grid.step``, which
+    refuses a step it cannot take with ValueError: ``_liouville_form`` where
+    its real n^2 x n^2 map, 8 n^4 bytes, fits in ``LIOUVILLE_MAX_BYTES``
+    (n <= 19), else ``_factor_form``, the run's substeps priced first.  Up to
+    ``PROPAGATE_CHUNK`` states are stepped, overflow ignored, into one buffer,
+    checked as one stack as ``DensityState`` copies it: PositivityLostError
+    names the T of the first state that fails any check, non-finite included.
     """
     times, n = grid.times, s0.layout.dim
     k, q = _generator(h, jumps)
     if len(times) > 1 and 8 * n ** 4 <= LIOUVILLE_MAX_BYTES:
         step = _liouville_form(k, q, grid.step)
-    else:
-        # a one-point grid takes no step, so its substeps are not counted
-        ratio = grid.step / LINDBLAD_MAX_STEP - SUBSTEP_SLACK if len(times) > 1 else 0.0
-        if ratio == math.inf:
-            raise ValueError(f"a step of {grid.step:.6g} has too many RK4 substeps to count")
-        n_sub = max(1, math.ceil(ratio))
-        substeps = n_sub * (len(times) - 1)
-        if substeps * n ** 3 > MAX_FACTOR_WORK:
-            raise ValueError(f"{substeps} RK4 substeps at dimension {n} exceed the cap of "
-                             f"{MAX_FACTOR_WORK:.0e} substeps x n^3; shorten the run")
-        step = functools.partial(_factor_form(k, q), dt=grid.step / n_sub, n_sub=n_sub)
+    elif len(times) > 1:
+        _substeps(k, q, grid.step, len(times) - 1)
+        step = _factor_form(k, q, grid.step)
     chunk = np.empty((min(len(times), PROPAGATE_CHUNK), n, n), dtype=complex)
     stacks, rho = [], s0.matrix
     for lo in range(0, len(times), PROPAGATE_CHUNK):
@@ -518,21 +528,16 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
         try:
             stacks.append(DensityState(s0.layout, chunk[:hi - lo], eig_floor=LINDBLAD_EIG_FLOOR))
         except StackCheckError as e:
-            raise PositivityLostError(f"{e.message} at T={times[lo + e.index[0]]:.6g}; "
-                                      "reduce the step or the rates") from None
+            raise _lost(e, times[lo + e.index[0]]) from None
     return stacks
 
 
 def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
                     jumps: JumpOperatorSet, *, cut: Bipartition | None = None,
                     target: DensityState | None = None) -> Trajectory:
-    """Open evolution under ``h`` and the jump operators in ``jumps``, stepped by ``_open_stacks``.
-
-    ``cut`` and ``target`` are observed as in ``evolve_unitary``.  With an
-    empty jump set this agrees with ``evolve_unitary`` to roundoff up to
-    n = 19, where the exact map steps it, and up to the error of the 1e-3
-    RK4 substeps above that.
-    """
+    """Open evolution under ``h`` and the jump operators in ``jumps``, stepped by
+    ``_open_stacks``, ``cut`` and ``target`` observed as in ``evolve_unitary``; with an
+    empty jump set it agrees with ``evolve_unitary`` to roundoff."""
     _check_layouts(h, s0, jumps)
     cut, target = _observed(s0, grid, cut, target)
     return _observe(h, s0, grid.times, _open_stacks(h, s0, jumps, grid), cut, target)
@@ -552,13 +557,12 @@ def _cut_plan(layout: SystemLayout, cut: Bipartition):
 def negativity_curve(h: Hamiltonian, x0, times, cut: Bipartition) -> np.ndarray:
     """N across ``cut`` of exp(-iTM) x0 for each T in ``times``.
 
-    ``h`` is a ``Hamiltonian`` M, propagated through its kept ``h.eig``, and
-    ``x0`` a state vector or a column factor X of rho = X X+.  A stack of B
-    couplings takes a ``(B, n)`` or ``(B, n, k)`` stack ``x0`` and ``(B, T)``
-    times, instance b on row b of each, and gives the ``(B, T)`` curves.
-    The cut is resolved once per (``h.layout``, cut) pair, by ``_cut_plan``.
-    With the kept labels as the rows of Y, the marginal tr_rest(X X+) is
-    Y Y+: no full density matrix is formed.
+    ``h`` is a ``Hamiltonian`` M, propagated through its kept ``h.eig``, and ``x0`` a state
+    vector or a column factor X of rho = X X+.  A stack of B couplings takes a ``(B, n)``
+    or ``(B, n, k)`` stack ``x0`` and ``(B, T)`` times, instance b on row b of each, and
+    gives the ``(B, T)`` curves.  The cut is resolved once per (``h.layout``, cut) pair,
+    by ``_cut_plan``.  With the kept labels as the rows of Y, the marginal tr_rest(X X+)
+    is Y Y+: no full density matrix is formed.
     """
     dims, d_keep, b_pos, axes = _cut_plan(h.layout, cut)
     x = propagate(*h.eig, x0, times)
@@ -571,11 +575,10 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
                                 jumps: JumpOperatorSet | None = None) -> float | np.ndarray:
     """N(delta) - N(0) across ``p`` at delta = ``RATE_DELTA``, a finite-difference rate probe.
 
-    For mediated Hamiltonians and product system-mediator inputs this is
-    zero to second order when closed, and never positive to first order
-    when jumps are local, stepped by one factor-form RK4 substep.  A stack
-    of B couplings and B states gives the ``(B,)`` changes; a stepped state
-    that fails its check raises PositivityLostError naming T and its index.
+    For mediated Hamiltonians and product system-mediator inputs this is zero to second
+    order when closed, and never positive to first order when jumps are local, stepped by
+    the factor form.  A stack of B couplings and B states gives the ``(B,)`` changes; a
+    stepped state that fails its check raises PositivityLostError naming T and its index.
     """
     _check_layouts(h, s0, jumps)
     if jumps is None:
@@ -583,12 +586,11 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
         n0, n_delta = np.moveaxis(negativity_curve(h, _factor(s0), times, p), -1, 0)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            rho = _factor_form(*_generator(h, jumps))(s0.matrix, RATE_DELTA, 1)
+            rho = _factor_form(*_generator(h, jumps), RATE_DELTA)(s0.matrix)
         try:
             stepped = DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
         except StackCheckError as e:
-            raise PositivityLostError(f"{e.message} at T={RATE_DELTA:.6g}; "
-                                      "reduce the step or the rates", e.index) from None
+            raise _lost(e, RATE_DELTA, e.index) from None
         n0, n_delta = (negativity(_marginal(s, p), p) for s in (s0, stepped))
     return _value(s0, n_delta - n0)
 
@@ -597,11 +599,10 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
                                 horizon: float = 50.0) -> float | None:
     """Time of the first maximal-entanglement peak across ``p``, or None.
 
-    Scans N(T) on a 1e-3 grid, ``PROPAGATE_CHUNK`` points at a time, and
-    returns the first grid-local maximum within ``PEAK_SLACK`` of (d-1)/2,
-    d the smaller total dimension of the cut's sides, that ``refine_peak``
-    lifts to within ``FIRST_MAX_SLACK`` of it: near a quadratic peak that
-    window is narrower than the scan step.  Returns None when no peak
+    Scans N(T) on a 1e-3 grid, ``PROPAGATE_CHUNK`` points at a time, and returns the first
+    grid-local maximum within ``PEAK_SLACK`` of (d-1)/2, d the smaller total dimension of
+    the cut's sides, that ``refine_peak`` lifts to within ``FIRST_MAX_SLACK`` of it: near a
+    quadratic peak that window is narrower than the scan step.  Returns None when no peak
     attains the level within the horizon (at most 50).
     """
     _check_layouts(h, s0)

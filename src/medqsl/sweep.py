@@ -13,7 +13,7 @@ and the largest stack a block builds or keeps.  A block draws each of its
 instances once, from its own stream, and makes one stacked eigensolve,
 stacked energy moments and stacked probes: one negativity curve
 (cmi-uncorrelated, commuting-null), smi's searches for its peaks and
-crossings, or rate-zero's closed probe and open RK4 substep.  A row that
+crossings, or rate-zero's closed probe and open Taylor action.  A row that
 refuses the run names its stream.  Each instance has the same bits in a
 block of any size.  Worker processes split the blocks.
 
@@ -455,8 +455,8 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
     times = np.array([0.0, RATE_DELTA])
     # a block's largest stacks are the open probe's: ``_factor_form`` holds the (B, n (m + 1), n)
-    # factors of K and m jumps, one scaled copy of them, the product p of that size, and
-    # the (B, n, n) states beside them, about one more
+    # factors of K and m jumps and the product p of that size, and some seven (B, n, n)
+    # states and terms beside them, within two more of that size at m >= 2
     block = _block_size(4 * 16 * cfg.layout.dim ** 2 * (len(jumps.ops) + 1))
     dn_closed, dn_open, n_start, n_delta = _sweep(cfg, _rate_block, block, len(times), jumps=jumps)
     # by stream, closed before open within one

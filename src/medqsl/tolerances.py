@@ -4,10 +4,9 @@ A name is shared only where the meaning is the same: two thresholds
 that agree in value but answer different questions keep two names.
 """
 
-# validation; a PSD matrix may dip slightly negative in floating point, and
-# below its floor it is indefinite (open-system stepped states get a looser
-# floor: RK4 substeps overshoot by their truncation error, the exact map only
-# by roundoff)
+# validation; a PSD matrix may dip slightly negative in floating point, and below its
+# floor it is indefinite (open-system stepped states get a looser floor: each squaring
+# of the exact map doubles its roundoff, some 4e-10 at 26 squarings)
 HERM_TOL = 1e-10            # max entry of |M - M+|
 TRACE_TOL = 1e-10           # |tr rho - 1|
 PSD_FLOOR = -1e-10
@@ -23,7 +22,6 @@ SUPPORT_CUT = 1e-12         # fidelity: eigenvalues of the first state at or bel
 
 # time grids, the scan-and-refine primitives and the rate probe
 GRID_SLACK = 1e-9           # in steps: a span that is a multiple of the step keeps its end
-SUBSTEP_SLACK = 1e-12       # in steps: an exact multiple of the RK4 step takes no extra one
 REFINE_TOL = 1e-9           # bracket width at which golden section and bisection stop
 PEAK_SLACK = 1e-4           # grid-local peaks this close below a level are refined
 FIRST_MAX_SLACK = 1e-7      # a refined peak this close to (d-1)/2 counts as maximal

@@ -565,20 +565,18 @@ class TestExitCodes:
         assert err.endswith("above the cap of 2 GiB; the largest n allowed is 4129776\n")
         assert not list(tmp_path.iterdir())
 
-    def test_positivity_lost_is_exit_3(self, monkeypatch, capsys):
-        # ten factor-form substeps of 1e-3 at rate 1000 overshoot (the exact
-        # map, which this run would take, does not)
-        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
+    def test_positivity_lost_is_exit_3(self, rk4_stepper, capsys):
+        # ten RK4 substeps of 1e-3 at rate 1000 overshoot (the exact map,
+        # which this run would take, does not)
         rc = main(["evolve", "--ham", "open-system", "--lindblad", "damping:1000",
                    "--tmax", "0.01", "--dt", "0.01"])
         assert rc == 3
         assert "reduce the step" in capsys.readouterr().err
 
-    def test_divergent_stepper_is_exit_3(self, monkeypatch, capsys):
-        # the factor-form stepped state overflows between output points: exit
-        # 3, and the error line is all that reaches stderr (the exact map,
-        # which this run would take, does not diverge)
-        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
+    def test_divergent_stepper_is_exit_3(self, rk4_stepper, capsys):
+        # the RK4-stepped state overflows between output points: exit 3, and
+        # the error line is all that reaches stderr (the exact map, which
+        # this run would take, does not diverge)
         rc = main(["evolve", "--ham", "open-system", "--tmax", "0.5", "--dt", "0.1",
                    "--lindblad", "dephasing:1e4"])
         err = capsys.readouterr().err
@@ -587,18 +585,37 @@ class TestExitCodes:
         assert err.endswith(" at T=0.1; reduce the step or the rates\n")
         assert err.count("\n") == 1
 
+    def test_lost_marginal_is_exit_3(self, tmp_path, capsys):
+        # one zero-rate step of 1e7 on three qubits: the exact map's state
+        # passes the open floor, but its A:B marginal, some -5e-10 below zero
+        # after the map's squarings, fails PSD_FLOOR. That is a numeric loss
+        # at T, exit 3, one stderr line, and no file written
+        (tmp_path / "open3.hspec").write_text(
+            "system A:2; system B:2; system C:2;\n"
+            "H = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C) + 0.3*Z(A)@Z(C);\n")
+        rc = main(["evolve", "--ham", str(tmp_path / "open3.hspec"), "--state", "ket:000",
+                   "--lindblad", "dephasing:0", "--tmax", "1e7", "--dt", "1e7",
+                   "--out", str(tmp_path / "lost.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: minimum eigenvalue ")
+        assert err.endswith(" below -1e-10 at T=1e+07; reduce the step or the rates\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "lost.csv").exists()
+
     def test_factor_run_too_long_is_exit_2(self, tmp_path, capsys):
-        # 10^9 factor-form substeps at n = 27, where the map does not fit,
-        # are refused before stepping, and no file is written; the same span
-        # at n = 8 takes the exact map and finishes
+        # 4.6e6 Taylor substeps at n = 27 (||L||_1 x 1e6), where the map does
+        # not fit, are refused before stepping, and no file is written; the
+        # same span at n = 8 takes the exact map and finishes
         argv = ["--state", "ket:000", "--lindblad", "dephasing:0.1", "--tmax", "1e6",
                 "--dt", "1e6"]
         (tmp_path / "q3.hspec").write_text(
             "system A:3; system B:3; system C:3;\nH = GX(A,1)@GX(C,1) + GY(B,2)@GY(C,2);\n")
         assert main(["evolve", "--ham", "q3.hspec", *argv, "--out", "q3.csv"]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: 1000000000 RK4 substeps at dimension 27 exceed the cap of "
-                       "1e+11 substeps x n^3; shorten the run\n")
+        assert err == ("error: 1 step(s) of 1e+06 take 4.6e+06 Taylor substeps at dimension 27, "
+                       "above the cap of 1e+10 L-applications x n^3 at 18 per substep; "
+                       "shorten the run or lower the rates\n")
         assert [p.name for p in tmp_path.iterdir()] == ["q3.hspec"]
         (tmp_path / "q2.hspec").write_text(
             "system A:2; system B:2; system C:2;\nH = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C);\n")
@@ -626,8 +643,8 @@ class TestExitCodes:
                              ids=["closed", "open"])
     def test_infinite_step_is_exit_2(self, tmp_path, capsys, lindblad):
         # refused by the grid before any numpy warning, the error line alone
-        # on stderr, no file written; 1e308, whose RK4 substeps overflow a
-        # float, gives a one-point grid, which takes no step and is written
+        # on stderr, no file written; 1e308 gives a one-point grid, which
+        # takes no step and is written
         (tmp_path / "dt.hspec").write_text(
             "system A:2; system B:2; system C:2;\nH = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C);\n")
         argv = ["evolve", "--ham", "dt.hspec", "--state", "ket:000", *lindblad, "--tmax", "1"]
@@ -643,8 +660,8 @@ class TestExitCodes:
     def test_step_too_large_to_count_is_exit_2(self, tmp_path, capsys):
         # a step of 1e306 is refused before stepping, by the form that would
         # take it: on three qubits the exact map would take more than 28
-        # squarings, and on three qutrits (n = 27, the factor form) 1e306 / 1e-3
-        # overflows the count of RK4 substeps
+        # squarings, and on three qutrits (n = 27, the factor form) the count
+        # of Taylor substeps over the run, ||L||_1 x 1e306 per step, overflows
         (tmp_path / "dt.hspec").write_text(
             "system A:2; system B:2; system C:2;\nH = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C);\n")
         (tmp_path / "q3.hspec").write_text(
@@ -654,12 +671,33 @@ class TestExitCodes:
                 ("dt.hspec", "the exact map exp(L dT) of a step of 1e+306 (||L dT||_1 up to "
                              "2.6e+306) takes more than 28 squarings, each doubling its "
                              "roundoff; shorten the step"),
-                ("q3.hspec", "a step of 1e+306 has too many RK4 substeps to count")):
+                ("q3.hspec", "170 step(s) of 1e+306 take inf Taylor substeps at dimension 27, "
+                             "above the cap of 1e+10 L-applications x n^3 at 18 per substep; "
+                             "shorten the run or lower the rates")):
             rc = main(["evolve", "--ham", ham, "--state", "ket:000", "--lindblad",
                        "dephasing:0.1", "--tmax", "1.7e308", "--dt", "1e306", "--out", "big.csv"])
             assert rc == 2
             assert capsys.readouterr().err == f"error: {err}\n"
             assert not (tmp_path / "big.csv").exists()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_bound_is_exit_2(self, tmp_path, capsys, d):
+        # dephasing at 100 bounds ||L dT||_1 past a float at dT = 1e307: each
+        # form refuses the step (the map on qubits, the factor form's work
+        # cap on qutrits) with the error line alone on stderr, no numpy
+        # warning and no file written
+        (tmp_path / "big.hspec").write_text(
+            f"system A:{d}; system B:{d}; system C:{d};\n"
+            f"H = GX(A,1)@GX(C,1) + GX(B,1)@GX(C,1);\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["evolve", "--ham", str(tmp_path / "big.hspec"), "--state", "ket:000",
+                       "--lindblad", "dephasing:100", "--tmax", "1.7e308", "--dt", "1e307",
+                       "--out", str(tmp_path / "big.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and caught == [] and err.count("\n") == 1
+        assert ("(||L dT||_1 up to inf)" if d == 2 else "take inf Taylor substeps") in err
+        assert not (tmp_path / "big.csv").exists()
 
     def test_phases_past_their_last_digits_are_exit_2(self, tmp_path, capsys):
         # max|w| = 10: phases up to 1e21 rad, whose ulp is 1.3e5 rad, are

@@ -95,7 +95,7 @@ class TestTimeGrid:
         # a one-point grid takes no step and is not counted; a step of 1e306
         # is refused before stepping: at n = 4 by the exact map, which would
         # take more than MAX_SQUARINGS squarings, and at n = 27, the factor
-        # form's side, because 1e306 / 1e-3 overflows its substep count
+        # form's side, because ||L||_1 x 1e306 overflows its Taylor substeps
         h = direct_optimal(2)
         jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
         traj = evolve_lindblad(h, ket(h.layout, 0), TimeGrid(0.0, 1.0, 1e308), jumps)
@@ -105,7 +105,8 @@ class TestTimeGrid:
         monkeypatch.setattr(dynamics, "_factor_form", _not_reached)
         lay = SystemLayout((("A", 3), ("B", 3), ("C", 3)))
         h = Hamiltonian(lay, random_hermitian(27, RngStream(3, 0)))
-        with pytest.raises(ValueError, match="a step of 1e[+]306 has too many RK4 substeps"):
+        with pytest.raises(ValueError, match=r"^170 step\(s\) of 1e\+306 take inf Taylor substeps "
+                                             r"at dimension 27, above the cap"):
             evolve_lindblad(h, ket(lay, 0), TimeGrid(0.0, 1.7e308, 1e306),
                             JumpOperatorSet.dephasing(lay, 0.1))
 
@@ -405,35 +406,6 @@ class TestNegativityCurve:
                 negativity_curve(h, s0.pure_vector, [0.0], Bipartition.parse(cut))
 
 
-def _substeps(times):
-    """(count, dt) per segment of ``times``: the fewest substeps of at most 1e-3."""
-    for t0, t1 in zip(times[:-1], times[1:]):
-        n_sub = max(1, int(math.ceil((t1 - t0) / dynamics.LINDBLAD_MAX_STEP - 1e-12)))
-        yield n_sub, (t1 - t0) / n_sub
-
-
-def _rk4_reference(h, s0, jumps, times):
-    """Four-stage RK4 on K r + (K r)+ + sum_q Q r Q+: the reference for the stepper."""
-    q, q_adj, qq = jumps.embedded
-    k_eff = -1j * h.matrix - 0.5 * qq
-
-    def rhs(r):
-        kr = k_eff @ r
-        return kr + kr.conj().T + (q @ r @ q_adj).sum(axis=0)
-
-    rho, out = s0.matrix, [s0.matrix]
-    for n_sub, dt in _substeps(times):
-        for _ in range(n_sub):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
-        out.append(rho)
-    return np.array(out)
-
-
 def _liouvillian(h, jumps):
     """L on row-stacked rho, from the embedded jumps: vec(A X B) = (A kron B^T) vec(X)."""
     eye = np.eye(h.layout.dim)
@@ -462,6 +434,28 @@ def _exact_map(gen, t):
     return out
 
 
+def _taylor_reference(h, jumps, rho, t):
+    """exp(L t) rho, L rho = -i[H, rho] + sum_q (Q rho Q+ - {Q+Q, rho} / 2) from the embedded
+    jumps: 25 Taylor terms in each of the s steps that take ||L t / s||_1 of the test's own
+    L to at most 1, so the remainder is below 1 / 26!."""
+    qs = [(q, q.conj().T, q.conj().T @ q)
+          for q in (embed_operator(h.layout, (label,), op) for label, op in jumps.ops)]
+
+    def lind(r):
+        out = -1j * (h.matrix @ r - r @ h.matrix)
+        for q, q_adj, qq in qs:
+            out += q @ r @ q_adj - 0.5 * (qq @ r + r @ qq)
+        return out
+
+    s = math.ceil(np.abs(_liouvillian(h, jumps)).sum(axis=0).max() * t)
+    for _ in range(s):
+        term = rho
+        for j in range(1, 26):
+            term = lind(term) * (t / s / j)
+            rho = rho + term
+    return rho
+
+
 def _hermitian_basis(n):
     """Columns vec(b) of the orthonormal Hermitian basis: each E_jj, then (E_jk + E_kj)/sqrt 2
     and i (E_jk - E_kj)/sqrt 2 for the pairs j < k in row-major order."""
@@ -477,18 +471,16 @@ def _hermitian_basis(n):
 @pytest.mark.parametrize("kind", sorted(JUMP_KINDS))
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 2)])
 def test_jumps_keep_the_embedded_bits(kind, dims):
-    # the stack, its adjoints and sum_q Q+Q keep the bits of each jump's
-    # embedding, zero signs included (a qutrit clock operator chained
-    # through two identity products would not)
+    # the stack and sum_q Q+Q keep the bits of each jump's embedding, zero
+    # signs included (a qutrit clock operator chained through two identity
+    # products would not)
     lay = SystemLayout(tuple(zip("ABC", dims)))
     jumps = JumpOperatorSet.local(lay, kind, 0.3)
-    q, q_adj, qq = jumps.embedded
+    q, qq = jumps.embedded
     old = np.array([embed_operator(lay, (lab,), op) for lab, op in jumps.ops],
                    dtype=complex).reshape((-1,) + 2 * (lay.dim,))
-    old_adj = old.conj().swapaxes(1, 2)
     assert q.tobytes() == old.tobytes()
-    assert q_adj.tobytes() == old_adj.tobytes()
-    assert qq.tobytes() == (old_adj @ old).sum(axis=0).tobytes()
+    assert qq.tobytes() == (old.conj().swapaxes(1, 2) @ old).sum(axis=0).tobytes()
 
 
 def _jumps(lay, *specs):
@@ -507,40 +499,41 @@ _STEPPER_CASES = {
 }
 
 
-@pytest.mark.parametrize("form, dims, specs", [
-    pytest.param(form, dims, specs, id=prefix + name)
-    for form, prefix in ((dynamics._factor_form, ""), (dynamics._liouville_form, "liouville-"))
-    for name, (dims, specs) in _STEPPER_CASES.items()])
-def test_stepper_matches_four_stage_rk4(form, dims, specs):
-    # each form against its reference, to roundoff: the factor form's
-    # substeps are the four-stage RK4 map of a linear, time-independent
-    # generator; the Liouville form, built for the one span of the grid
-    # step, is its exact map exp(L T), here against a Taylor exponential of
-    # the test's own L
+def _stepped_against_exact_map(form, dims, specs):
+    """The largest entry by which ``form(k, q, grid.step)`` misses exp(L T) of the test's own
+    L over a grid of 8 steps, and the largest by which the exact states move."""
     lay = SystemLayout(dims)
     stream = RngStream(13, len(specs))
     h = Hamiltonian(lay, 3.0 * random_hermitian(lay.dim, stream))
     s0 = DensityState(lay, random_density(lay.dim, stream))
     grid = TimeGrid(0.0, 0.2, 0.025)
     jumps = _jumps(lay, *specs)
-    k, q = dynamics._generator(h, jumps)
-    got = [s0.matrix]
-    if form is dynamics._factor_form:
-        step = form(k, q)
-        for n_sub, dt in _substeps(grid.times):
-            got.append(step(got[-1], dt, n_sub))
-        ref = _rk4_reference(h, s0, jumps, grid.times)
-    else:
-        step = form(k, q, grid.step)
-        for _ in grid.times[1:]:
-            got.append(step(got[-1]))
-        segment = _exact_map(_liouvillian(h, jumps), grid.step)
-        ref = [s0.matrix.reshape(-1)]
-        for _ in grid.times[1:]:
-            ref.append(segment @ ref[-1])
-        ref = np.array(ref).reshape(-1, lay.dim, lay.dim)
-    assert np.abs(np.array(got) - ref).max() <= 1e-12
-    assert np.abs(ref[-1] - ref[0]).max() > 1e-2
+    step = form(*dynamics._generator(h, jumps), grid.step)
+    segment = _exact_map(_liouvillian(h, jumps), grid.step)
+    got, ref = [s0.matrix], [s0.matrix.reshape(-1)]
+    for _ in grid.times[1:]:
+        got.append(step(got[-1]))
+        ref.append(segment @ ref[-1])
+    ref = np.array(ref).reshape(-1, lay.dim, lay.dim)
+    return np.abs(np.array(got) - ref).max(), np.abs(ref[-1] - ref[0]).max()
+
+
+@pytest.mark.parametrize("dims, specs", _STEPPER_CASES.values(), ids=_STEPPER_CASES.keys())
+def test_factor_form_matches_the_exact_map(dims, specs):
+    # the Taylor action over each grid step is exp(L T) to roundoff, here
+    # against a Taylor exponential of the test's own L
+    miss, moved = _stepped_against_exact_map(dynamics._factor_form, dims, specs)
+    assert miss <= 1e-13 and moved > 1e-2
+
+
+@pytest.mark.parametrize("dims, specs", _STEPPER_CASES.values(),
+                         ids=["liouville-" + name for name in _STEPPER_CASES])
+def test_stepper_matches_four_stage_rk4(dims, specs):
+    # the Liouville form, built for the one span of the grid step, is its
+    # exact map exp(L T), here against a Taylor exponential of the test's
+    # own L (its factor-form cases are test_factor_form_matches_the_exact_map)
+    miss, moved = _stepped_against_exact_map(dynamics._liouville_form, dims, specs)
+    assert miss <= 1e-12 and moved > 1e-2
 
 
 class TestStepperForm:
@@ -551,9 +544,9 @@ class TestStepperForm:
         # the forms built, by name and dimension, each still the real one
         built = []
         for name in ("_factor_form", "_liouville_form"):
-            def recording(k, q, *span, name=name, form=getattr(dynamics, name)):
+            def recording(k, q, span, name=name, form=getattr(dynamics, name)):
                 built.append((name, k.shape[-1]))
-                return form(k, q, *span)
+                return form(k, q, span)
             monkeypatch.setattr(dynamics, name, recording)
         return built
 
@@ -564,20 +557,20 @@ class TestStepperForm:
         assert 8 * 19 ** 4 <= dynamics.LIOUVILLE_MAX_BYTES < 8 * 20 ** 4
 
     def test_lindblad_open_shape_takes_the_liouville_form(self, built):
-        # n = 8, three dephasing jumps, 5 grid steps of 100 substeps
+        # n = 8, three dephasing jumps, 5 grid steps of 0.1
         h, s0 = open_system_example()
         jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
         evolve_lindblad(h, s0, TimeGrid(0.0, 0.5, 0.1), jumps)
         assert built == [("_liouville_form", 8)]
 
-    @pytest.mark.parametrize("substeps", [1, 2, 8, 10, 500])
+    @pytest.mark.parametrize("thousandths", [1, 2, 8, 10, 500])
     @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3, 3)], ids=["n4", "n8", "n18"])
-    def test_every_run_whose_map_fits_takes_it(self, built, dims, substeps):
-        # the form follows from the size alone: a grid step of any number of
-        # 1e-3 substeps takes the exact map wherever it fits (n <= 19)
+    def test_every_run_whose_map_fits_takes_it(self, built, dims, thousandths):
+        # the form follows from the size alone: a grid step of any length,
+        # here 1e-3 to 0.5, takes the exact map wherever it fits (n <= 19)
         lay = SystemLayout(tuple(zip("ABC", dims)))
         h = Hamiltonian(lay, random_hermitian(lay.dim, RngStream(3, 0)))
-        tmax = substeps * dynamics.LINDBLAD_MAX_STEP
+        tmax = thousandths * 1e-3
         evolve_lindblad(h, ket(lay, 0), TimeGrid(0.0, tmax, tmax),
                         JumpOperatorSet.dephasing(lay, 0.1))
         assert built == [("_liouville_form", lay.dim)]
@@ -594,8 +587,8 @@ class TestStepperForm:
         assert built == [(form, lay.dim)] and len(stack.matrix) == 2
 
     def test_map_side_plans_no_substeps(self, built, monkeypatch):
-        # a run that takes the map never divides by the RK4 substep length
-        monkeypatch.setattr(dynamics, "LINDBLAD_MAX_STEP", 0.0)
+        # a run that takes the map never plans or prices Taylor substeps
+        monkeypatch.setattr(dynamics, "_substeps", _not_reached)
         h, s0 = open_system_example()
         traj = evolve_lindblad(h, s0, TimeGrid(0.0, 0.5, 0.1),
                                JumpOperatorSet.dephasing(h.layout, 0.1))
@@ -603,19 +596,19 @@ class TestStepperForm:
 
     @pytest.mark.parametrize("d, n", [(2, 8), (3, 27)])
     def test_rate_zero_probe_takes_the_factor_form(self, built, d, n):
-        # one substep of RATE_DELTA per block, its K stacked: at d = 3 the map
-        # would not fit either
+        # one Taylor action over RATE_DELTA per block, its K stacked: at d = 3
+        # the map would not fit either
         run_rate_zero(SweepConfig(experiment="rate-zero", n_instances=2, seed=7, d=d))
         assert built == [("_factor_form", n)]
 
     def test_long_qutrit_run_builds_no_map_above_the_cap(self, monkeypatch):
-        # 10^4 substeps at n = 27: its map (8.5 MB) would exceed the cap, so
+        # one step of 10 at n = 27: its map (8.5 MB) would exceed the cap, so
         # the factor form steps it, here with its substeps stubbed out
         built = []
 
-        def unstepped(k, q):
+        def unstepped(k, q, span):
             built.append(len(k))
-            return lambda rho, dt, n_sub: rho
+            return lambda rho: rho
 
         monkeypatch.setattr(dynamics, "_factor_form", unstepped)
         lay = SystemLayout((("A", 3), ("B", 3), ("C", 3)))
@@ -631,26 +624,37 @@ class TestStepperForm:
         assert peak < dynamics.LIOUVILLE_MAX_BYTES
 
 
-    @pytest.mark.parametrize("grid, substeps", [
-        (TimeGrid(0.0, 10.0, 1e-3), 10_000), (TimeGrid(0.0, 50.0, 0.05), 50_000),
-        (TimeGrid(0.0, 0.5, 0.1), 500)], ids=["1e-3", "0.05", "lindblad-open"])
-    def test_substeps_counted_from_the_grid_step(self, monkeypatch, grid, substeps):
-        # every grid step of the factor form takes the same substeps, counted
-        # from grid.step; counted per segment of the rounded grid times they
-        # were 10,624 and 50,144 in 13 and 11 lengths (the map's one span per
-        # run: TestExactMap)
-        taken = []
+    @pytest.mark.parametrize("grid, steps", [
+        (TimeGrid(0.0, 10.0, 1e-3), 10_000), (TimeGrid(0.0, 50.0, 0.05), 1_000),
+        (TimeGrid(0.0, 0.5, 0.1), 5)], ids=["1e-3", "0.05", "lindblad-open"])
+    def test_substeps_counted_from_the_grid_step(self, monkeypatch, grid, steps):
+        # one factor form is built for grid.step, not for each segment of the
+        # rounded grid times, whose lengths differ in their last bits, and
+        # takes every grid step; the run is priced at its substeps of grid.step
+        # (the map's one span per run: TestExactMap)
+        spans, taken, priced = [], [], []
+        substeps_of = dynamics._substeps
 
-        def unstepped(k, q):
-            return lambda rho, dt, n_sub: taken.append((dt, n_sub)) or rho
+        def unstepped(k, q, span):
+            spans.append(span)
+            return lambda rho: taken.append(span) or rho
+
+        def pricing(k, q, span, steps=1):
+            priced.append((span, steps))
+            return substeps_of(k, q, span, steps)
 
         monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
         monkeypatch.setattr(dynamics, "_factor_form", unstepped)
+        monkeypatch.setattr(dynamics, "_substeps", pricing)
         h = direct_optimal(2)
-        dynamics._open_stacks(h, ket(h.layout, 0), JumpOperatorSet.dephasing(h.layout), grid)
-        assert len(taken) == len(grid) - 1
-        assert sum(n for _, n in taken) == substeps and len(set(taken)) == 1
-        assert taken[0][0] == grid.step / taken[0][1] <= dynamics.LINDBLAD_MAX_STEP
+        jumps = JumpOperatorSet.dephasing(h.layout)
+        dynamics._open_stacks(h, ket(h.layout, 0), jumps, grid)
+        assert spans == [grid.step] and priced == [(grid.step, len(grid) - 1)]
+        assert len(taken) == len(grid) - 1 == steps
+        # ||L||_1 <= 2 ||K||_1 + sum_q ||Q||_1^2 = 2 (1 + 0.1) + 2 (0.1) = 2.4
+        bound = dynamics._l_bound(*dynamics._generator(h, jumps), grid.step)
+        assert bound == pytest.approx(2.4 * grid.step, rel=1e-15)
+        assert substeps_of(*dynamics._generator(h, jumps), grid.step) == math.ceil(bound)
 
 
 class TestExactMap:
@@ -674,8 +678,8 @@ class TestExactMap:
 
     @pytest.mark.parametrize("rate", [1e4, 1e5, 1e6])
     def test_stiff_rates_keep_a_state(self, rate):
-        # the rates at which factor-form substeps diverge: the map dephases
-        # the state and keeps its trace and positivity
+        # the rates at which 1e-3 RK4 substeps diverge: the map dephases the
+        # state and keeps its trace and positivity
         h, s = open_system_example()
         jumps = JumpOperatorSet.dephasing(h.layout, rate)
         traj = evolve_lindblad(h, s, TimeGrid(0.0, 0.5, 0.1), jumps)
@@ -743,17 +747,68 @@ class TestExactMap:
             dynamics._liouville_form(k, q, 1e306)
 
     def test_factor_form_work_is_capped(self, monkeypatch):
-        # 10^9 substeps at n = 27 (the map would not fit) are refused before
-        # one is taken; the same span at n = 8 takes the map
+        # a step of 1e6 at n = 27 (the map would not fit), 5.7e7 Taylor
+        # substeps by ||L||_1, is refused before one is taken; the same span
+        # at n = 8 takes the map
         monkeypatch.setattr(dynamics, "_factor_form", _not_reached)
         lay = SystemLayout((("A", 3), ("B", 3), ("C", 3)))
         h = Hamiltonian(lay, random_hermitian(27, RngStream(3, 0)))
         grid = TimeGrid(0.0, 1e6, 1e6)
-        with pytest.raises(ValueError, match=r"1000000000 RK4 substeps at dimension 27 exceed"):
+        with pytest.raises(ValueError, match=r"^1 step\(s\) of 1e\+06 take 5\.66054e\+07 Taylor "
+                                             r"substeps at dimension 27, above the cap of 1e\+10 "
+                                             r"L-applications x n\^3 at 18 per substep; shorten"):
             dynamics._open_stacks(h, ket(lay, 0), JumpOperatorSet.dephasing(lay, 0.1), grid)
         h, s0 = open_system_example()
         (stack,) = dynamics._open_stacks(h, s0, JumpOperatorSet.dephasing(h.layout, 0.1), grid)
         assert len(stack.matrix) == 2
+
+    def test_stiff_factor_run_is_refused(self, monkeypatch):
+        # dephasing at 1e6 on three qubits forced to the factor form: 6e5
+        # substeps per step of 0.1, priced at 18 L-applications x 8^3 each,
+        # 2.8e10 over the run, are refused before stepping
+        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
+        monkeypatch.setattr(dynamics, "_factor_form", _not_reached)
+        h, s = open_system_example()
+        with pytest.raises(ValueError, match=r"^5 step\(s\) of 0\.1 take 3e\+06 Taylor "):
+            evolve_lindblad(h, s, TimeGrid(0.0, 0.5, 0.1), JumpOperatorSet.dephasing(h.layout, 1e6))
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0, 10.0, 30.0, 100.0])
+    def test_factor_form_exact_in_any_units(self, scale):
+        # n = 27, past the map's cap: H = s GUE(27) / ||GUE||_tr, dephasing at
+        # 0.3 s on every qutrit; the Taylor action is within roundoff of a
+        # numpy-only reference at every s
+        lay = SystemLayout((("A", 3), ("B", 3), ("C", 3)))
+        stream = RngStream(5, 0)
+        m = random_hermitian(27, stream)
+        h = Hamiltonian(lay, scale * m / np.abs(np.linalg.eigvalsh(m)).sum())
+        s0 = DensityState(lay, random_density(27, stream))
+        jumps = JumpOperatorSet.dephasing(lay, 0.3 * scale)
+        grid = TimeGrid(0.0, 1.0, 0.1)
+        (stack,) = dynamics._open_stacks(h, s0, jumps, grid)
+        want = [s0.matrix]
+        for _ in grid.times[1:]:
+            want.append(_taylor_reference(h, jumps, want[-1], grid.step))
+        assert np.abs(stack.matrix - np.array(want)).max() <= 1e-13
+        assert np.abs(want[-1] - want[0]).max() > 1e-3
+
+    def test_stacked_rows_keep_their_bits(self):
+        # rows of one stack of K take their own substeps and terms (here 1,
+        # 2, 40 and 1271 substeps over 0.05), each with the bits of its run
+        # alone (the rate-zero blocks built on it:
+        # test_sweep.py::TestRateZero::test_rate_block_matches_its_one_stream_blocks)
+        lay = SystemLayout((("A", 2), ("B", 3), ("C", 2)))
+        jumps = JumpOperatorSet.damping(lay, 0.3)
+        ms, rhos = [], []
+        for sid, scale in enumerate([0.01, 1.0, 30.0, 1e3]):
+            stream = RngStream(9, sid)
+            ms.append(scale * random_hermitian(12, stream))
+            rhos.append(random_density(12, stream))
+        k, q = dynamics._generator(Hamiltonian(lay, np.array(ms)), jumps)
+        assert dynamics._substeps(k, q, 0.05).tolist() == [1, 2, 40, 1271]
+        stacked = dynamics._factor_form(k, q, 0.05)(np.array(rhos))
+        for m, rho, got in zip(ms, rhos, stacked):
+            one = dynamics._factor_form(*dynamics._generator(Hamiltonian(lay, m), jumps), 0.05)
+            assert got.tobytes() == one(rho).tobytes()
 
 
 class TestLindblad:
@@ -827,10 +882,9 @@ class TestLindblad:
         for st in traj.states:
             assert abs(np.trace(st.matrix).real - 1) < 1e-10
 
-    def test_positivity_lost(self, monkeypatch):
-        # ten 1e-3 factor-form substeps at rate 1000 overshoot far below the
-        # floor (the exact map, which this run would take, does not)
-        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
+    def test_positivity_lost(self, rk4_stepper):
+        # ten 1e-3 RK4 substeps at rate 1000 overshoot far below the floor
+        # (the exact map and the Taylor action do not)
         h, s = open_system_example()
         jumps = JumpOperatorSet.damping(h.layout, 1000.0)
         with pytest.raises(PositivityLostError, match="T=0.01;"):
@@ -857,11 +911,9 @@ class TestLindblad:
         for name in dynamics.TRAJECTORY_COLUMNS:
             assert abs(float(row[name]) - ref.columns[name][-1]) <= 1e-12, name
 
-    def test_positivity_lost_names_the_time_not_a_stack_index(self, monkeypatch):
+    def test_positivity_lost_names_the_time_not_a_stack_index(self, rk4_stepper):
         # each stepped state is checked on its own before the columns are
-        # taken from the stack, so the first failing grid point is named; 50
-        # substeps would take the exact map, which does not overshoot
-        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
+        # taken from the stack, so the first failing grid point is named
         h, s = open_system_example()
         jumps = JumpOperatorSet.damping(h.layout, 1000.0)
         with pytest.raises(PositivityLostError, match="T=0.01;") as info:
@@ -869,11 +921,10 @@ class TestLindblad:
         assert "stack index" not in str(info.value)
 
     @pytest.mark.parametrize("rate, named", [(940.0, "T=0.397"), (1000.0, "T=0.066")])
-    def test_positivity_lost_names_the_first_failing_point(self, monkeypatch, rate, named):
+    def test_positivity_lost_names_the_first_failing_point(self, rk4_stepper, rate, named):
         # one check per chunk of 256 points still names the first grid point
         # that fails: index 397 lies in the second chunk, 66 in the first.
-        # The factor form overshoots; the exact map would not
-        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
+        # RK4 overshoots; the exact map would not
         h, _ = open_system_example()
         eps = 1e-15
         s = DensityState(h.layout, np.diag([1 - 7 * eps] + [eps] * 7))
@@ -883,11 +934,10 @@ class TestLindblad:
         assert "stack index" not in str(info.value)
 
     @pytest.mark.parametrize("rate", [1e4, 1e5, 1e6])
-    def test_divergent_stepping_is_positivity_lost(self, monkeypatch, rate):
-        # 100 factor-form substeps of 1e-3 at these rates overflow to inf and
-        # NaN before the first output point: no numpy warning, and that point
-        # is named (the exact map converges: TestExactMap)
-        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
+    def test_divergent_stepping_is_positivity_lost(self, rk4_stepper, rate):
+        # 100 RK4 substeps of 1e-3 at these rates overflow to inf and NaN
+        # before the first output point: no numpy warning, and that point is
+        # named (the exact map converges: TestExactMap)
         h, s = open_system_example()
         jumps = JumpOperatorSet.dephasing(h.layout, rate)
         with pytest.raises(PositivityLostError,
@@ -895,10 +945,10 @@ class TestLindblad:
             evolve_lindblad(h, s, TimeGrid(0.0, 0.5, 0.1), jumps)
         assert "stack index" not in str(info.value)
 
-    def test_divergent_stepping_stops_at_the_first_non_finite_state(self, monkeypatch):
+    def test_divergent_stepping_stops_at_the_first_non_finite_state(self, rk4_stepper,
+                                                                    monkeypatch):
         # the chunk is checked once point 1 is non-finite, not after 255
-        # more points of 100 factor-form substeps each
-        monkeypatch.setattr(dynamics, "LIOUVILLE_MAX_BYTES", 0)
+        # more points of 100 RK4 substeps each
         h, s = open_system_example()
         jumps = JumpOperatorSet.dephasing(h.layout, 1e4)
         checked = []
@@ -912,6 +962,21 @@ class TestLindblad:
         with pytest.raises(PositivityLostError, match="T=0.1;"):
             dynamics._open_stacks(h, s, jumps, TimeGrid(0.0, 25.5, 0.1))
         assert checked[0] == 2
+
+    def test_lost_marginal_names_its_time(self):
+        # a stepped state within the open floor (-1e-6) whose A:B marginal
+        # is below PSD_FLOOR: observation names the T of that state, counted
+        # across the chunks, with PositivityLostError, not the marginal's
+        # stack index with NotPSDError
+        h, s0 = open_system_example()
+        bad = np.diag([1 + 1e-8, 0, -1e-8, 0, 0, 0, 0, 0]).astype(complex)
+        stacks = [DensityState(h.layout, s0.matrix[None]),
+                  DensityState(h.layout, np.array([s0.matrix, bad]), eig_floor=-1e-6)]
+        grid = TimeGrid(0.0, 0.5, 0.25)
+        with pytest.raises(PositivityLostError,
+                           match=r"^minimum eigenvalue -1\.000e-08 below -1e-10 at T=0\.5; reduce "
+                                 r"the step or the rates$"):
+            dynamics._observe(h, s0, grid.times, stacks, *dynamics._observed(s0, grid, None, None))
 
     def test_qutrit_clock_operator(self):
         lay = SystemLayout((("A", 3), ("B", 3)))
@@ -988,9 +1053,9 @@ class TestRateProbe:
         dn = entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
         assert dn <= 1e-10
 
-    def test_open_positivity_lost(self):
+    def test_open_positivity_lost(self, rk4_stepper):
         h, s = open_system_example()
-        # rate x delta = 1: the one RK4 substep of the probe overshoots
+        # rate x delta = 1: one RK4 substep over the probe's delta overshoots
         jumps = JumpOperatorSet.damping(h.layout, 1e4)
         with pytest.raises(PositivityLostError, match="T=0.0001;"):
             entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
@@ -1007,9 +1072,9 @@ class TestRateProbe:
             entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
 
     def test_no_jumps_open_matches_closed(self):
-        # an empty jump set steps the closed dynamics by RK4: the open probe
-        # agrees with the spectral closed one, for the direct control's
-        # linear rate and for seeded rate-zero draws
+        # an empty jump set steps the closed dynamics by the Taylor action:
+        # the open probe agrees with the spectral closed one, for the direct
+        # control's linear rate and for seeded rate-zero draws
         p = Bipartition.parse("A:B")
         h = direct_optimal(2)
         cases = [(h, ket(h.layout, 0))]
@@ -1060,10 +1125,11 @@ class TestRateProbe:
         assert stacked.shape == (5,) and stacked.tolist() == single
         assert all(type(x) is float for x in single)
 
-    def test_stacked_positivity_lost_names_its_index(self):
+    def test_stacked_positivity_lost_names_its_index(self, rk4_stepper):
         # the stepped stack is checked as one: the earliest failing state is
         # named by T and by its stack index, which a sweep turns into a stream.
-        # Row 0, the ground state with H = 0, does not move under damping
+        # Row 0, the ground state with H = 0, does not move under damping;
+        # rows 1 and 2 overshoot in one RK4 substep at rate x delta = 1
         h, s = open_system_example()
         jumps = JumpOperatorSet.damping(h.layout, 1e4)
         stack = Hamiltonian(h.layout, np.array([0 * h.matrix, h.matrix, h.matrix]))

@@ -756,7 +756,7 @@ class TestRateZero:
 
     @pytest.mark.parametrize("d, jump_type", [(2, "dephasing"), (2, "damping"), (3, "damping")])
     def test_rate_block_matches_its_one_stream_blocks(self, d, jump_type):
-        # one stacked closed probe and one stacked RK4 substep give each
+        # one stacked closed probe and one stacked Taylor action give each
         # stream of a block the bits of its own one-stream block
         cfg = SweepConfig("rate-zero", seed=4, d=d, jump_type=jump_type)
         jumps = JumpOperatorSet.local(cfg.layout, jump_type, sweep.JUMP_RATE)
@@ -766,10 +766,10 @@ class TestRateZero:
             one = _rate_block(cfg, range(sid, sid + 1), jumps=jumps)
             assert [f[i] for f in block] == [f[0] for f in one]
 
-    def test_lost_positivity_names_its_stream(self):
-        # at rate x delta = 1 the open probe's one RK4 substep overshoots:
-        # the run refuses, naming the earliest failing stream of the block,
-        # as a stationary draw does
+    def test_lost_positivity_names_its_stream(self, rk4_stepper):
+        # at rate x delta = 1 one RK4 substep over the probe's delta
+        # overshoots: the run refuses, naming the earliest failing stream of
+        # the block, as a stationary draw does
         cfg = SweepConfig("rate-zero", seed=5, d=2)
         jumps = JumpOperatorSet.damping(cfg.layout, 1e4)
         for sids in (range(3, 7), range(5, 6)):
