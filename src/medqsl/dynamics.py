@@ -631,26 +631,19 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
 
 
 # scan and refine: f sampled on a grid, then refined between the samples.  Each
-# search takes (B,) brackets and an f that maps a (B,) vector of times to (B,)
-# values, row b for bracket b; each row stops at its own width, with the bits
-# of a scalar search of its bracket, which is one row with an f of one time.
+# search takes (B,) brackets and an f that maps a (B,) array of times to a
+# (B,) float array, row b for bracket b; each row stops at its own width, with
+# the bits of the one-row search of its bracket.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _rows(f, scalar: bool, *brackets):
-    """``f`` mapping ``(B,)`` times to new ``(B,)`` floats, and ``(B,)`` copies of ``brackets``."""
-    g = (lambda t: [f(float(t[0]))]) if scalar else f
-    rows = (np.array(x, dtype=float, ndmin=1) for x in brackets)
-    return (lambda t: np.array(g(t), dtype=float)), *rows
-
-
-def refine_peak(f, lo, hi):
-    """Golden-section maximum of ``f`` on [lo, hi] to ``REFINE_TOL``: ``(T, f(T))``, two
-    floats for scalar brackets, two ``(B,)`` arrays for ``(B,)`` ones."""
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    f, a, b = _rows(f, scalar, lo, hi)
+def refine_peak(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximum of ``f`` on each bracket [lo, hi] to ``REFINE_TOL``:
+    ``(T, f(T))``, two ``(B,)`` arrays."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    # copies: the loop writes into fc and fd, and f may return its argument
+    fc, fd = np.array(f(c)), np.array(f(d))
     live = b - a > REFINE_TOL
     while live.any():
         # a live row keeps [a, d] where f(c) >= f(d), else [c, b], and needs f
@@ -664,21 +657,20 @@ def refine_peak(f, lo, hi):
         fc[left], fd[right] = fx[left], fx[right]
         live &= b - a > REFINE_TOL
     t = 0.5 * (a + b)
-    ft = f(t)
-    return (float(t[0]), float(ft[0])) if scalar else (t, ft)
+    return t, f(t)
 
 
-def bisect_crossing(f, lo, hi, level: float):
-    """Bisect [lo, hi] to ``REFINE_TOL``, given f(hi) >= level > f(lo): the upper end(s)."""
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    f, lo, hi = _rows(f, scalar, lo, hi)
+def bisect_crossing(f, lo: np.ndarray, hi: np.ndarray, level: float) -> np.ndarray:
+    """Bisect each bracket [lo, hi] to ``REFINE_TOL``, given f(hi) >= level > f(lo): the
+    ``(B,)`` upper ends."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     live = hi - lo > REFINE_TOL
     while live.any():
         mid = 0.5 * (lo + hi)
         up = f(mid) >= level
         hi[live & up], lo[live & ~up] = mid[live & up], mid[live & ~up]
         live &= hi - lo > REFINE_TOL
-    return float(hi[0]) if scalar else hi
+    return hi
 
 
 def _first_peak(f, ends, values, j, level: float, accept: float) -> np.ndarray:
@@ -701,16 +693,14 @@ def _first_peak(f, ends, values, j, level: float, accept: float) -> np.ndarray:
     return found
 
 
-def first_crossing(f, times: np.ndarray, values: np.ndarray, level: float):
-    """First T with f(T) >= level, given the samples ``values = f(times)``; nan if never.
+def first_crossing(f, times: np.ndarray, values: np.ndarray, level: float) -> np.ndarray:
+    """First T of each row with f(T) >= level, given the ``(B, T)`` samples ``values`` of
+    f on the one grid ``times``: the ``(B,)`` crossings, nan where never.
 
     Before the first sample at the level is bisected against the one before
     it, each interior grid-local peak within ``PEAK_SLACK`` below the level
-    goes to ``refine_peak``, so a graze between samples is found.  ``(B, T)``
-    samples on the one grid ``times`` give the ``(B,)`` crossings.
+    goes to ``refine_peak``, so a graze between samples is found.
     """
-    scalar = np.ndim(values) == 1
-    f, values = _rows(f, scalar, np.atleast_2d(values))
     n_t = values.shape[1]
     first = np.where((values >= level).any(axis=1), (values >= level).argmax(axis=1), n_t)
     # a graze: a peak before the first sample at the level (nan from there on)
@@ -721,4 +711,4 @@ def first_crossing(f, times: np.ndarray, values: np.ndarray, level: float):
     lo, hi = np.where(sample, times[np.clip([first - 1, first], 0, n_t - 1)], (lo, hi))
     out = bisect_crossing(f, lo, hi, level)
     out[sample & (first == n_t)] = np.nan
-    return float(out[0]) if scalar else out
+    return out

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dynamics import refine_peak
 from .errors import BadDimensionError
 from .hamiltonians import EnergyMoments, Hamiltonian, energy_moments
@@ -77,11 +79,11 @@ def _ml_angle(theta: float) -> float:
     if not lo:
         return 0.0
 
-    def neg(u: float) -> float:
-        p = lo ** (1 - u) * 0.5 ** u
-        return -p * math.acos(max(-1.0, 1 - s2 / (2 * p * (1 - p))))
+    def neg(u: np.ndarray) -> np.ndarray:
+        p = lo ** (1 - float(u[0])) * 0.5 ** float(u[0])
+        return np.array([-p * math.acos(max(-1.0, 1 - s2 / (2 * p * (1 - p))))])
 
-    return min(theta, -refine_peak(neg, 0.0, 1.0)[1])
+    return min(theta, -float(refine_peak(neg, np.zeros(1), np.ones(1))[1][0]))
 
 
 def unified_bound(s0: DensityState, target: DensityState, h: Hamiltonian) -> BoundReport:

@@ -7,6 +7,10 @@ triple gives bit-identical values regardless of how many worker
 processes participate or in which order instances run.  Growing an
 ensemble keeps stream ids of earlier instances, so an n-instance run
 is a prefix of any larger run with the same seed.
+
+Each sampler takes one stream, or a sequence of them (a sweep block's) for
+a stack whose row i is, bit for bit, the one-stream draw from stream i,
+each stream advanced as that draw advances it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 
 from .errors import BadDimensionError
 from .hamiltonians import Hamiltonian
+from .linalg import dot_rows
 from .states import SystemLayout, embed_operator
 
 __all__ = [
@@ -23,6 +28,7 @@ __all__ = [
     "random_density",
     "random_hermitian",
     "random_mediated_hamiltonian",
+    "random_weights",
 ]
 
 # the stream seed of a sweep that names none (``SweepConfig.seed``, and the CLI's --seed)
@@ -71,29 +77,39 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def haar_pure(dim: int, stream: RngStream) -> np.ndarray:
-    """Haar-uniform unit vector: normalized complex normals."""
-    if dim < 1:
-        raise BadDimensionError(f"need dim >= 1, got {dim}")
-    z = stream.complex_normals(dim)
-    return z / np.linalg.norm(z)
+def _stacked(stream, draw, *shape: int) -> np.ndarray:
+    """``draw(stream, *shape)``, or its ``(B, *shape)`` stack over a sequence of B streams."""
+    if shape[0] < 1:
+        raise BadDimensionError(f"need dim >= 1, got {shape[0]}")
+    if isinstance(stream, RngStream):
+        return draw(stream, *shape)
+    return np.array([draw(s, *shape) for s in stream])
 
 
-def random_density(dim: int, stream: RngStream) -> np.ndarray:
-    """Hilbert-Schmidt random density matrix G G+ / tr(G G+), G square Ginibre."""
-    if dim < 1:
-        raise BadDimensionError(f"need dim >= 1, got {dim}")
-    g = stream.complex_normals(dim, dim)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def haar_pure(dim: int, stream) -> np.ndarray:
+    """Haar-uniform unit vector from normalized complex normals; a stack for many streams."""
+    z = _stacked(stream, RngStream.complex_normals, dim)
+    # np.linalg.norm of each row, bit for bit: the BLAS dots of its real and imaginary parts
+    return z / np.sqrt(dot_rows(z.real, z.real) + dot_rows(z.imag, z.imag))[..., None]
 
 
-def random_hermitian(dim: int, stream: RngStream) -> np.ndarray:
-    """GUE matrix (G + G+)/2 from a square complex Ginibre draw."""
-    if dim < 1:
-        raise BadDimensionError(f"need dim >= 1, got {dim}")
-    g = stream.complex_normals(dim, dim)
-    return 0.5 * (g + g.conj().T)
+def random_density(dim: int, stream) -> np.ndarray:
+    """Hilbert-Schmidt random state G G+ / tr(G G+), G square Ginibre; a stack for many streams."""
+    g = _stacked(stream, RngStream.complex_normals, dim, dim)
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def random_hermitian(dim: int, stream) -> np.ndarray:
+    """GUE matrix (G + G+)/2 from a square complex Ginibre draw; a stack for many streams."""
+    g = _stacked(stream, RngStream.complex_normals, dim, dim)
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
+
+
+def random_weights(k: int, stream) -> np.ndarray:
+    """k mixture weights g_i^2 / sum_j g_j^2 from k normals; a stack for many streams."""
+    w = _stacked(stream, RngStream.normals, k) ** 2
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def random_mediated_hamiltonian(d_a: int, d_b: int, d_c: int, stream) -> Hamiltonian:
@@ -101,19 +117,14 @@ def random_mediated_hamiltonian(d_a: int, d_b: int, d_c: int, stream) -> Hamilto
 
     There is never a direct A-B term: any entanglement between the ends
     has to flow through the mediator C.  A one-dimensional mediator is
-    allowed and degenerates this to purely local dynamics.  ``stream`` is
-    one ``RngStream``, or a sequence of them for a ``(B, n, n)`` stack of
-    couplings, one per stream: each draws H_AC and then H_BC from its own
-    stream, as one coupling does.
+    allowed and degenerates this to purely local dynamics.  Each stream
+    draws H_AC, then H_BC; many streams give a ``(B, n, n)`` stack.
     """
     if d_a < 2 or d_b < 2:
         raise BadDimensionError(f"need d_a, d_b >= 2, got {d_a}, {d_b}")
     if d_c < 1:
         raise BadDimensionError(f"need d_c >= 1, got {d_c}")
     layout = SystemLayout((("A", d_a), ("B", d_b), ("C", d_c)))
-    one = isinstance(stream, RngStream)
-    streams = [stream] if one else stream
-    h_ac, h_bc = (np.array(h) for h in zip(*(
-        (random_hermitian(d_a * d_c, s), random_hermitian(d_b * d_c, s)) for s in streams)))
-    m = embed_operator(layout, ("A", "C"), h_ac) + embed_operator(layout, ("B", "C"), h_bc)
-    return Hamiltonian(layout, m[0] if one else m)
+    h_ac, h_bc = random_hermitian(d_a * d_c, stream), random_hermitian(d_b * d_c, stream)
+    return Hamiltonian(layout, embed_operator(layout, ("A", "C"), h_ac)
+                       + embed_operator(layout, ("B", "C"), h_bc))

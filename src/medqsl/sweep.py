@@ -10,12 +10,13 @@ prefix of any larger one with the same seed.
 Every experiment runs in fixed blocks of stream ids, ``range(b * B,
 min((b + 1) * B, n))``, through one block kernel, B set by ``BLOCK_BYTES``
 and the largest stack a block builds or keeps.  A block draws each of its
-instances once, from its own stream, and makes one stacked eigensolve,
-stacked energy moments and stacked probes: one negativity curve
-(cmi-uncorrelated, commuting-null), smi's searches for its peaks and
-crossings, or rate-zero's closed probe and open Taylor action.  A row that
-refuses the run names its stream.  Each instance has the same bits in a
-block of any size.  Worker processes split the blocks.
+instances once, from its own stream, in one randgen call per draw on all
+its streams, and makes one stacked eigensolve, stacked energy moments and
+stacked probes: one negativity curve (cmi-uncorrelated, commuting-null),
+smi's searches for its peaks and crossings, or rate-zero's closed probe
+and open Taylor action.  A row that refuses the run names its stream.
+Each instance has the same bits in a block of any size.  Worker
+processes split the blocks.
 
 Instance counts default to desk scale (10^4 for the uncorrelated-
 mediator ensemble); growing n can only push the max envelope up.
@@ -62,6 +63,7 @@ from .randgen import (
     random_density,
     random_hermitian,
     random_mediated_hamiltonian,
+    random_weights,
     require_integer,
     require_uint64,
 )
@@ -246,10 +248,8 @@ def _normalized_draws(cfg: SweepConfig, sids: range, draw, *, density: bool = Fa
 def _cmi_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
     """Product inputs ab (x) rho_c under mediated couplings, as ``(B, n, d_c)`` factors."""
     d, dc = cfg.d, cfg.d_c
-    draws = [(haar_pure(d, stream), haar_pure(d, stream), random_density(dc, stream))
-             for stream in streams]
+    a, b, rho_c = haar_pure(d, streams), haar_pure(d, streams), random_density(dc, streams)
     h = random_mediated_hamiltonian(d, d, dc, streams)
-    a, b, rho_c = (np.array(x) for x in zip(*draws))
     return h, kron_stack(kron_stack(a[:, :, None], b[:, :, None]), sqrtm_psd(rho_c))
 
 
@@ -269,18 +269,14 @@ def _cmi_block(cfg: SweepConfig, sids: range, *, times: np.ndarray,
 def _commuting_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
     """Separable inputs rho_ab (x) rho_c under commuting couplings, as ``(B, n, n)`` factors."""
     d, dc = cfg.d, cfg.d_c
-    parts, rho_ab, rho_c = [], [], []
-    for stream in streams:
-        parts.append([random_hermitian(dim, stream) for dim in (d, d, dc)])
-        # separable by construction: a four-term mixture of product states
-        raw_w = stream.normals(4) ** 2
-        mix = np.zeros((d * d, d * d), dtype=complex)
-        for q in raw_w / raw_w.sum():
-            mix += q * kron_stack(random_density(d, stream), random_density(d, stream))
-        rho_ab.append(mix)
-        rho_c.append(random_density(dc, stream))
-    h = commuting_mediated(*(np.array(f) for f in zip(*parts)))
-    return h, sqrtm_psd(kron_stack(np.array(rho_ab), np.array(rho_c)))
+    h = commuting_mediated(*(random_hermitian(dim, streams) for dim in (d, d, dc)))
+    # separable by construction: a four-term mixture of product states
+    w = random_weights(4, streams)
+    rho_ab = np.zeros((len(streams), d * d, d * d), dtype=complex)
+    for q in w.T:
+        rho_ab += q[:, None, None] * kron_stack(random_density(d, streams),
+                                                random_density(d, streams))
+    return h, sqrtm_psd(kron_stack(rho_ab, random_density(dc, streams)))
 
 
 def _commuting_block(cfg: SweepConfig, sids: range, *, times: np.ndarray) -> tuple[np.ndarray]:
@@ -291,8 +287,7 @@ def _commuting_block(cfg: SweepConfig, sids: range, *, times: np.ndarray) -> tup
 def _rate_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray, np.ndarray]:
     """Product inputs rho_ab (x) rho_c under mediated couplings, as density matrices, and rho_ab."""
     d, dc = cfg.d, cfg.d_c
-    rho_ab, rho_c = (np.array(x) for x in zip(*(
-        (random_density(d * d, stream), random_density(dc, stream)) for stream in streams)))
+    rho_ab, rho_c = random_density(d * d, streams), random_density(dc, streams)
     return random_mediated_hamiltonian(d, d, dc, streams), kron_stack(rho_ab, rho_c), rho_ab
 
 
@@ -308,7 +303,7 @@ def _rate_block(cfg: SweepConfig, sids: range, *, jumps: JumpOperatorSet) -> tup
 
 def _smi_draw(cfg: SweepConfig, streams, *, psi1: np.ndarray) -> tuple[Hamiltonian, np.ndarray]:
     """Random B-C couplings, each from its stream, and the stage-one state ``psi1`` they share."""
-    ops = np.array([random_hermitian(cfg.d ** 2, stream) for stream in streams])
+    ops = random_hermitian(cfg.d ** 2, streams)
     return Hamiltonian(cfg.layout, embed_operator(cfg.layout, ("B", "C"), ops)), psi1[:, None]
 
 

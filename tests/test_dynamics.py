@@ -1260,8 +1260,9 @@ class TestScanAndRefine:
         return lambda t: top - c * (t - t0) ** 2
 
     def scan(self, f, level):
-        values = np.array([f(t) for t in self.TIMES])
-        return values, first_crossing(f, self.TIMES, values, level)
+        """The samples of ``f`` on ``TIMES`` and the one-row search of its first crossing."""
+        values = f(self.TIMES)
+        return values, first_crossing(f, self.TIMES, values[None], level)[0]
 
     def test_graze_between_samples(self):
         level = 0.5
@@ -1282,18 +1283,20 @@ class TestScanAndRefine:
         assert math.isnan(self.scan(lambda t: 0.0 * t, 0.5)[1])
 
     def test_peak_at_grid_end(self):
-        t, value = refine_peak(lambda t: t, 0.9, 1.0)
-        assert 1.0 - t < 1e-9 and value == t
-        t, value = refine_peak(lambda t: -t, 0.0, 0.1)
-        assert t < 1e-9 and value == -t
+        # f may return the array it is given
+        t, value = refine_peak(lambda t: t, np.array([0.9]), np.array([1.0]))
+        assert t.shape == value.shape == (1,)
+        assert 1.0 - t[0] < 1e-9 and value[0] == t[0]
+        t, value = refine_peak(lambda t: -t, np.array([0.0]), np.array([0.1]))
+        assert t[0] < 1e-9 and value[0] == -t[0]
         assert abs(self.scan(lambda t: t, 0.95)[1] - 0.95) < 1e-9
 
     def test_bisection(self):
-        t = bisect_crossing(lambda t: t * t, 0.0, 1.0, 0.25)
-        assert 0.0 <= t - 0.5 < 1e-9
+        t = bisect_crossing(lambda t: t * t, np.zeros(1), np.ones(1), 0.25)
+        assert t.shape == (1,) and 0.0 <= t[0] - 0.5 < 1e-9
 
-    def test_stacked_rows_match_scalar_searches(self):
-        # row b of one stacked search has the bits of the scalar search of
+    def test_stacked_rows_match_one_row_searches(self):
+        # row b of one stacked search has the bits of the one-row search of
         # bracket b: two-step brackets, one-step brackets (a peak at a grid's
         # first or last point, so fewer iterations), peaks at the lower and
         # upper bracket ends and a bracket already below REFINE_TOL
@@ -1308,23 +1311,20 @@ class TestScanAndRefine:
 
         t, value = refine_peak(stacked, lo, hi)
         assert t.shape == value.shape == (7,)
+        one_row_calls = [0] * 7
         for b in range(7):
-            top = float(tops[b])
-            want = refine_peak(lambda x: -(x - top) * (x - top), float(lo[b]), float(hi[b]))
-            assert type(want[0]) is float and type(want[1]) is float
-            assert (t[b], value[b]) == want
+            def one_row(x, b=b):
+                one_row_calls[b] += 1
+                return -(x - tops[b]) * (x - tops[b])
+            want = refine_peak(one_row, lo[b:b + 1], hi[b:b + 1])
+            assert want[0].shape == want[1].shape == (1,)
+            assert (t[b], value[b]) == (want[0][0], want[1][0])
+        # the brackets are read, never written
         assert all(((lo <= x) & (x <= hi)).all() for x in calls)
         # each row stops at its own width: the narrower brackets stop first
-        scalar_calls = [0] * 7
-        for b in range(7):
-            def count(x, b=b):
-                scalar_calls[b] += 1
-                return -(x - tops[b]) ** 2
-            refine_peak(count, lo[b], hi[b])
-        assert scalar_calls[6] == 3 and scalar_calls[1] < scalar_calls[0]
-        assert len(calls) == max(scalar_calls)
+        assert one_row_calls[6] == 3 and one_row_calls[1] < one_row_calls[0]
+        assert len(calls) == max(one_row_calls)
         assert abs(t[4] - 0.0) < 1e-9 and abs(t[5] - 1.0) < 1e-9
-
 
     @staticmethod
     def rowwise(fs, calls):
@@ -1334,8 +1334,8 @@ class TestScanAndRefine:
             return np.array([g(x) for g, x in zip(fs, t.tolist())])
         return stacked
 
-    def test_stacked_crossings_match_scalar_searches(self):
-        # row b of one stacked first_crossing has the bits of the scalar
+    def test_stacked_crossings_match_one_row_searches(self):
+        # row b of one stacked first_crossing has the bits of the one-row
         # search of its samples: a graze between samples, a first sample at
         # the level, a row that never reaches it (its near-peak refined and
         # found short), one with no sample near it, and two rows with two
@@ -1349,9 +1349,10 @@ class TestScanAndRefine:
         values = np.array([[g(t) for t in self.TIMES.tolist()] for g in fs])
         calls = []
         got = first_crossing(self.rowwise(fs, calls), self.TIMES, values, level)
-        want = [first_crossing(g, self.TIMES, v, level) for g, v in zip(fs, values)]
-        assert got.shape == (6,) and all(type(w) is float for w in want)
-        assert np.array_equal(got, want, equal_nan=True)
+        want = [first_crossing(self.rowwise([g], []), self.TIMES, v[None], level)
+                for g, v in zip(fs, values)]
+        assert got.shape == (6,) and all(w.shape == (1,) for w in want)
+        assert np.array_equal(got, np.concatenate(want), equal_nan=True)
         assert np.isnan(got[[2, 3]]).all() and got[1] == 0.0
         assert 0.3 < got[0] < 0.4 and 0.6 < got[4] <= 0.7 and 0.4 < got[5] < 0.6
         # rows 4 and 5 have two grid-local peaks within PEAK_SLACK before
@@ -1362,8 +1363,8 @@ class TestScanAndRefine:
             assert peaks[:2] == [1, 5]
         assert all(len(t) == 6 for t in calls)
 
-    def test_stacked_bisections_match_scalar_searches(self):
-        # row b of one stacked bisection has the bits of the scalar one, and
+    def test_stacked_bisections_match_one_row_searches(self):
+        # row b of one stacked bisection has the bits of the one-row one, and
         # stops at its own width: a bracket already below REFINE_TOL takes no
         # step, and the stack takes as many f calls as its longest row
         level = 0.25
@@ -1372,15 +1373,15 @@ class TestScanAndRefine:
         fs = [lambda t, s=s: s * t * t for s in (1.0, 1.0, 1.0, 1.0, 1.5)]
         calls = []
         got = bisect_crossing(self.rowwise(fs, calls), lo, hi, level)
-        scalar_calls = []
+        one_row_calls = []
         for b in range(5):
             counted = []
-            want = bisect_crossing(lambda t: counted.append(t) or fs[b](t),
-                                   float(lo[b]), float(hi[b]), level)
-            assert type(want) is float and got[b] == want
-            scalar_calls.append(len(counted))
-        assert scalar_calls[3] == 0 and scalar_calls[2] < scalar_calls[0]
-        assert len(calls) == max(scalar_calls)
+            want = bisect_crossing(self.rowwise(fs[b:b + 1], counted), lo[b:b + 1],
+                                   hi[b:b + 1], level)
+            assert want.shape == (1,) and got[b] == want[0]
+            one_row_calls.append(len(counted))
+        assert one_row_calls[3] == 0 and one_row_calls[2] < one_row_calls[0]
+        assert len(calls) == max(one_row_calls)
         assert all(((lo <= x) & (x <= hi)).all() for x in calls)
 
 

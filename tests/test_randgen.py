@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from medqsl.randgen import (
     RngStream,
@@ -17,6 +17,7 @@ from medqsl.randgen import (
     random_density,
     random_hermitian,
     random_mediated_hamiltonian,
+    random_weights,
 )
 
 
@@ -170,3 +171,31 @@ class TestMediatedHamiltonian:
         # a trivial mediator is allowed (dimension 1)
         h = random_mediated_hamiltonian(2, 2, 1, RngStream(0, 0))
         assert h.layout.dims == (2, 2, 1)
+
+
+class TestBlockDraws:
+    """A sequence of streams draws a stack: row i is, bit for bit, the one-stream
+    draw from stream i, and each stream is left where that one draw leaves it."""
+
+    @staticmethod
+    def check(draw, seed, block):
+        streams = [RngStream(seed, sid) for sid in range(block)]
+        twins = [RngStream(seed, sid) for sid in range(block)]
+        stacked = draw(streams)
+        assert_array_equal(stacked, np.array([draw(twin) for twin in twins]))
+        for stream, twin in zip(streams, twins):
+            assert_array_equal(stream.normals(3), twin.normals(3))
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sampler", [haar_pure, random_density, random_hermitian,
+                                         random_weights])
+    def test_samplers(self, sampler, dim, block, seed):
+        self.check(lambda s: sampler(dim, s), seed, block)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("d, d_c", [(2, 1), (2, 2), (2, 3), (3, 3)])
+    def test_mediated_hamiltonian(self, d, d_c, block, seed):
+        self.check(lambda s: random_mediated_hamiltonian(d, d, d_c, s).matrix, seed, block)

@@ -12,7 +12,8 @@ sweep's layout is built by ``SweepConfig.layout`` alone, every label list
 is turned into axes by ``SystemLayout``, every operator is placed on a
 layout by ``embed_operator``, the sweep kernels read the
 ``SweepConfig`` itself, and a sweep's streams are made, and each drawn
-once, in one place.  No sweep kernel defines a closure per row, and every
+once, in one place, where the randgen samplers draw all of a block's
+streams together.  No sweep kernel defines a closure per row, and every
 sweep takes its block from ``_block_size``.
 """
 
@@ -205,12 +206,36 @@ def test_sweep_kernels_take_the_config():
     assert setup.kind is param.VAR_KEYWORD
 
 
+def _loops(tree) -> list:
+    """The iterated expression of each ``for`` and comprehension in ``tree``."""
+    return [node.iter for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))]
+
+
 def test_one_draw_per_stream():
     # the streams of a block are made, and each drawn once, in
     # _normalized_draws alone: no kernel makes a stream of its own
     assert _callers_of("RngStream") == ["sweep._normalized_draws"]
     assert _callers_of("_normalized_draws") == [
         "sweep._cmi_block", "sweep._commuting_block", "sweep._rate_block", "sweep._smi_block"]
+    # draws come in blocks: a stream's normals are read in randgen alone, whose
+    # samplers take a block's streams, and randgen._stacked is its one loop over them
+    readers = {path.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in ("normals", "complex_normals")}
+    assert readers == {"randgen.py"}
+    randgen = ast.parse((SRC / "randgen.py").read_text())
+    assert [f.name for f in ast.walk(randgen)
+            if isinstance(f, ast.FunctionDef) and _loops(f)] == ["_stacked"]
+    # and no sweep function loops over a block's streams, or zips or maps them
+    draws = {name: f for name, f in vars(sweep).items() if name.endswith("_draw")}
+    assert sorted(draws) == ["_cmi_draw", "_commuting_draw", "_rate_draw", "_smi_draw"]
+    assert all("streams" in inspect.signature(f).parameters for f in draws.values())
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    iterated = _loops(tree) + [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                               and getattr(node.func, "id", None) in ("zip", "map", "enumerate")
+                               for arg in node.args]
+    assert not [node.lineno for expr in iterated for node in ast.walk(expr)
+                if isinstance(node, ast.Name) and node.id in ("stream", "streams")]
 
 
 def test_one_json_text():
