@@ -16,8 +16,8 @@ else by the truncated Taylor action of exp(L dT), each L two products.  The
 size alone picks the form, which plans and refuses its own step.  Each chunk
 of stepped states is checked as one stack, and the first state with an
 eigenvalue below -1e-6, a trace drift or a non-finite entry aborts with
-PositivityLostError.  The rate probe and the scan and refine behind the
-timing probes each run a stack of instances as one.
+PositivityLostError.  The rate probe takes no step: it applies L once.  It
+and the scan and refine behind the timing probes each run a stack as one.
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ from .states import (
     mutual_information,
     negativity,
     negativity_array,
+    negativity_rate,
     partial_trace,
+    partial_trace_array,
     purity,
     uhlmann_fidelity,
 )
@@ -229,16 +231,9 @@ def _check_layouts(h: Hamiltonian, s0: DensityState,
                 f"{name} on {other.layout.labels}, state on {s0.layout.labels}")
 
 
-def _marginal(s: DensityState, p: Bipartition) -> DensityState:
-    """``s`` traced down to the labels of ``p`` (``s`` itself when p covers it)."""
-    if set(p.side_a + p.side_b) == set(s.layout.labels):
-        return s
-    return partial_trace(s, p.side_a + p.side_b)
-
-
-def _lost(e: StackCheckError, t: float, index: tuple[int, ...] = ()) -> PositivityLostError:
+def _lost(e: StackCheckError, t: float) -> PositivityLostError:
     """The failed check ``e`` of a stepped state, or of its marginal, naming its T."""
-    return PositivityLostError(f"{e.message} at T={t:.6g}; reduce the step or the rates", index)
+    return PositivityLostError(f"{e.message} at T={t:.6g}; reduce the step or the rates")
 
 
 def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
@@ -278,10 +273,10 @@ def _observe(h: Hamiltonian, s0: DensityState, times: np.ndarray, stacks: list[D
     0 exactly, where the computed root fidelity may miss 1 by roundoff.  A
     marginal that fails its check raises PositivityLostError naming its T.
     """
-    parts, lo = {name: [] for name in TRAJECTORY_COLUMNS[1:]}, 0
+    parts, lo, kept = {name: [] for name in TRAJECTORY_COLUMNS[1:]}, 0, cut.side_a + cut.side_b
     for j, s in enumerate(stacks):
         try:
-            marg = _marginal(s, cut)
+            marg = s if len(kept) == len(s0.layout) else partial_trace(s, kept)
         except StackCheckError as e:
             raise _lost(e, times[lo + e.index[0]]) from None
         lo += len(s.matrix)
@@ -344,7 +339,7 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
 
 
 def _generator(h: Hamiltonian, jumps: JumpOperatorSet):
-    """L as both stepper forms build it: K = -iM - sum_q Q+Q / 2 and the jump stack Q.
+    """L as the stepper forms and the rate probe build it: K = -iM - sum_q Q+Q / 2, Q.
 
     Jumps whose sum Q+Q, or whose K, has a non-finite entry are refused with
     ValueError, which names each jump's rate: its largest <j|q+q|j>.
@@ -360,61 +355,60 @@ def _generator(h: Hamiltonian, jumps: JumpOperatorSet):
                      "lower the rates")
 
 
-def _l_bound(k, q, span: float):
+def _l_bound(k, q, span: float) -> float:
     """(2 ||K||_1 + sum_q ||Q||_1^2) span >= ||L span||_1, inf past a float, which both forms
-    plan their span from; one per row of a ``(B, n, n)`` stack of K, the jumps Q shared."""
+    plan their span from."""
     with np.errstate(over="ignore"):
-        return (2 * np.abs(k).sum(axis=-2).max(axis=-1)
+        return (2 * np.abs(k).sum(axis=0).max()
                 + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()) * span
 
 
-def _substeps(k, q, span: float, steps: int = 1):
+def _substeps(k, q, span: float, steps: int = 1) -> int:
     """``_factor_form``'s substeps of ``span``, ceil of ``_l_bound`` and at least 1; ``steps``
-    spans of the most, at 18 L-applications each (at ||h L||_1 <= 1, the terms that take 1/j!
+    spans of them, at 18 L-applications each (at ||h L||_1 <= 1, the terms that take 1/j!
     below eps) x n^3, above ``MAX_FACTOR_WORK`` are refused with ValueError."""
-    subs = np.maximum(1.0, np.ceil(_l_bound(k, q, span)))
-    total, n = float(subs.max()) * steps, k.shape[-1]
+    subs = float(np.maximum(1.0, np.ceil(_l_bound(k, q, span))))
+    total, n = subs * steps, len(k)
     if not 18 * total * n ** 3 <= MAX_FACTOR_WORK:
         raise ValueError(f"{steps} step(s) of {span:.6g} take {total:.6g} Taylor substeps at "
                          f"dimension {n}, above the cap of {MAX_FACTOR_WORK:.0e} L-applications "
                          "x n^3 at 18 per substep; shorten the run or lower the rates")
-    return subs
+    return int(subs)
+
+
+def _l_action(k, q, scale: float = 1.0):
+    """``act(r)``: scale L(r) for K and r of one ``(..., n, n)`` shape, in two products: P =
+    scale [K; Q_1; ...] r, rows interleaved, and scale L(r) = P_0 + P_0+ + [P_1 ...] [Q_1+; ...]."""
+    lead, n, m = k.shape[:-2], k.shape[-1], len(q)
+    factors = np.concatenate([k[..., None, :], np.broadcast_to(q.swapaxes(0, 1), lead + (n, m, n))],
+                             axis=-2).reshape(lead + (n * (m + 1), n))
+    factors *= scale
+    q_adj = q.conj().swapaxes(1, 2).reshape(m * n, n)
+
+    def act(r):
+        p = (factors @ r).reshape(lead + (n, m + 1, n))
+        out = p[..., 1:, :].reshape(lead + (n, m * n)) @ q_adj
+        out += p[..., 0, :] + p[..., 0, :].conj().swapaxes(-1, -2)
+        return out
+    return act
 
 
 def _factor_form(k, q, span: float):
     """``step(rho)``: rho over ``span`` by the truncated Taylor action of exp(L span)
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
-
-    Each row of a ``(B, n, n)`` stack of K (the jumps Q shared) takes its own s substeps
-    h = span / s from ``_substeps``, each the sum of (h L)^j rho / j! until a term's entries
-    sum to at most eps of the sum's, re-Hermitized; a finished row is masked, so it keeps
-    the bits of its run alone.  P = h [K; Q_1; ...] r, rows interleaved, is P_0 = h K r
-    beside [P_1 ...], and h L(r) = P_0 + P_0+ + [P_1 ...] [Q_1+; ...]: two products.
-    """
-    lead, n, m = k.shape[:-2], k.shape[-1], len(q)
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)): s substeps h = span / s from
+    ``_substeps``, each the sum of (h L)^j rho / j!, a term one ``_l_action``, until a term's
+    entries sum to at most eps of the sum's, re-Hermitized."""
     subs = _substeps(k, q, span)
-    factors = np.concatenate([k[..., None, :], np.broadcast_to(q.swapaxes(0, 1), lead + (n, m, n))],
-                             axis=-2).reshape(lead + (n * (m + 1), n))
-    factors *= np.reshape(span / subs, lead + (1, 1))
-    q_adj = q.conj().swapaxes(1, 2).reshape(m * n, n)
-    p = np.empty(lead + (n, m + 1, n), dtype=complex)
-    p_flat, p_k = p.reshape(lead + (-1, n)), p[..., 0, :]
-    p_q = p[..., 1:, :].reshape(lead + (n, m * n))
+    act = _l_action(k, q, span / subs)
 
     def step(rho):
-        for i in range(int(subs.max())):
-            on = np.reshape(i < subs, lead + (1, 1))
-            term, acc, live, j = rho, rho.copy(), on.copy(), 1
-            while live.any():
-                np.matmul(factors, term, out=p_flat)
-                term = p_q @ q_adj
-                term += p_k + p_k.conj().swapaxes(-1, -2)
-                term *= 1 / j
-                np.add(acc, term, out=acc, where=live)
-                live &= (np.abs(term).sum(axis=(-2, -1), keepdims=True)
-                         > np.finfo(float).eps * np.abs(acc).sum(axis=(-2, -1), keepdims=True))
+        for _ in range(subs):
+            term, acc, j = rho, rho.copy(), 0
+            while j == 0 or np.abs(term).sum() > np.finfo(float).eps * np.abs(acc).sum():
                 j += 1
-            rho = np.where(on, 0.5 * (acc + acc.conj().swapaxes(-1, -2)), rho)
+                term = act(term) * (1 / j)
+                acc += term
+            rho = 0.5 * (acc + acc.conj().T)
         return rho
     return step
 
@@ -573,26 +567,20 @@ def negativity_curve(h: Hamiltonian, x0, times, cut: Bipartition) -> np.ndarray:
 
 def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition,
                                 jumps: JumpOperatorSet | None = None) -> float | np.ndarray:
-    """N(delta) - N(0) across ``p`` at delta = ``RATE_DELTA``, a finite-difference rate probe.
+    """delta dN/dT at T = 0+ across ``p``, delta = ``RATE_DELTA``: N's first-order change.
 
-    For mediated Hamiltonians and product system-mediator inputs this is zero to second
-    order when closed, and never positive to first order when jumps are local, stepped by
-    the factor form.  A stack of B couplings and B states gives the ``(B,)`` changes; a
-    stepped state that fails its check raises PositivityLostError naming T and its index.
+    sigma = tr_rest rho0 and dsigma = tr_rest L(rho0), with L applied once by ``_l_action``
+    (closed: no jumps, K = -iM), give the one-sided rate by ``negativity_rate``.  For mediated
+    Hamiltonians and product system-mediator inputs it is zero when closed, and never positive
+    when jumps are local.  A stack of B couplings and B states gives the ``(B,)`` changes.
     """
     _check_layouts(h, s0, jumps)
-    if jumps is None:
-        times = np.broadcast_to([0.0, RATE_DELTA], h.matrix.shape[:-2] + (2,))
-        n0, n_delta = np.moveaxis(negativity_curve(h, _factor(s0), times, p), -1, 0)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho = _factor_form(*_generator(h, jumps), RATE_DELTA)(s0.matrix)
-        try:
-            stepped = DensityState(s0.layout, rho, eig_floor=LINDBLAD_EIG_FLOOR)
-        except StackCheckError as e:
-            raise _lost(e, RATE_DELTA, e.index) from None
-        n0, n_delta = (negativity(_marginal(s, p), p) for s in (s0, stepped))
-    return _value(s0, n_delta - n0)
+    k, q = _generator(h, JumpOperatorSet(h.layout, ()) if jumps is None else jumps)
+    dims, _, b_pos, _ = _cut_plan(h.layout, p)
+    keep = sorted(h.layout.positions(p.side_a + p.side_b))
+    sigma, dsigma = (partial_trace_array(m, h.layout.dims, keep)
+                     for m in (s0.matrix, _l_action(k, q)(s0.matrix)))
+    return _value(s0, RATE_DELTA * negativity_rate(sigma, dsigma, dims, b_pos))
 
 
 def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition,

@@ -43,6 +43,7 @@ __all__ = [
     "partial_trace_array",
     "partial_transpose_array",
     "negativity_array",
+    "negativity_rate",
     "uhlmann_fidelity",
     "bures_angle",
     "von_neumann_entropy",
@@ -436,6 +437,26 @@ def negativity_array(m: np.ndarray, dims: tuple[int, ...], b_pos) -> np.ndarray:
     """
     w = np.linalg.eigvalsh(partial_transpose_array(m, dims, b_pos))
     return np.where(w < -NEG_EIG_TOL, -w, 0.0).sum(axis=-1)
+
+
+def negativity_rate(sigma: np.ndarray, dsigma: np.ndarray, dims: tuple[int, ...],
+                    b_pos) -> np.ndarray:
+    """dN/dt at t = 0+ of N(sigma + t dsigma), transposing ``b_pos``; a stack gives each row's.
+
+    With sigma^G = V diag(w) V+, first-order degenerate perturbation theory (Kato,
+    *Perturbation Theory for Linear Operators*, ch. II) gives
+
+        dN/dt = -sum_{w < -tol} <v|dsigma^G|v> - sum_{mu < 0} mu,
+
+    tol = ``NEG_EIG_TOL`` and mu the eigenvalues of dsigma^G on the kernel |w| <= tol: V+
+    dsigma^G V with its other rows and columns masked to zero, in one stacked ``eigvalsh``.
+    """
+    w, v = np.linalg.eigh(partial_transpose_array(sigma, dims, b_pos))
+    m = v.conj().swapaxes(-1, -2) @ partial_transpose_array(dsigma, dims, b_pos) @ v
+    kernel = np.abs(w) <= NEG_EIG_TOL
+    mu = np.linalg.eigvalsh(m * (kernel[..., :, None] & kernel[..., None, :]))
+    moving = np.where(w < -NEG_EIG_TOL, np.diagonal(m, axis1=-2, axis2=-1).real, 0.0)
+    return -moving.sum(axis=-1) - np.where(mu < 0, mu, 0.0).sum(axis=-1)
 
 
 def negativity(s: DensityState, p: Bipartition) -> float | np.ndarray:

@@ -13,10 +13,9 @@ and the largest stack a block builds or keeps.  A block draws each of its
 instances once, from its own stream, in one randgen call per draw on all
 its streams, and makes one stacked eigensolve, stacked energy moments and
 stacked probes: one negativity curve (cmi-uncorrelated, commuting-null),
-smi's searches for its peaks and crossings, or rate-zero's closed probe
-and open Taylor action.  A row that refuses the run names its stream.
-Each instance has the same bits in a block of any size.  Worker
-processes split the blocks.
+smi's searches for its peaks and crossings, or rate-zero's two rate
+probes.  A row that refuses the run names its stream.  Each instance has
+the same bits in a block of any size.  Worker processes split the blocks.
 
 Instance counts default to desk scale (10^4 for the uncorrelated-
 mediator ensemble); growing n can only push the max envelope up.
@@ -45,7 +44,7 @@ from .dynamics import (
     refine_peak,
     write_csv,
 )
-from .errors import BadDimensionError, PositivityLostError, StationaryStateError
+from .errors import BadDimensionError, StationaryStateError
 from .hamiltonians import (
     Hamiltonian,
     cmi_product_example,
@@ -223,26 +222,19 @@ def _block_size(row_bytes: int) -> int:
     return max(1, BLOCK_BYTES // row_bytes)
 
 
-@contextlib.contextmanager
-def _named_streams(sids: range):
-    """Re-raise a refusal of row i of a block as the same error naming stream ``sids[i]``."""
-    try:
-        yield
-    except (StationaryStateError, PositivityLostError) as err:
-        raise type(err)(f"stream {sids[err.index[0]]}: {err.message}") from None
-
-
 def _normalized_draws(cfg: SweepConfig, sids: range, draw, *, density: bool = False):
     """Draw each of the instances ``sids`` once: ``(k, drawn)``.
 
     ``draw(cfg, streams)`` gives ``drawn = (h, x, *extras)``: a stack of
     couplings, their states as ``energy_moments_array`` reads them with
     ``density``, and any extras, row i from ``streams[i]`` alone.  k holds
-    the scales of ``EnergyMoments.scale``, and ``h.eig`` is kept.
-    """
+    the scales of ``EnergyMoments.scale``, and ``h.eig`` is kept.  A stationary row i
+    refuses the block, naming stream ``sids[i]``."""
     drawn = draw(cfg, [RngStream(cfg.seed, sid) for sid in sids])
-    with _named_streams(sids):
+    try:
         return energy_moments_array(drawn[0], drawn[1], density=density).scale(), drawn
+    except StationaryStateError as err:
+        raise StationaryStateError(f"stream {sids[err.index[0]]}: {err.message}") from None
 
 
 def _cmi_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
@@ -294,9 +286,7 @@ def _rate_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray, np.n
 def _rate_block(cfg: SweepConfig, sids: range, *, jumps: JumpOperatorSet) -> tuple:
     k_scale, (h, rho0, rho_ab0) = _normalized_draws(cfg, sids, _rate_draw, density=True)
     h, s0 = h.scaled(k_scale), DensityState(h.layout, rho0)
-    with _named_streams(sids):
-        dn_closed, dn_open = (entanglement_change_at_zero(h, s0, AB_CUT, probe)
-                              for probe in (None, jumps))
+    dn_closed, dn_open = (entanglement_change_at_zero(h, s0, AB_CUT, j) for j in (None, jumps))
     n0 = negativity_array(rho_ab0, (cfg.d, cfg.d), (1,))
     return dn_closed, dn_open, n0, n0 + dn_closed
 
@@ -440,19 +430,19 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
 
 
 def run_rate_zero(cfg: SweepConfig) -> SweepReport:
-    """Finite-difference entanglement rates at T = 0 for mediated dynamics.
+    """Exact one-sided entanglement rates at T = 0, reported as delta dN/dT(0+).
 
-    Closed instances from product system-mediator states must show
-    |N(delta) - N(0)| at second order only; adding local jumps must never
-    increase negativity at first order.  A direct (non-mediated) control
-    shows the contrast: its N grows linearly from the start.
+    Closed instances from product system-mediator states must show a zero
+    rate, to roundoff; adding local jumps must never make it positive.  A
+    direct (non-mediated) control shows the contrast: its N grows linearly
+    from the start, at rate 1 for d = 2.
     """
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
     times = np.array([0.0, RATE_DELTA])
-    # a block's largest stacks are the open probe's: ``_factor_form`` holds the (B, n (m + 1), n)
-    # factors of K and m jumps and the product p of that size, and some seven (B, n, n)
-    # states and terms beside them, within two more of that size at m >= 2
-    block = _block_size(4 * 16 * cfg.layout.dim ** 2 * (len(jumps.ops) + 1))
+    # a block's largest stacks are the open probe's: its one application of L holds the
+    # (B, n (m + 1), n) factors of K and m jumps and the product P of that size, beside
+    # some ten (B, n, n) stacks: the draws, the scaled couplings, the checked states, K and L(rho)
+    block = _block_size(16 * cfg.layout.dim ** 2 * (2 * (len(jumps.ops) + 1) + 10))
     dn_closed, dn_open, n_start, n_delta = _sweep(cfg, _rate_block, block, len(times), jumps=jumps)
     # by stream, closed before open within one
     bad = np.stack([np.abs(dn_closed) > CLOSED_RATE_TOL, dn_open > OPEN_RATE_TOL], axis=1)

@@ -25,13 +25,13 @@ GRID_SLACK = 1e-9           # in steps: a span that is a multiple of the step ke
 REFINE_TOL = 1e-9           # bracket width at which golden section and bisection stop
 PEAK_SLACK = 1e-4           # grid-local peaks this close below a level are refined
 FIRST_MAX_SLACK = 1e-7      # a refined peak this close to (d-1)/2 counts as maximal
-RATE_DELTA = 1e-4           # the delta of the rate probe N(delta) - N(0)
+RATE_DELTA = 1e-4           # the rate probe reports delta dN/dT(0+), N's change over delta
 PHASE_MAX = 2.0 ** 49       # rad: the largest closed phase max|w| (T - start), whose ulp is 1/8
 
 # sweep verdicts
 ATTAIN_SLACK = 1e-6         # N reaches the level (d-1)/2 within this
 EARLY_SLACK = 1e-3          # cmi: up to arccos(1/sqrt d) plus this counts as early
 STAGE2_TIME_SLACK = 1e-6    # smi: a crossing this far before arccos(1/d) is a violation
-CLOSED_RATE_TOL = 1e-6      # rate-zero: |N(delta) - N(0)| without jumps
-OPEN_RATE_TOL = 1e-8        # rate-zero: N(delta) - N(0) with local jumps
+CLOSED_RATE_TOL = 1e-6      # rate-zero: |delta dN/dT(0+)| without jumps
+OPEN_RATE_TOL = 1e-8        # rate-zero: delta dN/dT(0+) with local jumps
 EXCESS_TOL = 1e-10          # commuting-null: N above its T = 0 value

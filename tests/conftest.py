@@ -9,7 +9,7 @@ from medqsl import dynamics
 
 def _rk4_form(k, q, span):
     """``step(rho)``: four-stage RK4 in the fewest equal substeps of at most 1e-3 that make
-    up ``span``, on K r + (K r)+ + sum_q Q r Q+ with a ``(B, n, n)`` stack of K or one K.
+    up ``span``, on K r + (K r)+ + sum_q Q r Q+.
 
     Not completely positive: at rate x substep near 1 it overshoots, and far above it
     diverges, so it stands in for an open stepper that loses positivity.
@@ -36,7 +36,7 @@ def _rk4_form(k, q, span):
 
 @pytest.fixture
 def rk4_stepper(monkeypatch):
-    """Every open run, at any size, and the open rate probe step by ``_rk4_form``.
+    """Every open run, at any size, steps by ``_rk4_form``.
 
     The work cap prices Taylor substeps, which this stepper does not take, so it is lifted.
     """

@@ -56,7 +56,7 @@ from medqsl.states import (
     embed_operator,
     uhlmann_fidelity,
 )
-from medqsl.sweep import SweepConfig, run_rate_zero
+from medqsl.tolerances import RATE_DELTA
 
 
 def ket(layout, index):
@@ -594,13 +594,6 @@ class TestStepperForm:
                                JumpOperatorSet.dephasing(h.layout, 0.1))
         assert built == [("_liouville_form", 8)] and len(traj.states) == 6
 
-    @pytest.mark.parametrize("d, n", [(2, 8), (3, 27)])
-    def test_rate_zero_probe_takes_the_factor_form(self, built, d, n):
-        # one Taylor action over RATE_DELTA per block, its K stacked: at d = 3
-        # the map would not fit either
-        run_rate_zero(SweepConfig(experiment="rate-zero", n_instances=2, seed=7, d=d))
-        assert built == [("_factor_form", n)]
-
     def test_long_qutrit_run_builds_no_map_above_the_cap(self, monkeypatch):
         # one step of 10 at n = 27: its map (8.5 MB) would exceed the cap, so
         # the factor form steps it, here with its substeps stubbed out
@@ -790,25 +783,6 @@ class TestExactMap:
             want.append(_taylor_reference(h, jumps, want[-1], grid.step))
         assert np.abs(stack.matrix - np.array(want)).max() <= 1e-13
         assert np.abs(want[-1] - want[0]).max() > 1e-3
-
-    def test_stacked_rows_keep_their_bits(self):
-        # rows of one stack of K take their own substeps and terms (here 1,
-        # 2, 40 and 1271 substeps over 0.05), each with the bits of its run
-        # alone (the rate-zero blocks built on it:
-        # test_sweep.py::TestRateZero::test_rate_block_matches_its_one_stream_blocks)
-        lay = SystemLayout((("A", 2), ("B", 3), ("C", 2)))
-        jumps = JumpOperatorSet.damping(lay, 0.3)
-        ms, rhos = [], []
-        for sid, scale in enumerate([0.01, 1.0, 30.0, 1e3]):
-            stream = RngStream(9, sid)
-            ms.append(scale * random_hermitian(12, stream))
-            rhos.append(random_density(12, stream))
-        k, q = dynamics._generator(Hamiltonian(lay, np.array(ms)), jumps)
-        assert dynamics._substeps(k, q, 0.05).tolist() == [1, 2, 40, 1271]
-        stacked = dynamics._factor_form(k, q, 0.05)(np.array(rhos))
-        for m, rho, got in zip(ms, rhos, stacked):
-            one = dynamics._factor_form(*dynamics._generator(Hamiltonian(lay, m), jumps), 0.05)
-            assert got.tobytes() == one(rho).tobytes()
 
 
 class TestLindblad:
@@ -1054,11 +1028,14 @@ class TestRateProbe:
         assert dn <= 1e-10
 
     def test_open_positivity_lost(self, rk4_stepper):
+        # rate x delta = 1: one RK4 substep over the probe's delta overshoots.
+        # The probe takes no step, so it gives its rate; a run stepped over
+        # delta loses positivity
         h, s = open_system_example()
-        # rate x delta = 1: one RK4 substep over the probe's delta overshoots
         jumps = JumpOperatorSet.damping(h.layout, 1e4)
+        assert math.isfinite(entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps))
         with pytest.raises(PositivityLostError, match="T=0.0001;"):
-            entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
+            evolve_lindblad(h, s, TimeGrid(0.0, RATE_DELTA, RATE_DELTA), jumps)
 
     def test_overflowing_jumps_are_refused(self):
         # K = -iM - sum Q+Q / 2 overflows: the probe refuses the jumps by
@@ -1072,9 +1049,9 @@ class TestRateProbe:
             entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
 
     def test_no_jumps_open_matches_closed(self):
-        # an empty jump set steps the closed dynamics by the Taylor action:
-        # the open probe agrees with the spectral closed one, for the direct
-        # control's linear rate and for seeded rate-zero draws
+        # the closed probe is the open one with an empty jump set, K = -iM:
+        # the two agree bit for bit, for the direct control's linear rate and
+        # for seeded rate-zero draws
         p = Bipartition.parse("A:B")
         h = direct_optimal(2)
         cases = [(h, ket(h.layout, 0))]
@@ -1089,7 +1066,30 @@ class TestRateProbe:
         stepped = [entanglement_change_at_zero(h, s, p, JumpOperatorSet(h.layout, ()))
                    for h, s in cases]
         assert_allclose(closed[0], 1e-4, rtol=1e-6)
-        assert_allclose(stepped, closed, rtol=0, atol=1e-12)
+        assert stepped == closed
+
+    @pytest.mark.parametrize("kind", [None, "dephasing", "damping"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rate_is_the_centred_difference_of_the_stepper(self, d, kind):
+        # delta dN/dT at the state rho(h) of a run against delta (N(2h) - N(0)) / 2h
+        # of the same run, h = 1e-6, to 1e-6 relative: the difference misses the
+        # rate by h^2 / 6 times N's third derivative and by the stepped N's
+        # roundoff over 2h.  Random couplings on A:d B:d C:d and pure starts, whose
+        # A:B marginals are entangled; no jumps is the empty set, which the
+        # closed probe takes
+        lay = SystemLayout((("A", d), ("B", d), ("C", d)))
+        p = Bipartition.parse("A:B")
+        jumps = None if kind is None else JumpOperatorSet.local(lay, kind, 0.3)
+        for sid in range(3):
+            stream = RngStream(23, sid)
+            h = Hamiltonian(lay, random_hermitian(lay.dim, stream))
+            s0 = DensityState.from_pure(lay, haar_pure(lay.dim, stream))
+            traj = evolve_lindblad(h, s0, TimeGrid(0.0, 2e-6, 1e-6),
+                                   jumps or JumpOperatorSet(lay, ()), cut=p)
+            n = traj.columns["negativity"]
+            rate = entanglement_change_at_zero(h, traj.states[1], p, jumps)
+            assert n[1] > 0.05 and abs(rate) > 1e-8
+            assert_allclose(rate, RATE_DELTA * (n[2] - n[0]) / 2e-6, rtol=1e-6)
 
     @pytest.mark.parametrize("layout", [
         (("X", 2), ("Y", 2), ("Z", 2)),
@@ -1126,17 +1126,20 @@ class TestRateProbe:
         assert all(type(x) is float for x in single)
 
     def test_stacked_positivity_lost_names_its_index(self, rk4_stepper):
-        # the stepped stack is checked as one: the earliest failing state is
-        # named by T and by its stack index, which a sweep turns into a stream.
-        # Row 0, the ground state with H = 0, does not move under damping;
-        # rows 1 and 2 overshoot in one RK4 substep at rate x delta = 1
+        # a run's chunk of stepped states is checked as one stack: the earliest
+        # failing state, index 1 of the chunk, the first RK4 substep at rate x
+        # delta = 1, is named by its T alone, and the error carries no index.
+        # The probe gives the same stack of three its rates
         h, s = open_system_example()
         jumps = JumpOperatorSet.damping(h.layout, 1e4)
         stack = Hamiltonian(h.layout, np.array([0 * h.matrix, h.matrix, h.matrix]))
         states = DensityState(h.layout, np.array([ket(h.layout, 0).matrix, s.matrix, s.matrix]))
-        with pytest.raises(PositivityLostError, match=r"T=0\.0001; .*\(stack index 1\)$") as info:
-            entanglement_change_at_zero(stack, states, Bipartition.parse("A:B"), jumps=jumps)
-        assert info.value.index == (1,)
+        rates = entanglement_change_at_zero(stack, states, Bipartition.parse("A:B"), jumps=jumps)
+        assert rates.shape == (3,) and np.isfinite(rates).all()
+        with pytest.raises(PositivityLostError,
+                           match=r"T=0\.0001; reduce the step or the rates$") as info:
+            evolve_lindblad(h, s, TimeGrid(0.0, 3 * RATE_DELTA, RATE_DELTA), jumps)
+        assert info.value.index == ()
 
     def test_embedded_once_per_set(self, monkeypatch):
         # three embeddings, one per jump, over three probes

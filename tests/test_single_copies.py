@@ -310,12 +310,12 @@ def test_scaled_keeps_the_spectrum(monkeypatch):
 
 
 def test_one_spectrum_per_rate_instance(monkeypatch):
-    # each drawn coupling is diagonalized once: the scale check reads its
-    # eig, and the scaled coupling of the rate probes keeps it (10 draws in
-    # one block, one stacked eigensolve, and the direct control)
+    # each drawn coupling is diagonalized once, for the scale check (10 draws
+    # in one block, one stacked eigensolve); the rate probes apply the
+    # couplings themselves, so neither they nor the direct control need one
     calls = _counting_eig(monkeypatch)
     sweep.run_sweep(sweep.SweepConfig("rate-zero", n_instances=10, seed=7))
-    assert [m.shape for m in calls] == [(10, 8, 8), (4, 4)]
+    assert [m.shape for m in calls] == [(10, 8, 8)]
 
 
 def test_one_check_per_stepped_chunk(monkeypatch):

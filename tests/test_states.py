@@ -11,6 +11,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from medqsl import randgen
@@ -25,6 +27,7 @@ from medqsl.errors import (
     PartitionMismatchError,
     UnknownLabelError,
 )
+from medqsl.hamiltonians import direct_optimal
 from medqsl.linalg import kron_stack, sqrtm_psd
 from medqsl.states import (
     MAX_TOTAL_DIM,
@@ -40,6 +43,7 @@ from medqsl.states import (
     mutual_information,
     negativity,
     negativity_array,
+    negativity_rate,
     partial_trace,
     partial_trace_array,
     partial_transpose_array,
@@ -414,6 +418,67 @@ class TestStackedCores:
         # no entanglement reads as +0.0, never -0.0
         zero = negativity_array(np.eye(4)[None] / 4, (2, 2), [1])
         assert zero[0] == 0.0 and math.copysign(1.0, zero[0]) == 1.0
+
+
+def _rank_deficient_density(d: int, rank: int, stream: RngStream) -> np.ndarray:
+    """G G+ / tr(G G+), G a d x ``rank`` complex Ginibre draw from ``stream``."""
+    g = stream.complex_normals(d, rank)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestNegativityRate:
+    """``negativity_rate`` against one-sided differences of ``negativity_array``."""
+
+    H = 1e-7
+    # the difference misses the rate by its O(h) term, h times N's second
+    # derivative: at most 6.4e-5 over 1,200 seeded draws at d = 3, where a
+    # lost kernel term or moving term is O(1)
+    TOL = 1e-3
+
+    def _difference(self, sigma, dsigma, d):
+        n0, n_h = (negativity_array(m, (d, d), (1,)) for m in (sigma, sigma + self.H * dsigma))
+        return (n_h - n0) / self.H
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32), d=st.sampled_from([2, 3]))
+    def test_drawn_stacks(self, seed, d):
+        streams = [RngStream(seed, i) for i in range(8)]
+        sigma = randgen.random_density(d * d, streams)
+        dsigma = randgen.random_hermitian(d * d, streams)
+        rate = negativity_rate(sigma, dsigma, (d, d), (1,))
+        assert rate.shape == (8,)
+        assert np.abs(rate - self._difference(sigma, dsigma, d)).max() <= self.TOL
+        for one, s, ds in zip(rate, sigma, dsigma):
+            assert one == negativity_rate(s, ds, (d, d), (1,))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32), d=st.sampled_from([2, 3]), data=st.data())
+    def test_planted_product_kernels(self, seed, d, data):
+        # rho_A (x) rho_B with rank-deficient factors, |00><00| among them:
+        # sigma^G = rho_A (x) rho_B^T has a kernel and no negative eigenvalue,
+        # so N is 0 and only the kernel term moves it
+        ranks = data.draw(st.tuples(st.integers(1, d), st.integers(1, d)).filter(
+            lambda r: min(r) < d))
+        stream = RngStream(seed, 0)
+        sigma = np.kron(*(_rank_deficient_density(d, r, stream) for r in ranks))
+        if data.draw(st.booleans()):
+            sigma = np.zeros((d * d, d * d), dtype=complex)
+            sigma[0, 0] = 1.0
+        dsigma = randgen.random_hermitian(d * d, stream)
+        rate = negativity_rate(sigma, dsigma, (d, d), (1,))
+        assert negativity_array(sigma, (d, d), (1,)) == 0.0 and rate >= 0.0
+        assert abs(rate - self._difference(sigma, dsigma, d)) <= self.TOL
+
+    @pytest.mark.parametrize("d, want", [(2, 1.0), (3, math.sqrt(2))])
+    def test_direct_control(self, d, want):
+        # |00> under the optimal direct coupling: N grows at once, through
+        # the kernel term alone
+        m = direct_optimal(d).matrix
+        sigma = np.zeros((d * d, d * d), dtype=complex)
+        sigma[0, 0] = 1.0
+        dsigma = -1j * (m @ sigma - sigma @ m)
+        assert abs(negativity_rate(sigma, dsigma, (d, d), (1,)) - want) <= 1e-12
 
 
 class TestFidelityAndAngle:
