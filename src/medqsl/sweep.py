@@ -12,7 +12,8 @@ min((b + 1) * B, n))``, through one block kernel, B set by ``BLOCK_BYTES``
 and the largest stack a block builds or keeps.  A block draws each of its
 instances once, from its own stream, in one randgen call per draw on all
 its streams, and makes one stacked eigensolve, stacked energy moments and
-stacked probes: one negativity curve (cmi-uncorrelated, commuting-null),
+stacked probes: one negativity curve (``_curve_block``, which serves
+cmi-uncorrelated and commuting-null alike, each passing its own draw),
 smi's searches for its peaks and crossings, or rate-zero's two rate
 probes.  A row that refuses the run names its stream.  Each instance has
 the same bits in a block of any size.  Worker processes split the blocks.
@@ -245,19 +246,6 @@ def _cmi_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
     return h, kron_stack(kron_stack(a[:, :, None], b[:, :, None]), sqrtm_psd(rho_c))
 
 
-def _cmi_block(cfg: SweepConfig, sids: range, *, times: np.ndarray,
-               witness: bool) -> tuple[np.ndarray]:
-    curves = []
-    if witness and sids[0] == 0:
-        ham, s0 = cmi_product_example()
-        curves.append(negativity_curve(ham, s0.pure_vector, times, AB_CUT)[None])
-        sids = sids[1:]
-    if sids:
-        k_scale, (h, x0) = _normalized_draws(cfg, sids, _cmi_draw)
-        curves.append(negativity_curve(h, x0, k_scale[:, None] * times, AB_CUT))
-    return (np.concatenate(curves),)
-
-
 def _commuting_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]:
     """Separable inputs rho_ab (x) rho_c under commuting couplings, as ``(B, n, n)`` factors."""
     d, dc = cfg.d, cfg.d_c
@@ -271,9 +259,19 @@ def _commuting_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray]
     return h, sqrtm_psd(kron_stack(rho_ab, random_density(dc, streams)))
 
 
-def _commuting_block(cfg: SweepConfig, sids: range, *, times: np.ndarray) -> tuple[np.ndarray]:
-    k_scale, (h, x0) = _normalized_draws(cfg, sids, _commuting_draw)
-    return (negativity_curve(h, x0, k_scale[:, None] * times, AB_CUT),)
+def _curve_block(cfg: SweepConfig, sids: range, *, draw, times: np.ndarray,
+                 witness: bool = False) -> tuple[np.ndarray]:
+    """N_{A:B} at each instance's scaled ``times``, its coupling and start from ``draw``;
+    with ``witness``, stream 0 is instead the d = 2 product-state witness, unscaled."""
+    curves = []
+    if witness and sids[0] == 0:
+        ham, s0 = cmi_product_example()
+        curves.append(negativity_curve(ham, s0.pure_vector, times, AB_CUT)[None])
+        sids = sids[1:]
+    if sids:
+        k_scale, (h, x0) = _normalized_draws(cfg, sids, draw)
+        curves.append(negativity_curve(h, x0, k_scale[:, None] * times, AB_CUT))
+    return (np.concatenate(curves),)
 
 
 def _rate_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray, np.ndarray]:
@@ -414,7 +412,8 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     times = t_max * np.arange(CMI_N_TIMES + 1) / CMI_N_TIMES
     witness = d == 2 and dc == 2
     block = _block_size(16 * len(times) * cfg.layout.dim * dc)
-    (curves,) = _sweep(cfg, _cmi_block, block, len(times), times=times, witness=witness)
+    (curves,) = _sweep(cfg, _curve_block, block, len(times), draw=_cmi_draw, times=times,
+                       witness=witness)
     level = (d - 1) / 2.0 - ATTAIN_SLACK
     early = times <= di_bound(d) + EARLY_SLACK
     violations = [{"stream_id": sid, "T": float(times[k]), "negativity": float(curves[sid, k])}
@@ -533,8 +532,8 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     """
     times = COMMUTING_T_MAX * np.arange(COMMUTING_N_TIMES + 1) / COMMUTING_N_TIMES
     n = cfg.layout.dim
-    (curves,) = _sweep(cfg, _commuting_block, _block_size(16 * len(times) * n * n), len(times),
-                       times=times)
+    (curves,) = _sweep(cfg, _curve_block, _block_size(16 * len(times) * n * n), len(times),
+                       draw=_commuting_draw, times=times)
     excess = curves - curves[:, :1]
     violations = [{"stream_id": sid, "T": float(times[k]), "excess": float(excess[sid, k])}
                   for sid, k in _first_hits(excess > EXCESS_TOL)]

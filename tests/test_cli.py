@@ -554,7 +554,7 @@ class TestExitCodes:
     def test_huge_instance_count_is_exit_2(self, tmp_path, monkeypatch, capsys):
         # 10^12 instances would keep 65 float64 values each: refused at once,
         # before any block is built or drawn
-        monkeypatch.setattr(sweep, "_cmi_block", _not_run)
+        monkeypatch.setattr(sweep, "_curve_block", _not_run)
         start = time.perf_counter()
         rc = main(["reproduce", "conjecture-d2", "--n", "1000000000000",
                    "--out", str(tmp_path / "huge")])

@@ -4,7 +4,16 @@ Each entry of ``data/ledger/index.json`` names a ``medqsl`` command line and
 the report JSON it wrote.  The test runs each command in process and compares
 its report with the committed one: floats within ``FLOAT_TOL``, as the
 benchmark's golden digests compare them, and every key set, length and other
-value exactly.  A change that moves an output regenerates the ledger with
+value exactly.  Two rules hold for smi reports alone:
+
+- their ~2,050-row envelopes are kept as ``DIGEST_ROWS`` evenly spaced rows
+  of ``times`` and of each envelope column, plus each column's ``math.fsum``
+  under ``column_fsum``, the benchmark's digest form;
+- their refined times (``extremes.*.T``, ``details.best_stage2_time``) are
+  compared within ``REFINED_TOL``: golden section fixes them only to about
+  1e-8, and a peak or crossing on the root of dN/dT would pin them tighter.
+
+A change that moves an output regenerates the ledger with
 
     PYTHONPATH=src python tests/test_ledger.py --write
 
@@ -13,53 +22,79 @@ and records the seeded diff of what moved.
 
 import json
 import math
-import shutil
+import re
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from medqsl import sweep
 from medqsl.cli import main
+from medqsl.linalg import kron_stack, sqrtm_psd
+from medqsl.randgen import haar_pure, random_density, random_mediated_hamiltonian
 
 LEDGER = Path(__file__).parent / "data" / "ledger"
 FLOAT_TOL = 1e-12
+DIGESTED = "smi-protocol"
+DIGEST_ROWS = 33
+REFINED_TOL = 1e-7
+REFINED = re.compile(r"/extremes/[^/]+/T|/details/best_stage2_time")
 
 
 def _entries() -> list[dict]:
     return json.loads((LEDGER / "index.json").read_text())
 
 
-def _run(command: str, out: Path) -> Path:
-    """Run ``command`` (``medqsl reproduce ...``) writing to ``out``; the report's path."""
+def _run(command: str, out: Path) -> dict:
+    """Run ``command`` (``medqsl reproduce ...``) writing to ``out``; its report as stored."""
     prog, *argv = command.split()
     assert prog == "medqsl"
     assert main(argv + ["--out", str(out)]) == 0
-    return out.with_suffix(".json")
+    report = json.loads(out.with_suffix(".json").read_text())
+    if report["config"]["experiment"] != DIGESTED:
+        return report
+    n = len(report["times"])
+    rows = sorted({round(k * (n - 1) / (DIGEST_ROWS - 1)) for k in range(DIGEST_ROWS)})
+    columns = {"T": report["times"], **report["envelope"]}
+    report["column_fsum"] = {name: math.fsum(col) for name, col in columns.items()}
+    report["times"] = [report["times"][k] for k in rows]
+    report["envelope"] = {name: [col[k] for k in rows] for name, col in report["envelope"].items()}
+    return report
 
 
-def _diff(want, got, path: str = "") -> list[str]:
-    """The paths where ``got`` differs from ``want``."""
+def _diff(want, got, path: str = "", refined: bool = False) -> list[str]:
+    """The paths where ``got`` differs from ``want``; with ``refined``, the
+    ``REFINED`` paths compare within ``REFINED_TOL``."""
     if isinstance(want, dict):
         if not isinstance(got, dict) or set(want) != set(got):
             return [f"{path or '/'}: keys differ"]
-        return [p for k in want for p in _diff(want[k], got[k], f"{path}/{k}")]
+        return [p for k in want for p in _diff(want[k], got[k], f"{path}/{k}", refined)]
     if isinstance(want, list):
         if not isinstance(got, list) or len(want) != len(got):
             return [f"{path}: length differs"]
-        return [p for k, (a, b) in enumerate(zip(want, got)) for p in _diff(a, b, f"{path}/{k}")]
+        return [p for k, (a, b) in enumerate(zip(want, got))
+                for p in _diff(a, b, f"{path}/{k}", refined)]
     if isinstance(want, float) and isinstance(got, (int, float)):
-        if math.isnan(want) and math.isnan(got) or abs(want - got) <= FLOAT_TOL:
+        tol = REFINED_TOL if refined and REFINED.fullmatch(path) else FLOAT_TOL
+        if math.isnan(want) and math.isnan(got) or abs(want - got) <= tol:
             return []
     elif type(want) is type(got) and want == got:
         return []
     return [f"{path}: {got!r} != {want!r}"]
 
 
+def _ledger_diff(entry: dict, out: Path) -> list[str]:
+    """Where the report of ``entry``'s command, rerun, differs from the committed one."""
+    want = json.loads((LEDGER / entry["report"]).read_text())
+    return _diff(want, _run(entry["command"], out),
+                 refined=want["config"]["experiment"] == DIGESTED)
+
+
 @pytest.mark.parametrize("entry", _entries(), ids=lambda e: e["command"])
 def test_ledger_entry_recomputes(tmp_path, entry):
-    got = json.loads(_run(entry["command"], tmp_path / "out").read_text())
-    want = json.loads((LEDGER / entry["report"]).read_text())
-    assert _diff(want, got) == []
+    assert _ledger_diff(entry, tmp_path / "out") == []
 
 
 def test_diff_sees_planted_changes():
@@ -70,13 +105,56 @@ def test_diff_sees_planted_changes():
     assert _diff(want, {"a": [1.0, 3], "b": {"c": None}}) == ["/a/1: 3 != 2"]
     assert _diff(want, {"a": [1.0, 2], "b": {"d": None}}) == ["/b: keys differ"]
     assert _diff(want, {"a": [1.0], "b": {"c": None}}) == ["/a: length differs"]
+    # a refined time compares within REFINED_TOL, and nothing else does
+    times = {"extremes": {"peak": {"T": 1.0, "value": 0.5}}, "details": {"best_stage2_time": 2.0}}
+    moved = {"extremes": {"peak": {"T": 1.0 + 1e-8, "value": 0.5}},
+             "details": {"best_stage2_time": 2.0 - 1e-8}}
+    assert _diff(times, moved, refined=True) == []
+    assert len(_diff(times, moved)) == 2
+    moved["extremes"]["peak"]["value"] = 0.5 + 1e-11
+    assert _diff(times, moved, refined=True) == [
+        "/extremes/peak/value: 0.50000000001 != 0.5"]
+
+
+def _scaled_negativity(monkeypatch):
+    """Every sweep curve of N times 1 + 1e-9."""
+    curve = sweep.negativity_curve
+    monkeypatch.setattr(sweep, "negativity_curve", lambda *args: (1 + 1e-9) * curve(*args))
+
+
+def _p99_weights_flipped(monkeypatch):
+    """``_p99`` interpolating from the other end of its bracket: a + (b - a)(1 - t)."""
+    def p99(matrix):
+        ranked = np.sort(matrix, axis=0)
+        at = 0.99 * (len(ranked) - 1)
+        lo = math.floor(at)
+        a, b = ranked[lo], ranked[min(lo + 1, len(ranked) - 1)]
+        return a + (b - a) * (1 - (at - lo))
+
+    monkeypatch.setattr(sweep, "_p99", p99)
+
+
+def _b_drawn_before_a(monkeypatch):
+    """The cmi draw taking its B state from each stream before its A state."""
+    def draw(cfg, streams):
+        d, dc = cfg.d, cfg.d_c
+        b, a, rho_c = haar_pure(d, streams), haar_pure(d, streams), random_density(dc, streams)
+        h = random_mediated_hamiltonian(d, d, dc, streams)
+        return h, kron_stack(kron_stack(a[:, :, None], b[:, :, None]), sqrtm_psd(rho_c))
+
+    monkeypatch.setattr(sweep, "_cmi_draw", draw)
+
+
+@pytest.mark.parametrize("plant", [_scaled_negativity, _p99_weights_flipped, _b_drawn_before_a])
+def test_planted_change_fails_the_ledger(tmp_path, monkeypatch, plant):
+    [entry] = [e for e in _entries()
+               if e["command"] == "medqsl reproduce conjecture-d2 --n 60 --seed 7 --workers 1"]
+    plant(monkeypatch)
+    assert _ledger_diff(entry, tmp_path / "out") != []
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    scratch = LEDGER / "tmp"
-    scratch.mkdir()
-    try:
+    with tempfile.TemporaryDirectory() as scratch:
         for entry in _entries():
-            shutil.copyfile(_run(entry["command"], scratch / "out"), LEDGER / entry["report"])
-    finally:
-        shutil.rmtree(scratch)
+            report = _run(entry["command"], Path(scratch) / "out")
+            (LEDGER / entry["report"]).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

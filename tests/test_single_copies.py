@@ -70,7 +70,7 @@ def test_kernels_define_no_nested_function():
     # closure per row, no nested draw; the searches' f is a partial of a
     # module-level function
     kernels = [f for name, f in vars(sweep).items() if name.endswith("_block")]
-    assert len(kernels) == 4
+    assert len(kernels) == 3
     for func in (*kernels, dynamics.first_max_entanglement_time):
         assert _nested_functions(func) == [], func.__name__
 
@@ -189,11 +189,11 @@ def test_one_operator_embedding():
 
 
 def test_sweep_kernels_take_the_config():
-    # every experiment is one block kernel kernel(cfg, sids, *, setup...): it
+    # every experiment runs one block kernel kernel(cfg, sids, *, setup...): it
     # reads the SweepConfig itself, never a dict of settings copied out of it
     kernels = {name: f for name, f in vars(sweep).items()
                if name.startswith("_") and name.endswith(("_instance", "_block", "_each"))}
-    assert sorted(kernels) == ["_cmi_block", "_commuting_block", "_rate_block", "_smi_block"]
+    assert sorted(kernels) == ["_curve_block", "_rate_block", "_smi_block"]
     param = inspect.Parameter
     for name, kernel in kernels.items():
         params = list(inspect.signature(kernel).parameters.values())
@@ -206,6 +206,15 @@ def test_sweep_kernels_take_the_config():
     assert setup.kind is param.VAR_KEYWORD
 
 
+def test_curve_sweeps_share_one_kernel():
+    # cmi-uncorrelated and commuting-null differ only in the draw they pass the
+    # one curve kernel, each a module-level function, which pickles for the pool
+    draws = {kw.value.id for node in ast.walk(ast.parse((SRC / "sweep.py").read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sweep"
+             and node.args[1].id == "_curve_block" for kw in node.keywords if kw.arg == "draw"}
+    assert draws == {"_cmi_draw", "_commuting_draw"}
+
+
 def _loops(tree) -> list:
     """The iterated expression of each ``for`` and comprehension in ``tree``."""
     return [node.iter for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))]
@@ -216,7 +225,7 @@ def test_one_draw_per_stream():
     # _normalized_draws alone: no kernel makes a stream of its own
     assert _callers_of("RngStream") == ["sweep._normalized_draws"]
     assert _callers_of("_normalized_draws") == [
-        "sweep._cmi_block", "sweep._commuting_block", "sweep._rate_block", "sweep._smi_block"]
+        "sweep._curve_block", "sweep._rate_block", "sweep._smi_block"]
     # draws come in blocks: a stream's normals are read in randgen alone, whose
     # samplers take a block's streams, and randgen._stacked is its one loop over them
     readers = {path.name for path in SRC.glob("*.py")

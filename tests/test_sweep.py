@@ -42,7 +42,7 @@ from medqsl import (
 from medqsl import sweep
 from medqsl.dynamics import JUMP_KINDS, JumpOperatorSet, evolve_lindblad, negativity_curve
 from medqsl.errors import PositivityLostError, StationaryStateError
-from medqsl.sweep import AB_CUT, _cmi_block, _commuting_block, _rate_block
+from medqsl.sweep import AB_CUT, _cmi_draw, _commuting_draw, _curve_block, _rate_block
 from medqsl.tolerances import RATE_DELTA
 
 
@@ -152,7 +152,8 @@ class TestCmiUncorrelated:
         rep = run_cmi_uncorrelated(cfg)
         expected = []
         for sid in range(cfg.n_instances):
-            [(curve,)] = _cmi_block(cfg, range(sid, sid + 1), times=rep.times, witness=True)
+            [(curve,)] = _curve_block(cfg, range(sid, sid + 1), draw=_cmi_draw, times=rep.times,
+                                      witness=True)
             for k, value in enumerate(curve):
                 if value >= 0.5 - 1e-6:
                     expected.append({"stream_id": sid, "T": float(rep.times[k]),
@@ -176,12 +177,12 @@ class TestCmiUncorrelated:
         # a block replays bit for bit, and each of its rows is the curve of
         # its stream alone: a block of one gives the same bits
         cfg = SweepConfig(experiment="cmi-uncorrelated", seed=9, d=2, d_c=2)
-        setup = {"times": np.linspace(0.0, np.pi / 2, 9), "witness": False}
-        (a,) = _cmi_block(cfg, range(1, 5), **setup)
-        (b,) = _cmi_block(cfg, range(1, 5), **setup)
+        setup = {"draw": _cmi_draw, "times": np.linspace(0.0, np.pi / 2, 9)}
+        (a,) = _curve_block(cfg, range(1, 5), **setup)
+        (b,) = _curve_block(cfg, range(1, 5), **setup)
         assert a.shape == (4, 9)
         assert np.array_equal(a, b)
-        (alone,) = _cmi_block(cfg, range(2, 3), **setup)
+        (alone,) = _curve_block(cfg, range(2, 3), **setup)
         assert np.array_equal(alone[0], a[1])
 
     @pytest.mark.parametrize("first, violates", [(30, True), (33, False)])
@@ -189,12 +190,12 @@ class TestCmiUncorrelated:
         # at d = 2 the grid is k pi / 128; index 30 (T = 0.736) lies in
         # (0.9 arccos(1/sqrt 2), arccos(1/sqrt 2) + EARLY_SLACK], index 33
         # (T = 0.810) past it: a curve first at the level there violates or not
-        def kernel(cfg, sids, *, times, witness):
+        def kernel(cfg, sids, *, draw, times, witness):
             curves = np.zeros((len(sids), len(times)))
             curves[:, first:] = 0.5
             return (curves,)
 
-        monkeypatch.setattr(sweep, "_cmi_block", kernel)
+        monkeypatch.setattr(sweep, "_curve_block", kernel)
         rep = run_cmi_uncorrelated(SweepConfig(experiment="cmi-uncorrelated", n_instances=2,
                                                seed=3, workers=1))
         assert 0.9 * np.pi / 4 < rep.times[30] <= np.pi / 4 + 1e-3 < rep.times[33]
@@ -244,7 +245,7 @@ class TestKernelsAgainstLibrary:
     def test_cmi_curve(self):
         grid = TimeGrid(0.0, np.pi / 2, np.pi / 32)
         cfg = SweepConfig(experiment="cmi-uncorrelated", seed=5, d=2, d_c=3)
-        [(curve,)] = _cmi_block(cfg, range(1, 2), times=grid.times, witness=False)
+        [(curve,)] = _curve_block(cfg, range(1, 2), draw=_cmi_draw, times=grid.times)
         ref = _negativity_reference(*_cmi_pair(5, 1, 2, 3), grid)
         assert ref.max() > 1e-3
         np.testing.assert_allclose(curve, ref, rtol=0, atol=1e-12)
@@ -252,7 +253,7 @@ class TestKernelsAgainstLibrary:
     def test_commuting_curve(self):
         grid = TimeGrid(0.0, 2.0, 1.0 / 16)
         cfg = SweepConfig(experiment="commuting-null", seed=8, d=2, d_c=2)
-        [(curve,)] = _commuting_block(cfg, range(3, 4), times=grid.times)
+        [(curve,)] = _curve_block(cfg, range(3, 4), draw=_commuting_draw, times=grid.times)
         ref = _negativity_reference(*_commuting_pair(8, 3, 2, 2), grid)
         np.testing.assert_allclose(curve, ref, rtol=0, atol=1e-12)
 
@@ -424,13 +425,14 @@ class _Drawn(Exception):
 
 # each experiment's block kernel and a small setup for it
 _KERNELS = {
-    "cmi-uncorrelated": lambda cfg: (_cmi_block, {"times": np.linspace(0.0, 1.0, 5),
-                                                  "witness": False}),
+    "cmi-uncorrelated": lambda cfg: (_curve_block, {"draw": _cmi_draw,
+                                                    "times": np.linspace(0.0, 1.0, 5)}),
     "rate-zero": lambda cfg: (_rate_block, {"jumps": JumpOperatorSet.dephasing(cfg.layout)}),
     "smi-protocol": lambda cfg: (sweep._smi_block, {
         "psi1": haar_pure(cfg.layout.dim, RngStream(1, 0)), "times": np.linspace(0.0, 1.0, 5),
         "level": 0.5}),
-    "commuting-null": lambda cfg: (_commuting_block, {"times": np.linspace(0.0, 1.0, 5)}),
+    "commuting-null": lambda cfg: (_curve_block, {"draw": _commuting_draw,
+                                                  "times": np.linspace(0.0, 1.0, 5)}),
 }
 
 
@@ -561,7 +563,9 @@ class TestInstanceCap:
         ("cmi-uncorrelated", 65), ("rate-zero", 2), ("smi-protocol", 2048),
         ("commuting-null", 33)])
     def test_refused_before_any_block(self, monkeypatch, experiment, n_times):
-        monkeypatch.setattr(sweep, "_" + experiment.split("-")[0] + "_block", _refuse)
+        kernel = {"rate-zero": "_rate_block", "smi-protocol": "_smi_block"}.get(experiment,
+                                                                              "_curve_block")
+        monkeypatch.setattr(sweep, kernel, _refuse)
         monkeypatch.setattr(sweep, "_normalized_draws", _refuse)
         largest = 2 ** 31 // (8 * n_times)
         with pytest.raises(ValueError, match=rf"^n = {10 ** 12} instances of {n_times} times "
@@ -872,7 +876,8 @@ class TestCommutingNull:
         rep = run_commuting_null(cfg)
         expected = []
         for sid in range(cfg.n_instances):
-            [(curve,)] = _commuting_block(cfg, range(sid, sid + 1), times=rep.times)
+            [(curve,)] = _curve_block(cfg, range(sid, sid + 1), draw=_commuting_draw,
+                                      times=rep.times)
             for k, value in enumerate(curve - curve[0]):
                 if value > 1e-10:
                     expected.append({"stream_id": sid, "T": float(rep.times[k]),
