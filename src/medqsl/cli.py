@@ -236,8 +236,6 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    from .sweep import SweepConfig, run_fig2, run_sweep
-
     t0 = time.perf_counter()
     name = args.name
     experiment, fixed, flags = REPRODUCE[name]
@@ -254,6 +252,8 @@ def _cmd_reproduce(args) -> int:
                                    **{k: v for k, v in given.items() if v is not None})
         config.update(tmax=grid.stop, dt=grid.step)
         if name == "fig2":
+            from .sweep import run_fig2
+
             config["d"] = args.d if args.d is not None else 2
             traj = run_fig2(config["d"], grid)
         else:
@@ -263,6 +263,8 @@ def _cmd_reproduce(args) -> int:
         _write_manifest(base, "reproduce", config, None, [out],
                         time.perf_counter() - t0)
         return EXIT_OK
+
+    from .sweep import SweepConfig, run_sweep
 
     given = {"n_instances": args.n, "d": args.d, "seed": args.seed}
     cfg = SweepConfig(experiment, workers=args.workers, **fixed,

@@ -18,6 +18,8 @@ of stepped states is checked as one stack, and the first state with an
 eigenvalue below -1e-6, a trace drift or a non-finite entry aborts with
 PositivityLostError.  The rate probe takes no step: it applies L once.  It
 and the scan and refine behind the timing probes each run a stack as one.
+Jump sets are built by ``JumpOperatorSet.local``: one kind of ``JUMP_KINDS``
+on each chosen subsystem.
 """
 
 from __future__ import annotations
@@ -214,13 +216,8 @@ class JumpOperatorSet:
 
     @classmethod
     def dephasing(cls, layout, rate=0.1, labels=None) -> "JumpOperatorSet":
-        """``local`` with the clock operator diag(omega^j): Z on a qubit."""
+        """``local(layout, "dephasing", rate, labels)``, kept while perfbench/micro.py calls it."""
         return cls.local(layout, "dephasing", rate, labels)
-
-    @classmethod
-    def damping(cls, layout, rate=0.1, labels=None) -> "JumpOperatorSet":
-        """``local`` with the lowering operator sum_j sqrt(j)|j-1><j|: |0><1| on a qubit."""
-        return cls.local(layout, "damping", rate, labels)
 
 
 def _check_layouts(h: Hamiltonian, s0: DensityState,

@@ -5,7 +5,9 @@ indices big-endian: the first subsystem is most significant, so
 ``i = sum_k i_k * prod_{l>k} d_l``.  This matches ``numpy.kron`` with
 the first factor on the left.
 
-Entropies and mutual information are in bits (base-2 logarithms).
+Entropies and mutual information are in bits (base-2 logarithms); an
+entropy is one masked sum over a spectrum's last axis, for one state and a
+stack alike.
 """
 
 from __future__ import annotations
@@ -531,20 +533,11 @@ def bures_angle(s1: DensityState, s2: DensityState) -> float | np.ndarray:
 
 
 def von_neumann_entropy(s: DensityState) -> float | np.ndarray:
-    """Entropy -sum(w log2 w) of the spectrum, in bits."""
+    """Entropy -sum(w log2 w) of the spectrum, in bits; entries at or below
+    ``ENTROPY_CUTOFF`` add 0, for one state and a stack alike."""
     w = np.linalg.eigvalsh(s.matrix) if s.spectrum is None else s.spectrum
-    w = w.reshape(-1, s.layout.dim)
-    # the spectrum is ascending, so the entries above the cutoff end each
-    # row; rows that keep as many entries are summed together, and each
-    # sum runs over the kept entries alone, as it does for one state
-    start = (w <= ENTROPY_CUTOFF).sum(axis=1)
-    out = np.empty(len(w))
-    # each start once, not by np.unique: numpy 2.4 imports numpy.ma there
-    for j in sorted(set(start.tolist())):
-        rows = start == j
-        kept = w[rows, j:]
-        out[rows] = -(kept * np.log2(kept)).sum(axis=1)
-    return _value(s, out.reshape(s.matrix.shape[:-2]))
+    w = np.where(w > ENTROPY_CUTOFF, w, 1.0)  # 1 log2 1 = 0
+    return _value(s, -(w * np.log2(w)).sum(axis=-1))
 
 
 def mutual_information(s: DensityState, p: Bipartition) -> float | np.ndarray:

@@ -283,7 +283,9 @@ def _rate_draw(cfg: SweepConfig, streams) -> tuple[Hamiltonian, np.ndarray, np.n
 
 def _rate_block(cfg: SweepConfig, sids: range, *, jumps: JumpOperatorSet) -> tuple:
     k_scale, (h, rho0, rho_ab0) = _normalized_draws(cfg, sids, _rate_draw, density=True)
-    h, s0 = h.scaled(k_scale), DensityState(h.layout, rho0)
+    # rho_ab (x) rho_c of two normalized Gram draws is a state by construction: not checked again
+    rho0.setflags(write=False)
+    h, s0 = h.scaled(k_scale), DensityState._trusted(h.layout, rho0)
     dn_closed, dn_open = (entanglement_change_at_zero(h, s0, AB_CUT, j) for j in (None, jumps))
     n0 = negativity_array(rho_ab0, (cfg.d, cfg.d), (1,))
     return dn_closed, dn_open, n0, n0 + dn_closed

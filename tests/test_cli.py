@@ -849,12 +849,17 @@ class TestColdStart:
     @pytest.mark.parametrize("lindblad", [[], ["--lindblad", "damping:0.2"]],
                              ids=["closed", "open"])
     def test_evolve_loads_no_sweep_hspec_qsl_pool_or_masked_arrays(self, lindblad):
-        # a mixed start, so the fidelity, entropy and their rank loops all run
+        # a mixed start, so the fidelity's rank loop and the entropy's masked sum run
         rc, modules = self._run("evolve", "--ham", "open-system", *lindblad,
                                 "--tmax", "0.01", "--out", "cold.csv")
         assert rc == 0 and len(_read_csv("cold.csv")) == 11
         assert not modules & {"multiprocessing", "numpy.ma", "medqsl.sweep", "medqsl.hspec",
                               "medqsl.qsl"}
+
+    def test_trajectory_loads_no_sweep_or_qsl(self):
+        rc, modules = self._run("reproduce", "cmi-classical", "--tmax", "0.01", "--out", "cold")
+        assert rc == 0 and len(_read_csv("cold.csv")) == 11
+        assert not modules & {"multiprocessing", "numpy.ma", "medqsl.sweep", "medqsl.qsl"}
 
     def test_one_worker_sweep_loads_no_pool_or_masked_arrays(self):
         rc, modules = self._run("reproduce", "conjecture-d2", "--n", "3", "--workers", "1",

@@ -97,7 +97,7 @@ class TestTimeGrid:
         # take more than MAX_SQUARINGS squarings, and at n = 27, the factor
         # form's side, because ||L||_1 x 1e306 overflows its Taylor substeps
         h = direct_optimal(2)
-        jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
+        jumps = JumpOperatorSet.local(h.layout, "dephasing", 0.1)
         traj = evolve_lindblad(h, ket(h.layout, 0), TimeGrid(0.0, 1.0, 1e308), jumps)
         assert traj.times.tolist() == [0.0] and len(traj.states) == 1
         with pytest.raises(ValueError, match="takes more than 28 squarings"):
@@ -108,7 +108,7 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match=r"^170 step\(s\) of 1e\+306 take inf Taylor substeps "
                                              r"at dimension 27, above the cap"):
             evolve_lindblad(h, ket(lay, 0), TimeGrid(0.0, 1.7e308, 1e306),
-                            JumpOperatorSet.dephasing(lay, 0.1))
+                            JumpOperatorSet.local(lay, "dephasing", 0.1))
 
     def test_len_without_building_the_times(self):
         for step in (0.25, 0.3):
@@ -136,7 +136,7 @@ class TestTrajectoryCap:
         with pytest.raises(ValueError, match=r"10000001 states of dimension 4 needs 3.6 GiB, "
                                              r"above the cap of 2 GiB"):
             if open_:
-                evolve_lindblad(*args, JumpOperatorSet.dephasing(h.layout))
+                evolve_lindblad(*args, JumpOperatorSet.local(h.layout, "dephasing", 0.1))
             else:
                 evolve_unitary(*args)
 
@@ -165,7 +165,8 @@ def test_unknown_cut_label_refused_before_evolving(monkeypatch, open_, cut):
     args = (h, s0, TimeGrid(0.0, 1.0, 1e-3))
     with pytest.raises(UnknownLabelError, match="no subsystem labeled 'Z'"):
         if open_:
-            evolve_lindblad(*args, JumpOperatorSet.dephasing(h.layout), cut=Bipartition.parse(cut))
+            evolve_lindblad(*args, JumpOperatorSet.local(h.layout, "dephasing", 0.1),
+                            cut=Bipartition.parse(cut))
         else:
             evolve_unitary(*args, cut=Bipartition.parse(cut))
 
@@ -180,7 +181,7 @@ def test_target_on_another_layout_refused_before_evolving(monkeypatch, open_):
     with pytest.raises(LayoutMismatchError, match=r"^target on \(\('A', 2\), \('B', 4\)\), "
                                                   r"state on \(\('A', 2\), \('B', 2\)\)$"):
         if open_:
-            evolve_lindblad(*args, JumpOperatorSet.dephasing(h.layout), target=target)
+            evolve_lindblad(*args, JumpOperatorSet.local(h.layout, "dephasing", 0.1), target=target)
         else:
             evolve_unitary(*args, target=target)
 
@@ -322,7 +323,8 @@ class TestUnitaryEvolution:
 
 
 def _evolve_open(h, s0, grid, **observed):
-    return evolve_lindblad(h, s0, grid, JumpOperatorSet.dephasing(h.layout, 0.1), **observed)
+    jumps = JumpOperatorSet.local(h.layout, "dephasing", 0.1)
+    return evolve_lindblad(h, s0, grid, jumps, **observed)
 
 
 @pytest.mark.parametrize("evolve", [evolve_unitary, _evolve_open])
@@ -559,7 +561,7 @@ class TestStepperForm:
     def test_lindblad_open_shape_takes_the_liouville_form(self, built):
         # n = 8, three dephasing jumps, 5 grid steps of 0.1
         h, s0 = open_system_example()
-        jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
+        jumps = JumpOperatorSet.local(h.layout, "dephasing", 0.1)
         evolve_lindblad(h, s0, TimeGrid(0.0, 0.5, 0.1), jumps)
         assert built == [("_liouville_form", 8)]
 
@@ -572,7 +574,7 @@ class TestStepperForm:
         h = Hamiltonian(lay, random_hermitian(lay.dim, RngStream(3, 0)))
         tmax = thousandths * 1e-3
         evolve_lindblad(h, ket(lay, 0), TimeGrid(0.0, tmax, tmax),
-                        JumpOperatorSet.dephasing(lay, 0.1))
+                        JumpOperatorSet.local(lay, "dephasing", 0.1))
         assert built == [("_liouville_form", lay.dim)]
 
     @pytest.mark.parametrize("dims, form", [((19,), "_liouville_form"),
@@ -582,7 +584,8 @@ class TestStepperForm:
         # the 1 MiB cap, and that of n = 20 is not
         lay = SystemLayout(tuple(zip("AB", dims)))
         h = Hamiltonian(lay, random_hermitian(lay.dim, RngStream(3, 0)))
-        (stack,) = dynamics._open_stacks(h, ket(lay, 0), JumpOperatorSet.dephasing(lay, 0.1),
+        (stack,) = dynamics._open_stacks(h, ket(lay, 0),
+                                         JumpOperatorSet.local(lay, "dephasing", 0.1),
                                          TimeGrid(0.0, 1e-3, 1e-3))
         assert built == [(form, lay.dim)] and len(stack.matrix) == 2
 
@@ -591,7 +594,7 @@ class TestStepperForm:
         monkeypatch.setattr(dynamics, "_substeps", _not_reached)
         h, s0 = open_system_example()
         traj = evolve_lindblad(h, s0, TimeGrid(0.0, 0.5, 0.1),
-                               JumpOperatorSet.dephasing(h.layout, 0.1))
+                               JumpOperatorSet.local(h.layout, "dephasing", 0.1))
         assert built == [("_liouville_form", 8)] and len(traj.states) == 6
 
     def test_long_qutrit_run_builds_no_map_above_the_cap(self, monkeypatch):
@@ -606,7 +609,7 @@ class TestStepperForm:
         monkeypatch.setattr(dynamics, "_factor_form", unstepped)
         lay = SystemLayout((("A", 3), ("B", 3), ("C", 3)))
         h = Hamiltonian(lay, random_hermitian(27, RngStream(3, 0)))
-        jumps = JumpOperatorSet.damping(lay, 0.1)
+        jumps = JumpOperatorSet.local(lay, "damping", 0.1)
         tracemalloc.start()
         try:
             dynamics._open_stacks(h, ket(lay, 0), jumps, TimeGrid(0.0, 10.0, 10.0))
@@ -640,7 +643,7 @@ class TestStepperForm:
         monkeypatch.setattr(dynamics, "_factor_form", unstepped)
         monkeypatch.setattr(dynamics, "_substeps", pricing)
         h = direct_optimal(2)
-        jumps = JumpOperatorSet.dephasing(h.layout)
+        jumps = JumpOperatorSet.local(h.layout, "dephasing", 0.1)
         dynamics._open_stacks(h, ket(h.layout, 0), jumps, grid)
         assert spans == [grid.step] and priced == [(grid.step, len(grid) - 1)]
         assert len(taken) == len(grid) - 1 == steps
@@ -662,7 +665,7 @@ class TestExactMap:
         stream = RngStream(5, 0)
         h = Hamiltonian(lay, scale * random_hermitian(8, stream))
         s0 = DensityState(lay, random_density(8, stream))
-        jumps = JumpOperatorSet.dephasing(lay, 0.3 * scale)
+        jumps = JumpOperatorSet.local(lay, "dephasing", 0.3 * scale)
         grid = TimeGrid(0.0, 1.0, 0.1)
         (stack,) = dynamics._open_stacks(h, s0, jumps, grid)
         gen = _liouvillian(h, jumps)
@@ -674,7 +677,7 @@ class TestExactMap:
         # the rates at which 1e-3 RK4 substeps diverge: the map dephases the
         # state and keeps its trace and positivity
         h, s = open_system_example()
-        jumps = JumpOperatorSet.dephasing(h.layout, rate)
+        jumps = JumpOperatorSet.local(h.layout, "dephasing", rate)
         traj = evolve_lindblad(h, s, TimeGrid(0.0, 0.5, 0.1), jumps)
         for st in traj.states:
             assert abs(np.trace(st.matrix) - 1) <= 1e-12
@@ -686,7 +689,7 @@ class TestExactMap:
         spans = []
         monkeypatch.setattr(dynamics, "expm", lambda a: spans.append(a) or expm(a))
         h, s0 = open_system_example()
-        jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
+        jumps = JumpOperatorSet.local(h.layout, "dephasing", 0.1)
         dynamics._open_stacks(h, s0, jumps, grid)
         b = _hermitian_basis(8)
         l_r = b.conj().T @ _liouvillian(h, jumps) @ b
@@ -735,7 +738,7 @@ class TestExactMap:
         # before L is gathered or exponentiated
         monkeypatch.setattr(dynamics, "expm", _not_reached)
         h, _ = open_system_example()
-        k, q = dynamics._generator(h, JumpOperatorSet.dephasing(h.layout, 0.1))
+        k, q = dynamics._generator(h, JumpOperatorSet.local(h.layout, "dephasing", 0.1))
         with pytest.raises(ValueError, match=r"step of 1e\+306 .* more than 28 squarings"):
             dynamics._liouville_form(k, q, 1e306)
 
@@ -750,9 +753,11 @@ class TestExactMap:
         with pytest.raises(ValueError, match=r"^1 step\(s\) of 1e\+06 take 5\.66054e\+07 Taylor "
                                              r"substeps at dimension 27, above the cap of 1e\+10 "
                                              r"L-applications x n\^3 at 18 per substep; shorten"):
-            dynamics._open_stacks(h, ket(lay, 0), JumpOperatorSet.dephasing(lay, 0.1), grid)
+            dynamics._open_stacks(h, ket(lay, 0), JumpOperatorSet.local(lay, "dephasing", 0.1),
+                                  grid)
         h, s0 = open_system_example()
-        (stack,) = dynamics._open_stacks(h, s0, JumpOperatorSet.dephasing(h.layout, 0.1), grid)
+        (stack,) = dynamics._open_stacks(h, s0, JumpOperatorSet.local(h.layout, "dephasing", 0.1),
+                                         grid)
         assert len(stack.matrix) == 2
 
     def test_stiff_factor_run_is_refused(self, monkeypatch):
@@ -763,7 +768,8 @@ class TestExactMap:
         monkeypatch.setattr(dynamics, "_factor_form", _not_reached)
         h, s = open_system_example()
         with pytest.raises(ValueError, match=r"^5 step\(s\) of 0\.1 take 3e\+06 Taylor "):
-            evolve_lindblad(h, s, TimeGrid(0.0, 0.5, 0.1), JumpOperatorSet.dephasing(h.layout, 1e6))
+            evolve_lindblad(h, s, TimeGrid(0.0, 0.5, 0.1),
+                            JumpOperatorSet.local(h.layout, "dephasing", 1e6))
 
     @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0, 10.0, 30.0, 100.0])
     def test_factor_form_exact_in_any_units(self, scale):
@@ -775,7 +781,7 @@ class TestExactMap:
         m = random_hermitian(27, stream)
         h = Hamiltonian(lay, scale * m / np.abs(np.linalg.eigvalsh(m)).sum())
         s0 = DensityState(lay, random_density(27, stream))
-        jumps = JumpOperatorSet.dephasing(lay, 0.3 * scale)
+        jumps = JumpOperatorSet.local(lay, "dephasing", 0.3 * scale)
         grid = TimeGrid(0.0, 1.0, 0.1)
         (stack,) = dynamics._open_stacks(h, s0, jumps, grid)
         want = [s0.matrix]
@@ -812,8 +818,8 @@ class TestLindblad:
         stream = RngStream(11, 0)
         h = Hamiltonian(lay, 5.0 * random_hermitian(6, stream))
         s0 = DensityState(lay, random_density(6, stream))
-        jumps = JumpOperatorSet(lay, JumpOperatorSet.dephasing(lay, 1.5, labels=("A",)).ops
-                                + JumpOperatorSet.damping(lay, 1.0, labels=("B",)).ops)
+        jumps = JumpOperatorSet(lay, JumpOperatorSet.local(lay, "dephasing", 1.5, labels=("A",)).ops
+                                + JumpOperatorSet.local(lay, "damping", 1.0, labels=("B",)).ops)
         grid = TimeGrid(0.0, 0.1, 0.0125)
         traj = evolve_lindblad(h, s0, grid, jumps)
         gen = _liouvillian(h, jumps)
@@ -835,7 +841,7 @@ class TestLindblad:
         plus = np.array([1, 1, 0, 0]) / math.sqrt(2)
         s = DensityState.from_pure(lay, plus)
         gamma = 0.25
-        jumps = JumpOperatorSet.dephasing(lay, gamma, labels=("B",))
+        jumps = JumpOperatorSet.local(lay, "dephasing", gamma, labels=("B",))
         traj = evolve_lindblad(h, s, TimeGrid(0.0, 2.0, 0.1), jumps)
         coherence = np.array([abs(st.matrix[0, 1]) for st in traj.states])
         expect = 0.5 * np.exp(-2 * gamma * traj.times)
@@ -845,13 +851,13 @@ class TestLindblad:
         lay = SystemLayout((("A", 2), ("B", 2)))
         h = direct_optimal(2).scaled(0.0)
         s = ket(lay, 3)  # |11>
-        jumps = JumpOperatorSet.damping(lay, 1.0)
+        jumps = JumpOperatorSet.local(lay, "damping", 1.0)
         traj = evolve_lindblad(h, s, TimeGrid(0.0, 12.0, 0.5), jumps)
         assert traj.states[-1].matrix[0, 0].real > 1 - 1e-4
 
     def test_trace_preserved(self):
         h, s = open_system_example()
-        jumps = JumpOperatorSet.dephasing(h.layout, 0.3)
+        jumps = JumpOperatorSet.local(h.layout, "dephasing", 0.3)
         traj = evolve_lindblad(h, s, TimeGrid(0.0, 1.0, 0.1), jumps)
         for st in traj.states:
             assert abs(np.trace(st.matrix).real - 1) < 1e-10
@@ -860,7 +866,7 @@ class TestLindblad:
         # ten 1e-3 RK4 substeps at rate 1000 overshoot far below the floor
         # (the exact map and the Taylor action do not)
         h, s = open_system_example()
-        jumps = JumpOperatorSet.damping(h.layout, 1000.0)
+        jumps = JumpOperatorSet.local(h.layout, "damping", 1000.0)
         with pytest.raises(PositivityLostError, match="T=0.01;"):
             evolve_lindblad(h, s, TimeGrid(0.0, 0.01, 0.01), jumps)
 
@@ -868,7 +874,7 @@ class TestLindblad:
         # dt rate = 1: the ten 1e-3 substeps of this step overshoot, but the
         # run takes the exact map, in the library and through the CLI
         h, s = open_system_example()
-        jumps = JumpOperatorSet.damping(h.layout, 1000.0)
+        jumps = JumpOperatorSet.local(h.layout, "damping", 1000.0)
         grid = TimeGrid(0.0, 0.01, 0.01)
         want = (_exact_map(_liouvillian(h, jumps), 0.01) @ s.matrix.reshape(-1)).reshape(8, 8)
         traj = evolve_lindblad(h, s, grid, jumps)
@@ -889,7 +895,7 @@ class TestLindblad:
         # each stepped state is checked on its own before the columns are
         # taken from the stack, so the first failing grid point is named
         h, s = open_system_example()
-        jumps = JumpOperatorSet.damping(h.layout, 1000.0)
+        jumps = JumpOperatorSet.local(h.layout, "damping", 1000.0)
         with pytest.raises(PositivityLostError, match="T=0.01;") as info:
             evolve_lindblad(h, s, TimeGrid(0.0, 0.05, 0.01), jumps)
         assert "stack index" not in str(info.value)
@@ -902,7 +908,7 @@ class TestLindblad:
         h, _ = open_system_example()
         eps = 1e-15
         s = DensityState(h.layout, np.diag([1 - 7 * eps] + [eps] * 7))
-        jumps = JumpOperatorSet.damping(h.layout, rate)
+        jumps = JumpOperatorSet.local(h.layout, "damping", rate)
         with pytest.raises(PositivityLostError, match=rf"below -1e-06 at {named};") as info:
             evolve_lindblad(h, s, TimeGrid(0.0, 1.0, 1e-3), jumps)
         assert "stack index" not in str(info.value)
@@ -913,7 +919,7 @@ class TestLindblad:
         # before the first output point: no numpy warning, and that point is
         # named (the exact map converges: TestExactMap)
         h, s = open_system_example()
-        jumps = JumpOperatorSet.dephasing(h.layout, rate)
+        jumps = JumpOperatorSet.local(h.layout, "dephasing", rate)
         with pytest.raises(PositivityLostError,
                            match=r"non-finite entries.* at T=0\.1; reduce") as info:
             evolve_lindblad(h, s, TimeGrid(0.0, 0.5, 0.1), jumps)
@@ -924,7 +930,7 @@ class TestLindblad:
         # the chunk is checked once point 1 is non-finite, not after 255
         # more points of 100 RK4 substeps each
         h, s = open_system_example()
-        jumps = JumpOperatorSet.dephasing(h.layout, 1e4)
+        jumps = JumpOperatorSet.local(h.layout, "dephasing", 1e4)
         checked = []
         init = DensityState.__init__
 
@@ -954,7 +960,7 @@ class TestLindblad:
 
     def test_qutrit_clock_operator(self):
         lay = SystemLayout((("A", 3), ("B", 3)))
-        (_, op), _ = JumpOperatorSet.dephasing(lay, 0.25).ops
+        (_, op), _ = JumpOperatorSet.local(lay, "dephasing", 0.25).ops
         w = np.exp(2j * np.pi / 3)
         assert_allclose(op, 0.5 * np.diag([1, w, w * w]), atol=1e-15)
         assert op[0, 0] == 0.5
@@ -979,7 +985,7 @@ class TestLindblad:
         h = Hamiltonian(lay, np.zeros((6, 6)))
         s = DensityState.from_pure(lay, np.array([1, 0, 1, 0, 0, 0]) / math.sqrt(2))
         gamma = 0.25
-        jumps = JumpOperatorSet.dephasing(lay, gamma, labels=("A",))
+        jumps = JumpOperatorSet.local(lay, "dephasing", gamma, labels=("A",))
         traj = evolve_lindblad(h, s, TimeGrid(0.0, 2.0, 0.1), jumps)
         coherence = np.array([abs(st.matrix[0, 2]) for st in traj.states])
         expect = 0.5 * np.exp(-gamma * (1 - math.cos(2 * math.pi / 3)) * traj.times)
@@ -988,7 +994,7 @@ class TestLindblad:
     def test_qutrit_damping_reaches_ground(self):
         lay = SystemLayout((("A", 3), ("B", 2)))
         h = Hamiltonian(lay, np.zeros((6, 6)))
-        jumps = JumpOperatorSet.damping(lay, 1.0, labels=("A",))
+        jumps = JumpOperatorSet.local(lay, "damping", 1.0, labels=("A",))
         traj = evolve_lindblad(h, ket(lay, 4), TimeGrid(0.0, 12.0, 0.5), jumps)  # |2>|0>
         assert traj.states[-1].matrix[0, 0].real > 1 - 1e-4
 
@@ -996,7 +1002,7 @@ class TestLindblad:
     def test_bad_rate_named(self, rate):
         lay = SystemLayout((("A", 2), ("B", 2)))
         with pytest.raises(ValueError, match=f"rate '{rate}'"):
-            JumpOperatorSet.damping(lay, rate)
+            JumpOperatorSet.local(lay, "damping", rate)
 
     def test_unknown_kind_names_choices(self):
         lay = SystemLayout((("A", 2), ("B", 2)))
@@ -1006,7 +1012,7 @@ class TestLindblad:
     def test_unknown_label(self):
         lay = SystemLayout((("A", 2), ("B", 2)))
         with pytest.raises(UnknownLabelError):
-            JumpOperatorSet.dephasing(lay, 0.1, labels=("C",))
+            JumpOperatorSet.local(lay, "dephasing", 0.1, labels=("C",))
 
 
 class TestRateProbe:
@@ -1023,7 +1029,7 @@ class TestRateProbe:
 
     def test_open_variant_never_positive_for_product_input(self):
         h, s = cmi_product_example()
-        jumps = JumpOperatorSet.dephasing(h.layout, 0.1)
+        jumps = JumpOperatorSet.local(h.layout, "dephasing", 0.1)
         dn = entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
         assert dn <= 1e-10
 
@@ -1032,7 +1038,7 @@ class TestRateProbe:
         # The probe takes no step, so it gives its rate; a run stepped over
         # delta loses positivity
         h, s = open_system_example()
-        jumps = JumpOperatorSet.damping(h.layout, 1e4)
+        jumps = JumpOperatorSet.local(h.layout, "damping", 1e4)
         assert math.isfinite(entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps))
         with pytest.raises(PositivityLostError, match="T=0.0001;"):
             evolve_lindblad(h, s, TimeGrid(0.0, RATE_DELTA, RATE_DELTA), jumps)
@@ -1042,8 +1048,9 @@ class TestRateProbe:
         # their rates, each the largest <j|q+q|j> (rate x (d - 1) for damping),
         # before any numpy warning
         h, s = open_system_example()
-        jumps = JumpOperatorSet(h.layout, JumpOperatorSet.dephasing(h.layout, 1e308, ["A"]).ops
-                                + JumpOperatorSet.damping(h.layout, 1e308, ["B"]).ops)
+        jumps = JumpOperatorSet(h.layout,
+                                JumpOperatorSet.local(h.layout, "dephasing", 1e308, ["A"]).ops
+                                + JumpOperatorSet.local(h.layout, "damping", 1e308, ["B"]).ops)
         with np.errstate(all="raise"), pytest.raises(
                 ValueError, match=r"^the jump rates \(A 1e\+308, B 1e\+308\) overflow K"):
             entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
@@ -1098,7 +1105,7 @@ class TestRateProbe:
     def test_jump_layout_checked(self, layout):
         # the same check as evolve_lindblad, before any matrix product
         h, s = cmi_product_example()
-        jumps = JumpOperatorSet.dephasing(SystemLayout(layout), 0.1)
+        jumps = JumpOperatorSet.local(SystemLayout(layout), "dephasing", 0.1)
         with pytest.raises(LayoutMismatchError, match="jump operators"):
             entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
         with pytest.raises(LayoutMismatchError, match="jump operators"):
@@ -1131,7 +1138,7 @@ class TestRateProbe:
         # delta = 1, is named by its T alone, and the error carries no index.
         # The probe gives the same stack of three its rates
         h, s = open_system_example()
-        jumps = JumpOperatorSet.damping(h.layout, 1e4)
+        jumps = JumpOperatorSet.local(h.layout, "damping", 1e4)
         stack = Hamiltonian(h.layout, np.array([0 * h.matrix, h.matrix, h.matrix]))
         states = DensityState(h.layout, np.array([ket(h.layout, 0).matrix, s.matrix, s.matrix]))
         rates = entanglement_change_at_zero(stack, states, Bipartition.parse("A:B"), jumps=jumps)
@@ -1153,7 +1160,7 @@ class TestRateProbe:
         embed = dynamics.embed_operator
         monkeypatch.setattr(dynamics, "embed_operator", counting)
         h, s = cmi_product_example()
-        jumps = JumpOperatorSet.damping(h.layout, 0.1)
+        jumps = JumpOperatorSet.local(h.layout, "damping", 0.1)
         dns = [entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps=jumps)
                for _ in range(3)]
         assert calls == [("A",), ("B",), ("C",)]

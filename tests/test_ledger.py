@@ -1,10 +1,15 @@
 """The seeded ledger: committed reports of named command lines, recomputed.
 
 Each entry of ``data/ledger/index.json`` names a ``medqsl`` command line and
-the report JSON it wrote.  The test runs each command in process and compares
-its report with the committed one: floats within ``FLOAT_TOL``, as the
+the report JSON it wrote; a ``.hspec`` file the command names is read from
+``data/ledger``.  The test runs each command in process and compares its
+report with the committed one: floats within ``FLOAT_TOL``, as the
 benchmark's golden digests compare them, and every key set, length and other
-value exactly.  Two rules hold for smi reports alone:
+value exactly.  A trajectory CSV (``reproduce`` of a trajectory, ``evolve``)
+is kept as its row count and each column's ``math.fsum``, min and max, with
+the row of the max only where the max stands clear of every other entry by
+more than ``FLOAT_TOL``, so that no digest pins a roundoff tie.  Two rules
+hold for smi reports alone:
 
 - their ~2,050-row envelopes are kept as ``DIGEST_ROWS`` evenly spaced rows
   of ``times`` and of each envelope column, plus each column's ``math.fsum``
@@ -20,6 +25,7 @@ A change that moves an output regenerates the ledger with
 and records the seeded diff of what moved.
 """
 
+import csv
 import json
 import math
 import re
@@ -47,12 +53,31 @@ def _entries() -> list[dict]:
     return json.loads((LEDGER / "index.json").read_text())
 
 
+def _csv_digest(path: Path) -> dict:
+    """A trajectory CSV as it is stored: its row count and each column's digest."""
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    columns = {}
+    for name, text in zip(header, zip(*rows)):
+        col = [float(v) for v in text]
+        top = max(col)
+        columns[name] = {"fsum": math.fsum(col), "min": min(col), "max": top}
+        k = col.index(top)
+        if all(top - v > FLOAT_TOL for v in col[:k] + col[k + 1:]):
+            columns[name]["argmax"] = k
+    return {"rows": len(rows), "columns": columns}
+
+
 def _run(command: str, out: Path) -> dict:
-    """Run ``command`` (``medqsl reproduce ...``) writing to ``out``; its report as stored."""
+    """Run ``command`` (``medqsl ...``) writing to ``out``; its report as stored."""
     prog, *argv = command.split()
     assert prog == "medqsl"
-    assert main(argv + ["--out", str(out)]) == 0
-    report = json.loads(out.with_suffix(".json").read_text())
+    argv = [str(LEDGER / a) if a.endswith(".hspec") else a for a in argv]
+    csv_out, json_out = out.with_suffix(".csv"), out.with_suffix(".json")
+    assert main(argv + ["--out", str(csv_out)]) == 0
+    if not json_out.exists():  # a trajectory
+        return _csv_digest(csv_out)
+    report = json.loads(json_out.read_text())
     if report["config"]["experiment"] != DIGESTED:
         return report
     n = len(report["times"])
@@ -89,7 +114,7 @@ def _ledger_diff(entry: dict, out: Path) -> list[str]:
     """Where the report of ``entry``'s command, rerun, differs from the committed one."""
     want = json.loads((LEDGER / entry["report"]).read_text())
     return _diff(want, _run(entry["command"], out),
-                 refined=want["config"]["experiment"] == DIGESTED)
+                 refined=want.get("config", {}).get("experiment") == DIGESTED)
 
 
 @pytest.mark.parametrize("entry", _entries(), ids=lambda e: e["command"])
@@ -155,6 +180,6 @@ def test_planted_change_fails_the_ledger(tmp_path, monkeypatch, plant):
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     with tempfile.TemporaryDirectory() as scratch:
-        for entry in _entries():
-            report = _run(entry["command"], Path(scratch) / "out")
+        for k, entry in enumerate(_entries()):
+            report = _run(entry["command"], Path(scratch) / f"out{k}")
             (LEDGER / entry["report"]).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

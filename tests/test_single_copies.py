@@ -321,10 +321,20 @@ def test_scaled_keeps_the_spectrum(monkeypatch):
 def test_one_spectrum_per_rate_instance(monkeypatch):
     # each drawn coupling is diagonalized once, for the scale check (10 draws
     # in one block, one stacked eigensolve); the rate probes apply the
-    # couplings themselves, so neither they nor the direct control need one
-    calls = _counting_eig(monkeypatch)
+    # couplings themselves, so neither they nor the direct control need one.
+    # A block checks no state: its products of two drawn states are valid
+    # by construction
+    calls, checked = _counting_eig(monkeypatch), []
+    init = DensityState.__init__
+
+    def counting(self, *args, **kwargs):
+        checked.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensityState, "__init__", counting)
     sweep.run_sweep(sweep.SweepConfig("rate-zero", n_instances=10, seed=7))
     assert [m.shape for m in calls] == [(10, 8, 8)]
+    assert checked == []
 
 
 def test_one_check_per_stepped_chunk(monkeypatch):
@@ -332,7 +342,7 @@ def test_one_check_per_stepped_chunk(monkeypatch):
     # through one DensityState, which alone keeps the spectrum it checked
     assert "spectrum" not in inspect.signature(DensityState._trusted).parameters
     h, s0 = hamiltonians.open_system_example()
-    jumps = dynamics.JumpOperatorSet.dephasing(h.layout, 0.1)
+    jumps = dynamics.JumpOperatorSet.local(h.layout, "dephasing", 0.1)
     grid = dynamics.TimeGrid(0.0, 0.5, 1e-3)
     calls = []
     init = DensityState.__init__

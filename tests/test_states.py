@@ -29,6 +29,7 @@ from medqsl.errors import (
 )
 from medqsl.hamiltonians import direct_optimal
 from medqsl.linalg import kron_stack, sqrtm_psd
+from medqsl.tolerances import ENTROPY_CUTOFF
 from medqsl.states import (
     MAX_TOTAL_DIM,
     Bipartition,
@@ -566,7 +567,36 @@ class TestFidelityAndAngle:
             uhlmann_fidelity(bell(), other)
 
 
+def _rank_deficient(layout, count, seed):
+    """``count`` states of ``layout``, each of rank 1 to n - 1, as one checked stack."""
+    n, gen = layout.dim, np.random.default_rng(seed)
+    out = []
+    for rank in gen.integers(1, n, count):
+        g = gen.normal(size=(n, rank)) + 1j * gen.normal(size=(n, rank))
+        out.append(g @ g.conj().T / np.linalg.norm(g) ** 2)
+    return DensityState(layout, np.array(out))
+
+
 class TestEntropyAndInformation:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_masked_sum_is_the_kept_entries_sum(self, n):
+        # below 8 entries numpy sums a row in order, so the masked entries'
+        # zeros leave the sum of the kept entries alone, bit for bit
+        stack = _rank_deficient(SystemLayout((("A", n),)), 200, n)
+        assert (stack.spectrum <= ENTROPY_CUTOFF).any(axis=1).all()
+        want = [-(w * np.log2(w)).sum() for w in (row[row > ENTROPY_CUTOFF]
+                                                  for row in stack.spectrum)]
+        assert_array_equal(von_neumann_entropy(stack), want)
+
+    @pytest.mark.parametrize("layout", [Q3, SystemLayout((("A", 3), ("B", 3))),
+                                        SystemLayout((("A", 4), ("B", 4)))],
+                             ids=["n8", "n9", "n16"])
+    def test_stack_entropy_is_each_states(self, layout):
+        stack = _rank_deficient(layout, 50, layout.dim)
+        assert (stack.spectrum <= ENTROPY_CUTOFF).any(axis=1).all()
+        want = [von_neumann_entropy(DensityState(layout, m)) for m in stack.matrix]
+        assert_array_equal(von_neumann_entropy(stack), want)
+
     def test_entropy_of_maximally_mixed(self):
         s = DensityState(Q2, np.eye(4, dtype=complex) / 4)
         assert_allclose(von_neumann_entropy(s), 2.0, atol=1e-12)

@@ -427,7 +427,8 @@ class _Drawn(Exception):
 _KERNELS = {
     "cmi-uncorrelated": lambda cfg: (_curve_block, {"draw": _cmi_draw,
                                                     "times": np.linspace(0.0, 1.0, 5)}),
-    "rate-zero": lambda cfg: (_rate_block, {"jumps": JumpOperatorSet.dephasing(cfg.layout)}),
+    "rate-zero": lambda cfg: (_rate_block,
+                              {"jumps": JumpOperatorSet.local(cfg.layout, "dephasing", 0.1)}),
     "smi-protocol": lambda cfg: (sweep._smi_block, {
         "psi1": haar_pure(cfg.layout.dim, RngStream(1, 0)), "times": np.linspace(0.0, 1.0, 5),
         "level": 0.5}),
@@ -779,7 +780,7 @@ class TestRateZero:
         # positive; a run of stream 3's instance stepped over delta refuses,
         # naming its T
         cfg = SweepConfig("rate-zero", seed=5, d=2)
-        jumps = JumpOperatorSet.damping(cfg.layout, 1e4)
+        jumps = JumpOperatorSet.local(cfg.layout, "damping", 1e4)
         dn_open = _rate_block(cfg, range(3, 7), jumps=jumps)[1]
         assert np.isfinite(dn_open).all() and (dn_open <= sweep.OPEN_RATE_TOL).all()
         k_scale, (h, rho0, _) = sweep._normalized_draws(cfg, range(3, 4), sweep._rate_draw,
