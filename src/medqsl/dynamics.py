@@ -314,18 +314,15 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
     The marginal columns are taken across ``cut`` (by default the first two
     subsystems, one against the other) and the fidelities against ``target``
     (by default ``s0``).  A grid whose largest phase max|w| (T - start)
-    overflows a float, or exceeds ``PHASE_MAX`` (where its ulp reaches 1/8
-    rad, so the states lose their last significant digits), is refused with
-    ValueError before propagating.
+    exceeds ``PHASE_MAX``, where its ulp reaches 1/8 rad and the states lose
+    their last significant digits, is refused with ValueError before
+    propagating; a phase that overflows a float reads inf and is refused too.
     """
     _check_layouts(h, s0)
     cut, target = _observed(s0, grid, cut, target)
     times = grid.times
     w_max, span = float(np.abs(h.eig[0]).max()), float(times[-1] - grid.start)
-    if not math.isfinite(w_max * span):
-        raise ValueError(f"the phase max|w| (T - start) overflows a float at T = {times[-1]:.6g} "
-                         f"(max|w| = {w_max:.6g}); shorten the run")
-    if w_max * span > PHASE_MAX:
+    if not w_max * span <= PHASE_MAX:
         raise ValueError(f"the phase max|w| (T - start) = {w_max * span:.3g} rad at "
                          f"T = {times[-1]:.6g} exceeds {PHASE_MAX:.3g} rad, where a phase's ulp "
                          f"is 1/8 rad (max|w| = {w_max:.6g}); shorten the run")
@@ -352,19 +349,15 @@ def _generator(h: Hamiltonian, jumps: JumpOperatorSet):
                      "lower the rates")
 
 
-def _l_bound(k, q, span: float) -> float:
-    """(2 ||K||_1 + sum_q ||Q||_1^2) span >= ||L span||_1, inf past a float, which both forms
-    plan their span from."""
-    with np.errstate(over="ignore"):
-        return (2 * np.abs(k).sum(axis=0).max()
-                + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()) * span
-
-
 def _substeps(k, q, span: float, steps: int = 1) -> int:
-    """``_factor_form``'s substeps of ``span``, ceil of ``_l_bound`` and at least 1; ``steps``
-    spans of them, at 18 L-applications each (at ||h L||_1 <= 1, the terms that take 1/j!
-    below eps) x n^3, above ``MAX_FACTOR_WORK`` are refused with ValueError."""
-    subs = float(np.maximum(1.0, np.ceil(_l_bound(k, q, span))))
+    """``_factor_form``'s substeps of ``span``: the ceil, and at least 1, of (2 ||K||_1 +
+    sum_q ||Q||_1^2) span >= ||L span||_1, inf past a float; ``steps`` spans of them, at 18
+    L-applications each (at ||h L||_1 <= 1, the terms that take 1/j! below eps) x n^3, above
+    ``MAX_FACTOR_WORK`` are refused with ValueError."""
+    with np.errstate(over="ignore"):
+        bound = (2 * np.abs(k).sum(axis=0).max()
+                 + (np.abs(q).sum(axis=1).max(axis=1) ** 2).sum()) * span
+    subs = float(np.maximum(1.0, np.ceil(bound)))
     total, n = subs * steps, len(k)
     if not 18 * total * n ** 3 <= MAX_FACTOR_WORK:
         raise ValueError(f"{steps} step(s) of {span:.6g} take {total:.6g} Taylor substeps at "
@@ -445,34 +438,36 @@ def _liouville_form(k, q, span: float):
     The exact map keeps the trace, sum_j c_jj; but each of ``expm``'s s squarings doubles
     the roundoff along that conserved direction, some 1e-10 at s = 19 (T = 1e6 at
     ||L|| ~ 3), so the map's diagonal rows are corrected to sum to the trace functional.
-    A span whose map would take more than ``MAX_SQUARINGS`` squarings, at the bound
-    ``_l_bound`` on ||L span||_1, is refused with ValueError before L is gathered.
+    A span whose map takes more than ``MAX_SQUARINGS`` squarings, by ``expm_plan`` of the
+    1-norm of the L_r span that ``expm`` is handed, or whose norm is not finite, is refused
+    with ValueError once L is gathered, before it is exponentiated.
     """
-    bound = _l_bound(k, q, span)
-    if bound == math.inf or expm_plan(bound)[1] > MAX_SQUARINGS:
-        raise ValueError(f"the exact map exp(L dT) of a step of {span:.6g} (||L dT||_1 up to "
-                         f"{bound:.3g}) takes more than {MAX_SQUARINGS} squarings, each "
-                         "doubling its roundoff; shorten the step")
     n = len(k)
     jumps = q.reshape(len(q), n * n)
-    # L[a, b, j, k]: sum_q Q (x) conj Q as one product of the jumps' (aj) and (bk) entries,
-    # then K (x) I on its b = k diagonal and I (x) conj K on its a = j diagonal, added
-    # through einsum's writeable diagonal views
-    gen = (jumps.T @ jumps.conj()).reshape(4 * (n,)).transpose(0, 2, 1, 3).copy()
-    np.einsum("abjb->ajb", gen)[...] += k[:, :, None]
-    np.einsum("abak->abk", gen)[...] += k.conj()
-    gen = gen.reshape(n * n, n * n)
     diag, upper, lower, take, put = _hermitian_basis(n)
     s, m = 1 / math.sqrt(2), len(upper)
-    # L B, then Re(B+ L B): the rows and columns of B's elements from those of (j,k) and (k,j)
-    col_jk, col_kj = gen[:, upper], gen[:, lower]
-    cols = np.concatenate([gen[:, diag], s * (col_jk + col_kj), (1j * s) * (col_jk - col_kj)],
-                          axis=1)
-    row_jk, row_kj = cols[upper], cols[lower]
-    l_r = np.concatenate([cols[diag].real, s * (row_jk + row_kj).real,
-                          s * (row_jk - row_kj).imag])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # L[a, b, j, k]: sum_q Q (x) conj Q as one product of the jumps' (aj) and (bk)
+        # entries, then K (x) I on its b = k diagonal and I (x) conj K on its a = j
+        # diagonal, added through einsum's writeable diagonal views
+        gen = (jumps.T @ jumps.conj()).reshape(4 * (n,)).transpose(0, 2, 1, 3).copy()
+        np.einsum("abjb->ajb", gen)[...] += k[:, :, None]
+        np.einsum("abak->abk", gen)[...] += k.conj()
+        gen = gen.reshape(n * n, n * n)
+        # L B, then Re(B+ L B): the rows and columns of B's elements from those of (j,k) and (k,j)
+        col_jk, col_kj = gen[:, upper], gen[:, lower]
+        cols = np.concatenate([gen[:, diag], s * (col_jk + col_kj), (1j * s) * (col_jk - col_kj)],
+                              axis=1)
+        row_jk, row_kj = cols[upper], cols[lower]
+        a = span * np.concatenate([cols[diag].real, s * (row_jk + row_kj).real,
+                                   s * (row_jk - row_kj).imag])
+        norm = np.abs(a).sum(axis=0).max()
+    if not (norm < math.inf and expm_plan(norm)[1] <= MAX_SQUARINGS):
+        raise ValueError(f"the exact map exp(L dT) of a step of {span:.6g} (||L dT||_1 = "
+                         f"{norm:.3g}) takes more than {MAX_SQUARINGS} squarings, each "
+                         "doubling its roundoff; shorten the step")
     d = np.concatenate([np.ones(n), np.full(2 * m, math.sqrt(2))])
-    e = d / d[:, None] * expm(span * l_r)
+    e = d / d[:, None] * expm(a)
     e[:n] -= (e[:n].sum(axis=0) - (np.arange(n * n) < n)) / n  # less the trace functional on c
     # put's sources: the coordinates c out of a step, then -Im rho_jk and a zero
     src = np.zeros(n * n + m + 1)
@@ -490,9 +485,10 @@ def _open_stacks(h: Hamiltonian, s0: DensityState, jumps: JumpOperatorSet,
     """``s0``, the state at ``grid.start``, stepped to each point of ``grid``.
 
     A grid with a step to take steps by one form built for ``grid.step``, which
-    refuses a step it cannot take with ValueError: ``_liouville_form`` where
-    its real n^2 x n^2 map, 8 n^4 bytes, fits in ``LIOUVILLE_MAX_BYTES``
-    (n <= 19), else ``_factor_form``, the run's substeps priced first.  Up to
+    refuses a step it cannot take with ValueError before stepping:
+    ``_liouville_form`` where its real n^2 x n^2 map, 8 n^4 bytes, fits in
+    ``LIOUVILLE_MAX_BYTES`` (n <= 19), its squarings planned on that map, else
+    ``_factor_form``, the run's ``_substeps`` priced first.  Up to
     ``PROPAGATE_CHUNK`` states are stepped, overflow ignored, into one buffer,
     checked as one stack as ``DensityState`` copies it: PositivityLostError
     names the T of the first state that fails any check, non-finite included.
@@ -536,13 +532,15 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
 
 @functools.cache
 def _cut_plan(layout: SystemLayout, cut: Bipartition):
-    """The marginal dims and dim of ``cut`` on ``layout``, side B's positions in it,
-    and the axes of a ``(T, *layout.dims, k)`` stack that bring the kept labels first,
-    in layout order; all from ``SystemLayout``'s label resolvers.  When the kept
-    labels lead already, the transpose is the identity: a view, no data moves."""
+    """The marginal dims and dim of ``cut`` on ``layout``, side B's positions in it, the
+    kept positions on ``layout``, ascending, and the axes of a ``(T, *layout.dims, k)``
+    stack that bring the kept labels first, in layout order; all from ``SystemLayout``'s
+    label resolvers.  When the kept labels lead already, the transpose is the identity:
+    a view, no data moves."""
     marg = layout.restricted(cut.side_a + cut.side_b)
-    axes = (0, *(1 + k for k in layout.axes_first(marg.labels)), len(layout) + 1)
-    return marg.dims, marg.dim, marg.positions(cut.side_b), axes
+    first = layout.axes_first(marg.labels)
+    axes = (0, *(1 + k for k in first), len(layout) + 1)
+    return marg.dims, marg.dim, marg.positions(cut.side_b), first[:len(marg)], axes
 
 
 def negativity_curve(h: Hamiltonian, x0, times, cut: Bipartition) -> np.ndarray:
@@ -555,7 +553,7 @@ def negativity_curve(h: Hamiltonian, x0, times, cut: Bipartition) -> np.ndarray:
     by ``_cut_plan``.  With the kept labels as the rows of Y, the marginal tr_rest(X X+)
     is Y Y+: no full density matrix is formed.
     """
-    dims, d_keep, b_pos, axes = _cut_plan(h.layout, cut)
+    dims, d_keep, b_pos, _, axes = _cut_plan(h.layout, cut)
     x = propagate(*h.eig, x0, times)
     x = x.reshape((np.size(times),) + h.layout.dims + (-1,)).transpose(axes)
     y = x.reshape(len(x), d_keep, -1)
@@ -573,8 +571,7 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
     """
     _check_layouts(h, s0, jumps)
     k, q = _generator(h, JumpOperatorSet(h.layout, ()) if jumps is None else jumps)
-    dims, _, b_pos, _ = _cut_plan(h.layout, p)
-    keep = sorted(h.layout.positions(p.side_a + p.side_b))
+    dims, _, b_pos, keep, _ = _cut_plan(h.layout, p)
     sigma, dsigma = (partial_trace_array(m, h.layout.dims, keep)
                      for m in (s0.matrix, _l_action(k, q)(s0.matrix)))
     return _value(s0, RATE_DELTA * negativity_rate(sigma, dsigma, dims, b_pos))

@@ -26,7 +26,7 @@ from .errors import (
     LayoutMismatchError,
     StationaryStateError,
 )
-from .linalg import dot_rows, first_failure, hermitian_eig, kron_stack, require_hermitian
+from .linalg import dot_rows, first_failure, kron_stack, require_hermitian
 from .states import DensityState, SystemLayout, embed_operator
 from .tolerances import STATIONARY_TOL
 
@@ -75,8 +75,8 @@ class Hamiltonian:
 
     @functools.cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``hermitian_eig`` of ``matrix``, read-only, computed on first use and kept."""
-        w, v = hermitian_eig(self.matrix)
+        """``np.linalg.eigh`` of the checked ``matrix``: read-only, computed once on first use."""
+        w, v = np.linalg.eigh(self.matrix)
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v

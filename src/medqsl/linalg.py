@@ -86,8 +86,8 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def propagate(w: np.ndarray, v: np.ndarray, x0: np.ndarray, times) -> np.ndarray:
     """exp(-i T M) x0 for each T in ``times``.
 
-    ``w, v`` is the ``hermitian_eig`` of M, as a ``Hamiltonian`` keeps it
-    in ``eig``.  ``x0`` is a state vector or a column factor X of
+    ``w, v`` is the ascending spectrum and eigenvectors of M, as
+    ``Hamiltonian.eig`` keeps them.  ``x0`` is a state vector or a column factor X of
     rho = X X+ (such as ``sqrtm_psd(rho)``), and the result has shape
     ``(len(times),) + x0.shape``.  With a leading instance axis, ``w, v``
     is the ``(B, n)``, ``(B, n, n)`` spectrum of a stack of couplings,

@@ -492,7 +492,7 @@ class TestExitCodes:
             raise AssertionError("allocated before the size check")
 
         monkeypatch.setattr(TimeGrid, "times", property(refuse))
-        monkeypatch.setattr("medqsl.hamiltonians.hermitian_eig", refuse)
+        monkeypatch.setattr(Hamiltonian, "eig", property(refuse))
         rc = main(["evolve", "--ham", "direct-optimal:2", "--state", "ket:00",
                    "--tmax", "10000", "--dt", "1e-3"])
         assert rc == 2
@@ -624,8 +624,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("state", ["ket:000", "mixed.json"])
     def test_overflowing_phases_are_exit_2(self, tmp_path, capsys, state):
-        # max|w| = 10, so the phase of T = 1.7e308 overflows: refused before
-        # any numpy warning, the error line alone on stderr, no file written
+        # max|w| = 10, so the phase of T = 1.7e308 overflows to inf, past the
+        # phase cap: refused before any numpy warning, the error line alone on
+        # stderr, no file written
         (tmp_path / "ovf.hspec").write_text(
             "system A:2; system B:2; system C:2;\nH = 5*Z(A)@Z(C) + 5*X(B)@Z(C);\n")
         save_state(builtin_pair("cmi-classical")[1], tmp_path / "mixed.json")
@@ -635,8 +636,8 @@ class TestExitCodes:
                        "--dt", "1e307", "--out", "ovf.csv"])
         assert rc == 2 and caught == []
         assert capsys.readouterr().err == (
-            "error: the phase max|w| (T - start) overflows a float at T = 1.7e+308 "
-            "(max|w| = 10); shorten the run\n")
+            "error: the phase max|w| (T - start) = inf rad at T = 1.7e+308 exceeds 5.63e+14 "
+            "rad, where a phase's ulp is 1/8 rad (max|w| = 10); shorten the run\n")
         assert not (tmp_path / "ovf.csv").exists()
 
     @pytest.mark.parametrize("lindblad", [[], ["--lindblad", "dephasing:0.1"]],
@@ -668,8 +669,8 @@ class TestExitCodes:
             "system A:3; system B:3; system C:3;\n"
             "H = 0.5*GX(A,1)@GX(C,1) + 0.5*GX(B,1)@GX(C,1);\n")
         for ham, err in (
-                ("dt.hspec", "the exact map exp(L dT) of a step of 1e+306 (||L dT||_1 up to "
-                             "2.6e+306) takes more than 28 squarings, each doubling its "
+                ("dt.hspec", "the exact map exp(L dT) of a step of 1e+306 (||L dT||_1 = "
+                             "2.81e+306) takes more than 28 squarings, each doubling its "
                              "roundoff; shorten the step"),
                 ("q3.hspec", "170 step(s) of 1e+306 take inf Taylor substeps at dimension 27, "
                              "above the cap of 1e+10 L-applications x n^3 at 18 per substep; "
@@ -682,10 +683,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_overflowing_bound_is_exit_2(self, tmp_path, capsys, d):
-        # dephasing at 100 bounds ||L dT||_1 past a float at dT = 1e307: each
-        # form refuses the step (the map on qubits, the factor form's work
-        # cap on qutrits) with the error line alone on stderr, no numpy
-        # warning and no file written
+        # dephasing at 100 takes ||L dT||_1 past a float at dT = 1e307: each
+        # form refuses the step (the map on qubits, its norm inf, and the
+        # factor form's work cap on qutrits) with the error line alone on
+        # stderr, no numpy warning and no file written
         (tmp_path / "big.hspec").write_text(
             f"system A:{d}; system B:{d}; system C:{d};\n"
             f"H = GX(A,1)@GX(C,1) + GX(B,1)@GX(C,1);\n")
@@ -696,7 +697,7 @@ class TestExitCodes:
                        "--out", str(tmp_path / "big.csv")])
         err = capsys.readouterr().err
         assert rc == 2 and caught == [] and err.count("\n") == 1
-        assert ("(||L dT||_1 up to inf)" if d == 2 else "take inf Taylor substeps") in err
+        assert ("(||L dT||_1 = inf)" if d == 2 else "take inf Taylor substeps") in err
         assert not (tmp_path / "big.csv").exists()
 
     def test_phases_past_their_last_digits_are_exit_2(self, tmp_path, capsys):
@@ -729,13 +730,13 @@ class TestExitCodes:
             "lower the rates\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("dt, step, bound", [("1e300", "1e+300", "2.97e+300"),
-                                                 ("1e9", "1e+09", "2.97e+09")])
-    def test_step_past_the_squaring_cap_is_exit_2(self, tmp_path, capsys, dt, step, bound):
-        # exp(L dT) at ||L dT||_1 <= 2.97 dT: 1e300 would overflow in about
-        # 1,000 squarings and 1e9 takes 29, one above the cap; both are refused
-        # before the map is formed, with no numpy warning and no file written,
-        # and 1e8 (26 squarings) runs
+    @pytest.mark.parametrize("dt, step, norm", [("1e300", "1e+300", "3.41e+300"),
+                                                ("1e9", "1e+09", "3.41e+09")])
+    def test_step_past_the_squaring_cap_is_exit_2(self, tmp_path, capsys, dt, step, norm):
+        # exp(L dT) of the real map, ||L dT||_1 = 3.41 dT: 1e300 would overflow
+        # in about 1,000 squarings and 1e9 takes 30, two above the cap; both are
+        # refused before the map is exponentiated, with no numpy warning and no
+        # file written, and 1e8 (26 squarings) runs
         (tmp_path / "open3.hspec").write_text(
             "system A:2; system B:2; system C:2;\n"
             "H = 0.5*X(A)@X(C) + 0.5*Y(B)@Y(C) + 0.3*Z(A)@Z(C);\n")
@@ -746,7 +747,7 @@ class TestExitCodes:
             rc = main([*argv, "--tmax", str(3 * float(dt)), "--dt", dt])
         assert rc == 2 and caught == []
         assert capsys.readouterr().err == (
-            f"error: the exact map exp(L dT) of a step of {step} (||L dT||_1 up to {bound}) "
+            f"error: the exact map exp(L dT) of a step of {step} (||L dT||_1 = {norm}) "
             "takes more than 28 squarings, each doubling its roundoff; shorten the step\n")
         assert not Path("big.csv").exists()
         assert main([*argv, "--tmax", "1e8", "--dt", "1e8"]) == 0

@@ -4,12 +4,13 @@ import csv
 import inspect
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from medqsl import dynamics, hamiltonians
+from medqsl import dynamics, linalg
 from medqsl.cli import main
 from medqsl.dynamics import (
     JUMP_KINDS,
@@ -40,6 +41,7 @@ from medqsl.hamiltonians import (
     entangled_mediator_example,
     open_system_example,
 )
+from medqsl.hspec import build, parse_file
 from medqsl.linalg import expm, sqrtm_psd
 from medqsl.randgen import (
     RngStream,
@@ -57,6 +59,9 @@ from medqsl.states import (
     uhlmann_fidelity,
 )
 from medqsl.tolerances import RATE_DELTA
+
+
+OPEN3 = Path(__file__).parent / "data" / "ledger" / "open3.hspec"
 
 
 def ket(layout, index):
@@ -127,7 +132,7 @@ class TestTrajectoryCap:
     @pytest.mark.parametrize("open_", [False, True], ids=["unitary", "lindblad"])
     def test_refused_before_the_grid_is_built(self, monkeypatch, open_):
         monkeypatch.setattr(TimeGrid, "times", property(_refuse))
-        monkeypatch.setattr(hamiltonians, "hermitian_eig", _refuse)
+        monkeypatch.setattr(Hamiltonian, "eig", property(_refuse))
         monkeypatch.setattr(JumpOperatorSet, "embedded", property(_refuse))
         h = direct_optimal(2)
         # 1e7 + 1 points of a 4x4 complex matrix (256 B), a 4-vector (64 B)
@@ -282,14 +287,14 @@ class TestUnitaryEvolution:
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_overflowing_phases_refused_before_propagating(self, monkeypatch, mixed):
-        # max|w| = 10 here, so the phase 10 T of the last grid point is inf;
-        # the suite turns any numpy RuntimeWarning into an error
+        # max|w| = 10 here, so the phase 10 T of the last grid point is inf,
+        # past PHASE_MAX; the suite turns any numpy RuntimeWarning into an error
         h = Hamiltonian(classical_mediator_example()[0].layout,
                         np.diag([10.0, 0, 0, -10, 0, 0, 0, 0]))
         s0 = classical_mediator_example()[1] if mixed else ket(h.layout, 0)
         monkeypatch.setattr(dynamics, "propagate", _refuse)
-        with pytest.raises(ValueError, match=r"overflows a float at T = 1\.7e\+308 "
-                                             r"\(max\|w\| = 10\)"):
+        with pytest.raises(ValueError, match=r"= inf rad at T = 1\.7e\+308 exceeds 5\.63e\+14 "
+                                             r"rad, .* \(max\|w\| = 10\)"):
             evolve_unitary(h, s0, TimeGrid(0.0, 1.7e308, 1e307))
 
     def test_phases_past_their_last_digits_refused(self, monkeypatch):
@@ -648,9 +653,11 @@ class TestStepperForm:
         assert spans == [grid.step] and priced == [(grid.step, len(grid) - 1)]
         assert len(taken) == len(grid) - 1 == steps
         # ||L||_1 <= 2 ||K||_1 + sum_q ||Q||_1^2 = 2 (1 + 0.1) + 2 (0.1) = 2.4
-        bound = dynamics._l_bound(*dynamics._generator(h, jumps), grid.step)
-        assert bound == pytest.approx(2.4 * grid.step, rel=1e-15)
-        assert substeps_of(*dynamics._generator(h, jumps), grid.step) == math.ceil(bound)
+        k, q = dynamics._generator(h, jumps)
+        bound = 2 * np.linalg.norm(k, 1) + sum(np.linalg.norm(x, 1) ** 2 for x in q)
+        assert bound == pytest.approx(2.4, rel=1e-15)
+        assert substeps_of(k, q, grid.step) == math.ceil(bound * grid.step) == 1
+        assert substeps_of(k, q, 1.0) == 3
 
 
 class TestExactMap:
@@ -734,13 +741,62 @@ class TestExactMap:
             assert abs(np.trace(step(rho)) - 1) <= 1e-14
 
     def test_map_refuses_its_span_before_forming_it(self, monkeypatch):
-        # ||L dT||_1 up to 2.97e306 would take some 1,000 squarings: refused
-        # before L is gathered or exponentiated
+        # ||L dT||_1 = 2.4e306 would take some 1,000 squarings: refused
+        # once L is gathered, before it is exponentiated
         monkeypatch.setattr(dynamics, "expm", _not_reached)
         h, _ = open_system_example()
         k, q = dynamics._generator(h, JumpOperatorSet.local(h.layout, "dephasing", 0.1))
         with pytest.raises(ValueError, match=r"step of 1e\+306 .* more than 28 squarings"):
             dynamics._liouville_form(k, q, 1e306)
+        # one jump at rate 1e308 keeps K finite, but L's entries pass a float
+        # as it is gathered: refused the same way, with no numpy warning
+        lab = h.layout.labels[0]
+        k, q = dynamics._generator(h, JumpOperatorSet.local(h.layout, "dephasing", 1e308, (lab,)))
+        with pytest.raises(ValueError, match=r"step of 0\.001 .* more than 28 squarings"):
+            dynamics._liouville_form(k, q, 1e-3)
+
+    def test_squaring_cap_read_on_the_map(self, monkeypatch):
+        # the cap is decided on the real map that expm is handed, whose 1-norm
+        # is 0.99x the factor form's bound on ||L||_1 at damping 0.3 and 1.15x
+        # at dephasing 0.1: a damping step of 3.63e8 (28 squarings) is taken,
+        # and a dephasing step of 4.5e8 (29) is refused before it is
+        # exponentiated
+        h = build(parse_file(OPEN3))
+        s0, grid = ket(h.layout, 0), TimeGrid(0.0, 3.63e8, 3.63e8)
+        (stack,) = dynamics._open_stacks(h, s0, JumpOperatorSet.local(h.layout, "damping", 0.3),
+                                         grid)
+        assert len(stack.matrix) == 2
+        monkeypatch.setattr(dynamics, "expm", _not_reached)
+        with pytest.raises(ValueError, match=r"^the exact map exp\(L dT\) of a step of 4\.5e\+08 "
+                                             r"\(\|\|L dT\|\|_1 = 1\.54e\+09\) takes more than 28 "
+                                             r"squarings, each doubling its roundoff; shorten"):
+            dynamics._open_stacks(h, s0, JumpOperatorSet.local(h.layout, "dephasing", 0.1),
+                                  TimeGrid(0.0, 4.5e8, 4.5e8))
+
+    def test_no_map_takes_more_than_the_cap(self, monkeypatch):
+        # spans swept across each system's cap: every map built takes at most
+        # MAX_SQUARINGS squarings as expm plans it, one of them exactly that,
+        # and the spans past the cap are refused
+        plans, plan_of = [], linalg.expm_plan
+
+        def spy(norm):
+            plans.append(plan_of(norm))
+            return plans[-1]
+
+        monkeypatch.setattr(linalg, "expm_plan", spy)
+        h, built = build(parse_file(OPEN3)), 0
+        for kind, rate in (("dephasing", 0.1), ("damping", 0.3)):
+            k, q = dynamics._generator(h, JumpOperatorSet.local(h.layout, kind, rate))
+            refused = 0
+            for span in np.geomspace(1e8, 1e9, 61):
+                try:
+                    dynamics._liouville_form(k, q, span)
+                    built += 1
+                except ValueError:
+                    refused += 1
+            assert 0 < refused < 61
+        assert len(plans) == built
+        assert max(s for _, s in plans) == dynamics.MAX_SQUARINGS == 28
 
     def test_factor_form_work_is_capped(self, monkeypatch):
         # a step of 1e6 at n = 27 (the map would not fit), 5.7e7 Taylor

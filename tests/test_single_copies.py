@@ -20,9 +20,11 @@ sweep takes its block from ``_block_size``.
 import ast
 import inspect
 import math
+import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import medqsl
@@ -278,17 +280,26 @@ def _numpy_linalg_uses(module: str) -> list[int]:
 
 
 def _counting_eig(monkeypatch) -> list:
-    calls = []
-    original = hamiltonians.hermitian_eig
-    monkeypatch.setattr(hamiltonians, "hermitian_eig", lambda m: calls.append(m) or original(m))
+    """The matrices ``np.linalg.eigh`` is called on from ``Hamiltonian.eig``."""
+    calls, eigh, eig = [], np.linalg.eigh, hamiltonians.Hamiltonian.eig.func.__code__
+
+    def counting(m, *args, **kwargs):
+        if sys._getframe(1).f_code is eig:
+            calls.append(m)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
 
 
 def test_one_spectrum_per_hamiltonian(monkeypatch):
-    # sweep and dynamics make no eigensolve of their own, and every library
-    # call on one Hamiltonian shares the spectrum it keeps
+    # sweep and dynamics make no eigensolve of their own, Hamiltonian.eig
+    # holds the package's one coupling eigensolve, and every library call on
+    # one Hamiltonian shares the spectrum it keeps
     assert _numpy_linalg_uses("sweep.py") == [] and _numpy_linalg_uses("dynamics.py") == []
-    assert _callers_of("hermitian_eig") == ["hamiltonians.Hamiltonian.eig", "linalg.sqrtm_psd"]
+    assert _callers_of("eigh") == ["hamiltonians.Hamiltonian.eig", "linalg.hermitian_eig",
+                                   "states.negativity_rate", "states.uhlmann_fidelity"]
+    assert _callers_of("hermitian_eig") == ["linalg.sqrtm_psd"]
     calls = _counting_eig(monkeypatch)
     h, s0 = hamiltonians.cmi_product_example()
     p = Bipartition.parse("A:B")
