@@ -287,8 +287,7 @@ def _rate_block(cfg: SweepConfig, sids: range, *, jumps: JumpOperatorSet) -> tup
     rho0.setflags(write=False)
     h, s0 = h.scaled(k_scale), DensityState._trusted(h.layout, rho0)
     dn_closed, dn_open = (entanglement_change_at_zero(h, s0, AB_CUT, j) for j in (None, jumps))
-    n0 = negativity_array(rho_ab0, (cfg.d, cfg.d), (1,))
-    return dn_closed, dn_open, n0, n0 + dn_closed
+    return dn_closed, dn_open, negativity_array(rho_ab0, (cfg.d, cfg.d), (1,))
 
 
 def _smi_draw(cfg: SweepConfig, streams, *, psi1: np.ndarray) -> tuple[Hamiltonian, np.ndarray]:
@@ -436,23 +435,22 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     Closed instances from product system-mediator states must show a zero
     rate, to roundoff; adding local jumps must never make it positive.  A
     direct (non-mediated) control shows the contrast: its N grows linearly
-    from the start, at rate 1 for d = 2.
+    from the start, at rate 1 for d = 2.  The probe takes no step: the one
+    time is T = 0, where the envelope is N(0), and the rates fill the rest.
     """
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
-    times = np.array([0.0, RATE_DELTA])
     # a block's largest stacks are the open probe's: its one application of L holds the
     # (B, n (m + 1), n) factors of K and m jumps and the product P of that size, beside
     # some ten (B, n, n) stacks: the draws, the scaled couplings, the checked states, K and L(rho)
     block = _block_size(16 * cfg.layout.dim ** 2 * (2 * (len(jumps.ops) + 1) + 10))
-    dn_closed, dn_open, n_start, n_delta = _sweep(cfg, _rate_block, block, len(times), jumps=jumps)
+    dn_closed, dn_open, n_start = _sweep(cfg, _rate_block, block, 1, jumps=jumps)
     # by stream, closed before open within one
     bad = np.stack([np.abs(dn_closed) > CLOSED_RATE_TOL, dn_open > OPEN_RATE_TOL], axis=1)
     violations = [{"stream_id": sid, "kind": ("closed", "open")[k],
                    "delta_negativity": float((dn_closed, dn_open)[k][sid])}
                   for sid, k in np.argwhere(bad).tolist()]
-    extremes = {name: {"stream_id": int(k), "value": float(dn[k])} for name, dn, k in (
-        ("max_abs_closed_change", dn_closed, np.argmax(np.abs(dn_closed))),
-        ("max_open_change", dn_open, np.argmax(dn_open)))}
+    top = int(np.argmax(dn_open))
+    extremes = {"max_open_change": {"stream_id": top, "value": float(dn_open[top])}}
     # contrast control: the optimal direct coupling entangles at unit rate
     h_direct = direct_optimal(cfg.d)
     control = entanglement_change_at_zero(h_direct, DensityState.basis(h_direct.layout), AB_CUT)
@@ -464,8 +462,8 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
         "max_open_change": float(dn_open.max()),
         "direct_control_change": float(control),
     }
-    return _report(cfg, times, np.stack([n_start, n_delta], axis=1), extremes, violations,
-                   details, delta=RATE_DELTA, jump_type=cfg.jump_type, jump_rate=JUMP_RATE)
+    return _report(cfg, np.zeros(1), n_start[:, None], extremes, violations, details,
+                   delta=RATE_DELTA, jump_type=cfg.jump_type, jump_rate=JUMP_RATE)
 
 
 def run_fig2(d: int, grid: TimeGrid = TRAJECTORY_GRID) -> Trajectory:

@@ -1,6 +1,8 @@
 """End-to-end command line checks, all in-process via main(argv)."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from medqsl import (
     Hamiltonian, SystemLayout, TimeGrid, builtin_pair, format_ast, maximally_entangled,
@@ -775,6 +779,51 @@ class TestExitCodes:
         rc = main(["bound", "--ham", str(spec), "--target", "maxent"])
         assert rc == 2
         assert "--state" in capsys.readouterr().err
+
+
+# the drawn evolve vectors: each Hamiltonian with the states (None: the flag left out)
+# its layout takes, and the values --tmax, --dt and a jump rate are drawn from, the
+# ordinary ones as often as the extremes
+_FUZZ_HAMS = {
+    "direct-optimal:2": (None, "ket:00", "maxent"),
+    "direct-optimal:3": ("ket:00", "maxent"),
+    **dict.fromkeys(("cmi-product", "cmi-entangled", "cmi-classical", "open-system"),
+                    (None, "ket:000", "maxent")),
+    str(Path(__file__).parent / "data" / "ledger" / "open3.hspec"): ("ket:000", "maxent"),
+}
+_FUZZ_VALUES = (st.sampled_from(("0", "1", "-1", "inf", "-inf", "nan", "1e308", "5e-324"))
+                | st.sampled_from(("0.05", "0.3", "0.7")))
+
+
+@st.composite
+def _evolve_argv(draw) -> list[str]:
+    """An ``evolve`` argument vector, its grid at most 10^3 points long."""
+    ham = draw(st.sampled_from(sorted(_FUZZ_HAMS)))
+    tmax, dt = draw(_FUZZ_VALUES), draw(_FUZZ_VALUES | st.just("0.01"))
+    t, step = float(tmax), float(dt)
+    assume(not (0 < t < math.inf and 0 < step < math.inf and t / step > 1e3))
+    argv = ["evolve", "--ham", ham, f"--tmax={tmax}", f"--dt={dt}", "--out", "fuzz.csv"]
+    for flag, choices in (("--state", _FUZZ_HAMS[ham]), ("--target", (None,) + _FUZZ_HAMS[ham])):
+        value = draw(st.sampled_from(choices))
+        argv += [] if value is None else [flag, value]
+    kind = draw(st.sampled_from((None, "dephasing", "damping")))
+    if kind is not None:
+        argv.append(f"--lindblad={kind}:{draw(_FUZZ_VALUES)}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_evolve_argv())
+def test_drawn_evolve_vectors_exit_cleanly(argv):
+    # zeros, signs, infinities, nan and the float extremes in the grid and the
+    # rates: each run ends in a written trajectory, an input refusal or a numeric
+    # loss, never a traceback or a numpy warning, and says why in one line
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc in (0, 2, 3), (argv, rc)
+    assert len(err.getvalue().splitlines()) == (rc != 0), (argv, err.getvalue())
 
 
 # every name the package re-exported when ``import medqsl`` imported all its modules

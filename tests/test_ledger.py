@@ -178,6 +178,24 @@ def test_planted_change_fails_the_ledger(tmp_path, monkeypatch, plant):
     assert _ledger_diff(entry, tmp_path / "out") != []
 
 
+def test_rate_zero_report_ignores_closed_roundoff(tmp_path, monkeypatch):
+    # the closed probe of a product start reads roundoff (some 1e-20 as delta dN/dT);
+    # seeded signs of 1e-20 added to it, far below CLOSED_RATE_TOL and FLOAT_TOL, leave
+    # the report as it was: no field may pick a stream, or anything else, out of them
+    probe, rng = sweep.entanglement_change_at_zero, np.random.default_rng(5)
+
+    def planted(h, s0, p, jumps=None):
+        change = probe(h, s0, p, jumps)
+        if jumps is None:
+            change = change + 1e-20 * rng.choice((-1.0, 1.0), np.shape(change))
+        return change
+
+    monkeypatch.setattr(sweep, "entanglement_change_at_zero", planted)
+    [entry] = [e for e in _entries()
+               if e["command"] == "medqsl reproduce rate-zero --n 20 --seed 7 --workers 1"]
+    assert _ledger_diff(entry, tmp_path / "out") == []
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     with tempfile.TemporaryDirectory() as scratch:
         for k, entry in enumerate(_entries()):

@@ -561,7 +561,7 @@ class TestInstanceCap:
     """An n whose kept (n, T) float64 values exceed MAX_SWEEP_BYTES is refused first."""
 
     @pytest.mark.parametrize("experiment, n_times", [
-        ("cmi-uncorrelated", 65), ("rate-zero", 2), ("smi-protocol", 2048),
+        ("cmi-uncorrelated", 65), ("rate-zero", 1), ("smi-protocol", 2048),
         ("commuting-null", 33)])
     def test_refused_before_any_block(self, monkeypatch, experiment, n_times):
         kernel = {"rate-zero": "_rate_block", "smi-protocol": "_smi_block"}.get(experiment,
@@ -574,11 +574,11 @@ class TestInstanceCap:
             run_sweep(SweepConfig(experiment, n_instances=10 ** 12))
 
     def test_cap_is_inclusive(self, monkeypatch):
-        # rate-zero keeps two values per instance, N(0) and N(delta): 16 bytes
+        # rate-zero keeps one value per instance, N(0): 8 bytes
         cfg = SweepConfig("rate-zero", n_instances=3, seed=2)
-        monkeypatch.setattr(sweep, "MAX_SWEEP_BYTES", 3 * 16)
+        monkeypatch.setattr(sweep, "MAX_SWEEP_BYTES", 3 * 8)
         assert run_rate_zero(cfg).config["n_instances"] == 3
-        monkeypatch.setattr(sweep, "MAX_SWEEP_BYTES", 3 * 16 - 1)
+        monkeypatch.setattr(sweep, "MAX_SWEEP_BYTES", 3 * 8 - 1)
         monkeypatch.setattr(sweep, "_rate_block", _refuse)
         with pytest.raises(ValueError, match=r"^n = 3 instances .* the largest n allowed is 2$"):
             run_rate_zero(cfg)
@@ -592,7 +592,7 @@ def _sweep_peak(cfg: SweepConfig, **setup) -> int:
     """The peak traced memory of ``cfg``'s rate-zero sweep, one instance per block."""
     tracemalloc.start()
     try:
-        sweep._sweep(cfg, _rate_block, 1, 2, **setup)
+        sweep._sweep(cfg, _rate_block, 1, 1, **setup)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -601,9 +601,10 @@ def _sweep_peak(cfg: SweepConfig, **setup) -> int:
 class TestKeptMemory:
     def test_sweep_keeps_its_fields_not_its_block_results(self):
         # each block's rows are written into the (n, ...) field arrays as the
-        # block arrives, so 400 one-instance rate-zero blocks keep their four
-        # floats each, which MAX_SWEEP_BYTES counts; a sweep that kept every
-        # block's result tuple until the end held some 620 bytes per instance.
+        # block arrives, so 400 one-instance rate-zero blocks keep their three
+        # floats each: 24 bytes, where the traced difference reads some 36 and
+        # the bound allows four times 24; a sweep that kept every block's
+        # result tuple until the end held some 620 bytes per instance.
         # Two untraced runs first bring the interpreter's caches to steady state
         # (after one, the next 400 blocks still keep some 75 kB more), and the
         # collector is held off throughout: a full collection empties the free
@@ -614,13 +615,13 @@ class TestKeptMemory:
         gc.disable()
         try:
             for _ in range(2):
-                sweep._sweep(cfg, _rate_block, 1, 2, jumps=jumps)
+                sweep._sweep(cfg, _rate_block, 1, 1, jumps=jumps)
             one = _sweep_peak(SweepConfig("rate-zero", seed=3, n_instances=1, workers=1),
                               jumps=jumps)
             many = _sweep_peak(cfg, jumps=jumps)
         finally:
             gc.enable()
-        assert many - one < 16 * 8 * n
+        assert many - one < 4 * 3 * 8 * n
 
 
     @pytest.mark.parametrize("d, instances", [(2, 28), (3, 2)])
@@ -769,7 +770,7 @@ class TestRateZero:
         cfg = SweepConfig("rate-zero", seed=4, d=d, jump_type=jump_type)
         jumps = JumpOperatorSet.local(cfg.layout, jump_type, sweep.JUMP_RATE)
         block = _rate_block(cfg, range(2, 13), jumps=jumps)
-        assert [f.shape for f in block] == [(11,)] * 4
+        assert [f.shape for f in block] == [(11,)] * 3
         for i, sid in enumerate(range(2, 13)):
             one = _rate_block(cfg, range(sid, sid + 1), jumps=jumps)
             assert [f[i] for f in block] == [f[0] for f in one]
