@@ -78,11 +78,11 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 1e7
-# the most memory a trajectory may ask for, counted as what a returned
-# Trajectory keeps per grid point: a dense complex matrix, a complex pure
-# vector or float spectrum (16 n bytes at most) and a float per column,
-# checked before the grid or any state is built
-MAX_TRAJECTORY_BYTES = 2 ** 31
+# the most a run may keep, refused before any grid or draw: what a Trajectory keeps per point
+# (a complex matrix, a complex vector or float spectrum of 16 n bytes at most, a float per
+# column), or what sweep._sweep counts per instance.  A run peaks within its count plus four
+# chunks of states (16 n^2 PROPAGATE_CHUNK bytes each) or one block, and 256 KiB
+MAX_KEPT_BYTES = 2 ** 31
 # grid points per propagate call: bounds the factors held next to the states
 PROPAGATE_CHUNK = 256
 LIOUVILLE_MAX_BYTES = 2 ** 20  # cap on the open stepper's real n^2 x n^2 map: n <= 19
@@ -238,15 +238,15 @@ def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
     """``cut`` and ``target``, or the defaults that ``evolve_unitary`` documents.
 
     Refused before anything is allocated or propagated: a trajectory of
-    ``s0`` on ``grid`` above ``MAX_TRAJECTORY_BYTES``, a cut with a label
+    ``s0`` on ``grid`` above ``MAX_KEPT_BYTES``, a cut with a label
     that ``s0.layout`` lacks, and a target on another layout.
     """
     n = s0.layout.dim
     need = len(grid) * (16 * n * n + 16 * n + 8 * len(TRAJECTORY_COLUMNS))
-    if need > MAX_TRAJECTORY_BYTES:
+    if need > MAX_KEPT_BYTES:
         raise ValueError(
             f"a trajectory of {len(grid)} states of dimension {n} needs "
-            f"{need / 2 ** 30:.1f} GiB, above the cap of {MAX_TRAJECTORY_BYTES // 2 ** 30} GiB")
+            f"{need / 2 ** 30:.1f} GiB, above the cap of {MAX_KEPT_BYTES // 2 ** 30} GiB")
     if cut is None:
         if len(s0.layout) == 1:
             raise DimensionMismatchError("observation needs at least two subsystems")
@@ -263,23 +263,25 @@ def _observe(h: Hamiltonian, s0: DensityState, times: np.ndarray, stacks: list[D
     """The trajectory of the checked chunk ``stacks``, one state per time.
 
     Each stack is measured in one call per measure, so validation, the
-    marginals and the eigensolves run once per stack, not once per state.
-    The fidelities put the single state first, so only it is factored,
-    and F(s0, s) serves both columns when ``target`` is ``s0``.  The first
-    state is ``s0`` by definition, so its F(s0, s) is 1 and its Bures angle
-    0 exactly, where the computed root fidelity may miss 1 by roundoff.  A
-    marginal that fails its check raises PositivityLostError naming its T.
+    marginals and the eigensolves run once per stack, not once per state,
+    into the one array of each column.  The fidelities put the single state
+    first, so only it is factored, and F(s0, s) serves both columns when
+    ``target`` is ``s0``.  The first state is ``s0`` by definition, so its
+    F(s0, s) is 1 and its Bures angle 0 exactly, where the computed root
+    fidelity may miss 1 by roundoff.  A marginal that fails its check
+    raises PositivityLostError naming its T.
     """
-    parts, lo, kept = {name: [] for name in TRAJECTORY_COLUMNS[1:]}, 0, cut.side_a + cut.side_b
-    for j, s in enumerate(stacks):
+    kept, hi = cut.side_a + cut.side_b, 0
+    cols = {name: np.empty(len(times)) for name in TRAJECTORY_COLUMNS[1:]}
+    for s in stacks:
+        lo, hi = hi, hi + len(s.matrix)
         try:
             marg = s if len(kept) == len(s0.layout) else partial_trace(s, kept)
         except StackCheckError as e:
             raise _lost(e, times[lo + e.index[0]]) from None
-        lo += len(s.matrix)
         em = energy_moments(h, s)
         f0 = uhlmann_fidelity(s0, s)
-        if j == 0:
+        if lo == 0:
             f0[0] = 1.0
         for name, values in (("negativity", negativity(marg, cut)),
                              ("fidelity_to_target",
@@ -289,21 +291,13 @@ def _observe(h: Hamiltonian, s0: DensityState, times: np.ndarray, stacks: list[D
                              ("mutual_information", mutual_information(marg, cut)),
                              ("mean_energy", em.mean),
                              ("energy_std", em.std)):
-            parts[name].append(values)
-    cols = {name: np.concatenate(values) for name, values in parts.items()}
+            cols[name][lo:hi] = values
     return Trajectory(times, stacks, {"T": times, **cols})
 
 
 def _factor(s: DensityState) -> np.ndarray:
     """The pure vector, or sqrt(rho) as a column factor of a mixed state."""
     return s.pure_vector if s.is_pure else sqrtm_psd(s.matrix)
-
-
-def _from_factors(s0: DensityState, x: np.ndarray) -> DensityState:
-    """The stack of states with pure vectors, or column factors, ``x``, as ``_factor(s0)`` is."""
-    if s0.is_pure:
-        return DensityState.from_pure(s0.layout, x)
-    return DensityState.from_factor(s0.layout, x)
 
 
 def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
@@ -326,8 +320,8 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
         raise ValueError(f"the phase max|w| (T - start) = {w_max * span:.3g} rad at "
                          f"T = {times[-1]:.6g} exceeds {PHASE_MAX:.3g} rad, where a phase's ulp "
                          f"is 1/8 rad (max|w| = {w_max:.6g}); shorten the run")
-    x0 = _factor(s0)
-    stacks = [_from_factors(s0, propagate(*h.eig, x0, times[lo:lo + PROPAGATE_CHUNK] - grid.start))
+    x0, build = _factor(s0), DensityState.from_pure if s0.is_pure else DensityState.from_factor
+    stacks = [build(s0.layout, propagate(*h.eig, x0, times[lo:lo + PROPAGATE_CHUNK] - grid.start))
               for lo in range(0, len(times), PROPAGATE_CHUNK)]
     return _observe(h, s0, times, stacks, cut, target)
 

@@ -7,9 +7,9 @@ Instance ``i`` draws exclusively from ``RngStream(seed, i)``, so results
 are independent of worker count and an n-instance ensemble is a strict
 prefix of any larger one with the same seed.
 
-Every experiment runs in fixed blocks of stream ids, ``range(b * B,
-min((b + 1) * B, n))``, through one block kernel, B set by ``BLOCK_BYTES``
-and the largest stack a block builds or keeps.  A block draws each of its
+Every experiment runs in fixed blocks of stream ids through one block
+kernel, and ``_sweep`` alone decides a sweep's memory: its block size and
+the cap on what its instances keep.  A block draws each of its
 instances once, from its own stream, in one randgen call per draw on all
 its streams, and makes one stacked eigensolve, stacked energy moments and
 stacked probes: one negativity curve (``_curve_block``, which serves
@@ -34,6 +34,7 @@ import numpy as np
 
 from .dynamics import (
     JUMP_KINDS,
+    MAX_KEPT_BYTES,
     TRAJECTORY_GRID,
     JumpOperatorSet,
     Trajectory,
@@ -104,14 +105,9 @@ EXPERIMENTS = {
 
 WORKERS_ENV = "MEDQSL_WORKERS"
 
-# the bytes of the largest stack a block of instances builds or keeps: the
-# (B, T, n, k) propagated factors of the curve experiments, smi's (B, T)
-# curves and (B, n) refinement states; it fixes B per experiment and shape,
-# so that a block's memory stays small whatever n and the worker count are.
+# the bytes a block's largest stacks may take, which fixes B per experiment and shape,
+# so that a block's memory stays small whatever n and the worker count are
 BLOCK_BYTES = 2 ** 19
-# the bytes of the (n, T) float64 values a sweep keeps for its report; a
-# larger n is refused before any block is built or drawn
-MAX_SWEEP_BYTES = 2 ** 31
 
 # grids and rates of the experiments, echoed in each report's config
 CMI_N_TIMES = 64
@@ -218,11 +214,6 @@ class SweepReport:
 # **setup) takes a range of stream ids and returns the tuple of its fields,
 # each stacked over them.
 
-def _block_size(row_bytes: int) -> int:
-    """Instances per block: how many stacks of ``row_bytes`` each fit in ``BLOCK_BYTES``."""
-    return max(1, BLOCK_BYTES // row_bytes)
-
-
 def _normalized_draws(cfg: SweepConfig, sids: range, draw, *, density: bool = False):
     """Draw each of the instances ``sids`` once: ``(k, drawn)``.
 
@@ -315,49 +306,55 @@ def _smi_block(cfg: SweepConfig, sids: range, *, psi1: np.ndarray, times: np.nda
     return first_crossing(f, times, curves, level), peak_v, peak_t, curves
 
 
-def _sweep(cfg: SweepConfig, kernel, block: int, n_times: int, **setup) -> list[np.ndarray]:
+def _sweep(cfg: SweepConfig, kernel, stack_bytes: int, kept_bytes: int,
+           **setup) -> list[np.ndarray]:
     """``kernel(cfg, sids, **setup)`` over blocks of streams 0..n-1: the fields.
 
-    An n whose ``(n, n_times)`` float64 values exceed ``MAX_SWEEP_BYTES``
-    is refused first.  Block b, made when it runs, holds the streams
-    ``range(b * block, min((b + 1) * block, n))``; a kernel gives each
-    instance the same bits in a block of any size, so the output of an
-    instance depends neither on the worker count nor on n.  With two or
-    more blocks per worker, a pool of up to ``cfg.workers`` cpus runs them.
-    Each field is one ``(n, ...)`` array, shaped after the first block's
-    field and filled with each block's rows as its result arrives, in
-    stream order: a block's result is dropped once it is written, so what
-    the sweep keeps is what the cap counts.
+    The one place a sweep's memory is decided, from an instance's
+    ``stack_bytes``, what its block stacks take, and ``kept_bytes``, what it
+    holds once its blocks are done: its fields' rows and every (n, ...) mask
+    or difference of the verdicts.  With the 8 bytes of the column that
+    ``_report``'s sort buffers, an n above ``MAX_KEPT_BYTES`` is refused
+    before any draw.  Block b holds the streams ``range(b * B, min((b + 1) *
+    B, n))``, B the most instances whose stacks fit in ``BLOCK_BYTES`` (at
+    least one); an instance has the same bits in a block of any size, for
+    any worker count and n.  With two or more blocks per worker, a pool of
+    up to ``cfg.workers`` cpus runs them.  Each field is one ``(n, ...)``
+    array, filled with each block's rows in stream order; a block's result
+    is dropped before the next block is made.
     """
     n, workers = cfg.n_instances, min(cfg.workers, os.cpu_count() or 1)
-    if 8 * n * n_times > MAX_SWEEP_BYTES:
-        raise ValueError(f"n = {n} instances of {n_times} times need "
-                         f"{8 * n * n_times / 2 ** 30:.1f} GiB, above the cap of "
-                         f"{MAX_SWEEP_BYTES // 2 ** 30} GiB; the largest n allowed is "
-                         f"{MAX_SWEEP_BYTES // (8 * n_times)}")
+    kept = kept_bytes + 8
+    if n * kept > MAX_KEPT_BYTES:
+        raise ValueError(f"n = {n} instances keep {kept} bytes each, {n * kept / 2 ** 30:.1f} "
+                         f"GiB, above the cap of {MAX_KEPT_BYTES // 2 ** 30} GiB; the largest "
+                         f"n allowed is {MAX_KEPT_BYTES // kept}")
+    block = max(1, BLOCK_BYTES // stack_bytes)
     starts = range(0, n, block)
     blocks = (range(lo, min(lo + block, n)) for lo in starts)
     run = functools.partial(kernel, cfg, **setup)
     pooled = workers > 1 and len(starts) >= 2 * workers
     if pooled:  # multiprocessing is imported only for a pool
         from concurrent.futures import ProcessPoolExecutor
-    fields = None
+    fields, lo = None, 0
     with ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext() as pool:
         # both maps yield the block results in stream order
         results = (pool.map(run, blocks, chunksize=math.ceil(len(starts) / (workers * 4)))
                    if pooled else map(run, blocks))
-        for lo, result in zip(starts, results):
+        for result in results:  # not zip(starts, ...), whose reused tuple holds a result
             if fields is None:
                 fields = [np.empty((n,) + f.shape[1:], f.dtype) for f in result]
             for out, f in zip(fields, result):
                 out[lo:lo + len(f)] = f
+            lo += len(f)
+            del result, f
     return fields
 
 
 def _first_hits(mask: np.ndarray):
-    """``(row, column)`` of the first True in each row of ``mask`` that has one."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    return zip(rows.tolist(), mask[rows].argmax(axis=1).tolist())
+    """``(row, column)`` of the first True in each row of ``mask`` that has one, copying no row."""
+    first, hit = mask.argmax(axis=1), mask.any(axis=1)
+    return zip(np.flatnonzero(hit).tolist(), first[hit].tolist())
 
 
 def _at_max(values: np.ndarray, times: np.ndarray) -> dict:
@@ -370,7 +367,7 @@ def _report(cfg: SweepConfig, times: np.ndarray, matrix: np.ndarray, extremes: d
             violations: list[dict], details: dict, **echo) -> SweepReport:
     """The report of ``cfg``, its config echoed with ``echo``, and the envelope of ``matrix``.
 
-    ``matrix`` holds one row per instance and one column per time.
+    ``matrix`` holds one row per instance and one column per time; ``_p99`` sorts it in place.
     """
     config = {"experiment": cfg.experiment, "seed": cfg.seed, "n_instances": cfg.n_instances,
               "d": cfg.d, "d_c": cfg.d_c, **echo}
@@ -379,18 +376,18 @@ def _report(cfg: SweepConfig, times: np.ndarray, matrix: np.ndarray, extremes: d
 
 
 def _p99(matrix: np.ndarray) -> np.ndarray:
-    """The 0.99 quantile of each column, by numpy's linear rule with its bits.
+    """The 0.99 quantile of each column, by numpy's linear rule with its bits, sorted in place.
 
     Not ``np.quantile``: numpy 2.4 imports ``numpy.ma`` there.  Between the
     sorted values a and b around index 0.99 (n - 1), at the fraction t past
     a, numpy takes a + (b - a) t below t = 0.5 and b - (b - a)(1 - t) from it.
     """
-    ranked = np.sort(matrix, axis=0)
-    at = 0.99 * (len(ranked) - 1)
+    matrix.sort(axis=0)
+    at = 0.99 * (len(matrix) - 1)
     lo = math.floor(at)
-    if lo == len(ranked) - 1:
-        return ranked[lo]
-    a, b, t = ranked[lo], ranked[lo + 1], at - lo
+    if lo == len(matrix) - 1:
+        return matrix[lo]
+    a, b, t = matrix[lo], matrix[lo + 1], at - lo
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
@@ -411,10 +408,11 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
     d, dc = cfg.d, cfg.d_c
     t_max = conjecture_bound(d)
     times = t_max * np.arange(CMI_N_TIMES + 1) / CMI_N_TIMES
-    witness = d == 2 and dc == 2
-    block = _block_size(16 * len(times) * cfg.layout.dim * dc)
-    (curves,) = _sweep(cfg, _curve_block, block, len(times), draw=_cmi_draw, times=times,
-                       witness=witness)
+    witness, t = d == 2 and dc == 2, len(times)
+    # a block's (B, T, n, k) propagated factors; an instance keeps its curve, the two
+    # (n, T) masks of its verdict and the (n,) arrays of ``_first_hits``
+    (curves,) = _sweep(cfg, _curve_block, 16 * t * cfg.layout.dim * dc, 8 * t + 2 * t + 25,
+                       draw=_cmi_draw, times=times, witness=witness)
     level = (d - 1) / 2.0 - ATTAIN_SLACK
     early = times <= di_bound(d) + EARLY_SLACK
     violations = [{"stream_id": sid, "T": float(times[k]), "negativity": float(curves[sid, k])}
@@ -441,16 +439,21 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
     # a block's largest stacks are the open probe's: its one application of L holds the
     # (B, n (m + 1), n) factors of K and m jumps and the product P of that size, beside
-    # some ten (B, n, n) stacks: the draws, the scaled couplings, the checked states, K and L(rho)
-    block = _block_size(16 * cfg.layout.dim ** 2 * (2 * (len(jumps.ops) + 1) + 10))
-    dn_closed, dn_open, n_start = _sweep(cfg, _rate_block, block, 1, jumps=jumps)
+    # some ten (B, n, n) stacks: the draws, the scaled couplings, the checked states, K and
+    # L(rho).  An instance keeps three fields, |closed|, two masks, their stack and its
+    # index rows, and the mask and open changes of entangled starts
+    dn_closed, dn_open, n_start = _sweep(cfg, _rate_block, 16 * cfg.layout.dim ** 2 * (
+        2 * (len(jumps.ops) + 1) + 10), 24 + 8 + 4 + 16 + 9, jumps=jumps)
+    closed = np.abs(dn_closed)
     # by stream, closed before open within one
-    bad = np.stack([np.abs(dn_closed) > CLOSED_RATE_TOL, dn_open > OPEN_RATE_TOL], axis=1)
+    bad = np.stack([closed > CLOSED_RATE_TOL, dn_open > OPEN_RATE_TOL], axis=1)
     violations = [{"stream_id": sid, "kind": ("closed", "open")[k],
                    "delta_negativity": float((dn_closed, dn_open)[k][sid])}
                   for sid, k in np.argwhere(bad).tolist()]
-    top = int(np.argmax(dn_open))
-    extremes = {"max_open_change": {"stream_id": top, "value": float(dn_open[top])}}
+    # a separable rho_ab's open change is exactly -0.0: a tie that names no instance
+    top = int(np.argmax(np.where(n_start > 0, dn_open, -np.inf)))
+    extremes = {"max_open_change": {"stream_id": top, "value": float(dn_open[top])}
+                if n_start[top] > 0 else None}
     # contrast control: the optimal direct coupling entangles at unit rate
     h_direct = direct_optimal(cfg.d)
     control = entanglement_change_at_zero(h_direct, DensityState.basis(h_direct.layout), AB_CUT)
@@ -458,7 +461,7 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
         "delta": RATE_DELTA,
         "jump_type": cfg.jump_type,
         "jump_rate": JUMP_RATE,
-        "max_abs_closed_change": float(np.abs(dn_closed).max()),
+        "max_abs_closed_change": float(closed.max()),
         "max_open_change": float(dn_open.max()),
         "direct_control_change": float(control),
     }
@@ -494,14 +497,15 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     horizon = stage2_bound + 1.0
     times = TimeGrid(0.0, horizon, SMI_T_STEP).times
     level = (d - 1) / 2.0 - ATTAIN_SLACK
-    # a block keeps its (B, T) curves and the (B, n) states of its refinement
-    block = _block_size(8 * len(times) + 16 * cfg.layout.dim)
-    crossings, peaks, peak_times, curves = _sweep(cfg, _smi_block, block, len(times), psi1=psi1,
-                                                  times=times, level=level)
+    # a block keeps its (B, T) curves and the (B, n) states of its refinement; an instance
+    # keeps its curve and three values, its violation mask and rows, the mask of its
+    # crossing and its negation, and nanargmin's copy and mask
+    crossings, peaks, peak_times, curves = _sweep(
+        cfg, _smi_block, 8 * len(times) + 16 * cfg.layout.dim, 8 * (len(times) + 3) + 9 + 2 + 9,
+        psi1=psi1, times=times, level=level)
     # a nan crossing (never reached) compares False
-    violations = [{"stream_id": sid, "kind": "stage2-too-fast", "T": t}
-                  for sid, t in enumerate(crossings.tolist())
-                  if t < stage2_bound - STAGE2_TIME_SLACK]
+    violations = [{"stream_id": sid, "kind": "stage2-too-fast", "T": float(crossings[sid])}
+                  for sid in np.flatnonzero(crossings < stage2_bound - STAGE2_TIME_SLACK).tolist()]
     reached = ~np.isnan(crossings)
     top = int(np.argmax(peaks))
     extremes = {"max_stage2_negativity": {"stream_id": top, "T": float(peak_times[top]),
@@ -531,8 +535,10 @@ def run_commuting_null(cfg: SweepConfig) -> SweepReport:
     growth, so the null result is about the inputs, not the coupling.
     """
     times = COMMUTING_T_MAX * np.arange(COMMUTING_N_TIMES + 1) / COMMUTING_N_TIMES
-    n = cfg.layout.dim
-    (curves,) = _sweep(cfg, _curve_block, _block_size(16 * len(times) * n * n), len(times),
+    n, t = cfg.layout.dim, len(times)
+    # a block's (B, T, n, n) propagated factors; an instance keeps its curve, its excess
+    # over N(0), the excess's mask and the (n,) arrays of ``_first_hits``
+    (curves,) = _sweep(cfg, _curve_block, 16 * t * n * n, 8 * t + 8 * t + t + 25,
                        draw=_commuting_draw, times=times)
     excess = curves - curves[:, :1]
     violations = [{"stream_id": sid, "T": float(times[k]), "excess": float(excess[sid, k])}

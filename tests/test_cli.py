@@ -1,5 +1,6 @@
 """End-to-end command line checks, all in-process via main(argv)."""
 
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -11,6 +12,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -556,8 +558,8 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith(f"error: stream {sid}: state is stationary")
 
     def test_huge_instance_count_is_exit_2(self, tmp_path, monkeypatch, capsys):
-        # 10^12 instances would keep 65 float64 values each: refused at once,
-        # before any block is built or drawn
+        # 10^12 instances would keep 683 bytes each, their 65 float64 values and
+        # the masks of their verdicts: refused at once, before any block is built or drawn
         monkeypatch.setattr(sweep, "_curve_block", _not_run)
         start = time.perf_counter()
         rc = main(["reproduce", "conjecture-d2", "--n", "1000000000000",
@@ -565,8 +567,8 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: n = 1000000000000 instances of 65 times need ")
-        assert err.endswith("above the cap of 2 GiB; the largest n allowed is 4129776\n")
+        assert err.startswith("error: n = 1000000000000 instances keep 683 bytes each, ")
+        assert err.endswith("above the cap of 2 GiB; the largest n allowed is 3144192\n")
         assert not list(tmp_path.iterdir())
 
     def test_positivity_lost_is_exit_3(self, rk4_stepper, capsys):
@@ -824,6 +826,55 @@ def test_drawn_evolve_vectors_exit_cleanly(argv):
         rc = main(argv)
     assert rc in (0, 2, 3), (argv, rc)
     assert len(err.getvalue().splitlines()) == (rc != 0), (argv, err.getvalue())
+
+
+# the values --n, --d, --seed and --workers are drawn from: signs, zero, small counts and the
+# int32, int64 and uint64 edges; every n drawn is at most 3 or above any sweep's cap
+_FUZZ_INTS = st.sampled_from(("-1", "0", "1", "2", "3", str(2 ** 31), str(2 ** 63),
+                              str(2 ** 64 - 1), str(2 ** 64), str(10 ** 30)))
+
+
+@st.composite
+def _reproduce_argv(draw) -> list[str]:
+    """A ``reproduce`` argument vector, each flag left out or drawn; an admitted sweep is
+    at most 40 instances long and a trajectory's grid at most 10^3 points."""
+    name = draw(st.sampled_from(tuple(cli.REPRODUCE)))
+    experiment, _, reads = cli.REPRODUCE[name]
+    given = {}
+    for flag, values in (("n", _FUZZ_INTS), ("d", _FUZZ_INTS), ("seed", _FUZZ_INTS),
+                         ("workers", _FUZZ_INTS), ("tmax", _FUZZ_VALUES),
+                         ("dt", _FUZZ_VALUES | st.just("0.01"))):
+        # now and then a flag the name does not read, which it refuses
+        if flag in reads or draw(st.integers(0, 7)) == 0:
+            given[flag] = draw(st.none() | values)
+    if experiment is None:
+        t, step = float(given.get("tmax") or math.pi / 2), float(given.get("dt") or 1e-3)
+        assume(not (0 < t < math.inf and 0 < step < math.inf and t / step > 1e3))
+    else:
+        # every instance keeps at least 8 bytes, so an n above an eighth of the cap is refused
+        n = int(given.get("n") or sweep.EXPERIMENTS[experiment])
+        assume(n <= 40 or n > sweep.MAX_KEPT_BYTES // 8)
+    return ["reproduce", name, "--out", "fuzz"] + [
+        f"--{flag}={value}" for flag, value in given.items() if value is not None]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_reproduce_argv())
+def test_drawn_reproduce_vectors_exit_cleanly(argv):
+    # the integer extremes in the counts, dimensions, seeds and workers, and the float
+    # extremes in the grid: each run ends in written outputs or an input refusal, never a
+    # traceback, a numpy warning or a worker pool, and says why in one line
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), mock.patch.object(
+            concurrent.futures, "ProcessPoolExecutor", _no_pool):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc in (0, 2, 3), (argv, rc)
+    assert len(err.getvalue().splitlines()) == (rc != 0), (argv, err.getvalue())
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool started")
 
 
 # every name the package re-exported when ``import medqsl`` imported all its modules

@@ -1,6 +1,7 @@
 """Evolution, the open-system integrator, and the timing probes."""
 
 import csv
+import gc
 import inspect
 import math
 import tracemalloc
@@ -126,8 +127,36 @@ def _refuse(*args, **kwargs):
     raise AssertionError("allocated before the size check")
 
 
+def _traced_peak(fn, *args) -> int:
+    """The peak traced memory of ``fn(*args)``, the collector held off."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def _from_ket0(h: Hamiltonian) -> tuple[Hamiltonian, DensityState]:
+    return h, ket(h.layout, 0)
+
+
+def _dephased(h: Hamiltonian, s0: DensityState, grid: TimeGrid):
+    return evolve_lindblad(h, s0, grid, JumpOperatorSet.local(h.layout, "dephasing", 0.1))
+
+
+# each trajectory form: its run, and its system and start
+_FORMS = {
+    "pure": (evolve_unitary, lambda: _from_ket0(direct_optimal(2))),
+    "mixed": (evolve_unitary, classical_mediator_example),
+    "lindblad": (_dephased, lambda: _from_ket0(build(parse_file(OPEN3)))),
+}
+
+
 class TestTrajectoryCap:
-    """A trajectory above MAX_TRAJECTORY_BYTES is refused before any allocation."""
+    """A trajectory above MAX_KEPT_BYTES is refused before any allocation."""
 
     @pytest.mark.parametrize("open_", [False, True], ids=["unitary", "lindblad"])
     def test_refused_before_the_grid_is_built(self, monkeypatch, open_):
@@ -150,11 +179,33 @@ class TestTrajectoryCap:
         grid = TimeGrid(0.0, 1.0, 0.1)
         per_point = 4 * 4 * 16 + 4 * 16 + 8 * len(dynamics.TRAJECTORY_COLUMNS)
         assert per_point == 384
-        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 11 * per_point)
+        monkeypatch.setattr(dynamics, "MAX_KEPT_BYTES", 11 * per_point)
         assert len(evolve_unitary(h, ket(h.layout, 0), grid).states) == 11
-        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 11 * per_point - 1)
+        monkeypatch.setattr(dynamics, "MAX_KEPT_BYTES", 11 * per_point - 1)
         with pytest.raises(ValueError, match="above the cap"):
             evolve_unitary(h, ket(h.layout, 0), grid)
+
+    @pytest.mark.parametrize("form", list(_FORMS))
+    def test_largest_admitted_trajectory_peaks_within_its_count(self, monkeypatch, form):
+        # at a cap of 4 MiB, the longest grid the cap admits peaks within its counted
+        # bytes plus four chunks of states and the slack that MAX_KEPT_BYTES's comment
+        # states, so no column is kept twice; one point more is refused before the
+        # grid or a spectrum is built
+        run, system = _FORMS[form]
+        h, s0 = system()
+        n = h.layout.dim
+        per_point = 16 * n * n + 16 * n + 8 * len(dynamics.TRAJECTORY_COLUMNS)
+        points = 2 ** 22 // per_point
+        monkeypatch.setattr(dynamics, "MAX_KEPT_BYTES", 2 ** 22)
+        grid = TimeGrid(0.0, (points - 1) * 1e-3, 1e-3)
+        assert len(grid) == points
+        run(h, s0, TimeGrid(0.0, 0.3, 1e-3))
+        peak = _traced_peak(run, h, s0, grid)
+        assert peak <= points * per_point + 4 * dynamics.PROPAGATE_CHUNK * 16 * n * n + 2 ** 18
+        monkeypatch.setattr(TimeGrid, "times", property(_refuse))
+        monkeypatch.setattr(Hamiltonian, "eig", property(_refuse))
+        with pytest.raises(ValueError, match=f"^a trajectory of {points + 1} states"):
+            run(h, s0, TimeGrid(0.0, points * 1e-3, 1e-3))
 
 
 def _not_reached(*args, **kwargs):

@@ -22,13 +22,15 @@ A change that moves an output regenerates the ledger with
 
     PYTHONPATH=src python tests/test_ledger.py --write
 
-and records the seeded diff of what moved.
+which rewrites only the entries whose comparison fails, and records the
+seeded diff of what moved.
 """
 
 import csv
 import json
 import math
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -68,11 +70,12 @@ def _csv_digest(path: Path) -> dict:
     return {"rows": len(rows), "columns": columns}
 
 
-def _run(command: str, out: Path) -> dict:
-    """Run ``command`` (``medqsl ...``) writing to ``out``; its report as stored."""
+def _run(command: str, out: Path, ledger: Path = LEDGER) -> dict:
+    """Run ``command`` (``medqsl ...``), its ``.hspec`` files read from ``ledger``,
+    writing to ``out``; its report as stored."""
     prog, *argv = command.split()
     assert prog == "medqsl"
-    argv = [str(LEDGER / a) if a.endswith(".hspec") else a for a in argv]
+    argv = [str(ledger / a) if a.endswith(".hspec") else a for a in argv]
     csv_out, json_out = out.with_suffix(".csv"), out.with_suffix(".json")
     assert main(argv + ["--out", str(csv_out)]) == 0
     if not json_out.exists():  # a trajectory
@@ -110,11 +113,28 @@ def _diff(want, got, path: str = "", refined: bool = False) -> list[str]:
     return [f"{path}: {got!r} != {want!r}"]
 
 
+def _compare(want: dict, got: dict) -> list[str]:
+    """``_diff`` of two reports, by the ledger's rule for ``want``'s experiment."""
+    return _diff(want, got, refined=want.get("config", {}).get("experiment") == DIGESTED)
+
+
 def _ledger_diff(entry: dict, out: Path) -> list[str]:
     """Where the report of ``entry``'s command, rerun, differs from the committed one."""
-    want = json.loads((LEDGER / entry["report"]).read_text())
-    return _diff(want, _run(entry["command"], out),
-                 refined=want.get("config", {}).get("experiment") == DIGESTED)
+    return _compare(json.loads((LEDGER / entry["report"]).read_text()),
+                    _run(entry["command"], out))
+
+
+def _write(ledger: Path = LEDGER) -> list[str]:
+    """Rewrite each report of ``ledger`` whose rerun fails its comparison; their names."""
+    written = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for k, entry in enumerate(json.loads((ledger / "index.json").read_text())):
+            path = ledger / entry["report"]
+            got = _run(entry["command"], Path(scratch) / f"out{k}", ledger)
+            if _compare(json.loads(path.read_text()), got):
+                path.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+                written.append(entry["report"])
+    return written
 
 
 @pytest.mark.parametrize("entry", _entries(), ids=lambda e: e["command"])
@@ -196,8 +216,30 @@ def test_rate_zero_report_ignores_closed_roundoff(tmp_path, monkeypatch):
     assert _ledger_diff(entry, tmp_path / "out") == []
 
 
+def test_write_rewrites_only_failing_entries(tmp_path):
+    # on a copy of the ledger indexing three entries (a sweep, a trajectory and an
+    # evolve that reads its .hspec from the copy), one report perturbed: the write
+    # rewrites that report alone, to one that passes again, and leaves every other
+    # file of the copy byte-identical
+    ledger = tmp_path / "ledger"
+    shutil.copytree(LEDGER, ledger)
+    chosen = [e for e in _entries() if e["command"] in (
+        "medqsl reproduce rate-zero --n 20 --seed 7 --workers 1", "medqsl reproduce cmi-product",
+        "medqsl evolve --ham open3.hspec --state ket:000 --lindblad dephasing:0.1 --tmax 0.5 "
+        "--dt 0.1")]
+    assert len(chosen) == 3
+    (ledger / "index.json").write_text(json.dumps(chosen))
+    target = ledger / chosen[0]["report"]
+    report = json.loads(target.read_text())
+    report["envelope"]["mean"][0] += 1e-9
+    target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    before = {path.name: path.read_bytes() for path in ledger.iterdir()}
+    assert _write(ledger) == [target.name]
+    after = {path.name: path.read_bytes() for path in ledger.iterdir()}
+    assert [name for name in before if after[name] != before[name]] == [target.name]
+    assert _compare(json.loads((LEDGER / target.name).read_text()),
+                    json.loads(after[target.name])) == []
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    with tempfile.TemporaryDirectory() as scratch:
-        for k, entry in enumerate(_entries()):
-            report = _run(entry["command"], Path(scratch) / f"out{k}")
-            (LEDGER / entry["report"]).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print("\n".join(_write()) or "every entry passes")

@@ -14,7 +14,7 @@ layout by ``embed_operator``, the sweep kernels read the
 ``SweepConfig`` itself, and a sweep's streams are made, and each drawn
 once, in one place, where the randgen samplers draw all of a block's
 streams together.  No sweep kernel defines a closure per row, and every
-sweep takes its block from ``_block_size``.
+sweep's block size and kept-memory cap are decided in ``_sweep`` alone.
 """
 
 import ast
@@ -77,14 +77,19 @@ def test_kernels_define_no_nested_function():
         assert _nested_functions(func) == [], func.__name__
 
 
-def test_every_sweep_takes_its_block_from_block_size():
-    # no experiment runs a literal block of instances, rate-zero included
+def test_every_sweep_sizes_its_blocks_and_cap_in_sweep():
+    # each experiment hands _sweep its stack and kept bytes per instance, the stack bytes
+    # never a literal block, rate-zero included; _sweep alone reads the block budget and
+    # the one kept-memory cap, which trajectories read in _observed
     calls = [node for node in ast.walk(ast.parse((SRC / "sweep.py").read_text()))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_sweep"]
     assert len(calls) == 4
     assert not any(isinstance(call.args[2], ast.Constant) for call in calls)
-    assert _callers_of("_block_size") == ["sweep.run_cmi_uncorrelated", "sweep.run_commuting_null",
-                                          "sweep.run_rate_zero", "sweep.run_smi_protocol"]
+    assert _callers_of("_sweep") == ["sweep.run_cmi_uncorrelated", "sweep.run_commuting_null",
+                                     "sweep.run_rate_zero", "sweep.run_smi_protocol"]
+    assert _readers_of("BLOCK_BYTES") == ["sweep._sweep"]
+    assert _readers_of("MAX_KEPT_BYTES") == ["dynamics._observed", "dynamics._observed",
+                                             "sweep._sweep", "sweep._sweep", "sweep._sweep"]
 
 
 def _small_floats(path: Path) -> list[tuple[int, float]]:
@@ -132,14 +137,13 @@ def test_one_stationary_rule():
     assert "STATIONARY_TOL" in inspect.getsource(hamiltonians.EnergyMoments.scale)
 
 
-def _callers_of(name: str) -> list[str]:
-    """``module.Scope.function`` around each call of ``name`` in ``src/``."""
+def _scopes_of(hit) -> list[str]:
+    """``module.Scope.function`` around each node of ``src/`` for which ``hit`` holds."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
-                                                        getattr(child.func, "attr", None)):
+            if hit(child):
                 found.append(".".join(scope))
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(child, scope + [child.name] if named else scope)
@@ -147,6 +151,18 @@ def _callers_of(name: str) -> list[str]:
     for path in SRC.glob("*.py"):
         visit(ast.parse(path.read_text()), [path.stem])
     return sorted(found)
+
+
+def _callers_of(name: str) -> list[str]:
+    """``module.Scope.function`` around each call of ``name`` in ``src/``."""
+    return _scopes_of(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def _readers_of(name: str) -> list[str]:
+    """``module.Scope.function`` around each read of the global ``name`` in ``src/``."""
+    return _scopes_of(lambda node: isinstance(node, ast.Name) and node.id == name
+                      and isinstance(node.ctx, ast.Load))
 
 
 def test_one_negativity_over_time():

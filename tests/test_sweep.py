@@ -6,9 +6,11 @@ determinism across worker counts, and the per-experiment wiring.
 """
 
 import concurrent.futures
+import dataclasses
 import functools
 import gc
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -259,13 +261,15 @@ class TestKernelsAgainstLibrary:
 
 
 def _block_run(monkeypatch, cfg: SweepConfig) -> dict:
-    """Run ``cfg``'s experiment; return the block size, times and curves its ``_sweep`` gave."""
+    """Run ``cfg``'s experiment; return the block size, times and curves its ``_sweep`` gave,
+    the curves copied before the report sorts them in place."""
     seen = {}
     original = sweep._sweep
 
-    def recording(cfg, kernel, block, n_times, **setup):
-        out = original(cfg, kernel, block, n_times, **setup)
-        seen.update(block=block, times=setup["times"], curves=out[0])
+    def recording(cfg, kernel, stack_bytes, kept_bytes, **setup):
+        out = original(cfg, kernel, stack_bytes, kept_bytes, **setup)
+        seen.update(block=max(1, sweep.BLOCK_BYTES // stack_bytes), times=setup["times"],
+                    curves=out[0].copy())
         return out
 
     monkeypatch.setattr(sweep, "_sweep", recording)
@@ -536,7 +540,7 @@ class TestWorkerResolution:
             return (step * np.array(sids),)
 
         cfg = SweepConfig("rate-zero", seed=1, n_instances=10_000, workers=4000)
-        (fields,) = sweep._sweep(cfg, kernel, 7, 1, step=2)
+        (fields,) = sweep._sweep(cfg, kernel, sweep.BLOCK_BYTES // 7, 8, step=2)
         assert fields.tolist() == list(range(0, 20_000, 2))
         # 1,429 blocks of 7 streams, the last of 4, in chunks of a twelfth of
         # the blocks: three workers, four chunks each
@@ -547,40 +551,54 @@ class TestWorkerResolution:
         # fewer cpus than requested workers can mean no pool at all
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 1)
         cfg = SweepConfig("rate-zero", seed=1, n_instances=50, workers=4)
-        (fields,) = sweep._sweep(cfg, kernel, 7, 1, step=3)
+        (fields,) = sweep._sweep(cfg, kernel, sweep.BLOCK_BYTES // 7, 8, step=3)
         assert fields.tolist() == list(range(0, 150, 3))
         assert sizes == [3]
         # and so can too few blocks for two per worker: 50 streams in 8 blocks
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
-        (fields,) = sweep._sweep(SweepConfig("rate-zero", seed=1, n_instances=50,
-                                             workers=5), kernel, 7, 1, step=1)
+        cfg = SweepConfig("rate-zero", seed=1, n_instances=50, workers=5)
+        (fields,) = sweep._sweep(cfg, kernel, sweep.BLOCK_BYTES // 7, 8, step=1)
         assert fields.tolist() == list(range(50)) and sizes == [3]
 
 
+# each experiment's block kernel, by its name in sweep
+_KERNEL_NAMES = {"cmi-uncorrelated": "_curve_block", "rate-zero": "_rate_block",
+                 "smi-protocol": "_smi_block", "commuting-null": "_curve_block"}
+
+# the bytes an instance keeps at d = 2 once its blocks are done, as _sweep counts them:
+# its fields' rows, the (n, ...) masks and differences of its verdicts, and the 8 bytes
+# of the column the report's sort buffers
+_KEPT = {"cmi-uncorrelated": 8 * 65 + 2 * 65 + 25 + 8, "rate-zero": 24 + 8 + 4 + 16 + 9 + 8,
+         "smi-protocol": 8 * (2048 + 3) + 9 + 2 + 9 + 8, "commuting-null": 17 * 33 + 25 + 8}
+
+
 class TestInstanceCap:
-    """An n whose kept (n, T) float64 values exceed MAX_SWEEP_BYTES is refused first."""
+    """An n whose instances keep more than MAX_KEPT_BYTES is refused first."""
 
     @pytest.mark.parametrize("experiment, n_times", [
         ("cmi-uncorrelated", 65), ("rate-zero", 1), ("smi-protocol", 2048),
         ("commuting-null", 33)])
     def test_refused_before_any_block(self, monkeypatch, experiment, n_times):
-        kernel = {"rate-zero": "_rate_block", "smi-protocol": "_smi_block"}.get(experiment,
-                                                                              "_curve_block")
-        monkeypatch.setattr(sweep, kernel, _refuse)
+        # each instance keeps at least the n_times float64 values of its report
+        kept = _KEPT[experiment]
+        assert kept >= 8 * n_times
+        monkeypatch.setattr(sweep, _KERNEL_NAMES[experiment], _refuse)
         monkeypatch.setattr(sweep, "_normalized_draws", _refuse)
-        largest = 2 ** 31 // (8 * n_times)
-        with pytest.raises(ValueError, match=rf"^n = {10 ** 12} instances of {n_times} times "
-                                             rf"need .* the largest n allowed is {largest}$"):
+        with pytest.raises(ValueError, match=rf"^n = {10 ** 12} instances keep {kept} bytes "
+                                             rf"each, .* the largest n allowed is "
+                                             rf"{2 ** 31 // kept}$"):
             run_sweep(SweepConfig(experiment, n_instances=10 ** 12))
 
     def test_cap_is_inclusive(self, monkeypatch):
-        # rate-zero keeps one value per instance, N(0): 8 bytes
+        # rate-zero keeps 69 bytes per instance: its three fields, 37 bytes of verdicts
+        # and the report's sort column
         cfg = SweepConfig("rate-zero", n_instances=3, seed=2)
-        monkeypatch.setattr(sweep, "MAX_SWEEP_BYTES", 3 * 8)
+        monkeypatch.setattr(sweep, "MAX_KEPT_BYTES", 3 * 69)
         assert run_rate_zero(cfg).config["n_instances"] == 3
-        monkeypatch.setattr(sweep, "MAX_SWEEP_BYTES", 3 * 8 - 1)
+        monkeypatch.setattr(sweep, "MAX_KEPT_BYTES", 3 * 69 - 1)
         monkeypatch.setattr(sweep, "_rate_block", _refuse)
-        with pytest.raises(ValueError, match=r"^n = 3 instances .* the largest n allowed is 2$"):
+        with pytest.raises(ValueError, match=r"^n = 3 instances keep 69 bytes each, .* "
+                                             r"the largest n allowed is 2$"):
             run_rate_zero(cfg)
 
 
@@ -588,14 +606,32 @@ def _refuse(*args, **kwargs):
     raise AssertionError("reached a block")
 
 
-def _sweep_peak(cfg: SweepConfig, **setup) -> int:
-    """The peak traced memory of ``cfg``'s rate-zero sweep, one instance per block."""
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """The peak traced memory of ``fn(*args, **kwargs)``, the collector held off."""
+    collecting = gc.isenabled()
+    gc.disable()
     tracemalloc.start()
     try:
-        sweep._sweep(cfg, _rate_block, 1, 1, **setup)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        if collecting:
+            gc.enable()
+
+
+def _replay(rows: tuple, served: list, cfg, sids, **setup) -> tuple:
+    """A block kernel that gives stream i row i % k of ``rows``, the fields of k real
+    instances, and records each block's size in ``served``."""
+    served.append(len(sids))
+    pick = np.arange(sids.start, sids.stop) % len(rows[0])
+    return tuple(f[pick] for f in rows)
+
+
+# the cap at which each experiment's largest admitted run is traced, and the fixed slack
+# that dynamics.MAX_KEPT_BYTES's comment states
+_TRACED_CAP = 2 ** 20
+_SLACK = 2 ** 18
 
 
 class TestKeptMemory:
@@ -612,17 +648,50 @@ class TestKeptMemory:
         n = 400
         cfg = SweepConfig("rate-zero", seed=3, n_instances=n, workers=1)
         jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, sweep.JUMP_RATE)
+        # one instance a block, keeping its three fields
+        args = (_rate_block, sweep.BLOCK_BYTES, 24)
         gc.disable()
         try:
             for _ in range(2):
-                sweep._sweep(cfg, _rate_block, 1, 1, jumps=jumps)
-            one = _sweep_peak(SweepConfig("rate-zero", seed=3, n_instances=1, workers=1),
-                              jumps=jumps)
-            many = _sweep_peak(cfg, jumps=jumps)
+                sweep._sweep(cfg, *args, jumps=jumps)
+            one = _traced_peak(sweep._sweep, SweepConfig("rate-zero", seed=3, n_instances=1,
+                                                         workers=1), *args, jumps=jumps)
+            many = _traced_peak(sweep._sweep, cfg, *args, jumps=jumps)
         finally:
             gc.enable()
         assert many - one < 4 * 3 * 8 * n
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_largest_admitted_run_peaks_within_its_count(self, monkeypatch, experiment, d):
+        # at a cap of 1 MiB, the largest n the cap admits peaks within n times the
+        # bytes each instance keeps, plus one block and the fixed slack: no copy of
+        # the kept values, no verdict array left uncounted and no block result kept
+        # into the next block.  The next n is refused before any draw.  Real
+        # instances take seconds at this n, so each block replays the fields of four
+        # real ones; the kernels' own peaks are measured against BLOCK_BYTES apart
+        name = _KERNEL_NAMES[experiment]
+        cfg = SweepConfig(experiment, seed=7, d=d, n_instances=1, workers=1)
+        seen, kernel = {}, getattr(sweep, name)
+        monkeypatch.setattr(sweep, name, lambda cfg, sids, **setup: (
+            seen.update(setup) or kernel(cfg, sids, **setup)))
+        run_sweep(cfg)
+        served = []
+        replay = functools.partial(_replay, kernel(cfg, range(4), **seen), served)
+        monkeypatch.setattr(sweep, name, replay)
+        monkeypatch.setattr(sweep, "MAX_KEPT_BYTES", _TRACED_CAP)
+        with pytest.raises(ValueError) as refused:
+            run_sweep(dataclasses.replace(cfg, n_instances=10 ** 12))
+        kept, n = map(int, re.search(r"keep (\d+) bytes each, .* allowed is (\d+)$",
+                                     str(refused.value)).groups())
+        run_sweep(dataclasses.replace(cfg, n_instances=min(n, 64)))
+        peak = _traced_peak(run_sweep, dataclasses.replace(cfg, n_instances=n))
+        block = _traced_peak(replay, cfg, range(max(served)), **seen)
+        assert n * kept <= _TRACED_CAP and peak <= n * kept + block + _SLACK, (peak, n * kept)
+        monkeypatch.setattr(sweep, name, _refuse)
+        monkeypatch.setattr(sweep, "_normalized_draws", _refuse)
+        with pytest.raises(ValueError, match=rf"^n = {n + 1} instances keep {kept} bytes"):
+            run_sweep(dataclasses.replace(cfg, n_instances=n + 1))
 
     @pytest.mark.parametrize("d, instances", [(2, 28), (3, 2)])
     def test_rate_block_stays_near_its_budget(self, monkeypatch, d, instances):
@@ -634,9 +703,9 @@ class TestKeptMemory:
         seen = {}
         original = sweep._sweep
 
-        def recording(cfg, kernel, block, n_times, **setup):
-            seen.update(block=block, setup=setup)
-            return original(cfg, kernel, block, n_times, **setup)
+        def recording(cfg, kernel, stack_bytes, kept_bytes, **setup):
+            seen.update(block=max(1, sweep.BLOCK_BYTES // stack_bytes), setup=setup)
+            return original(cfg, kernel, stack_bytes, kept_bytes, **setup)
 
         monkeypatch.setattr(sweep, "_sweep", recording)
         cfg = SweepConfig("rate-zero", seed=7, n_instances=1, d=d, workers=1)
@@ -644,13 +713,7 @@ class TestKeptMemory:
         assert seen["block"] == instances
         sids = range(seen["block"])
         _rate_block(cfg, sids, **seen["setup"])
-        tracemalloc.start()
-        try:
-            _rate_block(cfg, sids, **seen["setup"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * sweep.BLOCK_BYTES
+        assert _traced_peak(_rate_block, cfg, sids, **seen["setup"]) <= 2 * sweep.BLOCK_BYTES
 
 
 class TestReportSerialization:
