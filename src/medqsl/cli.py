@@ -121,11 +121,7 @@ def _resolve_state(text: str | None, layout: SystemLayout,
             raise CliInputError(f"bad basis-state literal {text!r}") from None
         return DensityState.basis(layout, indices)
     s = load_state(text)
-    if s.layout != layout:
-        raise CliInputError(
-            f"state layout {s.layout.subsystems} does not match "
-            f"Hamiltonian layout {layout.subsystems}"
-        )
+    layout.require(s.layout, f"state file {text!r}", "hamiltonian")
     return s
 
 

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import (
     BadDimensionError,
     DimensionMismatchError,
-    LayoutMismatchError,
     PositivityLostError,
     StackCheckError,
 )
@@ -56,8 +55,7 @@ from .states import (
     uhlmann_fidelity,
 )
 from .tolerances import (
-    FIRST_MAX_SLACK, GRID_SLACK, LINDBLAD_EIG_FLOOR, PEAK_SLACK, PHASE_MAX, RATE_DELTA,
-    REFINE_TOL,
+    FIRST_MAX_SLACK, GRID_SLACK, LINDBLAD_EIG_FLOOR, PEAK_SLACK, PHASE_MAX, REFINE_TOL,
 )
 
 __all__ = [
@@ -223,9 +221,8 @@ class JumpOperatorSet:
 def _check_layouts(h: Hamiltonian, s0: DensityState,
                    jumps: JumpOperatorSet | None = None) -> None:
     for name, other in (("hamiltonian", h), ("jump operators", jumps)):
-        if other is not None and other.layout != s0.layout:
-            raise LayoutMismatchError(
-                f"{name} on {other.layout.labels}, state on {s0.layout.labels}")
+        if other is not None:
+            s0.layout.require(other.layout, name)
 
 
 def _lost(e: StackCheckError, t: float) -> PositivityLostError:
@@ -252,9 +249,8 @@ def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
             raise DimensionMismatchError("observation needs at least two subsystems")
         cut = Bipartition((s0.layout.labels[0],), (s0.layout.labels[1],))
     s0.layout.positions(cut.side_a + cut.side_b)
-    if target is not None and target.layout != s0.layout:
-        raise LayoutMismatchError(
-            f"target on {target.layout.subsystems}, state on {s0.layout.subsystems}")
+    if target is not None:
+        s0.layout.require(target.layout, "target")
     return cut, s0 if target is None else target
 
 
@@ -556,19 +552,20 @@ def negativity_curve(h: Hamiltonian, x0, times, cut: Bipartition) -> np.ndarray:
 
 def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition,
                                 jumps: JumpOperatorSet | None = None) -> float | np.ndarray:
-    """delta dN/dT at T = 0+ across ``p``, delta = ``RATE_DELTA``: N's first-order change.
+    """dN/dT at T = 0+ across ``p``, the exact one-sided rate of N.
 
     sigma = tr_rest rho0 and dsigma = tr_rest L(rho0), with L applied once by ``_l_action``
-    (closed: no jumps, K = -iM), give the one-sided rate by ``negativity_rate``.  For mediated
-    Hamiltonians and product system-mediator inputs it is zero when closed, and never positive
-    when jumps are local.  A stack of B couplings and B states gives the ``(B,)`` changes.
+    (closed: no jumps, K = -iM), give the rate by ``negativity_rate``: 1 for the direct
+    control at d = 2.  For mediated Hamiltonians and product system-mediator inputs it is
+    zero when closed, and never positive when jumps are local.  A stack of B couplings,
+    with B states or one, gives the ``(B,)`` rates, and one coupling and one state a float.
     """
     _check_layouts(h, s0, jumps)
     k, q = _generator(h, JumpOperatorSet(h.layout, ()) if jumps is None else jumps)
     dims, _, b_pos, keep, _ = _cut_plan(h.layout, p)
     sigma, dsigma = (partial_trace_array(m, h.layout.dims, keep)
                      for m in (s0.matrix, _l_action(k, q)(s0.matrix)))
-    return _value(s0, RATE_DELTA * negativity_rate(sigma, dsigma, dims, b_pos))
+    return _value(negativity_rate(sigma, dsigma, dims, b_pos))
 
 
 def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition,

@@ -20,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadDimensionError,
-    DimensionMismatchError,
-    LayoutMismatchError,
-    StationaryStateError,
-)
+from .errors import BadDimensionError, DimensionMismatchError, StationaryStateError
 from .linalg import dot_rows, first_failure, kron_stack, require_hermitian
-from .states import DensityState, SystemLayout, embed_operator
+from .states import DensityState, SystemLayout, _value, embed_operator
 from .tolerances import STATIONARY_TOL
 
 __all__ = [
@@ -115,9 +110,7 @@ class EnergyMoments:
 
     @property
     def smaller(self) -> float | np.ndarray:
-        if np.ndim(self.mean):
-            return np.minimum(self.mean, self.std)
-        return min(self.mean, self.std)
+        return _value(np.minimum(self.mean, self.std))
 
     def scale(self) -> float | np.ndarray:
         """k = 1 / min{mean, std}, refused when that smaller moment is at most ``STATIONARY_TOL``.
@@ -157,10 +150,7 @@ def energy_moments_array(h: Hamiltonian, x: np.ndarray, *,
         raw_mean = dot_rows(x.conj(), mx).real
         raw_sq = dot_rows(mx.conj(), mx).real
     var = np.maximum(raw_sq - raw_mean * raw_mean, 0.0)
-    mean, std = raw_mean - h.eig[0][..., 0], np.sqrt(var)
-    if mean.ndim:
-        return EnergyMoments(mean=mean, std=std)
-    return EnergyMoments(mean=float(mean), std=float(std))
+    return EnergyMoments(mean=_value(raw_mean - h.eig[0][..., 0]), std=_value(np.sqrt(var)))
 
 
 def energy_moments(h: Hamiltonian, s: DensityState) -> EnergyMoments:
@@ -168,10 +158,7 @@ def energy_moments(h: Hamiltonian, s: DensityState) -> EnergyMoments:
 
     For a stack of states or of couplings the moments are arrays, one value per row.
     """
-    if h.layout != s.layout:
-        raise LayoutMismatchError(
-            f"hamiltonian on {h.layout.labels}, state on {s.layout.labels}"
-        )
+    s.layout.require(h.layout, "hamiltonian")
     pure = s.is_pure
     return energy_moments_array(h, s.pure_vector[..., None] if pure else s.matrix,
                                 density=not pure)

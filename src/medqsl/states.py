@@ -162,6 +162,12 @@ class SystemLayout:
         """Sub-layout of ``labels``, kept in this layout's order."""
         return SystemLayout(tuple(self.subsystems[k] for k in sorted(self.positions(labels))))
 
+    def require(self, other: "SystemLayout", name: str, own: str = "state") -> None:
+        """Refuse ``name``'s layout ``other`` unless it is this one, ``own``'s, with
+        LayoutMismatchError naming both by their labels and dims."""
+        if other != self:
+            raise LayoutMismatchError(f"{name} on {other.subsystems}, {own} on {self.subsystems}")
+
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -339,9 +345,9 @@ class DensityState:
         return f"DensityState({kind}, labels={self.layout.labels}, dims={self.layout.dims}{stack})"
 
 
-def _value(s: DensityState, values: np.ndarray) -> float | np.ndarray:
-    """One measure's values: a float for a single state, the array for a stack."""
-    return float(values) if s.matrix.ndim == 2 else values
+def _value(values: np.ndarray) -> float | np.ndarray:
+    """One measure's values: a float when they are 0-d, one value, else the array."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def maximally_entangled(layout: SystemLayout) -> DensityState:
@@ -468,7 +474,7 @@ def negativity(s: DensityState, p: Bipartition) -> float | np.ndarray:
     must trace out any subsystem not in the bipartition first.
     """
     p.validate_covering(s.layout)
-    return _value(s, negativity_array(s.matrix, s.layout.dims, s.layout.positions(p.side_b)))
+    return _value(negativity_array(s.matrix, s.layout.dims, s.layout.positions(p.side_b)))
 
 
 def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
@@ -485,10 +491,7 @@ def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
     r1's null space, whose roundoff would add some sqrt(eps) each, is
     left out.  Only ``s1`` is factored: pass a single state first.
     """
-    if s1.layout != s2.layout:
-        raise LayoutMismatchError(
-            f"states on different layouts: {s1.layout.labels} vs {s2.layout.labels}"
-        )
+    s1.layout.require(s2.layout, "second state", "first state")
     if s1.is_pure and s2.is_pure:
         z = dot_rows(s1.pure_vector.conj(), s2.pure_vector)
         f = np.hypot(z.real, z.imag)  # abs of each, as a complex scalar takes it
@@ -511,8 +514,7 @@ def uhlmann_fidelity(s1: DensityState, s2: DensityState) -> float | np.ndarray:
             prod[rows, ..., :f_r.shape[-1]] = np.linalg.eigvalsh(
                 f_r.conj().swapaxes(-1, -2) @ sub @ f_r)
         f = np.sqrt(np.maximum(require_psd(prod), 0.0)).sum(axis=-1)
-    f = np.clip(f, 0.0, 1.0)
-    return float(f) if f.ndim == 0 else f
+    return _value(np.clip(f, 0.0, 1.0))
 
 
 def _acos(f: float | np.ndarray) -> float | np.ndarray:
@@ -537,7 +539,7 @@ def von_neumann_entropy(s: DensityState) -> float | np.ndarray:
     ``ENTROPY_CUTOFF`` add 0, for one state and a stack alike."""
     w = np.linalg.eigvalsh(s.matrix) if s.spectrum is None else s.spectrum
     w = np.where(w > ENTROPY_CUTOFF, w, 1.0)  # 1 log2 1 = 0
-    return _value(s, -(w * np.log2(w)).sum(axis=-1))
+    return _value(-(w * np.log2(w)).sum(axis=-1))
 
 
 def mutual_information(s: DensityState, p: Bipartition) -> float | np.ndarray:
@@ -551,7 +553,7 @@ def mutual_information(s: DensityState, p: Bipartition) -> float | np.ndarray:
 def purity(s: DensityState) -> float | np.ndarray:
     """tr(rho^2), which is 1 exactly for pure states."""
     flat = s.matrix.reshape(s.matrix.shape[:-2] + (-1,))
-    return _value(s, dot_rows(flat.conj(), flat).real)
+    return _value(dot_rows(flat.conj(), flat).real)
 
 
 def is_classically_correlated_on(s: DensityState, label: str) -> bool:

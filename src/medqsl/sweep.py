@@ -77,8 +77,7 @@ from .states import (
     negativity_array,
 )
 from .tolerances import (
-    ATTAIN_SLACK, CLOSED_RATE_TOL, EARLY_SLACK, EXCESS_TOL, OPEN_RATE_TOL, RATE_DELTA,
-    STAGE2_TIME_SLACK,
+    ATTAIN_SLACK, CLOSED_RATE_TOL, EARLY_SLACK, EXCESS_TOL, OPEN_RATE_TOL, STAGE2_TIME_SLACK,
 )
 
 __all__ = [
@@ -428,7 +427,7 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
 
 
 def run_rate_zero(cfg: SweepConfig) -> SweepReport:
-    """Exact one-sided entanglement rates at T = 0, reported as delta dN/dT(0+).
+    """Exact one-sided entanglement rates dN/dT(0+), in N per unit T.
 
     Closed instances from product system-mediator states must show a zero
     rate, to roundoff; adding local jumps must never make it positive.  A
@@ -458,15 +457,12 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
     h_direct = direct_optimal(cfg.d)
     control = entanglement_change_at_zero(h_direct, DensityState.basis(h_direct.layout), AB_CUT)
     details = {
-        "delta": RATE_DELTA,
-        "jump_type": cfg.jump_type,
-        "jump_rate": JUMP_RATE,
         "max_abs_closed_change": float(closed.max()),
         "max_open_change": float(dn_open.max()),
         "direct_control_change": float(control),
     }
     return _report(cfg, np.zeros(1), n_start[:, None], extremes, violations, details,
-                   delta=RATE_DELTA, jump_type=cfg.jump_type, jump_rate=JUMP_RATE)
+                   jump_type=cfg.jump_type, jump_rate=JUMP_RATE)
 
 
 def run_fig2(d: int, grid: TimeGrid = TRAJECTORY_GRID) -> Trajectory:

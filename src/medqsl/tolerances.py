@@ -20,18 +20,17 @@ CLASSICAL_TOL = 1e-8        # off-diagonal block norm of a classically correlate
 SUPPORT_CUT = 1e-12         # fidelity: eigenvalues of the first state at or below it are
                             # its null space (roundoff of a validated state is some 1e-15)
 
-# time grids, the scan-and-refine primitives and the rate probe
+# time grids and the scan-and-refine primitives
 GRID_SLACK = 1e-9           # in steps: a span that is a multiple of the step keeps its end
 REFINE_TOL = 1e-9           # bracket width at which golden section and bisection stop
 PEAK_SLACK = 1e-4           # grid-local peaks this close below a level are refined
 FIRST_MAX_SLACK = 1e-7      # a refined peak this close to (d-1)/2 counts as maximal
-RATE_DELTA = 1e-4           # the rate probe reports delta dN/dT(0+), N's change over delta
 PHASE_MAX = 2.0 ** 49       # rad: the largest closed phase max|w| (T - start), whose ulp is 1/8
 
 # sweep verdicts
 ATTAIN_SLACK = 1e-6         # N reaches the level (d-1)/2 within this
 EARLY_SLACK = 1e-3          # cmi: up to arccos(1/sqrt d) plus this counts as early
 STAGE2_TIME_SLACK = 1e-6    # smi: a crossing this far before arccos(1/d) is a violation
-CLOSED_RATE_TOL = 1e-6      # rate-zero: |delta dN/dT(0+)| without jumps
-OPEN_RATE_TOL = 1e-8        # rate-zero: delta dN/dT(0+) with local jumps
+CLOSED_RATE_TOL = 1e-6      # rate-zero: |dN/dT(0+)| without jumps (roundoff reads ~1e-16)
+OPEN_RATE_TOL = 1e-8        # rate-zero: dN/dT(0+) with local jumps
 EXCESS_TOL = 1e-10          # commuting-null: N above its T = 0 value

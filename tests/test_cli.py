@@ -20,8 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from medqsl import (
-    Hamiltonian, SystemLayout, TimeGrid, builtin_pair, format_ast, maximally_entangled,
-    parse_file, save_state, sweep,
+    DensityState, Hamiltonian, SystemLayout, TimeGrid, builtin_pair, format_ast,
+    maximally_entangled, parse_file, save_state, sweep,
 )
 from medqsl import cli, dynamics
 from medqsl.cli import main
@@ -487,9 +487,20 @@ class TestExitCodes:
         rc = main(["bound", "--ham", "direct-optimal:2", "--state", "qutrits.json",
                    "--target", "maxent"])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "state layout (('A', 3), ('B', 3)) does not match" in err
-        assert "Hamiltonian layout (('A', 2), ('B', 2))" in err
+        assert capsys.readouterr().err == (
+            "error: state file 'qutrits.json' on (('A', 3), ('B', 3)), "
+            "hamiltonian on (('A', 2), ('B', 2))\n")
+
+    def test_evolve_state_file_on_another_layout(self, tmp_path, capsys):
+        # the labels agree, so the refusal names both layouts by their dims as well
+        save_state(DensityState.basis(SystemLayout((("A", 2), ("B", 3)))), "ab23.json")
+        rc = main(["evolve", "--ham", "direct-optimal:2", "--state", "ab23.json",
+                   "--tmax", "0.1", "--out", "out.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: state file 'ab23.json' on (('A', 2), ('B', 3)), "
+            "hamiltonian on (('A', 2), ('B', 2))\n")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_trajectory_cap_returns_at_once(self, tmp_path, capsys, monkeypatch):
         # 1e7 + 1 retained 4x4 states: refused before the time array, an

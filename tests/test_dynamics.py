@@ -59,10 +59,11 @@ from medqsl.states import (
     embed_operator,
     uhlmann_fidelity,
 )
-from medqsl.tolerances import RATE_DELTA
 
 
 OPEN3 = Path(__file__).parent / "data" / "ledger" / "open3.hspec"
+# a grid step at which damping at rate 1e4 gives rate x step = 1: one RK4 substep overshoots
+OVERSHOOT_STEP = 1e-4
 
 
 def ket(layout, index):
@@ -240,6 +241,22 @@ def test_target_on_another_layout_refused_before_evolving(monkeypatch, open_):
             evolve_lindblad(*args, JumpOperatorSet.local(h.layout, "dephasing", 0.1), target=target)
         else:
             evolve_unitary(*args, target=target)
+
+
+@pytest.mark.parametrize("call", [
+    energy_moments,
+    lambda h, s: uhlmann_fidelity(ket(h.layout, 0), s),
+    lambda h, s: evolve_unitary(h, s, TimeGrid(0.0, 1.0, 0.1)),
+    lambda h, s: evolve_unitary(h, ket(h.layout, 0), TimeGrid(0.0, 1.0, 0.1), target=s),
+], ids=["energy_moments", "uhlmann_fidelity", "evolve_unitary", "target"])
+def test_layout_refusal_names_both_layouts(call):
+    # a state on A:2, B:3 against direct_optimal(2): the labels agree, so each
+    # refusal names both layouts by their dims as well
+    h = direct_optimal(2)
+    with pytest.raises(LayoutMismatchError) as info:
+        call(h, ket(SystemLayout((("A", 2), ("B", 3))), 0))
+    assert "(('A', 2), ('B', 3))" in str(info.value)
+    assert "(('A', 2), ('B', 2))" in str(info.value)
 
 
 class TestUnitaryEvolution:
@@ -1126,8 +1143,8 @@ class TestRateProbe:
     def test_direct_coupling_linear_rate(self):
         h = direct_optimal(2)
         dn = entanglement_change_at_zero(h, ket(h.layout, 0), Bipartition.parse("A:B"))
-        # N = sin(2 delta)/2 ~ delta - (2/3) delta^3, at delta = 1e-4
-        assert_allclose(dn, 1e-4, rtol=1e-6)
+        # N = sin(2T)/2, whose slope at T = 0 is 1
+        assert type(dn) is float and abs(dn - 1.0) <= 1e-12
 
     def test_mediated_coupling_flat_at_zero(self):
         h, s = cmi_product_example()
@@ -1141,14 +1158,14 @@ class TestRateProbe:
         assert dn <= 1e-10
 
     def test_open_positivity_lost(self, rk4_stepper):
-        # rate x delta = 1: one RK4 substep over the probe's delta overshoots.
-        # The probe takes no step, so it gives its rate; a run stepped over
-        # delta loses positivity
+        # rate x step = 1: one RK4 substep over the step overshoots.  The probe
+        # takes no step, so it gives its rate; a run stepped over it loses
+        # positivity
         h, s = open_system_example()
         jumps = JumpOperatorSet.local(h.layout, "damping", 1e4)
         assert math.isfinite(entanglement_change_at_zero(h, s, Bipartition.parse("A:B"), jumps))
         with pytest.raises(PositivityLostError, match="T=0.0001;"):
-            evolve_lindblad(h, s, TimeGrid(0.0, RATE_DELTA, RATE_DELTA), jumps)
+            evolve_lindblad(h, s, TimeGrid(0.0, OVERSHOOT_STEP, OVERSHOOT_STEP), jumps)
 
     def test_overflowing_jumps_are_refused(self):
         # K = -iM - sum Q+Q / 2 overflows: the probe refuses the jumps by
@@ -1179,14 +1196,14 @@ class TestRateProbe:
         closed = [entanglement_change_at_zero(h, s, p) for h, s in cases]
         stepped = [entanglement_change_at_zero(h, s, p, JumpOperatorSet(h.layout, ()))
                    for h, s in cases]
-        assert_allclose(closed[0], 1e-4, rtol=1e-6)
+        assert abs(closed[0] - 1.0) <= 1e-12
         assert stepped == closed
 
     @pytest.mark.parametrize("kind", [None, "dephasing", "damping"])
     @pytest.mark.parametrize("d", [2, 3])
     def test_rate_is_the_centred_difference_of_the_stepper(self, d, kind):
-        # delta dN/dT at the state rho(h) of a run against delta (N(2h) - N(0)) / 2h
-        # of the same run, h = 1e-6, to 1e-6 relative: the difference misses the
+        # dN/dT at the state rho(h) of a run against (N(2h) - N(0)) / 2h of the
+        # same run, h = 1e-6, to 1e-6 relative: the difference misses the
         # rate by h^2 / 6 times N's third derivative and by the stepped N's
         # roundoff over 2h.  Random couplings on A:d B:d C:d and pure starts, whose
         # A:B marginals are entangled; no jumps is the empty set, which the
@@ -1202,8 +1219,23 @@ class TestRateProbe:
                                    jumps or JumpOperatorSet(lay, ()), cut=p)
             n = traj.columns["negativity"]
             rate = entanglement_change_at_zero(h, traj.states[1], p, jumps)
-            assert n[1] > 0.05 and abs(rate) > 1e-8
-            assert_allclose(rate, RATE_DELTA * (n[2] - n[0]) / 2e-6, rtol=1e-6)
+            assert n[1] > 0.05 and abs(rate) > 1e-4
+            assert_allclose(rate, (n[2] - n[0]) / 2e-6, rtol=1e-6)
+
+    @pytest.mark.parametrize("kind", [None, "dephasing", "damping"])
+    def test_coupling_stack_with_one_state(self, kind):
+        # a (B, n, n) stack of couplings and one state give the (B,) rates, each
+        # the bits of its own single-coupling call; random couplings and a pure
+        # start entangled across A:B, so no rate is roundoff
+        lay = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+        p = Bipartition.parse("A:B")
+        s0 = DensityState.from_pure(lay, haar_pure(lay.dim, RngStream(9, 0)))
+        ms = [random_hermitian(lay.dim, RngStream(9, sid)) for sid in range(1, 4)]
+        jumps = None if kind is None else JumpOperatorSet.local(lay, kind, 0.3)
+        stacked = entanglement_change_at_zero(Hamiltonian(lay, np.array(ms)), s0, p, jumps)
+        single = [entanglement_change_at_zero(Hamiltonian(lay, m), s0, p, jumps) for m in ms]
+        assert stacked.shape == (3,) and stacked.tolist() == single
+        assert min(abs(x) for x in single) > 1e-4
 
     @pytest.mark.parametrize("layout", [
         (("X", 2), ("Y", 2), ("Z", 2)),
@@ -1242,7 +1274,7 @@ class TestRateProbe:
     def test_stacked_positivity_lost_names_its_index(self, rk4_stepper):
         # a run's chunk of stepped states is checked as one stack: the earliest
         # failing state, index 1 of the chunk, the first RK4 substep at rate x
-        # delta = 1, is named by its T alone, and the error carries no index.
+        # step = 1, is named by its T alone, and the error carries no index.
         # The probe gives the same stack of three its rates
         h, s = open_system_example()
         jumps = JumpOperatorSet.local(h.layout, "damping", 1e4)
@@ -1252,7 +1284,7 @@ class TestRateProbe:
         assert rates.shape == (3,) and np.isfinite(rates).all()
         with pytest.raises(PositivityLostError,
                            match=r"T=0\.0001; reduce the step or the rates$") as info:
-            evolve_lindblad(h, s, TimeGrid(0.0, 3 * RATE_DELTA, RATE_DELTA), jumps)
+            evolve_lindblad(h, s, TimeGrid(0.0, 3 * OVERSHOOT_STEP, OVERSHOOT_STEP), jumps)
         assert info.value.index == ()
 
     def test_embedded_once_per_set(self, monkeypatch):

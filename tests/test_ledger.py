@@ -199,15 +199,15 @@ def test_planted_change_fails_the_ledger(tmp_path, monkeypatch, plant):
 
 
 def test_rate_zero_report_ignores_closed_roundoff(tmp_path, monkeypatch):
-    # the closed probe of a product start reads roundoff (some 1e-20 as delta dN/dT);
-    # seeded signs of 1e-20 added to it, far below CLOSED_RATE_TOL and FLOAT_TOL, leave
+    # the closed probe of a product start reads roundoff (some 1e-16 as dN/dT);
+    # seeded signs of 1e-16 added to it, far below CLOSED_RATE_TOL and FLOAT_TOL, leave
     # the report as it was: no field may pick a stream, or anything else, out of them
     probe, rng = sweep.entanglement_change_at_zero, np.random.default_rng(5)
 
     def planted(h, s0, p, jumps=None):
         change = probe(h, s0, p, jumps)
         if jumps is None:
-            change = change + 1e-20 * rng.choice((-1.0, 1.0), np.shape(change))
+            change = change + 1e-16 * rng.choice((-1.0, 1.0), np.shape(change))
         return change
 
     monkeypatch.setattr(sweep, "entanglement_change_at_zero", planted)

@@ -15,6 +15,9 @@ layout by ``embed_operator``, the sweep kernels read the
 once, in one place, where the randgen samplers draw all of a block's
 streams together.  No sweep kernel defines a closure per row, and every
 sweep's block size and kept-memory cap are decided in ``_sweep`` alone.
+Two layouts are refused by ``SystemLayout.require`` alone, a measure's one
+value becomes a float in ``states._value`` alone, and the rate probe
+reports dN/dT(0+) in its own units, with no step of a finite difference.
 """
 
 import ast
@@ -306,6 +309,40 @@ def _counting_eig(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
+
+
+def test_one_layout_refusal():
+    # two layouts are compared, and a mismatch refused naming both by labels and
+    # dims, in SystemLayout.require alone: the library's checks and the CLI's
+    # state files call it
+    raised = _scopes_of(lambda node: isinstance(node, ast.Raise) and "LayoutMismatchError" in
+                        {getattr(n, "id", None) for n in ast.walk(node)})
+    assert raised == ["states.SystemLayout.require"]
+    assert _callers_of("require") == ["cli._resolve_state", "dynamics._check_layouts",
+                                      "dynamics._observed", "hamiltonians.energy_moments",
+                                      "states.uhlmann_fidelity"]
+
+
+def test_one_float_or_stack_rule():
+    # a measure's values are a float exactly when they are 0-d, and states._value
+    # alone decides it: in states and hamiltonians no other function calls min()
+    # or turns a value into a float but to write a JSON pair or a bool verdict,
+    # and every measure, the energy moments and the rate probe return through it
+    in_measures = ("states.", "hamiltonians.")
+    assert [c for c in _callers_of("float") if c.startswith(in_measures)] == [
+        "states._complex_pairs", "states._complex_pairs", "states._value",
+        "states.is_classically_correlated_on"]
+    assert [c for c in _callers_of("min") if c.startswith(in_measures)] == []
+    assert _callers_of("_value") == [
+        "dynamics.entanglement_change_at_zero", "hamiltonians.EnergyMoments.smaller",
+        "hamiltonians.energy_moments_array", "hamiltonians.energy_moments_array",
+        "states.negativity", "states.purity", "states.uhlmann_fidelity",
+        "states.von_neumann_entropy"]
+
+
+def test_rate_in_its_own_units():
+    # the rate probe is exact, so no finite-difference step scales what it reports
+    assert [path.name for path in SRC.glob("*.py") if "RATE_DELTA" in path.read_text()] == []
 
 
 def test_one_spectrum_per_hamiltonian(monkeypatch):

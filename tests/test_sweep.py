@@ -45,7 +45,6 @@ from medqsl import sweep
 from medqsl.dynamics import JUMP_KINDS, JumpOperatorSet, evolve_lindblad, negativity_curve
 from medqsl.errors import PositivityLostError, StationaryStateError
 from medqsl.sweep import AB_CUT, _cmi_draw, _commuting_draw, _curve_block, _rate_block
-from medqsl.tolerances import RATE_DELTA
 
 
 class TestSweepConfig:
@@ -620,12 +619,14 @@ def _traced_peak(fn, *args, **kwargs) -> int:
             gc.enable()
 
 
-def _replay(rows: tuple, served: list, cfg, sids, **setup) -> tuple:
+def _replay(rows: tuple, served: set, cfg, sids, **setup) -> tuple:
     """A block kernel that gives stream i row i % k of ``rows``, the fields of k real
-    instances, and records each block's size in ``served``."""
-    served.append(len(sids))
+    instances, and adds each block's size to ``served``, which grows with no block."""
+    served.add(len(sids))
     pick = np.arange(sids.start, sids.stop) % len(rows[0])
-    return tuple(f[pick] for f in rows)
+    # from a list, whose tuple is made at its size: a tuple grown from a generator is
+    # resized, and each one freed would join the interpreter's free list, read as kept
+    return tuple([f[pick] for f in rows])
 
 
 # the cap at which each experiment's largest admitted run is traced, and the fixed slack
@@ -637,28 +638,30 @@ _SLACK = 2 ** 18
 class TestKeptMemory:
     def test_sweep_keeps_its_fields_not_its_block_results(self):
         # each block's rows are written into the (n, ...) field arrays as the
-        # block arrives, so 400 one-instance rate-zero blocks keep their three
-        # floats each: 24 bytes, where the traced difference reads some 36 and
-        # the bound allows four times 24; a sweep that kept every block's
-        # result tuple until the end held some 620 bytes per instance.
-        # Two untraced runs first bring the interpreter's caches to steady state
-        # (after one, the next 400 blocks still keep some 75 kB more), and the
-        # collector is held off throughout: a full collection empties the free
-        # lists, whose refill (up to some 320 kB) would read as kept memory
+        # block arrives, so 400 one-instance blocks keep their three floats each:
+        # 24 bytes, which the traced difference reads, where the bound allows four
+        # times 24; a sweep that kept every block's result tuple until the end read
+        # some 470.  Each block replays the rate-zero fields of one of four real
+        # instances, as the largest admitted runs do.
+        # Two untraced runs first bring the interpreter's caches to steady state,
+        # and the collector is held off throughout: a full collection empties the
+        # free lists, whose refill would read as kept memory
         n = 400
         cfg = SweepConfig("rate-zero", seed=3, n_instances=n, workers=1)
         jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, sweep.JUMP_RATE)
+        served = set()
+        replay = functools.partial(_replay, _rate_block(cfg, range(4), jumps=jumps), served)
         # one instance a block, keeping its three fields
-        args = (_rate_block, sweep.BLOCK_BYTES, 24)
+        args = (replay, sweep.BLOCK_BYTES, 24)
         gc.disable()
         try:
             for _ in range(2):
-                sweep._sweep(cfg, *args, jumps=jumps)
-            one = _traced_peak(sweep._sweep, SweepConfig("rate-zero", seed=3, n_instances=1,
-                                                         workers=1), *args, jumps=jumps)
-            many = _traced_peak(sweep._sweep, cfg, *args, jumps=jumps)
+                sweep._sweep(cfg, *args)
+            one = _traced_peak(sweep._sweep, dataclasses.replace(cfg, n_instances=1), *args)
+            many = _traced_peak(sweep._sweep, cfg, *args)
         finally:
             gc.enable()
+        assert served == {1}
         assert many - one < 4 * 3 * 8 * n
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -676,7 +679,7 @@ class TestKeptMemory:
         monkeypatch.setattr(sweep, name, lambda cfg, sids, **setup: (
             seen.update(setup) or kernel(cfg, sids, **setup)))
         run_sweep(cfg)
-        served = []
+        served = set()
         replay = functools.partial(_replay, kernel(cfg, range(4), **seen), served)
         monkeypatch.setattr(sweep, name, replay)
         monkeypatch.setattr(sweep, "MAX_KEPT_BYTES", _TRACED_CAP)
@@ -839,11 +842,11 @@ class TestRateZero:
             assert [f[i] for f in block] == [f[0] for f in one]
 
     def test_lost_positivity_names_its_stream(self, rk4_stepper):
-        # at rate x delta = 1 one RK4 substep over delta overshoots.  The
+        # at rate x step = 1 one RK4 substep over the step overshoots.  The
         # probe takes no step, so the block gives every stream its rate, none
-        # positive; a run of stream 3's instance stepped over delta refuses,
+        # positive; a run of stream 3's instance stepped over it refuses,
         # naming its T
-        cfg = SweepConfig("rate-zero", seed=5, d=2)
+        cfg, step = SweepConfig("rate-zero", seed=5, d=2), 1e-4
         jumps = JumpOperatorSet.local(cfg.layout, "damping", 1e4)
         dn_open = _rate_block(cfg, range(3, 7), jumps=jumps)[1]
         assert np.isfinite(dn_open).all() and (dn_open <= sweep.OPEN_RATE_TOL).all()
@@ -852,7 +855,7 @@ class TestRateZero:
         (one,) = h.scaled(k_scale)
         with pytest.raises(PositivityLostError, match=r"^minimum eigenvalue .* at T=0\.0001; "):
             evolve_lindblad(one, DensityState(cfg.layout, rho0[0]),
-                            TimeGrid(0.0, RATE_DELTA, RATE_DELTA), jumps)
+                            TimeGrid(0.0, step, step), jumps)
 
     def test_damping_channel(self):
         cfg = SweepConfig(
