@@ -43,6 +43,7 @@ from .states import (
     DensityState,
     SystemLayout,
     _acos,
+    _single,
     _value,
     embed_operator,
     mutual_information,
@@ -234,10 +235,11 @@ def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
               target: DensityState | None) -> tuple[Bipartition, DensityState]:
     """``cut`` and ``target``, or the defaults that ``evolve_unitary`` documents.
 
-    Refused before anything is allocated or propagated: a trajectory of
-    ``s0`` on ``grid`` above ``MAX_KEPT_BYTES``, a cut with a label
-    that ``s0.layout`` lacks, and a target on another layout.
+    Refused before anything is allocated or propagated: a stack as ``s0`` or
+    ``target``, a trajectory of ``s0`` on ``grid`` above ``MAX_KEPT_BYTES``, a
+    cut with a label that ``s0.layout`` lacks, and a target on another layout.
     """
+    _single(s0=s0, target=target)
     n = s0.layout.dim
     need = len(grid) * (16 * n * n + 16 * n + 8 * len(TRAJECTORY_COLUMNS))
     if need > MAX_KEPT_BYTES:
@@ -357,7 +359,7 @@ def _substeps(k, q, span: float, steps: int = 1) -> int:
 
 
 def _l_action(k, q, scale: float = 1.0):
-    """``act(r)``: scale L(r) for K and r of one ``(..., n, n)`` shape, in two products: P =
+    """``act(r)``: scale L(r) for K and r whose ``(..., n, n)`` shapes broadcast, two products: P =
     scale [K; Q_1; ...] r, rows interleaved, and scale L(r) = P_0 + P_0+ + [P_1 ...] [Q_1+; ...]."""
     lead, n, m = k.shape[:-2], k.shape[-1], len(q)
     factors = np.concatenate([k[..., None, :], np.broadcast_to(q.swapaxes(0, 1), lead + (n, m, n))],
@@ -366,8 +368,9 @@ def _l_action(k, q, scale: float = 1.0):
     q_adj = q.conj().swapaxes(1, 2).reshape(m * n, n)
 
     def act(r):
-        p = (factors @ r).reshape(lead + (n, m + 1, n))
-        out = p[..., 1:, :].reshape(lead + (n, m * n)) @ q_adj
+        p = factors @ r
+        p = p.reshape(p.shape[:-2] + (n, m + 1, n))
+        out = p[..., 1:, :].reshape(p.shape[:-3] + (n, m * n)) @ q_adj
         out += p[..., 0, :] + p[..., 0, :].conj().swapaxes(-1, -2)
         return out
     return act
@@ -557,8 +560,8 @@ def entanglement_change_at_zero(h: Hamiltonian, s0: DensityState, p: Bipartition
     sigma = tr_rest rho0 and dsigma = tr_rest L(rho0), with L applied once by ``_l_action``
     (closed: no jumps, K = -iM), give the rate by ``negativity_rate``: 1 for the direct
     control at d = 2.  For mediated Hamiltonians and product system-mediator inputs it is
-    zero when closed, and never positive when jumps are local.  A stack of B couplings,
-    with B states or one, gives the ``(B,)`` rates, and one coupling and one state a float.
+    zero when closed, and never positive when jumps are local.  B couplings, B states or
+    both, as stacks, give the ``(B,)`` rates, and one coupling and one state a float.
     """
     _check_layouts(h, s0, jumps)
     k, q = _generator(h, JumpOperatorSet(h.layout, ()) if jumps is None else jumps)
@@ -579,8 +582,8 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
     attains the level within the horizon (at most 50).
     """
     _check_layouts(h, s0)
-    d = min(math.prod(s0.layout.dim_of(lab) for lab in side)
-            for side in (p.side_a, p.side_b))
+    _single(s0=s0)
+    d = min(s0.layout.restricted(side).dim for side in (p.side_a, p.side_b))
     if d < 2:
         raise BadDimensionError(f"a side of the cut has dimension {d}: need d >= 2")
     if not 0 < horizon <= 50.0:

@@ -21,6 +21,7 @@ from .hamiltonians import EnergyMoments, Hamiltonian, energy_moments
 from .states import (
     DensityState,
     SystemLayout,
+    _single,
     bures_angle,
     uhlmann_fidelity,
 )
@@ -62,8 +63,7 @@ class BoundReport:
 
 def _principal_dim(layout: SystemLayout) -> int:
     # the two parties being entangled are the first two subsystems by convention
-    dims = layout.dims
-    return min(dims[0], dims[1]) if len(dims) >= 2 else dims[0]
+    return min(layout.dims[:2])
 
 
 def _ml_angle(theta: float) -> float:
@@ -90,9 +90,10 @@ def unified_bound(s0: DensityState, target: DensityState, h: Hamiltonian) -> Bou
     """Minimal T to reach ``target`` from ``s0`` under the unitary dynamics of ``h``.
 
     The larger of ``mt`` = theta / std and, for a pure ``s0``, ``ml`` =
-    alpha(theta) / mean (None for a mixed one).  Raises StationaryStateError,
-    through ``EnergyMoments.scale``, when a moment vanishes.
+    alpha(theta) / mean (None for a mixed one).  Raises DimensionMismatchError for a stack as
+    either state, and StationaryStateError, through ``EnergyMoments.scale``, when a moment vanishes.
     """
+    _single(s0=s0, target=target)
     theta = bures_angle(s0, target)
     em = energy_moments(h, s0)
     em.scale()

@@ -350,6 +350,13 @@ def _value(values: np.ndarray) -> float | np.ndarray:
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _single(**states: DensityState | None) -> None:
+    """Refuse a stack where one state is meant: DimensionMismatchError names its argument."""
+    for name, s in states.items():
+        if s is not None and s.matrix.ndim != 2:
+            raise DimensionMismatchError(f"{name} is a stack of {len(s.matrix)} states, not one")
+
+
 def maximally_entangled(layout: SystemLayout) -> DensityState:
     """The state sum_j |jj> / sqrt(d) on a two-subsystem layout of dims (d, d)."""
     if len(layout) != 2 or layout.dims[0] != layout.dims[1]:
@@ -568,9 +575,8 @@ def is_classically_correlated_on(s: DensityState, label: str) -> bool:
     off-diagonal block norm measured in it against ``CLASSICAL_TOL``: a
     state called classical is classical in a basis it exhibits.
     """
+    _single(s=s)
     layout = s.layout
-    if s.matrix.ndim != 2:
-        raise DimensionMismatchError(f"a stack of {len(s.matrix)} states: test one at a time")
     perm = layout.axes_first((label,))
     dm = layout.dims[perm[0]]
     if dm == 1:

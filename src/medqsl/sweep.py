@@ -427,13 +427,13 @@ def run_cmi_uncorrelated(cfg: SweepConfig) -> SweepReport:
 
 
 def run_rate_zero(cfg: SweepConfig) -> SweepReport:
-    """Exact one-sided entanglement rates dN/dT(0+), in N per unit T.
+    """Exact one-sided entanglement rates dN/dT(0+) at the one time T = 0, in N per unit T.
 
-    Closed instances from product system-mediator states must show a zero
-    rate, to roundoff; adding local jumps must never make it positive.  A
-    direct (non-mediated) control shows the contrast: its N grows linearly
-    from the start, at rate 1 for d = 2.  The probe takes no step: the one
-    time is T = 0, where the envelope is N(0), and the rates fill the rest.
+    Closed instances from product system-mediator states must show a zero rate, to roundoff;
+    local jumps must never make it positive; a direct control's N grows at rate 1 for d = 2.
+    The envelope is N(0).  The rates fill ``details.max_abs_closed_change``, ``max_open_change``
+    and ``direct_control_change``, ``extremes.max_open_change`` and each violation's
+    ``delta_negativity``: each is dN/dT(0+) in N per unit T, though its key names a change.
     """
     jumps = JumpOperatorSet.local(cfg.layout, cfg.jump_type, JUMP_RATE)
     # a block's largest stacks are the open probe's: its one application of L holds the

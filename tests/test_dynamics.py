@@ -1237,6 +1237,38 @@ class TestRateProbe:
         assert stacked.shape == (3,) and stacked.tolist() == single
         assert min(abs(x) for x in single) > 1e-4
 
+    @pytest.mark.parametrize("kind", [None, "dephasing", "damping"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_coupling_with_state_stack(self, d, kind):
+        # one coupling and a (3, n, n) stack of states give the (3,) rates, each
+        # the bits of its own one-state call: L takes its leading shape from the
+        # product of K and the states, not from K alone.  Pure starts entangled
+        # across A:B, so no rate is roundoff
+        lay = SystemLayout((("A", d), ("B", d), ("C", d)))
+        p = Bipartition.parse("A:B")
+        h = Hamiltonian(lay, random_hermitian(lay.dim, RngStream(9, 0)))
+        stack = DensityState.from_pure(
+            lay, np.array([haar_pure(lay.dim, RngStream(9, sid)) for sid in range(1, 4)]))
+        jumps = None if kind is None else JumpOperatorSet.local(lay, kind, 0.3)
+        stacked = entanglement_change_at_zero(h, stack, p, jumps)
+        single = [entanglement_change_at_zero(h, s, p, jumps) for s in stack]
+        assert stacked.shape == (3,) and stacked.tolist() == single
+        assert min(abs(x) for x in single) > 1e-4
+
+    @pytest.mark.parametrize("kind", [None, "dephasing", "damping"])
+    def test_l_acts_on_a_trajectory_stack(self, kind):
+        # L applied to the 11 stepped states of an open-system run, as one
+        # (11, 8, 8) stack, gives each state's own L(rho) bit for bit
+        h, s = open_system_example()
+        jumps = JumpOperatorSet(h.layout, ()) if kind is None else JumpOperatorSet.local(
+            h.layout, kind, 0.1)
+        traj = evolve_lindblad(h, s, TimeGrid(0.0, 1.0, 0.1), jumps)
+        [rhos] = [stack.matrix for stack in traj.stacks]
+        act = dynamics._l_action(*dynamics._generator(h, jumps))
+        out = act(rhos)
+        assert rhos.shape == out.shape == (11, 8, 8)
+        assert all(np.array_equal(row, act(rho)) for row, rho in zip(out, rhos))
+
     @pytest.mark.parametrize("layout", [
         (("X", 2), ("Y", 2), ("Z", 2)),
         (("A", 2), ("B", 2)),

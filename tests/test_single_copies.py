@@ -18,6 +18,9 @@ sweep's block size and kept-memory cap are decided in ``_sweep`` alone.
 Two layouts are refused by ``SystemLayout.require`` alone, a measure's one
 value becomes a float in ``states._value`` alone, and the rate probe
 reports dN/dT(0+) in its own units, with no step of a finite difference.
+A stack where one state is meant is refused in ``states._single`` alone,
+and L takes its leading shape from the product of K and the states it acts
+on, so one K acts on any stack of states.
 """
 
 import ast
@@ -31,7 +34,7 @@ import numpy as np
 import pytest
 
 import medqsl
-from medqsl import Bipartition, DensityState, dynamics, hamiltonians, linalg, qsl, sweep
+from medqsl import Bipartition, DensityState, dynamics, hamiltonians, linalg, qsl, states, sweep
 
 SRC = Path(medqsl.__file__).resolve().parent
 
@@ -338,6 +341,31 @@ def test_one_float_or_stack_rule():
         "hamiltonians.energy_moments_array", "hamiltonians.energy_moments_array",
         "states.negativity", "states.purity", "states.uhlmann_fidelity",
         "states.von_neumann_entropy"]
+
+
+def test_one_stack_refusal():
+    # a stack where one state is meant is refused, naming the argument, in
+    # states._single alone: no other function spells "stack of ... states" in
+    # what it raises, and each one-state entry point calls it
+    def spells_refusal(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(n, ast.Constant) and "stack of" in str(n.value) for n in ast.walk(node))
+
+    assert _scopes_of(spells_refusal) == ["states._single"]
+    assert _callers_of("_single") == ["dynamics._observed",
+                                      "dynamics.first_max_entanglement_time",
+                                      "qsl.unified_bound",
+                                      "states.is_classically_correlated_on"]
+    assert "ndim" not in inspect.getsource(states.is_classically_correlated_on)
+
+
+def test_l_reads_its_lead_from_the_product():
+    # act(r) reshapes by the leading shape of K r, the broadcast of K's and the
+    # states' leading axes: it reads no shape, and no name, of K
+    [act] = [node for node in ast.walk(ast.parse(inspect.getsource(dynamics._l_action)))
+             if isinstance(node, ast.FunctionDef) and node.name == "act"]
+    read = {n.id for n in ast.walk(act) if isinstance(n, ast.Name)}
+    assert read.isdisjoint({"k", "lead"}) and {"factors", "r"} <= read
 
 
 def test_rate_in_its_own_units():

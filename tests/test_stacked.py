@@ -5,7 +5,8 @@ slice of seeded random stacks, mixed and pure, and a stack that fails
 validation names the earliest failing state by its stack index.  Stacks
 of couplings (the sweeps' blocks) are checked the same way: each row of
 a stacked draw, embedding, propagation, moment and curve equals its own
-one-coupling call.
+one-coupling call.  Each argument that takes one state refuses a stack,
+naming the argument, and keeps its one-state result.
 """
 
 import math
@@ -15,6 +16,9 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from medqsl import (
+    dynamics,
+    qsl,
+    states,
     Bipartition,
     DensityState,
     RngStream,
@@ -39,7 +43,9 @@ from medqsl.errors import (
     DimensionMismatchError, NormalizationError, NotHermitianError, NotPSDError,
     StationaryStateError,
 )
-from medqsl.hamiltonians import EnergyMoments, Hamiltonian, energy_moments_array
+from medqsl.hamiltonians import (
+    EnergyMoments, Hamiltonian, energy_moments_array, entangled_mediator_example,
+)
 from medqsl.linalg import kron_stack, propagate, require_hermitian, sqrtm_psd
 
 LAYOUTS = {
@@ -428,3 +434,47 @@ def _advanced(seed: int, sid: int) -> RngStream:
     stream = RngStream(seed, sid)
     random_mediated_hamiltonian(2, 2, 3, stream)
     return stream
+
+
+H_EM, S_EM = entangled_mediator_example()
+GRID = dynamics.TimeGrid(0.0, 0.1, 0.05)
+NO_JUMPS = dynamics.JumpOperatorSet(H_EM.layout, ())
+# each argument that takes one state, as its name and a call of (start, target)
+ONE_STATE_CALLS = {
+    "evolve_unitary s0": lambda s, t: dynamics.evolve_unitary(H_EM, s, GRID, target=t),
+    "evolve_unitary target": lambda s, t: dynamics.evolve_unitary(H_EM, t, GRID, target=s),
+    "evolve_lindblad s0": lambda s, t: dynamics.evolve_lindblad(H_EM, s, GRID, NO_JUMPS,
+                                                                target=t),
+    "evolve_lindblad target": lambda s, t: dynamics.evolve_lindblad(H_EM, t, GRID, NO_JUMPS,
+                                                                    target=s),
+    "first_max_entanglement_time s0": lambda s, t: dynamics.first_max_entanglement_time(
+        H_EM, s, CUT),
+    "unified_bound s0": lambda s, t: qsl.unified_bound(s, t, H_EM),
+    "unified_bound target": lambda s, t: qsl.unified_bound(t, s, H_EM),
+    "is_classically_correlated_on s": lambda s, t: states.is_classically_correlated_on(s, "C"),
+}
+
+
+class TestOneStateArguments:
+    """Where one state is meant, a stack is refused in one place, naming the argument."""
+
+    @pytest.mark.parametrize("case", list(ONE_STATE_CALLS))
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_a_stack_of_two_is_refused(self, case, pure):
+        two = (DensityState.from_pure(S_EM.layout, np.array([S_EM.pure_vector] * 2)) if pure
+               else DensityState(S_EM.layout, np.array([S_EM.matrix] * 2)))
+        name = case.rsplit(" ", 1)[1]
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^{name} is a stack of 2 states, not one$"):
+            ONE_STATE_CALLS[case](two, S_EM)
+
+    def test_single_states_keep_their_results(self):
+        # the guard moves no one-state result: first-max timing of the entangled
+        # mediator example stays at its refined pi/4, where a stacked start gave None
+        t = dynamics.first_max_entanglement_time(H_EM, S_EM, CUT)
+        assert abs(t - 0.785398156129036) <= 1e-9 and abs(t - math.pi / 4) <= 1e-8
+        report = qsl.unified_bound(S_EM, S_EM, H_EM)
+        assert report.angle == 0.0 and type(report.bound) is float
+        traj = dynamics.evolve_unitary(H_EM, S_EM, GRID)
+        assert len(traj.states) == 3 and traj.columns["fidelity_to_target"][0] == 1.0
+        assert type(states.is_classically_correlated_on(S_EM, "C")) is bool
