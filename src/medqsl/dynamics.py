@@ -232,14 +232,15 @@ def _lost(e: StackCheckError, t: float) -> PositivityLostError:
 
 
 def _observed(s0: DensityState, grid: TimeGrid, cut: Bipartition | None,
-              target: DensityState | None) -> tuple[Bipartition, DensityState]:
+              target: DensityState | None, h=None) -> tuple[Bipartition, DensityState]:
     """``cut`` and ``target``, or the defaults that ``evolve_unitary`` documents.
 
-    Refused before anything is allocated or propagated: a stack as ``s0`` or
-    ``target``, a trajectory of ``s0`` on ``grid`` above ``MAX_KEPT_BYTES``, a
-    cut with a label that ``s0.layout`` lacks, and a target on another layout.
+    Refused before anything is allocated or propagated: a stack as ``s0``,
+    ``target`` or the coupling ``h``, a trajectory of ``s0`` on ``grid`` above
+    ``MAX_KEPT_BYTES``, a cut with a label that ``s0.layout`` lacks, and a
+    target on another layout.
     """
-    _single(s0=s0, target=target)
+    _single(h=h, s0=s0, target=target)
     n = s0.layout.dim
     need = len(grid) * (16 * n * n + 16 * n + 8 * len(TRAJECTORY_COLUMNS))
     if need > MAX_KEPT_BYTES:
@@ -311,7 +312,7 @@ def evolve_unitary(h: Hamiltonian, s0: DensityState, grid: TimeGrid, *,
     propagating; a phase that overflows a float reads inf and is refused too.
     """
     _check_layouts(h, s0)
-    cut, target = _observed(s0, grid, cut, target)
+    cut, target = _observed(s0, grid, cut, target, h)
     times = grid.times
     w_max, span = float(np.abs(h.eig[0]).max()), float(times[-1] - grid.start)
     if not w_max * span <= PHASE_MAX:
@@ -358,13 +359,13 @@ def _substeps(k, q, span: float, steps: int = 1) -> int:
     return int(subs)
 
 
-def _l_action(k, q, scale: float = 1.0):
-    """``act(r)``: scale L(r) for K and r whose ``(..., n, n)`` shapes broadcast, two products: P =
-    scale [K; Q_1; ...] r, rows interleaved, and scale L(r) = P_0 + P_0+ + [P_1 ...] [Q_1+; ...]."""
+def _l_action(k, q):
+    """``act(r)``: L(r) for K and r whose ``(..., n, n)`` shapes broadcast, two products: P =
+    [K; Q_1; ...] r, rows interleaved, and L(r) = P_0 + P_0+ + [P_1 ...] [Q_1+; ...].  The one
+    spelling of L: the Taylor action, the exact map and the rate probe all apply it."""
     lead, n, m = k.shape[:-2], k.shape[-1], len(q)
     factors = np.concatenate([k[..., None, :], np.broadcast_to(q.swapaxes(0, 1), lead + (n, m, n))],
                              axis=-2).reshape(lead + (n * (m + 1), n))
-    factors *= scale
     q_adj = q.conj().swapaxes(1, 2).reshape(m * n, n)
 
     def act(r):
@@ -379,17 +380,17 @@ def _l_action(k, q, scale: float = 1.0):
 def _factor_form(k, q, span: float):
     """``step(rho)``: rho over ``span`` by the truncated Taylor action of exp(L span)
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)): s substeps h = span / s from
-    ``_substeps``, each the sum of (h L)^j rho / j!, a term one ``_l_action``, until a term's
-    entries sum to at most eps of the sum's, re-Hermitized."""
+    ``_substeps``, each the sum of (h L)^j rho / j!, a term one ``_l_action`` times h / j,
+    until a term's entries sum to at most eps of the sum's, re-Hermitized."""
     subs = _substeps(k, q, span)
-    act = _l_action(k, q, span / subs)
+    act, h = _l_action(k, q), span / subs
 
     def step(rho):
         for _ in range(subs):
             term, acc, j = rho, rho.copy(), 0
             while j == 0 or np.abs(term).sum() > np.finfo(float).eps * np.abs(acc).sum():
                 j += 1
-                term = act(term) * (1 / j)
+                term = act(term) * (h / j)
                 acc += term
             rho = 0.5 * (acc + acc.conj().T)
         return rho
@@ -398,14 +399,14 @@ def _factor_form(k, q, span: float):
 
 @functools.cache
 def _hermitian_basis(n: int):
-    """The row-major indices ``_liouville_form`` reads its real basis from, and its gathers.
+    """The real basis ``_liouville_form`` reads L in: ``take``, ``put`` and the basis stack.
 
     The real orthonormal basis of n x n Hermitian matrices is E_jj, then (E_jk + E_kj)/sqrt 2
-    and i (E_jk - E_kj)/sqrt 2 for each j < k: ``diag`` holds the indices of (j,j), and
-    ``upper`` and ``lower`` those of (j,k) and (k,j).  A Hermitian rho has the coordinates
-    x = d c in it, c = (rho_jj, Re rho_jk, Im rho_jk) and d = 1 or sqrt 2; ``take`` reads c
-    from the float view of rho, and ``put`` writes that view from (c, -Im rho_jk, 0), so the
-    rebuilt rho is exactly Hermitian.
+    and i (E_jk - E_kj)/sqrt 2 for each j < k.  A Hermitian rho has the coordinates x = d c
+    in it, c = (rho_jj, Re rho_jk, Im rho_jk) and d = 1 or sqrt 2; ``take`` reads c from the
+    float view of rho, and ``put`` writes that view from (c, -Im rho_jk, 0), so the rebuilt
+    rho is exactly Hermitian.  ``basis`` is the read-only ``(n^2, n, n)`` stack that ``put``
+    rebuilds from each unit c: E_jj, E_jk + E_kj and i E_jk - i E_kj, the d B_i.
     """
     upper_j, upper_k = np.triu_indices(n, 1)
     m, diag = len(upper_j), np.arange(n) * (n + 1)
@@ -415,51 +416,45 @@ def _hermitian_basis(n: int):
     put[2 * diag], put[2 * diag + 1] = np.arange(n), n * n + m
     put[2 * upper] = put[2 * lower] = n + np.arange(m)
     put[2 * upper + 1], put[2 * lower + 1] = n + m + np.arange(m), n * n + np.arange(m)
-    return diag, upper, lower, take, put
+    src = np.zeros((n * n, n * n + m + 1))
+    np.fill_diagonal(src, 1.0)
+    src[:, n * n:-1] = -src[:, n + m:n * n]
+    basis = np.ascontiguousarray(src[:, put]).view(complex).reshape(n * n, n, n)
+    basis.setflags(write=False)
+    return take, put, basis
 
 
 def _liouville_form(k, q, span: float):
     """``step(rho)``: rho over ``span``, one real product with its exact map.
 
-    On row-major vec(rho), L = K (x) I + I (x) conj K + sum_q Q (x) conj Q maps Hermitian
-    matrices to Hermitian ones, so in the basis B of ``_hermitian_basis`` it is the real
-    matrix L_r = Re(B+ L B) (Havel, J. Math. Phys. 44, 534 (2003)), gathered from the (j,k)
-    and (k,j) rows and columns of L.  exp(L_r span) is formed by ``expm`` once and kept as
-    the map of the coordinates c, d^-1 exp(L_r span) d; a step reads c from rho's diagonal
-    and upper triangle, makes one real product and rebuilds rho.
+    L maps Hermitian matrices to Hermitian ones, so in the orthonormal basis B of
+    ``_hermitian_basis`` it is the real matrix L_r = Re(B+ L B) (Havel, J. Math. Phys. 44,
+    534 (2003)), whose column i holds the coordinates of L(B_i).  One ``_l_action`` on the
+    basis stack d B gives them, read as c by ``take`` and rescaled by d: L_r = d L_c d^-1.
+    exp(L_r span) is formed by ``expm`` once and kept as the map of the coordinates c,
+    d^-1 exp(L_r span) d; a step reads c from rho's diagonal and upper triangle, makes one
+    real product and rebuilds rho.
 
     The exact map keeps the trace, sum_j c_jj; but each of ``expm``'s s squarings doubles
     the roundoff along that conserved direction, some 1e-10 at s = 19 (T = 1e6 at
     ||L|| ~ 3), so the map's diagonal rows are corrected to sum to the trace functional.
     A span whose map takes more than ``MAX_SQUARINGS`` squarings, by ``expm_plan`` of the
     1-norm of the L_r span that ``expm`` is handed, or whose norm is not finite, is refused
-    with ValueError once L is gathered, before it is exponentiated.
+    with ValueError once L_r is read, before it is exponentiated.
     """
     n = len(k)
-    jumps = q.reshape(len(q), n * n)
-    diag, upper, lower, take, put = _hermitian_basis(n)
-    s, m = 1 / math.sqrt(2), len(upper)
+    take, put, basis = _hermitian_basis(n)
+    m = n * (n - 1) // 2
+    d = np.concatenate([np.ones(n), np.full(2 * m, math.sqrt(2))])
     with np.errstate(over="ignore", invalid="ignore"):
-        # L[a, b, j, k]: sum_q Q (x) conj Q as one product of the jumps' (aj) and (bk)
-        # entries, then K (x) I on its b = k diagonal and I (x) conj K on its a = j
-        # diagonal, added through einsum's writeable diagonal views
-        gen = (jumps.T @ jumps.conj()).reshape(4 * (n,)).transpose(0, 2, 1, 3).copy()
-        np.einsum("abjb->ajb", gen)[...] += k[:, :, None]
-        np.einsum("abak->abk", gen)[...] += k.conj()
-        gen = gen.reshape(n * n, n * n)
-        # L B, then Re(B+ L B): the rows and columns of B's elements from those of (j,k) and (k,j)
-        col_jk, col_kj = gen[:, upper], gen[:, lower]
-        cols = np.concatenate([gen[:, diag], s * (col_jk + col_kj), (1j * s) * (col_jk - col_kj)],
-                              axis=1)
-        row_jk, row_kj = cols[upper], cols[lower]
-        a = span * np.concatenate([cols[diag].real, s * (row_jk + row_kj).real,
-                                   s * (row_jk - row_kj).imag])
+        # row i holds the c of L(basis[i]), the rho of c = e_i: the rows are L_c transposed
+        lb = _l_action(k, q)(basis).reshape(n * n, n * n).view(float)[:, take]
+        a = (span * d[:, None] / d) * lb.T
         norm = np.abs(a).sum(axis=0).max()
     if not (norm < math.inf and expm_plan(norm)[1] <= MAX_SQUARINGS):
         raise ValueError(f"the exact map exp(L dT) of a step of {span:.6g} (||L dT||_1 = "
                          f"{norm:.3g}) takes more than {MAX_SQUARINGS} squarings, each "
                          "doubling its roundoff; shorten the step")
-    d = np.concatenate([np.ones(n), np.full(2 * m, math.sqrt(2))])
     e = d / d[:, None] * expm(a)
     e[:n] -= (e[:n].sum(axis=0) - (np.arange(n * n) < n)) / n  # less the trace functional on c
     # put's sources: the coordinates c out of a step, then -Im rho_jk and a zero
@@ -519,7 +514,7 @@ def evolve_lindblad(h: Hamiltonian, s0: DensityState, grid: TimeGrid,
     ``_open_stacks``, ``cut`` and ``target`` observed as in ``evolve_unitary``; with an
     empty jump set it agrees with ``evolve_unitary`` to roundoff."""
     _check_layouts(h, s0, jumps)
-    cut, target = _observed(s0, grid, cut, target)
+    cut, target = _observed(s0, grid, cut, target, h)
     return _observe(h, s0, grid.times, _open_stacks(h, s0, jumps, grid), cut, target)
 
 
@@ -582,7 +577,7 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
     attains the level within the horizon (at most 50).
     """
     _check_layouts(h, s0)
-    _single(s0=s0)
+    _single(h=h, s0=s0)
     d = min(s0.layout.restricted(side).dim for side in (p.side_a, p.side_b))
     if d < 2:
         raise BadDimensionError(f"a side of the cut has dimension {d}: need d >= 2")

@@ -91,9 +91,10 @@ def unified_bound(s0: DensityState, target: DensityState, h: Hamiltonian) -> Bou
 
     The larger of ``mt`` = theta / std and, for a pure ``s0``, ``ml`` =
     alpha(theta) / mean (None for a mixed one).  Raises DimensionMismatchError for a stack as
-    either state, and StationaryStateError, through ``EnergyMoments.scale``, when a moment vanishes.
+    either state or as ``h``, and StationaryStateError, through ``EnergyMoments.scale``, when
+    a moment vanishes.
     """
-    _single(s0=s0, target=target)
+    _single(h=h, s0=s0, target=target)
     theta = bures_angle(s0, target)
     em = energy_moments(h, s0)
     em.scale()

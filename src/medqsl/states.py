@@ -350,11 +350,13 @@ def _value(values: np.ndarray) -> float | np.ndarray:
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _single(**states: DensityState | None) -> None:
-    """Refuse a stack where one state is meant: DimensionMismatchError names its argument."""
-    for name, s in states.items():
-        if s is not None and s.matrix.ndim != 2:
-            raise DimensionMismatchError(f"{name} is a stack of {len(s.matrix)} states, not one")
+def _single(**args) -> None:
+    """Refuse a stack of states, or of couplings, where one is meant: DimensionMismatchError
+    names its argument."""
+    for name, a in args.items():
+        if a is not None and a.matrix.ndim != 2:
+            kind = "states" if isinstance(a, DensityState) else "couplings"
+            raise DimensionMismatchError(f"{name} is a stack of {len(a.matrix)} {kind}, not one")
 
 
 def maximally_entangled(layout: SystemLayout) -> DensityState:
@@ -604,7 +606,8 @@ def _complex_pairs(arr: np.ndarray):
 
 
 def state_to_dict(s: DensityState) -> dict:
-    """JSON-ready dict; pure states serialize their vector, mixed the matrix."""
+    """JSON-ready dict of one state; pure states serialize their vector, mixed the matrix."""
+    _single(s=s)
     d: dict = {"layout": [[lab, dim] for lab, dim in s.layout.subsystems]}
     if s.is_pure:
         d["pure"] = _complex_pairs(s.pure_vector)
@@ -686,8 +689,10 @@ def _json_value(value, newline: str) -> str:
 
 
 def save_state(s: DensityState, path) -> None:
+    """One state to ``path`` as JSON; a stack is refused before the file is opened."""
+    text = json_text(state_to_dict(s))
     with open(path, "w") as fh:
-        fh.write(json_text(state_to_dict(s)))
+        fh.write(text)
 
 
 def load_state(path) -> DensityState:

@@ -758,15 +758,28 @@ class TestExactMap:
             assert abs(np.trace(st.matrix) - 1) <= 1e-12
             assert np.linalg.eigvalsh(st.matrix)[0] >= -1e-12
 
-    @pytest.mark.parametrize("grid", [TimeGrid(0.0, 0.5, 0.1), TimeGrid(0.0, 2.0, 1e-3)],
-                             ids=["lindblad-open", "1e-3"])
-    def test_one_map_per_grid_span(self, monkeypatch, grid):
+    @pytest.mark.parametrize("grid, system", [(TimeGrid(0.0, 0.5, 0.1), "open-dephasing"),
+                                              (TimeGrid(0.0, 2.0, 1e-3), "open-dephasing"),
+                                              (TimeGrid(0.0, 0.5, 0.1), "gue-damping")],
+                             ids=["lindblad-open", "1e-3", "gue-damping-2x3"])
+    def test_one_map_per_grid_span(self, monkeypatch, grid, system):
+        # expm is handed grid.step B+LB in the orthonormal basis.  open-system's
+        # diagonal H under dephasing never mixes diagonal and off-diagonal
+        # coordinates, so its map of the coordinates c is L_r itself; a GUE coupling
+        # on 2 x 3 with damping on A mixes them, so there the two differ by the
+        # scales d = 1 or sqrt 2
         spans = []
         monkeypatch.setattr(dynamics, "expm", lambda a: spans.append(a) or expm(a))
-        h, s0 = open_system_example()
-        jumps = JumpOperatorSet.local(h.layout, "dephasing", 0.1)
+        if system == "open-dephasing":
+            h, s0 = open_system_example()
+            jumps = JumpOperatorSet.local(h.layout, "dephasing", 0.1)
+        else:
+            lay, stream = SystemLayout((("A", 2), ("B", 3))), RngStream(11, 0)
+            h = Hamiltonian(lay, random_hermitian(6, stream))
+            s0 = DensityState(lay, random_density(6, stream))
+            jumps = JumpOperatorSet.local(lay, "damping", 0.4, ("A",))
         dynamics._open_stacks(h, s0, jumps, grid)
-        b = _hermitian_basis(8)
+        b = _hermitian_basis(h.layout.dim)
         l_r = b.conj().T @ _liouvillian(h, jumps) @ b
         assert len(spans) == 1 and spans[0].dtype == float
         assert np.abs(l_r.imag).max() <= 1e-15

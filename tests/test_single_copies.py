@@ -18,9 +18,11 @@ sweep's block size and kept-memory cap are decided in ``_sweep`` alone.
 Two layouts are refused by ``SystemLayout.require`` alone, a measure's one
 value becomes a float in ``states._value`` alone, and the rate probe
 reports dN/dT(0+) in its own units, with no step of a finite difference.
-A stack where one state is meant is refused in ``states._single`` alone,
-and L takes its leading shape from the product of K and the states it acts
-on, so one K acts on any stack of states.
+A stack where one state or one coupling is meant is refused in
+``states._single`` alone, and L takes its leading shape from the product
+of K and the states it acts on, so one K acts on any stack of states.  L
+is spelled once, in ``dynamics._l_action``, which the exact map reads L_r
+from.
 """
 
 import ast
@@ -355,7 +357,8 @@ def test_one_stack_refusal():
     assert _callers_of("_single") == ["dynamics._observed",
                                       "dynamics.first_max_entanglement_time",
                                       "qsl.unified_bound",
-                                      "states.is_classically_correlated_on"]
+                                      "states.is_classically_correlated_on",
+                                      "states.state_to_dict"]
     assert "ndim" not in inspect.getsource(states.is_classically_correlated_on)
 
 
@@ -366,6 +369,18 @@ def test_l_reads_its_lead_from_the_product():
              if isinstance(node, ast.FunctionDef) and node.name == "act"]
     read = {n.id for n in ast.walk(act) if isinstance(n, ast.Name)}
     assert read.isdisjoint({"k", "lead"}) and {"factors", "r"} <= read
+
+
+def test_one_spelling_of_l():
+    # L is written once, in _l_action: the Taylor action, the exact map and the
+    # rate probe apply it, the map reads L_r off it with no Kronecker assembly of
+    # its own, and it has no scale to apply
+    assert _callers_of("_l_action") == ["dynamics._factor_form", "dynamics._liouville_form",
+                                        "dynamics.entanglement_change_at_zero"]
+    tree = ast.parse(textwrap.dedent(inspect.getsource(dynamics._liouville_form)))
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(tree)}
+    assert names.isdisjoint({"einsum", "conj", "kron"})
+    assert list(inspect.signature(dynamics._l_action).parameters) == ["k", "q"]
 
 
 def test_rate_in_its_own_units():

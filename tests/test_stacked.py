@@ -5,8 +5,9 @@ slice of seeded random stacks, mixed and pure, and a stack that fails
 validation names the earliest failing state by its stack index.  Stacks
 of couplings (the sweeps' blocks) are checked the same way: each row of
 a stacked draw, embedding, propagation, moment and curve equals its own
-one-coupling call.  Each argument that takes one state refuses a stack,
-naming the argument, and keeps its one-state result.
+one-coupling call.  Each argument that takes one state, or one coupling,
+refuses a stack, naming the argument, and keeps its one-state result; a
+state file holds one state.
 """
 
 import math
@@ -467,6 +468,36 @@ class TestOneStateArguments:
         with pytest.raises(DimensionMismatchError,
                            match=rf"^{name} is a stack of 2 states, not one$"):
             ONE_STATE_CALLS[case](two, S_EM)
+
+    def test_a_stack_of_couplings_is_refused(self):
+        # the one-coupling entry points refuse a stack of three couplings, naming h;
+        # the rate probe and the energy moments take it, one row per coupling
+        three = Hamiltonian(H_EM.layout, np.array([H_EM.matrix] * 3))
+        for call in (lambda: dynamics.evolve_unitary(three, S_EM, GRID),
+                     lambda: dynamics.evolve_lindblad(three, S_EM, GRID, NO_JUMPS),
+                     lambda: dynamics.first_max_entanglement_time(three, S_EM, CUT),
+                     lambda: qsl.unified_bound(S_EM, S_EM, three)):
+            with pytest.raises(DimensionMismatchError,
+                               match=r"^h is a stack of 3 couplings, not one$"):
+                call()
+        rate = dynamics.entanglement_change_at_zero(H_EM, S_EM, CUT)
+        assert_array_equal(dynamics.entanglement_change_at_zero(three, S_EM, CUT), [rate] * 3)
+        assert_array_equal(energy_moments(three, S_EM).std, [energy_moments(H_EM, S_EM).std] * 3)
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    def test_a_stack_is_not_saved(self, tmp_path, pure):
+        # a state file holds one state: a stack is refused before the file is opened
+        two = (DensityState.from_pure(S_EM.layout, np.array([S_EM.pure_vector] * 2)) if pure
+               else DensityState(S_EM.layout, np.array([S_EM.matrix] * 2)))
+        for call in (lambda: states.state_to_dict(two),
+                     lambda: states.save_state(two, tmp_path / "two.json")):
+            with pytest.raises(DimensionMismatchError,
+                               match=r"^s is a stack of 2 states, not one$"):
+                call()
+        assert not (tmp_path / "two.json").exists()
+        states.save_state(next(iter(two)), tmp_path / "one.json")
+        back = states.load_state(tmp_path / "one.json")
+        assert back.is_pure == pure and np.array_equal(back.matrix, S_EM.matrix)
 
     def test_single_states_keep_their_results(self):
         # the guard moves no one-state result: first-max timing of the entangled
