@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BadDimensionError,
     DimensionMismatchError,
     PositivityLostError,
     StackCheckError,
@@ -53,6 +52,7 @@ from .states import (
     partial_trace,
     partial_trace_array,
     purity,
+    require_dim,
     uhlmann_fidelity,
 )
 from .tolerances import (
@@ -160,12 +160,14 @@ class Trajectory:
 
 def write_csv(path, names, columns) -> None:
     """Equal-length float ``columns`` under the header ``names``, each value as ``%.17g``,
-    the whole table formatted by one ``%`` on the row format repeated."""
-    table = np.column_stack(columns)
+    each ``PROPAGATE_CHUNK`` rows formatted by one ``%`` on the row format repeated, so that
+    what the text holds at once does not grow with the table."""
     fmt = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        fh.write(fmt * len(table) % tuple(table.ravel().tolist()))
+        for lo in range(0, len(columns[0]), PROPAGATE_CHUNK):
+            block = np.column_stack([c[lo:lo + PROPAGATE_CHUNK] for c in columns])
+            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 @functools.cache
@@ -578,9 +580,8 @@ def first_max_entanglement_time(h: Hamiltonian, s0: DensityState, p: Bipartition
     """
     _check_layouts(h, s0)
     _single(h=h, s0=s0)
-    d = min(s0.layout.restricted(side).dim for side in (p.side_a, p.side_b))
-    if d < 2:
-        raise BadDimensionError(f"a side of the cut has dimension {d}: need d >= 2")
+    d = require_dim(min(s0.layout.restricted(side).dim for side in (p.side_a, p.side_b)),
+                    name="the dimension of the cut's smaller side")
     if not 0 < horizon <= 50.0:
         raise ValueError(f"horizon {horizon} outside (0, 50]")
     level = (d - 1) / 2.0

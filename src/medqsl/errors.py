@@ -28,8 +28,8 @@ class NotPSDError(StackCheckError):
     """Matrix expected to be positive semidefinite has a negative eigenvalue."""
 
 
-class BadDimensionError(MedqslError):
-    """Dimension argument outside the supported range."""
+class BadDimensionError(MedqslError, ValueError):
+    """Dimension argument not an integer, or outside the supported range."""
 
 
 class DimensionMismatchError(MedqslError):

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensionError, DimensionMismatchError, StationaryStateError
+from .errors import DimensionMismatchError, StationaryStateError
 from .linalg import dot_rows, first_failure, kron_stack, require_hermitian
-from .states import DensityState, SystemLayout, _value, embed_operator
+from .states import DensityState, SystemLayout, _value, embed_operator, require_dim
 from .tolerances import STATIONARY_TOL
 
 __all__ = [
@@ -187,8 +187,7 @@ def direct_optimal(d: int) -> Hamiltonian:
     |00> along cos(T)|00> + sin(T) sum_{j>=1} |jj>/sqrt(d-1) and reaches
     the maximally entangled state at T = arccos(1/sqrt(d)).
     """
-    if d < 2:
-        raise BadDimensionError(f"need d >= 2, got {d}")
+    d = require_dim(d)
     layout = SystemLayout((("A", d), ("B", d)))
     m = np.zeros((d * d, d * d), dtype=complex)
     for j in range(1, d):

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import refine_peak
-from .errors import BadDimensionError
 from .hamiltonians import EnergyMoments, Hamiltonian, energy_moments
 from .states import (
     DensityState,
     SystemLayout,
     _single,
     bures_angle,
+    require_dim,
     uhlmann_fidelity,
 )
 
@@ -108,9 +108,7 @@ def unified_bound(s0: DensityState, target: DensityState, h: Hamiltonian) -> Bou
 
 def di_bound(d: int) -> float:
     """arccos(1/sqrt(d)): minimal T for direct maximal entanglement of two qudits."""
-    if d < 2:
-        raise BadDimensionError(f"need d >= 2, got {d}")
-    return math.acos(1.0 / math.sqrt(d))
+    return math.acos(1.0 / math.sqrt(require_dim(d)))
 
 
 def conjecture_bound(d: int) -> float:
@@ -135,8 +133,7 @@ def swap_stage_fidelity(d: int) -> float:
     (maximally entangled A-B) x |0>_C.  Their root fidelity is exactly
     1/d, which is what makes the second arccos(1/d) stage unavoidable.
     """
-    if d < 2:
-        raise BadDimensionError(f"need d >= 2, got {d}")
+    d = require_dim(d)
     layout = SystemLayout((("A", d), ("B", d), ("C", d)))
     # layout order A,B,C: stage one parks |0> on B, the target parks |0> on C
     v1 = sum(DensityState.basis(layout, (j, 0, j)).pure_vector for j in range(d))

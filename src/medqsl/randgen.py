@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadDimensionError
 from .hamiltonians import Hamiltonian
 from .linalg import dot_rows
-from .states import SystemLayout, embed_operator
+from .states import MAX_TOTAL_DIM, SystemLayout, embed_operator, require_dim
 
 __all__ = [
     "RngStream",
@@ -78,9 +77,9 @@ class RngStream:
 
 
 def _stacked(stream, draw, *shape: int) -> np.ndarray:
-    """``draw(stream, *shape)``, or its ``(B, *shape)`` stack over a sequence of B streams."""
-    if shape[0] < 1:
-        raise BadDimensionError(f"need dim >= 1, got {shape[0]}")
+    """``draw(stream, *shape)``, or its ``(B, *shape)`` stack over a sequence of B streams;
+    ``MAX_TOTAL_DIM`` caps the dimension ``shape[0]`` before anything is drawn."""
+    require_dim(shape[0], 1, MAX_TOTAL_DIM, "dim")
     if isinstance(stream, RngStream):
         return draw(stream, *shape)
     return np.array([draw(s, *shape) for s in stream])
@@ -120,10 +119,8 @@ def random_mediated_hamiltonian(d_a: int, d_b: int, d_c: int, stream) -> Hamilto
     allowed and degenerates this to purely local dynamics.  Each stream
     draws H_AC, then H_BC; many streams give a ``(B, n, n)`` stack.
     """
-    if d_a < 2 or d_b < 2:
-        raise BadDimensionError(f"need d_a, d_b >= 2, got {d_a}, {d_b}")
-    if d_c < 1:
-        raise BadDimensionError(f"need d_c >= 1, got {d_c}")
+    d_a, d_b = require_dim(d_a, name="d_a"), require_dim(d_b, name="d_b")
+    d_c = require_dim(d_c, 1, name="d_c")
     layout = SystemLayout((("A", d_a), ("B", d_b), ("C", d_c)))
     h_ac, h_bc = random_hermitian(d_a * d_c, stream), random_hermitian(d_b * d_c, stream)
     return Hamiltonian(layout, embed_operator(layout, ("A", "C"), h_ac)

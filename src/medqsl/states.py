@@ -38,6 +38,7 @@ __all__ = [
     "SystemLayout",
     "Bipartition",
     "DensityState",
+    "require_dim",
     "maximally_entangled",
     "embed_operator",
     "partial_trace",
@@ -64,11 +65,18 @@ __all__ = [
 MAX_TOTAL_DIM = 4096
 
 
-def _integer_dim(label, dim) -> int:
-    """``dim`` as an int: an int or a numpy integer, never a bool, float or string."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise BadDimensionError(f"subsystem {str(label)!r} has dimension {dim!r}: not an integer")
-    return int(dim)
+def require_dim(d, lo: int = 2, hi: int | None = None, name: str = "d") -> int:
+    """``d`` as an int in [lo, hi]: an int or a numpy integer, never a bool, float or string.
+
+    The package's one dimension check; anything else is a ``BadDimensionError`` naming ``name``.
+    """
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise BadDimensionError(f"{name} must be an integer, got {d!r}")
+    if hi is None and d < lo:
+        raise BadDimensionError(f"need {name} >= {lo}, got {d}")
+    if hi is not None and not lo <= d <= hi:
+        raise BadDimensionError(f"need {lo} <= {name} <= {hi}, got {d}")
+    return int(d)
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,8 @@ class SystemLayout:
     subsystems: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        subs = tuple((str(lab), _integer_dim(lab, dim)) for lab, dim in self.subsystems)
+        subs = tuple((str(lab), require_dim(dim, 1, name=f"dimension of subsystem {str(lab)!r}"))
+                     for lab, dim in self.subsystems)
         object.__setattr__(self, "subsystems", subs)
         if not subs:
             raise BadDimensionError("layout needs at least one subsystem")
@@ -94,8 +103,6 @@ class SystemLayout:
             if lab in seen:
                 raise UnknownLabelError(f"duplicate subsystem label {lab!r}")
             seen.add(lab)
-            if dim < 1:
-                raise BadDimensionError(f"subsystem {lab!r} has dimension {dim}")
         total = math.prod(dim for _, dim in subs)
         if total > MAX_TOTAL_DIM:
             raise BadDimensionError(f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
@@ -363,9 +370,7 @@ def maximally_entangled(layout: SystemLayout) -> DensityState:
     """The state sum_j |jj> / sqrt(d) on a two-subsystem layout of dims (d, d)."""
     if len(layout) != 2 or layout.dims[0] != layout.dims[1]:
         raise DimensionMismatchError(f"layout dims {layout.dims} do not form a d x d pair")
-    d = layout.dims[0]
-    if d < 2:
-        raise BadDimensionError(f"need d >= 2, got {d}")
+    d = require_dim(layout.dims[0])
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0
     return DensityState.from_pure(layout, v / math.sqrt(d))
@@ -618,9 +623,11 @@ def state_to_dict(s: DensityState) -> dict:
 
 def state_from_dict(d: dict) -> DensityState:
     try:
-        layout = SystemLayout(tuple((lab, dim) for lab, dim in d["layout"]))
+        subsystems = tuple((lab, dim) for lab, dim in d["layout"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"bad layout entry: {exc}") from exc
+    # outside the try: a bad dimension stays a BadDimensionError, itself a ValueError
+    layout = SystemLayout(subsystems)
     if ("pure" in d) == ("density" in d):
         raise DimensionMismatchError("state dict needs exactly one of 'pure', 'density'")
     key = "pure" if "pure" in d else "density"

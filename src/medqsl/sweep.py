@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    JUMP_KINDS,
     MAX_KEPT_BYTES,
     TRAJECTORY_GRID,
     JumpOperatorSet,
@@ -46,7 +45,7 @@ from .dynamics import (
     refine_peak,
     write_csv,
 )
-from .errors import BadDimensionError, StationaryStateError
+from .errors import StationaryStateError
 from .hamiltonians import (
     Hamiltonian,
     cmi_product_example,
@@ -75,6 +74,7 @@ from .states import (
     embed_operator,
     json_text,
     negativity_array,
+    require_dim,
 )
 from .tolerances import (
     ATTAIN_SLACK, CLOSED_RATE_TOL, EARLY_SLACK, EXCESS_TOL, OPEN_RATE_TOL, STAGE2_TIME_SLACK,
@@ -146,25 +146,20 @@ class SweepConfig:
                 raise ValueError(f"{WORKERS_ENV} must be a non-negative integer, got {workers!r}")
         elif require_integer("workers", workers) < 0:
             raise ValueError(f"workers must be a non-negative integer, got {workers!r}")
-        d = require_integer("d", self.d)
+        d = require_dim(self.d)
+        d_c = require_dim(d if self.d_c is None else self.d_c, 1, name="d_c")
         n = EXPERIMENTS[self.experiment] if self.n_instances is None else self.n_instances
         for name, value in (("seed", require_uint64("seed", self.seed)), ("d", d),
-                            ("n_instances", require_integer("n_instances", n)),
-                            ("d_c", require_integer("d_c", d if self.d_c is None else self.d_c)),
+                            ("n_instances", require_integer("n_instances", n)), ("d_c", d_c),
                             ("workers", max(1, int(workers)))):
             object.__setattr__(self, name, value)
-        if self.d < 2:
-            raise ValueError(f"need d >= 2, got {self.d}")
         if self.n_instances < 1:
             raise ValueError("n_instances must be >= 1")
-        if self.jump_type not in JUMP_KINDS:
-            raise ValueError(f"unknown jump type {self.jump_type!r}; "
-                             f"choices: {tuple(JUMP_KINDS)}")
         if self.experiment == "smi-protocol" and self.d_c != self.d:
             raise ValueError(f"smi-protocol runs on a mediator of dim d={self.d}, "
                              f"got d_c={self.d_c}")
-        # the total-dimension cap fails here, before anything is drawn
-        self.layout
+        # the total-dimension cap and an unknown jump type fail here, before anything is drawn
+        JumpOperatorSet.local(self.layout, self.jump_type, JUMP_RATE)
 
     @property
     def layout(self) -> SystemLayout:
@@ -467,9 +462,7 @@ def run_rate_zero(cfg: SweepConfig) -> SweepReport:
 
 def run_fig2(d: int, grid: TimeGrid = TRAJECTORY_GRID) -> Trajectory:
     """Optimal direct trajectory from |00>: N and Bures angle against T."""
-    if not 2 <= d <= 6:
-        raise BadDimensionError(f"need 2 <= d <= 6, got {d}")
-    h = direct_optimal(d)
+    h = direct_optimal(require_dim(d, hi=6))
     return evolve_unitary(h, DensityState.basis(h.layout), grid)
 
 
@@ -482,9 +475,7 @@ def run_smi_protocol(cfg: SweepConfig) -> SweepReport:
     fastest arrival of N_{A:B} at (d-1)/2 - ATTAIN_SLACK; no draw may beat
     arccos(1/d), the angle fixed by the 1/d stage-boundary fidelity.
     """
-    d = cfg.d
-    if not 2 <= d <= 4:
-        raise BadDimensionError(f"need 2 <= d <= 4, got {d}")
+    d = require_dim(cfg.d, hi=4)
     stage1 = Hamiltonian(cfg.layout,
                          embed_operator(cfg.layout, ("A", "C"), direct_optimal(d).matrix))
     t1 = di_bound(d)

@@ -480,7 +480,7 @@ class TestExitCodes:
                    "--target", "maxent"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == "error: subsystem 'A' has dimension 2.9: not an integer\n"
+        assert err == "error: dimension of subsystem 'A' must be an integer, got 2.9\n"
 
     def test_state_file_on_another_layout(self, tmp_path, capsys):
         save_state(maximally_entangled(SystemLayout((("A", 3), ("B", 3)))), "qutrits.json")

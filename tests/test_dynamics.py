@@ -1408,7 +1408,8 @@ class TestFirstMaxTime:
     def test_side_of_dimension_one_rejected(self):
         lay = SystemLayout((("A", 2), ("B", 1)))
         h = Hamiltonian(lay, np.diag([1.0, -1.0]).astype(complex))
-        with pytest.raises(BadDimensionError, match="dimension 1"):
+        with pytest.raises(BadDimensionError,
+                           match="need the dimension of the cut's smaller side >= 2, got 1"):
             first_max_entanglement_time(h, ket(lay, 0), Bipartition.parse("A:B"))
 
     def test_peak_at_the_horizon(self):
@@ -1615,6 +1616,25 @@ def test_write_csv_matches_formatted_rows(tmp_path):
     dynamics.write_csv(tmp_path / "w.csv", names, cols)
     rows = [",".join(f"{c[k]:.17g}" for c in cols) for k in range(1000)]
     assert (tmp_path / "w.csv").read_text() == "\n".join(["T,a,b,c", *rows]) + "\n"
+
+
+def test_write_csv_peak_does_not_grow_with_the_table(tmp_path):
+    # formatted a chunk of rows at a time, a long table holds what one chunk's
+    # text holds: under 256 KiB at 100,000 rows, where one % over the whole
+    # table held some 14 MB at two columns (55 MB at eight)
+    cols = [np.linspace(k, k + 1.0, 100_000) for k in range(2)]
+    assert _traced_peak(dynamics.write_csv, tmp_path / "w.csv", ("T", "a"), cols) < 256 * 1024
+    assert len((tmp_path / "w.csv").read_text().splitlines()) == 100_001
+
+
+def test_write_csv_chunks_give_the_bytes_of_one_format(tmp_path):
+    # 600 rows span three chunks of PROPAGATE_CHUNK rows
+    assert dynamics.PROPAGATE_CHUNK < 600 <= 3 * dynamics.PROPAGATE_CHUNK
+    gen = np.random.default_rng(4)
+    cols = [gen.standard_normal(600) * 10.0 ** gen.integers(-30, 30, 600) for _ in range(3)]
+    dynamics.write_csv(tmp_path / "w.csv", ("T", "a", "b"), cols)
+    whole = "%.17g,%.17g,%.17g\n" * 600 % tuple(np.column_stack(cols).ravel().tolist())
+    assert (tmp_path / "w.csv").read_text() == "T,a,b\n" + whole
 
 
 def test_trajectory_keeps_its_chunk_stacks():

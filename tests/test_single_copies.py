@@ -22,7 +22,7 @@ A stack where one state or one coupling is meant is refused in
 ``states._single`` alone, and L takes its leading shape from the product
 of K and the states it acts on, so one K acts on any stack of states.  L
 is spelled once, in ``dynamics._l_action``, which the exact map reads L_r
-from.
+from.  Every dimension the package takes is checked by ``states.require_dim``.
 """
 
 import ast
@@ -386,6 +386,22 @@ def test_one_spelling_of_l():
 def test_rate_in_its_own_units():
     # the rate probe is exact, so no finite-difference step scales what it reports
     assert [path.name for path in SRC.glob("*.py") if "RATE_DELTA" in path.read_text()] == []
+
+
+def test_one_dimension_rule():
+    # a dimension is an integer in range by one rule: require_dim alone refuses
+    # it, and a layout only its empty list and total above the cap
+    assert _callers_of("BadDimensionError") == [
+        "states.SystemLayout.__post_init__", "states.SystemLayout.__post_init__",
+        "states.require_dim", "states.require_dim", "states.require_dim"]
+    assert [path.name for path in SRC.glob("*.py") if "_integer_dim" in path.read_text()] == []
+    assert _callers_of("require_dim") == [
+        "dynamics.first_max_entanglement_time", "hamiltonians.direct_optimal", "qsl.di_bound",
+        "qsl.swap_stage_fidelity", "randgen._stacked", "randgen.random_mediated_hamiltonian",
+        "randgen.random_mediated_hamiltonian", "randgen.random_mediated_hamiltonian",
+        "states.SystemLayout.__post_init__", "states.maximally_entangled",
+        "sweep.SweepConfig.__post_init__", "sweep.SweepConfig.__post_init__", "sweep.run_fig2",
+        "sweep.run_smi_protocol"]
 
 
 def test_one_spectrum_per_hamiltonian(monkeypatch):

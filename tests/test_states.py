@@ -110,7 +110,8 @@ class TestSystemLayout:
 
     @pytest.mark.parametrize("dim", [2.9, 2.0, True, "2", None])
     def test_non_integer_dimension_rejected(self, dim):
-        with pytest.raises(BadDimensionError, match=r"subsystem 'B' has dimension .*: not an integer"):
+        with pytest.raises(BadDimensionError,
+                           match=r"^dimension of subsystem 'B' must be an integer, got .*$"):
             SystemLayout((("A", 2), ("B", dim)))
 
     def test_numpy_integer_dimension_accepted(self):
@@ -320,6 +321,45 @@ def test_maximally_entangled_needs_a_pair():
             maximally_entangled(lay)
     with pytest.raises(BadDimensionError):
         maximally_entangled(SystemLayout((("A", 1), ("B", 1))))
+
+
+def _dimension_takers():
+    """Each public callable that takes a dimension, as a function of it, and the integers it
+    refuses: its lowest bad one, and for a sampler or a capped experiment the one past its cap."""
+    from medqsl import qsl, sweep
+
+    s = RngStream(7, 0)
+    pair = (lambda d: maximally_entangled(SystemLayout((("A", d), ("B", d)))), (1,))
+    takers = {name: (lambda d, f=getattr(randgen, name): f(d, s), (0, MAX_TOTAL_DIM + 1))
+              for name in ("haar_pure", "random_density", "random_hermitian", "random_weights")}
+    takers.update({name: (getattr(qsl, name), (1,)) for name in (
+        "di_bound", "conjecture_bound", "smi_bound", "swap_stage_fidelity")})
+    takers.update({
+        "random_mediated_hamiltonian(d_a)":
+            (lambda d: randgen.random_mediated_hamiltonian(d, 2, 2, s), (1,)),
+        "random_mediated_hamiltonian(d_c)":
+            (lambda d: randgen.random_mediated_hamiltonian(2, 2, d, s), (0,)),
+        "direct_optimal": (direct_optimal, (1,)),
+        "maximally_entangled": pair,
+        "run_fig2": (sweep.run_fig2, (1, 7)),
+        "run_smi_protocol": (lambda d: sweep.run_smi_protocol(
+            sweep.SweepConfig("smi-protocol", n_instances=1, d=d)), (1, 5)),
+        "SweepConfig(d)": (lambda d: sweep.SweepConfig("rate-zero", d=d), (1,)),
+        "SweepConfig(d_c)": (lambda d: sweep.SweepConfig("rate-zero", d_c=d), (0,)),
+        "SystemLayout": (lambda d: SystemLayout((("A", d),)), (0,)),
+    })
+    return takers
+
+
+@pytest.mark.parametrize("name", sorted(_dimension_takers()))
+def test_every_dimension_refused_alike(name):
+    # one rule for every dimension: a float, a bool, a string or an integer out
+    # of range is a BadDimensionError, itself a ValueError, before any draw
+    take, bad = _dimension_takers()[name]
+    for d in (2.5, True, "2") + bad:
+        with pytest.raises(BadDimensionError) as refused:
+            take(d)
+        assert isinstance(refused.value, ValueError)
 
 
 class TestPartialTrace:
